@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-replay bench-edge bench-store bench-all bench-smoke perf-gate experiments experiments-small fmt vet clean
+.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-replay bench-edge bench-store bench-all bench-smoke bench-check perf-gate experiments experiments-small fmt vet clean
 
 all: build test
 
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTextReader -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzColumnarTrace -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzParseRange -fuzztime=30s ./internal/edge/
+	$(GO) test -fuzz=FuzzOriginRange -fuzztime=30s ./internal/edge/
 	$(GO) test -fuzz=FuzzSlabRecovery -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzPolicyConfig -fuzztime=30s ./internal/policy/
 
@@ -88,6 +89,13 @@ bench-all: bench-store bench-edge bench-replay
 # without paying for real measurement.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The repository benchmark (BENCHMARK.json, bench/) is a module of its
+# own, so `go test ./...` never reaches its tests: run them, then one
+# short pass of every workload with every output check on.
+bench-check:
+	$(GO) test -C bench .
+	bash bench/run.sh -smoke
 
 # Perf-regression smoke gate (also run in CI): regenerate all three
 # benchmark reports at smoke size and compare against the committed

@@ -243,22 +243,29 @@ func BenchmarkFillPath(b *testing.B) {
 	}
 }
 
-// BenchmarkOriginChunk measures raw synthetic-content generation and
-// serving at the origin.
+// BenchmarkOriginChunk measures one whole 256 KiB chunk generated and
+// served by the origin over loopback HTTP. B/op and allocs/op cover
+// the client too (one process), so a chunk-sized buffer per request at
+// the origin shows as B/op above the chunk size.
 func BenchmarkOriginChunk(b *testing.B) {
-	o, err := NewOrigin(DeterministicCatalog{MinBytes: 1 << 20, MaxBytes: 8 << 20}, 2<<20)
+	const chunkSize = 256 << 10
+	o, err := NewOrigin(MapCatalog{1: 4 * chunkSize}, chunkSize)
 	if err != nil {
 		b.Fatal(err)
 	}
 	origin := httptest.NewServer(o)
 	defer origin.Close()
+	b.SetBytes(chunkSize)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, err := http.Get(origin.URL + "/chunk?v=1&c=0")
 		if err != nil {
 			b.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		if n, err := io.Copy(io.Discard, resp.Body); err != nil || n != chunkSize {
+			b.Fatalf("read %d bytes: %v", n, err)
+		}
 		resp.Body.Close()
 	}
 }

@@ -88,6 +88,7 @@ type chaosRig struct {
 type rigOptions struct {
 	store      store.Store // nil means a fresh Mem
 	asyncFills bool
+	chunkSize  int64 // 0 means testK
 }
 
 func newChaosRig(t *testing.T, c core.Cache, catalog Catalog, fault FaultConfig,
@@ -98,7 +99,11 @@ func newChaosRig(t *testing.T, c core.Cache, catalog Catalog, fault FaultConfig,
 func newChaosRigWith(t *testing.T, c core.Cache, catalog Catalog, fault FaultConfig,
 	retry resilience.RetryPolicy, breaker resilience.BreakerConfig, opts rigOptions) *chaosRig {
 	t.Helper()
-	o, err := NewOrigin(catalog, testK)
+	k := opts.chunkSize
+	if k == 0 {
+		k = testK
+	}
+	o, err := NewOrigin(catalog, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +119,7 @@ func newChaosRigWith(t *testing.T, c core.Cache, catalog Catalog, fault FaultCon
 	s, err := NewServer(Config{
 		Cache: c, Store: rig.store,
 		OriginURL: rig.originSrv.URL, RedirectURL: "http://secondary.example",
-		ChunkSize: testK, Alpha: 1,
+		ChunkSize: k, Alpha: 1,
 		Clock:       func() int64 { nowMu.Lock(); defer nowMu.Unlock(); now++; return now },
 		FillTimeout: 5 * time.Second,
 		Retry:       retry,
@@ -328,19 +333,27 @@ func TestChaosSlabStoreAsyncFills(t *testing.T) {
 // origin's fully-delivered bytes, bit-exact), and the rig must prove
 // the streaming path — not the buffered fallback — took the traffic.
 func TestChaosStreamingFillTruncation(t *testing.T) {
-	cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 4096}, 1)
+	// One chunk per origin Write, and chunks of several pieces where a
+	// cut lands inside a later Write.
+	for _, k := range []int64{testK, 2*originPiece + 1000} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) { chaosStreamingFillTruncation(t, k) })
+	}
+}
+
+func chaosStreamingFillTruncation(t *testing.T, k int64) {
+	cache, err := xlru.New(core.Config{ChunkSize: k, DiskChunks: 4096}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab, err := store.NewSlab(t.TempDir(), store.SlabConfig{SlotBytes: testK, SegmentSlots: 256})
+	slab, err := store.NewSlab(t.TempDir(), store.SlabConfig{SlotBytes: k, SegmentSlots: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { slab.Close() })
-	catalog := DeterministicCatalog{MinBytes: 2 * testK, MaxBytes: 6 * testK}
+	catalog := DeterministicCatalog{MinBytes: 2 * k, MaxBytes: 6 * k}
 	rig := newChaosRigWith(t, cache, catalog, FaultConfig{
 		Seed: 43, ErrorRate: 0.1, TruncateRate: 0.35,
-	}, fastRetry(), neverTrip(), rigOptions{store: slab})
+	}, fastRetry(), neverTrip(), rigOptions{store: slab, chunkSize: k})
 
 	const goroutines, perG = 8, 30
 	var servedBytes atomic.Int64
@@ -355,7 +368,7 @@ func TestChaosStreamingFillTruncation(t *testing.T) {
 				resp, body := rig.get(t, v, 0, size-1)
 				switch resp.StatusCode {
 				case http.StatusOK, http.StatusPartialContent:
-					if !bytes.Equal(body, expected(v, 0, size-1)) {
+					if !bytes.Equal(body, refRange(v, k, 0, size-1)) {
 						t.Errorf("video %d: served body mismatch (%d bytes)", v, len(body))
 					}
 					servedBytes.Add(int64(len(body)))
@@ -554,7 +567,11 @@ func TestChaosFlightCoalescingExactlyOneFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := &countingOrigin{inner: o}
+	// The origin answers late enough for every waiter to join the
+	// first flight: a waiter arriving after it landed rightly starts a
+	// second one, which an instant origin let happen about once in a
+	// thousand runs.
+	counting := &countingOrigin{inner: NewFaultOrigin(o, FaultConfig{LatencyRate: 1, Latency: 50 * time.Millisecond})}
 	originSrv := httptest.NewServer(counting)
 	defer originSrv.Close()
 	s, err := NewServer(Config{

@@ -10,6 +10,8 @@
 package edge
 
 import (
+	"encoding/binary"
+
 	"videocdn/internal/chunk"
 )
 
@@ -22,8 +24,9 @@ type Catalog interface {
 }
 
 // DeterministicCatalog is an infinite catalog whose video sizes are a
-// pure hash of the video ID, in [MinBytes, MaxBytes]. Every video ID
-// exists; the same ID always has the same size and content.
+// pure hash of the video ID, in [MinBytes, MaxBytes) — MaxBytes itself
+// never occurs — or exactly MinBytes when MaxBytes <= MinBytes. Every
+// video ID exists; the same ID always has the same size and content.
 type DeterministicCatalog struct {
 	MinBytes, MaxBytes int64
 }
@@ -51,19 +54,43 @@ func (c MapCatalog) SizeOf(v chunk.VideoID) (int64, bool) {
 // Byte i of chunk c of video v depends only on (v, c, i), so any
 // component — origin, edge, test — can verify payloads byte-for-byte.
 func ChunkData(v chunk.VideoID, index uint32, dst []byte) {
-	state := splitmix64(uint64(v)<<32 ^ uint64(index))
-	var word uint64
-	for i := range dst {
-		if i%8 == 0 {
-			state += 0x9E3779B97F4A7C15
-			word = mix(state)
+	chunkDataAt(v, index, 0, dst)
+}
+
+// golden is the splitmix64 increment.
+const golden = 0x9E3779B97F4A7C15
+
+// chunkDataAt writes bytes [off, off+len(dst)) of chunk (v, index).
+// The chunk is a sequence of little-endian 64-bit words, word j being
+// mix(seed + (j+1)·golden) with seed = splitmix64(v<<32 ^ index): a
+// pure function of (v, index, j), so content can be generated from any
+// offset, one word per 8 bytes.
+func chunkDataAt(v chunk.VideoID, index uint32, off int64, dst []byte) {
+	state := splitmix64(uint64(v)<<32^uint64(index)) + uint64(off/8)*golden
+	if r := int(off % 8); r != 0 {
+		// Leading bytes of a word the range enters midway.
+		state += golden
+		word := mix(state) >> (8 * r)
+		n := min(8-r, len(dst))
+		for i := 0; i < n; i++ {
+			dst[i] = byte(word >> (8 * i))
 		}
-		dst[i] = byte(word >> (8 * (i % 8)))
+		dst = dst[n:]
+	}
+	for ; len(dst) >= 8; dst = dst[8:] {
+		state += golden
+		binary.LittleEndian.PutUint64(dst, mix(state))
+	}
+	if len(dst) > 0 {
+		word := mix(state + golden)
+		for i := range dst {
+			dst[i] = byte(word >> (8 * i))
+		}
 	}
 }
 
 func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
+	x += golden
 	return mix(x)
 }
 

@@ -88,22 +88,10 @@ func (r *testRig) get(t *testing.T, v chunk.VideoID, start, end int64) (*http.Re
 	return resp, body
 }
 
+// expected is bytes [start, end] of video v at the tests' chunk size,
+// from the reference content loop.
 func expected(v chunk.VideoID, start, end int64) []byte {
-	out := make([]byte, 0, end-start+1)
-	buf := make([]byte, testK)
-	for c := uint32(start / testK); c <= uint32(end/testK); c++ {
-		ChunkData(v, c, buf)
-		lo := int64(c) * testK
-		from, to := int64(0), int64(testK-1)
-		if lo < start {
-			from = start - lo
-		}
-		if lo+to > end {
-			to = end - lo
-		}
-		out = append(out, buf[from:to+1]...)
-	}
-	return out
+	return refRange(v, testK, start, end)
 }
 
 func TestOriginChunkDeterminism(t *testing.T) {
@@ -564,6 +552,7 @@ func TestNewServerValidation(t *testing.T) {
 		func(c *Config) { c.Cache = nil },
 		func(c *Config) { c.Store = nil },
 		func(c *Config) { c.OriginURL = "" },
+		func(c *Config) { c.OriginURL = "http://[::1" }, // does not parse
 		func(c *Config) { c.RedirectURL = "" },
 		func(c *Config) { c.ChunkSize = 0 },
 		func(c *Config) { c.Alpha = -1 },

@@ -103,8 +103,14 @@ func (f *FaultOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		f.counts.Truncations++
 		f.mu.Unlock()
 		f.inner.ServeHTTP(&truncatingWriter{ResponseWriter: w}, r)
-		// Abort the connection so the client observes a short body
-		// rather than a clean EOF at the advertised length.
+		// Push out what the server still buffers — the inner handler
+		// writes piece by piece, and a short last piece would otherwise
+		// die with the connection — so the cut is exactly where
+		// truncatingWriter made it. Then abort, so the client observes
+		// a short body rather than a clean EOF at the advertised length.
+		if fl, ok := w.(http.Flusher); ok {
+			fl.Flush()
+		}
 		panic(http.ErrAbortHandler)
 	}
 	if r.URL.Path == "/chunk" {

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -107,6 +108,62 @@ func FuzzParseRange(f *testing.F) {
 		for i, b := range body {
 			if b != want[b0+int64(i)] {
 				t.Fatalf("served byte %d of range [%d,%d] diverges from content function", i, b0, b1)
+			}
+		}
+	})
+}
+
+// FuzzOriginRange fuzzes the origin's content writer through both
+// routes: for any video size, chunk size and byte range, the /video
+// body and every /chunk body (the short last chunk included) must
+// equal the concatenation of reference chunks — whatever the range's
+// alignment to content words, pieces and chunks.
+func FuzzOriginRange(f *testing.F) {
+	f.Add(uint32(7), int64(1000), int64(64), int64(0), int64(999))
+	f.Add(uint32(1), int64(1), int64(1), int64(0), int64(0))
+	f.Add(uint32(9), int64(3*originPiece+5), int64(originPiece+3), int64(originPiece-1), int64(2*originPiece+9))
+	f.Add(uint32(3), int64(200_000), int64(70_001), int64(69_999), int64(140_003))
+	f.Add(uint32(0xFFFFFFFF), int64(4097), int64(4096), int64(4095), int64(4096))
+	f.Fuzz(func(t *testing.T, vid uint32, size, chunkSize, b0, b1 int64) {
+		// Up to 256 KiB of video in chunks of up to 128 KiB: several
+		// pieces per chunk and several chunks per video stay reachable.
+		size = size&(256<<10-1) + 1
+		chunkSize = chunkSize&(128<<10-1) + 1
+		if size/chunkSize > 64 {
+			chunkSize = size/64 + 1 // bound the /chunk requests per input
+		}
+		b0 &= 256<<10 - 1
+		b1 &= 256<<10 - 1
+		if b0 > b1 {
+			b0, b1 = b1, b0
+		}
+		if b0 >= size {
+			b0 = size - 1
+		}
+		if b1 >= size {
+			b1 = size - 1
+		}
+		v := chunk.VideoID(vid)
+		o, err := NewOrigin(MapCatalog{v: size}, chunkSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		get := func(target string) []byte {
+			rec := httptest.NewRecorder()
+			o.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+			if rec.Code != http.StatusOK && rec.Code != http.StatusPartialContent {
+				t.Fatalf("%s: status %d (size %d, chunk size %d)", target, rec.Code, size, chunkSize)
+			}
+			return rec.Body.Bytes()
+		}
+		body := get(fmt.Sprintf("/video?v=%d&start=%d&end=%d", v, b0, b1))
+		if !bytes.Equal(body, refRange(v, chunkSize, b0, b1)) {
+			t.Fatalf("/video [%d,%d] differs from the reference (size %d, chunk size %d)", b0, b1, size, chunkSize)
+		}
+		for c := int64(0); c*chunkSize < size; c++ {
+			body := get(fmt.Sprintf("/chunk?v=%d&c=%d", v, c))
+			if !bytes.Equal(body, refRange(v, chunkSize, c*chunkSize, min((c+1)*chunkSize, size)-1)) {
+				t.Fatalf("/chunk %d differs from the reference (size %d, chunk size %d)", c, size, chunkSize)
 			}
 		}
 	})

@@ -2,9 +2,12 @@ package edge
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"videocdn/internal/chunk"
 )
@@ -21,7 +24,18 @@ type Origin struct {
 	catalog   Catalog
 	chunkSize int64
 	mux       *http.ServeMux
+
+	// scratch pools the fixed pieces content is synthesised into on
+	// its way to the socket; scratchOut counts the pieces checked out.
+	scratch    sync.Pool
+	scratchOut atomic.Int64
 }
+
+// originPiece is how much content the origin synthesises per Write:
+// small enough that the response header and first bytes leave after
+// microseconds of generation and the receiver works on one piece while
+// the next is made, large enough to amortise the write syscall.
+const originPiece = 32 << 10
 
 // NewOrigin builds an origin over the catalog with the given chunk
 // size.
@@ -98,16 +112,35 @@ func (o *Origin) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "chunk beyond end of video", http.StatusRequestedRangeNotSatisfiable)
 		return
 	}
-	n := o.chunkSize
-	if start+n > size {
-		n = size - start
-	}
-	buf := make([]byte, n)
-	ChunkData(v, uint32(c), buf)
+	end := min(start+o.chunkSize, size) - 1
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	if _, err := w.Write(buf); err != nil {
-		return // client went away
+	w.Header().Set("Content-Length", strconv.FormatInt(end-start+1, 10))
+	o.writeContent(w, v, start, end)
+}
+
+// writeContent streams bytes [b0, b1] of video v to w, one piece of
+// synthetic content at a time: no buffer scales with the chunk or the
+// range, and nothing outside the range is generated. It stops at the
+// first write error (the client went away).
+func (o *Origin) writeContent(w io.Writer, v chunk.VideoID, b0, b1 int64) {
+	piece, _ := o.scratch.Get().(*[originPiece]byte)
+	if piece == nil {
+		piece = new([originPiece]byte)
+	}
+	o.scratchOut.Add(1)
+	defer func() {
+		o.scratchOut.Add(-1)
+		o.scratch.Put(piece)
+	}()
+	for pos := b0; pos <= b1; {
+		c := pos / o.chunkSize
+		off := pos - c*o.chunkSize
+		n := min(o.chunkSize-off, b1+1-pos, originPiece)
+		chunkDataAt(v, uint32(c), off, piece[:n])
+		if _, err := w.Write(piece[:n]); err != nil {
+			return
+		}
+		pos += n
 	}
 }
 
@@ -144,31 +177,22 @@ func (o *Origin) handleVideo(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "video/mp4")
 	w.Header().Set("Content-Length", strconv.FormatInt(b1-b0+1, 10))
 	if b0 != 0 || b1 != size-1 {
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", b0, b1, size))
+		w.Header().Set("Content-Range", contentRange(b0, b1, size))
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	// Stream chunk by chunk.
-	buf := make([]byte, o.chunkSize)
-	c0 := uint32(b0 / o.chunkSize)
-	c1 := uint32(b1 / o.chunkSize)
-	for c := c0; c <= c1; c++ {
-		lo := int64(c) * o.chunkSize
-		n := o.chunkSize
-		if lo+n > size {
-			n = size - lo
-		}
-		ChunkData(v, c, buf[:n])
-		from, to := int64(0), n-1
-		if lo < b0 {
-			from = b0 - lo
-		}
-		if lo+to > b1 {
-			to = b1 - lo
-		}
-		if _, err := w.Write(buf[from : to+1]); err != nil {
-			return
-		}
-	}
+	o.writeContent(w, v, b0, b1)
+}
+
+// contentRange formats a Content-Range header value.
+func contentRange(b0, b1, size int64) string {
+	buf := make([]byte, 0, 72)
+	buf = append(buf, "bytes "...)
+	buf = strconv.AppendInt(buf, b0, 10)
+	buf = append(buf, '-')
+	buf = strconv.AppendInt(buf, b1, 10)
+	buf = append(buf, '/')
+	buf = strconv.AppendInt(buf, size, 10)
+	return string(buf)
 }
 
 // parseRange interprets a Range header (or start/end query parameters)

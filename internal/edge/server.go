@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"sync"
@@ -170,6 +171,11 @@ type Server struct {
 	retrier  *resilience.Retrier
 	breaker  *resilience.Breaker
 	algoName string
+
+	// chunkEndpoint and sizeEndpoint are the origin's /chunk and /size
+	// URLs, parsed from Config.OriginURL once; a fetch copies one and
+	// sets its query.
+	chunkEndpoint, sizeEndpoint *url.URL
 
 	shards    []*edgeShard
 	sizeLimit int // per-shard size-cache bound
@@ -389,6 +395,14 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.OriginURL == "" {
 		return nil, fmt.Errorf("edge: origin URL required")
 	}
+	chunkEndpoint, err := url.Parse(cfg.OriginURL + "/chunk")
+	if err != nil {
+		return nil, fmt.Errorf("edge: origin URL: %w", err)
+	}
+	sizeEndpoint, err := url.Parse(cfg.OriginURL + "/size")
+	if err != nil {
+		return nil, fmt.Errorf("edge: origin URL: %w", err)
+	}
 	if cfg.RedirectURL == "" {
 		return nil, fmt.Errorf("edge: redirect URL required")
 	}
@@ -470,6 +484,8 @@ func NewServer(cfg Config) (*Server, error) {
 		breaker:   resilience.NewBreaker(cfg.Breaker),
 		shards:    make([]*edgeShard, n),
 		sizeLimit: maxSizeCacheEntries / n,
+
+		chunkEndpoint: chunkEndpoint, sizeEndpoint: sizeEndpoint,
 	}
 	for i := range s.shards {
 		s.shards[i] = &edgeShard{
@@ -723,7 +739,7 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "video/mp4")
 	w.Header().Set("Content-Length", strconv.FormatInt(b1-b0+1, 10))
 	if b0 != 0 || b1 != size-1 {
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", b0, b1, size))
+		w.Header().Set("Content-Range", contentRange(b0, b1, size))
 		w.WriteHeader(http.StatusPartialContent)
 	}
 	var rf io.ReaderFrom
@@ -1094,25 +1110,36 @@ func (s *Server) runFlight(sh *edgeShard, f *flight, key uint64, id chunk.ID) {
 	close(f.done)
 }
 
+// withQuery returns endpoint, one of the origin URLs NewServer parsed,
+// with its query set to q — no formatting or URL parsing per fetch.
+func withQuery(endpoint *url.URL, q []byte) *url.URL {
+	u := *endpoint
+	u.RawQuery = string(q)
+	return &u
+}
+
+// originRequest builds the GET for a withQuery URL. The client only
+// reads the URL, so the attempts of one fetch share it.
+func originRequest(ctx context.Context, u *url.URL) *http.Request {
+	req := http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: make(http.Header)}
+	return req.WithContext(ctx)
+}
+
 // guardedGet performs one breaker-guarded origin round trip, returning
 // at most limit body bytes. Transport errors and 5xx are retryable and
 // count against the breaker; a 4xx means the origin is alive but will
 // never yield this resource (permanent).
-func (s *Server) guardedGet(ctx context.Context, url string, limit int64) ([]byte, error) {
+func (s *Server) guardedGet(ctx context.Context, u *url.URL, limit int64) ([]byte, error) {
 	if !s.breaker.Allow() {
 		return nil, resilience.ErrOpen
 	}
-	data, err := s.originGet(ctx, url, limit)
+	data, err := s.originGet(ctx, u, limit)
 	s.breaker.Record(err == nil || resilience.IsPermanent(err))
 	return data, err
 }
 
-func (s *Server) originGet(ctx context.Context, url string, limit int64) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, resilience.Permanent(err)
-	}
-	resp, err := s.cfg.Client.Do(req)
+func (s *Server) originGet(ctx context.Context, u *url.URL, limit int64) ([]byte, error) {
+	resp, err := s.cfg.Client.Do(originRequest(ctx, u))
 	if err != nil {
 		return nil, err
 	}
@@ -1145,19 +1172,21 @@ func (s *Server) fetchChunk(ctx context.Context, sh *edgeShard, id chunk.ID) err
 			return err
 		}
 	}
-	url := fmt.Sprintf("%s/chunk?v=%d&c=%d", s.cfg.OriginURL, id.Video, id.Index)
+	q := strconv.AppendUint(append(make([]byte, 0, 32), "v="...), uint64(id.Video), 10)
+	q = strconv.AppendUint(append(q, "&c="...), uint64(id.Index), 10)
+	u := withQuery(s.chunkEndpoint, q)
 	if s.streamPut != nil {
 		return s.retrier.Do(ctx, func(ctx context.Context) error {
 			if !s.breaker.Allow() {
 				return resilience.ErrOpen
 			}
-			err := s.fillStream(ctx, sh, url, id)
+			err := s.fillStream(ctx, sh, u, id)
 			s.breaker.Record(err == nil || resilience.IsPermanent(err))
 			return err
 		})
 	}
 	return s.retrier.Do(ctx, func(ctx context.Context) error {
-		data, err := s.guardedGet(ctx, url, s.cfg.ChunkSize+1)
+		data, err := s.guardedGet(ctx, u, s.cfg.ChunkSize+1)
 		if err != nil {
 			return err
 		}
@@ -1199,12 +1228,8 @@ func (t *trackReader) Read(p []byte) (int, error) {
 // error classification mirror originGet + the buffered commit exactly:
 // 5xx and transport/truncation errors are retryable, 4xx and an
 // oversized or store-rejected chunk are Permanent.
-func (s *Server) fillStream(ctx context.Context, sh *edgeShard, url string, id chunk.ID) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return resilience.Permanent(err)
-	}
-	resp, err := s.cfg.Client.Do(req)
+func (s *Server) fillStream(ctx context.Context, sh *edgeShard, u *url.URL, id chunk.ID) error {
+	resp, err := s.cfg.Client.Do(originRequest(ctx, u))
 	if err != nil {
 		return err
 	}
@@ -1270,9 +1295,9 @@ func (s *Server) originSize(fc *fillCtx, sh *edgeShard, v chunk.VideoID) (int64,
 	if ok {
 		return size, nil
 	}
-	url := fmt.Sprintf("%s/size?v=%d", s.cfg.OriginURL, v)
+	u := withQuery(s.sizeEndpoint, strconv.AppendUint(append(make([]byte, 0, 16), "v="...), uint64(v), 10))
 	err := s.retrier.Do(fc.get(), func(ctx context.Context) error {
-		body, err := s.guardedGet(ctx, url, 32)
+		body, err := s.guardedGet(ctx, u, 32)
 		if err != nil {
 			return err
 		}
