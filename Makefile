@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzOriginRange -fuzztime=30s ./internal/edge/
 	$(GO) test -fuzz=FuzzSlabRecovery -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzPolicyConfig -fuzztime=30s ./internal/policy/
+	$(GO) test -fuzz=FuzzOrderedSetVsReference -fuzztime=30s ./internal/ordtree/
 
 bench: bench-replay
 	$(GO) test -bench=. -benchmem ./...

@@ -29,7 +29,9 @@ type Cache struct {
 	reqs []trace.Request
 	ix   *psychic.Index
 	pos  int
-	tree *ordtree.Tree // cached chunks keyed by next-request time (+Inf if none)
+	tree *ordtree.Tree // cached chunks by descending next-request time (+Inf if none)
+
+	victims []uint64 // eviction-scan scratch, reused
 }
 
 // New builds a Belady cache over the full request sequence.
@@ -41,7 +43,7 @@ func New(cfg core.Config, reqs []trace.Request) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{cfg: cfg, reqs: reqs, ix: ix, tree: ordtree.New()}, nil
+	return &Cache{cfg: cfg, reqs: reqs, ix: ix, tree: ordtree.NewDescending()}, nil
 }
 
 // Name implements core.Cache.
@@ -85,11 +87,9 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		return core.Outcome{Decision: core.Redirect}
 	}
 
-	skip := make(map[uint64]bool, nChunks)
 	var missing []chunk.ID
 	for ci := c0; ci <= c1; ci++ {
 		id := chunk.ID{Video: r.Video, Index: ci}
-		skip[id.Key()] = true
 		if !c.tree.Contains(id.Key()) {
 			missing = append(missing, id)
 		}
@@ -98,9 +98,12 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	if evictN < 0 {
 		evictN = 0
 	}
-	victims := c.tree.LargestExcluding(evictN, skip)
-	evicted := make([]chunk.ID, 0, len(victims))
-	for _, vid := range victims {
+	// The requested chunks are one contiguous packed-key range and are
+	// never their own victims.
+	c.victims = c.tree.AppendFirstOutside(c.victims[:0], evictN,
+		chunk.ID{Video: r.Video, Index: c0}.Key(), chunk.ID{Video: r.Video, Index: c1}.Key())
+	evicted := make([]chunk.ID, 0, len(c.victims))
+	for _, vid := range c.victims {
 		c.tree.Remove(vid)
 		evicted = append(evicted, chunk.FromKey(vid))
 	}

@@ -18,8 +18,8 @@
 //
 // # Ordering chunks by popularity (Theorem 1)
 //
-// Cafe keeps cached chunks in an ordered tree so the least popular
-// (largest IAT) chunks can be found in O(log n). The paper keys chunk x
+// Cafe keeps cached chunks in an ordered set (internal/ordtree) so the
+// least popular (largest IAT) chunks can be found. The paper keys chunk x
 // at insertion time t with the virtual timestamp key_x(t) = t −
 // IAT_x(t). Expanding Eq. 8,
 //
@@ -31,7 +31,7 @@
 //
 //	k_x = γ·t_x − (1−γ)·dt_x
 //
-// directly as the tree key (equivalent to evaluating every key at the
+// directly as the set's key (equivalent to evaluating every key at the
 // same fixed reference T0 = 0, which the theorem requires; storing keys
 // evaluated at each chunk's own insertion time would *not* preserve
 // pairwise order). A handy identity: t − key_x(t) = IAT_x(t), so the
@@ -42,12 +42,20 @@
 //
 // A requested chunk never seen before, belonging to a video with
 // cached chunks, gets its IAT estimated as the largest IAT among the
-// video's cached chunks (the package keeps a per-video index of cached
-// chunks for this). A chunk with no information at all contributes no
-// expected future cost.
+// video's cached chunks. A chunk with no information at all contributes
+// no expected future cost.
+//
+// # State layout
+//
+// All per-chunk state lives in one record per video holding a slice
+// indexed by chunk index: a request does one map lookup, for its video,
+// and indexes from there, and a cached chunk carries its ordtree handle
+// so re-keying it looks nothing up either. The slice reaches to the
+// highest chunk index the video was ever asked for.
 package cafe
 
 import (
+	"fmt"
 	"math"
 
 	"videocdn/internal/chunk"
@@ -71,6 +79,20 @@ const unknownDT = -1
 type iatEntry struct {
 	dt float64 // smoothed inter-arrival time; unknownDT if unseen
 	t  int64   // last access time t_x
+}
+
+// chunkState is everything Cafe knows about one chunk. The zero value
+// is a chunk never heard of.
+type chunkState struct {
+	iatEntry
+	seen bool           // the entry holds history (false: never requested, or pruned)
+	h    ordtree.Handle // the chunk's item in the ordered set while cached, else 0
+}
+
+// video is the per-video record.
+type video struct {
+	chunks []chunkState // by chunk index, never empty
+	cached int          // chunks on disk
 }
 
 // Options tune Cafe beyond the shared core.Config.
@@ -99,9 +121,9 @@ type Cache struct {
 	minFR float64
 	opt   Options
 
-	iat    map[uint64]iatEntry // iatKey -> popularity state
-	tree   *ordtree.Tree       // cached chunks (packed chunk keys), keyed by k_x
-	videos map[chunk.VideoID]map[uint32]struct{}
+	tree    *ordtree.Tree // cached chunks (packed chunk keys), keyed by k_x
+	videos  map[chunk.VideoID]*video
+	tracked int // chunk states holding history; cleanup's trigger
 
 	firstTime int64
 	started   bool
@@ -113,12 +135,10 @@ type Cache struct {
 	// victimsBuf is the eviction-scan scratch buffer, reused on every
 	// request (victim IDs never escape HandleRequest). missingBuf and
 	// evictedBuf back Outcome.FilledIDs/EvictedIDs when the caller
-	// opted into core.Config.ReuseOutcomeBuffers. setPool recycles the
-	// per-video chunk-index sets freed by full eviction.
+	// opted into core.Config.ReuseOutcomeBuffers.
 	victimsBuf []uint64
 	missingBuf []chunk.ID
 	evictedBuf []chunk.ID
-	setPool    []map[uint32]struct{}
 }
 
 // SetFillGate installs an optional admission throttle consulted before
@@ -159,9 +179,8 @@ func New(cfg core.Config, alpha float64, opt Options) (*Cache, error) {
 		cr:     cr,
 		minFR:  math.Min(cf, cr),
 		opt:    opt,
-		iat:    make(map[uint64]iatEntry),
 		tree:   ordtree.New(),
-		videos: make(map[chunk.VideoID]map[uint32]struct{}),
+		videos: make(map[chunk.VideoID]*video),
 	}, nil
 }
 
@@ -192,15 +211,59 @@ func (c *Cache) SetAlpha(alpha float64) error {
 func (c *Cache) Len() int { return c.tree.Len() }
 
 // Contains implements core.Cache.
-func (c *Cache) Contains(id chunk.ID) bool { return c.tree.Contains(id.Key()) }
+func (c *Cache) Contains(id chunk.ID) bool {
+	v := c.videos[id.Video]
+	return v != nil && int(id.Index) < len(v.chunks) && v.chunks[id.Index].h != 0
+}
 
-// iatKey maps a chunk to its popularity-tracking key. In the
-// file-level ablation all chunks of a video share one entry.
-func (c *Cache) iatKey(id chunk.ID) uint64 {
-	if c.opt.FileLevel {
-		return chunk.ID{Video: id.Video, Index: 0}.Key()
+// reach grows the record to hold chunk index last.
+func (v *video) reach(last uint32) {
+	if grow := int(last) + 1 - len(v.chunks); grow > 0 {
+		v.chunks = append(v.chunks, make([]chunkState, grow)...)
 	}
-	return id.Key()
+}
+
+// record returns v's record, created if need be, reaching index last.
+func (c *Cache) record(v chunk.VideoID, last uint32) *video {
+	rec := c.videos[v]
+	if rec == nil {
+		rec = &video{}
+		c.videos[v] = rec
+	}
+	rec.reach(last)
+	return rec
+}
+
+// popularity returns the state that tracks chunk ci's popularity: its
+// own, or in the file-level ablation the one all chunks of the video
+// share (kept at index 0).
+func (c *Cache) popularity(v *video, ci uint32) *chunkState {
+	if c.opt.FileLevel {
+		ci = 0
+	}
+	return &v.chunks[ci]
+}
+
+// history returns the popularity state of id, ok=false if it has none.
+func (c *Cache) history(id chunk.ID) (iatEntry, bool) {
+	if c.opt.FileLevel {
+		id.Index = 0
+	}
+	v := c.videos[id.Video]
+	if v == nil || int(id.Index) >= len(v.chunks) {
+		return iatEntry{}, false
+	}
+	st := &v.chunks[id.Index]
+	return st.iatEntry, st.seen
+}
+
+// remember makes e the history of st, counting a state that had none.
+func (c *Cache) remember(st *chunkState, e iatEntry) {
+	if !st.seen {
+		st.seen = true
+		c.tracked++
+	}
+	st.iatEntry = e
 }
 
 // iatAt evaluates Eq. 8 at time now for the given entry.
@@ -217,7 +280,7 @@ func (c *Cache) CacheAge(now int64) float64 {
 	if !ok {
 		return 0
 	}
-	e, ok := c.iat[c.iatKey(chunk.FromKey(id))]
+	e, ok := c.history(chunk.FromKey(id))
 	if !ok || e.dt == unknownDT {
 		// Every cached chunk is given a concrete dt at fill time;
 		// reaching this would mean corrupted bookkeeping.
@@ -260,25 +323,21 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 
 	c0, c1 := r.ChunkRange(c.cfg.ChunkSize)
 	nChunks := int(c1-c0) + 1
+	v := c.record(r.Video, c1)
 	if nChunks > c.cfg.DiskChunks {
-		c.observe(r.Video, c0, c1, now)
+		c.observe(v, c0, c1, now)
+		c.rekey(v, c0, c1)
 		return core.Outcome{Decision: core.Redirect}
 	}
 
-	// Partition S into cached and missing (S'). The requested chunks
-	// that must never be evicted are exactly the packed-key range
-	// [loKey, hiKey] (chunk keys of one video are contiguous), so no
-	// per-request skip set is needed.
-	loKey := chunk.ID{Video: r.Video, Index: c0}.Key()
-	hiKey := chunk.ID{Video: r.Video, Index: c1}.Key()
+	// Partition S into cached and missing (S').
 	var missing []chunk.ID
 	if c.cfg.ReuseOutcomeBuffers {
 		missing = c.missingBuf[:0]
 	}
 	for ci := c0; ci <= c1; ci++ {
-		id := chunk.ID{Video: r.Video, Index: ci}
-		if !c.tree.Contains(id.Key()) {
-			missing = append(missing, id)
+		if v.chunks[ci].h == 0 {
+			missing = append(missing, chunk.ID{Video: r.Video, Index: ci})
 		}
 	}
 	if c.cfg.ReuseOutcomeBuffers {
@@ -302,7 +361,12 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		// (there is nothing to evict and no cache age to compare to).
 		serve = true
 	default:
-		victims = c.tree.AppendSmallestExcludingRange(c.victimsBuf[:0], needEvict, loKey, hiKey)
+		// The requested chunks must never be evicted; they are exactly
+		// the packed-key range [loKey, hiKey] (chunk keys of one video
+		// are contiguous), so no per-request skip set is needed.
+		loKey := chunk.ID{Video: r.Video, Index: c0}.Key()
+		hiKey := chunk.ID{Video: r.Video, Index: c1}.Key()
+		victims = c.tree.AppendFirstOutside(c.victimsBuf[:0], needEvict, loKey, hiKey)
 		c.victimsBuf = victims
 		if len(victims) < needEvict {
 			// Cannot make room without evicting the request's own
@@ -313,24 +377,24 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		window := c.CacheAge(now) * c.opt.WindowScale
 		costServe := float64(len(missing)) * c.cf
 		for _, vid := range victims {
-			e, ok := c.iat[c.iatKey(chunk.FromKey(vid))]
+			e, ok := c.history(chunk.FromKey(vid))
 			if !ok {
 				panic("cafe: eviction candidate without IAT state")
 			}
 			costServe += c.futureCost(e, now, window)
 		}
 		costRedirect := float64(nChunks) * c.cr
-		videoEst, videoEstOK := c.videoEstimate(r.Video, now)
+		videoEst, videoEstOK := c.videoEstimate(v, now)
 		for _, id := range missing {
-			e, ok := c.iat[c.iatKey(id)]
+			st := c.popularity(v, id.Index)
 			switch {
-			case ok && e.dt != unknownDT:
-				costRedirect += c.futureCost(e, now, window)
-			case ok:
+			case st.seen && st.dt != unknownDT:
+				costRedirect += c.futureCost(st.iatEntry, now, window)
+			case st.seen:
 				// Seen exactly once: bootstrap the IAT from the raw
 				// gap, exactly as the Eq. 8 update will on the next
 				// observation.
-				costRedirect += c.futureCost(iatEntry{dt: float64(now - e.t), t: now}, now, window)
+				costRedirect += c.futureCost(iatEntry{dt: float64(now - st.t), t: now}, now, window)
 			case videoEstOK:
 				costRedirect += c.futureCost(iatEntry{dt: videoEst, t: now}, now, window)
 			}
@@ -348,20 +412,11 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 
 	// Record this arrival in the popularity state (always, including
 	// redirects — popularity is built from the full request stream).
-	c.observe(r.Video, c0, c1, now)
+	c.observe(v, c0, c1, now)
 
 	if !serve {
 		// Cached chunks of S changed popularity; re-key them.
-		if c.opt.FileLevel {
-			c.rekeyVideo(r.Video)
-		} else {
-			for ci := c0; ci <= c1; ci++ {
-				id := chunk.ID{Video: r.Video, Index: ci}
-				if c.tree.Contains(id.Key()) {
-					c.tree.Insert(id.Key(), c.treeKey(c.iat[c.iatKey(id)]))
-				}
-			}
-		}
+		c.rekey(v, c0, c1)
 		return core.Outcome{Decision: core.Redirect}
 	}
 
@@ -381,34 +436,20 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		c.evictedBuf = evicted
 	}
 	// Fill missing chunks and re-key every requested chunk.
-	set := c.videos[r.Video]
-	if set == nil {
-		if k := len(c.setPool); k > 0 {
-			set = c.setPool[k-1]
-			c.setPool = c.setPool[:k-1]
-		} else {
-			set = make(map[uint32]struct{})
-		}
-		c.videos[r.Video] = set
-	}
 	for ci := c0; ci <= c1; ci++ {
-		id := chunk.ID{Video: r.Video, Index: ci}
-		k := c.iatKey(id)
-		e := c.iat[k]
-		if e.dt == unknownDT {
+		pop := c.popularity(v, ci)
+		if pop.dt == unknownDT {
 			// First fill of a never-repeated chunk (warmup or
 			// whole-request admission): the honest IAT guess for
 			// something seen once is the elapsed trace time.
-			e.dt = math.Max(float64(now-c.firstTime), 1)
-			c.iat[k] = e
+			pop.dt = math.Max(float64(now-c.firstTime), 1)
 		}
-		c.tree.Insert(id.Key(), c.treeKey(e))
-		set[ci] = struct{}{}
+		c.place(v, chunk.ID{Video: r.Video, Index: ci}, c.treeKey(pop.iatEntry))
 	}
 	if c.opt.FileLevel {
 		// All cached chunks of the video share the updated entry;
-		// keep their tree keys consistent with it.
-		c.rekeyVideo(r.Video)
+		// keep their keys consistent with it.
+		c.rekey(v, c0, c1)
 	}
 	return core.Outcome{
 		Decision:      core.Serve,
@@ -422,84 +463,88 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 
 // observe applies the Eq. 8 EWMA update for every chunk of the request
 // (once per video in the file-level ablation).
-func (c *Cache) observe(v chunk.VideoID, c0, c1 uint32, now int64) {
+func (c *Cache) observe(v *video, c0, c1 uint32, now int64) {
 	g := c.opt.Gamma
 	if c.opt.FileLevel {
 		c0, c1 = 0, 0
 	}
 	for ci := c0; ci <= c1; ci++ {
-		k := c.iatKey(chunk.ID{Video: v, Index: ci})
-		e, ok := c.iat[k]
+		st := &v.chunks[ci]
 		switch {
-		case !ok:
-			e = iatEntry{dt: unknownDT, t: now}
-		case e.dt == unknownDT:
+		case !st.seen:
+			c.remember(st, iatEntry{dt: unknownDT, t: now})
+		case st.dt == unknownDT:
 			// Second observation bootstraps dt from the raw gap.
-			e = iatEntry{dt: float64(now - e.t), t: now}
+			st.iatEntry = iatEntry{dt: float64(now - st.t), t: now}
 		default:
-			e = iatEntry{dt: g*float64(now-e.t) + (1-g)*e.dt, t: now}
+			st.iatEntry = iatEntry{dt: g*float64(now-st.t) + (1-g)*st.dt, t: now}
 		}
-		c.iat[k] = e
 	}
 }
 
 // videoEstimate returns the largest IAT among the video's cached
 // chunks, the estimator for unvisited chunks of a partially cached
 // video (end of Section 6).
-func (c *Cache) videoEstimate(v chunk.VideoID, now int64) (float64, bool) {
-	if c.opt.NoVideoEstimate {
-		return 0, false
-	}
-	set := c.videos[v]
-	if len(set) == 0 {
+func (c *Cache) videoEstimate(v *video, now int64) (float64, bool) {
+	if c.opt.NoVideoEstimate || v.cached == 0 {
 		return 0, false
 	}
 	maxIAT := 0.0
 	found := false
-	for ci := range set {
-		e, ok := c.iat[c.iatKey(chunk.ID{Video: v, Index: ci})]
-		if !ok || e.dt == unknownDT {
+	for i, left := 0, v.cached; left > 0; i++ {
+		if v.chunks[i].h == 0 {
 			continue
 		}
-		if iat := c.iatAt(e, now); !found || iat > maxIAT {
+		left--
+		pop := c.popularity(v, uint32(i))
+		if pop.dt == unknownDT {
+			continue
+		}
+		if iat := c.iatAt(pop.iatEntry, now); !found || iat > maxIAT {
 			maxIAT = iat
 			found = true
-		}
-		if c.opt.FileLevel {
-			break // all chunks share one entry
 		}
 	}
 	return maxIAT, found
 }
 
-// rekeyVideo refreshes the tree keys of every cached chunk of v from
-// the video's (shared, file-level) IAT entry.
-func (c *Cache) rekeyVideo(v chunk.VideoID) {
-	set := c.videos[v]
-	if len(set) == 0 {
+// rekey brings the set keys of the cached chunks among [c0, c1] back in
+// line with their popularity state after an observation. In the
+// file-level ablation every cached chunk of the video shares that state
+// and is re-keyed.
+func (c *Cache) rekey(v *video, c0, c1 uint32) {
+	if v.cached == 0 {
 		return
 	}
-	e := c.iat[c.iatKey(chunk.ID{Video: v})]
-	key := c.treeKey(e)
-	for ci := range set {
-		c.tree.Insert((chunk.ID{Video: v, Index: ci}).Key(), key)
+	if c.opt.FileLevel {
+		c0, c1 = 0, uint32(len(v.chunks)-1)
+	}
+	for ci := c0; ci <= c1; ci++ {
+		if st := &v.chunks[ci]; st.h != 0 {
+			c.tree.Rekey(st.h, c.treeKey(c.popularity(v, ci).iatEntry))
+		}
 	}
 }
 
-// evictChunk removes one chunk from disk bookkeeping, keeping its IAT
-// history. Emptied per-video index sets are recycled through setPool
-// instead of being re-allocated for the next new video.
-func (c *Cache) evictChunk(id chunk.ID) {
-	c.tree.Remove(id.Key())
-	if set := c.videos[id.Video]; set != nil {
-		delete(set, id.Index)
-		if len(set) == 0 {
-			delete(c.videos, id.Video)
-			if len(c.setPool) < 64 {
-				c.setPool = append(c.setPool, set)
-			}
-		}
+// place puts chunk id of v on disk under key, or re-keys it if it is
+// there already.
+func (c *Cache) place(v *video, id chunk.ID, key float64) {
+	st := &v.chunks[id.Index]
+	if st.h != 0 {
+		c.tree.Rekey(st.h, key)
+		return
 	}
+	st.h = c.tree.Insert(id.Key(), key)
+	v.cached++
+}
+
+// evictChunk removes one cached chunk from disk bookkeeping, keeping
+// its IAT history.
+func (c *Cache) evictChunk(id chunk.ID) {
+	v := c.videos[id.Video]
+	c.tree.Remove(id.Key())
+	v.chunks[id.Index].h = 0
+	v.cached--
 }
 
 // Forget undoes the admission of one chunk whose cache fill failed
@@ -508,10 +553,9 @@ func (c *Cache) evictChunk(id chunk.ID) {
 // nothing about the chunk's popularity. No-op when the chunk is not on
 // disk.
 func (c *Cache) Forget(id chunk.ID) {
-	if !c.tree.Contains(id.Key()) {
-		return
+	if c.Contains(id) {
+		c.evictChunk(id)
 	}
-	c.evictChunk(id)
 }
 
 // cleanup prunes IAT history of chunks that are not cached and whose
@@ -519,12 +563,12 @@ func (c *Cache) Forget(id chunk.ID) {
 // horizon is a small multiple of the cache age — beyond it, T/IAT is
 // negligible.
 func (c *Cache) cleanup(now int64) {
-	// A full-map sweep only pays off once stale history can dominate:
-	// while the IAT table is within 2x of the cached set (whose entries
+	// A full sweep only pays off once stale history can dominate: while
+	// the tracked states are within 2x of the cached set (whose entries
 	// are never prunable), skip the scan entirely. This caps memory at
 	// a small multiple of the disk while eliminating the periodic
-	// whole-map iteration on dense, cache-sized workloads.
-	if len(c.iat) <= 2*c.tree.Len() {
+	// whole-table iteration on dense, cache-sized workloads.
+	if c.tracked <= 2*c.tree.Len() {
 		return
 	}
 	age := c.CacheAge(now)
@@ -532,19 +576,40 @@ func (c *Cache) cleanup(now int64) {
 		age = float64(now - c.firstTime)
 	}
 	cutoff := now - int64(8*age) - 1
-	for k, e := range c.iat {
-		if e.t >= cutoff {
-			continue
-		}
-		if c.opt.FileLevel {
-			// The entry is shared by the whole video; keep it while
-			// any chunk of the video is cached.
-			if len(c.videos[chunk.FromKey(k).Video]) > 0 {
+	for id, v := range c.videos {
+		live := false
+		for i := range v.chunks {
+			st := &v.chunks[i]
+			if !st.seen {
 				continue
 			}
-		} else if c.tree.Contains(k) {
-			continue
+			// A cached chunk keeps its state; in the file-level ablation
+			// the video's one shared state stays while any chunk is cached.
+			if st.t >= cutoff || st.h != 0 || c.opt.FileLevel && v.cached > 0 {
+				live = true
+				continue
+			}
+			*st = chunkState{}
+			c.tracked--
 		}
-		delete(c.iat, k)
+		if !live {
+			delete(c.videos, id)
+		}
 	}
+}
+
+// CheckInvariants verifies what the decisions rest on: every cached
+// chunk sits in the ordered set under exactly the key its popularity
+// state implies, so eviction order, CacheAge and a Save/Load round trip
+// (which recomputes keys) agree. It walks the whole disk; the
+// conformance suite calls it after every request.
+func (c *Cache) CheckInvariants() (err error) {
+	c.tree.Ascend(func(key uint64, k float64) bool {
+		id := chunk.FromKey(key)
+		if e, ok := c.history(id); !ok || k != c.treeKey(e) || !c.Contains(id) {
+			err = fmt.Errorf("cafe: chunk %s is keyed %v in the ordered set, its state %+v (known: %v) implies %v", id, k, e, ok, c.treeKey(e))
+		}
+		return err == nil
+	})
+	return err
 }

@@ -226,7 +226,7 @@ func TestEWMAUpdate(t *testing.T) {
 	c := newCache(t, 100, 1, Options{Gamma: 0.25})
 	c.HandleRequest(req(0, 1, 0, 0))
 	// First observation: dt unknown.
-	if e := c.iat[(chunk.ID{Video: 1}).Key()]; e.dt == unknownDT {
+	if e, _ := c.history(chunk.ID{Video: 1}); e.dt == unknownDT {
 		// During the fill the dt was assigned (elapsed ~ 0 -> 1).
 		t.Errorf("filled chunk should have a concrete dt, got %v", e.dt)
 	}
@@ -234,19 +234,19 @@ func TestEWMAUpdate(t *testing.T) {
 	// Track without filling: request too large for disk -> observe only.
 	big := trace.Request{Time: 0, Video: 1, Start: 0, End: 1000 * testK}
 	c2.HandleRequest(big)
-	e := c2.iat[(chunk.ID{Video: 1}).Key()]
+	e, _ := c2.history(chunk.ID{Video: 1})
 	if e.dt != unknownDT || e.t != 0 {
 		t.Fatalf("first sight should record unknown dt, got %+v", e)
 	}
 	big.Time = 100
 	c2.HandleRequest(big)
-	e = c2.iat[(chunk.ID{Video: 1}).Key()]
+	e, _ = c2.history(chunk.ID{Video: 1})
 	if e.dt != 100 || e.t != 100 {
 		t.Fatalf("second sight should bootstrap dt=gap, got %+v", e)
 	}
 	big.Time = 300
 	c2.HandleRequest(big)
-	e = c2.iat[(chunk.ID{Video: 1}).Key()]
+	e, _ = c2.history(chunk.ID{Video: 1})
 	want := 0.25*200 + 0.75*100 // Eq. 8
 	if math.Abs(e.dt-want) > 1e-9 {
 		t.Fatalf("EWMA dt = %v, want %v", e.dt, want)
@@ -257,7 +257,7 @@ func TestUnseenChunkInheritsVideoIAT(t *testing.T) {
 	c := newCache(t, 100, 1, Options{})
 	c.HandleRequest(req(0, 1, 0, 1))
 	c.HandleRequest(req(50, 1, 0, 1))
-	est, ok := c.videoEstimate(1, 50)
+	est, ok := c.videoEstimate(c.videos[1], 50)
 	if !ok {
 		t.Fatal("video with cached chunks should yield an estimate")
 	}
@@ -269,11 +269,12 @@ func TestUnseenChunkInheritsVideoIAT(t *testing.T) {
 	if math.Abs(est-want) > 1e-9 {
 		t.Errorf("estimate = %v, want %v", est, want)
 	}
-	if _, ok := c.videoEstimate(999, 50); ok {
-		t.Error("unknown video should yield no estimate")
+	c.HandleRequest(trace.Request{Time: 50, Video: 999, Start: 0, End: 1000 * testK}) // wider than the disk: history only
+	if _, ok := c.videoEstimate(c.videos[999], 50); ok {
+		t.Error("a video with no cached chunk should yield no estimate")
 	}
 	c.opt.NoVideoEstimate = true
-	if _, ok := c.videoEstimate(1, 50); ok {
+	if _, ok := c.videoEstimate(c.videos[1], 50); ok {
 		t.Error("ablation switch should disable the estimate")
 	}
 }
@@ -342,8 +343,8 @@ func TestFileLevelAblation(t *testing.T) {
 	if !c.Contains(chunk.ID{Video: 1, Index: 5}) {
 		t.Error("file-level cache should have admitted chunk 5")
 	}
-	e := c.iat[c.iatKey(chunk.ID{Video: 1, Index: 5})]
-	e2 := c.iat[c.iatKey(chunk.ID{Video: 1, Index: 0})]
+	e, _ := c.history(chunk.ID{Video: 1, Index: 5})
+	e2, _ := c.history(chunk.ID{Video: 1, Index: 0})
 	if e != e2 {
 		t.Error("file-level entries should be shared")
 	}
@@ -356,8 +357,7 @@ func TestCleanupPrunesStaleHistory(t *testing.T) {
 	c := newCache(t, 4, 1, Options{})
 	fillDisk(t, c, 0, 2)
 	c.HandleRequest(req(100, 7, 0, 0)) // history for uncached video 7
-	keyOfV7 := (chunk.ID{Video: 7}).Key()
-	if _, ok := c.iat[keyOfV7]; !ok {
+	if _, ok := c.history(chunk.ID{Video: 7}); !ok {
 		t.Fatal("history should exist before cleanup")
 	}
 	// Run enough far-future requests to trigger cleanup with a small
@@ -368,15 +368,15 @@ func TestCleanupPrunesStaleHistory(t *testing.T) {
 		c.HandleRequest(req(tm, v, 0, 0))
 		tm += 2
 	}
-	if _, ok := c.iat[keyOfV7]; ok {
-		t.Error("stale uncached history should be pruned")
+	if _, ok := c.history(chunk.ID{Video: 7}); ok || c.videos[7] != nil {
+		t.Error("stale uncached history should be pruned, and the video's record with it")
 	}
 	// Cached chunks' entries must survive cleanup.
 	id, _, ok := c.tree.Min()
 	if !ok {
 		t.Fatal("disk should not be empty")
 	}
-	if _, ok := c.iat[c.iatKey(chunk.FromKey(id))]; !ok {
+	if _, ok := c.history(chunk.FromKey(id)); !ok {
 		t.Error("cached chunk lost its IAT state")
 	}
 }
@@ -477,5 +477,120 @@ func TestReuseOutcomeBuffersEquivalence(t *testing.T) {
 	}
 	if plain.Len() != reuse.Len() {
 		t.Errorf("Len diverged: %d vs %d", plain.Len(), reuse.Len())
+	}
+}
+
+// A request wider than the disk is redirected unseen by the disk, but
+// it is still an observation: the cached chunks it covers must move in
+// the ordered set with their popularity state, or eviction order, the
+// cache age and a Save/Load round trip (which recomputes keys) stop
+// agreeing with each other.
+func TestOversizedRequestRekeysCachedChunks(t *testing.T) {
+	for _, opt := range []Options{{}, {FileLevel: true}} {
+		c := newCache(t, 4, 2, opt)
+		c.HandleRequest(req(0, 2, 0, 1))
+		c.HandleRequest(req(10, 1, 0, 1))
+		minBefore, _, _ := c.tree.Min()
+		// Video 1 holds the least popular chunks until the wide request
+		// makes them the most recently seen ones.
+		if out := c.HandleRequest(req(50, 1, 0, 9)); out.Decision != core.Redirect {
+			t.Fatalf("%+v: request wider than the disk was served", opt)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Errorf("%+v: %v", opt, err)
+		}
+		minAfter, _, _ := c.tree.Min()
+		if chunk.FromKey(minBefore).Video != 1 || chunk.FromKey(minAfter).Video != 2 {
+			t.Errorf("%+v: least popular chunk was %s, is %s; want video 1 then video 2",
+				opt, chunk.FromKey(minBefore), chunk.FromKey(minAfter))
+		}
+	}
+}
+
+// Every mix of paths, wide requests and prefetches included, keeps the
+// bookkeeping coherent after every step.
+func TestInvariantsHoldOnRandomTraces(t *testing.T) {
+	for _, opt := range []Options{{}, {FileLevel: true}, {NoVideoEstimate: true}} {
+		c := newCache(t, 16, 1, opt)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 3000; i++ {
+			v, c0 := chunk.VideoID(rng.Intn(40)), rng.Intn(6)
+			switch rng.Intn(20) {
+			case 0:
+				c.HandleRequest(req(int64(i/2), v, c0, c0+20))
+			case 1:
+				c.PrefetchChunk(chunk.ID{Video: v, Index: uint32(c0)}, int64(i/2))
+			case 2:
+				c.Forget(chunk.ID{Video: v, Index: uint32(c0)})
+			default:
+				c.HandleRequest(req(int64(i/2), v, c0, c0+rng.Intn(4)))
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("%+v, step %d: %v", opt, i, err)
+			}
+			checkCounters(t, c)
+		}
+	}
+}
+
+// checkCounters recounts what the per-video and cache-wide counters
+// claim to count.
+func checkCounters(t *testing.T, c *Cache) {
+	t.Helper()
+	cached, tracked := 0, 0
+	for id, v := range c.videos {
+		n := 0
+		for _, st := range v.chunks {
+			if st.seen {
+				tracked++
+			}
+			if st.h != 0 {
+				n++
+			}
+		}
+		if n != v.cached {
+			t.Fatalf("video %d counts %d cached chunks, has %d", id, v.cached, n)
+		}
+		cached += n
+	}
+	if cached != c.tree.Len() || tracked != c.tracked {
+		t.Fatalf("%d cached chunks for a set of %d, %d tracked states counted as %d", cached, c.tree.Len(), tracked, c.tracked)
+	}
+}
+
+// TestCafeSteadyStateZeroAllocs pins the request path of a warmed, full
+// cache at zero allocations with ReuseOutcomeBuffers: full hits, and
+// fills that evict.
+func TestCafeSteadyStateZeroAllocs(t *testing.T) {
+	// 32 four-chunk videos asked for round-robin over a 64-chunk disk:
+	// each request finds its video evicted since its last turn, and at
+	// alpha 0.25 (fills cheap) is worth filling again.
+	c, err := New(core.Config{ChunkSize: testK, DiskChunks: 64, ReuseOutcomeBuffers: true}, 0.25, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, turn := int64(0), 0
+	fills, hits := 0, 0
+	step := func() {
+		tm += 3
+		v := chunk.VideoID(turn % 32)
+		turn++
+		if out := c.HandleRequest(req(tm, v, 0, 3)); out.Decision == core.Serve && out.EvictedChunks == 4 {
+			fills++
+		}
+		if out := c.HandleRequest(req(tm+1, v, 1, 2)); out.Decision == core.Serve && out.FilledChunks == 0 {
+			hits++
+		}
+	}
+	for i := 0; i < 3*cleanupInterval; i++ {
+		step()
+	}
+	fills, hits = 0, 0
+	const runs = 500
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Errorf("steady-state request path allocates %v per evict-fill + hit pair, want 0", allocs)
+	}
+	if fills < runs || hits < runs {
+		t.Errorf("the measured window held %d evicting fills and %d hits in %d runs; it must exercise both every run", fills, hits, runs)
 	}
 }

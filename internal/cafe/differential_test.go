@@ -36,7 +36,7 @@ func TestTreeOrderMatchesLiveIATOrder(t *testing.T) {
 			var iats []float64
 			violation := false
 			c.tree.Ascend(func(id uint64, _ float64) bool {
-				e, ok := c.iat[c.iatKey(chunk.FromKey(id))]
+				e, ok := c.history(chunk.FromKey(id))
 				if !ok || e.dt == unknownDT {
 					violation = true
 					return false
@@ -85,7 +85,7 @@ func TestEvictionPicksLeastPopular(t *testing.T) {
 		}
 		var cached []entry
 		c.tree.Ascend(func(id uint64, _ float64) bool {
-			e := c.iat[c.iatKey(chunk.FromKey(id))]
+			e, _ := c.history(chunk.FromKey(id))
 			cached = append(cached, entry{id, c.iatAt(e, tm)})
 			return true
 		})

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
-	"videocdn/internal/ordtree"
 )
 
 // A warmed video cache represents days of accumulated popularity
@@ -25,80 +25,68 @@ import (
 // changes.
 var snapshotMagic = [8]byte{'C', 'A', 'F', 'E', 'S', 'N', 'P', '1'}
 
-// Save writes the cache's full state to w.
+// maxSnapshotIndex bounds the chunk indices Load accepts. State is a
+// slice per video reaching to its highest index, so a corrupt index
+// would otherwise be an allocation of gigabytes; 2^24 chunks is a 32 TB
+// video at the paper's chunk size.
+const maxSnapshotIndex = 1 << 24
+
+// Save writes the cache's full state to w. Equal states make equal
+// snapshots: the IAT table is written in ascending chunk-key order.
 func (c *Cache) Save(w io.Writer) error {
+	// A bufio.Writer keeps its first error and returns it from every
+	// later write and from Flush, so only Flush is checked.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return err
-	}
+	bw.Write(snapshotMagic[:])
 	var scratch [binary.MaxVarintLen64]byte
-	writeU := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	writeF := func(v float64) error { return writeU(math.Float64bits(v)) }
-	writeB := func(v bool) error {
+	writeU := func(v uint64) { bw.Write(scratch[:binary.PutUvarint(scratch[:], v)]) }
+	writeF := func(v float64) { writeU(math.Float64bits(v)) }
+	writeB := func(v bool) {
 		if v {
-			return writeU(1)
-		}
-		return writeU(0)
-	}
-	fields := []func() error{
-		func() error { return writeU(uint64(c.cfg.ChunkSize)) },
-		func() error { return writeU(uint64(c.cfg.DiskChunks)) },
-		func() error { return writeF(c.alpha) },
-		func() error { return writeF(c.opt.Gamma) },
-		func() error { return writeF(c.opt.WindowScale) },
-		func() error { return writeB(c.opt.FileLevel) },
-		func() error { return writeB(c.opt.NoVideoEstimate) },
-		func() error { return writeU(uint64(c.firstTime)) },
-		func() error { return writeU(uint64(c.lastTime)) },
-		func() error { return writeU(uint64(c.requests)) },
-		func() error { return writeB(c.started) },
-	}
-	for _, f := range fields {
-		if err := f(); err != nil {
-			return err
-		}
-	}
-	// IAT table. dt = unknownDT is encoded as a flag.
-	if err := writeU(uint64(len(c.iat))); err != nil {
-		return err
-	}
-	for key, e := range c.iat {
-		if err := writeU(key); err != nil {
-			return err
-		}
-		if e.dt == unknownDT {
-			if err := writeU(0); err != nil {
-				return err
-			}
+			writeU(1)
 		} else {
-			if err := writeU(1); err != nil {
-				return err
-			}
-			if err := writeF(e.dt); err != nil {
-				return err
-			}
-		}
-		if err := writeU(uint64(e.t)); err != nil {
-			return err
+			writeU(0)
 		}
 	}
-	// Cached chunk set (tree keys are recomputed on load from the IAT
-	// state — they are a pure function of it).
-	if err := writeU(uint64(c.tree.Len())); err != nil {
-		return err
+	writeU(uint64(c.cfg.ChunkSize))
+	writeU(uint64(c.cfg.DiskChunks))
+	writeF(c.alpha)
+	writeF(c.opt.Gamma)
+	writeF(c.opt.WindowScale)
+	writeB(c.opt.FileLevel)
+	writeB(c.opt.NoVideoEstimate)
+	writeU(uint64(c.firstTime))
+	writeU(uint64(c.lastTime))
+	writeU(uint64(c.requests))
+	writeB(c.started)
+
+	// IAT table. dt = unknownDT is encoded as a flag.
+	writeU(uint64(c.tracked))
+	ids := make([]chunk.VideoID, 0, len(c.videos))
+	for id := range c.videos {
+		ids = append(ids, id)
 	}
-	var werr error
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		for i, st := range c.videos[id].chunks {
+			if !st.seen {
+				continue
+			}
+			writeU(chunk.ID{Video: id, Index: uint32(i)}.Key())
+			writeB(st.dt != unknownDT)
+			if st.dt != unknownDT {
+				writeF(st.dt)
+			}
+			writeU(uint64(st.t))
+		}
+	}
+	// Cached chunk set (keys in the ordered set are recomputed on load
+	// from the IAT state — they are a pure function of it).
+	writeU(uint64(c.tree.Len()))
 	c.tree.Ascend(func(id uint64, _ float64) bool {
-		werr = writeU(id)
-		return werr == nil
+		writeU(id)
+		return true
 	})
-	if werr != nil {
-		return werr
-	}
 	return bw.Flush()
 }
 
@@ -112,100 +100,67 @@ func Load(r io.Reader) (*Cache, error) {
 	if magic != snapshotMagic {
 		return nil, errors.New("cafe: not a cafe snapshot (bad magic)")
 	}
-	readU := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readF := func() (float64, error) {
-		v, err := readU()
-		return math.Float64frombits(v), err
-	}
-	readB := func() (bool, error) {
-		v, err := readU()
-		return v != 0, err
-	}
-
-	var cfg core.Config
-	var opt Options
-	var alpha float64
-	var firstTime, lastTime uint64
-	var requests uint64
-	var started bool
-	steps := []func() error{
-		func() error { v, err := readU(); cfg.ChunkSize = int64(v); return err },
-		func() error { v, err := readU(); cfg.DiskChunks = int(v); return err },
-		func() error { var err error; alpha, err = readF(); return err },
-		func() error { var err error; opt.Gamma, err = readF(); return err },
-		func() error { var err error; opt.WindowScale, err = readF(); return err },
-		func() error { var err error; opt.FileLevel, err = readB(); return err },
-		func() error { var err error; opt.NoVideoEstimate, err = readB(); return err },
-		func() error { var err error; firstTime, err = readU(); return err },
-		func() error { var err error; lastTime, err = readU(); return err },
-		func() error { var err error; requests, err = readU(); return err },
-		func() error { var err error; started, err = readB(); return err },
-	}
-	for _, f := range steps {
-		if err := f(); err != nil {
-			return nil, fmt.Errorf("cafe: corrupt snapshot header: %w", err)
+	// The first read error sticks: later reads return zero, and each
+	// section checks once.
+	var rerr error
+	readU := func() (v uint64) {
+		if rerr == nil {
+			v, rerr = binary.ReadUvarint(br)
 		}
+		return v
+	}
+	readF := func() float64 { return math.Float64frombits(readU()) }
+	readB := func() bool { return readU() != 0 }
+
+	cfg := core.Config{ChunkSize: int64(readU()), DiskChunks: int(readU())}
+	alpha := readF()
+	opt := Options{Gamma: readF(), WindowScale: readF(), FileLevel: readB(), NoVideoEstimate: readB()}
+	firstTime, lastTime, requests, started := int64(readU()), int64(readU()), int64(readU()), readB()
+	if rerr != nil {
+		return nil, fmt.Errorf("cafe: corrupt snapshot header: %w", rerr)
 	}
 	c, err := New(cfg, alpha, opt)
 	if err != nil {
 		return nil, fmt.Errorf("cafe: snapshot carries invalid configuration: %w", err)
 	}
-	c.firstTime = int64(firstTime)
-	c.lastTime = int64(lastTime)
-	c.requests = int64(requests)
-	c.started = started
+	c.firstTime, c.lastTime, c.requests, c.started = firstTime, lastTime, requests, started
 
-	n, err := readU()
-	if err != nil {
-		return nil, err
-	}
+	n := readU()
 	for i := uint64(0); i < n; i++ {
-		key, err := readU()
-		if err != nil {
-			return nil, fmt.Errorf("cafe: corrupt IAT entry %d: %w", i, err)
-		}
-		known, err := readB()
-		if err != nil {
-			return nil, err
-		}
+		id := chunk.FromKey(readU())
 		e := iatEntry{dt: unknownDT}
-		if known {
-			if e.dt, err = readF(); err != nil {
-				return nil, err
-			}
+		if readB() {
+			e.dt = readF()
 		}
-		tv, err := readU()
-		if err != nil {
-			return nil, err
+		e.t = int64(readU())
+		if rerr != nil {
+			return nil, fmt.Errorf("cafe: corrupt IAT entry %d: %w", i, rerr)
 		}
-		e.t = int64(tv)
-		c.iat[key] = e
+		if id.Index >= maxSnapshotIndex {
+			return nil, fmt.Errorf("cafe: corrupt IAT entry %d: chunk index %d", i, id.Index)
+		}
+		c.remember(&c.record(id.Video, id.Index).chunks[id.Index], e)
 	}
-	m, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	if int(m) > cfg.DiskChunks {
+	m := readU()
+	if m > uint64(cfg.DiskChunks) {
 		return nil, fmt.Errorf("cafe: snapshot holds %d chunks for a %d-chunk disk", m, cfg.DiskChunks)
 	}
-	c.tree = ordtree.New()
 	for i := uint64(0); i < m; i++ {
-		key, err := readU()
-		if err != nil {
-			return nil, fmt.Errorf("cafe: corrupt chunk entry %d: %w", i, err)
+		id := chunk.FromKey(readU())
+		if rerr != nil {
+			return nil, fmt.Errorf("cafe: corrupt chunk entry %d: %w", i, rerr)
 		}
-		id := chunk.FromKey(key)
-		e, ok := c.iat[c.iatKey(id)]
+		if id.Index >= maxSnapshotIndex {
+			return nil, fmt.Errorf("cafe: corrupt chunk entry %d: chunk index %d", i, id.Index)
+		}
+		e, ok := c.history(id)
 		if !ok || e.dt == unknownDT {
 			return nil, fmt.Errorf("cafe: snapshot chunk %s has no IAT state", id)
 		}
-		c.tree.Insert(key, c.treeKey(e))
-		set := c.videos[id.Video]
-		if set == nil {
-			set = make(map[uint32]struct{})
-			c.videos[id.Video] = set
-		}
-		set[id.Index] = struct{}{}
+		c.place(c.record(id.Video, id.Index), id, c.treeKey(e))
+	}
+	if rerr != nil {
+		return nil, fmt.Errorf("cafe: corrupt snapshot: %w", rerr)
 	}
 	return c, nil
 }

@@ -2,7 +2,12 @@ package cafe
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,5 +155,126 @@ func TestLoadRejectsOversizedChunkSet(t *testing.T) {
 	}
 	if _, err := Load(&buf); err != nil {
 		t.Errorf("valid snapshot failed to load: %v", err)
+	}
+}
+
+// Equal states must make equal snapshots: the IAT table is written in
+// chunk-key order, not in the order some map happens to iterate.
+func TestSaveIsDeterministic(t *testing.T) {
+	for _, opt := range []Options{{}, {FileLevel: true}} {
+		c := newCache(t, 32, 2, opt)
+		for _, r := range randomTrace(11, 1500) {
+			c.HandleRequest(r)
+		}
+		var first, second, reloaded bytes.Buffer
+		if err := c.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%+v: two snapshots of one cache differ", opt)
+		}
+		// The same state reached another way (through Load, which
+		// builds its records in file order) snapshots the same too.
+		restored, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Save(&reloaded); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), reloaded.Bytes()) {
+			t.Errorf("%+v: a restored cache snapshots differently from the one it was restored from", opt)
+		}
+	}
+}
+
+type failingWriter struct{ room int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.room -= len(p); w.room < 0 {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+// Save checks only its final Flush; a write that failed at any point
+// must still come back from it.
+func TestSaveReportsWriteError(t *testing.T) {
+	c := newCache(t, 32, 2, Options{})
+	for _, r := range randomTrace(5, 500) {
+		c.HandleRequest(r)
+	}
+	if err := c.Save(&failingWriter{room: 100}); err == nil {
+		t.Error("Save to a writer that fails should fail")
+	}
+}
+
+// testdata/parent_layout_*.snap were written by the commit before the
+// per-video state layout (IAT table in Go map order) after the first
+// 1000 requests of randomTrace(7, 2000) on a 32-chunk disk at alpha 2.
+// They must still load, carry exactly the state this code reaches over
+// the same requests, and replay the rest to the same outcomes.
+func TestLoadParentLayoutSnapshot(t *testing.T) {
+	for name, opt := range map[string]Options{"chunk": {}, "file": {FileLevel: true}} {
+		snap, err := os.ReadFile("testdata/parent_layout_" + name + ".snap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Load(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := restored.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		reqs := randomTrace(7, 2000)
+		live := newCache(t, 32, 2, opt)
+		for _, r := range reqs[:1000] {
+			live.HandleRequest(r)
+		}
+		var a, b bytes.Buffer
+		if err := live.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: the parent's snapshot does not hold the state this code reaches", name)
+		}
+		for i, r := range reqs[1000:] {
+			if got, want := restored.HandleRequest(r), live.HandleRequest(r); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: request %d diverged: %+v vs %+v", name, i, got, want)
+			}
+		}
+	}
+}
+
+// A corrupt chunk index must be an error, not an allocation of the
+// gigabytes a state slice reaching that index would take.
+func TestLoadRejectsImplausibleChunkIndex(t *testing.T) {
+	snapshot := func(iatIndex, cachedIndex uint32, fileLevel uint64) []byte {
+		buf := append([]byte(nil), snapshotMagic[:]...)
+		f := math.Float64bits
+		for _, v := range []uint64{
+			testK, 4, f(1), f(DefaultGamma), f(1), fileLevel, 0, 0, 5, 1, 1, // header
+			1, chunk.ID{Video: 1, Index: iatIndex}.Key(), 1, f(3), 5, // one IAT entry
+			1, chunk.ID{Video: 1, Index: cachedIndex}.Key(), // one cached chunk
+		} {
+			buf = binary.AppendUvarint(buf, v)
+		}
+		return buf
+	}
+	if c, err := Load(bytes.NewReader(snapshot(9, 9, 0))); err != nil || !c.Contains(chunk.ID{Video: 1, Index: 9}) {
+		t.Fatalf("the hand-written snapshot should load: %v", err)
+	}
+	if _, err := Load(bytes.NewReader(snapshot(maxSnapshotIndex, 0, 0))); err == nil {
+		t.Error("an IAT entry at an implausible chunk index should be refused")
+	}
+	if _, err := Load(bytes.NewReader(snapshot(0, maxSnapshotIndex, 1))); err == nil {
+		t.Error("a cached chunk at an implausible index should be refused")
 	}
 }

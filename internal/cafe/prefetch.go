@@ -28,26 +28,29 @@ func (c *Cache) PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []
 		c.started = true
 	}
 	c.lastTime = now
-	if c.tree.Contains(id.Key()) {
+	v := c.videos[id.Video]
+	if v == nil {
+		return false, nil // nothing known; refuse blind ingress
+	}
+	v.reach(id.Index)
+	if v.chunks[id.Index].h != 0 {
 		return false, nil
 	}
-	k := c.iatKey(id)
-	e, ok := c.iat[k]
+	pop := c.popularity(v, id.Index)
 	var est float64
 	switch {
-	case ok && e.dt != unknownDT:
-		est = c.iatAt(e, now)
-	case ok:
-		est = float64(now - e.t)
+	case pop.seen && pop.dt != unknownDT:
+		est = c.iatAt(pop.iatEntry, now)
+	case pop.seen:
+		est = float64(now - pop.t)
 		if est < 1 {
 			est = 1
 		}
 	default:
-		v, vok := c.videoEstimate(id.Video, now)
-		if !vok {
+		var ok bool
+		if est, ok = c.videoEstimate(v, now); !ok {
 			return false, nil // nothing known; refuse blind ingress
 		}
-		est = v
 	}
 	if free := c.cfg.DiskChunks - c.tree.Len(); free <= 0 {
 		// Displace only a strictly less popular resident.
@@ -62,19 +65,12 @@ func (c *Cache) PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []
 		c.evictChunk(victim)
 		evicted = append(evicted, victim)
 	}
-	if !ok || e.dt == unknownDT {
-		// Materialize the estimate as the chunk's state so the tree
+	if !pop.seen || pop.dt == unknownDT {
+		// Materialize the estimate as the chunk's state so the set's
 		// key and future cache-age lookups stay consistent.
-		e = iatEntry{dt: est, t: now}
-		c.iat[k] = e
+		c.remember(pop, iatEntry{dt: est, t: now})
 	}
-	c.tree.Insert(id.Key(), c.treeKey(e))
-	set := c.videos[id.Video]
-	if set == nil {
-		set = make(map[uint32]struct{})
-		c.videos[id.Video] = set
-	}
-	set[id.Index] = struct{}{}
+	c.place(v, id, c.treeKey(pop.iatEntry))
 	return true, evicted
 }
 
@@ -82,17 +78,13 @@ func (c *Cache) PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []
 // video, ok=false when none is cached. Prefetch planners use it for
 // sequential read-ahead.
 func (c *Cache) HighestCachedIndex(v chunk.VideoID) (uint32, bool) {
-	set := c.videos[v]
-	if len(set) == 0 {
+	rec := c.videos[v]
+	if rec == nil || rec.cached == 0 {
 		return 0, false
 	}
-	var best uint32
-	first := true
-	for ci := range set {
-		if first || ci > best {
-			best = ci
-			first = false
-		}
+	i := len(rec.chunks) - 1
+	for rec.chunks[i].h == 0 {
+		i--
 	}
-	return best, true
+	return uint32(i), true
 }

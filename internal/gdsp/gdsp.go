@@ -30,6 +30,7 @@ type Cache struct {
 	freq     map[uint64]int // access count while cached
 	inflate  float64        // L
 	lastTime int64
+	victims  []uint64 // eviction-scan scratch, reused
 }
 
 // New builds a GDSP cache.
@@ -65,12 +66,10 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	if nChunks > c.cfg.DiskChunks {
 		return core.Outcome{Decision: core.Redirect}
 	}
-	skip := make(map[uint64]bool, nChunks)
 	var missing []chunk.ID
 	for ci := c0; ci <= c1; ci++ {
 		id := chunk.ID{Video: r.Video, Index: ci}
 		key := id.Key()
-		skip[key] = true
 		if c.tree.Contains(key) {
 			// Hit: bump frequency and re-score.
 			c.freq[key]++
@@ -83,13 +82,17 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	if evictN < 0 {
 		evictN = 0
 	}
+	// The requested chunks are one contiguous packed-key range and are
+	// never their own victims.
+	loKey := chunk.ID{Video: r.Video, Index: c0}.Key()
+	hiKey := chunk.ID{Video: r.Video, Index: c1}.Key()
 	evicted := make([]chunk.ID, 0, evictN)
 	for i := 0; i < evictN; i++ {
-		victims := c.tree.SmallestExcluding(1, skip)
-		if len(victims) == 0 {
+		c.victims = c.tree.AppendFirstOutside(c.victims[:0], 1, loKey, hiKey)
+		if len(c.victims) == 0 {
 			break
 		}
-		key := victims[0]
+		key := c.victims[0]
 		if h, ok := c.tree.Key(key); ok && h > c.inflate {
 			// Classic GDS aging: raise L to the evicted score.
 			c.inflate = h

@@ -36,6 +36,7 @@ type Cache struct {
 	tree     *ordtree.Tree
 	hist     map[uint64][]int64 // chunk key -> last up-to-K access times (newest first)
 	lastTime int64
+	victims  []uint64 // eviction-scan scratch, reused
 }
 
 // horizon separates the "fewer than K references" band from the
@@ -90,12 +91,10 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	if nChunks > c.cfg.DiskChunks {
 		return core.Outcome{Decision: core.Redirect}
 	}
-	skip := make(map[uint64]bool, nChunks)
 	var missing []chunk.ID
 	for ci := c0; ci <= c1; ci++ {
 		id := chunk.ID{Video: r.Video, Index: ci}
 		key := id.Key()
-		skip[key] = true
 		// Record the reference (kept only while cached; evicted
 		// history is dropped, the paper notes such borderline objects
 		// rarely return soon anyway).
@@ -115,7 +114,11 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	if evictN < 0 {
 		evictN = 0
 	}
-	victims := c.tree.SmallestExcluding(evictN, skip)
+	// The requested chunks are one contiguous packed-key range and are
+	// never their own victims.
+	victims := c.tree.AppendFirstOutside(c.victims[:0], evictN,
+		chunk.ID{Video: r.Video, Index: c0}.Key(), chunk.ID{Video: r.Video, Index: c1}.Key())
+	c.victims = victims
 	if len(victims) < evictN {
 		// Cannot make room without evicting requested chunks.
 		return core.Outcome{Decision: core.Redirect}

@@ -1,17 +1,22 @@
-// Package ordtree implements the ordered chunk set used by the Cafe
-// and Psychic caches (Section 6): a balanced binary search tree keyed
-// by a float64 score (Cafe's virtual timestamp, Psychic's next-request
-// time) plus a hash map for O(1) lookup by item ID.
+// Package ordtree implements the ordered chunk set of Section 6: items
+// (a uint64 ID and a float64 key — Cafe's virtual timestamp, Psychic's
+// next-request time, an LRU-K distance, a GDSP score) kept so that the
+// first items in (key, id) order can be found and any item can be
+// re-keyed, "gradually moving up this set according to its EWMA-ed IAT
+// value".
 //
-// Unlike the plain LRU list, items may be (re-)inserted with keys that
-// are not larger than all existing keys — the flexibility Cafe needs
-// because a chunk "gradually moves up this set according to its
-// EWMA-ed IAT value".
-//
-// The tree is a treap whose per-node priorities are a splitmix64 hash
-// of the item ID, making the structure deterministic for a given item
-// set regardless of insertion order — important for reproducible
-// experiments.
+// The set is an array-backed indexed 4-ary heap. A heap is enough, and
+// exact, because the policies only ever ask three things of the order:
+// the first item, the first n items outside one ID range (the eviction
+// victims, never the chunks of the request being served), and a re-key.
+// The victim scan walks the heap through a small frontier of candidate
+// slots, so it emits items in exact (key, id) order; equal keys are
+// ordered by ID, so the order — and with it every eviction sequence —
+// is a pure function of the item set, whatever the insertion history.
+// A re-key sifts from the item's current slot and so costs as much as
+// the key moved, not the depth of the set: by Theorem 1 a Cafe key
+// changes only when its chunk is accessed, and the chunks accessed most
+// sit near the leaves.
 package ordtree
 
 import (
@@ -19,48 +24,56 @@ import (
 	"math"
 )
 
-type node struct {
-	id   uint64
-	key  float64
-	prio uint64
-	l, r *node
+// arity is the heap's fan-out: the four children of a slot are
+// adjacent, and the set is half as deep as a binary heap.
+const arity = 4
+
+// Handle names an item for as long as it stays in the set, wherever the
+// heap moves it. The zero Handle names no item.
+type Handle int32
+
+type item struct {
+	key float64
+	id  uint64
+	h   Handle
 }
 
-// Tree is an ordered map from item ID to float64 key, iterable in
-// ascending (key, id) order. The zero value is not usable; call New.
+// Tree is an ordered map from item ID to float64 key. The zero value is
+// not usable; call New or NewDescending.
 type Tree struct {
-	root *node
-	byID map[uint64]*node
-	// free recycles nodes detached by Remove (chained through .r), so
-	// the steady-state evict-then-fill cycle of a full cache allocates
-	// no tree nodes. Bounded by the largest item count the tree ever
-	// held.
-	free *node
+	heap []item
+	// slot maps a live handle to its item's heap index, so sifting writes
+	// an array and never the byID map. For a free handle it holds the next
+	// free handle; slot[0] heads that list.
+	slot     []int32
+	byID     map[uint64]Handle
+	desc     bool
+	frontier []int32 // victim-scan scratch, reused
 }
 
-// New returns an empty tree.
+// New returns an empty set ordered by ascending (key, id).
 func New() *Tree {
-	return &Tree{byID: make(map[uint64]*node)}
+	return &Tree{slot: make([]int32, 1), byID: make(map[uint64]Handle)}
 }
 
-// newNode pops a recycled node from the freelist or allocates one.
-func (t *Tree) newNode(id uint64, key float64) *node {
-	if n := t.free; n != nil {
-		t.free = n.r
-		n.id, n.key, n.prio, n.l, n.r = id, key, splitmix64(id), nil, nil
-		return n
+// NewDescending returns an empty set ordered by descending (key, id):
+// Min is the largest item and the scans run from the largest down.
+func NewDescending() *Tree {
+	t := New()
+	t.desc = true
+	return t
+}
+
+// before is the strict order of the set.
+func (t *Tree) before(a, b *item) bool {
+	if a.key != b.key {
+		return (a.key < b.key) != t.desc
 	}
-	return &node{id: id, key: key, prio: splitmix64(id)}
-}
-
-// recycle pushes a detached node onto the freelist.
-func (t *Tree) recycle(n *node) {
-	n.l, n.r = nil, t.free
-	t.free = n
+	return (a.id < b.id) != t.desc
 }
 
 // Len returns the number of items.
-func (t *Tree) Len() int { return len(t.byID) }
+func (t *Tree) Len() int { return len(t.heap) }
 
 // Contains reports whether id is present.
 func (t *Tree) Contains(id uint64) bool {
@@ -70,269 +83,214 @@ func (t *Tree) Contains(id uint64) bool {
 
 // Key returns the key stored for id, with ok=false if absent.
 func (t *Tree) Key(id uint64) (float64, bool) {
-	n, ok := t.byID[id]
+	h, ok := t.byID[id]
 	if !ok {
 		return 0, false
 	}
-	return n.key, true
+	return t.heap[t.slot[h]].key, true
 }
 
-// Insert adds id with the given key, replacing any existing entry for
-// id. NaN keys are rejected with a panic: they would break the strict
-// weak ordering and silently corrupt the tree.
-func (t *Tree) Insert(id uint64, key float64) {
-	if math.IsNaN(key) {
-		panic(fmt.Sprintf("ordtree: NaN key for id %d", id))
+// Min returns the first item of the set's order, with ok=false on an
+// empty set.
+func (t *Tree) Min() (id uint64, key float64, ok bool) {
+	if len(t.heap) == 0 {
+		return 0, 0, false
 	}
-	if old, ok := t.byID[id]; ok {
-		// Re-key in place: detach the node and reinsert it with the new
-		// key. Same id means same priority, so no allocation and no map
-		// write is needed — this is the hot rekey path of the Cafe cache.
-		t.root = remove(t.root, old.key, id)
-		old.key, old.l, old.r = key, nil, nil
-		t.root = insert(t.root, old)
-		return
-	}
-	n := t.newNode(id, key)
-	t.byID[id] = n
-	t.root = insert(t.root, n)
+	return t.heap[0].id, t.heap[0].key, true
 }
 
-// Remove deletes id, reporting whether it was present. The node is
-// recycled for a later Insert.
+// Insert adds id with the given key, or re-keys it if present, and
+// returns the item's handle. NaN keys are rejected with a panic: they
+// would break the strict weak ordering and silently corrupt the set.
+func (t *Tree) Insert(id uint64, key float64) Handle {
+	if h, ok := t.byID[id]; ok {
+		t.Rekey(h, key)
+		return h
+	}
+	checkKey(id, key)
+	h := Handle(t.slot[0])
+	if h != 0 {
+		t.slot[0] = t.slot[h]
+	} else {
+		h = Handle(len(t.slot))
+		t.slot = append(t.slot, 0)
+	}
+	t.byID[id] = h
+	t.heap = append(t.heap, item{})
+	t.up(len(t.heap)-1, item{key: key, id: id, h: h})
+	return h
+}
+
+// Rekey changes the key of the item h names, without a lookup.
+func (t *Tree) Rekey(h Handle, key float64) {
+	i := int(t.slot[h])
+	it := t.heap[i]
+	if it.h != h {
+		panic("ordtree: Rekey of a handle whose item was removed")
+	}
+	checkKey(it.id, key)
+	it.key = key
+	t.fix(i, it)
+}
+
+// Remove deletes id, reporting whether it was present.
 func (t *Tree) Remove(id uint64) bool {
-	n, ok := t.byID[id]
+	h, ok := t.byID[id]
 	if !ok {
 		return false
 	}
-	t.root = remove(t.root, n.key, id)
 	delete(t.byID, id)
-	t.recycle(n)
+	i := int(t.slot[h])
+	t.slot[h], t.slot[0] = t.slot[0], int32(h)
+	last := len(t.heap) - 1
+	it := t.heap[last]
+	t.heap = t.heap[:last]
+	if i != last {
+		t.fix(i, it)
+	}
 	return true
 }
 
-// Min returns the item with the smallest (key, id), with ok=false on an
-// empty tree.
-func (t *Tree) Min() (id uint64, key float64, ok bool) {
-	n := t.root
-	if n == nil {
-		return 0, 0, false
+func checkKey(id uint64, key float64) {
+	if math.IsNaN(key) {
+		panic(fmt.Sprintf("ordtree: NaN key for id %d", id))
 	}
-	for n.l != nil {
-		n = n.l
-	}
-	return n.id, n.key, true
 }
 
-// Max returns the item with the largest (key, id), with ok=false on an
-// empty tree.
-func (t *Tree) Max() (id uint64, key float64, ok bool) {
-	n := t.root
-	if n == nil {
-		return 0, 0, false
+// fix places it, whose slot i is a hole, where the order wants it.
+func (t *Tree) fix(i int, it item) {
+	if i > 0 && t.before(&it, &t.heap[(i-1)/arity]) {
+		t.up(i, it)
+	} else {
+		t.down(i, it)
 	}
-	for n.r != nil {
-		n = n.r
-	}
-	return n.id, n.key, true
 }
 
-// PopMin removes and returns the minimum item.
-func (t *Tree) PopMin() (id uint64, key float64, ok bool) {
-	id, key, ok = t.Min()
-	if ok {
-		t.Remove(id)
+func (t *Tree) up(i int, it item) {
+	for i > 0 {
+		p := (i - 1) / arity
+		if !t.before(&it, &t.heap[p]) {
+			break
+		}
+		t.set(i, t.heap[p])
+		i = p
 	}
-	return id, key, ok
+	t.set(i, it)
 }
 
-// PopMax removes and returns the maximum item.
-func (t *Tree) PopMax() (id uint64, key float64, ok bool) {
-	id, key, ok = t.Max()
-	if ok {
-		t.Remove(id)
+func (t *Tree) down(i int, it item) {
+	n := len(t.heap)
+	for {
+		c := i*arity + 1
+		if c >= n {
+			break
+		}
+		end := c + arity
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if t.before(&t.heap[j], &t.heap[m]) {
+				m = j
+			}
+		}
+		if !t.before(&t.heap[m], &it) {
+			break
+		}
+		t.set(i, t.heap[m])
+		i = m
 	}
-	return id, key, ok
+	t.set(i, it)
 }
 
-// Ascend calls fn in ascending (key, id) order until fn returns false.
+func (t *Tree) set(i int, it item) {
+	t.heap[i] = it
+	t.slot[it.h] = int32(i)
+}
+
+// AppendFirstOutside appends to dst the IDs of the first n items of the
+// set's order whose IDs fall outside the inclusive range [lo, hi] (fewer
+// if the set runs out; lo > hi excludes nothing), in that order, and
+// returns the grown slice. The policies pass the packed chunk-key range
+// of the request being served — the chunks of one video are contiguous
+// under chunk.ID.Key — so its chunks are never their own victims; with a
+// recycled dst[:0] the scan allocates nothing.
+//
+// The scan is the k-smallest walk of a heap: a frontier holds the slots
+// whose parent has been visited, the first of them in the set's order is
+// visited next, and its children join the frontier.
+func (t *Tree) AppendFirstOutside(dst []uint64, n int, lo, hi uint64) []uint64 {
+	if n <= 0 || len(t.heap) == 0 {
+		return dst
+	}
+	f := append(t.frontier[:0], 0)
+	for len(f) > 0 {
+		i := int(f[0])
+		if it := &t.heap[i]; it.id < lo || it.id > hi {
+			dst = append(dst, it.id)
+			if n--; n == 0 {
+				break
+			}
+		}
+		last := len(f) - 1
+		moved := f[last]
+		f = f[:last]
+		if last > 0 {
+			t.frontierDown(f, moved)
+		}
+		for c := i*arity + 1; c <= i*arity+arity && c < len(t.heap); c++ {
+			f = t.frontierPush(f, int32(c))
+		}
+	}
+	t.frontier = f[:0]
+	return dst
+}
+
+// frontierPush adds heap slot s to the binary heap of slots f.
+func (t *Tree) frontierPush(f []int32, s int32) []int32 {
+	f = append(f, s)
+	i := len(f) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.before(&t.heap[s], &t.heap[f[p]]) {
+			break
+		}
+		f[i] = f[p]
+		i = p
+	}
+	f[i] = s
+	return f
+}
+
+// frontierDown places slot s in f, whose root is a hole.
+func (t *Tree) frontierDown(f []int32, s int32) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(f) {
+			break
+		}
+		if c+1 < len(f) && t.before(&t.heap[f[c+1]], &t.heap[f[c]]) {
+			c++
+		}
+		if !t.before(&t.heap[f[c]], &t.heap[s]) {
+			break
+		}
+		f[i] = f[c]
+		i = c
+	}
+	f[i] = s
+}
+
+// Ascend calls fn for every item in the set's order until fn returns
+// false. It sorts the whole set first, whatever fn does: it is for
+// snapshots and tests, not for the request path.
 func (t *Tree) Ascend(fn func(id uint64, key float64) bool) {
-	ascend(t.root, fn)
-}
-
-// Descend calls fn in descending (key, id) order until fn returns
-// false.
-func (t *Tree) Descend(fn func(id uint64, key float64) bool) {
-	descend(t.root, fn)
-}
-
-// SmallestExcluding returns up to n item IDs with the smallest keys
-// whose IDs are not in skip. Cafe uses this to pick eviction candidates
-// S” while never evicting chunks belonging to the request being
-// served.
-func (t *Tree) SmallestExcluding(n int, skip map[uint64]bool) []uint64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	t.Ascend(func(id uint64, _ float64) bool {
-		if skip != nil && skip[id] {
-			return true
-		}
-		out = append(out, id)
-		return len(out) < n
-	})
-	return out
-}
-
-// AppendSmallestExcludingRange appends to dst up to n item IDs with the
-// smallest keys whose IDs fall outside the inclusive ID range [lo, hi],
-// and returns the grown slice. Cafe uses it with a packed chunk-key
-// range — the chunks of one video are contiguous under chunk.ID.Key —
-// to protect the chunks of the request being served without building a
-// per-request skip set; pass a recycled dst[:0] for an allocation-free
-// eviction scan.
-func (t *Tree) AppendSmallestExcludingRange(dst []uint64, n int, lo, hi uint64) []uint64 {
-	if n <= 0 {
-		return dst
-	}
-	return collectSmallest(t.root, dst, len(dst)+n, lo, hi)
-}
-
-// collectSmallest walks in ascending order, appending IDs outside
-// [lo, hi] until dst reaches want items.
-func collectSmallest(nd *node, dst []uint64, want int, lo, hi uint64) []uint64 {
-	if nd == nil || len(dst) >= want {
-		return dst
-	}
-	dst = collectSmallest(nd.l, dst, want, lo, hi)
-	if len(dst) >= want {
-		return dst
-	}
-	if nd.id < lo || nd.id > hi {
-		dst = append(dst, nd.id)
-	}
-	return collectSmallest(nd.r, dst, want, lo, hi)
-}
-
-// LargestExcluding is the mirror of SmallestExcluding; Psychic uses it
-// to pick the chunks requested farthest in the future.
-func (t *Tree) LargestExcluding(n int, skip map[uint64]bool) []uint64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	t.Descend(func(id uint64, _ float64) bool {
-		if skip != nil && skip[id] {
-			return true
-		}
-		out = append(out, id)
-		return len(out) < n
-	})
-	return out
-}
-
-func ascend(n *node, fn func(uint64, float64) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !ascend(n.l, fn) {
-		return false
-	}
-	if !fn(n.id, n.key) {
-		return false
-	}
-	return ascend(n.r, fn)
-}
-
-func descend(n *node, fn func(uint64, float64) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !descend(n.r, fn) {
-		return false
-	}
-	if !fn(n.id, n.key) {
-		return false
-	}
-	return descend(n.l, fn)
-}
-
-func less(aKey float64, aID uint64, b *node) bool {
-	if aKey != b.key {
-		return aKey < b.key
-	}
-	return aID < b.id
-}
-
-func insert(n, x *node) *node {
-	if n == nil {
-		return x
-	}
-	if less(x.key, x.id, n) {
-		n.l = insert(n.l, x)
-		if n.l.prio > n.prio {
-			n = rotateRight(n)
-		}
-	} else {
-		n.r = insert(n.r, x)
-		if n.r.prio > n.prio {
-			n = rotateLeft(n)
+	for _, id := range t.AppendFirstOutside(nil, len(t.heap), 1, 0) {
+		key, _ := t.Key(id)
+		if !fn(id, key) {
+			return
 		}
 	}
-	return n
-}
-
-func remove(n *node, key float64, id uint64) *node {
-	if n == nil {
-		return nil
-	}
-	if n.id == id && n.key == key {
-		return merge(n.l, n.r)
-	}
-	if less(key, id, n) {
-		n.l = remove(n.l, key, id)
-	} else {
-		n.r = remove(n.r, key, id)
-	}
-	return n
-}
-
-func merge(l, r *node) *node {
-	if l == nil {
-		return r
-	}
-	if r == nil {
-		return l
-	}
-	if l.prio > r.prio {
-		l.r = merge(l.r, r)
-		return l
-	}
-	r.l = merge(l, r.l)
-	return r
-}
-
-func rotateRight(n *node) *node {
-	l := n.l
-	n.l = l.r
-	l.r = n
-	return l
-}
-
-func rotateLeft(n *node) *node {
-	r := n.r
-	n.r = r.l
-	r.l = n
-	return r
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator — a strong,
-// cheap bit mixer used to derive deterministic treap priorities from
-// item IDs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }

@@ -191,6 +191,14 @@ func replayChecked(t *testing.T, c core.Cache, reqs []trace.Request) uint64 {
 				t.Fatalf("%s: evicted chunk %v still resident", where(), id)
 			}
 		}
+		// A policy that can audit its own bookkeeping (Cafe: every
+		// resident chunk is keyed in the ordered set by exactly what its
+		// popularity state implies) is audited after every request.
+		if ic, ok := c.(interface{ CheckInvariants() error }); ok {
+			if err := ic.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", where(), err)
+			}
+		}
 		digestOutcome(h, out)
 	}
 	return h.Sum64()

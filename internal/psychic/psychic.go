@@ -47,15 +47,16 @@ type Cache struct {
 	ix   *Index
 	pos  int
 
-	tree       *ordtree.Tree    // cached chunks keyed by next-request time (+Inf if none)
+	tree       *ordtree.Tree    // cached chunks by descending next-request time (+Inf if none)
 	insertedAt map[uint64]int64 // chunk key -> fill time (residence tracking)
 
 	residSum   float64 // accumulated residence of evicted chunks
 	residCount int64
 
 	firstTime int64
-	traceSpan float64 // duration of the whole indexed trace
-	buf       []int64 // scratch for AppendNextTimes
+	traceSpan float64  // duration of the whole indexed trace
+	buf       []int64  // scratch for AppendNextTimes
+	victims   []uint64 // eviction-scan scratch, reused
 }
 
 // New builds a Psychic cache over the full request sequence reqs. The
@@ -97,7 +98,7 @@ func New(cfg core.Config, alpha float64, reqs []trace.Request, opt Options) (*Ca
 		opt:        opt,
 		reqs:       reqs,
 		ix:         ix,
-		tree:       ordtree.New(),
+		tree:       ordtree.NewDescending(),
 		insertedAt: make(map[uint64]int64),
 		firstTime:  first,
 		traceSpan:  span,
@@ -176,11 +177,9 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		return core.Outcome{Decision: core.Redirect}
 	}
 
-	skip := make(map[uint64]bool, nChunks)
 	var missing []chunk.ID
 	for ci := c0; ci <= c1; ci++ {
 		id := chunk.ID{Video: r.Video, Index: ci}
-		skip[id.Key()] = true
 		if !c.tree.Contains(id.Key()) {
 			missing = append(missing, id)
 		}
@@ -209,7 +208,11 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		}
 		serve = costServe < costRedirect
 	default:
-		victims = c.tree.LargestExcluding(needEvict, skip)
+		// The requested chunks are one contiguous packed-key range and
+		// are never their own victims.
+		victims = c.tree.AppendFirstOutside(c.victims[:0], needEvict,
+			chunk.ID{Video: r.Video, Index: c0}.Key(), chunk.ID{Video: r.Video, Index: c1}.Key())
+		c.victims = victims
 		if len(victims) < needEvict {
 			serve = false
 			break
