@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"videocdn/internal/cafe"
@@ -187,22 +188,22 @@ func BenchmarkEdgeHitPathSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkFillPath compares the two fill pipelines end to end — an
-// origin body committed into a file-backed store — streaming through
-// the fixed 64 KiB scratch buffer vs the legacy whole-chunk buffer.
-// The stream variant's B/op must not scale with the chunk size (see
-// TestStreamingFillMemoryBound for the hard bound).
+// BenchmarkFillPath compares the fill pipelines end to end — an origin
+// body committed into a file-backed store — streaming through the
+// fixed 64 KiB scratch buffer vs the whole-chunk buffer, one chunk per
+// origin request (/chunk), and run4, the four missing chunks of one range as
+// one streamed run. us/chunk and allocs/chunk make the three
+// comparable; the stream variants' B/op must not scale with the chunk
+// size (see TestStreamingFillMemoryBound for the hard bound).
 func BenchmarkFillPath(b *testing.B) {
 	const chunkSize = 256 * testK
-	origin := httptest.NewServer(&leanOrigin{
-		size: chunkSize * 4, chunkSize: chunkSize,
-		buf: make([]byte, chunkSize),
-	})
+	origin := httptest.NewServer(&leanOrigin{size: chunkSize * 4, chunkSize: chunkSize, buf: make([]byte, chunkSize)})
 	b.Cleanup(origin.Close)
 	for _, mode := range []struct {
 		name string
 		buf  int64
-	}{{"stream", 64 << 10}, {"buffered", -1}} {
+		run  int // chunks per fill
+	}{{"stream", 64 << 10, 1}, {"buffered", -1, 1}, {"run4", 64 << 10, 4}} {
 		b.Run(mode.name, func(b *testing.B) {
 			cache, err := cafe.New(core.Config{ChunkSize: chunkSize, DiskChunks: 64}, 1, cafe.Options{})
 			if err != nil {
@@ -225,20 +226,30 @@ func BenchmarkFillPath(b *testing.B) {
 			b.Cleanup(func() { s.Close() })
 			sh := s.shardOf(1)
 			fc := fillCtx{ctx: context.Background()}
-			b.SetBytes(chunkSize)
+			video := []chunk.ID{{Video: 1, Index: 0}, {Video: 1, Index: 1}, {Video: 1, Index: 2}, {Video: 1, Index: 3}}
+			b.SetBytes(chunkSize * int64(mode.run))
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id := chunk.ID{Video: 1, Index: uint32(i % 4)}
-				if err := s.fill(&fc, sh, id); err != nil {
+				ids := video[i*mode.run%4:][:mode.run]
+				if _, err := s.fill(&fc, sh, ids); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				if err := fs.Delete(id); err != nil { // next pass refills
-					b.Fatal(err)
+				for _, id := range ids { // next pass refills
+					if err := fs.Delete(id); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.StartTimer()
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			chunks := float64(b.N * mode.run)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/chunks, "us/chunk")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/chunks, "allocs/chunk")
 		})
 	}
 }

@@ -30,7 +30,9 @@ import (
 )
 
 // countingStore wraps a Store and tallies the bytes committed by Put —
-// the ground truth for "bytes actually fetched from origin".
+// the ground truth for "bytes actually fetched from origin", once the
+// early chunks of runs that then failed are taken off again (see
+// chaosRig.keptBytes).
 type countingStore struct {
 	store.Store
 	putBytes atomic.Int64
@@ -139,6 +141,13 @@ func newChaosRigWith(t *testing.T, c core.Cache, catalog Catalog, fault FaultCon
 	return rig
 }
 
+// keptBytes is what Filled must equal to the byte: everything fills put
+// in the store, less what runs that failed had put before they did — a
+// run is charged as a whole or not at all, and takes its chunks back.
+func (r *chaosRig) keptBytes() int64 {
+	return r.store.putBytes.Load() - r.edge.servePath.rollbackBytes.Load()
+}
+
 func (r *chaosRig) get(t *testing.T, v chunk.VideoID, start, end int64) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := r.client.Get(fmt.Sprintf("%s/video?v=%d&start=%d&end=%d", r.edgeSrv.URL, v, start, end))
@@ -219,8 +228,8 @@ func TestChaosOnlyGoodStatusesAndAccounting(t *testing.T) {
 	}
 	// Eq. 2 ingress side: Filled is exactly the bytes committed from
 	// origin fetches — and exactly what the origin fully delivered.
-	if got := rig.store.putBytes.Load(); st.FilledBytes != got {
-		t.Errorf("FilledBytes = %d, store committed %d", st.FilledBytes, got)
+	if got := rig.keptBytes(); st.FilledBytes != got {
+		t.Errorf("FilledBytes = %d, store committed and kept %d", st.FilledBytes, got)
 	}
 	if counts := rig.fault.Counts(); st.FilledBytes != counts.ChunkBytesOK {
 		t.Errorf("FilledBytes = %d, origin fully delivered %d", st.FilledBytes, counts.ChunkBytesOK)
@@ -393,9 +402,12 @@ func chaosStreamingFillTruncation(t *testing.T, k int64) {
 	// died after pumping bytes into the slab must leave no charge and
 	// no bytes — Filled, the store's committed bytes, and the origin's
 	// fully-delivered bytes agree exactly.
-	if got := rig.store.putBytes.Load(); st.FilledBytes != got {
-		t.Errorf("FilledBytes = %d, store committed %d — a truncated stream leaked a charge",
+	if got := rig.keptBytes(); st.FilledBytes != got {
+		t.Errorf("FilledBytes = %d, store committed and kept %d — a truncated stream leaked a charge",
 			st.FilledBytes, got)
+	}
+	if rig.edge.servePath.rollbackBytes.Load() == 0 {
+		t.Error("no run was cut after its first chunk — the rollback was not exercised")
 	}
 	if counts := rig.fault.Counts(); st.FilledBytes != counts.ChunkBytesOK {
 		t.Errorf("FilledBytes = %d, origin fully delivered %d", st.FilledBytes, counts.ChunkBytesOK)
@@ -593,7 +605,7 @@ func TestChaosFlightCoalescingExactlyOneFetch(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			errs[i] = s.fill(&fillCtx{ctx: context.Background()}, s.shardOf(id.Video), id)
+			_, errs[i] = s.fill(&fillCtx{ctx: context.Background()}, s.shardOf(id.Video), []chunk.ID{id})
 		}(i)
 	}
 	close(start)
@@ -604,10 +616,10 @@ func TestChaosFlightCoalescingExactlyOneFetch(t *testing.T) {
 		}
 	}
 	counting.mu.Lock()
-	n := counting.chunk["v=1&c=0"]
+	n := counting.fills["v=1&c=0"]
 	counting.mu.Unlock()
-	if n != 1 {
-		t.Errorf("origin fetched the chunk %d times, want exactly 1", n)
+	if n != 1 || len(counting.fills) != 1 {
+		t.Errorf("origin fetches %v, want the chunk exactly once", counting.fills)
 	}
 }
 
@@ -642,8 +654,11 @@ func TestChaosFlightCancellationDoesNotPoisonWaiters(t *testing.T) {
 	var wg sync.WaitGroup
 	var errA, errB error
 	wg.Add(2)
-	go func() { defer wg.Done(); errA = s.fill(&fillCtx{ctx: ctxA}, s.shardOf(id.Video), id) }()
-	go func() { defer wg.Done(); errB = s.fill(&fillCtx{ctx: context.Background()}, s.shardOf(id.Video), id) }()
+	go func() { defer wg.Done(); _, errA = s.fill(&fillCtx{ctx: ctxA}, s.shardOf(id.Video), []chunk.ID{id}) }()
+	go func() {
+		defer wg.Done()
+		_, errB = s.fill(&fillCtx{ctx: context.Background()}, s.shardOf(id.Video), []chunk.ID{id})
+	}()
 	wg.Wait()
 
 	if errA == nil {
@@ -662,6 +677,168 @@ func TestChaosFlightCancellationDoesNotPoisonWaiters(t *testing.T) {
 	// must have dropped the bytes (store and cache stay in sync).
 	if mem.Has(id) {
 		t.Error("unclaimed bytes must not squat in the store")
+	}
+}
+
+// TestChaosRunCutMidBody: a run is all or nothing. The body of a
+// 4-chunk run is cut at half its length, after chunks 0 and 1 went
+// into the store. With retries off nothing of the run may remain — no
+// store key, no residency, no charge — and the client gets the second
+// line of defense; with retries on the second attempt lands the run
+// and it is charged exactly once.
+func TestChaosRunCutMidBody(t *testing.T) {
+	const size = 4 * testK
+	run := func(t *testing.T, fault FaultConfig, retry resilience.RetryPolicy) (*chaosRig, *xlru.Cache, *http.Response, []byte) {
+		cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig := newChaosRig(t, cache, MapCatalog{1: size}, fault, retry, neverTrip())
+		resp, body := rig.get(t, 1, 0, size-1)
+		if c := rig.fault.Counts(); c.Truncations != 1 {
+			t.Fatalf("fault pattern drifted: %+v, want exactly one cut", c)
+		}
+		if got := rig.edge.servePath.rollbackBytes.Load(); got != 2*testK {
+			t.Errorf("rolled back %d bytes, want %d (chunks 0 and 1 of the cut attempt)", got, 2*testK)
+		}
+		return rig, cache, resp, body
+	}
+	t.Run("retries off", func(t *testing.T) {
+		rig, cache, resp, _ := run(t, FaultConfig{TruncateRate: 1}, resilience.RetryPolicy{MaxAttempts: 1})
+		if resp.StatusCode != http.StatusFound {
+			t.Errorf("status %d, want 302", resp.StatusCode)
+		}
+		for c := uint32(0); c < 4; c++ {
+			id := chunk.ID{Video: 1, Index: c}
+			if rig.store.Has(id) || cache.Contains(id) {
+				t.Errorf("chunk %d survives the failed run: store %v, policy %v", c, rig.store.Has(id), cache.Contains(id))
+			}
+		}
+		st := rig.edge.SnapshotStats()
+		if st.FilledBytes != 0 || st.FillErrors != 1 || st.DegradedRedirects != 1 || st.RedirectedBytes != size {
+			t.Errorf("ledger after the failed run: %+v", st)
+		}
+	})
+	t.Run("retries on", func(t *testing.T) {
+		// Seed 4 at rate 0.5 cuts the second request (the first attempt
+		// of the run) and not the third.
+		rig, _, resp, body := run(t, FaultConfig{Seed: 4, TruncateRate: 0.5}, fastRetry())
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, expected(1, 0, size-1)) {
+			t.Errorf("status %d, %d bytes; want the whole video", resp.StatusCode, len(body))
+		}
+		st := rig.edge.SnapshotStats()
+		if st.FilledBytes != size || st.OriginRetries != 1 || st.FillErrors != 0 {
+			t.Errorf("FilledBytes %d retries %d fill errors %d, want %d, 1, 0", st.FilledBytes, st.OriginRetries, st.FillErrors, size)
+		}
+		if got := rig.fault.Counts().ChunkBytesOK; got != size {
+			t.Errorf("origin fully delivered %d bytes, want %d", got, size)
+		}
+		if got := rig.keptBytes(); got != size {
+			t.Errorf("store committed and kept %d bytes, want %d", got, size)
+		}
+	})
+}
+
+// TestChaosOverlappingRangesFetchOnce: two concurrent requests whose
+// missing ranges overlap — chunks 0-3 and 2-5 of a cold video — fetch
+// every chunk from the origin exactly once between them, whichever
+// gets to the policy first, and both bodies are exact.
+func TestChaosOverlappingRangesFetchOnce(t *testing.T) {
+	cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A slow origin keeps the first run in flight while the other
+	// request decides.
+	rig := newChaosRig(t, cache, MapCatalog{1: 6 * testK},
+		FaultConfig{LatencyRate: 1, Latency: 30 * time.Millisecond}, fastRetry(), neverTrip())
+	var wg sync.WaitGroup
+	for _, c0 := range []int64{0, 2} {
+		wg.Add(1)
+		go func(b0, b1 int64) {
+			defer wg.Done()
+			resp, body := rig.get(t, 1, b0, b1)
+			if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, refRange(1, testK, b0, b1)) {
+				t.Errorf("range %d-%d: status %d, %d bytes", b0, b1, resp.StatusCode, len(body))
+			}
+		}(c0*testK, (c0+4)*testK-1)
+	}
+	wg.Wait()
+	st, counts := rig.edge.SnapshotStats(), rig.fault.Counts()
+	if counts.ChunkBytesOK != 6*testK || st.FilledBytes != 6*testK {
+		t.Errorf("origin delivered %d bytes, Filled %d; want the 6 distinct chunks (%d) once", counts.ChunkBytesOK, st.FilledBytes, 6*testK)
+	}
+	if st.FillErrors != 0 || st.Redirected != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestChaosRunsJoinFlightsUnderWay is the same contract at the fill
+// entry point, with the overlap made certain: while the run for chunks
+// 0-3 is in flight, a fill of chunks 2-5 waits for that flight for the
+// chunks they share and fetches only the rest — two origin requests,
+// six chunks, each once.
+func TestChaosRunsJoinFlightsUnderWay(t *testing.T) {
+	cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newChaosRig(t, cache, MapCatalog{1: 6 * testK},
+		FaultConfig{LatencyRate: 1, Latency: 50 * time.Millisecond}, fastRetry(), neverTrip())
+	ids := make([]chunk.ID, 6)
+	for c := range ids {
+		ids[c] = chunk.ID{Video: 1, Index: uint32(c)}
+	}
+	sh := rig.edge.shardOf(1)
+	fill := func(part []chunk.ID) {
+		if i, err := rig.edge.fill(&fillCtx{ctx: context.Background()}, sh, part); err != nil {
+			t.Errorf("fill %v: failed at %d: %v", part, i, err)
+		}
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); fill(ids[:4]) }()
+	for registered := false; !registered; time.Sleep(time.Millisecond) {
+		sh.flightMu.Lock()
+		_, registered = sh.flights[ids[3].Key()]
+		sh.flightMu.Unlock()
+	}
+	fill(ids[2:])
+	<-done
+	st, counts := rig.edge.SnapshotStats(), rig.fault.Counts()
+	if counts.Requests != 2 || counts.ChunkBytesOK != 6*testK || st.FilledBytes != 6*testK {
+		t.Errorf("origin saw %d requests and delivered %d bytes, Filled %d; want 2, %d, %d",
+			counts.Requests, counts.ChunkBytesOK, st.FilledBytes, 6*testK, 6*testK)
+	}
+	if got := rig.store.putBytes.Load(); got != 6*testK {
+		t.Errorf("store took %d bytes, want each of the 6 chunks once (%d)", got, 6*testK)
+	}
+}
+
+// TestChaosHitInTheMiddleMakesTwoRuns: with chunk 2 resident, a request
+// for chunks 0-3 fills 0, 1 and 3 — two runs, two origin requests.
+func TestChaosHitInTheMiddleMakesTwoRuns(t *testing.T) {
+	cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newChaosRig(t, cache, MapCatalog{1: 4 * testK}, FaultConfig{}, fastRetry(), neverTrip())
+	if resp, _ := rig.get(t, 1, 2*testK, 3*testK-1); resp.StatusCode != http.StatusPartialContent {
+		t.Fatalf("warming chunk 2: status %d", resp.StatusCode)
+	}
+	before := rig.fault.Counts()
+	resp, body := rig.get(t, 1, 0, 4*testK-1)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, expected(1, 0, 4*testK-1)) {
+		t.Fatalf("status %d, %d bytes", resp.StatusCode, len(body))
+	}
+	after := rig.fault.Counts()
+	if n := after.Requests - before.Requests; n != 2 {
+		t.Errorf("origin saw %d requests for fills 0,1,3; want 2 (runs 0-1 and 3)", n)
+	}
+	if n := after.ChunkBytesOK - before.ChunkBytesOK; n != 3*testK {
+		t.Errorf("origin delivered %d bytes, want %d", n, 3*testK)
+	}
+	if st := rig.edge.SnapshotStats(); st.FilledBytes != 4*testK {
+		t.Errorf("FilledBytes = %d, want %d", st.FilledBytes, 4*testK)
 	}
 }
 
@@ -721,24 +898,33 @@ func TestChaosNoGoroutineLeak(t *testing.T) {
 }
 
 // TestFilledBytesExactOnShortTailChunk pins ingress accounting to the
-// bytes actually fetched: a video whose final chunk is short must not
-// be charged a whole chunk.
+// bytes actually fetched: a video whose final chunk is short is fetched
+// as one run, charged its true size, and every chunk of the run lands
+// in the store at its exact length — full, full, a quarter.
 func TestFilledBytesExactOnShortTailChunk(t *testing.T) {
 	cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := int64(testK + testK/4) // 1.25 chunks
+	size := int64(2*testK + testK/4) // 2.25 chunks
 	rig := newChaosRig(t, cache, MapCatalog{1: size}, FaultConfig{}, fastRetry(), neverTrip())
 	resp, body := rig.get(t, 1, 0, size-1)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if int64(len(body)) != size {
-		t.Fatalf("body %d bytes, want %d", len(body), size)
+	if !bytes.Equal(body, expected(1, 0, size-1)) {
+		t.Fatalf("body mismatch (%d bytes, want %d)", len(body), size)
 	}
 	if st := rig.edge.SnapshotStats(); st.FilledBytes != size {
 		t.Errorf("FilledBytes = %d, want %d (exact tail accounting)", st.FilledBytes, size)
+	}
+	for c, want := range []int{testK, testK, testK / 4} {
+		if got, err := rig.store.Get(chunk.ID{Video: 1, Index: uint32(c)}, nil); err != nil || len(got) != want {
+			t.Errorf("chunk %d in the store: %d bytes, %v; want %d", c, len(got), err, want)
+		}
+	}
+	if n := rig.fault.Counts().Requests; n != 2 {
+		t.Errorf("origin saw %d requests, want 2 (the size and one run)", n)
 	}
 }
 
@@ -886,8 +1072,8 @@ func TestChaosStoreFaultsNever5xxAndLedgerExact(t *testing.T) {
 		t.Errorf("Requested (%d) != Σ 2xx Content-Length (%d) + Redirected (%d)",
 			st.RequestedBytes, intended2xx.Load(), st.RedirectedBytes)
 	}
-	if got := rig.store.putBytes.Load(); st.FilledBytes != got {
-		t.Errorf("FilledBytes = %d, store committed %d — ENOSPC'd bytes must not be charged",
+	if got := rig.keptBytes(); st.FilledBytes != got {
+		t.Errorf("FilledBytes = %d, store committed and kept %d — ENOSPC'd bytes must not be charged",
 			st.FilledBytes, got)
 	}
 	fc := faulty.Counts()

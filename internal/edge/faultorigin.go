@@ -22,9 +22,10 @@ type FaultConfig struct {
 	LatencyRate float64
 	// Latency is the injected spike duration.
 	Latency time.Duration
-	// TruncateRate is the probability of cutting a /chunk response
-	// body mid-stream and aborting the connection (the client sees an
-	// unexpected EOF after a 200 header).
+	// TruncateRate is the probability of cutting the body of a /chunk
+	// response, or of a /video response (the edge's ranged fill), at
+	// half its Content-Length and aborting the connection (the client
+	// sees an unexpected EOF after a 200/206 header).
 	TruncateRate float64
 }
 
@@ -34,7 +35,7 @@ type FaultCounts struct {
 	Errors       int64 // 503s injected
 	Spikes       int64 // latency spikes injected
 	Truncations  int64 // mid-body truncations injected
-	ChunkBytesOK int64 // payload bytes of fully delivered 200 /chunk responses
+	ChunkBytesOK int64 // payload bytes of fully delivered 200/206 /chunk and /video (fill) bodies
 }
 
 // FaultOrigin wraps an origin handler with deterministic, seeded fault
@@ -98,7 +99,8 @@ func (f *FaultOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fault injected", http.StatusServiceUnavailable)
 		return
 	}
-	if r.URL.Path == "/chunk" && truncate {
+	fill := r.URL.Path == "/chunk" || r.URL.Path == "/video"
+	if fill && truncate {
 		f.mu.Lock()
 		f.counts.Truncations++
 		f.mu.Unlock()
@@ -113,10 +115,10 @@ func (f *FaultOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		panic(http.ErrAbortHandler)
 	}
-	if r.URL.Path == "/chunk" {
+	if fill {
 		cw := &countingWriter{ResponseWriter: w}
 		f.inner.ServeHTTP(cw, r)
-		if cw.status == http.StatusOK {
+		if cw.status == http.StatusOK || cw.status == http.StatusPartialContent {
 			f.mu.Lock()
 			f.counts.ChunkBytesOK += cw.n
 			f.mu.Unlock()

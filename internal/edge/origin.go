@@ -17,9 +17,16 @@ import (
 //
 // Routes:
 //
-//	GET /chunk?v=<video>&c=<index>   one whole chunk (possibly short at EOF)
+//	GET /video?v=<video>             the video, honoring a Range header or
+//	                                 start/end parameters (end past EOF is
+//	                                 clamped); generated piece by piece, so
+//	                                 only the range costs anything
 //	GET /size?v=<video>              the video size in bytes (text)
-//	GET /video?v=<video>             the video, honoring a Range header
+//	GET /chunk?v=<video>&c=<index>   one whole chunk (possibly short at EOF)
+//
+// An edge fills a run of missing chunks with one /video range request,
+// start and end on chunk boundaries, and a lone chunk with /chunk,
+// after one /size lookup per video.
 type Origin struct {
 	catalog   Catalog
 	chunkSize int64

@@ -192,51 +192,56 @@ func TestSendfileDifferential(t *testing.T) {
 	}
 }
 
-// leanOrigin is an origin whose /chunk handler serves from a
-// preallocated buffer — no per-request O(chunk) allocation — so the
-// fill-memory test below measures the edge's allocations, not the
-// test origin's.
+// leanOrigin is an origin whose fill routes serve from a preallocated
+// buffer — no per-request O(chunk) allocation — so the fill-memory
+// test below measures the edge's allocations, not the test origin's.
 type leanOrigin struct {
 	size      int64
 	chunkSize int64
-	buf       []byte
+	buf       []byte // written over and over; the content is not the point
 }
 
 func (o *leanOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	b0, b1 := int64(0), int64(-1)
 	switch r.URL.Path {
 	case "/size":
 		fmt.Fprintf(w, "%d", o.size)
+		return
 	case "/chunk":
-		c, _ := strconv.ParseUint(queryParam(r, "c"), 10, 32)
-		start := int64(c) * o.chunkSize
-		if start >= o.size {
-			http.Error(w, "chunk beyond end of video", http.StatusRequestedRangeNotSatisfiable)
+		c, _ := strconv.ParseInt(queryParam(r, "c"), 10, 64)
+		b0, b1 = c*o.chunkSize, min((c+1)*o.chunkSize, o.size)-1
+	case "/video":
+		b0, b1, _ = parseRange(r, o.size)
+	}
+	if b0 > b1 {
+		http.Error(w, "no such bytes", http.StatusRequestedRangeNotSatisfiable)
+		return
+	}
+	w.Header().Set("Content-Length", strconv.FormatInt(b1-b0+1, 10))
+	for left := b1 - b0 + 1; left > 0; {
+		n, _ := w.Write(o.buf[:min(left, int64(len(o.buf)))])
+		if n == 0 {
 			return
 		}
-		n := min(o.chunkSize, o.size-start)
-		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-		w.Write(o.buf[:n])
-	default:
-		http.NotFound(w, r)
+		left -= int64(n)
 	}
 }
 
-// TestStreamingFillMemoryBound pins the tentpole's O(buffer) claim: a
-// synchronous fill into a file-backed store must allocate on the order
-// of FillStreamBuf, not ChunkSize. 8 fills of 2 MiB chunks through a
-// 64 KiB buffer must allocate well under one chunk of heap in total;
-// the buffered path (streaming disabled) must allocate at least the
-// full 16 MiB, proving the measurement would catch a regression.
+// TestStreamingFillMemoryBound pins the O(buffer) claim of streaming
+// fills: a synchronous fill into a file-backed store must allocate on
+// the order of FillStreamBuf, not ChunkSize, and not more for a longer
+// run. 8 chunks of 2 MiB through a 64 KiB buffer — as 8 one-chunk
+// fills, then as one 8-chunk run — must allocate well under one chunk
+// of heap in total; the buffered path (streaming disabled) must
+// allocate at least the full 16 MiB, proving the measurement would
+// catch a regression.
 func TestStreamingFillMemoryBound(t *testing.T) {
 	const (
 		chunkSize = int64(2 << 20)
 		chunks    = 8
 		streamBuf = int64(64 << 10)
 	)
-	origin := httptest.NewServer(&leanOrigin{
-		size: chunkSize * chunks, chunkSize: chunkSize,
-		buf: make([]byte, chunkSize),
-	})
+	origin := httptest.NewServer(&leanOrigin{size: chunkSize * chunks, chunkSize: chunkSize, buf: make([]byte, chunkSize)})
 	defer origin.Close()
 
 	build := func(fillStreamBuf int64) *Server {
@@ -264,16 +269,22 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 		return s
 	}
 
-	measure := func(s *Server) int64 {
+	// measure fills the video's chunks, run of them per fill, and
+	// returns the heap bytes allocated meanwhile.
+	measure := func(s *Server, run int) int64 {
 		t.Helper()
 		sh := s.shardOf(1)
 		fc := fillCtx{ctx: context.Background()}
+		ids := make([]chunk.ID, chunks)
+		for c := range ids {
+			ids[c] = chunk.ID{Video: 1, Index: uint32(c)}
+		}
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		for c := uint32(0); c < chunks; c++ {
-			if err := s.fill(&fc, sh, chunk.ID{Video: 1, Index: c}); err != nil {
+		for c := 0; c < chunks; c += run {
+			if _, err := s.fill(&fc, sh, ids[c:c+run]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -281,29 +292,34 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 		return int64(ms.TotalAlloc - before)
 	}
 
-	streaming := build(streamBuf)
-	if got := measure(streaming); got >= chunkSize {
-		t.Errorf("streaming fills allocated %d bytes for %d×%d chunks; want < one %d-byte chunk",
-			got, chunks, chunkSize, chunkSize)
-	}
-	sp := streaming.ServePathStats()
-	if sp.StreamFills != chunks || sp.BufferedFills != 0 {
-		t.Errorf("stream/buffered fills = %d/%d, want %d/0", sp.StreamFills, sp.BufferedFills, chunks)
-	}
-	if sp.FillBufPeakBytes > 2*streamBuf {
-		t.Errorf("peak fill scratch %d bytes, want <= %d (serial fills)", sp.FillBufPeakBytes, 2*streamBuf)
-	}
-	if sp.FillBufInFlight != 0 {
-		t.Errorf("%d scratch bytes still checked out after fills returned", sp.FillBufInFlight)
-	}
+	for _, run := range []int{1, chunks} {
+		streaming := build(streamBuf)
+		if got := measure(streaming, run); got >= chunkSize {
+			t.Errorf("run %d: streaming fills allocated %d bytes for %d×%d chunks; want < one %d-byte chunk",
+				run, got, chunks, chunkSize, chunkSize)
+		}
+		sp := streaming.ServePathStats()
+		if sp.StreamFills != chunks || sp.BufferedFills != 0 {
+			t.Errorf("run %d: stream/buffered fills = %d/%d, want %d/0", run, sp.StreamFills, sp.BufferedFills, chunks)
+		}
+		// One flight at a time, one scratch buffer per flight, however
+		// many chunks the flight carries.
+		if sp.FillBufPeakBytes != streamBuf {
+			t.Errorf("run %d: peak fill scratch %d bytes, want %d", run, sp.FillBufPeakBytes, streamBuf)
+		}
+		if sp.FillBufInFlight != 0 {
+			t.Errorf("run %d: %d scratch bytes still checked out after fills returned", run, sp.FillBufInFlight)
+		}
 
-	buffered := build(-1) // streaming disabled: the old whole-chunk path
-	if got := measure(buffered); got < chunkSize*chunks {
-		t.Errorf("buffered fills allocated %d bytes; expected >= %d — the bound above is not measuring anything",
-			got, chunkSize*chunks)
-	}
-	if sp := buffered.ServePathStats(); sp.BufferedFills != chunks || sp.StreamFills != 0 {
-		t.Errorf("stream/buffered fills = %d/%d, want 0/%d", sp.StreamFills, sp.BufferedFills, chunks)
+		buffered := build(-1) // streaming disabled: whole chunks in RAM
+		if got := measure(buffered, run); got < chunkSize*chunks {
+			t.Errorf("run %d: buffered fills allocated %d bytes; expected >= %d — the bound above is not measuring anything",
+				run, got, chunkSize*chunks)
+		}
+		if sp := buffered.ServePathStats(); sp.BufferedFills != chunks || sp.StreamFills != 0 || sp.FillBufPeakBytes != 0 {
+			t.Errorf("run %d: stream/buffered fills = %d/%d, scratch peak %d, want 0/%d, 0",
+				run, sp.StreamFills, sp.BufferedFills, sp.FillBufPeakBytes, chunks)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package edge
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -172,10 +171,9 @@ type Server struct {
 	breaker  *resilience.Breaker
 	algoName string
 
-	// chunkEndpoint and sizeEndpoint are the origin's /chunk and /size
-	// URLs, parsed from Config.OriginURL once; a fetch copies one and
-	// sets its query.
-	chunkEndpoint, sizeEndpoint *url.URL
+	// The origin's /chunk, /video and /size URLs, parsed from
+	// Config.OriginURL once; a fetch copies one and sets its query.
+	chunkEndpoint, videoEndpoint, sizeEndpoint *url.URL
 
 	shards    []*edgeShard
 	sizeLimit int // per-shard size-cache bound
@@ -230,8 +228,9 @@ type servePathCounters struct {
 	sendfileChunks atomic.Int64 // chunks handed to the kernel as file sections
 	borrowChunks   atomic.Int64 // chunks lent zero-copy from RAM/mmap/pending
 	copyChunks     atomic.Int64 // chunks copied through a pooled buffer
-	streamFills    atomic.Int64 // fills streamed through a fixed scratch buffer
-	bufferedFills  atomic.Int64 // fills materialized as whole chunks in RAM
+	streamFills    atomic.Int64 // chunks filled by streaming through a fixed scratch buffer
+	bufferedFills  atomic.Int64 // chunks filled by materializing them whole in RAM
+	rollbackBytes  atomic.Int64 // bytes failed runs had put and took back: bytes put minus Filled
 }
 
 // ServePathStats is a point-in-time snapshot of the serve/fill path
@@ -240,7 +239,7 @@ type ServePathStats struct {
 	SendfileChunks   int64
 	BorrowChunks     int64
 	CopyChunks       int64
-	StreamFills      int64
+	StreamFills      int64 // chunks, not runs
 	BufferedFills    int64
 	FillBufInFlight  int64 // scratch bytes currently checked out by fills
 	FillBufPeakBytes int64 // high-water mark of the above
@@ -270,8 +269,8 @@ type edgeShard struct {
 	cache    core.Cache
 	lastTime int64 // clamp: caches reject time travel, concurrent stamping can reorder
 
-	flightMu sync.Mutex // coalesces concurrent origin fetches per chunk
-	flights  map[uint64]*flight
+	flightMu sync.Mutex         // coalesces concurrent origin fetches
+	flights  map[uint64]*flight // by chunk key; a run's chunks share one flight
 
 	sizeMu sync.RWMutex            // video sizes are immutable; cache them so
 	sizes  map[chunk.VideoID]int64 // origin outages cannot break cache hits
@@ -325,13 +324,22 @@ func (a *atomicCounters) snapshot() cost.Counters {
 	}
 }
 
-// flight is one in-progress origin fetch that concurrent requests for
-// the same chunk wait on instead of re-fetching. The fetch runs in its
-// own goroutine with its own deadline, so a waiter's cancellation
-// never poisons the other waiters.
+// flight is one in-progress fill of a run of consecutive chunks of one
+// video, registered under every chunk of the run: requests for any of
+// them wait on it instead of re-fetching, and wait for the whole run —
+// done closes once, when the last chunk is in or the run has failed.
+// It runs in its own goroutine with its own deadline, so a waiter's
+// cancellation never poisons the other waiters.
 type flight struct {
+	run  []chunk.ID
 	done chan struct{}
 	err  error
+}
+
+// covers reports whether id is one of the flight's chunks.
+func (f *flight) covers(id chunk.ID) bool {
+	first := f.run[0]
+	return id.Video == first.Video && id.Index >= first.Index && id.Index-first.Index < uint32(len(f.run))
 }
 
 // fillCtx lazily materializes a request's origin-fill deadline. Pure
@@ -395,13 +403,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.OriginURL == "" {
 		return nil, fmt.Errorf("edge: origin URL required")
 	}
-	chunkEndpoint, err := url.Parse(cfg.OriginURL + "/chunk")
-	if err != nil {
-		return nil, fmt.Errorf("edge: origin URL: %w", err)
-	}
-	sizeEndpoint, err := url.Parse(cfg.OriginURL + "/size")
-	if err != nil {
-		return nil, fmt.Errorf("edge: origin URL: %w", err)
+	var endpoints [3]*url.URL
+	for i, route := range []string{"/chunk", "/video", "/size"} {
+		var err error
+		if endpoints[i], err = url.Parse(cfg.OriginURL + route); err != nil {
+			return nil, fmt.Errorf("edge: origin URL: %w", err)
+		}
 	}
 	if cfg.RedirectURL == "" {
 		return nil, fmt.Errorf("edge: redirect URL required")
@@ -485,7 +492,7 @@ func NewServer(cfg Config) (*Server, error) {
 		shards:    make([]*edgeShard, n),
 		sizeLimit: maxSizeCacheEntries / n,
 
-		chunkEndpoint: chunkEndpoint, sizeEndpoint: sizeEndpoint,
+		chunkEndpoint: endpoints[0], videoEndpoint: endpoints[1], sizeEndpoint: endpoints[2],
 	}
 	for i := range s.shards {
 		s.shards[i] = &edgeShard{
@@ -619,17 +626,13 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 		// succeeds: mirror it in the store immediately, exactly as
 		// handleVideo mirrors EvictedIDs, so no displaced bytes squat
 		// in the store.
-		for _, ev := range evicted {
-			if err := s.cfg.Store.Delete(ev); err != nil {
-				sh.storeDels.Add(1)
-			}
-		}
+		s.deleteChunks(sh, evicted)
 		if !admitted {
 			break
 		}
 		// Ingress accounting happens inside the fetch with the chunk's
 		// actual byte count (a tail chunk is shorter than ChunkSize).
-		if err := s.fill(&fc, sh, id); err != nil {
+		if _, err := s.fill(&fc, sh, []chunk.ID{id}); err != nil {
 			sh.fillErrs.Add(1)
 			s.undoAdmission(sh, []chunk.ID{id})
 			http.Error(w, "cache fill: "+err.Error(), http.StatusBadGateway)
@@ -694,23 +697,18 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 
 	// The eviction decision stands however the fills go: mirror it in
 	// the store first so cache and store agree.
-	for _, id := range out.EvictedIDs {
-		if err := s.cfg.Store.Delete(id); err != nil {
-			sh.storeDels.Add(1)
-		}
-	}
+	s.deleteChunks(sh, out.EvictedIDs)
 
-	// Materialize the fills. A failed fetch (after retries, or fast
-	// because the breaker is open) rolls the admission back and
-	// degrades the request to a redirect — the client never sees a 502
-	// for an origin problem.
-	for i, id := range out.FilledIDs {
-		if err := s.fill(&fc, sh, id); err != nil {
-			sh.fillErrs.Add(1)
-			s.undoAdmission(sh, out.FilledIDs[i:])
-			s.degrade(w, r, sh, req.Bytes())
-			return
-		}
+	// Materialize the fills, one origin request per run of consecutive
+	// chunks. A failed run (after retries, or fast because the breaker
+	// is open) rolls back its own admissions and those of the runs
+	// after it, and degrades the request to a redirect — the client
+	// never sees a 502 for an origin problem.
+	if i, err := s.fill(&fc, sh, out.FilledIDs); err != nil {
+		sh.fillErrs.Add(1)
+		s.undoAdmission(sh, out.FilledIDs[i:])
+		s.degrade(w, r, sh, req.Bytes())
+		return
 	}
 
 	// Preflight: every chunk of the range must have bytes before the
@@ -781,6 +779,12 @@ func (s *Server) undoAdmission(sh *edgeShard, ids []chunk.ID) {
 		}
 		sh.mu.Unlock()
 	}
+	s.deleteChunks(sh, ids)
+}
+
+// deleteChunks drops chunks from the store, counting the failures
+// (leaked bytes).
+func (s *Server) deleteChunks(sh *edgeShard, ids []chunk.ID) {
 	for _, id := range ids {
 		if err := s.cfg.Store.Delete(id); err != nil {
 			sh.storeDels.Add(1)
@@ -789,11 +793,11 @@ func (s *Server) undoAdmission(sh *edgeShard, ids []chunk.ID) {
 }
 
 // onAsyncWriteError is the write-behind pipeline's failure callback: a
-// deferred store write was lost after its fill already succeeded. Roll
-// the chunk's admission back and reverse its ingress charge, leaving
-// the cache, store and Eq. 2 counters exactly where a synchronous
-// write failure would have left them (the serve path's preflight
-// re-fetches the chunk if it is requested again).
+// deferred store write was lost after its run had landed and been
+// charged. Roll that one chunk's admission back and reverse its share
+// of the charge, so cache, store and Eq. 2 counters agree again (the
+// serve path's preflight re-fetches the chunk if it is requested
+// again); the run's other chunks stay.
 func (s *Server) onAsyncWriteError(id chunk.ID, n int, _ error) {
 	sh := s.shardOf(id.Video)
 	s.asyncWriteErrs.Add(1)
@@ -1041,28 +1045,46 @@ func writeRange(w io.Writer, data []byte, lo, b0, b1 int64) error {
 	return err
 }
 
-// fill fetches one whole chunk from origin into the store, coalescing
-// concurrent fetches of the same chunk into a single origin request
-// (duplicate fills waste exactly the ingress this CDN exists to save).
-// The fetch itself runs detached with its own FillTimeout budget;
-// waiters that give up (ctx) leave the flight running for the others.
-func (s *Server) fill(fc *fillCtx, sh *edgeShard, id chunk.ID) error {
-	key := id.Key()
-	sh.flightMu.Lock()
-	f, ok := sh.flights[key]
-	if !ok {
-		f = &flight{done: make(chan struct{})}
-		sh.flights[key] = f
-		go s.runFlight(sh, f, key, id)
+// fill brings ids, chunks of one video in ascending order, into the
+// store. Each maximal run of consecutive indices not already being
+// fetched becomes one flight — one origin range request — and the runs
+// go one after another; for a chunk of a flight already under way the
+// caller waits on that flight instead (duplicate fills waste exactly
+// the ingress this CDN exists to save). A flight runs detached with
+// its own FillTimeout budget; waiters that give up (ctx) leave it
+// running for the others. On error fill returns the position in ids of
+// the first chunk of the run that failed.
+func (s *Server) fill(fc *fillCtx, sh *edgeShard, ids []chunk.ID) (int, error) {
+	for i := 0; i < len(ids); {
+		sh.flightMu.Lock()
+		f := sh.flights[ids[i].Key()]
+		if f == nil {
+			j := i + 1
+			for j < len(ids) && ids[j].Video == ids[i].Video && ids[j].Index == ids[j-1].Index+1 &&
+				sh.flights[ids[j].Key()] == nil {
+				j++
+			}
+			f = &flight{run: ids[i:j], done: make(chan struct{})}
+			for _, id := range f.run {
+				sh.flights[id.Key()] = f
+			}
+			go s.runFlight(sh, f)
+		}
+		sh.flightMu.Unlock()
+		ctx := fc.get()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return i, ctx.Err()
+		}
+		if f.err != nil {
+			return i, f.err
+		}
+		for i < len(ids) && f.covers(ids[i]) {
+			i++
+		}
 	}
-	sh.flightMu.Unlock()
-	ctx := fc.get()
-	select {
-	case <-f.done:
-		return f.err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return len(ids), nil
 }
 
 // heal re-fetches a chunk the cache claims but the store lost. A
@@ -1072,9 +1094,8 @@ func (s *Server) fill(fc *fillCtx, sh *edgeShard, id chunk.ID) error {
 // times; the window is microseconds wide, so one retry all but
 // guarantees convergence.
 func (s *Server) heal(fc *fillCtx, sh *edgeShard, id chunk.ID) error {
-	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		if err = s.fill(fc, sh, id); err != nil {
+		if _, err := s.fill(fc, sh, []chunk.ID{id}); err != nil {
 			return err
 		}
 		if s.cfg.Store.Has(id) {
@@ -1086,28 +1107,97 @@ func (s *Server) heal(fc *fillCtx, sh *edgeShard, id chunk.ID) error {
 }
 
 // runFlight performs one coalesced fetch to completion.
-func (s *Server) runFlight(sh *edgeShard, f *flight, key uint64, id chunk.ID) {
+func (s *Server) runFlight(sh *edgeShard, f *flight) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.FillTimeout)
 	defer cancel()
-	f.err = s.fetchChunk(ctx, sh, id)
+	f.err = s.fetchRun(ctx, sh, f.run)
 	sh.flightMu.Lock()
-	delete(sh.flights, key)
+	for _, id := range f.run {
+		delete(sh.flights, id.Key())
+	}
 	sh.flightMu.Unlock()
 	if f.err == nil {
-		// The admission may have been rolled back while we fetched
-		// (degraded request) or the chunk evicted by a concurrent
+		// An admission may have been rolled back while we fetched
+		// (degraded request) or a chunk evicted by a concurrent
 		// request; bytes the cache does not claim must not squat in
 		// the store.
+		var orphans []chunk.ID
 		sh.mu.Lock()
-		keep := sh.cache.Contains(id)
-		sh.mu.Unlock()
-		if !keep {
-			if err := s.cfg.Store.Delete(id); err != nil {
-				sh.storeDels.Add(1)
+		for _, id := range f.run {
+			if !sh.cache.Contains(id) {
+				orphans = append(orphans, id)
 			}
 		}
+		sh.mu.Unlock()
+		s.deleteChunks(sh, orphans)
 	}
 	close(f.done)
+}
+
+// fetchRun fills the chunks of one flight. Second line of defense
+// first: a cluster peer that already paid the origin for a chunk can
+// hand it over at C_P instead of C_F, so a peer tier is offered every
+// chunk, one by one, and only the stretches it did not supply go to
+// the origin, each as one run.
+func (s *Server) fetchRun(ctx context.Context, sh *edgeShard, run []chunk.ID) error {
+	if s.cfg.PeerFill == nil {
+		return s.originRun(ctx, sh, run)
+	}
+	rest := 0 // run[rest:i] is what the peer tier has left to the origin
+	for i, id := range run {
+		done, err := s.peerFill(ctx, sh, id)
+		if err != nil {
+			return err
+		}
+		if !done {
+			continue
+		}
+		if err := s.originRun(ctx, sh, run[rest:i]); err != nil {
+			return err
+		}
+		rest = i + 1
+	}
+	return s.originRun(ctx, sh, run[rest:])
+}
+
+// originRun fetches a run of consecutive chunks with one origin
+// request, retried as a whole: a byte range of /video, or, for a run
+// of one, the chunk by index from /chunk — the same bytes at the same
+// cost, and the request an origin wrapped per chunk (bench/'s
+// corrupting origin) expects. A run is all or nothing: an attempt that
+// fails takes back the chunks it had put, and Filled is charged once,
+// after the last chunk, with the run's actual byte count (a tail chunk
+// is short) — exactly the bytes of fully delivered fill bodies.
+func (s *Server) originRun(ctx context.Context, sh *edgeShard, run []chunk.ID) error {
+	if len(run) == 0 {
+		return nil
+	}
+	k := s.cfg.ChunkSize
+	endpoint := s.chunkEndpoint
+	q := strconv.AppendUint(append(make([]byte, 0, 64), "v="...), uint64(run[0].Video), 10)
+	if len(run) == 1 {
+		q = strconv.AppendUint(append(q, "&c="...), uint64(run[0].Index), 10)
+	} else {
+		endpoint = s.videoEndpoint
+		start := int64(run[0].Index) * k
+		q = strconv.AppendInt(append(q, "&start="...), start, 10)
+		q = strconv.AppendInt(append(q, "&end="...), start+int64(len(run))*k-1, 10)
+	}
+	u := withQuery(endpoint, q)
+	return s.retrier.Do(ctx, func(ctx context.Context) error {
+		if !s.breaker.Allow() {
+			return resilience.ErrOpen
+		}
+		n, err := s.fillRun(ctx, u, run)
+		s.breaker.Record(err == nil || resilience.IsPermanent(err))
+		if err != nil {
+			s.deleteChunks(sh, run[:n/k]) // only whole chunks precede a failure
+			s.servePath.rollbackBytes.Add(n)
+			return err
+		}
+		sh.counters.filled.Add(n)
+		return nil
+	})
 }
 
 // withQuery returns endpoint, one of the origin URLs NewServer parsed,
@@ -1125,10 +1215,20 @@ func originRequest(ctx context.Context, u *url.URL) *http.Request {
 	return req.WithContext(ctx)
 }
 
+// originStatusError is the error for an origin status the caller cannot
+// use: 5xx is retryable and counts against the breaker, anything else
+// means the origin is alive but will never yield this (permanent).
+func originStatusError(resp *http.Response) error {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
+	err := fmt.Errorf("origin returned %s", resp.Status)
+	if resp.StatusCode >= 500 {
+		return err
+	}
+	return resilience.Permanent(err)
+}
+
 // guardedGet performs one breaker-guarded origin round trip, returning
-// at most limit body bytes. Transport errors and 5xx are retryable and
-// count against the breaker; a 4xx means the origin is alive but will
-// never yield this resource (permanent).
+// at most limit body bytes; transport errors are retryable like a 5xx.
 func (s *Server) guardedGet(ctx context.Context, u *url.URL, limit int64) ([]byte, error) {
 	if !s.breaker.Allow() {
 		return nil, resilience.ErrOpen
@@ -1145,12 +1245,7 @@ func (s *Server) originGet(ctx context.Context, u *url.URL, limit int64) ([]byte
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("origin returned %s", resp.Status)
-		if resp.StatusCode >= 500 {
-			return nil, err
-		}
-		return nil, resilience.Permanent(err)
+		return nil, originStatusError(resp)
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
@@ -1159,106 +1254,86 @@ func (s *Server) originGet(ctx context.Context, u *url.URL, limit int64) ([]byte
 	return data, nil
 }
 
-// fetchChunk performs the origin round trip for one chunk, with
-// retries, and commits the bytes to the store. Ingress (Filled) is
-// charged here with the chunk's actual byte count — the one place
-// bytes really arrive from origin.
-func (s *Server) fetchChunk(ctx context.Context, sh *edgeShard, id chunk.ID) error {
-	// Second line of defense first: a cluster peer that already paid
-	// the origin for these bytes can hand them over at C_P instead of
-	// C_F. Any peer-tier miss or failure falls through to the origin.
-	if s.cfg.PeerFill != nil {
-		if done, err := s.peerFill(ctx, sh, id); done {
-			return err
-		}
-	}
-	q := strconv.AppendUint(append(make([]byte, 0, 32), "v="...), uint64(id.Video), 10)
-	q = strconv.AppendUint(append(q, "&c="...), uint64(id.Index), 10)
-	u := withQuery(s.chunkEndpoint, q)
-	if s.streamPut != nil {
-		return s.retrier.Do(ctx, func(ctx context.Context) error {
-			if !s.breaker.Allow() {
-				return resilience.ErrOpen
-			}
-			err := s.fillStream(ctx, sh, u, id)
-			s.breaker.Record(err == nil || resilience.IsPermanent(err))
-			return err
-		})
-	}
-	return s.retrier.Do(ctx, func(ctx context.Context) error {
-		data, err := s.guardedGet(ctx, u, s.cfg.ChunkSize+1)
-		if err != nil {
-			return err
-		}
-		if int64(len(data)) > s.cfg.ChunkSize {
-			return resilience.Permanent(fmt.Errorf("origin chunk %s larger than chunk size", id))
-		}
-		if err := s.cfg.Store.Put(id, data); err != nil {
-			return resilience.Permanent(fmt.Errorf("store: %w", err))
-		}
-		sh.counters.filled.Add(int64(len(data)))
-		s.servePath.bufferedFills.Add(1)
-		return nil
-	})
-}
-
 // trackReader distinguishes "the network reader failed" from "the
 // store rejected the stream": PutStream returns one error, and fill
 // classification (retryable vs Permanent, whose breaker gets blamed)
 // depends on which side it came from. err records the first non-EOF
-// read error.
+// read error. left, when positive, is how many more bytes the sender
+// promised: a body ending before them has failed whatever the
+// transport says, so no store is handed a short chunk as a whole one.
 type trackReader struct {
-	r   io.Reader
-	err error
+	r    io.Reader
+	left int64
+	err  error
 }
 
 func (t *trackReader) Read(p []byte) (int, error) {
 	n, err := t.r.Read(p)
+	t.left -= int64(n)
+	if err == io.EOF && t.left > 0 {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil && err != io.EOF {
 		t.err = err
 	}
 	return n, err
 }
 
-// fillStream performs one origin round trip for a chunk, pumping the
-// body through a fixed-size scratch buffer straight into the store's
-// streaming writer — fill memory is O(FillStreamBuf), not O(chunk),
-// for file-backed synchronous stores (an async pipeline materializes
-// by design; see store.WriteBehind.PutStream). Status handling and
-// error classification mirror originGet + the buffered commit exactly:
-// 5xx and transport/truncation errors are retryable, 4xx and an
-// oversized or store-rejected chunk are Permanent.
-func (s *Server) fillStream(ctx context.Context, sh *edgeShard, u *url.URL, id chunk.ID) error {
+// fillRun performs one origin round trip for a run and walks the one
+// body into the store chunk by chunk: ChunkSize bytes each, the last
+// what remains of the Content-Length. A streaming store takes each
+// chunk through the pooled scratch buffer, so fill memory is
+// O(FillStreamBuf) whatever the run length (an async pipeline
+// materializes by design; see store.WriteBehind.PutStream); otherwise
+// each chunk is read whole and Put. n is the bytes committed, also on
+// error, for the caller to take back. 5xx and transport/truncation
+// errors are retryable; 4xx, a body of the wrong length for the run
+// and a store error are Permanent.
+func (s *Server) fillRun(ctx context.Context, u *url.URL, run []chunk.ID) (n int64, err error) {
 	resp, err := s.cfg.Client.Do(originRequest(ctx, u))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("origin returned %s", resp.Status)
-		if resp.StatusCode >= 500 {
-			return err
-		}
-		return resilience.Permanent(err)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
+		return 0, originStatusError(resp)
 	}
-	tr := &trackReader{r: resp.Body}
-	scratch := s.fillScratchGet()
-	n, err := s.streamPut.PutStream(id, tr, s.cfg.ChunkSize, *scratch)
-	s.fillScratchPut(scratch)
-	if err != nil {
-		switch {
-		case tr.err != nil:
-			return err // truncated or stalled body: retryable
-		case errors.Is(err, store.ErrTooLarge):
-			return resilience.Permanent(fmt.Errorf("origin chunk %s larger than chunk size", id))
-		default:
-			return resilience.Permanent(fmt.Errorf("store: %w", err))
-		}
+	k := s.cfg.ChunkSize
+	total := resp.ContentLength
+	if total <= int64(len(run)-1)*k || total > int64(len(run))*k {
+		return 0, resilience.Permanent(fmt.Errorf("origin sent %d bytes for the %d chunks from %s", total, len(run), run[0]))
 	}
-	sh.counters.filled.Add(n)
-	s.servePath.streamFills.Add(1)
-	return nil
+	tr := &trackReader{r: resp.Body, left: total}
+	body := io.LimitedReader{R: tr}
+	var scratch []byte
+	fills := &s.servePath.bufferedFills
+	if s.streamPut != nil {
+		bp := s.fillScratchGet()
+		defer s.fillScratchPut(bp)
+		scratch, fills = *bp, &s.servePath.streamFills
+	}
+	for _, id := range run {
+		want := min(k, total-n)
+		body.N = want
+		// The one place the two fill modes differ.
+		if s.streamPut != nil {
+			_, err = s.streamPut.PutStream(id, &body, want, scratch)
+		} else {
+			data := make([]byte, want)
+			if _, err = io.ReadFull(&body, data); err == nil {
+				err = s.cfg.Store.Put(id, data)
+			}
+		}
+		if err != nil {
+			if tr.err == nil {
+				err = resilience.Permanent(fmt.Errorf("store: %w", err))
+			}
+			return n, err // tr.err: truncated or stalled body, retryable
+		}
+		n += want
+	}
+	fills.Add(int64(len(run)))
+	return n, nil
 }
 
 // fillScratchGet checks a streaming-fill scratch buffer out of the

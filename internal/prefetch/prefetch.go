@@ -15,6 +15,7 @@ package prefetch
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
@@ -157,6 +158,7 @@ func Replay(c Prefetchable, reqs []trace.Request, model cost.Model, pcfg Config,
 	res := &Result{Model: model, Requests: len(reqs), Series: series}
 	// Planner state: recently served videos (LRU by last serve).
 	active := make(map[chunk.VideoID]int64)
+	var order []chunk.VideoID            // active by recency, rebuilt when the planner runs
 	ahead := make(map[chunk.VideoID]int) // chunks prefetched ahead this window
 	pending := make(map[uint64]struct{}) // prefetched, not yet hit
 	budget := 0
@@ -208,7 +210,8 @@ func Replay(c Prefetchable, reqs []trace.Request, model cost.Model, pcfg Config,
 			continue
 		}
 		// Read ahead on the most recently served videos.
-		for v := range active {
+		order = byRecency(active, order)
+		for _, v := range order {
 			if budget <= 0 {
 				break
 			}
@@ -242,11 +245,29 @@ func Replay(c Prefetchable, reqs []trace.Request, model cost.Model, pcfg Config,
 	return res, nil
 }
 
+// byRecency lists the active videos most recently served first, ties
+// by video ID, into buf: the budget goes to the same videos on every
+// replay of a trace, which ranging over the map would not give.
+func byRecency(active map[chunk.VideoID]int64, buf []chunk.VideoID) []chunk.VideoID {
+	buf = buf[:0]
+	for v := range active {
+		buf = append(buf, v)
+	}
+	sort.Slice(buf, func(i, j int) bool {
+		if ti, tj := active[buf[i]], active[buf[j]]; ti != tj {
+			return ti > tj
+		}
+		return buf[i] < buf[j]
+	})
+	return buf
+}
+
+// evictOldest drops the video byRecency would list last.
 func evictOldest(m map[chunk.VideoID]int64) {
 	var oldest chunk.VideoID
 	var t int64 = 1<<63 - 1
 	for v, tm := range m {
-		if tm < t {
+		if tm < t || tm == t && v > oldest {
 			t = tm
 			oldest = v
 		}

@@ -132,9 +132,10 @@ func TestHighestCachedIndex(t *testing.T) {
 	}
 }
 
-func TestReplayWithPrefetch(t *testing.T) {
-	// Workload with strong sequential sessions: prefetch should land
-	// useful chunks.
+// replayEurope replays a small europe workload, whose sessions are
+// strongly sequential, through a fresh Cafe with the planner always on.
+func replayEurope(t *testing.T) *Result {
+	t.Helper()
 	p, err := workload.ProfileByName("europe")
 	if err != nil {
 		t.Fatal(err)
@@ -154,14 +155,19 @@ func TestReplayWithPrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := cost.MustModel(1)
-	res, err := Replay(c, reqs, model, Config{
+	res, err := Replay(c, reqs, cost.MustModel(1), Config{
 		StartHour: 0, EndHour: 0, // always on, to exercise the path
 		ChunksPerHour: 50,
 	}, chunk.DefaultSize)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestReplayWithPrefetch(t *testing.T) {
+	// Prefetch should land useful chunks.
+	res := replayEurope(t)
 	if res.Stats.Accepted == 0 {
 		t.Error("expected some prefetches to be accepted")
 	}
@@ -176,6 +182,15 @@ func TestReplayWithPrefetch(t *testing.T) {
 	}
 	if e := res.Efficiency(); e < -1 || e > 1 {
 		t.Errorf("efficiency %v out of range", e)
+	}
+}
+
+// TestReplayRepeats: the planner spends its budget in a fixed order,
+// so two replays of one trace prefetch the same chunks.
+func TestReplayRepeats(t *testing.T) {
+	a, b := replayEurope(t), replayEurope(t)
+	if a.Stats != b.Stats || a.Total != b.Total || a.Steady != b.Steady {
+		t.Errorf("two replays disagree:\n%+v %+v\n%+v %+v", a.Stats, a.Total, b.Stats, b.Total)
 	}
 }
 

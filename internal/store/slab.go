@@ -520,8 +520,11 @@ func (s *Slab) commitSlot(key uint64, loc slabLoc, seg *slabSegment, seq uint64,
 	s.mu.Lock()
 	old, replaced := s.index[key]
 	s.index[key] = slabEntry{loc: loc, len: int32(length), gen: seg.gens[loc.slot]}
+	var oldSeg *slabSegment
 	if replaced {
-		s.segments[old.loc.seg].gens[old.loc.slot]++ // in-flight readers of the old slot now retry
+		// Taken under the lock: grow appends to s.segments under it.
+		oldSeg = s.segments[old.loc.seg]
+		oldSeg.gens[old.loc.slot]++ // in-flight readers of the old slot now retry
 	}
 	s.mu.Unlock()
 
@@ -529,7 +532,7 @@ func (s *Slab) commitSlot(key uint64, loc slabLoc, seg *slabSegment, seq uint64,
 		// Invalidate the superseded header before recycling the slot;
 		// a crash in between leaves two valid headers and recovery
 		// keeps ours (higher seq).
-		if err := s.zeroHeader(s.segments[old.loc.seg], old.loc); err != nil {
+		if err := s.zeroHeader(oldSeg, old.loc); err != nil {
 			return fmt.Errorf("store: slab replace scrub: %w", err)
 		}
 		s.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"videocdn/internal/chunk"
@@ -361,6 +362,47 @@ func TestSlabGetConcurrentWithReplaceNeverTears(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSlabReplaceWhileGrowing replaces resident chunks while another
+// writer makes the slab add segments: the replace path scrubs the old
+// slot after dropping the lock, and must not read the segment table
+// then. A -race regression test; the values are checked too.
+func TestSlabReplaceWhileGrowing(t *testing.T) {
+	s := newTestSlab(t, t.TempDir())
+	const replacers, fresh = 2, 400 // 8 slots a segment: 50 growths
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	last := make([]byte, replacers)
+	for r := 0; r < replacers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 2 || !stop.Load(); i++ {
+				if err := s.Put(chunk.ID{Video: 1, Index: uint32(r)}, []byte{byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+				last[r] = byte(i)
+			}
+		}(r)
+	}
+	for i := 0; i < fresh; i++ {
+		if err := s.Put(chunk.ID{Video: 2, Index: uint32(i)}, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if s.Len() != replacers+fresh {
+		t.Errorf("Len = %d, want %d", s.Len(), replacers+fresh)
+	}
+	for r := 0; r < replacers; r++ {
+		got, err := s.Get(chunk.ID{Video: 1, Index: uint32(r)}, nil)
+		if err != nil || len(got) != 1 || got[0] != last[r] {
+			t.Errorf("Get(%d) = %v, %v, want [%d]", r, got, err, last[r])
+		}
+	}
 }
 
 func TestSlabGetZeroAllocsIntoReusedBuffer(t *testing.T) {

@@ -302,17 +302,28 @@ func (w *WriteBehind) Delete(id chunk.ID) error {
 
 // Len implements Store: the size of the union of live pending keys and
 // backing keys. Pending sets are queue-bounded, so the walk is cheap.
+// A deferred write that lands while the walk is under way would be
+// counted twice or not at all, so the walk is repeated (a few times at
+// most: under a steady stream of writes no instant's count exists)
+// until the backing store's own count stood still across it.
 func (w *WriteBehind) Len() int {
-	n := w.backing.Len()
-	for i := range w.stripes {
-		st := &w.stripes[i]
-		st.mu.Lock()
-		for _, e := range st.pending {
-			if !e.canceled && !w.backing.Has(e.id) {
-				n++
+	n := 0
+	for attempt := 0; attempt < 4; attempt++ {
+		backed := w.backing.Len()
+		n = backed
+		for i := range w.stripes {
+			st := &w.stripes[i]
+			st.mu.Lock()
+			for _, e := range st.pending {
+				if !e.canceled && !w.backing.Has(e.id) {
+					n++
+				}
 			}
+			st.mu.Unlock()
 		}
-		st.mu.Unlock()
+		if w.backing.Len() == backed {
+			break
+		}
 	}
 	return n
 }
