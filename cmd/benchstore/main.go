@@ -3,7 +3,9 @@
 // the benchmark the repository's performance trajectory tracks for the
 // disk layer, as BENCH_edge.json does for the serve path.
 //
-// For each backend (mem, fs, slab, slab-mmap, tiered) it reports Put,
+// For each backend (mem, fs, slab, slab-mmap, and tiered — the RAM hot
+// tier over the pread slab, the kind of store it keeps copies for: over
+// the mmap slab it would stay empty) it reports Put,
 // Get, and put+delete-cycle cost; for the persistent backends the
 // cold-open recovery scan over a populated store; for the
 // borrow-capable backends the zero-copy GetBorrow path; and for the
@@ -192,7 +194,7 @@ func open(kind string, slot, hotBytes int64) (store.Store, func(), error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		s, err := store.NewSlab(dir, store.SlabConfig{SlotBytes: slot, SegmentSlots: 256, Mmap: kind != "slab"})
+		s, err := store.NewSlab(dir, store.SlabConfig{SlotBytes: slot, SegmentSlots: 256, Mmap: kind == "slab-mmap"})
 		if err != nil {
 			os.RemoveAll(dir)
 			return nil, nil, err

@@ -60,7 +60,7 @@ func main() {
 	storeKind := flag.String("store", "", "chunk store backend: mem, fs or slab (default: fs when -data is set, else mem)")
 	storePrealloc := flag.Bool("store-prealloc", false, "slab store: preallocate each segment file to full size up front")
 	storeMmap := flag.Bool("store-mmap", false, "slab store: mmap segments read-only so cache hits serve page-cache bytes without copying")
-	hotMB := flag.Int64("hot-mb", 0, "edge mode: RAM hot tier budget in MB over the chunk store (0 disables; hot chunks are served from memory without touching the store)")
+	hotMB := flag.Int64("hot-mb", 0, "edge mode: RAM hot tier budget in MB (0 disables); it holds copies of hot chunks the store cannot lend zero-copy (-store fs, slab without -store-mmap) and stays empty over one that can (-store mem, -store-mmap)")
 	fillAsync := flag.Bool("fill-async", false, "edge mode: commit fill writes asynchronously (write-behind) instead of on the serve path")
 	fillQueue := flag.Int("fill-queue", 0, "edge mode: per-shard async fill queue depth (0 = default)")
 	fillStreamBuf := flag.Int64("fill-stream-buf", 0, "edge mode: streaming fill buffer in bytes — origin/peer bodies pump through a fixed buffer into the store instead of materializing whole chunks (0 = 256 KiB default, negative = legacy whole-chunk buffering)")
@@ -270,6 +270,9 @@ func main() {
 		tierNote := ""
 		if *hotMB > 0 {
 			tierNote = fmt.Sprintf(", %dMB hot tier", *hotMB)
+			if *storeMmap && storeName(*storeKind, *dataDir) == "slab" {
+				log.Print("hot tier idle: the slab lends chunks from the page cache")
+			}
 		}
 		clusterNote := ""
 		if peerClient != nil {

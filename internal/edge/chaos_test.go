@@ -189,7 +189,12 @@ func TestChaosOnlyGoodStatusesAndAccounting(t *testing.T) {
 		Seed: 42, ErrorRate: 0.35, LatencyRate: 0.2, Latency: 2 * time.Millisecond, TruncateRate: 0.15,
 	}, fastRetry(), neverTrip())
 
-	const goroutines, perG = 8, 30
+	// A fill is one origin request per run of missing chunks, so the
+	// walk must cover enough distinct videos for TruncateRate to act on:
+	// 120 whole-video fills see 16 truncations a run on average (7 to 24
+	// over 300 runs), where 16 videos saw about 4 and, one run in 30,
+	// none — which the last assertion cannot tell from a dead injector.
+	const goroutines, perG, videos = 8, 30, 120
 	var servedBytes atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -197,7 +202,7 @@ func TestChaosOnlyGoodStatusesAndAccounting(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				v := chunk.VideoID(1 + (g*perG+i)%16)
+				v := chunk.VideoID(1 + (g*perG+i)%videos)
 				size, _ := catalog.SizeOf(v)
 				resp, body := rig.get(t, v, 0, size-1)
 				switch resp.StatusCode {

@@ -115,6 +115,9 @@ type Config struct {
 	// (store.Tiered) over the configured store — the paper's
 	// line-of-defense idea applied recursively inside the server: the
 	// hottest chunks serve from memory and never touch the disk line.
+	// It holds copies only of chunks the store cannot lend zero-copy
+	// (fs, a slab without mmap); over a store that lends (Mem, the mmap
+	// slab) it stays empty — one RAM copy per chunk.
 	// Striping matches the shard count. Responses and the Eq. 2
 	// accounting are byte-identical with the tier on or off; only the
 	// tier counters in /stats differ.
@@ -185,7 +188,8 @@ type Server struct {
 	writeBehind *store.WriteBehind
 	// hotTier is the RAM hot tier when HotBytes > 0 (nil otherwise).
 	// The store chain is WriteBehind(Tiered(cold)): reads check pending
-	// fills first, then RAM, then the cold store.
+	// fills first, then borrow from cold, then from RAM copies of what
+	// cold cannot lend, then copy out of cold.
 	hotTier *store.Tiered
 	// borrow is the store chain's zero-copy read capability, if any;
 	// the serve path tries it before falling back to pooled-buffer Get.

@@ -21,9 +21,13 @@ import (
 type hotVariant struct {
 	name  string
 	hot   int64
-	kind  string // mem, slab-mmap
+	kind  string // mem, slab-mmap (both lend their bytes), slab, fs (neither does)
 	async bool
 }
+
+// lends reports whether the variant's cold store serves a resident
+// chunk zero-copy by itself, in which case the tier must stay empty.
+func (v hotVariant) lends() bool { return v.kind == "mem" || v.kind == "slab-mmap" }
 
 // newHotVariantServer builds a sharded edge server with the given hot
 // tier budget over the given cold backend.
@@ -33,13 +37,19 @@ func newHotVariantServer(t testing.TB, originURL, algo string, v hotVariant, clo
 	switch v.kind {
 	case "mem":
 		st = store.NewMem()
-	case "slab-mmap":
-		sl, err := store.NewSlab(t.TempDir(), store.SlabConfig{SlotBytes: testK, SegmentSlots: 64, Mmap: true})
+	case "slab", "slab-mmap":
+		sl, err := store.NewSlab(t.TempDir(), store.SlabConfig{SlotBytes: testK, SegmentSlots: 64, Mmap: v.kind == "slab-mmap"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { sl.Close() })
 		st = sl
+	case "fs":
+		fs, err := store.NewFS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = fs
 	default:
 		t.Fatalf("unknown store kind %q", v.kind)
 	}
@@ -65,20 +75,26 @@ func newHotVariantServer(t testing.TB, originURL, algo string, v hotVariant, clo
 }
 
 // TestHotTierDifferential drives one deterministic trace through the
-// same edge with the hot tier off, small (4 MB — real promotion and
-// eviction churn), and effectively unbounded, plus a small tier over
-// the zero-copy mmap slab with deferred fills. Every response — status
+// same edge with the hot tier off and with it on over every kind of
+// cold store. Over stores whose reads cost a copy (slab by pread, fs)
+// the tier is small (32 KB — real promotion and eviction churn) or
+// effectively unbounded, and must serve; over stores that lend their
+// bytes (mem, the mmap slab, here with deferred fills) it must stay
+// empty — one RAM copy per chunk. Either way every response — status
 // and body — and every quiesced core stat, including the bit-exact
 // Eq. 2 efficiency, must match the tier-off baseline: the hot tier is
 // a serving optimization and must never change a decision or a byte.
-// Tier counters are deliberately excluded — they are diagnostics, not
+// Tier counters are otherwise excluded — they are diagnostics, not
 // part of the paper's accounting.
 func TestHotTierDifferential(t *testing.T) {
+	const unbounded = 1 << 40
 	variants := []hotVariant{
 		{name: "hot-off", hot: 0, kind: "mem"}, // baseline first
-		{name: "hot-4mb", hot: 4 << 20, kind: "mem"},
-		{name: "hot-unbounded", hot: 1 << 40, kind: "mem"},
-		{name: "hot-4mb-slab-async", hot: 4 << 20, kind: "slab-mmap", async: true},
+		{name: "hot-32kb-slab", hot: 32 << 10, kind: "slab"},
+		{name: "hot-unbounded-slab", hot: unbounded, kind: "slab"},
+		{name: "hot-32kb-fs-async", hot: 32 << 10, kind: "fs", async: true},
+		{name: "hot-unbounded-mem", hot: unbounded, kind: "mem"},
+		{name: "hot-4mb-slab-mmap-async", hot: 4 << 20, kind: "slab-mmap", async: true},
 	}
 	for _, algo := range []string{"cafe", "xlru"} {
 		t.Run(algo, func(t *testing.T) {
@@ -183,34 +199,42 @@ func TestHotTierDifferential(t *testing.T) {
 			}
 
 			// Sanity on the tier diagnostics themselves: the baseline
-			// reports no tier, enabled variants report one and actually
-			// served bytes from RAM on this re-read-heavy trace.
+			// reports no tier; a tier over a store that cannot lend
+			// actually served bytes from RAM on this re-read-heavy trace;
+			// a tier over a store that lends never held a chunk.
 			if base.HotTier {
 				t.Error("baseline reports a hot tier")
 			}
 			for j := 1; j < len(variants); j++ {
-				got := servers[j].SnapshotStats()
-				if !got.HotTier {
-					t.Errorf("%s: hot tier not reported", variants[j].name)
-					continue
+				v, got := variants[j], servers[j].SnapshotStats()
+				switch {
+				case !got.HotTier:
+					t.Errorf("%s: hot tier not reported", v.name)
+				case v.lends():
+					if got.HotTierChunks != 0 || got.HotTierBytes != 0 || got.HotTierPromotions != 0 || got.HotTierHits != 0 {
+						t.Errorf("%s: tier holds copies of chunks its cold store lends: %d chunks, %d bytes, %d promotions, %d hits",
+							v.name, got.HotTierChunks, got.HotTierBytes, got.HotTierPromotions, got.HotTierHits)
+					}
+				case got.HotTierHits == 0 || got.HotTierBytesServed == 0 || got.HotTierPromotions == 0:
+					t.Errorf("%s: tier never served: %d hits, %d bytes, %d promotions",
+						v.name, got.HotTierHits, got.HotTierBytesServed, got.HotTierPromotions)
+				case v.hot == unbounded && got.HotTierEvictions != 0:
+					t.Errorf("%s: unbounded tier evicted %d chunks", v.name, got.HotTierEvictions)
+				case v.hot != unbounded && got.HotTierEvictions == 0:
+					t.Errorf("%s: a 32 KB tier under this trace never evicted", v.name)
 				}
-				if got.HotTierHits == 0 || got.HotTierBytesServed == 0 {
-					t.Errorf("%s: tier never served: %d hits, %d bytes",
-						variants[j].name, got.HotTierHits, got.HotTierBytesServed)
-				}
-			}
-			// The unbounded tier never evicts.
-			if got := servers[2].SnapshotStats(); got.HotTierEvictions != 0 {
-				t.Errorf("unbounded tier evicted %d chunks", got.HotTierEvictions)
 			}
 		})
 	}
 }
 
-// TestHotTierStreamRangeZeroAllocs pins the zero-copy serve path: with
-// the hot tier enabled, a steady-state cache-hit stream must borrow
-// every chunk from RAM and perform zero heap allocations — it never
-// even touches the pooled copy buffers.
+// TestHotTierStreamRangeZeroAllocs pins the zero-copy serve path with
+// the hot tier enabled: a steady-state cache-hit stream must borrow
+// every chunk and perform zero heap allocations — it never even touches
+// the pooled copy buffers. Over a slab read by pread the loans are the
+// tier's (promoted by the warm-up's copying reads); over stores that
+// lend (mem, the mmap slab) they are the cold store's and the tier is
+// empty.
 func TestHotTierStreamRangeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool and fine-grained timing are pessimized under -race")
@@ -222,44 +246,66 @@ func TestHotTierStreamRangeZeroAllocs(t *testing.T) {
 	}
 	origin := httptest.NewServer(o)
 	defer origin.Close()
-	s := newHotVariantServer(t, origin.URL, "cafe", hotVariant{hot: 64 << 20, kind: "mem"}, func() int64 { return 0 })
-	srv := httptest.NewServer(s)
-	defer srv.Close()
+	for _, kind := range []string{"slab", "mem", "slab-mmap"} {
+		t.Run(kind, func(t *testing.T) {
+			v := hotVariant{hot: 64 << 20, kind: kind}
+			s := newHotVariantServer(t, origin.URL, "cafe", v, func() int64 { return 0 })
+			srv := httptest.NewServer(s)
+			defer srv.Close()
 
-	// Warm: admit, fill, and promote the whole video (two passes so
-	// every chunk is a repeat visitor for the doorkeeper).
-	for i := 0; i < 3; i++ {
-		resp, err := http.Get(srv.URL + "/video?v=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("warmup status %d", resp.StatusCode)
-		}
-	}
-	if st := s.SnapshotStats(); st.HotTierChunks != 8 {
-		t.Fatalf("warmup promoted %d chunks, want 8", st.HotTierChunks)
-	}
+			// Warm: admit, fill, and — where reads copy — promote the
+			// whole video.
+			for i := 0; i < 3; i++ {
+				resp, err := http.Get(srv.URL + "/video?v=1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("warmup status %d", resp.StatusCode)
+				}
+			}
+			wantHot := 8
+			if v.lends() {
+				wantHot = 0
+			}
+			if st := s.SnapshotStats(); st.HotTierChunks != wantHot || st.HotTierPromotions != int64(wantHot) {
+				t.Fatalf("warmup promoted %d chunks (%d resident), want %d",
+					st.HotTierPromotions, st.HotTierChunks, wantHot)
+			}
 
-	ctx := context.Background()
-	if err := s.StreamRange(ctx, io.Discard, 1, 0, 8*testK-1); err != nil {
-		t.Fatal(err)
-	}
-	hotBefore := s.SnapshotStats().HotTierHits
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := s.StreamRange(ctx, io.Discard, 1, 0, 8*testK-1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("hot-tier stream path allocates %v times per request, want 0", allocs)
-	}
-	// Prove the measurement exercised the borrow path, not the copy
-	// fallback: every measured chunk came out of the hot tier.
-	if served := s.SnapshotStats().HotTierHits - hotBefore; served < 200*8 {
-		t.Errorf("measured loop took %d hot hits, want >= %d (copy fallback engaged?)", served, 200*8)
+			ctx := context.Background()
+			if err := s.StreamRange(ctx, io.Discard, 1, 0, 8*testK-1); err != nil {
+				t.Fatal(err)
+			}
+			before := s.SnapshotStats()
+			borrowsBefore := s.ServePathStats().BorrowChunks
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := s.StreamRange(ctx, io.Discard, 1, 0, 8*testK-1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("hot-tier stream path allocates %v times per request, want 0", allocs)
+			}
+			// Prove the measurement exercised the borrow path, not the
+			// copy fallback, and that each loan came from the one place
+			// the chunk is in RAM.
+			after := s.SnapshotStats()
+			if got := s.ServePathStats().BorrowChunks - borrowsBefore; got < 200*8 {
+				t.Errorf("measured loop borrowed %d chunks, want >= %d (copy fallback engaged?)", got, 200*8)
+			}
+			hot, cold := after.HotTierHits-before.HotTierHits, after.ColdTierHits-before.ColdTierHits
+			if v.lends() {
+				if hot != 0 || cold < 200*8 || after.HotTierChunks != 0 || after.HotTierBytes != 0 || after.HotTierPromotions != 0 {
+					t.Errorf("lending cold store: %d hot / %d cold hits, %d chunks (%d bytes) resident after %d promotions; want every loan cold and an empty tier",
+						hot, cold, after.HotTierChunks, after.HotTierBytes, after.HotTierPromotions)
+				}
+			} else if hot < 200*8 || cold != 0 {
+				t.Errorf("measured loop took %d hot / %d cold hits, want every chunk out of the hot tier", hot, cold)
+			}
+		})
 	}
 }

@@ -41,7 +41,9 @@ type CheckConfig struct {
 	// HotBytes enables the RAM hot tier over the byte store with this
 	// budget. 0 — the default — leaves the tier off. The tier must be
 	// invisible to every modeled response and counter; it only adds the
-	// two-tier coherence invariant at quiescent points.
+	// two-tier coherence and one-copy invariants at quiescent points
+	// (it fills over fs, and must stay empty over mem and the mmap slab,
+	// which lend their bytes).
 	HotBytes int64
 	// Shards is the edge server's lock-shard count (power of two).
 	Shards int
@@ -82,6 +84,10 @@ type Result struct {
 	Digest string
 	// Stats is the server's final counter snapshot.
 	Stats edge.Stats
+	// PeakHotChunks is the most hot-tier residents any quiescent point
+	// saw (Stats only covers the time since the last reopen): > 0 proves
+	// the tier invariants were checked against a tier that held chunks.
+	PeakHotChunks int
 	// FailedOp is the index of the operation that diverged, -1 on a
 	// clean run. Because operations are a pure function of the seed,
 	// re-running with Ops = FailedOp+1 is the minimal reproduction.
@@ -738,21 +744,33 @@ func (h *harness) checkCoherence() error {
 	return h.checkTierCoherence()
 }
 
-// checkTierCoherence asserts the two-tier residency invariant at a
-// quiescent point (nothing pending, so cold∪pending is just the cold
-// store, which checkCoherence has already proven equal to the model's
-// key set): every hot-resident chunk must exist in the model's store
-// set with byte-identical deterministic content. The tier's own
-// counters are diagnostics and never enter the digest or diffStats.
+// checkTierCoherence asserts the two tier invariants at a quiescent
+// point (nothing pending, so cold∪pending is just the cold store, which
+// checkCoherence has already proven equal to the model's key set).
+// Two-tier residency: every hot-resident chunk must exist in the
+// model's store set with byte-identical deterministic content. One RAM
+// copy per chunk: no chunk is hot-resident while the cold store lends
+// it — over mem and the mmap slab the tier must be empty, since a loan
+// is already a zero-copy read and a hot copy would only hold the bytes
+// twice. The tier's own counters are diagnostics and never enter the
+// digest or diffStats.
 func (h *harness) checkTierCoherence() error {
 	tier := h.server.HotTier()
 	if tier == nil {
 		return nil
 	}
+	lender, _ := h.raw.(store.BorrowGetter) // h.raw is the tier's cold store
 	var tierErr error
 	hot := 0
 	tier.ForEachHot(func(id chunk.ID, data []byte) bool {
 		hot++
+		if lender != nil {
+			if br, err := lender.GetBorrow(id); err == nil {
+				br.Release()
+				tierErr = fmt.Errorf("coherence: %s is hot-resident while the cold store lends it (two RAM copies of one chunk)", id)
+				return false
+			}
+		}
 		if _, ok := h.model.store[id.Key()]; !ok {
 			tierErr = fmt.Errorf("coherence: hot tier serves %s which the model evicted or rolled back (hot ⊄ cold)", id)
 			return false
@@ -779,6 +797,7 @@ func (h *harness) checkTierCoherence() error {
 	if hot > len(h.model.store) {
 		return fmt.Errorf("coherence: %d hot chunks exceed the %d cold-resident chunks", hot, len(h.model.store))
 	}
+	h.res.PeakHotChunks = max(h.res.PeakHotChunks, hot)
 	return nil
 }
 

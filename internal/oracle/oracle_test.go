@@ -55,8 +55,10 @@ func matrixCells() []matrixCell {
 // response diff, any ledger drift, any coherence violation fails with
 // the op index and seed needed to replay it (go test -run or
 // cmd/checker -seed). The 32 KB hot budget is deliberately tiny
-// relative to the working set so promotion, admission rejection, and
-// eviction all churn under the two-tier coherence check.
+// relative to the working set so over fs promotion, admission
+// rejection, and eviction all churn under the two-tier coherence check;
+// over mem and the (mmap) slab, which lend their bytes, the one-copy
+// check holds the tier to empty.
 func TestCheckMatrix(t *testing.T) {
 	ops := 400
 	seeds := []int64{1, 2}
@@ -154,23 +156,31 @@ func TestCheckDeterministic(t *testing.T) {
 // TestHotTierDigestInvariant pins the strongest form of the tier's
 // invisibility: the full response-and-stats digest — which folds in
 // every payload byte, every Location, and the bit-exact Eq. 2
-// efficiency — is identical with the hot tier off, tiny, and huge.
+// efficiency — is identical with the hot tier off, tiny, and huge,
+// both over fs, whose reads copy and so fill the tier, and over the
+// mmap slab, whose loans must leave it empty.
 func TestHotTierDigestInvariant(t *testing.T) {
-	base := CheckConfig{Algo: "cafe", StoreKind: "slab", AsyncFills: true, Shards: 8, Seed: 11, Ops: 250}
-	digests := map[int64]string{}
-	for _, hot := range []int64{0, 32 << 10, 1 << 30} {
-		cfg := base
-		cfg.HotBytes = hot
-		cfg.Dir = t.TempDir()
-		res, err := Check(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, kind := range []string{"fs", "slab"} {
+		base := CheckConfig{Algo: "cafe", StoreKind: kind, AsyncFills: true, Shards: 8, Seed: 11, Ops: 250}
+		digests := map[int64]string{}
+		for _, hot := range []int64{0, 32 << 10, 1 << 30} {
+			cfg := base
+			cfg.HotBytes = hot
+			cfg.Dir = t.TempDir()
+			res, err := Check(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[hot] = res.Digest
+			if hot > 0 && (res.PeakHotChunks > 0) != (kind == "fs") {
+				t.Errorf("%s hot=%d: at most %d chunks hot-resident (a tier fills over a store that copies, and only there)",
+					kind, hot, res.PeakHotChunks)
+			}
 		}
-		digests[hot] = res.Digest
-	}
-	for hot, d := range digests {
-		if d != digests[0] {
-			t.Errorf("hot=%d digest %s != hot-off digest %s (tier changed an observable)", hot, d, digests[0])
+		for hot, d := range digests {
+			if d != digests[0] {
+				t.Errorf("%s hot=%d digest %s != hot-off digest %s (tier changed an observable)", kind, hot, d, digests[0])
+			}
 		}
 	}
 }

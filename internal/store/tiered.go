@@ -3,14 +3,23 @@ package store
 // The paper's framing is recursive: every cache tier is a line of
 // defense that absorbs traffic so the next, more expensive tier sees
 // less. Tiered applies the idea inside one edge server — a bounded RAM
-// hot tier over any cold Store (slab/fs/mem), so the hottest chunks
-// are served from memory and never touch the disk line at all.
+// hot tier over a cold Store whose reads cost a copy (slab by pread,
+// fs), so the hottest chunks are served from memory and never touch
+// the disk line at all.
+//
+// One rule decides what the tier holds: promotion rides on a copy the
+// read was making anyway; a zero-copy read stays zero-copy. A cold
+// store that lends its bytes (Mem, the mmap slab) already serves from
+// RAM — under the slab the page cache is that line of defense — and a
+// hot copy would hold every popular chunk twice and buy nothing, so
+// GetBorrow passes such a loan through untouched and only Get, the
+// copy path, promotes. Over a lending store the tier stays empty.
 //
 // Residency invariant: hot ⊆ cold. The hot tier only ever holds copies
-// of chunks the cold store also holds, promoted on read; writes go
-// through to cold first. Eviction from the hot tier therefore just
-// drops the copy (demotion to cold-only residency), never loses bytes,
-// and Len/Has can answer from the cold store alone.
+// of chunks the cold store also holds, promoted on a copying read;
+// writes go through to cold first. Eviction from the hot tier therefore
+// just drops the copy (demotion to cold-only residency), never loses
+// bytes, and Len/Has can answer from the cold store alone.
 //
 // Admission is frequency-weighted, not naive recency: a per-stripe
 // doorkeeper sketch (fixed array of 8-bit counters, halved
@@ -172,20 +181,18 @@ func (st *tierStripe) touch(key uint64) uint8 {
 }
 
 // lookupHot returns the hot entry's data (and touches LRU + sketch) or
-// nil. Safe to use the returned slice without the lock: data slices are
+// nil, and the stripe epoch a promotion after a miss must still find.
+// Safe to use the returned slice without the lock: data slices are
 // never mutated in place.
-func (st *tierStripe) lookupHot(key uint64) []byte {
+func (st *tierStripe) lookupHot(key uint64) (data []byte, epoch uint64) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.touch(key)
-	e, ok := st.entries[key]
-	if !ok {
-		st.mu.Unlock()
-		return nil
+	if e, ok := st.entries[key]; ok {
+		st.moveToFront(e)
+		data = e.data
 	}
-	st.moveToFront(e)
-	data := e.data
-	st.mu.Unlock()
-	return data
+	return data, st.epoch
 }
 
 // moveToFront makes e the MRU node. Called with st.mu held.
@@ -234,19 +241,18 @@ func (st *tierStripe) removeLocked(key uint64) bool {
 	return true
 }
 
-// Get implements Store: hot tier first, then cold with
-// promotion-on-read.
+// Get implements Store, the copy path: hot tier first, then cold, and
+// the bytes just copied out of cold are what promotion admits. It is
+// the only read that promotes.
 func (t *Tiered) Get(id chunk.ID, buf []byte) ([]byte, error) {
 	key := id.Key()
 	st := t.stripe(key)
-	if data := st.lookupHot(key); data != nil {
+	data, ep := st.lookupHot(key)
+	if data != nil {
 		t.hotHits.Add(1)
 		t.hotServed.Add(int64(len(data)))
 		return append(buf, data...), nil
 	}
-	st.mu.Lock()
-	ep := st.epoch
-	st.mu.Unlock()
 	off := len(buf)
 	buf, err := t.cold.Get(id, buf)
 	if err != nil {
@@ -255,49 +261,50 @@ func (t *Tiered) Get(id chunk.ID, buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	data := buf[off:]
+	data = buf[off:]
 	t.coldHits.Add(1)
 	t.coldServed.Add(int64(len(data)))
 	t.maybePromote(st, key, data, ep)
 	return buf, nil
 }
 
-// GetBorrow implements BorrowGetter: a hot hit lends the entry's
-// immutable data slice (no pin needed); a cold hit is delegated to the
-// cold store's borrow path, with the bytes copied for promotion before
-// the view is handed to the caller.
+// GetBorrow implements BorrowGetter. A cold store that can lend the
+// chunk is asked first and its loan is returned as it came — no tier
+// lock, no sketch touch, no promotion: those bytes are in RAM already.
+// The hot map answers only what cold cannot lend (ErrNoBorrow, or no
+// borrow capability at all); a hot hit lends the entry's immutable
+// data slice (no pin needed), a hot miss leaves the caller its copy
+// path, Get, which is where promotion happens.
 func (t *Tiered) GetBorrow(id chunk.ID) (Borrowed, error) {
+	if t.coldBorrow != nil {
+		br, err := t.coldBorrow.GetBorrow(id)
+		if err == nil {
+			t.coldHits.Add(1)
+			t.coldServed.Add(int64(len(br.Data)))
+			return br, nil
+		}
+		if !errors.Is(err, ErrNoBorrow) {
+			if errors.Is(err, ErrNotFound) {
+				t.misses.Add(1)
+			}
+			return Borrowed{}, err
+		}
+	}
 	key := id.Key()
-	st := t.stripe(key)
-	if data := st.lookupHot(key); data != nil {
+	if data, _ := t.stripe(key).lookupHot(key); data != nil {
 		t.hotHits.Add(1)
 		t.hotServed.Add(int64(len(data)))
 		return Borrowed{Data: data}, nil
 	}
-	if t.coldBorrow == nil {
-		return Borrowed{}, ErrNoBorrow
-	}
-	st.mu.Lock()
-	ep := st.epoch
-	st.mu.Unlock()
-	br, err := t.coldBorrow.GetBorrow(id)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			t.misses.Add(1)
-		}
-		return Borrowed{}, err
-	}
-	t.coldHits.Add(1)
-	t.coldServed.Add(int64(len(br.Data)))
-	t.maybePromote(st, key, br.Data, ep)
-	return br, nil
+	return Borrowed{}, ErrNoBorrow
 }
 
 // maybePromote admits key into the hot tier if the doorkeeper says it
-// has earned residency. data is copied on admission (the caller's
-// slice is never retained). ep is the stripe epoch observed before the
-// cold read; a mismatch means a Put/Delete intervened and the bytes in
-// hand may be stale — promotion is abandoned.
+// has earned residency; Get is its only caller. data is copied on
+// admission (the caller's slice is never retained). ep is the stripe
+// epoch observed before the cold read; a mismatch means a Put/Delete
+// intervened and the bytes in hand may be stale — promotion is
+// abandoned.
 func (t *Tiered) maybePromote(st *tierStripe, key uint64, data []byte, ep uint64) {
 	need := int64(len(data)) + hotEntryOverhead
 	st.mu.Lock()
@@ -465,21 +472,6 @@ func (t *Tiered) ForEachHot(fn func(id chunk.ID, data []byte) bool) {
 				st.mu.Unlock()
 				return
 			}
-		}
-		st.mu.Unlock()
-	}
-}
-
-// DropHot empties the hot tier (demoting everything to cold-only
-// residency). Tests and operational tooling; never needed for
-// correctness.
-func (t *Tiered) DropHot() {
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		for key := range st.entries {
-			t.evictions.Add(1)
-			st.removeLocked(key)
 		}
 		st.mu.Unlock()
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"videocdn/internal/chunk"
 )
@@ -320,5 +321,143 @@ func TestTieredConcurrentChurn(t *testing.T) {
 	})
 	if st := tr.Stats(); st.HotBytes < 0 {
 		t.Errorf("negative hot byte accounting: %+v", st)
+	}
+}
+
+// slotPins reports how many outstanding borrows pin id's slab slot.
+func slotPins(s *Slab, id chunk.ID) int32 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e := s.index[id.Key()]
+	return s.segments[e.loc.seg].pins[e.loc.slot].Load()
+}
+
+// TestTieredLendingColdStaysEmpty pins the tier's one rule from the
+// lending side: over a cold store that lends its bytes, repeated
+// borrows are the cold store's own loans and nothing is ever promoted —
+// the chunk is in RAM once, not twice.
+func TestTieredLendingColdStaysEmpty(t *testing.T) {
+	colds := map[string]Store{"mem": NewMem()}
+	if mmapSupported {
+		cfg := testSlabConfig()
+		cfg.Mmap = true
+		sl, err := NewSlab(t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sl.Close()
+		colds["slab-mmap"] = sl
+	}
+	for name, cold := range colds {
+		t.Run(name, func(t *testing.T) {
+			tr := NewTiered(cold, TieredConfig{HotBytes: 1 << 20, Stripes: 2})
+			const chunks, rounds = 6, 5
+			for i := 0; i < chunks; i++ {
+				if err := tr.Put(chunk.ID{Video: 1, Index: uint32(i)}, tieredPayload(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < chunks; i++ {
+					id := chunk.ID{Video: 1, Index: uint32(i)}
+					br, err := tr.GetBorrow(id)
+					if err != nil || !bytes.Equal(br.Data, tieredPayload(i)) {
+						t.Fatalf("GetBorrow(%s) = %d bytes, %v", id, len(br.Data), err)
+					}
+					// The loan is the cold store's, not a copy of it.
+					switch c := cold.(type) {
+					case *Slab:
+						if got := slotPins(c, id); got != 1 {
+							t.Fatalf("%s: %d pins while borrowed through the tier, want 1", id, got)
+						}
+						br.Release()
+						if got := slotPins(c, id); got != 0 {
+							t.Fatalf("%s: %d pins after Release, want 0", id, got)
+						}
+					case *Mem:
+						direct, _ := c.GetBorrow(id)
+						if &br.Data[0] != &direct.Data[0] {
+							t.Fatalf("%s: tier lent a copy of the cold store's bytes", id)
+						}
+						br.Release()
+					}
+				}
+			}
+			st := tr.Stats()
+			if st.HotBytes != 0 || st.HotChunks != 0 || st.Promotions != 0 || st.HotHits != 0 {
+				t.Errorf("tier filled over a lending cold store: %+v", st)
+			}
+			if st.ColdHits != chunks*rounds || st.ColdBytesServed != chunks*rounds*256 {
+				t.Errorf("cold loans miscounted: %+v", st)
+			}
+			tr.ForEachHot(func(id chunk.ID, _ []byte) bool {
+				t.Errorf("%s is hot-resident over a lending cold store", id)
+				return true
+			})
+		})
+	}
+}
+
+// TestTieredLentBorrowTakesNoTierLock: with every stripe locked, a
+// borrow the cold store can satisfy must still return.
+func TestTieredLentBorrowTakesNoTierLock(t *testing.T) {
+	tr := NewTiered(NewMem(), TieredConfig{HotBytes: 1 << 20, Stripes: 4})
+	id := chunk.ID{Video: 7, Index: 1}
+	if err := tr.Put(id, []byte("lent")); err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.stripes {
+		tr.stripes[i].mu.Lock()
+		defer tr.stripes[i].mu.Unlock()
+	}
+	done := make(chan error, 1)
+	go func() {
+		br, err := tr.GetBorrow(id)
+		br.Release()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("GetBorrow over a lending cold store waits on a tier stripe lock")
+	}
+}
+
+// TestTieredNoBorrowFallsBackToHotMap pins the other side of the rule:
+// a slab that answers ErrNoBorrow (opened without mmap) leaves the
+// borrow to the hot map, a hot miss leaves it to the caller's copy
+// path, and that copy is what promotes.
+func TestTieredNoBorrowFallsBackToHotMap(t *testing.T) {
+	cold := newTestSlab(t, t.TempDir())
+	tr := NewTiered(cold, TieredConfig{HotBytes: 1 << 20, Stripes: 1})
+	id := chunk.ID{Video: 2, Index: 5}
+	if err := tr.Put(id, tieredPayload(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.GetBorrow(id); !errors.Is(err, ErrNoBorrow) {
+		t.Fatalf("GetBorrow before any copy = %v, want ErrNoBorrow", err)
+	}
+	if st := tr.Stats(); st.Promotions != 0 || st.HotChunks != 0 {
+		t.Fatalf("a failed borrow promoted: %+v", st)
+	}
+	if got, err := tr.Get(id, nil); err != nil || !bytes.Equal(got, tieredPayload(5)) {
+		t.Fatalf("Get = %d bytes, %v", len(got), err)
+	}
+	br, err := tr.GetBorrow(id)
+	if err != nil || !bytes.Equal(br.Data, tieredPayload(5)) {
+		t.Fatalf("GetBorrow after the copy = %d bytes, %v", len(br.Data), err)
+	}
+	br.Release()
+	if st := tr.Stats(); st.Promotions != 1 || st.HotChunks != 1 || st.HotHits != 1 || st.ColdHits != 1 {
+		t.Errorf("stats = %+v, want one promotion by Get and one hot borrow", st)
+	}
+	if err := tr.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.GetBorrow(id); !errors.Is(err, ErrNotFound) {
+		t.Errorf("GetBorrow after Delete = %v, want ErrNotFound", err)
 	}
 }

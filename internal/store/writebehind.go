@@ -199,10 +199,21 @@ func (w *WriteBehind) worker(st *wbStripe) {
 		err := w.backing.Put(e.id, e.data)
 
 		st.mu.Lock()
+		canceled := e.canceled
+		st.mu.Unlock()
+		if err == nil && canceled {
+			// Delete raced the backing write; whichever disk order the
+			// two took, deleting again converges on "gone". The entry
+			// stays pending across it: Flush must not return, nor a
+			// synchronous fallback Put of this key start, while the
+			// bytes may still be on disk. (A Delete arriving from here
+			// on runs after the write and needs no help.)
+			_ = w.backing.Delete(e.id)
+		}
+		st.mu.Lock()
 		if st.pending[key] == e {
 			delete(st.pending, key)
 		}
-		canceled := e.canceled
 		st.mu.Unlock()
 
 		if err != nil {
@@ -210,12 +221,6 @@ func (w *WriteBehind) worker(st *wbStripe) {
 			if w.cfg.OnError != nil {
 				w.cfg.OnError(e.id, len(e.data), err)
 			}
-			continue
-		}
-		if canceled {
-			// Delete raced the backing write; whichever disk order the
-			// two took, deleting again converges on "gone".
-			_ = w.backing.Delete(e.id)
 		}
 	}
 }

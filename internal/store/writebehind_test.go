@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"videocdn/internal/chunk"
 )
@@ -17,8 +18,14 @@ import (
 // sequence deterministically against the worker.
 type blockingStore struct {
 	*Mem
-	gate    chan struct{} // each Put receives once before writing
-	entered chan struct{}
+	gate        chan struct{} // each Put receives once before writing
+	entered     chan struct{}
+	deleteDelay time.Duration // a slow disk: Delete takes this long
+}
+
+func (s *blockingStore) Delete(id chunk.ID) error {
+	time.Sleep(s.deleteDelay)
+	return s.Mem.Delete(id)
 }
 
 func newBlockingStore() *blockingStore {
@@ -162,6 +169,9 @@ func TestWriteBehindDeleteCancelsPending(t *testing.T) {
 
 func TestWriteBehindDeleteRacingInFlightWriteConverges(t *testing.T) {
 	backing := newBlockingStore()
+	// Slow enough that a Flush which stops waiting before the worker's
+	// re-delete is done returns with the bytes still there.
+	backing.deleteDelay = 20 * time.Millisecond
 	w := NewWriteBehind(backing, WriteBehindConfig{Stripes: 1, QueueDepth: 8})
 	defer func() { close(backing.gate); w.Close() }()
 

@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# CPU profile of the edge server while the repository benchmark drives
+# it: starts `bench/run.sh -workload W`, waits for the launch the
+# benchmark measures (it starts and warms the origin+edge pair three
+# times and measures the last), reads the edge child's -pprof address
+# from its argv, fetches /debug/pprof/profile during the closed loop and
+# prints `go tool pprof -top -cum` against the binary the benchmark
+# built. The share of edge CPU inside write/sendfile/read syscalls is
+# the `cum%` of the internal/runtime/syscall.Syscall6 line.
+#
+#   scripts/profile-bench.sh hit-small        # 10 s of the 20 s window
+#   scripts/profile-bench.sh stream-large 5
+#
+# Only the three HTTP workloads have an edge child (replay-cafe runs in
+# the benchmark's own process). Everything written stays under
+# .bench_build/ and bench/out/, both git-ignored.
+set -euo pipefail
+
+workload="${1:?usage: scripts/profile-bench.sh <workload> [seconds]}"
+seconds="${2:-10}"
+settle=4   # the measured launch warms up first; setup_s is 1 to 2.5 s
+launches=3 # bench/runhttp.go: setupLaunches
+if ((seconds < 1 || seconds + settle > 18)); then
+    echo "seconds must be 1..$((18 - settle)): the closed loop lasts 20 s" >&2
+    exit 2
+fi
+
+root="$(cd "$(dirname "$0")/.." && pwd)"
+build="$root/.bench_build"
+mkdir -p "$build/pprof" "$build/gotmp"
+export GOCACHE="$build/gocache" GOTMPDIR="$build/gotmp" GOTOOLCHAIN=local GOWORK=off
+export PPROF_TMPDIR="$build/pprof"
+log="$build/pprof/bench-$workload.log"
+
+bash "$root/bench/run.sh" -workload "$workload" >"$log" 2>&1 &
+bench=$!
+trap 'kill "$bench" 2>/dev/null || true; wait 2>/dev/null || true' EXIT
+
+# Count the distinct edge children of this checkout as they come and go.
+seen=" "
+edge=""
+while [[ -z "$edge" ]]; do
+    if ! kill -0 "$bench" 2>/dev/null; then
+        echo "the benchmark ended before its measured launch; log:" >&2
+        cat "$log" >&2
+        exit 1
+    fi
+    for pid in $(pgrep -f -- "^$build/cdnserver .*-mode edge " || true); do
+        [[ "$seen" == *" $pid "* ]] && continue
+        seen+="$pid "
+        if (($(wc -w <<<"$seen") == launches)); then
+            edge="$pid"
+        fi
+    done
+    sleep 0.05
+done
+addr="$(tr '\0' '\n' <"/proc/$edge/cmdline" | grep -A1 -x -- '-pprof' | tail -1)"
+echo "edge child $edge, pprof on $addr; profiling ${seconds}s after ${settle}s of warm-up" >&2
+sleep "$settle"
+
+go tool pprof -top -cum -nodecount=45 "$build/cdnserver" \
+    "http://$addr/debug/pprof/profile?seconds=$seconds"
+
+wait "$bench" || { echo "the benchmark failed; log: $log" >&2; exit 1; }
+trap - EXIT
+echo "--- benchmark output ($log)" >&2
+cat "$log" >&2
