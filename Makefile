@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-replay bench-edge bench-store bench-all bench-smoke bench-check perf-gate experiments experiments-small fmt vet clean
+.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-replay bench-edge bench-store bench-all bench-smoke bench-check bench-policy perf-gate experiments experiments-small fmt vet clean
 
 all: build test
 
@@ -97,6 +97,12 @@ bench-smoke:
 bench-check:
 	$(GO) test -C bench .
 	bash bench/run.sh -smoke
+
+# Policy cost without the bench/ module: ns/req of cafe, xlru and cafe at
+# alpha 0.5 on one seeded europe trace. The box is noisy: read the ratio
+# of the lines of one run, not a line across runs.
+bench-policy:
+	$(GO) test -run '^$$' -bench HandleRequestEurope -benchtime 5x ./internal/cafe
 
 # Perf-regression smoke gate (also run in CI): regenerate all three
 # benchmark reports at smoke size and compare against the committed

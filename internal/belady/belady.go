@@ -29,9 +29,9 @@ type Cache struct {
 	reqs []trace.Request
 	ix   *psychic.Index
 	pos  int
-	tree *ordtree.Tree // cached chunks by descending next-request time (+Inf if none)
+	tree *ordtree.ByID // cached chunks by descending next-request time (+Inf if none)
 
-	victims []uint64 // eviction-scan scratch, reused
+	victims []ordtree.Handle // eviction-scan scratch, reused
 }
 
 // New builds a Belady cache over the full request sequence.
@@ -43,7 +43,7 @@ func New(cfg core.Config, reqs []trace.Request) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{cfg: cfg, reqs: reqs, ix: ix, tree: ordtree.NewDescending()}, nil
+	return &Cache{cfg: cfg, reqs: reqs, ix: ix, tree: ordtree.NewByID(ordtree.NewDescending())}, nil
 }
 
 // Name implements core.Cache.
@@ -103,9 +103,8 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	c.victims = c.tree.AppendFirstOutside(c.victims[:0], evictN,
 		chunk.ID{Video: r.Video, Index: c0}.Key(), chunk.ID{Video: r.Video, Index: c1}.Key())
 	evicted := make([]chunk.ID, 0, len(c.victims))
-	for _, vid := range c.victims {
-		c.tree.Remove(vid)
-		evicted = append(evicted, chunk.FromKey(vid))
+	for _, h := range c.victims {
+		evicted = append(evicted, chunk.FromKey(c.tree.Remove(h)))
 	}
 	for ci := c0; ci <= c1; ci++ {
 		id := chunk.ID{Video: r.Video, Index: ci}

@@ -30,7 +30,9 @@ func europeTrace(tb testing.TB) []trace.Request {
 
 // BenchmarkHandleRequestEurope replays one seeded trace from a cold
 // policy per iteration and reports ns/req for Cafe and for xLRU, so the
-// ROADMAP's "Cafe within 2x of xLRU" reads off two adjacent lines.
+// ROADMAP's Cafe : xLRU ratio reads off two adjacent lines. The third
+// line is Cafe at alpha 0.5, where C_F < C_R and no request can be
+// settled before the victim scan: what the ordered set alone costs.
 func BenchmarkHandleRequestEurope(b *testing.B) {
 	reqs := europeTrace(b)
 	cfg := core.Config{ChunkSize: 2 << 20, DiskChunks: 8192, ReuseOutcomeBuffers: true}
@@ -40,6 +42,7 @@ func BenchmarkHandleRequestEurope(b *testing.B) {
 	}{
 		{"cafe", func() (core.Cache, error) { return New(cfg, 2, Options{}) }},
 		{"xlru", func() (core.Cache, error) { return xlru.New(cfg, 2) }},
+		{"cafe-alpha0.5", func() (core.Cache, error) { return New(cfg, 0.5, Options{}) }},
 	}
 	for _, p := range policies {
 		b.Run(p.name, func(b *testing.B) {

@@ -51,7 +51,10 @@
 // indexed by chunk index: a request does one map lookup, for its video,
 // and indexes from there, and a cached chunk carries its ordtree handle
 // so re-keying it looks nothing up either. The slice reaches to the
-// highest chunk index the video was ever asked for.
+// highest chunk index the video was ever asked for. The other direction
+// — from an eviction victim or the set's minimum, which the ordered set
+// names by handle, back to the chunk's state — goes through owner, a
+// slice indexed by handle, so it is map-free too.
 package cafe
 
 import (
@@ -123,7 +126,8 @@ type Cache struct {
 
 	tree    *ordtree.Tree // cached chunks (packed chunk keys), keyed by k_x
 	videos  map[chunk.VideoID]*video
-	tracked int // chunk states holding history; cleanup's trigger
+	owner   []*video // by ordtree handle: the record holding that cached chunk, else nil
+	tracked int      // chunk states holding history; cleanup's trigger
 
 	firstTime int64
 	started   bool
@@ -133,10 +137,10 @@ type Cache struct {
 	fillGate func(chunks int, now int64) bool
 
 	// victimsBuf is the eviction-scan scratch buffer, reused on every
-	// request (victim IDs never escape HandleRequest). missingBuf and
+	// request (victim handles never escape HandleRequest). missingBuf and
 	// evictedBuf back Outcome.FilledIDs/EvictedIDs when the caller
 	// opted into core.Config.ReuseOutcomeBuffers.
-	victimsBuf []uint64
+	victimsBuf []ordtree.Handle
 	missingBuf []chunk.ID
 	evictedBuf []chunk.ID
 }
@@ -245,6 +249,8 @@ func (c *Cache) popularity(v *video, ci uint32) *chunkState {
 }
 
 // history returns the popularity state of id, ok=false if it has none.
+// It is the by-ID lookup, for Load; the request path has the record in
+// hand or comes from a handle.
 func (c *Cache) history(id chunk.ID) (iatEntry, bool) {
 	if c.opt.FileLevel {
 		id.Index = 0
@@ -255,6 +261,19 @@ func (c *Cache) history(id chunk.ID) (iatEntry, bool) {
 	}
 	st := &v.chunks[id.Index]
 	return st.iatEntry, st.seen
+}
+
+// cachedPopularity returns the popularity state of the cached chunk h
+// names, found without a map: owner gives the video record, the set the
+// chunk's packed key.
+func (c *Cache) cachedPopularity(h ordtree.Handle) *chunkState {
+	st := c.popularity(c.owner[h], chunk.FromKey(c.tree.ID(h)).Index)
+	if !st.seen || st.dt == unknownDT {
+		// Every cached chunk is given a concrete dt at fill time;
+		// reaching this would mean corrupted bookkeeping.
+		panic("cafe: cached chunk without IAT state")
+	}
+	return st
 }
 
 // remember makes e the history of st, counting a state that had none.
@@ -276,17 +295,11 @@ func (c *Cache) iatAt(e iatEntry, now int64) float64 {
 // chunk at time now (see the package comment for why this equals the
 // virtual cache age t − key_min(t)). Zero when the disk is empty.
 func (c *Cache) CacheAge(now int64) float64 {
-	id, _, ok := c.tree.Min()
+	h, ok := c.tree.Min()
 	if !ok {
 		return 0
 	}
-	e, ok := c.history(chunk.FromKey(id))
-	if !ok || e.dt == unknownDT {
-		// Every cached chunk is given a concrete dt at fill time;
-		// reaching this would mean corrupted bookkeeping.
-		panic("cafe: cached chunk without IAT state")
-	}
-	return c.iatAt(e, now)
+	return c.iatAt(c.cachedPopularity(h).iatEntry, now)
 }
 
 // treeKey is the time-invariant ordering key k_x = γ·t_x − (1−γ)·dt_x.
@@ -345,7 +358,7 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	}
 
 	serve := false
-	var victims []uint64
+	var victims []ordtree.Handle
 	free := c.cfg.DiskChunks - c.tree.Len()
 	needEvict := len(missing) - free
 	if needEvict < 0 {
@@ -361,28 +374,8 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		// (there is nothing to evict and no cache age to compare to).
 		serve = true
 	default:
-		// The requested chunks must never be evicted; they are exactly
-		// the packed-key range [loKey, hiKey] (chunk keys of one video
-		// are contiguous), so no per-request skip set is needed.
-		loKey := chunk.ID{Video: r.Video, Index: c0}.Key()
-		hiKey := chunk.ID{Video: r.Video, Index: c1}.Key()
-		victims = c.tree.AppendFirstOutside(c.victimsBuf[:0], needEvict, loKey, hiKey)
-		c.victimsBuf = victims
-		if len(victims) < needEvict {
-			// Cannot make room without evicting the request's own
-			// chunks: redirect.
-			serve = false
-			break
-		}
+		// Eq. 7 first: it needs only the request's own chunks.
 		window := c.CacheAge(now) * c.opt.WindowScale
-		costServe := float64(len(missing)) * c.cf
-		for _, vid := range victims {
-			e, ok := c.history(chunk.FromKey(vid))
-			if !ok {
-				panic("cafe: eviction candidate without IAT state")
-			}
-			costServe += c.futureCost(e, now, window)
-		}
 		costRedirect := float64(nChunks) * c.cr
 		videoEst, videoEstOK := c.videoEstimate(v, now)
 		for _, id := range missing {
@@ -399,6 +392,29 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 				costRedirect += c.futureCost(iatEntry{dt: videoEst, t: now}, now, window)
 			}
 			// No information at all: no expected future cost.
+		}
+		// Eq. 6 is |S'|·C_F plus one term >= 0 per victim, and adding a
+		// non-negative float never lowers a sum: if the fills alone are
+		// not cheaper than redirecting, no victim set makes serving so,
+		// and the request redirects without touching the ordered set.
+		costServe := float64(len(missing)) * c.cf
+		if !(costServe < costRedirect) {
+			break
+		}
+		// The requested chunks must never be evicted; they are exactly
+		// the packed-key range [loKey, hiKey] (chunk keys of one video
+		// are contiguous), so no per-request skip set is needed.
+		loKey := chunk.ID{Video: r.Video, Index: c0}.Key()
+		hiKey := chunk.ID{Video: r.Video, Index: c1}.Key()
+		victims = c.tree.AppendFirstOutside(c.victimsBuf[:0], needEvict, loKey, hiKey)
+		c.victimsBuf = victims
+		if len(victims) < needEvict {
+			// Cannot make room without evicting the request's own
+			// chunks: redirect.
+			break
+		}
+		for _, h := range victims {
+			costServe += c.futureCost(c.cachedPopularity(h).iatEntry, now, window)
 		}
 		serve = costServe < costRedirect
 	}
@@ -427,10 +443,8 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	} else {
 		evicted = make([]chunk.ID, 0, len(victims))
 	}
-	for _, vid := range victims {
-		id := chunk.FromKey(vid)
-		c.evictChunk(id)
-		evicted = append(evicted, id)
+	for _, h := range victims {
+		evicted = append(evicted, c.evictChunk(h))
 	}
 	if c.cfg.ReuseOutcomeBuffers {
 		c.evictedBuf = evicted
@@ -536,15 +550,20 @@ func (c *Cache) place(v *video, id chunk.ID, key float64) {
 	}
 	st.h = c.tree.Insert(id.Key(), key)
 	v.cached++
+	if grow := int(st.h) + 1 - len(c.owner); grow > 0 {
+		c.owner = append(c.owner, make([]*video, grow)...)
+	}
+	c.owner[st.h] = v
 }
 
-// evictChunk removes one cached chunk from disk bookkeeping, keeping
-// its IAT history.
-func (c *Cache) evictChunk(id chunk.ID) {
-	v := c.videos[id.Video]
-	c.tree.Remove(id.Key())
+// evictChunk removes the cached chunk h names from disk bookkeeping,
+// keeping its IAT history, and returns its ID.
+func (c *Cache) evictChunk(h ordtree.Handle) chunk.ID {
+	v, id := c.owner[h], chunk.FromKey(c.tree.Remove(h))
+	c.owner[h] = nil
 	v.chunks[id.Index].h = 0
 	v.cached--
+	return id
 }
 
 // Forget undoes the admission of one chunk whose cache fill failed
@@ -554,7 +573,7 @@ func (c *Cache) evictChunk(id chunk.ID) {
 // disk.
 func (c *Cache) Forget(id chunk.ID) {
 	if c.Contains(id) {
-		c.evictChunk(id)
+		c.evictChunk(c.videos[id.Video].chunks[id.Index].h)
 	}
 }
 
@@ -598,18 +617,46 @@ func (c *Cache) cleanup(now int64) {
 	}
 }
 
-// CheckInvariants verifies what the decisions rest on: every cached
-// chunk sits in the ordered set under exactly the key its popularity
+// CheckInvariants verifies what the decisions rest on. Every item of
+// the ordered set is a cached chunk under exactly the key its popularity
 // state implies, so eviction order, CacheAge and a Save/Load round trip
-// (which recomputes keys) agree. It walks the whole disk; the
-// conformance suite calls it after every request.
-func (c *Cache) CheckInvariants() (err error) {
-	c.tree.Ascend(func(key uint64, k float64) bool {
-		id := chunk.FromKey(key)
-		if e, ok := c.history(id); !ok || k != c.treeKey(e) || !c.Contains(id) {
-			err = fmt.Errorf("cafe: chunk %s is keyed %v in the ordered set, its state %+v (known: %v) implies %v", id, k, e, ok, c.treeKey(e))
+// (which recomputes keys) agree; and the two ways from a handle to its
+// chunk agree — the set's ID for the handle is the chunk whose state
+// stores that handle, in the record the owner table names, which is the
+// record videos holds — so an eviction clears the state it means to. It
+// walks the whole disk; the conformance suite calls it after every
+// request.
+func (c *Cache) CheckInvariants() error {
+	for _, h := range c.tree.AppendFirstOutside(nil, c.tree.Len(), 1, 0) {
+		id, k := chunk.FromKey(c.tree.ID(h)), c.tree.Key(h)
+		v := c.videos[id.Video]
+		if v == nil || int(id.Index) >= len(v.chunks) || v.chunks[id.Index].h != h {
+			return fmt.Errorf("cafe: chunk %s is item %d of the ordered set, but no video record holds that handle for it", id, h)
 		}
-		return err == nil
-	})
-	return err
+		if int(h) >= len(c.owner) || c.owner[h] != v {
+			return fmt.Errorf("cafe: the owner table does not name the record of video %d for chunk %s (handle %d)", id.Video, id, h)
+		}
+		if pop := c.popularity(v, id.Index); !pop.seen || k != c.treeKey(pop.iatEntry) {
+			return fmt.Errorf("cafe: chunk %s is keyed %v in the ordered set, its state %+v (known: %v) implies %v", id, k, pop.iatEntry, pop.seen, c.treeKey(pop.iatEntry))
+		}
+	}
+	// Each item is a distinct chunk holding its handle; equal counts make
+	// that a bijection, so no state holds a handle the set does not know.
+	cached := 0
+	for id, v := range c.videos {
+		n := 0
+		for i := range v.chunks {
+			if v.chunks[i].h != 0 {
+				n++
+			}
+		}
+		if n != v.cached {
+			return fmt.Errorf("cafe: video %d holds %d handles and counts %d cached chunks", id, n, v.cached)
+		}
+		cached += n
+	}
+	if cached != c.tree.Len() {
+		return fmt.Errorf("cafe: video records hold %d handles, the ordered set %d items", cached, c.tree.Len())
+	}
+	return nil
 }

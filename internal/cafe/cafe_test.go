@@ -372,11 +372,11 @@ func TestCleanupPrunesStaleHistory(t *testing.T) {
 		t.Error("stale uncached history should be pruned, and the video's record with it")
 	}
 	// Cached chunks' entries must survive cleanup.
-	id, _, ok := c.tree.Min()
+	h, ok := c.tree.Min()
 	if !ok {
 		t.Fatal("disk should not be empty")
 	}
-	if _, ok := c.history(chunk.FromKey(id)); !ok {
+	if _, ok := c.history(chunk.FromKey(c.tree.ID(h))); !ok {
 		t.Error("cached chunk lost its IAT state")
 	}
 }
@@ -490,7 +490,7 @@ func TestOversizedRequestRekeysCachedChunks(t *testing.T) {
 		c := newCache(t, 4, 2, opt)
 		c.HandleRequest(req(0, 2, 0, 1))
 		c.HandleRequest(req(10, 1, 0, 1))
-		minBefore, _, _ := c.tree.Min()
+		minBefore := leastPopular(c)
 		// Video 1 holds the least popular chunks until the wide request
 		// makes them the most recently seen ones.
 		if out := c.HandleRequest(req(50, 1, 0, 9)); out.Decision != core.Redirect {
@@ -499,12 +499,18 @@ func TestOversizedRequestRekeysCachedChunks(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Errorf("%+v: %v", opt, err)
 		}
-		minAfter, _, _ := c.tree.Min()
-		if chunk.FromKey(minBefore).Video != 1 || chunk.FromKey(minAfter).Video != 2 {
+		minAfter := leastPopular(c)
+		if minBefore.Video != 1 || minAfter.Video != 2 {
 			t.Errorf("%+v: least popular chunk was %s, is %s; want video 1 then video 2",
-				opt, chunk.FromKey(minBefore), chunk.FromKey(minAfter))
+				opt, minBefore, minAfter)
 		}
 	}
+}
+
+// leastPopular returns the first chunk of the ordered set.
+func leastPopular(c *Cache) chunk.ID {
+	h, _ := c.tree.Min()
+	return chunk.FromKey(c.tree.ID(h))
 }
 
 // Every mix of paths, wide requests and prefetches included, keeps the
@@ -558,9 +564,48 @@ func checkCounters(t *testing.T, c *Cache) {
 	}
 }
 
+// The three links between a cached chunk's state, its item in the
+// ordered set and the owner table are each checked: damage to any one is
+// reported, not acted on by the next eviction.
+func TestCheckInvariantsCatchesHandleDamage(t *testing.T) {
+	warmed := func() *Cache {
+		c := newCache(t, 8, 1, Options{})
+		for v := 0; v < 4; v++ {
+			c.HandleRequest(req(int64(v), chunk.VideoID(v), 0, 1))
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(c *Cache)
+	}{
+		{"cleanup drops a record that still owns handles", func(c *Cache) { delete(c.videos, 2) }},
+		{"the record is replaced, the table names the old one", func(c *Cache) { cp := *c.videos[2]; c.videos[2] = &cp }},
+		{"Load forgets the owner table", func(c *Cache) { c.owner = nil }},
+		{"an eviction leaves the owner of another chunk cleared", func(c *Cache) { c.owner[c.videos[1].chunks[0].h] = nil }},
+		{"two states swap handles", func(c *Cache) {
+			a, b := &c.videos[0].chunks[0], &c.videos[3].chunks[1]
+			a.h, b.h = b.h, a.h
+		}},
+		{"a state keeps the handle of an evicted chunk", func(c *Cache) { c.tree.Remove(c.videos[3].chunks[0].h) }},
+		{"a chunk is in the set under a stale key", func(c *Cache) { c.videos[1].chunks[1].t += 5 }},
+	} {
+		c := warmed()
+		tc.damage(c)
+		if err := c.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants reports nothing", tc.name)
+		}
+	}
+}
+
 // TestCafeSteadyStateZeroAllocs pins the request path of a warmed, full
-// cache at zero allocations with ReuseOutcomeBuffers: full hits, and
-// fills that evict.
+// cache at zero allocations with ReuseOutcomeBuffers: full hits, fills
+// that evict (victims costed and evicted through their handles; the
+// owner table grows during warm-up only), and redirects settled before
+// the ordered set is scanned.
 func TestCafeSteadyStateZeroAllocs(t *testing.T) {
 	// 32 four-chunk videos asked for round-robin over a 64-chunk disk:
 	// each request finds its video evicted since its last turn, and at
@@ -592,5 +637,28 @@ func TestCafeSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if fills < runs || hits < runs {
 		t.Errorf("the measured window held %d evicting fills and %d hits in %d runs; it must exercise both every run", fills, hits, runs)
+	}
+
+	// With fills made dear, the same round-robin hits the videos on disk
+	// and redirects the others: filling them costs more than redirecting
+	// whatever would be evicted, so the ordered set is never scanned.
+	if err := c.SetAlpha(4); err != nil {
+		t.Fatal(err)
+	}
+	unscanned, scanned := 0, 0
+	redirect := func() {
+		for served := true; served; turn++ {
+			tm += 3
+			c.victimsBuf = c.victimsBuf[:0]
+			served = c.HandleRequest(req(tm, chunk.VideoID(turn%32), 0, 3)).Decision == core.Serve
+			scanned += len(c.victimsBuf)
+		}
+		unscanned++
+	}
+	if allocs := testing.AllocsPerRun(runs, redirect); allocs != 0 {
+		t.Errorf("a redirect settled before the scan allocates %v, want 0", allocs)
+	}
+	if unscanned < runs || scanned != 0 {
+		t.Errorf("%d redirects in %d runs, %d victims scanned; want a redirect per run and no scan", unscanned, runs, scanned)
 	}
 }

@@ -57,13 +57,11 @@ func (c *Cache) PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []
 		if est >= c.CacheAge(now) {
 			return false, nil
 		}
-		minID, _, okMin := c.tree.Min()
-		if !okMin {
+		least, ok := c.tree.Min()
+		if !ok {
 			return false, nil
 		}
-		victim := chunk.FromKey(minID)
-		c.evictChunk(victim)
-		evicted = append(evicted, victim)
+		evicted = append(evicted, c.evictChunk(least))
 	}
 	if !pop.seen || pop.dt == unknownDT {
 		// Materialize the estimate as the chunk's state so the set's

@@ -26,11 +26,11 @@ import (
 // use.
 type Cache struct {
 	cfg      core.Config
-	tree     *ordtree.Tree  // chunk key -> H score
+	tree     *ordtree.ByID  // chunk key -> H score
 	freq     map[uint64]int // access count while cached
 	inflate  float64        // L
 	lastTime int64
-	victims  []uint64 // eviction-scan scratch, reused
+	victims  []ordtree.Handle // eviction-scan scratch, reused
 }
 
 // New builds a GDSP cache.
@@ -40,7 +40,7 @@ func New(cfg core.Config) (*Cache, error) {
 	}
 	return &Cache{
 		cfg:  cfg,
-		tree: ordtree.New(),
+		tree: ordtree.NewByID(ordtree.New()),
 		freq: make(map[uint64]int),
 	}, nil
 }
@@ -92,12 +92,12 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		if len(c.victims) == 0 {
 			break
 		}
-		key := c.victims[0]
-		if h, ok := c.tree.Key(key); ok && h > c.inflate {
+		victim := c.victims[0]
+		if h := c.tree.Key(victim); h > c.inflate {
 			// Classic GDS aging: raise L to the evicted score.
 			c.inflate = h
 		}
-		c.tree.Remove(key)
+		key := c.tree.Remove(victim)
 		delete(c.freq, key)
 		evicted = append(evicted, chunk.FromKey(key))
 	}

@@ -33,10 +33,10 @@ type Cache struct {
 	// (kth-recent access time), with never-K-referenced chunks keyed
 	// by (their last access − horizon) so they sort below all
 	// K-referenced chunks while preserving LRU order among themselves.
-	tree     *ordtree.Tree
+	tree     *ordtree.ByID
 	hist     map[uint64][]int64 // chunk key -> last up-to-K access times (newest first)
 	lastTime int64
-	victims  []uint64 // eviction-scan scratch, reused
+	victims  []ordtree.Handle // eviction-scan scratch, reused
 }
 
 // horizon separates the "fewer than K references" band from the
@@ -54,7 +54,7 @@ func New(cfg core.Config, k int) (*Cache, error) {
 	return &Cache{
 		cfg:  cfg,
 		k:    k,
-		tree: ordtree.New(),
+		tree: ordtree.NewByID(ordtree.New()),
 		hist: make(map[uint64][]int64),
 	}, nil
 }
@@ -124,8 +124,8 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		return core.Outcome{Decision: core.Redirect}
 	}
 	evicted := make([]chunk.ID, 0, len(victims))
-	for _, key := range victims {
-		c.tree.Remove(key)
+	for _, h := range victims {
+		key := c.tree.Remove(h)
 		delete(c.hist, key)
 		evicted = append(evicted, chunk.FromKey(key))
 	}

@@ -29,7 +29,8 @@ import (
 const arity = 4
 
 // Handle names an item for as long as it stays in the set, wherever the
-// heap moves it. The zero Handle names no item.
+// heap moves it; Remove frees it for a later Insert to reuse, so live
+// handles stay dense. The zero Handle names no item.
 type Handle int32
 
 type item struct {
@@ -38,22 +39,23 @@ type item struct {
 	h   Handle
 }
 
-// Tree is an ordered map from item ID to float64 key. The zero value is
-// not usable; call New or NewDescending.
+// Tree is an ordered set of (id, key) items addressed by Handle. It
+// keeps no index from ID to item: a caller that finds its items by ID
+// holds the handles itself, or uses ByID. The zero value is not usable;
+// call New or NewDescending.
 type Tree struct {
 	heap []item
 	// slot maps a live handle to its item's heap index, so sifting writes
-	// an array and never the byID map. For a free handle it holds the next
-	// free handle; slot[0] heads that list.
+	// one array. For a free handle it holds the next free handle; slot[0]
+	// heads that list.
 	slot     []int32
-	byID     map[uint64]Handle
 	desc     bool
 	frontier []int32 // victim-scan scratch, reused
 }
 
 // New returns an empty set ordered by ascending (key, id).
 func New() *Tree {
-	return &Tree{slot: make([]int32, 1), byID: make(map[uint64]Handle)}
+	return &Tree{slot: make([]int32, 1)}
 }
 
 // NewDescending returns an empty set ordered by descending (key, id):
@@ -75,38 +77,38 @@ func (t *Tree) before(a, b *item) bool {
 // Len returns the number of items.
 func (t *Tree) Len() int { return len(t.heap) }
 
-// Contains reports whether id is present.
-func (t *Tree) Contains(id uint64) bool {
-	_, ok := t.byID[id]
-	return ok
+// at returns the heap index of the item h names. A handle that names no
+// item — zero, never issued, or removed — is a caller's bug and panics.
+func (t *Tree) at(h Handle) int {
+	if uint(h) < uint(len(t.slot)) {
+		if i := int(t.slot[h]); uint(i) < uint(len(t.heap)) && t.heap[i].h == h {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("ordtree: handle %d names no item", h))
 }
 
-// Key returns the key stored for id, with ok=false if absent.
-func (t *Tree) Key(id uint64) (float64, bool) {
-	h, ok := t.byID[id]
-	if !ok {
-		return 0, false
-	}
-	return t.heap[t.slot[h]].key, true
-}
+// ID returns the ID of the item h names.
+func (t *Tree) ID(h Handle) uint64 { return t.heap[t.at(h)].id }
+
+// Key returns the key of the item h names.
+func (t *Tree) Key(h Handle) float64 { return t.heap[t.at(h)].key }
 
 // Min returns the first item of the set's order, with ok=false on an
 // empty set.
-func (t *Tree) Min() (id uint64, key float64, ok bool) {
+func (t *Tree) Min() (h Handle, ok bool) {
 	if len(t.heap) == 0 {
-		return 0, 0, false
+		return 0, false
 	}
-	return t.heap[0].id, t.heap[0].key, true
+	return t.heap[0].h, true
 }
 
-// Insert adds id with the given key, or re-keys it if present, and
-// returns the item's handle. NaN keys are rejected with a panic: they
-// would break the strict weak ordering and silently corrupt the set.
+// Insert adds an item and returns its handle. The set does not know
+// whether id is already present: the order is a pure function of the
+// item set only while the caller keeps IDs unique. NaN keys are rejected
+// with a panic: they would break the strict weak ordering and silently
+// corrupt the set.
 func (t *Tree) Insert(id uint64, key float64) Handle {
-	if h, ok := t.byID[id]; ok {
-		t.Rekey(h, key)
-		return h
-	}
 	checkKey(id, key)
 	h := Handle(t.slot[0])
 	if h != 0 {
@@ -115,32 +117,25 @@ func (t *Tree) Insert(id uint64, key float64) Handle {
 		h = Handle(len(t.slot))
 		t.slot = append(t.slot, 0)
 	}
-	t.byID[id] = h
 	t.heap = append(t.heap, item{})
 	t.up(len(t.heap)-1, item{key: key, id: id, h: h})
 	return h
 }
 
-// Rekey changes the key of the item h names, without a lookup.
+// Rekey changes the key of the item h names.
 func (t *Tree) Rekey(h Handle, key float64) {
-	i := int(t.slot[h])
+	i := t.at(h)
 	it := t.heap[i]
-	if it.h != h {
-		panic("ordtree: Rekey of a handle whose item was removed")
-	}
 	checkKey(it.id, key)
 	it.key = key
 	t.fix(i, it)
 }
 
-// Remove deletes id, reporting whether it was present.
-func (t *Tree) Remove(id uint64) bool {
-	h, ok := t.byID[id]
-	if !ok {
-		return false
-	}
-	delete(t.byID, id)
-	i := int(t.slot[h])
+// Remove deletes the item h names and returns its ID; h names nothing
+// afterwards.
+func (t *Tree) Remove(h Handle) uint64 {
+	i := t.at(h)
+	id := t.heap[i].id
 	t.slot[h], t.slot[0] = t.slot[0], int32(h)
 	last := len(t.heap) - 1
 	it := t.heap[last]
@@ -148,7 +143,7 @@ func (t *Tree) Remove(id uint64) bool {
 	if i != last {
 		t.fix(i, it)
 	}
-	return true
+	return id
 }
 
 func checkKey(id uint64, key float64) {
@@ -209,10 +204,10 @@ func (t *Tree) set(i int, it item) {
 	t.slot[it.h] = int32(i)
 }
 
-// AppendFirstOutside appends to dst the IDs of the first n items of the
-// set's order whose IDs fall outside the inclusive range [lo, hi] (fewer
-// if the set runs out; lo > hi excludes nothing), in that order, and
-// returns the grown slice. The policies pass the packed chunk-key range
+// AppendFirstOutside appends to dst the handles of the first n items of
+// the set's order whose IDs fall outside the inclusive range [lo, hi]
+// (fewer if the set runs out; lo > hi excludes nothing), in that order,
+// and returns the grown slice. The policies pass the packed chunk-key range
 // of the request being served — the chunks of one video are contiguous
 // under chunk.ID.Key — so its chunks are never their own victims; with a
 // recycled dst[:0] the scan allocates nothing.
@@ -220,7 +215,7 @@ func (t *Tree) set(i int, it item) {
 // The scan is the k-smallest walk of a heap: a frontier holds the slots
 // whose parent has been visited, the first of them in the set's order is
 // visited next, and its children join the frontier.
-func (t *Tree) AppendFirstOutside(dst []uint64, n int, lo, hi uint64) []uint64 {
+func (t *Tree) AppendFirstOutside(dst []Handle, n int, lo, hi uint64) []Handle {
 	if n <= 0 || len(t.heap) == 0 {
 		return dst
 	}
@@ -228,7 +223,7 @@ func (t *Tree) AppendFirstOutside(dst []uint64, n int, lo, hi uint64) []uint64 {
 	for len(f) > 0 {
 		i := int(f[0])
 		if it := &t.heap[i]; it.id < lo || it.id > hi {
-			dst = append(dst, it.id)
+			dst = append(dst, it.h)
 			if n--; n == 0 {
 				break
 			}
@@ -287,9 +282,8 @@ func (t *Tree) frontierDown(f []int32, s int32) {
 // false. It sorts the whole set first, whatever fn does: it is for
 // snapshots and tests, not for the request path.
 func (t *Tree) Ascend(fn func(id uint64, key float64) bool) {
-	for _, id := range t.AppendFirstOutside(nil, len(t.heap), 1, 0) {
-		key, _ := t.Key(id)
-		if !fn(id, key) {
+	for _, h := range t.AppendFirstOutside(nil, len(t.heap), 1, 0) {
+		if it := &t.heap[t.slot[h]]; !fn(it.id, it.key) {
 			return
 		}
 	}

@@ -50,8 +50,8 @@ func (t *refTree) walk(desc bool, fn func(id uint64, key float64) bool) {
 	walk(t.root, desc, fn)
 }
 
-// firstOutside is the specification of Tree.AppendFirstOutside: walk in
-// order, drop the IDs inside [lo, hi], stop after n.
+// firstOutside is the specification of Tree.AppendFirstOutside, in IDs:
+// walk in order, drop the IDs inside [lo, hi], stop after n.
 func (t *refTree) firstOutside(desc bool, n int, lo, hi uint64) []uint64 {
 	var out []uint64
 	t.walk(desc, func(id uint64, _ float64) bool {
@@ -153,23 +153,86 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// checkAgainst compares every observable of tr with the reference and
-// the heap's own structural invariants, returning "" when all hold.
-func checkAgainst(tr *Tree, ref *refTree) string {
-	if tr.Len() != len(ref.byID) {
-		return "Len differs"
+// model pairs the heap with the reference treap and holds what a caller
+// of the handle-only API holds: the handle of every live ID.
+type model struct {
+	tr      *Tree
+	ref     *refTree
+	handles map[uint64]Handle
+	gone    []Handle // handles that have been removed, some since reissued
+}
+
+func newModel(desc bool) *model {
+	tr := New()
+	tr.desc = desc
+	return &model{tr: tr, ref: newRef(), handles: map[uint64]Handle{}}
+}
+
+// upsert is what ByID.Insert does, with the index held here.
+func (m *model) upsert(id uint64, key float64) {
+	if h, ok := m.handles[id]; ok {
+		m.tr.Rekey(h, key)
+	} else {
+		m.handles[id] = m.tr.Insert(id, key)
 	}
-	if len(tr.byID) != len(tr.heap) {
-		return "byID and heap sizes differ"
+	m.ref.insert(id, key)
+}
+
+func (m *model) remove(id uint64) {
+	h, ok := m.handles[id]
+	if ok {
+		m.tr.Remove(h)
+		m.gone = append(m.gone, h)
+		delete(m.handles, id)
+	}
+	if m.ref.remove(id) != ok {
+		panic("the test's handle index and the reference disagree")
+	}
+}
+
+// live reports whether h names an item now.
+func (m *model) live(h Handle) bool {
+	for _, held := range m.handles {
+		if held == h {
+			return true
+		}
+	}
+	return false
+}
+
+// ids names the items a scan of tr returned.
+func ids(tr *Tree, hs []Handle) []uint64 {
+	var out []uint64
+	for _, h := range hs {
+		out = append(out, tr.ID(h))
+	}
+	return out
+}
+
+// check compares every observable of the heap with the reference and
+// the heap's own structural invariants, returning "" when all hold.
+func (m *model) check() string {
+	tr, ref := m.tr, m.ref
+	if tr.Len() != len(ref.byID) || tr.Len() != len(m.handles) {
+		return "Len differs"
 	}
 	for i := range tr.heap {
 		it := &tr.heap[i]
 		if i > 0 && tr.before(it, &tr.heap[(i-1)/arity]) {
 			return "heap order violated"
 		}
-		if tr.slot[it.h] != int32(i) || tr.byID[it.id] != it.h {
-			return "slot table or byID out of step with the heap"
+		if tr.slot[it.h] != int32(i) || m.handles[it.id] != it.h {
+			return "slot table or the caller's handles out of step with the heap"
 		}
+	}
+	// Handles are dense: every handle ever issued is live or on the free
+	// list, so the table never outgrows the set's high-water mark.
+	free := 0
+	for h := tr.slot[0]; h != 0; h = tr.slot[h] {
+		free++
+	}
+	if len(tr.slot) != 1+tr.Len()+free {
+		return "handles leaked: slot table larger than live + free"
 	}
 	type pair struct {
 		id  uint64
@@ -187,14 +250,20 @@ func checkAgainst(tr *Tree, ref *refTree) string {
 	if !same || i != len(want) {
 		return "Ascend differs from the reference walk"
 	}
-	id, key, ok := tr.Min()
-	if ok != (len(want) > 0) || ok && (want[0] != pair{id, key}) {
-		return "Min differs"
+	// The whole set, scanned: handles whose ID and Key are the
+	// reference's order exactly.
+	all := tr.AppendFirstOutside(nil, tr.Len(), 1, 0)
+	if len(all) != len(want) {
+		return "full scan length differs"
 	}
-	for _, p := range want {
-		if k, ok := tr.Key(p.id); !ok || k != p.key || !tr.Contains(p.id) {
-			return "Key/Contains differs"
+	for i, h := range all {
+		if (want[i] != pair{tr.ID(h), tr.Key(h)}) || m.handles[want[i].id] != h {
+			return "scan handles differ from the reference order"
 		}
+	}
+	h, ok := tr.Min()
+	if ok != (len(want) > 0) || ok && h != all[0] {
+		return "Min differs"
 	}
 	return ""
 }
@@ -204,14 +273,8 @@ func TestEmpty(t *testing.T) {
 		if tr.Len() != 0 {
 			t.Error("new set should be empty")
 		}
-		if _, _, ok := tr.Min(); ok {
+		if _, ok := tr.Min(); ok {
 			t.Error("Min on empty should report !ok")
-		}
-		if tr.Remove(1) || tr.Contains(1) {
-			t.Error("Remove/Contains of absent should be false")
-		}
-		if _, ok := tr.Key(1); ok {
-			t.Error("Key of absent should report !ok")
 		}
 		if got := tr.AppendFirstOutside(nil, 3, 1, 0); len(got) != 0 {
 			t.Error("scan of an empty set should be empty")
@@ -223,47 +286,65 @@ func TestEmpty(t *testing.T) {
 func TestInsertLookupRemove(t *testing.T) {
 	tr := New()
 	tr.Insert(1, 5.0)
-	tr.Insert(2, 3.0)
+	h2 := tr.Insert(2, 3.0)
 	tr.Insert(3, 7.0)
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if k, ok := tr.Key(2); !ok || k != 3.0 {
-		t.Errorf("Key(2) = %v,%v", k, ok)
+	if tr.ID(h2) != 2 || tr.Key(h2) != 3.0 {
+		t.Errorf("handle of (2, 3.0) names (%d, %v)", tr.ID(h2), tr.Key(h2))
 	}
-	if id, k, ok := tr.Min(); !ok || id != 2 || k != 3.0 {
-		t.Errorf("Min = %d,%v,%v", id, k, ok)
+	if h, ok := tr.Min(); !ok || h != h2 {
+		t.Errorf("Min = %d,%v, want handle %d", h, ok, h2)
 	}
-	if !tr.Remove(2) {
-		t.Fatal("Remove(2) failed")
-	}
-	if tr.Contains(2) {
+	tr.Remove(h2)
+	if tr.Len() != 2 {
 		t.Error("2 should be gone")
 	}
-	if id, _, _ := tr.Min(); id != 1 {
-		t.Errorf("new Min = %d, want 1", id)
+	if h, _ := tr.Min(); tr.ID(h) != 1 {
+		t.Errorf("new Min = %d, want 1", tr.ID(h))
 	}
 }
 
+// Inserting an ID that is present is ByID's business: it re-keys the one
+// item. The Tree underneath moves an item by its handle.
 func TestInsertReplaces(t *testing.T) {
+	x := NewByID(New())
+	x.Insert(1, 5.0)
+	x.Insert(1, 1.0) // move down
+	h, _ := x.Min()
+	if x.Len() != 1 || x.ID(h) != 1 || x.Key(h) != 1.0 {
+		t.Fatalf("Len = %d, first item (%d, %v); want one item (1, 1.0): replace, not duplicate", x.Len(), x.ID(h), x.Key(h))
+	}
+	x.Insert(2, 0.5)
+	if m, _ := x.Min(); x.ID(m) != 2 {
+		t.Errorf("Min = item %d, want 2", x.ID(m))
+	}
+	x.Rekey(h, 0.1) // arbitrary downward move, impossible in plain LRU
+	if m, _ := x.Min(); m != h {
+		t.Errorf("Min = item %d, want 1 after re-keying", x.ID(m))
+	}
+}
+
+// A removed item's handle goes to the next Insert, so a caller's table
+// indexed by handle stays as small as the set's high-water mark.
+func TestHandlesAreRecycled(t *testing.T) {
 	tr := New()
-	h := tr.Insert(1, 5.0)
-	if tr.Insert(1, 1.0) != h { // move down
-		t.Error("re-keying Insert returned a different handle")
+	var hs []Handle
+	for i := uint64(0); i < 8; i++ {
+		hs = append(hs, tr.Insert(i, float64(i)))
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (replace, not duplicate)", tr.Len())
+	tr.Remove(hs[3])
+	tr.Remove(hs[5])
+	a, b := tr.Insert(100, 1), tr.Insert(101, 2)
+	if a != hs[5] || b != hs[3] {
+		t.Errorf("reissued handles %d, %d; want the freed %d, %d", a, b, hs[5], hs[3])
 	}
-	if k, _ := tr.Key(1); k != 1.0 {
-		t.Errorf("Key = %v, want 1.0", k)
+	if tr.ID(a) != 100 || tr.ID(b) != 101 {
+		t.Error("a recycled handle names its new item")
 	}
-	tr.Insert(2, 0.5)
-	if id, _, _ := tr.Min(); id != 2 {
-		t.Errorf("Min = %d, want 2", id)
-	}
-	tr.Rekey(h, 0.1) // arbitrary downward move, impossible in plain LRU
-	if id, _, _ := tr.Min(); id != 1 {
-		t.Errorf("Min = %d, want 1 after re-keying", id)
+	if h := tr.Insert(102, 3); int(h) != 9 {
+		t.Errorf("with no handle free the next is %d, want 9", h)
 	}
 }
 
@@ -281,10 +362,12 @@ func TestNaNPanics(t *testing.T) {
 	tr := New()
 	h := tr.Insert(1, 1)
 	mustPanic(t, "NaN key on Insert", func() { tr.Insert(2, math.NaN()) })
-	mustPanic(t, "NaN key on a re-keying Insert", func() { tr.Insert(1, math.NaN()) })
 	mustPanic(t, "NaN key on Rekey", func() { tr.Rekey(h, math.NaN()) })
-	if k, _ := tr.Key(1); tr.Len() != 1 || k != 1 {
-		t.Errorf("a rejected key changed the set: Len %d, Key(1) %v", tr.Len(), k)
+	if tr.Len() != 1 || tr.Key(h) != 1 {
+		t.Errorf("a rejected key changed the set: Len %d, Key %v", tr.Len(), tr.Key(h))
+	}
+	if again := tr.Insert(2, 2); again != h+1 {
+		t.Errorf("a rejected Insert consumed a handle: next is %d", again)
 	}
 }
 
@@ -292,9 +375,16 @@ func TestStaleHandlePanics(t *testing.T) {
 	tr := New()
 	h := tr.Insert(1, 1)
 	tr.Insert(2, 2)
-	tr.Remove(1)
-	mustPanic(t, "Rekey of a removed item", func() { tr.Rekey(h, 3) })
-	mustPanic(t, "Rekey of the zero handle", func() { tr.Rekey(0, 3) })
+	tr.Remove(h)
+	for _, stale := range []Handle{h, 0, -1, 3, 1 << 20} {
+		mustPanic(t, "Rekey of a handle naming nothing", func() { tr.Rekey(stale, 3) })
+		mustPanic(t, "Remove of a handle naming nothing", func() { tr.Remove(stale) })
+		mustPanic(t, "ID of a handle naming nothing", func() { tr.ID(stale) })
+		mustPanic(t, "Key of a handle naming nothing", func() { tr.Key(stale) })
+	}
+	if tr.Len() != 1 {
+		t.Errorf("a refused handle changed the set: Len %d", tr.Len())
+	}
 }
 
 func TestDuplicateKeysOrderedByID(t *testing.T) {
@@ -322,16 +412,25 @@ func TestPopMinPopMax(t *testing.T) {
 		desc.Insert(i, float64(i))
 	}
 	for want := uint64(0); want < 10; want++ {
-		if id, key, _ := asc.Min(); id != want || key != float64(want) || !asc.Remove(id) {
+		h, _ := asc.Min()
+		if id, key := asc.ID(h), asc.Key(h); id != want || key != float64(want) {
 			t.Fatalf("pop min = %d (%v), want %d", id, key, want)
 		}
-		if id, _, _ := desc.Min(); id != 9-want || !desc.Remove(id) {
+		asc.Remove(h)
+		h, _ = desc.Min()
+		if id := desc.ID(h); id != 9-want {
 			t.Fatalf("pop max = %d, want %d", id, 9-want)
 		}
+		desc.Remove(h)
 	}
 	if asc.Len() != 0 || desc.Len() != 0 {
 		t.Errorf("Len = %d, %d after popping everything", asc.Len(), desc.Len())
 	}
+}
+
+// scanIDs runs the victim scan and names the items it returned.
+func scanIDs(tr *Tree, n int, lo, hi uint64) []uint64 {
+	return ids(tr, tr.AppendFirstOutside(nil, n, lo, hi))
 }
 
 func TestSmallestExcluding(t *testing.T) {
@@ -339,17 +438,17 @@ func TestSmallestExcluding(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		tr.Insert(i, float64(i))
 	}
-	if got := tr.AppendFirstOutside(nil, 3, 1, 2); !slices.Equal(got, []uint64{0, 3, 4}) {
+	if got := scanIDs(tr, 3, 1, 2); !slices.Equal(got, []uint64{0, 3, 4}) {
 		t.Fatalf("first 3 outside [1,2] = %v, want [0 3 4]", got)
 	}
 	if got := tr.AppendFirstOutside(nil, 0, 1, 0); got != nil {
 		t.Error("n=0 should return dst untouched")
 	}
 	// Asking for more than available (after exclusions).
-	if got := tr.AppendFirstOutside(nil, 5, 0, 8); !slices.Equal(got, []uint64{9}) {
+	if got := scanIDs(tr, 5, 0, 8); !slices.Equal(got, []uint64{9}) {
 		t.Errorf("got %v, want [9]", got)
 	}
-	if got := tr.AppendFirstOutside(nil, 5, 0, 9); len(got) != 0 {
+	if got := scanIDs(tr, 5, 0, 9); len(got) != 0 {
 		t.Errorf("got %v with every item excluded", got)
 	}
 }
@@ -359,13 +458,13 @@ func TestLargestExcluding(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		tr.Insert(i, float64(i))
 	}
-	if got := tr.AppendFirstOutside(nil, 3, 9, 9); !slices.Equal(got, []uint64{8, 7, 6}) {
+	if got := scanIDs(tr, 3, 9, 9); !slices.Equal(got, []uint64{8, 7, 6}) {
 		t.Fatalf("largest 3 outside [9,9] = %v, want [8 7 6]", got)
 	}
 	// Ties run from the largest ID down, +Inf sorts first.
 	tr.Insert(20, math.Inf(1))
 	tr.Insert(21, math.Inf(1))
-	if got := tr.AppendFirstOutside(nil, 3, 1, 0); !slices.Equal(got, []uint64{21, 20, 9}) {
+	if got := scanIDs(tr, 3, 1, 0); !slices.Equal(got, []uint64{21, 20, 9}) {
 		t.Fatalf("largest 3 = %v, want [21 20 9]", got)
 	}
 }
@@ -383,49 +482,36 @@ func TestAscendDescendEarlyStop(t *testing.T) {
 	}
 }
 
-// Model-based property: random insert/re-key/remove/pop operations
-// leave the heap and the reference treap indistinguishable.
+// Model-based property: random insert/re-key/remove/pop operations, all
+// by handle, leave the heap and the reference treap indistinguishable.
 func TestAgainstReferenceModel(t *testing.T) {
 	f := func(seed int64, desc bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr, ref := New(), newRef()
-		tr.desc = desc
-		handles := map[uint64]Handle{}
+		m := newModel(desc)
 		for op := 0; op < 400; op++ {
 			id := uint64(rng.Intn(50))
 			key := math.Floor(rng.Float64()*100) / 4 // force duplicate keys
 			switch rng.Intn(6) {
-			case 0, 1, 2: // insert/replace
-				handles[id] = tr.Insert(id, key)
-				ref.insert(id, key)
-			case 3: // re-key by handle
-				if h, ok := handles[id]; ok {
-					tr.Rekey(h, key)
-					ref.insert(id, key)
-				}
+			case 0, 1, 2, 3: // insert, or re-key by the handle held
+				m.upsert(id, key)
 			case 4: // remove
-				if tr.Remove(id) != ref.remove(id) {
-					return false
-				}
-				delete(handles, id)
+				m.remove(id)
 			case 5: // pop
-				if id, _, ok := tr.Min(); ok {
-					tr.Remove(id)
-					ref.remove(id)
-					delete(handles, id)
+				if h, ok := m.tr.Min(); ok {
+					m.remove(m.tr.ID(h))
 				}
 			}
 			lo := uint64(rng.Intn(50))
 			hi := lo + uint64(rng.Intn(12)) - 2
 			n := rng.Intn(8)
-			if !slices.Equal(tr.AppendFirstOutside(nil, n, lo, hi), ref.firstOutside(desc, n, lo, hi)) {
+			if !slices.Equal(scanIDs(m.tr, n, lo, hi), m.ref.firstOutside(desc, n, lo, hi)) {
 				return false
 			}
-			if op%20 == 0 && checkAgainst(tr, ref) != "" {
+			if op%20 == 0 && m.check() != "" {
 				return false
 			}
 		}
-		return checkAgainst(tr, ref) == ""
+		return m.check() == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -433,61 +519,61 @@ func TestAgainstReferenceModel(t *testing.T) {
 }
 
 // FuzzOrderedSetVsReference drives both orders of the set and the
-// reference treap with one operation per three input bytes: duplicate
-// keys, ±Inf, NaN (must panic and change nothing), re-keys by handle
-// and by ID, and scans whose excluded range covers none, some or all of
-// the items. Every observable is compared after every operation.
+// reference treap with one operation per three input bytes, every one
+// through a handle: duplicate keys, ±Inf, NaN (must panic and change
+// nothing), re-keys, removals whose handles the next inserts reuse,
+// stale handles (must panic and change nothing), and scans whose
+// excluded range covers none, some or all of the items and whose
+// handles must name the reference's items in the reference's order.
+// Every observable is compared after every operation.
 func FuzzOrderedSetVsReference(f *testing.F) {
 	f.Add(false, []byte{0, 1, 2, 0, 2, 2, 8, 1, 7, 24, 0, 31, 16, 1, 0})
 	f.Add(true, []byte{0, 1, 14, 0, 2, 14, 0, 3, 15, 24, 9, 0, 40, 2, 13, 32, 3, 0})
 	f.Add(false, []byte{0, 5, 13, 1, 5, 12, 2, 5, 3, 25, 0, 0, 26, 31, 0})
+	f.Add(false, []byte{0, 1, 3, 0, 2, 4, 32, 1, 0, 48, 0, 5, 0, 9, 1, 48, 0, 5})
 	keys := []float64{math.Inf(-1), -2.5, -1, 0, 0.25, 1, 1, 1, 2, 3, 1e9, 1e18, math.Inf(1), math.Inf(1), math.NaN(), math.NaN()}
 	f.Fuzz(func(t *testing.T, desc bool, ops []byte) {
-		tr, ref := New(), newRef()
-		tr.desc = desc
-		handles := map[uint64]Handle{}
+		m := newModel(desc)
 		for ; len(ops) >= 3; ops = ops[3:] {
 			op, id, arg := ops[0]>>3, uint64(ops[1]%32), ops[2]
 			key := keys[arg%16]
-			switch op % 6 {
-			case 0, 1: // upsert by ID
+			switch op % 7 {
+			case 0, 1, 2: // insert, or re-key by the handle held
 				if math.IsNaN(key) {
-					mustPanic(t, "NaN Insert", func() { tr.Insert(id, key) })
+					if h, ok := m.handles[id]; ok {
+						mustPanic(t, "NaN Rekey", func() { m.tr.Rekey(h, key) })
+					} else {
+						mustPanic(t, "NaN Insert", func() { m.tr.Insert(id, key) })
+					}
 					break
 				}
-				handles[id] = tr.Insert(id, key)
-				ref.insert(id, key)
-			case 2: // re-key by handle
-				h, ok := handles[id]
-				if !ok {
-					break
-				}
-				if math.IsNaN(key) {
-					mustPanic(t, "NaN Rekey", func() { tr.Rekey(h, key) })
-					break
-				}
-				tr.Rekey(h, key)
-				ref.insert(id, key)
+				m.upsert(id, key)
 			case 3: // scan: first n outside [lo, hi]
 				n, lo, hi := int(ops[0]&7)*3, id, uint64(arg%34)
-				got, want := tr.AppendFirstOutside([]uint64{77}, n, lo, hi), ref.firstOutside(desc, n, lo, hi)
-				if got[0] != 77 || !slices.Equal(got[1:], want) {
-					t.Fatalf("first %d outside [%d,%d] = %v, want 77 then %v", n, lo, hi, got, want)
+				got, want := m.tr.AppendFirstOutside([]Handle{77}, n, lo, hi), m.ref.firstOutside(desc, n, lo, hi)
+				if got[0] != 77 || !slices.Equal(ids(m.tr, got[1:]), want) {
+					t.Fatalf("first %d outside [%d,%d] = %v, want 77 then handles of %v", n, lo, hi, got, want)
 				}
 			case 4: // remove
-				if got, want := tr.Remove(id), ref.remove(id); got != want {
-					t.Fatalf("Remove(%d) = %v, want %v", id, got, want)
-				}
-				delete(handles, id)
+				m.remove(id)
 			case 5: // pop the first item
-				if first, _, ok := tr.Min(); ok {
-					tr.Remove(first)
-					ref.remove(first)
-					delete(handles, first)
+				if h, ok := m.tr.Min(); ok {
+					m.remove(m.tr.ID(h))
 				}
+			case 6: // a handle that was removed, unless an insert has reused it
+				if len(m.gone) == 0 {
+					break
+				}
+				h := m.gone[int(arg)%len(m.gone)]
+				if m.live(h) {
+					break
+				}
+				mustPanic(t, "Rekey of a removed item", func() { m.tr.Rekey(h, 1) })
+				mustPanic(t, "Remove of a removed item", func() { m.tr.Remove(h) })
+				mustPanic(t, "ID of a removed item", func() { m.tr.ID(h) })
 			}
-			if msg := checkAgainst(tr, ref); msg != "" {
-				t.Fatalf("after op %d on id %d: %s", op%6, id, msg)
+			if msg := m.check(); msg != "" {
+				t.Fatalf("after op %d on id %d: %s", op%7, id, msg)
 			}
 		}
 	})
@@ -563,46 +649,42 @@ func TestAppendSmallestExcludingRange(t *testing.T) {
 	// every requested count.
 	for _, r := range [][2]uint64{{10, 20}, {0, 63}, {50, 40}, {63, 200}} {
 		for n := 0; n <= 70; n += 7 {
-			got, want := tr.AppendFirstOutside(nil, n, r[0], r[1]), ref.firstOutside(false, n, r[0], r[1])
+			got, want := scanIDs(tr, n, r[0], r[1]), ref.firstOutside(false, n, r[0], r[1])
 			if !slices.Equal(got, want) {
 				t.Fatalf("n=%d outside %v: got %v, want %v", n, r, got, want)
 			}
 		}
 	}
 	// Appending to a non-empty dst keeps the prefix.
-	got := tr.AppendFirstOutside([]uint64{999}, 2, 10, 20)
-	if len(got) != 3 || got[0] != 999 || !slices.Equal(got[1:], ref.firstOutside(false, 2, 10, 20)) {
+	got := tr.AppendFirstOutside([]Handle{999}, 2, 10, 20)
+	if len(got) != 3 || got[0] != 999 || !slices.Equal([]uint64{tr.ID(got[1]), tr.ID(got[2])}, ref.firstOutside(false, 2, 10, 20)) {
 		t.Errorf("append to prefix: %v", got)
 	}
 }
 
 // TestSteadyStateAllocFree pins that once a set has reached its
-// high-water item count, the evict-then-fill cycle (Remove one id,
-// Insert a new one), the re-key path and the victim scan allocate
-// nothing.
+// high-water item count, the evict-then-fill cycle (Remove the first
+// item, Insert a new one), the re-key path and the victim scan allocate
+// nothing: with no ID map to rehash, not even now and then.
 func TestSteadyStateAllocFree(t *testing.T) {
 	tr := New()
+	var h Handle
 	for i := uint64(0); i < 1024; i++ {
-		tr.Insert(i, float64(i))
+		h = tr.Insert(i, float64(i))
 	}
 	next := uint64(1024)
-	evict := uint64(0)
-	allocs := testing.AllocsPerRun(200, func() {
-		tr.Remove(evict)
-		tr.Insert(next, float64(next))
-		evict++
+	allocs := testing.AllocsPerRun(2000, func() {
+		first, _ := tr.Min()
+		tr.Remove(first)
+		h = tr.Insert(next, float64(next))
 		next++
 	})
-	// The byID map may occasionally rehash; anything beyond that means
-	// handles or heap slots are not being reused.
-	if allocs > 0.5 {
-		t.Errorf("steady-state Remove+Insert allocates %.2f/op, want ~0", allocs)
+	if allocs != 0 {
+		t.Errorf("steady-state Remove+Insert allocates %.2f/op, want 0", allocs)
 	}
-	rekey := uint64(500)
-	h := tr.Insert(rekey, 500)
 	allocs = testing.AllocsPerRun(200, func() {
-		k, _ := tr.Key(rekey)
-		tr.Insert(rekey, k+1e6)
+		k := tr.Key(h)
+		tr.Rekey(h, -1)
 		tr.Rekey(h, k)
 	})
 	if allocs != 0 {
@@ -617,15 +699,46 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-var scratch = make([]uint64, 0, 16)
+var scratch = make([]Handle, 0, 16)
+
+// ByID is the upsert-by-ID view lruk, gdsp, belady and psychic use: its
+// index and the set must stay in step through re-keys and removals.
+func TestByID(t *testing.T) {
+	x := NewByID(NewDescending())
+	for i := uint64(0); i < 6; i++ {
+		x.Insert(i, float64(i))
+	}
+	x.Insert(2, 10) // re-key, not a second item
+	if x.Len() != 6 || !x.Contains(2) || x.Contains(6) {
+		t.Fatalf("Len %d, Contains(2) %v, Contains(6) %v", x.Len(), x.Contains(2), x.Contains(6))
+	}
+	victims := x.AppendFirstOutside(nil, 2, 5, 5)
+	if len(victims) != 2 || x.ID(victims[0]) != 2 || x.Key(victims[0]) != 10 || x.ID(victims[1]) != 4 {
+		t.Fatalf("first 2 outside [5,5] of the descending set: %v", victims)
+	}
+	if id := x.Remove(victims[0]); id != 2 || x.Contains(2) || x.Len() != 5 {
+		t.Errorf("Remove returned %d; Contains(2) %v, Len %d", id, x.Contains(2), x.Len())
+	}
+	x.Insert(2, -1) // back, as a new item at the far end
+	var ids []uint64
+	x.Ascend(func(id uint64, _ float64) bool { ids = append(ids, id); return true })
+	if !slices.Equal(ids, []uint64{5, 4, 3, 1, 0, 2}) {
+		t.Errorf("Ascend = %v, want [5 4 3 1 0 2]", ids)
+	}
+}
 
 func BenchmarkInsertRemove(b *testing.B) {
 	tr := New()
 	rng := rand.New(rand.NewSource(1))
+	hs := make([]Handle, 4096)
+	for i := range hs {
+		hs[i] = tr.Insert(uint64(i), rng.Float64())
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := uint64(i % 4096)
-		tr.Insert(id, rng.Float64())
+		id := i % 4096
+		tr.Remove(hs[id])
+		hs[id] = tr.Insert(uint64(id), rng.Float64())
 	}
 }
 

@@ -47,16 +47,16 @@ type Cache struct {
 	ix   *Index
 	pos  int
 
-	tree       *ordtree.Tree    // cached chunks by descending next-request time (+Inf if none)
+	tree       *ordtree.ByID    // cached chunks by descending next-request time (+Inf if none)
 	insertedAt map[uint64]int64 // chunk key -> fill time (residence tracking)
 
 	residSum   float64 // accumulated residence of evicted chunks
 	residCount int64
 
 	firstTime int64
-	traceSpan float64  // duration of the whole indexed trace
-	buf       []int64  // scratch for AppendNextTimes
-	victims   []uint64 // eviction-scan scratch, reused
+	traceSpan float64          // duration of the whole indexed trace
+	buf       []int64          // scratch for AppendNextTimes
+	victims   []ordtree.Handle // eviction-scan scratch, reused
 }
 
 // New builds a Psychic cache over the full request sequence reqs. The
@@ -98,7 +98,7 @@ func New(cfg core.Config, alpha float64, reqs []trace.Request, opt Options) (*Ca
 		opt:        opt,
 		reqs:       reqs,
 		ix:         ix,
-		tree:       ordtree.NewDescending(),
+		tree:       ordtree.NewByID(ordtree.NewDescending()),
 		insertedAt: make(map[uint64]int64),
 		firstTime:  first,
 		traceSpan:  span,
@@ -186,7 +186,7 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	}
 
 	serve := false
-	var victims []uint64
+	var victims []ordtree.Handle
 	free := c.cfg.DiskChunks - c.tree.Len()
 	needEvict := len(missing) - free
 	if needEvict < 0 {
@@ -208,23 +208,29 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		}
 		serve = costServe < costRedirect
 	default:
+		window := c.CacheAge(now)
+		costRedirect := float64(nChunks) * c.cr
+		for _, id := range missing {
+			costRedirect += c.futureCost(id, now, window)
+		}
+		// Every victim adds a cost >= 0 to the fills, and adding a
+		// non-negative float never lowers a sum: if the fills alone are
+		// not cheaper than redirecting, no victim set makes serving so,
+		// and the request redirects without a scan.
+		costServe := float64(len(missing)) * c.cf
+		if !(costServe < costRedirect) {
+			break
+		}
 		// The requested chunks are one contiguous packed-key range and
 		// are never their own victims.
 		victims = c.tree.AppendFirstOutside(c.victims[:0], needEvict,
 			chunk.ID{Video: r.Video, Index: c0}.Key(), chunk.ID{Video: r.Video, Index: c1}.Key())
 		c.victims = victims
 		if len(victims) < needEvict {
-			serve = false
 			break
 		}
-		window := c.CacheAge(now)
-		costServe := float64(len(missing)) * c.cf
-		for _, vid := range victims {
-			costServe += c.futureCost(chunk.FromKey(vid), now, window)
-		}
-		costRedirect := float64(nChunks) * c.cr
-		for _, id := range missing {
-			costRedirect += c.futureCost(id, now, window)
+		for _, h := range victims {
+			costServe += c.futureCost(chunk.FromKey(c.tree.ID(h)), now, window)
 		}
 		serve = costServe < costRedirect
 	}
@@ -235,9 +241,8 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	}
 
 	evicted := make([]chunk.ID, 0, len(victims))
-	for _, vid := range victims {
-		c.evict(vid, now)
-		evicted = append(evicted, chunk.FromKey(vid))
+	for _, h := range victims {
+		evicted = append(evicted, chunk.FromKey(c.evict(h, now)))
 	}
 	for _, id := range missing {
 		c.insertedAt[id.Key()] = now
@@ -269,11 +274,13 @@ func (c *Cache) rekeyCached(v chunk.VideoID, c0, c1 uint32) {
 	}
 }
 
-func (c *Cache) evict(vid uint64, now int64) {
-	c.tree.Remove(vid)
+// evict removes the chunk h names from the disk and returns its key.
+func (c *Cache) evict(h ordtree.Handle, now int64) uint64 {
+	vid := c.tree.Remove(h)
 	if t0, ok := c.insertedAt[vid]; ok {
 		c.residSum += float64(now - t0)
 		c.residCount++
 		delete(c.insertedAt, vid)
 	}
+	return vid
 }
