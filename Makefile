@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-replay bench-edge bench-store bench-all bench-smoke bench-check bench-policy perf-gate experiments experiments-small fmt vet clean
+.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-smoke bench-check bench-policy bench-store experiments experiments-small fmt vet clean
 
 all: build test
 
@@ -56,34 +56,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzPolicyConfig -fuzztime=30s ./internal/policy/
 	$(GO) test -fuzz=FuzzOrderedSetVsReference -fuzztime=30s ./internal/ordtree/
 
-bench: bench-replay
+bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable replay-engine benchmark (sequential vs parallel
-# sharded replay + per-request allocation profile) — commit the JSON to
-# track the performance trajectory across PRs.
-bench-replay:
-	$(GO) run ./cmd/benchreplay -o BENCH_replay.json
-
-# Live-load edge benchmark: closed-loop Zipf workload over the real
-# HTTP server at 1/2/4/8 shards (throughput, p50/p99, allocs/request)
-# plus the isolated cache-hit serve path (expected: 0 allocs/op).
-bench-edge:
-	$(GO) run ./cmd/benchedge -o BENCH_edge.json
-
-# Chunk-store microbenchmark: Put/Get/put+delete/recovery-scan for the
-# mem, fs, slab, slab-mmap and tiered backends, the zero-copy GetBorrow
-# path, the tier hit breakdown, and the slab-vs-fs / tiered-vs-slab
-# speedup summaries the disk layer's trajectory tracks (targets: ≥5x
-# each, 0-alloc Get).
-bench-store:
-	$(GO) run ./cmd/benchstore -o BENCH_store.json
-
-# Regenerate all three committed benchmark baselines in one shot. Run
-# this on the machine whose numbers the baselines should record (each
-# report stamps cpus/gomaxprocs; perfgate widens its tolerances when a
-# rerun lands on a machine with a different CPU count).
-bench-all: bench-store bench-edge bench-replay
 
 # One-iteration pass over every go-test benchmark in the tree — the
 # same compile-and-run smoke CI uses to keep benchmarks from bit-rotting
@@ -104,16 +78,10 @@ bench-check:
 bench-policy:
 	$(GO) test -run '^$$' -bench HandleRequestEurope -benchtime 5x ./internal/cafe
 
-# Perf-regression smoke gate (also run in CI): regenerate all three
-# benchmark reports at smoke size and compare against the committed
-# baselines. Fails only on order-of-magnitude regressions — ns/op or
-# cpu-sec/GB growth, throughput collapse, fill-memory blowup — or a
-# zero-alloc path starting to allocate; safe on small noisy CI boxes.
-perf-gate:
-	$(GO) run ./cmd/benchstore -o /tmp/bench_store_smoke.json
-	$(GO) run ./cmd/benchedge -shards 1 -concurrency 8 -requests 2000 -warmup 500 -videos 64 -servepath-mb 64 -o /tmp/bench_edge_smoke.json
-	$(GO) run ./cmd/benchreplay -requests-per-day 4000 -days 2 -disk-chunks 512 -o /tmp/bench_replay_smoke.json
-	$(GO) run ./cmd/perfgate BENCH_store.json /tmp/bench_store_smoke.json BENCH_edge.json /tmp/bench_edge_smoke.json BENCH_replay.json /tmp/bench_replay_smoke.json
+# Chunk-store microbenchmarks, the one layer bench/ has no workload for:
+# Put/Get/GetBorrow/GetSection/PutStream/Delete/RecoveryScan per backend.
+bench-store:
+	$(GO) test -run '^$$' -bench Store -benchmem ./internal/store
 
 # Regenerate every figure and table of the paper (plus extensions).
 experiments:

@@ -63,8 +63,6 @@ func main() {
 	hotMB := flag.Int64("hot-mb", 0, "edge mode: RAM hot tier budget in MB (0 disables); it holds copies of hot chunks the store cannot lend zero-copy (-store fs, slab without -store-mmap) and stays empty over one that can (-store mem, -store-mmap)")
 	fillAsync := flag.Bool("fill-async", false, "edge mode: commit fill writes asynchronously (write-behind) instead of on the serve path")
 	fillQueue := flag.Int("fill-queue", 0, "edge mode: per-shard async fill queue depth (0 = default)")
-	fillStreamBuf := flag.Int64("fill-stream-buf", 0, "edge mode: streaming fill buffer in bytes — origin/peer bodies pump through a fixed buffer into the store instead of materializing whole chunks (0 = 256 KiB default, negative = legacy whole-chunk buffering)")
-	noSendfile := flag.Bool("no-sendfile", false, "edge mode: disable the kernel (sendfile) serve path for file-backed cache hits; bytes fall back to the borrow/pooled-copy path")
 	statePath := flag.String("state", "", "cafe state snapshot: loaded on start if present, saved after graceful shutdown (edge mode, cafe only)")
 	statsOut := flag.String("stats-out", "", "write the final stats snapshot (JSON) here after graceful shutdown (edge mode)")
 	minMB := flag.Int64("origin-min-mb", 8, "origin catalog min video size (MB)")
@@ -175,8 +173,6 @@ func main() {
 		srvCfg.AsyncFills = *fillAsync
 		srvCfg.FillQueueDepth = *fillQueue
 		srvCfg.HotBytes = *hotMB << 20
-		srvCfg.FillStreamBuf = *fillStreamBuf
-		srvCfg.DisableSendfile = *noSendfile
 
 		// Cluster wiring: a shared member view, a rendezvous router, a
 		// breaker-guarded peer client the edge consults before the

@@ -69,8 +69,7 @@ func BenchmarkEdgeHitPath(b *testing.B) {
 // BenchmarkHitStream measures the byte-moving half of the cache-hit
 // serve path — store read through the pooled chunk buffer, range
 // slicing, write-out — with no HTTP machinery. This is the path the
-// "0 allocs/request" acceptance tracks (see TestStreamRangeZeroAllocs
-// and BENCH_edge.json's serve_path section).
+// "0 allocs/request" acceptance tracks (see TestStreamRangeZeroAllocs).
 func BenchmarkHitStream(b *testing.B) {
 	s, span := warmHitServer(b)
 	ctx := context.Background()
@@ -142,8 +141,8 @@ func (d *discardResponseWriter) WriteHeader(code int)        { d.status = code }
 
 // BenchmarkEdgeHitPathSharded measures end-to-end HTTP throughput of
 // concurrent cache-hit requests against 1-shard vs 8-shard servers
-// (RunParallel drives GOMAXPROCS client goroutines; cmd/benchedge is
-// the fuller closed-loop harness with Zipf load and percentiles).
+// (RunParallel drives GOMAXPROCS client goroutines; bench/ is the
+// closed-loop harness with skewed load and percentiles).
 func BenchmarkEdgeHitPathSharded(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -190,20 +189,21 @@ func BenchmarkEdgeHitPathSharded(b *testing.B) {
 
 // BenchmarkFillPath compares the fill pipelines end to end — an origin
 // body committed into a file-backed store — streaming through the
-// fixed 64 KiB scratch buffer vs the whole-chunk buffer, one chunk per
-// origin request (/chunk), and run4, the four missing chunks of one range as
-// one streamed run. us/chunk and allocs/chunk make the three
-// comparable; the stream variants' B/op must not scale with the chunk
-// size (see TestStreamingFillMemoryBound for the hard bound).
+// pooled scratch buffer vs the whole-chunk buffer of a store that takes
+// no streams, one chunk per origin request (/chunk), and run4, the four
+// missing chunks of one range as one streamed run. us/chunk and
+// allocs/chunk make the three comparable; the stream variants' B/op
+// must not scale with the chunk size (see TestStreamingFillMemoryBound
+// for the hard bound).
 func BenchmarkFillPath(b *testing.B) {
 	const chunkSize = 256 * testK
 	origin := httptest.NewServer(&leanOrigin{size: chunkSize * 4, chunkSize: chunkSize, buf: make([]byte, chunkSize)})
 	b.Cleanup(origin.Close)
 	for _, mode := range []struct {
-		name string
-		buf  int64
-		run  int // chunks per fill
-	}{{"stream", 64 << 10, 1}, {"buffered", -1, 1}, {"run4", 64 << 10, 4}} {
+		name    string
+		streams bool
+		run     int // chunks per fill
+	}{{"stream", true, 1}, {"buffered", false, 1}, {"run4", true, 4}} {
 		b.Run(mode.name, func(b *testing.B) {
 			cache, err := cafe.New(core.Config{ChunkSize: chunkSize, DiskChunks: 64}, 1, cafe.Options{})
 			if err != nil {
@@ -213,12 +213,15 @@ func BenchmarkFillPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var st store.Store = fs
+			if !mode.streams {
+				st = noStreamStore{lendingStore{fs}}
+			}
 			s, err := NewServer(Config{
-				Cache: cache, Store: fs,
+				Cache: cache, Store: st,
 				OriginURL: origin.URL, RedirectURL: "http://secondary.example",
 				ChunkSize: chunkSize, Alpha: 1,
-				Clock:         func() int64 { return 0 },
-				FillStreamBuf: mode.buf,
+				Clock: func() int64 { return 0 },
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -3,8 +3,11 @@ package edge
 // Differential coverage for the kernel serve path and the streaming
 // fill pipeline: the sendfile/streaming machinery may only change
 // which syscalls move the bytes — never a status, a body byte, or a
-// /stats byte. And fills must hold O(FillStreamBuf) memory, not
+// /stats byte. And fills must hold O(fillStreamBuf) memory, not
 // O(chunk).
+//
+// The server picks each path from what its store can do, so a twin on
+// the reference path is built by handing it a store that can do less.
 
 import (
 	"bytes"
@@ -26,10 +29,38 @@ import (
 	"videocdn/internal/store"
 )
 
+// lendingStore forwards a store and its zero-copy reads and nothing
+// else: the base of the two capability-hiding wrappers below.
+type lendingStore struct{ store.Store }
+
+func (l lendingStore) GetBorrow(id chunk.ID) (store.Borrowed, error) {
+	if bg, ok := l.Store.(store.BorrowGetter); ok {
+		return bg.GetBorrow(id)
+	}
+	return store.Borrowed{}, store.ErrNoBorrow
+}
+
+// noSectionStore is a file-backed store that streams its fills but
+// hides GetSection: the server over it serves by borrow and copy.
+type noSectionStore struct{ lendingStore }
+
+func (n noSectionStore) PutStream(id chunk.ID, r io.Reader, max int64, scratch []byte) (int64, error) {
+	return n.Store.(store.StreamPutter).PutStream(id, r, max, scratch)
+}
+
+// noStreamStore is a file-backed store that exposes sections but hides
+// PutStream: the server over it reads every fill whole and Puts it.
+type noStreamStore struct{ lendingStore }
+
+func (n noStreamStore) GetSection(id chunk.ID) (store.Section, error) {
+	return n.Store.(store.SectionGetter).GetSection(id)
+}
+
 // newSendfileVariantServer builds an edge server over a file-backed
-// store with the sendfile path toggled, fronted by its own fault
-// origin (each variant must see an identical fault stream).
-func newSendfileVariantServer(t *testing.T, algo, kind string, disableSendfile bool, clock func() int64) (*Server, *FaultOrigin, string) {
+// store, with or without the store's sections hidden from it, fronted
+// by its own fault origin (each variant must see an identical fault
+// stream).
+func newSendfileVariantServer(t *testing.T, algo, kind string, hideSections bool, clock func() int64) (*Server, *FaultOrigin, string) {
 	t.Helper()
 	catalog := MapCatalog{999: 5000 * testK}
 	for v := chunk.VideoID(1); v <= 32; v++ {
@@ -61,18 +92,20 @@ func newSendfileVariantServer(t *testing.T, algo, kind string, disableSendfile b
 	default:
 		t.Fatalf("unknown store kind %q", kind)
 	}
+	if hideSections {
+		st = noSectionStore{lendingStore{st}}
+	}
 	s, err := NewServer(Config{
-		Shards:          4,
-		CacheFactory:    shardFactory(t, algo, 2),
-		CacheConfig:     core.Config{ChunkSize: testK, DiskChunks: 2048},
-		Store:           st,
-		OriginURL:       origin.URL,
-		RedirectURL:     "http://secondary.example",
-		ChunkSize:       testK,
-		Alpha:           2,
-		Clock:           clock,
-		Retry:           resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: 1e6}, // fast retries; both variants identical
-		DisableSendfile: disableSendfile,
+		Shards:       4,
+		CacheFactory: shardFactory(t, algo, 2),
+		CacheConfig:  core.Config{ChunkSize: testK, DiskChunks: 2048},
+		Store:        st,
+		OriginURL:    origin.URL,
+		RedirectURL:  "http://secondary.example",
+		ChunkSize:    testK,
+		Alpha:        2,
+		Clock:        clock,
+		Retry:        resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: 1e6}, // fast retries; both variants identical
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +190,7 @@ func TestSendfileDifferential(t *testing.T) {
 				onFault.SetConfig(FaultConfig{Seed: 7})
 				phase(60) // converge clean again
 
-				// /stats must be byte-identical — the sendfile toggle is
+				// /stats must be byte-identical — which serve path ran is
 				// invisible to every exported counter.
 				stats := func(base string) string {
 					resp, err := client.Get(base + "/stats")
@@ -172,7 +205,7 @@ func TestSendfileDifferential(t *testing.T) {
 					t.Errorf("/stats diverge:\noff: %s\non:  %s", so, sn)
 				}
 
-				// The toggle must actually toggle: the on-server served
+				// The twins must really differ: the on-server served
 				// file-backed chunks through the kernel path, the
 				// off-server never did.
 				if sendfileSupported {
@@ -229,38 +262,40 @@ func (o *leanOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestStreamingFillMemoryBound pins the O(buffer) claim of streaming
 // fills: a synchronous fill into a file-backed store must allocate on
-// the order of FillStreamBuf, not ChunkSize, and not more for a longer
-// run. 8 chunks of 2 MiB through a 64 KiB buffer — as 8 one-chunk
+// the order of fillStreamBuf, not ChunkSize, and not more for a longer
+// run. 8 chunks of 2 MiB through the 256 KiB buffer — as 8 one-chunk
 // fills, then as one 8-chunk run — must allocate well under one chunk
-// of heap in total; the buffered path (streaming disabled) must
-// allocate at least the full 16 MiB, proving the measurement would
-// catch a regression.
+// of heap in total; the buffered path (a store that takes no streams)
+// must allocate at least the full 16 MiB, proving the measurement
+// would catch a regression.
 func TestStreamingFillMemoryBound(t *testing.T) {
 	const (
 		chunkSize = int64(2 << 20)
 		chunks    = 8
-		streamBuf = int64(64 << 10)
 	)
 	origin := httptest.NewServer(&leanOrigin{size: chunkSize * chunks, chunkSize: chunkSize, buf: make([]byte, chunkSize)})
 	defer origin.Close()
 
-	build := func(fillStreamBuf int64) *Server {
+	build := func(streams bool) *Server {
 		t.Helper()
 		fs, err := store.NewFS(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
+		var st store.Store = fs
+		if !streams {
+			st = noStreamStore{lendingStore{fs}}
+		}
 		s, err := NewServer(Config{
-			Shards:        1,
-			CacheFactory:  shardFactory(t, "cafe", 2),
-			CacheConfig:   core.Config{ChunkSize: chunkSize, DiskChunks: 64},
-			Store:         fs,
-			OriginURL:     origin.URL,
-			RedirectURL:   "http://secondary.example",
-			ChunkSize:     chunkSize,
-			Alpha:         2,
-			Clock:         func() int64 { return 0 },
-			FillStreamBuf: fillStreamBuf,
+			Shards:       1,
+			CacheFactory: shardFactory(t, "cafe", 2),
+			CacheConfig:  core.Config{ChunkSize: chunkSize, DiskChunks: 64},
+			Store:        st,
+			OriginURL:    origin.URL,
+			RedirectURL:  "http://secondary.example",
+			ChunkSize:    chunkSize,
+			Alpha:        2,
+			Clock:        func() int64 { return 0 },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +328,7 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 	}
 
 	for _, run := range []int{1, chunks} {
-		streaming := build(streamBuf)
+		streaming := build(true)
 		if got := measure(streaming, run); got >= chunkSize {
 			t.Errorf("run %d: streaming fills allocated %d bytes for %d×%d chunks; want < one %d-byte chunk",
 				run, got, chunks, chunkSize, chunkSize)
@@ -304,14 +339,14 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 		}
 		// One flight at a time, one scratch buffer per flight, however
 		// many chunks the flight carries.
-		if sp.FillBufPeakBytes != streamBuf {
-			t.Errorf("run %d: peak fill scratch %d bytes, want %d", run, sp.FillBufPeakBytes, streamBuf)
+		if sp.FillBufPeakBytes != fillStreamBuf {
+			t.Errorf("run %d: peak fill scratch %d bytes, want %d", run, sp.FillBufPeakBytes, fillStreamBuf)
 		}
 		if sp.FillBufInFlight != 0 {
 			t.Errorf("run %d: %d scratch bytes still checked out after fills returned", run, sp.FillBufInFlight)
 		}
 
-		buffered := build(-1) // streaming disabled: whole chunks in RAM
+		buffered := build(false) // no PutStream: whole chunks in RAM
 		if got := measure(buffered, run); got < chunkSize*chunks {
 			t.Errorf("run %d: buffered fills allocated %d bytes; expected >= %d — the bound above is not measuring anything",
 				run, got, chunkSize*chunks)

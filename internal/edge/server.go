@@ -122,26 +122,14 @@ type Config struct {
 	// accounting are byte-identical with the tier on or off; only the
 	// tier counters in /stats differ.
 	HotBytes int64
-	// DisableSendfile forces every file-backed hit onto the
-	// borrow/copy serve path even when the store chain can expose
-	// chunks as file sections. A/B switch for benchmarking and the
-	// differential suites; responses and /stats are byte-identical
-	// either way — only which syscall moves the bytes changes.
-	DisableSendfile bool
-	// FillStreamBuf sizes the fixed buffer a streaming fill pumps
-	// origin/peer bytes through on their way into the store, bounding
-	// fill memory at O(buffer) instead of O(chunk) for file-backed
-	// synchronous fills. 0 means 256 KiB; negative disables streaming
-	// fills entirely (whole-chunk buffering, the pre-streaming
-	// behavior, kept for A/B comparison).
-	FillStreamBuf int64
 }
 
-// defaultFillStreamBuf is the streaming-fill scratch size when
-// Config.FillStreamBuf is 0 — large enough to keep syscall count low,
-// small enough that a thousand concurrent fills cost ~¼ GB instead of
-// a thousand chunks.
-const defaultFillStreamBuf = 256 << 10
+// fillStreamBuf is the fixed buffer a streaming fill pumps origin or
+// peer bytes through on their way into the store, bounding fill memory
+// at O(buffer) instead of O(chunk): large enough to keep syscall count
+// low, small enough that a thousand concurrent fills cost ~¼ GB
+// instead of a thousand chunks.
+const fillStreamBuf = 256 << 10
 
 // Server is the HTTP edge cache.
 //
@@ -197,13 +185,13 @@ type Server struct {
 	// section is the store chain's file-section capability: a
 	// file-backed hit is handed to net/http as a bounded reader over
 	// the chunk's own file so the kernel moves the bytes with
-	// sendfile(2). Nil when the store cannot expose sections, on
-	// non-unix builds, or with Config.DisableSendfile.
+	// sendfile(2). Nil when the store cannot expose sections and on
+	// non-unix builds.
 	section store.SectionGetter
 	// streamPut is the store chain's streaming-write capability; fills
 	// pump bytes through a fixed scratch buffer instead of
-	// materializing whole chunks. Nil when streaming fills are
-	// disabled (FillStreamBuf < 0) or the store cannot take streams.
+	// materializing whole chunks. Nil when the store cannot take
+	// streams.
 	streamPut store.StreamPutter
 	// asyncWriteErrs counts deferred store writes that failed and were
 	// rolled back.
@@ -214,8 +202,8 @@ type Server struct {
 	bufs sync.Pool
 
 	// fillBufs pools the fixed-size scratch buffers streaming fills
-	// pump bytes through; the in-flight/peak gauges let tests and
-	// benchedge pin the O(buffer) fill-memory bound empirically.
+	// pump bytes through; the in-flight/peak gauges let tests pin the
+	// O(buffer) fill-memory bound empirically.
 	fillBufs     sync.Pool
 	fillInFlight atomic.Int64
 	fillPeak     atomic.Int64
@@ -445,11 +433,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.FillTimeout <= 0 {
 		cfg.FillTimeout = 15 * time.Second
 	}
-	if cfg.FillStreamBuf == 0 {
-		cfg.FillStreamBuf = defaultFillStreamBuf
-	} else if cfg.FillStreamBuf < 0 {
-		cfg.FillStreamBuf = 0 // explicit opt-out: whole-chunk fills
-	}
 
 	caches := make([]core.Cache, n)
 	if cfg.Cache != nil {
@@ -532,12 +515,10 @@ func NewServer(cfg Config) (*Server, error) {
 		s.cfg.Store = s.writeBehind
 	}
 	s.borrow, _ = s.cfg.Store.(store.BorrowGetter)
-	if !cfg.DisableSendfile && sendfileSupported {
+	if sendfileSupported {
 		s.section, _ = s.cfg.Store.(store.SectionGetter)
 	}
-	if s.cfg.FillStreamBuf > 0 {
-		s.streamPut, _ = s.cfg.Store.(store.StreamPutter)
-	}
+	s.streamPut, _ = s.cfg.Store.(store.StreamPutter)
 	s.mux.HandleFunc("/video", s.handleVideo)
 	s.mux.HandleFunc("/peer/chunk", s.handlePeerChunk)
 	s.mux.HandleFunc("/stats", s.handleStats)
@@ -857,10 +838,11 @@ func requestBytesHint(r *http.Request) int64 {
 // w: the byte-moving half of the cache-hit serve path (pooled chunk
 // buffer, zero steady-state heap allocations), without HTTP parsing or
 // decision-engine involvement. Chunks the store lost self-heal from
-// origin exactly as in normal serving. It exists for benchmark
-// harnesses (cmd/benchedge, BenchmarkHitStream) that need to measure
-// the serve path without net/http noise; it does not touch the Eq. 2
-// counters — callers must have driven the decision engine already.
+// origin exactly as in normal serving. It exists for the benchmarks
+// and alloc pins (BenchmarkHitStream, TestStreamRangeZeroAllocs) that
+// measure the serve path without net/http noise; it does not touch the
+// Eq. 2 counters — callers must have driven the decision engine
+// already.
 func (s *Server) StreamRange(ctx context.Context, w io.Writer, v chunk.VideoID, b0, b1 int64) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1287,7 +1269,7 @@ func (t *trackReader) Read(p []byte) (int, error) {
 // body into the store chunk by chunk: ChunkSize bytes each, the last
 // what remains of the Content-Length. A streaming store takes each
 // chunk through the pooled scratch buffer, so fill memory is
-// O(FillStreamBuf) whatever the run length (an async pipeline
+// O(fillStreamBuf) whatever the run length (an async pipeline
 // materializes by design; see store.WriteBehind.PutStream); otherwise
 // each chunk is read whole and Put. n is the bytes committed, also on
 // error, for the caller to take back. 5xx and transport/truncation
@@ -1346,7 +1328,7 @@ func (s *Server) fillRun(ctx context.Context, u *url.URL, run []chunk.ID) (n int
 func (s *Server) fillScratchGet() *[]byte {
 	bp, _ := s.fillBufs.Get().(*[]byte)
 	if bp == nil {
-		b := make([]byte, s.cfg.FillStreamBuf)
+		b := make([]byte, fillStreamBuf)
 		bp = &b
 	}
 	cur := s.fillInFlight.Add(int64(len(*bp)))

@@ -329,8 +329,7 @@ func TestShardedConfigValidation(t *testing.T) {
 
 // TestStreamRangeZeroAllocs asserts the steady-state cache-hit serve
 // path — store read through the pooled chunk buffer, range slicing,
-// writing — performs zero heap allocations per request. This is the
-// invariant BENCH_edge.json's serve_path section tracks.
+// writing — performs zero heap allocations per request.
 func TestStreamRangeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is deliberately pessimized under -race")

@@ -1,7 +1,7 @@
 // Package policy is the registry every caching algorithm in this
 // repository registers itself with: one name, one config schema, one
 // factory. Drivers (cdnsim, the HTTP edge server, the oracle checker,
-// the figure suite, benchedge) resolve policies exclusively through
+// the figure suite, bench/) resolve policies exclusively through
 // this registry, so adding a contender is one package plus one
 // Register call — never another switch statement in six files.
 //

@@ -25,9 +25,17 @@ func stores(t *testing.T) map[string]Store {
 	t.Cleanup(func() { slab.Close() })
 	wb := NewWriteBehind(NewMem(), WriteBehindConfig{Stripes: 2, QueueDepth: 8})
 	t.Cleanup(func() { wb.Close() })
+	// A slab read by pread cannot lend: the one cold store over which the
+	// hot tier holds copies of its own.
+	cold, err := NewSlab(t.TempDir(), testSlabConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cold.Close() })
 	out := map[string]Store{
 		"mem": NewMem(), "fs": fs, "slab": slab, "writebehind": wb,
-		"tiered": NewTiered(NewMem(), TieredConfig{HotBytes: 1 << 20, Stripes: 2}),
+		"tiered":       NewTiered(NewMem(), TieredConfig{HotBytes: 1 << 20, Stripes: 2}),
+		"tiered-pread": NewTiered(cold, TieredConfig{HotBytes: 1 << 20, Stripes: 2}),
 	}
 	if mmapSupported {
 		cfg := testSlabConfig()
@@ -231,6 +239,54 @@ func TestGetReusesBufferCapacity(t *testing.T) {
 			small, err := s.Get(id, make([]byte, 0, 8))
 			if err != nil || !bytes.Equal(small, payload) {
 				t.Errorf("Get with small buf = %q, %v", small, err)
+			}
+		})
+	}
+}
+
+// TestReadsZeroAllocs: a Get into a buffer with room and a GetBorrow
+// allocate nothing, for every backend that promises it — fs opens a
+// file per read and is the one exception. The first read is warm-up:
+// it is where the hot tier promotes and the slab opens its descriptor.
+func TestReadsZeroAllocs(t *testing.T) {
+	for name, s := range stores(t) {
+		if name == "fs" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			id := chunk.ID{Video: 3, Index: 2}
+			payload := bytes.Repeat([]byte{7}, 1024)
+			if err := s.Put(id, payload); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 0, len(payload))
+			get := func() {
+				if got, err := s.Get(id, buf[:0]); err != nil || len(got) != len(payload) {
+					t.Fatalf("Get = %d bytes, %v", len(got), err)
+				}
+			}
+			get()
+			if allocs := testing.AllocsPerRun(100, get); allocs != 0 {
+				t.Errorf("Get allocates %v times per op into a reused buffer, want 0", allocs)
+			}
+			bg, ok := s.(BorrowGetter)
+			if !ok {
+				return
+			}
+			if br, err := bg.GetBorrow(id); errors.Is(err, ErrNoBorrow) {
+				return // a store that cannot lend says so; Get above is its read path
+			} else if err == nil {
+				br.Release()
+			}
+			borrow := func() {
+				br, err := bg.GetBorrow(id)
+				if err != nil || len(br.Data) != len(payload) {
+					t.Fatalf("GetBorrow = %d bytes, %v", len(br.Data), err)
+				}
+				br.Release()
+			}
+			if allocs := testing.AllocsPerRun(100, borrow); allocs != 0 {
+				t.Errorf("GetBorrow allocates %v times per op, want 0", allocs)
 			}
 		})
 	}

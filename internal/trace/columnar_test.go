@@ -296,3 +296,53 @@ func TestColumnarDetectsCorruption(t *testing.T) {
 		corrupt(t, func(b []byte) []byte { b[len(b)-segTrailerSize-5] ^= 0x01; return b })
 	})
 }
+
+// TestCursorNextZeroAllocs pins the replay engine's innermost loop: once
+// a cursor has loaded its first block (where the column slices and the
+// pread buffer are allocated), Next allocates nothing — across block
+// boundaries, for the in-memory slice cursor and for the columnar
+// reader over pread and over mmap.
+func TestCursorNextZeroAllocs(t *testing.T) {
+	const blockRequests = 64
+	reqs := genRequests(40*blockRequests, 5)
+	dir := filepath.Join(t.TempDir(), "trace")
+	writeDir(t, dir, reqs, DirConfig{BlockRequests: blockRequests})
+
+	columnar := func(opts ReadOptions) func() (Cursor, error) {
+		return func() (Cursor, error) {
+			d, err := OpenDir(dir, &opts)
+			if err != nil {
+				return nil, err
+			}
+			return d.Cursor(0)
+		}
+	}
+	open := map[string]func() (Cursor, error){
+		"slice":          func() (Cursor, error) { return Slice(reqs).Cursor(0) },
+		"columnar-pread": columnar(ReadOptions{}),
+	}
+	if MmapSupported() {
+		open["columnar-mmap"] = columnar(ReadOptions{Mmap: true})
+	}
+	for name, openCursor := range open {
+		t.Run(name, func(t *testing.T) {
+			cur, err := openCursor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			var req Request
+			next := func() {
+				if ok, err := cur.Next(&req); !ok || err != nil {
+					t.Fatalf("Next = %v, %v before the end of the trace", ok, err)
+				}
+			}
+			next() // loads the first block
+			// 30 blocks' worth of requests: the run crosses block
+			// boundaries and ends short of the trace.
+			if allocs := testing.AllocsPerRun(30*blockRequests, next); allocs != 0 {
+				t.Errorf("Next allocates %v times per request, want 0", allocs)
+			}
+		})
+	}
+}
