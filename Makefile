@@ -34,7 +34,7 @@ chaos-cluster:
 	$(GO) test -race -count=2 -run 'TestChaosCluster|TestClusterOfOne|TestProberAndClientShutdownNoGoroutineLeak' ./internal/cluster/
 
 # Model-based oracle: seeded scenario sequences through the real edge
-# across the {mem,fs,slab}×{sync,async}×{1,8 shards}×{cafe,xlru}
+# across the {mem,fs,slab}×{1,8 shards}×{hot 0,32 KB}×{cafe,xlru}
 # matrix, every response and counter diffed against the reference
 # model. For soaks beyond CI budgets use cmd/checker (see README).
 check-oracle:

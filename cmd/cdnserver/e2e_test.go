@@ -23,10 +23,20 @@ import (
 	"videocdn/internal/store"
 )
 
+// buildServer builds the real cdnserver binary into dir.
+func buildServer(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "cdnserver")
+	if out, err := exec.Command("go", "build", "-o", bin, "videocdn/cmd/cdnserver").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestGracefulShutdown is the end-to-end exercise of the real binary:
-// build cdnserver, boot it on an ephemeral port with -store slab and
-// -fill-async against an in-process origin, hammer it with concurrent
-// range requests, SIGTERM it mid-flight, and assert the drain
+// build cdnserver, boot it on an ephemeral port with -store slab
+// against an in-process origin, hammer it with concurrent range
+// requests, SIGTERM it mid-flight, and assert the drain
 // contract — no request that received headers loses its body, the
 // process exits 0, the -stats-out snapshot lands on disk, and the
 // slab store reopens with the filled chunks intact.
@@ -37,11 +47,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 	const chunkSize = 1024
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "cdnserver")
-	build := exec.Command("go", "build", "-o", bin, "videocdn/cmd/cdnserver")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildServer(t, tmp)
 
 	// Catalog sized to fit the 64-chunk disk with headroom, so nothing
 	// is evicted and the post-shutdown store contents are predictable.
@@ -72,7 +78,6 @@ func TestGracefulShutdown(t *testing.T) {
 		"-disk-gb", fmt.Sprintf("%.12g", 64*float64(chunkSize)/(1<<30)),
 		"-store", "slab",
 		"-data", dataDir,
-		"-fill-async",
 		"-stats-out", statsPath,
 		"-drain", "5s",
 	)
@@ -233,7 +238,7 @@ func TestGracefulShutdown(t *testing.T) {
 	t.Logf("completed %d requests (%d served bodies) across the shutdown", completed.Load(), served.Load())
 
 	// The -stats-out snapshot must exist, parse, and agree with what
-	// the clients observed; the async fill queue must have drained.
+	// the clients observed.
 	raw, err := os.ReadFile(statsPath)
 	if err != nil {
 		t.Fatalf("stats snapshot not written: %v", err)
@@ -247,9 +252,6 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if stats.FillErrors != 0 {
 		t.Errorf("fill errors against a healthy origin: %d", stats.FillErrors)
-	}
-	if stats.PendingFillWrites != 0 {
-		t.Errorf("%d fill writes still pending after shutdown", stats.PendingFillWrites)
 	}
 	if stats.CachedChunks == 0 {
 		t.Error("no chunks cached after the workload")
@@ -271,5 +273,24 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("warm chunk corrupt in reopened store")
+	}
+}
+
+// TestRemovedFillFlagsRejected: fills commit on the serve path and
+// nowhere else; the flags that selected and sized the write-behind
+// queue are gone, and passing one is a usage error, not a silent no-op.
+func TestRemovedFillFlagsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the real binary")
+	}
+	bin := buildServer(t, t.TempDir())
+	for _, args := range [][]string{{"-fill-async"}, {"-fill-queue", "8"}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("cdnserver %v exited 0, want a flag-parsing failure", args)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Errorf("cdnserver %v: output lacks %q:\n%s", args, want, out)
+		}
 	}
 }

@@ -61,8 +61,6 @@ func main() {
 	storePrealloc := flag.Bool("store-prealloc", false, "slab store: preallocate each segment file to full size up front")
 	storeMmap := flag.Bool("store-mmap", false, "slab store: mmap segments read-only so cache hits serve page-cache bytes without copying")
 	hotMB := flag.Int64("hot-mb", 0, "edge mode: RAM hot tier budget in MB (0 disables); it holds copies of hot chunks the store cannot lend zero-copy (-store fs, slab without -store-mmap) and stays empty over one that can (-store mem, -store-mmap)")
-	fillAsync := flag.Bool("fill-async", false, "edge mode: commit fill writes asynchronously (write-behind) instead of on the serve path")
-	fillQueue := flag.Int("fill-queue", 0, "edge mode: per-shard async fill queue depth (0 = default)")
 	statePath := flag.String("state", "", "cafe state snapshot: loaded on start if present, saved after graceful shutdown (edge mode, cafe only)")
 	statsOut := flag.String("stats-out", "", "write the final stats snapshot (JSON) here after graceful shutdown (edge mode)")
 	minMB := flag.Int64("origin-min-mb", 8, "origin catalog min video size (MB)")
@@ -170,8 +168,6 @@ func main() {
 			fatal(err)
 		}
 		srvCfg.Store = st
-		srvCfg.AsyncFills = *fillAsync
-		srvCfg.FillQueueDepth = *fillQueue
 		srvCfg.HotBytes = *hotMB << 20
 
 		// Cluster wiring: a shared member view, a rendezvous router, a
@@ -240,10 +236,8 @@ func main() {
 			if peerClient != nil {
 				peerClient.Close()
 			}
-			// Drain order matters: stop the fill pipeline first (its
-			// workers write to the store), then snapshot and close.
 			if err := srv.Close(); err != nil {
-				log.Printf("closing fill pipeline: %v", err)
+				log.Printf("closing edge: %v", err)
 			}
 			if *statsOut != "" {
 				saveStats(srv, *statsOut)
@@ -259,10 +253,6 @@ func main() {
 				}
 			}
 		}
-		fillMode := "sync"
-		if *fillAsync {
-			fillMode = "async"
-		}
 		tierNote := ""
 		if *hotMB > 0 {
 			tierNote = fmt.Sprintf(", %dMB hot tier", *hotMB)
@@ -274,8 +264,8 @@ func main() {
 		if peerClient != nil {
 			clusterNote = fmt.Sprintf(", cluster node %q (alpha_P=%.2g)", *nodeID, *peerAlpha)
 		}
-		log.Printf("edge (%s, alpha=%.2g, %d-chunk disk, %d shard(s), %s store%s, %s fills%s) on %s -> origin %s, redirects to %s",
-			*algo, *alpha, cfg.DiskChunks, srv.NumShards(), storeName(*storeKind, *dataDir), tierNote, fillMode, clusterNote, *listen, *origin, *redirect)
+		log.Printf("edge (%s, alpha=%.2g, %d-chunk disk, %d shard(s), %s store%s%s) on %s -> origin %s, redirects to %s",
+			*algo, *alpha, cfg.DiskChunks, srv.NumShards(), storeName(*storeKind, *dataDir), tierNote, clusterNote, *listen, *origin, *redirect)
 		serveGracefully(handler, *listen, *drain, timeouts, afterDrain)
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))

@@ -34,28 +34,24 @@ func main() {
 		algo     = flag.String("algo", "cafe", "cache policy: "+strings.Join(policy.Names(), ", "))
 		storeK   = flag.String("store", "slab", "byte store: mem, fs or slab")
 		shards   = flag.Int("shards", 8, "edge lock shards (power of two)")
-		async    = flag.Bool("async", true, "use async (write-behind) fills")
 		hotKB    = flag.Int64("hot-kb", 0, "RAM hot tier budget in KB (0 disables the tier)")
-		matrix   = flag.Bool("matrix", false, "run the full {algo}×{store}×{fills}×{shards}×{hot} matrix per seed instead of one configuration")
+		matrix   = flag.Bool("matrix", false, "run the full {cafe,xlru}×{mem,fs,slab}×{1,8 shards}×{hot 0,32 KB} matrix per seed instead of one configuration")
 	)
 	flag.Parse()
 
 	type combo struct {
 		algo, store string
-		async       bool
 		shards      int
 		hotBytes    int64
 	}
-	combos := []combo{{*algo, *storeK, *async, *shards, *hotKB << 10}}
+	combos := []combo{{*algo, *storeK, *shards, *hotKB << 10}}
 	if *matrix {
 		combos = combos[:0]
 		for _, a := range []string{"cafe", "xlru"} {
 			for _, s := range []string{"mem", "fs", "slab"} {
-				for _, as := range []bool{false, true} {
-					for _, sh := range []int{1, 8} {
-						for _, hot := range []int64{0, 32 << 10} {
-							combos = append(combos, combo{a, s, as, sh, hot})
-						}
+				for _, sh := range []int{1, 8} {
+					for _, hot := range []int64{0, 32 << 10} {
+						combos = append(combos, combo{a, s, sh, hot})
 					}
 				}
 			}
@@ -72,12 +68,12 @@ func main() {
 				os.Exit(2)
 			}
 			res, err := oracle.Check(oracle.CheckConfig{
-				Algo: c.algo, StoreKind: c.store, AsyncFills: c.async, Shards: c.shards,
+				Algo: c.algo, StoreKind: c.store, Shards: c.shards,
 				HotBytes: c.hotBytes, Seed: s, Ops: *ops, Dir: dir,
 				Progress: func(done, total int) {
 					if done%20000 == 0 {
-						fmt.Fprintf(os.Stderr, "... %s/%s/async=%v/shards=%d/hot=%d seed=%d: %d/%d ops\n",
-							c.algo, c.store, c.async, c.shards, c.hotBytes, s, done, total)
+						fmt.Fprintf(os.Stderr, "... %s/%s/shards=%d/hot=%d seed=%d: %d/%d ops\n",
+							c.algo, c.store, c.shards, c.hotBytes, s, done, total)
 					}
 				},
 			})
@@ -90,11 +86,11 @@ func main() {
 					repro = res.FailedOp + 1
 				}
 				fmt.Fprintf(os.Stderr,
-					"reproduce (minimal): go run ./cmd/checker -algo %s -store %s -shards %d -async=%v -hot-kb %d -seed %d -ops %d\n",
-					c.algo, c.store, c.shards, c.async, c.hotBytes>>10, s, repro)
+					"reproduce (minimal): go run ./cmd/checker -algo %s -store %s -shards %d -hot-kb %d -seed %d -ops %d\n",
+					c.algo, c.store, c.shards, c.hotBytes>>10, s, repro)
 				os.Exit(1)
 			}
-			fmt.Printf("%s/%s/async=%v/shards=%d/hot=%d seed=%d: %s\n", c.algo, c.store, c.async, c.shards, c.hotBytes, s, res)
+			fmt.Printf("%s/%s/shards=%d/hot=%d seed=%d: %s\n", c.algo, c.store, c.shards, c.hotBytes, s, res)
 		}
 		if *duration == 0 || time.Since(start) >= *duration {
 			break

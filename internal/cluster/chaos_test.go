@@ -90,7 +90,13 @@ func peerBreaker() resilience.BreakerConfig {
 	}
 }
 
-func newClusterRig(t *testing.T, ids []string) *clusterRig {
+// noStreamStore hides the store's optional capabilities, PutStream
+// among them: the node over it reads every fill whole and Puts it.
+type noStreamStore struct{ store.Store }
+
+// newClusterRig wires one edge per id into a shared membership; the
+// nodes named in buffered get a store without PutStream.
+func newClusterRig(t *testing.T, ids []string, buffered ...string) *clusterRig {
 	t.Helper()
 	rig := &clusterRig{
 		catalog: edge.DeterministicCatalog{MinBytes: 2 * testK, MaxBytes: 6 * testK},
@@ -136,8 +142,14 @@ func newClusterRig(t *testing.T, ids []string) *clusterRig {
 			t.Fatal(err)
 		}
 		var clk atomic64
+		var st store.Store = store.NewMem()
+		for _, id := range buffered {
+			if id == n.id {
+				st = noStreamStore{st}
+			}
+		}
 		srv, err := edge.NewServer(edge.Config{
-			Cache: cache, Store: store.NewMem(),
+			Cache: cache, Store: st,
 			OriginURL: rig.originSrv.URL, RedirectURL: "http://secondary.example",
 			ChunkSize: testK, Alpha: testAlpha,
 			Clock:       clk.next,
@@ -343,15 +355,16 @@ func (rig *clusterRig) reconcile(t *testing.T) ClusterStats {
 }
 
 // TestChaosClusterStreamingTruncation aims the chaos straight at the
-// streaming peer-fill pipeline: every peer link truncates half its
-// /peer/chunk bodies mid-stream and aborts the connection, so fills
-// die after bytes have already flowed through the fixed scratch buffer
-// into the local store. The contract: clients still only ever see
+// peer-fill pipeline: every peer link truncates half its /peer/chunk
+// bodies mid-stream and aborts the connection, so fills die after
+// bytes have already flowed through the fixed scratch buffer into the
+// local store (n2, n3) or into the whole-chunk read of a store that
+// cannot stream (n1). The contract: clients still only ever see
 // 200/206/302 with byte-exact bodies, every truncated stream rolls
 // back (no PeerFilled charge, no stored bytes), innocent failovers land
 // on the origin, and the cluster-wide Eq. 2 ledger stays bit-exact.
 func TestChaosClusterStreamingTruncation(t *testing.T) {
-	rig := newClusterRig(t, []string{"n1", "n2", "n3"})
+	rig := newClusterRig(t, []string{"n1", "n2", "n3"}, "n1")
 	statuses := map[int]int{}
 
 	// Warm the owners so phase 2's non-owner requests must use the
@@ -376,21 +389,29 @@ func TestChaosClusterStreamingTruncation(t *testing.T) {
 	if truncations == 0 {
 		t.Fatal("truncation injection inactive — the chaos tested nothing")
 	}
-	// The fills that did land must have gone through the streaming
-	// path: the cluster client is a PeerStreamer and every node's store
-	// streams, so the buffered fallback must be idle.
-	var streamFills, bufferedFills, peerFilled int64
+	// Every fill that landed, origin or peer, is counted once, by how
+	// the node's store took it: over a store that streams the buffered
+	// fallback must be idle, over n1's, which cannot, the streaming path.
+	// Nothing is evicted or refilled here, so the chunks a node caches
+	// are the fills it committed.
+	var peerFilled int64
 	for _, n := range rig.nodes {
-		sp := n.edge.ServePathStats()
-		streamFills += sp.StreamFills
-		bufferedFills += sp.BufferedFills
-		peerFilled += n.edge.SnapshotStats().PeerFilledBytes
-	}
-	if streamFills == 0 {
-		t.Error("no streaming fills — the chaos ran against the wrong pipeline")
-	}
-	if bufferedFills != 0 {
-		t.Errorf("%d fills took the buffered fallback over streaming stores", bufferedFills)
+		sp, st := n.edge.ServePathStats(), n.edge.SnapshotStats()
+		used, idle := sp.StreamFills, sp.BufferedFills
+		if n.id == "n1" {
+			used, idle = idle, used
+			if st.PeerFills == 0 {
+				t.Error("n1 committed no peer fill — its buffered sink went untested")
+			}
+		}
+		if idle != 0 {
+			t.Errorf("%s: %d fills took the path its store does not offer", n.id, idle)
+		}
+		if used != int64(st.CachedChunks) {
+			t.Errorf("%s: %d fills counted for %d cached chunks (%d of them peer fills)",
+				n.id, used, st.CachedChunks, st.PeerFills)
+		}
+		peerFilled += st.PeerFilledBytes
 	}
 	if peerFilled == 0 {
 		t.Error("peer line moved zero bytes despite ~half the transfers surviving")
@@ -458,7 +479,7 @@ func TestChaosClusterKillAndSlow(t *testing.T) {
 	n2 := rig.byID["n2"]
 	doomed := rig.videosOwnedBy(t, "n3", 4, 5000)
 	for _, v := range doomed[:3] {
-		if _, err := n2.client.Fetch(context.Background(), chunk.ID{Video: v}); err == nil {
+		if _, err := fetchAll(n2.client, chunk.ID{Video: v}); err == nil {
 			t.Fatal("fetch from a killed peer must fail")
 		}
 	}
@@ -520,7 +541,7 @@ func TestChaosClusterKillAndSlow(t *testing.T) {
 	statuses[rig.get(t, victim, probe)]++ // warm the revived owner
 	time.Sleep(150 * time.Millisecond)    // past the breaker's OpenFor
 	waitFor(t, "n2's n3 breaker to close", func() bool {
-		_, _ = n2.client.Fetch(context.Background(), chunk.ID{Video: probe})
+		_, _ = fetchAll(n2.client, chunk.ID{Video: probe})
 		return n2.client.BreakerStates()["n3"] == resilience.Closed
 	})
 

@@ -68,7 +68,7 @@ type Client struct {
 	router   *Router
 	breakers *resilience.Group
 
-	fetches  atomic.Int64 // Fetch calls
+	fetches  atomic.Int64 // FetchStream calls
 	hits     atomic.Int64 // chunks delivered by a peer
 	misses   atomic.Int64 // authoritative misses (self-owner, 404, no peer)
 	failures atomic.Int64 // fetches that exhausted the peer line with errors
@@ -92,13 +92,17 @@ func NewClient(router *Router, cfg ClientConfig) *Client {
 	return &Client{cfg: cfg, router: router, breakers: resilience.NewGroup(cfg.Breaker)}
 }
 
-// Fetch implements edge.PeerSource: try the chunk's alive peer owners
-// in deterministic failover order, under per-peer breakers, stopping
-// at this node's own position in the order. A peer's authoritative 404
-// ends the search (the owner is the node that would have cached it);
-// transport errors and bad statuses count against that peer's breaker
-// and fall through to the next owner, up to MaxTries attempts.
-func (c *Client) Fetch(ctx context.Context, id chunk.ID) ([]byte, error) {
+// FetchStream implements edge.PeerSource: try the chunk's alive peer
+// owners in deterministic failover order, under per-peer breakers,
+// stopping at this node's own position in the order, and hand the
+// winning peer's body to sink. A peer's authoritative 404 ends the
+// search (the owner is the node that would have cached it); transport
+// errors and bad statuses count against that peer's breaker and fall
+// through to the next owner, up to MaxTries attempts. sink's own
+// failure (the local store rejecting the stream) is kept apart from
+// peer failures: the peer delivered, so its breaker records success
+// and no other peer is tried.
+func (c *Client) FetchStream(ctx context.Context, id chunk.ID, sink func(io.Reader) (int64, error)) (int64, error) {
 	c.fetches.Add(1)
 	tries := 0
 	var lastErr error
@@ -106,59 +110,6 @@ func (c *Client) Fetch(ctx context.Context, id chunk.ID) ([]byte, error) {
 		if n.ID == c.cfg.Self {
 			// Every owner from here down ranks below this node: this
 			// node is the effective owner and must origin-fill.
-			if tries == 0 && lastErr == nil {
-				c.misses.Add(1)
-				return nil, ErrSelfOwner
-			}
-			break
-		}
-		if tries >= c.cfg.MaxTries {
-			break
-		}
-		b := c.breakers.Get(n.ID)
-		if !b.Allow() {
-			c.skips.Add(1)
-			continue
-		}
-		tries++
-		data, err := c.fetchFrom(ctx, n, id)
-		switch {
-		case err == nil:
-			b.Record(true)
-			c.hits.Add(1)
-			return data, nil
-		case errors.Is(err, errPeer404):
-			// The owner is alive and authoritatively does not have the
-			// chunk; lower-ranked owners are even less likely to.
-			b.Record(true)
-			c.misses.Add(1)
-			return nil, ErrNotCached
-		default:
-			b.Record(false)
-			lastErr = err
-		}
-	}
-	if lastErr != nil {
-		c.failures.Add(1)
-		return nil, fmt.Errorf("cluster: peer line lost: %w", lastErr)
-	}
-	c.misses.Add(1)
-	return nil, ErrNoPeer
-}
-
-// FetchStream implements edge.PeerStreamer: Fetch's peer walk —
-// failover order, breakers, 404-authoritative-miss, MaxTries — with
-// the winning peer's body handed to sink instead of materialized.
-// sink's own failure (the local store rejecting the stream) is kept
-// apart from peer failures: the peer delivered, so its breaker records
-// success and no other peer is tried — exactly where the buffered path
-// lands when a fetched chunk fails its store Put.
-func (c *Client) FetchStream(ctx context.Context, id chunk.ID, sink func(io.Reader) (int64, error)) (int64, error) {
-	c.fetches.Add(1)
-	tries := 0
-	var lastErr error
-	for _, n := range c.router.AliveOwners(id.Video) {
-		if n.ID == c.cfg.Self {
 			if tries == 0 && lastErr == nil {
 				c.misses.Add(1)
 				return 0, ErrSelfOwner
@@ -181,14 +132,15 @@ func (c *Client) FetchStream(ctx context.Context, id chunk.ID, sink func(io.Read
 			c.hits.Add(1)
 			return size, nil
 		case errors.Is(err, errPeer404):
+			// The owner is alive and authoritatively does not have the
+			// chunk; lower-ranked owners are even less likely to.
 			b.Record(true)
 			c.misses.Add(1)
 			return 0, ErrNotCached
 		case sinkFailed:
 			// The peer held up its end; the bytes had nowhere to go
-			// locally. Counted as a hit (parity with Fetch, whose caller
-			// discovers the store failure after the fetch succeeded) and
-			// returned without trying peers that would fare no better.
+			// locally. Counted as a hit and returned without trying
+			// peers that would fare no better.
 			b.Record(true)
 			c.hits.Add(1)
 			return 0, err
@@ -248,6 +200,8 @@ func (c *Client) streamFrom(ctx context.Context, n Node, id chunk.ID, sink func(
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		return 0, false, fmt.Errorf("peer %s returned %s", n.ID, resp.Status)
 	case resp.ContentLength > c.cfg.MaxChunkBytes:
+		// Reject on the declared size alone: no byte is read, no buffer
+		// allocated, for a response we already know we will discard.
 		return 0, false, fmt.Errorf("peer %s sent an oversized chunk", n.ID)
 	}
 	tb := &trackedBody{r: io.LimitReader(resp.Body, c.cfg.MaxChunkBytes+1)}
@@ -264,83 +218,6 @@ func (c *Client) streamFrom(ctx context.Context, n Node, id chunk.ID, sink func(
 		return 0, false, fmt.Errorf("peer %s sent an oversized chunk", n.ID)
 	default:
 		return 0, true, err
-	}
-}
-
-// fetchFrom performs one peer round trip under the per-attempt
-// deadline.
-func (c *Client) fetchFrom(ctx context.Context, n Node, id chunk.ID) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	url := fmt.Sprintf("%s/peer/chunk?v=%d&c=%d", n.URL, id.Video, id.Index)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(edge.PeerHopHeader, "1")
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		return nil, errPeer404
-	case resp.StatusCode != http.StatusOK:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("peer %s returned %s", n.ID, resp.Status)
-	case resp.ContentLength > c.cfg.MaxChunkBytes:
-		// Reject on the declared size alone: no byte is read, no buffer
-		// allocated, for a response we already know we will discard.
-		return nil, fmt.Errorf("peer %s sent an oversized chunk", n.ID)
-	}
-	data, err := readCapped(resp.Body, c.cfg.MaxChunkBytes, resp.ContentLength)
-	if errors.Is(err, store.ErrTooLarge) {
-		return nil, fmt.Errorf("peer %s sent an oversized chunk", n.ID)
-	}
-	if err != nil {
-		return nil, err // truncated or stalled body
-	}
-	return data, nil
-}
-
-// readCapped reads r to EOF, failing with store.ErrTooLarge once more
-// than max bytes arrive. The buffer starts at the declared size (hint,
-// -1 when unknown) and grows geometrically, never past max+1 — a
-// lying peer cannot make the client allocate max+1 bytes up front for
-// a body it will discard, and an honest declared size is allocated
-// exactly once.
-func readCapped(r io.Reader, max, hint int64) ([]byte, error) {
-	capHint := int64(32 << 10)
-	if hint >= 0 {
-		capHint = hint + 1 // spare byte: EOF lands without a regrow
-	}
-	if capHint > max+1 {
-		capHint = max + 1
-	}
-	buf := make([]byte, 0, capHint)
-	for {
-		if int64(len(buf)) > max {
-			return nil, store.ErrTooLarge
-		}
-		if len(buf) == cap(buf) {
-			grown := int64(cap(buf)) * 2
-			if grown > max+1 {
-				grown = max + 1
-			}
-			next := make([]byte, len(buf), grown)
-			copy(next, buf)
-			buf = next
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 }
 
@@ -367,7 +244,4 @@ func (c *Client) Counts() ClientCounts {
 // and clean shutdown).
 func (c *Client) Close() { c.cfg.HTTPClient.CloseIdleConnections() }
 
-var (
-	_ edge.PeerSource   = (*Client)(nil)
-	_ edge.PeerStreamer = (*Client)(nil)
-)
+var _ edge.PeerSource = (*Client)(nil)

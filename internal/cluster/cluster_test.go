@@ -230,7 +230,7 @@ func TestProberAndClientShutdownNoGoroutineLeak(t *testing.T) {
 				break
 			}
 		}
-		if _, err := c.Fetch(context.Background(), chunk.ID{Video: v}); err != nil {
+		if _, err := fetchAll(c, chunk.ID{Video: v}); err != nil {
 			t.Fatalf("fetch through live peer: %v", err)
 		}
 		p.Stop()
@@ -331,7 +331,7 @@ func (rig *clientRig) videoOwnedBy(t *testing.T, first string, second string) ch
 func TestClientSelfOwnerIsImmediateMiss(t *testing.T) {
 	rig := newClientRig(t, ClientConfig{})
 	v := rig.videoOwnedBy(t, "self", "")
-	_, err := rig.client.Fetch(context.Background(), chunk.ID{Video: v})
+	_, err := fetchAll(rig.client, chunk.ID{Video: v})
 	if !errors.Is(err, ErrSelfOwner) {
 		t.Fatalf("err = %v, want ErrSelfOwner", err)
 	}
@@ -348,7 +348,7 @@ func TestClientSelfOwnerIsImmediateMiss(t *testing.T) {
 func TestClientFetchesOwnerWithHopHeader(t *testing.T) {
 	rig := newClientRig(t, ClientConfig{})
 	v := rig.videoOwnedBy(t, "p1", "")
-	data, err := rig.client.Fetch(context.Background(), chunk.ID{Video: v})
+	data, err := fetchAll(rig.client, chunk.ID{Video: v})
 	if err != nil || string(data) != "peer bytes" {
 		t.Fatalf("Fetch = %q, %v", data, err)
 	}
@@ -363,7 +363,7 @@ func TestClient404IsAuthoritativeMiss(t *testing.T) {
 	rig.peers["p1"].mu.Lock()
 	rig.peers["p1"].status = http.StatusNotFound
 	rig.peers["p1"].mu.Unlock()
-	_, err := rig.client.Fetch(context.Background(), chunk.ID{Video: v})
+	_, err := fetchAll(rig.client, chunk.ID{Video: v})
 	if !errors.Is(err, ErrNotCached) || !errors.Is(err, edge.ErrPeerMiss) {
 		t.Fatalf("err = %v, want ErrNotCached (a peer miss)", err)
 	}
@@ -379,7 +379,7 @@ func TestClientFailsOverToSecondOwner(t *testing.T) {
 	rig.peers["p1"].mu.Lock()
 	rig.peers["p1"].fail = true // connection aborted: a dying peer
 	rig.peers["p1"].mu.Unlock()
-	data, err := rig.client.Fetch(context.Background(), chunk.ID{Video: v})
+	data, err := fetchAll(rig.client, chunk.ID{Video: v})
 	if err != nil || string(data) != "peer bytes" {
 		t.Fatalf("failover Fetch = %q, %v", data, err)
 	}
@@ -392,7 +392,7 @@ func TestClientDeadOwnerSkippedByRouting(t *testing.T) {
 	rig := newClientRig(t, ClientConfig{})
 	v := rig.videoOwnedBy(t, "p1", "p2")
 	rig.m.SetAlive("p1", false)
-	data, err := rig.client.Fetch(context.Background(), chunk.ID{Video: v})
+	data, err := fetchAll(rig.client, chunk.ID{Video: v})
 	if err != nil || string(data) != "peer bytes" {
 		t.Fatalf("Fetch around dead owner = %q, %v", data, err)
 	}
@@ -413,7 +413,7 @@ func TestClientBreakerOpensAndSkips(t *testing.T) {
 	// Two failing fetches feed p1's breaker to the trip point; both
 	// still succeed via the second owner.
 	for i := 0; i < 2; i++ {
-		if _, err := rig.client.Fetch(context.Background(), chunk.ID{Video: v, Index: uint32(i)}); err != nil {
+		if _, err := fetchAll(rig.client, chunk.ID{Video: v, Index: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -421,7 +421,7 @@ func TestClientBreakerOpensAndSkips(t *testing.T) {
 		t.Fatalf("p1 breaker = %v, want open", st)
 	}
 	before, _ := rig.peers["p1"].snapshot()
-	if _, err := rig.client.Fetch(context.Background(), chunk.ID{Video: v, Index: 9}); err != nil {
+	if _, err := fetchAll(rig.client, chunk.ID{Video: v, Index: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if after, _ := rig.peers["p1"].snapshot(); after != before {
@@ -438,7 +438,7 @@ func TestClientBreakerOpensAndSkips(t *testing.T) {
 func TestClientOversizedPayloadRejected(t *testing.T) {
 	rig := newClientRig(t, ClientConfig{MaxChunkBytes: 4})
 	v := rig.videoOwnedBy(t, "p1", "p2")
-	_, err := rig.client.Fetch(context.Background(), chunk.ID{Video: v})
+	_, err := fetchAll(rig.client, chunk.ID{Video: v})
 	if err == nil || errors.Is(err, edge.ErrPeerMiss) {
 		t.Fatalf("oversized payload must be a peer failure, got %v", err)
 	}

@@ -1,12 +1,10 @@
 package cluster
 
-// FetchStream keeps Fetch's whole peer-walk contract with the body
-// handed to a sink instead of materialized, and the rewritten
-// fetchFrom must never again allocate MaxChunkBytes+1 for a response
-// it already knows it will discard. The allocation-bound tests pin
-// that fix empirically: a lying peer declaring a huge Content-Length
-// costs no buffer at all, and an unbounded chunked body costs at most
-// the geometric-growth cap, never the body's size.
+// FetchStream hands a peer's body to a sink instead of materializing
+// it, and must never buffer a response it already knows it will
+// discard. The allocation-bound tests pin that empirically: a lying
+// peer declaring a huge Content-Length costs no buffer at all, and an
+// unbounded chunked body is read no further than the size cap.
 
 import (
 	"bytes"
@@ -27,12 +25,19 @@ import (
 )
 
 // collectSink is the simplest conforming sink: read everything,
-// remember it.
+// remember it. A retried sink starts clean, like a fresh PutStream.
 func collectSink(dst *bytes.Buffer) func(io.Reader) (int64, error) {
 	return func(r io.Reader) (int64, error) {
-		n, err := io.Copy(dst, r)
-		return n, err
+		dst.Reset()
+		return io.Copy(dst, r)
 	}
+}
+
+// fetchAll is FetchStream with the chunk collected in memory.
+func fetchAll(c *Client, id chunk.ID) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := c.FetchStream(context.Background(), id, collectSink(&buf))
+	return buf.Bytes(), err
 }
 
 func TestClientFetchStreamMatchesFetch(t *testing.T) {
@@ -85,8 +90,7 @@ func TestClientFetchStream404IsAuthoritativeMiss(t *testing.T) {
 
 // A sink failure is the local store's fault, not the peer's: the peer
 // delivered, so its breaker records success, no other peer is tried,
-// and the fetch counts as a hit — exactly where the buffered path
-// lands when a fetched chunk fails its store Put.
+// and the fetch counts as a hit.
 func TestClientFetchStreamSinkFailureIsNotPeerFailure(t *testing.T) {
 	rig := newClientRig(t, ClientConfig{})
 	v := rig.videoOwnedBy(t, "p1", "p2")
@@ -172,12 +176,11 @@ func measureAllocs(fn func()) int64 {
 	return int64(ms.TotalAlloc - before)
 }
 
-// TestClientFetchAllocationBounded pins the fetchFrom fix: a peer
-// response the client will discard must not cost a MaxChunkBytes+1
-// buffer. 16 fetches against a peer declaring 64 MiB bodies (with the
-// default 16 MiB cap) would have allocated 256 MiB under the old code;
-// the declared size is now rejected before a single body byte is read
-// or buffered.
+// TestClientFetchAllocationBounded: a peer response the client will
+// discard must not cost a MaxChunkBytes+1 buffer. 16 fetches against a
+// peer declaring 64 MiB bodies (with the default 16 MiB cap) are
+// rejected on the declared size, before a single body byte is read or
+// buffered.
 func TestClientFetchAllocationBounded(t *testing.T) {
 	t.Run("declared", func(t *testing.T) {
 		liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -202,10 +205,14 @@ func TestClientFetchAllocationBounded(t *testing.T) {
 				break
 			}
 		}
+		var got bytes.Buffer // one sink buffer for all fetches: the bound is the client's
 		fetch := func(c uint32) {
-			if _, err := client.Fetch(context.Background(), chunk.ID{Video: v, Index: c}); err == nil ||
+			if _, err := client.FetchStream(context.Background(), chunk.ID{Video: v, Index: c}, collectSink(&got)); err == nil ||
 				errors.Is(err, edge.ErrPeerMiss) {
 				t.Fatalf("oversized declared payload must be a peer failure, got %v", err)
+			}
+			if got.Len() != 0 {
+				t.Fatalf("the sink was handed %d bytes of a body rejected on its declared size", got.Len())
 			}
 		}
 		fetch(0)
@@ -223,7 +230,8 @@ func TestClientFetchAllocationBounded(t *testing.T) {
 	})
 
 	// A peer that declares nothing and streams forever is bounded by
-	// the geometric-growth cap (~2×(max+1)), never by the body.
+	// the size cap (the sink sees at most max+1 bytes), never by the
+	// body.
 	t.Run("chunked", func(t *testing.T) {
 		body := bytes.Repeat([]byte("f"), 1<<20)
 		firehose := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -246,10 +254,14 @@ func TestClientFetchAllocationBounded(t *testing.T) {
 				break
 			}
 		}
+		var got bytes.Buffer // one sink buffer for all fetches: the bound is the client's
 		fetch := func(c uint32) {
-			if _, err := client.Fetch(context.Background(), chunk.ID{Video: v, Index: c}); err == nil ||
+			if _, err := client.FetchStream(context.Background(), chunk.ID{Video: v, Index: c}, collectSink(&got)); err == nil ||
 				errors.Is(err, edge.ErrPeerMiss) {
 				t.Fatalf("unbounded chunked payload must be a peer failure, got %v", err)
+			}
+			if got.Len() > 64<<10+1 {
+				t.Fatalf("the sink was handed %d bytes, past the %d-byte cap", got.Len(), 64<<10)
 			}
 		}
 		fetch(0)
@@ -261,7 +273,7 @@ func TestClientFetchAllocationBounded(t *testing.T) {
 			}
 		})
 		// 16 × 1 MiB of body would be ≥16 MiB if the client read to EOF;
-		// the cap stops each read at 64 KiB+1 with ≤2 growth steps.
+		// the cap stops each read at 64 KiB+1.
 		if limit := int64(8 << 20); delta > limit {
 			t.Errorf("%d capped fetches allocated %d bytes, want < %d — the body is being read past the cap",
 				fetches, delta, limit)

@@ -24,24 +24,17 @@ import (
 )
 
 // PeerSource supplies chunk bytes from somewhere cheaper than the
-// origin. Fetch returns the chunk's full contents, or an error wrapping
-// ErrPeerMiss when the tier authoritatively cannot supply the chunk
-// (no peer owns it, the owner does not cache it, this node is the
-// owner) — a miss, not a failure. Any other error is a peer-tier
-// failure; either way the caller falls through to the origin, so a
-// lost peer line degrades exactly like no peer line at all.
+// origin. FetchStream hands the body of exactly one successful peer
+// response to sink, which consumes it and returns the byte count it
+// committed; FetchStream returns that count. An error wrapping
+// ErrPeerMiss means the tier authoritatively cannot supply the chunk
+// (no peer owns it, the owner does not cache it) — a miss, not a
+// failure; one wrapping ErrPeerSelf that this node is the owner. Any
+// other error is a peer-tier failure; either way the caller falls
+// through to the origin, so a lost peer line degrades exactly like no
+// peer line at all. An error the sink itself produced is returned
+// without blaming a peer for it (breaker, counters, failover).
 type PeerSource interface {
-	Fetch(ctx context.Context, id chunk.ID) ([]byte, error)
-}
-
-// PeerStreamer is the optional PeerSource capability to deliver a
-// chunk's body as a stream instead of a materialized slice: sink
-// consumes the body of exactly one successful (200) peer response and
-// returns the byte count it committed. FetchStream retains Fetch's
-// whole contract — failover order, breakers, ErrPeerMiss/ErrPeerSelf
-// classification — and must not blame a peer (breaker, counters) for
-// an error the sink itself produced.
-type PeerStreamer interface {
 	FetchStream(ctx context.Context, id chunk.ID, sink func(io.Reader) (int64, error)) (int64, error)
 }
 
@@ -86,53 +79,9 @@ func (s *Server) handlePeerChunk(w http.ResponseWriter, r *http.Request) {
 	id := chunk.ID{Video: v, Index: uint32(idx)}
 	sh := s.shardOf(v)
 
-	serve := func(data []byte) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		n, werr := w.Write(data)
-		if werr == nil && n == len(data) {
-			// Charged only on a full successful write: the fetching
-			// node charges PeerFilled only on a committed Put, so a
-			// truncated transfer must not inflate the serving side.
-			sh.peerServes.Add(1)
-			sh.peerServedBytes.Add(int64(n))
-		}
-	}
-
-	if s.borrow != nil {
-		if br, err := s.borrow.GetBorrow(id); err == nil {
-			serve(br.Data)
-			br.Release()
-			s.servePath.borrowChunks.Add(1)
-			return
-		}
-	}
-	if s.section != nil {
-		if rf, ok := w.(io.ReaderFrom); ok {
-			if sec, err := s.section.GetSection(id); err == nil {
-				size := sec.Size()
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-				var sfd sectionFD
-				err = s.sendSection(rf, &sfd, sec, 0, 0, size-1)
-				sfd.close()
-				sec.Release()
-				if err == nil {
-					// Same full-write-only rule as serve() below.
-					sh.peerServes.Add(1)
-					sh.peerServedBytes.Add(size)
-					s.servePath.sendfileChunks.Add(1)
-				}
-				return
-			}
-		}
-	}
-	bp, _ := s.bufs.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	defer s.bufs.Put(bp)
-	data, err := s.cfg.Store.Get(id, (*bp)[:0])
+	cr := chunkReader{s: s, rf: s.sectionWriter(w)}
+	defer cr.close()
+	view, err := cr.open(id)
 	if err != nil {
 		// Absent or unreadable: either way this node cannot help, and
 		// the requester's origin path can. 404 is the authoritative miss
@@ -140,60 +89,33 @@ func (s *Server) handlePeerChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "chunk not cached here", http.StatusNotFound)
 		return
 	}
-	*bp = data[:0]
-	serve(data)
-	s.servePath.copyChunks.Add(1)
+	size := view.size()
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	if cr.write(w, view, 0, 0, size-1) == nil {
+		// Charged only on a full successful write: the fetching node
+		// charges PeerFilled only on a committed put, so a truncated
+		// transfer must not inflate the serving side.
+		sh.peerServes.Add(1)
+		sh.peerServedBytes.Add(size)
+	}
 }
 
-// peerFill tries the peer tier for one chunk and commits the bytes on
-// success. Returns done=true when the chunk was filled (or when the
-// store rejected the bytes — a Permanent, degradable failure exactly
-// like the origin path's); done=false falls through to the origin.
+// peerFill tries the peer tier for one chunk, the peer's body going
+// into the store the way an origin body does (putBody). Returns
+// done=true when the chunk was filled (or when the store rejected the
+// bytes — a Permanent, degradable failure exactly like the origin
+// path's); done=false falls through to the origin. The sink separates
+// a local store failure from peer-side truncation/oversize, which the
+// client resolves against the peer's breaker and this side counts as a
+// tier failure.
 func (s *Server) peerFill(ctx context.Context, sh *edgeShard, id chunk.ID) (bool, error) {
-	if ps, ok := s.cfg.PeerFill.(PeerStreamer); ok && s.streamPut != nil {
-		return s.peerFillStream(ctx, sh, ps, id)
-	}
-	data, err := s.cfg.PeerFill.Fetch(ctx, id)
-	switch {
-	case err == nil && int64(len(data)) <= s.cfg.ChunkSize:
-		if perr := s.cfg.Store.Put(id, data); perr != nil {
-			return true, resilience.Permanent(fmt.Errorf("store: %w", perr))
-		}
-		sh.peerFills.Add(1)
-		sh.counters.peerFilled.Add(int64(len(data)))
-		return true, nil
-	case err == nil:
-		// Oversized payload: a confused peer. The origin is the truth.
-		sh.peerFillErrs.Add(1)
-	case errors.Is(err, ErrPeerSelf):
-		// Owners origin-fill by design; not peer-tier activity at all.
-	case errors.Is(err, ErrPeerMiss):
-		sh.peerFillMisses.Add(1)
-	default:
-		if ctx.Err() != nil {
-			// The fill deadline died during the peer attempt; starting
-			// an origin round trip now would fail the same way.
-			return true, ctx.Err()
-		}
-		sh.peerFillErrs.Add(1)
-	}
-	return false, nil
-}
-
-// peerFillStream is peerFill over the streaming interface: the peer's
-// body is pumped through a fixed scratch buffer straight into the
-// store. Counter and fall-through semantics mirror the buffered path
-// case for case; the sink separates a local store failure (done=true,
-// Permanent — same as a failed Put of fetched bytes) from peer-side
-// truncation/oversize, which the client resolves against the peer's
-// breaker and this side counts as a tier failure.
-func (s *Server) peerFillStream(ctx context.Context, sh *edgeShard, ps PeerStreamer, id chunk.ID) (bool, error) {
 	var storeErr error
-	n, err := ps.FetchStream(ctx, id, func(body io.Reader) (int64, error) {
+	n, err := s.cfg.PeerFill.FetchStream(ctx, id, func(body io.Reader) (int64, error) {
 		tr := &trackReader{r: body}
 		scratch := s.fillScratchGet()
 		defer s.fillScratchPut(scratch)
-		n, perr := s.streamPut.PutStream(id, tr, s.cfg.ChunkSize, *scratch)
+		n, perr := s.putBody(id, tr, s.cfg.ChunkSize, scratch)
 		if perr != nil && tr.err == nil && !errors.Is(perr, store.ErrTooLarge) {
 			storeErr = perr // local store fault, not the peer's
 		}
@@ -203,7 +125,7 @@ func (s *Server) peerFillStream(ctx context.Context, sh *edgeShard, ps PeerStrea
 	case err == nil:
 		sh.peerFills.Add(1)
 		sh.counters.peerFilled.Add(n)
-		s.servePath.streamFills.Add(1)
+		s.fillsCounter().Add(1)
 		return true, nil
 	case storeErr != nil:
 		return true, resilience.Permanent(fmt.Errorf("store: %w", storeErr))
@@ -213,6 +135,8 @@ func (s *Server) peerFillStream(ctx context.Context, sh *edgeShard, ps PeerStrea
 		sh.peerFillMisses.Add(1)
 	default:
 		if ctx.Err() != nil {
+			// The fill deadline died during the peer attempt; starting
+			// an origin round trip now would fail the same way.
 			return true, ctx.Err()
 		}
 		sh.peerFillErrs.Add(1)

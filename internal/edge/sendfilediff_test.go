@@ -428,7 +428,6 @@ func TestSendfileConcurrentSharedSegment(t *testing.T) {
 			t.Fatalf("video %d never became a hit", v)
 		}
 	}
-	s.Flush()
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -85,19 +85,6 @@ type Config struct {
 	// Breaker tunes the origin circuit breaker (zero value →
 	// resilience package defaults).
 	Breaker resilience.BreakerConfig
-	// AsyncFills moves cache-fill store writes off the serve path: a
-	// miss streams origin bytes to the client while the store write
-	// completes behind a bounded per-shard queue (store.WriteBehind).
-	// Pending bytes are readable immediately, so responses and the
-	// Eq. 2 accounting are identical to synchronous fills; if a
-	// deferred write ultimately fails, the chunk's admission is rolled
-	// back and its Filled charge reversed, exactly as a synchronous
-	// write failure would have left things.
-	AsyncFills bool
-	// FillQueueDepth bounds each write-behind stripe's queue (0 →
-	// store default). When a stripe's queue is full, fills degrade to
-	// synchronous writes — backpressure, not unbounded buffering.
-	FillQueueDepth int
 	// PeerFill, when set, is consulted on every miss before the origin
 	// — the cluster tier's cheap intra-cluster fill (typically the
 	// rendezvous-routed peer client). Peer-filled bytes are charged at
@@ -169,15 +156,9 @@ type Server struct {
 	shards    []*edgeShard
 	sizeLimit int // per-shard size-cache bound
 
-	// writeBehind is the async-fill pipeline wrapped around the
-	// configured store when AsyncFills is on (nil otherwise). cfg.Store
-	// already points at the wrapper; this handle exists for flushing,
-	// closing and stats.
-	writeBehind *store.WriteBehind
 	// hotTier is the RAM hot tier when HotBytes > 0 (nil otherwise).
-	// The store chain is WriteBehind(Tiered(cold)): reads check pending
-	// fills first, then borrow from cold, then from RAM copies of what
-	// cold cannot lend, then copy out of cold.
+	// The store chain is Tiered(cold): reads borrow from cold, then
+	// from RAM copies of what cold cannot lend, then copy out of cold.
 	hotTier *store.Tiered
 	// borrow is the store chain's zero-copy read capability, if any;
 	// the serve path tries it before falling back to pooled-buffer Get.
@@ -193,9 +174,6 @@ type Server struct {
 	// materializing whole chunks. Nil when the store cannot take
 	// streams.
 	streamPut store.StreamPutter
-	// asyncWriteErrs counts deferred store writes that failed and were
-	// rolled back.
-	asyncWriteErrs atomic.Int64
 
 	// bufs pools per-request chunk buffers (*[]byte, grown to chunk
 	// size) so the steady-state serve path does not allocate.
@@ -218,7 +196,7 @@ type Server struct {
 // callers only, via ServePathStats.
 type servePathCounters struct {
 	sendfileChunks atomic.Int64 // chunks handed to the kernel as file sections
-	borrowChunks   atomic.Int64 // chunks lent zero-copy from RAM/mmap/pending
+	borrowChunks   atomic.Int64 // chunks lent zero-copy from RAM/mmap
 	copyChunks     atomic.Int64 // chunks copied through a pooled buffer
 	streamFills    atomic.Int64 // chunks filled by streaming through a fixed scratch buffer
 	bufferedFills  atomic.Int64 // chunks filled by materializing them whole in RAM
@@ -493,26 +471,12 @@ func NewServer(cfg Config) (*Server, error) {
 		s.algoName = fmt.Sprintf("%s×%d", s.algoName, n)
 	}
 	if cfg.HotBytes > 0 {
-		// One tier stripe per shard mirrors the lock layout, like the
-		// write-behind stripes below.
+		// One tier stripe per shard mirrors the lock layout.
 		s.hotTier = store.NewTiered(s.cfg.Store, store.TieredConfig{
 			HotBytes: cfg.HotBytes,
 			Stripes:  n,
 		})
 		s.cfg.Store = s.hotTier
-	}
-	if cfg.AsyncFills {
-		// One write-behind stripe per shard mirrors the lock layout:
-		// fills for different shards never queue behind each other.
-		// Wrapping outside the hot tier gives read-your-writes across
-		// tiers for free: a pending fill is readable before either
-		// tier has seen the bytes.
-		s.writeBehind = store.NewWriteBehind(s.cfg.Store, store.WriteBehindConfig{
-			Stripes:    n,
-			QueueDepth: cfg.FillQueueDepth,
-			OnError:    s.onAsyncWriteError,
-		})
-		s.cfg.Store = s.writeBehind
 	}
 	s.borrow, _ = s.cfg.Store.(store.BorrowGetter)
 	if sendfileSupported {
@@ -725,15 +689,21 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Range", contentRange(b0, b1, size))
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	var rf io.ReaderFrom
-	if s.section != nil {
-		// The response writer can take over the copy: file-backed
-		// chunks go to the kernel sendfile path.
-		rf, _ = w.(io.ReaderFrom)
-	}
-	if err := s.stream(&fc, sh, w, rf, v, b0, b1); err != nil {
+	if err := s.stream(&fc, sh, w, s.sectionWriter(w), v, b0, b1); err != nil {
 		return // client gone or store hiccup after headers; nothing to do
 	}
+}
+
+// sectionWriter returns w as the io.ReaderFrom file sections are sent
+// through — the response writer takes over the copy and file-backed
+// chunks go to the kernel sendfile path — or nil when the store chain
+// exposes no sections or w cannot take them.
+func (s *Server) sectionWriter(w http.ResponseWriter) io.ReaderFrom {
+	if s.section == nil {
+		return nil
+	}
+	rf, _ := w.(io.ReaderFrom)
+	return rf
 }
 
 // degrade answers a request whose fill path is unusable with a 302 to
@@ -777,41 +747,14 @@ func (s *Server) deleteChunks(sh *edgeShard, ids []chunk.ID) {
 	}
 }
 
-// onAsyncWriteError is the write-behind pipeline's failure callback: a
-// deferred store write was lost after its run had landed and been
-// charged. Roll that one chunk's admission back and reverse its share
-// of the charge, so cache, store and Eq. 2 counters agree again (the
-// serve path's preflight re-fetches the chunk if it is requested
-// again); the run's other chunks stay.
-func (s *Server) onAsyncWriteError(id chunk.ID, n int, _ error) {
-	sh := s.shardOf(id.Video)
-	s.asyncWriteErrs.Add(1)
-	sh.fillErrs.Add(1)
-	sh.counters.filled.Add(-int64(n))
-	s.undoAdmission(sh, []chunk.ID{id})
-}
-
-// Flush blocks until every deferred fill write has committed (or
-// failed) on the underlying store. No-op for synchronous fills.
-func (s *Server) Flush() {
-	if s.writeBehind != nil {
-		s.writeBehind.Flush()
-	}
-}
-
 // HotTier returns the RAM hot tier, or nil when Config.HotBytes is 0.
 // The model-based oracle uses it to check the two-tier coherence
-// invariant (hot keyset ⊆ cold∪pending, byte-identical content).
+// invariant (hot keyset ⊆ cold, byte-identical content).
 func (s *Server) HotTier() *store.Tiered { return s.hotTier }
 
-// Close drains the async fill pipeline and stops its workers; further
-// fills write synchronously. No-op (nil) when AsyncFills is off.
-func (s *Server) Close() error {
-	if s.writeBehind != nil {
-		return s.writeBehind.Close()
-	}
-	return nil
-}
+// Close is the shutdown hook of cmd/cdnserver and bench/. Every fill
+// commits on the serve path, so there is nothing to drain.
+func (s *Server) Close() error { return nil }
 
 // requestBytesHint returns the request's byte length when it is
 // explicit in the request itself (no video size needed), else 0. Used
@@ -857,64 +800,17 @@ func (s *Server) StreamRange(ctx context.Context, w io.Writer, v chunk.VideoID, 
 	return s.stream(&fc, s.shardOf(v), w, nil, v, b0, b1)
 }
 
-// stream writes [b0,b1] of the video from the chunk store. Each chunk
-// is served zero-copy when the store chain can lend its bytes (RAM hot
-// tier, pending fill, mmap slab slot); a file-backed chunk is handed
-// to the kernel as a file section when rf is the response's ReaderFrom
-// (the sendfile path); otherwise it is copied through a pooled chunk
-// buffer, fetched lazily so an all-borrowed response never touches the
-// pool. rf is non-nil only when s.section is set and the writer can
-// take over the copy (net/http's ResponseWriter).
+// stream writes [b0,b1] of the video from the chunk store, each chunk
+// by the read ladder of chunkReader.open. rf is non-nil only when
+// s.section is set and the writer can take over the copy (net/http's
+// ResponseWriter).
 func (s *Server) stream(fc *fillCtx, sh *edgeShard, w io.Writer, rf io.ReaderFrom, v chunk.VideoID, b0, b1 int64) error {
-	var bp *[]byte
-	var sfd sectionFD
-	defer sfd.close()
-	defer func() {
-		if bp != nil {
-			s.bufs.Put(bp)
-		}
-	}()
+	cr := chunkReader{s: s, rf: rf}
+	defer cr.close()
 	k := s.cfg.ChunkSize
-	c0 := uint32(b0 / k)
-	c1 := uint32(b1 / k)
-	for c := c0; c <= c1; c++ {
+	for c := uint32(b0 / k); c <= uint32(b1/k); c++ {
 		id := chunk.ID{Video: v, Index: c}
-		if s.borrow != nil {
-			if br, err := s.borrow.GetBorrow(id); err == nil {
-				err = writeRange(w, br.Data, int64(c)*k, b0, b1)
-				br.Release()
-				if err != nil {
-					return err
-				}
-				s.servePath.borrowChunks.Add(1)
-				continue
-			}
-			// Every borrow failure — ErrNoBorrow, a lost chunk, a cold
-			// store that cannot lend — falls through to the section and
-			// copy paths below.
-		}
-		if rf != nil {
-			if sec, err := s.section.GetSection(id); err == nil {
-				err = s.sendSection(rf, &sfd, sec, int64(c)*k, b0, b1)
-				sec.Release()
-				if err != nil {
-					return err
-				}
-				s.servePath.sendfileChunks.Add(1)
-				continue
-			}
-			// Any section failure — a pending fill, a RAM-resident
-			// chunk, a store that cannot expose files, a lost chunk —
-			// falls through to the copy path, which owns the self-heal
-			// logic.
-		}
-		if bp == nil {
-			bp, _ = s.bufs.Get().(*[]byte)
-			if bp == nil {
-				bp = new([]byte)
-			}
-		}
-		data, err := s.cfg.Store.Get(id, (*bp)[:0])
+		view, err := cr.open(id)
 		if err != nil {
 			// The cache believed the chunk was present but the store
 			// disagrees (e.g. lost to a concurrent rollback since the
@@ -927,17 +823,101 @@ func (s *Server) stream(fc *fillCtx, sh *edgeShard, w io.Writer, rf io.ReaderFro
 				sh.fillErrs.Add(1)
 				return err
 			}
-			if data, err = s.cfg.Store.Get(id, (*bp)[:0]); err != nil {
+			if view, err = cr.open(id); err != nil {
 				return err
 			}
 		}
-		*bp = data[:0] // keep the grown capacity for the next chunk/request
-		if err := writeRange(w, data, int64(c)*k, b0, b1); err != nil {
+		if err := cr.write(w, view, int64(c)*k, b0, b1); err != nil {
 			return err
 		}
-		s.servePath.copyChunks.Add(1)
 	}
 	return nil
+}
+
+// chunkReader is what one response keeps across the chunks it reads
+// from the store: the pooled copy buffer, fetched lazily so an
+// all-borrowed response never touches the pool, and the private file
+// description sections are sent through. rf is the response writer's
+// ReaderFrom when file sections may go to the kernel, else nil.
+type chunkReader struct {
+	s   *Server
+	rf  io.ReaderFrom
+	sfd sectionFD
+	bp  *[]byte
+}
+
+func (cr *chunkReader) close() {
+	cr.sfd.close()
+	if cr.bp != nil {
+		cr.s.bufs.Put(cr.bp)
+	}
+}
+
+// chunkView is one stored chunk as the read ladder found it: a file
+// section when sec has a file, else mem — a loan, or the pooled copy
+// dressed as one (its Release is a no-op). path is the serve-path
+// counter a complete write of the view moves.
+type chunkView struct {
+	mem  store.Borrowed
+	sec  store.Section
+	path *atomic.Int64
+}
+
+func (v chunkView) size() int64 {
+	if v.sec.File() != nil {
+		return v.sec.Size()
+	}
+	return int64(len(v.mem.Data))
+}
+
+// open finds chunk id by the cheapest read the store chain offers:
+// bytes it lends zero-copy (RAM hot tier, mmap slab slot); else, when
+// the writer can take it, the chunk's file section for sendfile(2);
+// else a copy through the pooled chunk buffer. Every borrow or section
+// failure — ErrNoBorrow, a RAM-resident chunk, a store that cannot
+// expose files, a lost chunk — falls through to the copy, whose error
+// is the verdict: the store has no readable bytes for id. The view is
+// good until the next open.
+func (cr *chunkReader) open(id chunk.ID) (chunkView, error) {
+	s := cr.s
+	if s.borrow != nil {
+		if br, err := s.borrow.GetBorrow(id); err == nil {
+			return chunkView{mem: br, path: &s.servePath.borrowChunks}, nil
+		}
+	}
+	if cr.rf != nil {
+		if sec, err := s.section.GetSection(id); err == nil {
+			return chunkView{sec: sec, path: &s.servePath.sendfileChunks}, nil
+		}
+	}
+	if cr.bp == nil {
+		if cr.bp, _ = s.bufs.Get().(*[]byte); cr.bp == nil {
+			cr.bp = new([]byte)
+		}
+	}
+	data, err := s.cfg.Store.Get(id, (*cr.bp)[:0])
+	if err != nil {
+		return chunkView{}, err
+	}
+	*cr.bp = data[:0] // keep the grown capacity for the next chunk/request
+	return chunkView{mem: store.Borrowed{Data: data}, path: &s.servePath.copyChunks}, nil
+}
+
+// write sends the part of view — whose first byte sits at absolute
+// video offset lo — that lies inside [b0, b1], and releases the view.
+func (cr *chunkReader) write(w io.Writer, view chunkView, lo, b0, b1 int64) error {
+	var err error
+	if view.sec.File() != nil {
+		err = cr.s.sendSection(cr.rf, &cr.sfd, view.sec, lo, b0, b1)
+		view.sec.Release()
+	} else {
+		err = writeRange(w, view.mem.Data, lo, b0, b1)
+		view.mem.Release()
+	}
+	if err == nil {
+		view.path.Add(1)
+	}
+	return err
 }
 
 // sectionFD caches one response's private open file description on a
@@ -1269,12 +1249,11 @@ func (t *trackReader) Read(p []byte) (int, error) {
 // body into the store chunk by chunk: ChunkSize bytes each, the last
 // what remains of the Content-Length. A streaming store takes each
 // chunk through the pooled scratch buffer, so fill memory is
-// O(fillStreamBuf) whatever the run length (an async pipeline
-// materializes by design; see store.WriteBehind.PutStream); otherwise
-// each chunk is read whole and Put. n is the bytes committed, also on
-// error, for the caller to take back. 5xx and transport/truncation
-// errors are retryable; 4xx, a body of the wrong length for the run
-// and a store error are Permanent.
+// O(fillStreamBuf) whatever the run length; otherwise each chunk is
+// read whole and Put. n is the bytes committed, also on error, for the
+// caller to take back. 5xx and transport/truncation errors are
+// retryable; 4xx, a body of the wrong length for the run and a store
+// error are Permanent.
 func (s *Server) fillRun(ctx context.Context, u *url.URL, run []chunk.ID) (n int64, err error) {
 	resp, err := s.cfg.Client.Do(originRequest(ctx, u))
 	if err != nil {
@@ -1291,26 +1270,12 @@ func (s *Server) fillRun(ctx context.Context, u *url.URL, run []chunk.ID) (n int
 	}
 	tr := &trackReader{r: resp.Body, left: total}
 	body := io.LimitedReader{R: tr}
-	var scratch []byte
-	fills := &s.servePath.bufferedFills
-	if s.streamPut != nil {
-		bp := s.fillScratchGet()
-		defer s.fillScratchPut(bp)
-		scratch, fills = *bp, &s.servePath.streamFills
-	}
+	scratch := s.fillScratchGet()
+	defer s.fillScratchPut(scratch)
 	for _, id := range run {
 		want := min(k, total-n)
 		body.N = want
-		// The one place the two fill modes differ.
-		if s.streamPut != nil {
-			_, err = s.streamPut.PutStream(id, &body, want, scratch)
-		} else {
-			data := make([]byte, want)
-			if _, err = io.ReadFull(&body, data); err == nil {
-				err = s.cfg.Store.Put(id, data)
-			}
-		}
-		if err != nil {
+		if _, err = s.putBody(id, &body, want, scratch); err != nil {
 			if tr.err == nil {
 				err = resilience.Permanent(fmt.Errorf("store: %w", err))
 			}
@@ -1318,14 +1283,47 @@ func (s *Server) fillRun(ctx context.Context, u *url.URL, run []chunk.ID) (n int
 		}
 		n += want
 	}
-	fills.Add(int64(len(run)))
+	s.fillsCounter().Add(int64(len(run)))
 	return n, nil
+}
+
+// putBody commits r, a body of at most max bytes, as chunk id: the one
+// place the two fill modes differ. A streaming store takes it through
+// scratch; for any other the chunk is read whole, capped at max, and
+// Put. More than max bytes is store.ErrTooLarge either way.
+func (s *Server) putBody(id chunk.ID, r io.Reader, max int64, scratch *[]byte) (int64, error) {
+	if s.streamPut != nil {
+		return s.streamPut.PutStream(id, r, max, *scratch)
+	}
+	data, err := io.ReadAll(io.LimitReader(r, max+1))
+	if err == nil && int64(len(data)) > max {
+		err = store.ErrTooLarge
+	}
+	if err == nil {
+		err = s.cfg.Store.Put(id, data)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return int64(len(data)), nil
+}
+
+// fillsCounter is the counter every committed fill chunk, origin or
+// peer, lands in: one per chunk, by how putBody moved it.
+func (s *Server) fillsCounter() *atomic.Int64 {
+	if s.streamPut != nil {
+		return &s.servePath.streamFills
+	}
+	return &s.servePath.bufferedFills
 }
 
 // fillScratchGet checks a streaming-fill scratch buffer out of the
 // pool and maintains the in-flight/peak gauges that pin the O(buffer)
-// fill-memory bound.
+// fill-memory bound. Nil over a store that cannot stream.
 func (s *Server) fillScratchGet() *[]byte {
+	if s.streamPut == nil {
+		return nil
+	}
 	bp, _ := s.fillBufs.Get().(*[]byte)
 	if bp == nil {
 		b := make([]byte, fillStreamBuf)
@@ -1342,6 +1340,9 @@ func (s *Server) fillScratchGet() *[]byte {
 }
 
 func (s *Server) fillScratchPut(bp *[]byte) {
+	if bp == nil {
+		return
+	}
 	s.fillInFlight.Add(-int64(len(*bp)))
 	s.fillBufs.Put(bp)
 }
@@ -1414,11 +1415,6 @@ type Stats struct {
 	OriginRetries     int64  `json:"origin_retries"`
 	BreakerState      string `json:"breaker_state"`
 	BreakerOpens      int64  `json:"breaker_opens"`
-	// Async fill pipeline gauges (present only when AsyncFills is on).
-	AsyncFills        bool  `json:"async_fills,omitempty"`
-	PendingFillWrites int   `json:"pending_fill_writes,omitempty"`
-	FillSyncFallbacks int64 `json:"fill_sync_fallbacks,omitempty"`
-	AsyncWriteErrors  int64 `json:"async_write_errors,omitempty"`
 	// RAM hot tier counters (present only when HotBytes > 0). These are
 	// observability only — the Eq. 2 identity and every response byte
 	// are independent of which tier served.
@@ -1488,12 +1484,6 @@ func (s *Server) SnapshotStats() Stats {
 	st.OriginRetries = s.retrier.Retries()
 	st.BreakerState = s.breaker.State().String()
 	st.BreakerOpens = s.breaker.Opens()
-	if s.writeBehind != nil {
-		st.AsyncFills = true
-		st.PendingFillWrites = s.writeBehind.Pending()
-		st.FillSyncFallbacks = s.writeBehind.SyncFallbacks()
-		st.AsyncWriteErrors = s.asyncWriteErrs.Load()
-	}
 	if s.hotTier != nil {
 		ts := s.hotTier.Stats()
 		st.HotTier = true
@@ -1542,11 +1532,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	write("videocdn_store_delete_errors_total", "Store delete failures (leaked bytes).", "counter", float64(st.StoreDeleteErrors))
 	write("videocdn_origin_retries_total", "Origin fetch retry attempts.", "counter", float64(st.OriginRetries))
 	write("videocdn_breaker_opens_total", "Times the origin circuit breaker tripped open.", "counter", float64(st.BreakerOpens))
-	if st.AsyncFills {
-		write("videocdn_pending_fill_writes", "Deferred store writes queued or in flight.", "gauge", float64(st.PendingFillWrites))
-		write("videocdn_fill_sync_fallbacks_total", "Fills written synchronously because the write-behind queue was full.", "counter", float64(st.FillSyncFallbacks))
-		write("videocdn_async_write_errors_total", "Deferred store writes that failed and were rolled back.", "counter", float64(st.AsyncWriteErrors))
-	}
 	if st.HotTier {
 		write("videocdn_hot_tier_hits_total", "Store reads served by the RAM hot tier.", "counter", float64(st.HotTierHits))
 		write("videocdn_cold_tier_hits_total", "Store reads served by the cold tier (disk line).", "counter", float64(st.ColdTierHits))

@@ -16,13 +16,12 @@ import (
 	"videocdn/internal/store"
 )
 
-// hotVariant names one (hot-tier budget, store backend, fill mode)
-// combination the tier differential test drives.
+// hotVariant names one (hot-tier budget, store backend) combination
+// the tier differential test drives.
 type hotVariant struct {
-	name  string
-	hot   int64
-	kind  string // mem, slab-mmap (both lend their bytes), slab, fs (neither does)
-	async bool
+	name string
+	hot  int64
+	kind string // mem, slab-mmap (both lend their bytes), slab, fs (neither does)
 }
 
 // lends reports whether the variant's cold store serves a resident
@@ -54,18 +53,16 @@ func newHotVariantServer(t testing.TB, originURL, algo string, v hotVariant, clo
 		t.Fatalf("unknown store kind %q", v.kind)
 	}
 	s, err := NewServer(Config{
-		Shards:         4,
-		CacheFactory:   shardFactory(t, algo, 2),
-		CacheConfig:    core.Config{ChunkSize: testK, DiskChunks: 2048},
-		Store:          st,
-		OriginURL:      originURL,
-		RedirectURL:    "http://secondary.example",
-		ChunkSize:      testK,
-		Alpha:          2,
-		Clock:          clock,
-		AsyncFills:     v.async,
-		FillQueueDepth: 8,
-		HotBytes:       v.hot,
+		Shards:       4,
+		CacheFactory: shardFactory(t, algo, 2),
+		CacheConfig:  core.Config{ChunkSize: testK, DiskChunks: 2048},
+		Store:        st,
+		OriginURL:    originURL,
+		RedirectURL:  "http://secondary.example",
+		ChunkSize:    testK,
+		Alpha:        2,
+		Clock:        clock,
+		HotBytes:     v.hot,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,11 +76,11 @@ func newHotVariantServer(t testing.TB, originURL, algo string, v hotVariant, clo
 // cold store. Over stores whose reads cost a copy (slab by pread, fs)
 // the tier is small (32 KB — real promotion and eviction churn) or
 // effectively unbounded, and must serve; over stores that lend their
-// bytes (mem, the mmap slab, here with deferred fills) it must stay
-// empty — one RAM copy per chunk. Either way every response — status
-// and body — and every quiesced core stat, including the bit-exact
-// Eq. 2 efficiency, must match the tier-off baseline: the hot tier is
-// a serving optimization and must never change a decision or a byte.
+// bytes (mem, the mmap slab) it must stay empty — one RAM copy per
+// chunk. Either way every response — status and body — and every core
+// stat, including the bit-exact Eq. 2 efficiency, must match the
+// tier-off baseline: the hot tier is a serving optimization and must
+// never change a decision or a byte.
 // Tier counters are otherwise excluded — they are diagnostics, not
 // part of the paper's accounting.
 func TestHotTierDifferential(t *testing.T) {
@@ -92,9 +89,9 @@ func TestHotTierDifferential(t *testing.T) {
 		{name: "hot-off", hot: 0, kind: "mem"}, // baseline first
 		{name: "hot-32kb-slab", hot: 32 << 10, kind: "slab"},
 		{name: "hot-unbounded-slab", hot: unbounded, kind: "slab"},
-		{name: "hot-32kb-fs-async", hot: 32 << 10, kind: "fs", async: true},
+		{name: "hot-32kb-fs", hot: 32 << 10, kind: "fs"},
 		{name: "hot-unbounded-mem", hot: unbounded, kind: "mem"},
-		{name: "hot-4mb-slab-mmap-async", hot: 4 << 20, kind: "slab-mmap", async: true},
+		{name: "hot-4mb-slab-mmap", hot: 4 << 20, kind: "slab-mmap"},
 	}
 	for _, algo := range []string{"cafe", "xlru"} {
 		t.Run(algo, func(t *testing.T) {
@@ -166,9 +163,6 @@ func TestHotTierDifferential(t *testing.T) {
 				}
 			}
 
-			for _, s := range servers {
-				s.Flush()
-			}
 			base := servers[0].SnapshotStats()
 			for j := 1; j < len(variants); j++ {
 				got := servers[j].SnapshotStats()
@@ -189,12 +183,9 @@ func TestHotTierDifferential(t *testing.T) {
 				if got.CachedChunks != base.CachedChunks {
 					t.Errorf("%s: cached chunks %d, baseline %d", variants[j].name, got.CachedChunks, base.CachedChunks)
 				}
-				if got.FillErrors != 0 || got.DegradedRedirects != 0 || got.AsyncWriteErrors != 0 {
-					t.Errorf("%s: errors on a healthy run: fill=%d degraded=%d asyncWrite=%d",
-						variants[j].name, got.FillErrors, got.DegradedRedirects, got.AsyncWriteErrors)
-				}
-				if got.PendingFillWrites != 0 {
-					t.Errorf("%s: %d pending writes after Flush", variants[j].name, got.PendingFillWrites)
+				if got.FillErrors != 0 || got.DegradedRedirects != 0 {
+					t.Errorf("%s: errors on a healthy run: fill=%d degraded=%d",
+						variants[j].name, got.FillErrors, got.DegradedRedirects)
 				}
 			}
 

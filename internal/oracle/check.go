@@ -36,8 +36,6 @@ type CheckConfig struct {
 	PolicyParams policy.Params
 	// StoreKind is the byte store: "mem", "fs" or "slab".
 	StoreKind string
-	// AsyncFills turns on the write-behind fill pipeline.
-	AsyncFills bool
 	// HotBytes enables the RAM hot tier over the byte store with this
 	// budget. 0 — the default — leaves the tier off. The tier must be
 	// invisible to every modeled response and counter; it only adds the
@@ -191,17 +189,17 @@ func Check(cfg CheckConfig) (*Result, error) {
 		h.op = i
 		if err := h.step(); err != nil {
 			h.res.FailedOp = i
-			return h.res, fmt.Errorf("oracle[%s/%s/async=%v/shards=%d seed=%d]: op %d: %w",
-				cfg.Algo, cfg.StoreKind, cfg.AsyncFills, cfg.Shards, cfg.Seed, i, err)
+			return h.res, fmt.Errorf("oracle[%s/%s/shards=%d seed=%d]: op %d: %w",
+				cfg.Algo, cfg.StoreKind, cfg.Shards, cfg.Seed, i, err)
 		}
 		if cfg.Progress != nil && (i+1)%1000 == 0 {
 			cfg.Progress(i+1, cfg.Ops)
 		}
 	}
-	// Final quiescent point: drain, diff, and check coherence once more.
+	// Final quiescent point: diff and check coherence once more.
 	if err := h.quiesce(); err != nil {
-		return h.res, fmt.Errorf("oracle[%s/%s/async=%v/shards=%d seed=%d]: final: %w",
-			cfg.Algo, cfg.StoreKind, cfg.AsyncFills, cfg.Shards, cfg.Seed, err)
+		return h.res, fmt.Errorf("oracle[%s/%s/shards=%d seed=%d]: final: %w",
+			cfg.Algo, cfg.StoreKind, cfg.Shards, cfg.Seed, err)
 	}
 	st := h.server.SnapshotStats()
 	fmt.Fprintf(h.hash, "final|%d|%d|%d|%d|%d|%d|%d|%d|%.17g|%d",
@@ -226,7 +224,7 @@ type harness struct {
 	originSrv *httptest.Server
 	client    *http.Client
 	clock     atomic.Int64
-	raw       store.Store // the unwrapped store (the server adds write-behind itself)
+	raw       store.Store // the unwrapped store (the server adds the hot tier itself)
 	server    *edge.Server
 	model     *Model
 
@@ -286,11 +284,9 @@ func (h *harness) buildServer() error {
 		// round trip) and a breaker that can never trip (its sample
 		// window is unreachable), so request outcomes depend only on
 		// the scripted fault phase — never on timing.
-		Retry:          resilience.RetryPolicy{MaxAttempts: 1},
-		Breaker:        resilience.BreakerConfig{MinSamples: 1 << 30},
-		AsyncFills:     h.cfg.AsyncFills,
-		FillQueueDepth: 64,
-		HotBytes:       h.cfg.HotBytes,
+		Retry:    resilience.RetryPolicy{MaxAttempts: 1},
+		Breaker:  resilience.BreakerConfig{MinSamples: 1 << 30},
+		HotBytes: h.cfg.HotBytes,
 	})
 	if err != nil {
 		return err
@@ -612,10 +608,7 @@ func firstDiff(a, b []byte) int {
 }
 
 // diffStats compares the server's full deterministic counter snapshot
-// against the model after every operation. Excluded by design:
-// PendingFillWrites and FillSyncFallbacks, the only two fields that
-// depend on write-behind scheduling rather than on the request
-// sequence (Pending is asserted zero at quiescent points instead).
+// against the model after every operation.
 func (h *harness) diffStats() error {
 	st := h.server.SnapshotStats()
 	m := h.model
@@ -636,7 +629,6 @@ func (h *harness) diffStats() error {
 		{"store_delete_errors", st.StoreDeleteErrors, 0},
 		{"origin_retries", st.OriginRetries, 0},
 		{"breaker_opens", st.BreakerOpens, 0},
-		{"async_write_errors", st.AsyncWriteErrors, 0},
 		{"cached_chunks", int64(st.CachedChunks), int64(total)},
 	}
 	for _, c := range checks {
@@ -684,10 +676,10 @@ func (h *harness) diffStats() error {
 	return nil
 }
 
-// quiesce drains the async fill pipeline and checks the coherence
-// invariants that only hold at quiescent points.
+// quiesce checks the coherence invariants that hold between
+// operations: every fill commits before its response returns, so every
+// point between two operations is quiescent.
 func (h *harness) quiesce() error {
-	h.server.Flush()
 	if err := h.diffStats(); err != nil {
 		return err
 	}
@@ -696,19 +688,14 @@ func (h *harness) quiesce() error {
 
 // checkCoherence asserts store↔cache↔model agreement:
 //
-//  1. no deferred writes remain pending after Flush;
-//  2. the store holds exactly the model's key set — nothing the model
+//  1. the store holds exactly the model's key set — nothing the model
 //     rolled back or evicted survives (no orphan bytes), nothing
 //     admitted is missing;
-//  3. every stored chunk's bytes verify against the deterministic
+//  2. every stored chunk's bytes verify against the deterministic
 //     content function (no corruption, no truncation);
-//  4. every chunk a cache claims has readable bytes (the count of
+//  3. every chunk a cache claims has readable bytes (the count of
 //     claimed store keys equals the caches' total occupancy).
 func (h *harness) checkCoherence() error {
-	st := h.server.SnapshotStats()
-	if st.AsyncFills && st.PendingFillWrites != 0 {
-		return fmt.Errorf("coherence: %d fill writes still pending after Flush", st.PendingFillWrites)
-	}
 	if got, want := h.raw.Len(), len(h.model.store); got != want {
 		return fmt.Errorf("coherence: store holds %d chunks, model expects %d (orphan or lost bytes)", got, want)
 	}
@@ -745,8 +732,8 @@ func (h *harness) checkCoherence() error {
 }
 
 // checkTierCoherence asserts the two tier invariants at a quiescent
-// point (nothing pending, so cold∪pending is just the cold store, which
-// checkCoherence has already proven equal to the model's key set).
+// point (checkCoherence has already proven the cold store equal to the
+// model's key set).
 // Two-tier residency: every hot-resident chunk must exist in the
 // model's store set with byte-identical deterministic content. One RAM
 // copy per chunk: no chunk is hot-resident while the cold store lends

@@ -111,7 +111,7 @@ type ledger struct {
 
 // Model is the reference model. Not safe for concurrent use — the
 // whole point is that it is a single-goroutine restatement of what the
-// sharded, locked, async server must add up to.
+// sharded, locked server must add up to.
 type Model struct {
 	algo      string
 	chunkSize int64

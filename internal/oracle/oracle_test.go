@@ -10,26 +10,23 @@ import (
 // matrixCell is one oracle configuration of TestCheckMatrix.
 type matrixCell struct {
 	algo, kind string
-	async      bool
 	shards     int
 	hot        int64
 }
 
 // matrixCells builds the policy axis from the registry: the paper's
-// two production policies (cafe, xlru) sweep the full {store}×{fills}×
-// {shards}×{hot} matrix, and every OTHER registered online policy —
-// present and future — gets a reduced sweep (slab store, async fills,
-// hot off, both shard counts). A newly registered policy is oracle-
-// checked with zero edits to this file.
+// two production policies (cafe, xlru) sweep the full {store}×{shards}×
+// {hot} matrix, and every OTHER registered online policy — present and
+// future — gets a reduced sweep (slab store, hot off, both shard
+// counts). A newly registered policy is oracle-checked with zero edits
+// to this file.
 func matrixCells() []matrixCell {
 	var cells []matrixCell
 	for _, algo := range []string{"cafe", "xlru"} {
 		for _, kind := range []string{"mem", "fs", "slab"} {
-			for _, async := range []bool{false, true} {
-				for _, shards := range []int{1, 8} {
-					for _, hot := range []int64{0, 32 << 10} {
-						cells = append(cells, matrixCell{algo, kind, async, shards, hot})
-					}
+			for _, shards := range []int{1, 8} {
+				for _, hot := range []int64{0, 32 << 10} {
+					cells = append(cells, matrixCell{algo, kind, shards, hot})
 				}
 			}
 		}
@@ -42,19 +39,18 @@ func matrixCells() []matrixCell {
 			continue // offline policies cannot serve live traffic
 		}
 		for _, shards := range []int{1, 8} {
-			cells = append(cells, matrixCell{algo, "slab", true, shards, 0})
+			cells = append(cells, matrixCell{algo, "slab", shards, 0})
 		}
 	}
 	return cells
 }
 
 // TestCheckMatrix runs the oracle across the configuration matrix:
-// every registered online policy, {mem,fs,slab} stores × {sync,async}
-// fills × {1,8} shards × {off,32KB} hot tier (full matrix for
-// cafe/xlru, reduced for the rest), each with fixed seeds. Any
-// response diff, any ledger drift, any coherence violation fails with
-// the op index and seed needed to replay it (go test -run or
-// cmd/checker -seed). The 32 KB hot budget is deliberately tiny
+// every registered online policy, {mem,fs,slab} stores × {1,8} shards
+// × {off,32KB} hot tier (full matrix for cafe/xlru, reduced for the
+// rest), each with fixed seeds. Any response diff, any ledger drift,
+// any coherence violation fails with the op index and seed needed to
+// replay it (go test -run or cmd/checker -seed). The 32 KB hot budget is deliberately tiny
 // relative to the working set so over fs promotion, admission
 // rejection, and eviction all churn under the two-tier coherence check;
 // over mem and the (mmap) slab, which lend their bytes, the one-copy
@@ -76,12 +72,12 @@ func TestCheckMatrix(t *testing.T) {
 	}
 	for _, c := range cells {
 		c := c
-		name := fmt.Sprintf("%s/%s/async=%v/shards=%d/hot=%d", c.algo, c.kind, c.async, c.shards, c.hot)
+		name := fmt.Sprintf("%s/%s/shards=%d/hot=%d", c.algo, c.kind, c.shards, c.hot)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
 				res, err := Check(CheckConfig{
-					Algo: c.algo, StoreKind: c.kind, AsyncFills: c.async, Shards: c.shards,
+					Algo: c.algo, StoreKind: c.kind, Shards: c.shards,
 					HotBytes: c.hot, Seed: seed, Ops: ops, Dir: t.TempDir(),
 				})
 				if err != nil {
@@ -97,8 +93,8 @@ func TestCheckMatrix(t *testing.T) {
 }
 
 // pinnedDigests are the expected full response-and-stats digests of
-// the canonical determinism run (slab store, async fills, 8 shards,
-// seed 7, 250 ops) per policy. They pin two properties at once:
+// the canonical determinism run (slab store, 8 shards, seed 7, 250
+// ops) per policy. They pin two properties at once:
 // replay is bit-identical across runs, AND the registry refactor
 // changed zero behavior — any change to a policy's decisions, the
 // servers' response bytes, or the Eq. 2 arithmetic shows up here. If
@@ -120,7 +116,7 @@ func TestCheckDeterministic(t *testing.T) {
 		algo, want := algo, want
 		t.Run(algo, func(t *testing.T) {
 			t.Parallel()
-			cfg := CheckConfig{Algo: algo, StoreKind: "slab", AsyncFills: true, Shards: 8, Seed: 7, Ops: 250}
+			cfg := CheckConfig{Algo: algo, StoreKind: "slab", Shards: 8, Seed: 7, Ops: 250}
 			cfg.Dir = t.TempDir()
 			a, err := Check(cfg)
 			if err != nil {
@@ -161,7 +157,7 @@ func TestCheckDeterministic(t *testing.T) {
 // mmap slab, whose loans must leave it empty.
 func TestHotTierDigestInvariant(t *testing.T) {
 	for _, kind := range []string{"fs", "slab"} {
-		base := CheckConfig{Algo: "cafe", StoreKind: kind, AsyncFills: true, Shards: 8, Seed: 11, Ops: 250}
+		base := CheckConfig{Algo: "cafe", StoreKind: kind, Shards: 8, Seed: 11, Ops: 250}
 		digests := map[int64]string{}
 		for _, hot := range []int64{0, 32 << 10, 1 << 30} {
 			cfg := base

@@ -88,9 +88,8 @@ type borrowReleaser interface {
 
 // ErrNoSection is returned by GetSection when the store holds the
 // chunk but cannot expose its bytes as a file section (an in-memory
-// store, a pending write-behind entry). The chunk itself is present,
-// so ErrNoSection is never an ErrNotFound; callers fall back to
-// GetBorrow/Get.
+// store). The chunk itself is present, so ErrNoSection is never an
+// ErrNotFound; callers fall back to GetBorrow/Get.
 var ErrNoSection = errors.New("store: file section unavailable")
 
 // SectionGetter is the optional kernel zero-copy read capability:
@@ -172,8 +171,7 @@ var ErrTooLarge = errors.New("store: streamed chunk exceeds the size limit")
 //
 // scratch, when non-nil, is used as the copy buffer — callers pool it
 // so steady-state fills do not allocate. Implementations that must
-// materialize the bytes anyway (RAM stores, write-behind pending
-// entries) may ignore it.
+// materialize the bytes anyway (RAM stores) may ignore it.
 type StreamPutter interface {
 	PutStream(id chunk.ID, r io.Reader, max int64, scratch []byte) (int64, error)
 }

@@ -23,8 +23,6 @@ func stores(t *testing.T) map[string]Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { slab.Close() })
-	wb := NewWriteBehind(NewMem(), WriteBehindConfig{Stripes: 2, QueueDepth: 8})
-	t.Cleanup(func() { wb.Close() })
 	// A slab read by pread cannot lend: the one cold store over which the
 	// hot tier holds copies of its own.
 	cold, err := NewSlab(t.TempDir(), testSlabConfig())
@@ -33,7 +31,7 @@ func stores(t *testing.T) map[string]Store {
 	}
 	t.Cleanup(func() { cold.Close() })
 	out := map[string]Store{
-		"mem": NewMem(), "fs": fs, "slab": slab, "writebehind": wb,
+		"mem": NewMem(), "fs": fs, "slab": slab,
 		"tiered":       NewTiered(NewMem(), TieredConfig{HotBytes: 1 << 20, Stripes: 2}),
 		"tiered-pread": NewTiered(cold, TieredConfig{HotBytes: 1 << 20, Stripes: 2}),
 	}
@@ -334,9 +332,6 @@ func TestStoreConformanceMixedOps(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			if wb, ok := s.(*WriteBehind); ok {
-				wb.Flush()
-			}
 			n := 0
 			for v := 0; v < 24; v++ {
 				for g := 0; g < 6; g++ {

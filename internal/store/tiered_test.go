@@ -224,52 +224,6 @@ func TestTieredMissCounts(t *testing.T) {
 	}
 }
 
-// TestTieredReadYourWritesUnderWriteBehind wires the tiers the way the
-// edge server does — WriteBehind over Tiered over cold — and pins that
-// a deferred write is readable through every path while the cold write
-// is still stuck behind a slow worker.
-func TestTieredReadYourWritesUnderWriteBehind(t *testing.T) {
-	gate := make(chan struct{})
-	cold := &gatedStore{Store: NewMem(), gate: gate}
-	tr := NewTiered(cold, TieredConfig{HotBytes: 1 << 20, Stripes: 1})
-	wb := NewWriteBehind(tr, WriteBehindConfig{Stripes: 1, QueueDepth: 8})
-	id := chunk.ID{Video: 4, Index: 2}
-	if err := wb.Put(id, []byte("pending bytes")); err != nil {
-		t.Fatal(err)
-	}
-	// The cold write has not landed, but the bytes must be readable.
-	if got, err := wb.Get(id, nil); err != nil || string(got) != "pending bytes" {
-		t.Fatalf("Get while pending = %q, %v", got, err)
-	}
-	br, err := wb.GetBorrow(id)
-	if err != nil || string(br.Data) != "pending bytes" {
-		t.Fatalf("GetBorrow while pending = %q, %v", br.Data, err)
-	}
-	br.Release()
-	if !wb.Has(id) {
-		t.Error("Has while pending = false")
-	}
-	close(gate) // let the worker land the write
-	wb.Flush()
-	if got, err := wb.Get(id, nil); err != nil || string(got) != "pending bytes" {
-		t.Fatalf("Get after flush = %q, %v", got, err)
-	}
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// gatedStore blocks Put until the gate closes.
-type gatedStore struct {
-	Store
-	gate <-chan struct{}
-}
-
-func (g *gatedStore) Put(id chunk.ID, data []byte) error {
-	<-g.gate
-	return g.Store.Put(id, data)
-}
-
 func TestTieredConcurrentChurn(t *testing.T) {
 	cold := NewMem()
 	tr := NewTiered(cold, TieredConfig{HotBytes: 32 * (256 + hotEntryOverhead), Stripes: 4})
