@@ -2,17 +2,8 @@
 
 package edge
 
-import (
-	"errors"
-	"os"
-)
-
 // sendfileSupported disables the file-section serve path on platforms
 // where net/http has no zero-copy ReadFrom fast path we can rely on;
 // every hit takes the borrow/copy path instead (byte-identical
 // responses, just one more userspace copy).
 const sendfileSupported = false
-
-func reopenSectionFile(*os.File) (*os.File, error) {
-	return nil, errors.New("edge: file sections unsupported on this platform")
-}

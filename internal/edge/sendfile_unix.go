@@ -2,30 +2,9 @@
 
 package edge
 
-import (
-	"fmt"
-	"os"
-)
-
 // sendfileSupported gates the file-section serve path at build time.
 // On unix, net/http's ResponseWriter recognizes an *io.LimitedReader
 // over an *os.File handed to ReadFrom and moves the bytes with
 // sendfile(2) (Linux falls back to splice/copy_file_range as
 // appropriate) — the payload never crosses userspace.
 const sendfileSupported = true
-
-// reopenSectionFile opens a private file description on a shared
-// section file for one response. The kernel sendfile path reads from
-// the description's *current offset* and advances it, and dup(2)'d
-// descriptors share one offset (one open file description), so
-// concurrent requests serving from the same backing file (a slab
-// segment) need a fresh open(2) each — merely duplicating the fd
-// would interleave their seeks. The procfs route reopens exactly the
-// description's file even if its path were unlinked; the plain path
-// open covers unixes without /proc.
-func reopenSectionFile(f *os.File) (*os.File, error) {
-	if g, err := os.Open(fmt.Sprintf("/proc/self/fd/%d", f.Fd())); err == nil {
-		return g, nil
-	}
-	return os.Open(f.Name())
-}

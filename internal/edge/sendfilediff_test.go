@@ -360,16 +360,27 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 
 // TestSendfileConcurrentSharedSegment hammers warm slab-backed hits
 // with concurrent whole-video GETs through real net/http writers, so
-// every serve takes the kernel section path over the same shared
-// segment file. Each response must read through a private open file
-// description: the Linux sendfile path consumes the description's
-// *current offset*, and descriptors that merely dup(2) the segment fd
-// share one offset — concurrent serves would interleave their seeks
-// and splice another video's bytes into the body.
+// every serve takes the kernel section path over shared segment files.
+// The Linux sendfile path consumes the open file description's
+// *current offset*, so each section out at one time must come with a
+// description of its own: one lent to two responses at once (or a
+// dup(2), which shares the offset) would interleave their seeks and
+// splice another video's bytes into the body. One segment for all
+// chunks is maximal contention on one file's descriptions; four-slot
+// segments make every four-chunk response cross segments, so it checks
+// descriptions of several files out and back in.
 func TestSendfileConcurrentSharedSegment(t *testing.T) {
 	if !sendfileSupported {
 		t.Skip("no sendfile on this platform")
 	}
+	for _, segmentSlots := range []int{64, 4} {
+		t.Run(fmt.Sprintf("SegmentSlots=%d", segmentSlots), func(t *testing.T) {
+			testSendfileConcurrent(t, segmentSlots)
+		})
+	}
+}
+
+func testSendfileConcurrent(t *testing.T, segmentSlots int) {
 	catalog := MapCatalog{}
 	for v := chunk.VideoID(1); v <= 8; v++ {
 		catalog[v] = 4 * testK
@@ -380,8 +391,7 @@ func TestSendfileConcurrentSharedSegment(t *testing.T) {
 	}
 	origin := httptest.NewServer(o)
 	t.Cleanup(origin.Close)
-	// One segment holds every chunk: maximal contention on one fd.
-	sl, err := store.NewSlab(t.TempDir(), store.SlabConfig{SlotBytes: testK, SegmentSlots: 64})
+	sl, err := store.NewSlab(t.TempDir(), store.SlabConfig{SlotBytes: testK, SegmentSlots: segmentSlots})
 	if err != nil {
 		t.Fatal(err)
 	}

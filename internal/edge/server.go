@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -836,18 +835,16 @@ func (s *Server) stream(fc *fillCtx, sh *edgeShard, w io.Writer, rf io.ReaderFro
 
 // chunkReader is what one response keeps across the chunks it reads
 // from the store: the pooled copy buffer, fetched lazily so an
-// all-borrowed response never touches the pool, and the private file
-// description sections are sent through. rf is the response writer's
-// ReaderFrom when file sections may go to the kernel, else nil.
+// all-borrowed response never touches the pool. rf is the response
+// writer's ReaderFrom when file sections may go to the kernel, else
+// nil.
 type chunkReader struct {
-	s   *Server
-	rf  io.ReaderFrom
-	sfd sectionFD
-	bp  *[]byte
+	s  *Server
+	rf io.ReaderFrom
+	bp *[]byte
 }
 
 func (cr *chunkReader) close() {
-	cr.sfd.close()
 	if cr.bp != nil {
 		cr.s.bufs.Put(cr.bp)
 	}
@@ -908,7 +905,7 @@ func (cr *chunkReader) open(id chunk.ID) (chunkView, error) {
 func (cr *chunkReader) write(w io.Writer, view chunkView, lo, b0, b1 int64) error {
 	var err error
 	if view.sec.File() != nil {
-		err = cr.s.sendSection(cr.rf, &cr.sfd, view.sec, lo, b0, b1)
+		err = sendSection(cr.rf, view.sec, lo, b0, b1)
 		view.sec.Release()
 	} else {
 		err = writeRange(w, view.mem.Data, lo, b0, b1)
@@ -920,50 +917,15 @@ func (cr *chunkReader) write(w io.Writer, view chunkView, lo, b0, b1 int64) erro
 	return err
 }
 
-// sectionFD caches one response's private open file description on a
-// shared section file. The kernel sendfile path reads from the open
-// file description's current offset, and a dup(2)'d fd would share
-// that offset with every other request — each response needs its own
-// description (a real reopen). Consecutive chunks of one response
-// usually live in the same backing file (one slab segment), so the
-// reopened description is kept for the whole response instead of
-// being paid per chunk.
-type sectionFD struct {
-	orig *os.File // the shared file the description below was opened from
-	own  *os.File // this response's private description
-}
-
-// get returns a private description for f, reusing the cached one
-// when f is the same backing file the previous chunk used.
-func (c *sectionFD) get(f *os.File) (*os.File, error) {
-	if c.orig == f && c.own != nil {
-		return c.own, nil
-	}
-	c.close()
-	own, err := reopenSectionFile(f)
-	if err != nil {
-		return nil, err
-	}
-	c.orig, c.own = f, own
-	return own, nil
-}
-
-func (c *sectionFD) close() {
-	if c.own != nil {
-		c.own.Close()
-		c.orig, c.own = nil, nil
-	}
-}
-
 // sendSection writes the intersection of one chunk's file section with
 // the request range [b0, b1] through rf — net/http's ResponseWriter,
 // whose ReadFrom recognizes an *io.LimitedReader over an *os.File and
 // moves the bytes with sendfile(2), never lifting them into userspace.
-// lo is the chunk's absolute offset in the video. A shared fd (a slab
-// segment serving many requests) reads through the response's private
-// description (see sectionFD); a section's private fd (FS) is seeked
-// directly.
-func (s *Server) sendSection(rf io.ReaderFrom, sfd *sectionFD, sec store.Section, lo, b0, b1 int64) error {
+// lo is the chunk's absolute offset in the video. sendfile reads from
+// the file description's current offset; the section's file is this
+// response's alone until Release (the store's contract), so seeking it
+// disturbs nobody.
+func sendSection(rf io.ReaderFrom, sec store.Section, lo, b0, b1 int64) error {
 	from, to := int64(0), sec.Size()-1
 	if lo < b0 {
 		from = b0 - lo
@@ -975,13 +937,6 @@ func (s *Server) sendSection(rf io.ReaderFrom, sfd *sectionFD, sec store.Section
 		return nil
 	}
 	f := sec.File()
-	if sec.SharedFD() {
-		own, err := sfd.get(f)
-		if err != nil {
-			return err
-		}
-		f = own
-	}
 	if _, err := f.Seek(sec.Offset()+from, io.SeekStart); err != nil {
 		return err
 	}

@@ -225,8 +225,9 @@ func BenchmarkStorePutStream(b *testing.B) {
 
 // BenchmarkStoreGetSection measures the kernel serve path's store half:
 // resolving a chunk to a pinned file section plus one positioned read
-// (what sendfile replaces with an in-kernel copy). Steady state must
-// stay allocation-light — the section struct is returned by value.
+// (what sendfile replaces with an in-kernel copy). The slab's half is
+// a pool checkout, 0 allocs (TestSlabSectionZeroAllocs pins it); fs
+// opens a file per section.
 func BenchmarkStoreGetSection(b *testing.B) {
 	for _, kind := range []string{"fs", "slab"} {
 		b.Run(kind, func(b *testing.B) {

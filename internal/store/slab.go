@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -154,6 +155,28 @@ type Slab struct {
 	segments []*slabSegment
 	nextSeq  uint64
 	closed   bool
+
+	// Idle private file descriptions GetSection lends out (see
+	// lendFile), in the order they came back: oldest first. openFile
+	// opens a new one when none is idle (os.Open; tests inject failure).
+	fdMu     sync.Mutex
+	idle     []idleFile
+	fdClosed bool // Close ran: returning descriptions are closed, not kept
+	openFile func(name string) (*os.File, error)
+}
+
+// slabIdleFiles bounds the idle file descriptions a slab keeps for
+// GetSection, across all segments, so a disk of thousands of segments
+// cannot pin thousands of descriptors. It covers a few dozen concurrent
+// responses each holding one section; past it the least recently
+// returned description is closed and a later section reopens its
+// segment.
+const slabIdleFiles = 64
+
+// idleFile is one pooled private description of a segment file.
+type idleFile struct {
+	seg *slabSegment
+	f   *os.File
 }
 
 // slabMeta is persisted as slab.meta so a reopen with a different
@@ -189,6 +212,8 @@ func NewSlab(dir string, cfg SlabConfig) (*Slab, error) {
 		stride:   stride,
 		segBytes: stride * int64(cfg.SegmentSlots),
 		index:    make(map[uint64]slabEntry),
+		idle:     make([]idleFile, 0, slabIdleFiles),
+		openFile: os.Open,
 	}
 	if err := s.checkMeta(); err != nil {
 		return nil, err
@@ -602,12 +627,13 @@ func (s *Slab) PutStream(id chunk.ID, r io.Reader, max int64, scratch []byte) (i
 // GetSection implements SectionGetter: the chunk's bytes as a region
 // of its segment file, pinned like a borrow so a concurrent
 // Delete/replace quarantines the slot instead of recycling it — the
-// region's bytes are stable until Release. The *os.File is the
-// segment's shared handle: its offset is shared with every concurrent
-// operation, so callers sending it through an offset-moving syscall
-// (sendfile) must dup the descriptor first. Works with or without
-// mmap — this is the kernel-side zero-copy path, GetBorrow is the
-// userspace one.
+// region's bytes are stable until Release. The *os.File is a private
+// description of the segment, lent from the store's pool until Release:
+// nobody else moves its offset, so it can go through an offset-moving
+// syscall (sendfile) as it is. If no description can be had (EMFILE)
+// the pin is dropped and the error returned; callers fall back to Get.
+// Works with or without mmap — this is the kernel-side zero-copy path,
+// GetBorrow is the userspace one.
 func (s *Slab) GetSection(id chunk.ID) (Section, error) {
 	key := id.Key()
 	for {
@@ -628,15 +654,60 @@ func (s *Slab) GetSection(id chunk.ID) (Section, error) {
 		// gens under the write lock, which excludes this section).
 		seg.pins[e.loc.slot].Add(1)
 		s.mu.RUnlock()
+		f, err := s.lendFile(seg)
+		if err != nil {
+			seg.releaseBorrow(uint64(e.loc.slot))
+			return Section{}, fmt.Errorf("store: slab section %s: %w", id, err)
+		}
 		return Section{
-			f:      seg.f,
-			off:    int64(e.loc.slot)*s.stride + slabHeaderSize,
-			n:      int64(e.len),
-			shared: true,
-			rel:    seg,
-			token:  uint64(e.loc.slot),
+			f:     f,
+			off:   int64(e.loc.slot)*s.stride + slabHeaderSize,
+			n:     int64(e.len),
+			rel:   seg,
+			token: uint64(e.loc.slot),
 		}, nil
 	}
+}
+
+// lendFile checks a private open file description of seg's file out of
+// the pool — the one returned last, so the ones that age out are the
+// surplus — and opens a new one by path only when none is idle. A dup
+// of seg.f would not do: dup(2)'d descriptors share one offset.
+func (s *Slab) lendFile(seg *slabSegment) (*os.File, error) {
+	s.fdMu.Lock()
+	for i := len(s.idle) - 1; i >= 0; i-- {
+		if s.idle[i].seg == seg {
+			f := s.idle[i].f
+			s.idle = slices.Delete(s.idle, i, i+1)
+			s.fdMu.Unlock()
+			return f, nil
+		}
+	}
+	s.fdMu.Unlock()
+	return s.openFile(seg.f.Name())
+}
+
+// releaseSection implements sectionReleaser: the description goes back
+// to the pool, pushing out the least recently returned one when the
+// pool is full, and the slot is unpinned. After Close nothing is
+// pooled: a section that outlived the store closes its own file.
+func (seg *slabSegment) releaseSection(f *os.File, token uint64) {
+	s := seg.s
+	surplus := f
+	s.fdMu.Lock()
+	if !s.fdClosed {
+		surplus = nil
+		if len(s.idle) == slabIdleFiles {
+			surplus = s.idle[0].f
+			s.idle = slices.Delete(s.idle, 0, 1)
+		}
+		s.idle = append(s.idle, idleFile{seg: seg, f: f})
+	}
+	s.fdMu.Unlock()
+	if surplus != nil {
+		surplus.Close()
+	}
+	seg.releaseBorrow(token)
 }
 
 // unalloc returns a slot whose write failed to the freelist.
@@ -807,19 +878,27 @@ func (s *Slab) Segments() int {
 	return len(s.segments)
 }
 
-// Close releases the segment file handles and mappings. The store must
-// not be used afterwards. A segment with outstanding borrows keeps its
-// mapping (the lent slices must stay readable); the fd is closed
-// regardless — a mapping survives its descriptor. An outstanding
-// Section's shared fd does NOT survive Close: callers that hand
-// sections to the kernel dup the descriptor per request (a dup is
-// unaffected by Close), and the store is only closed after the server
-// drains.
+// Close releases the segment file handles, the idle section
+// descriptions and the mappings. The store must not be used afterwards.
+// What is lent out stays readable: a segment with outstanding borrows
+// keeps its mapping (a mapping survives its descriptor), and an
+// outstanding Section keeps its private description, which its Release
+// closes.
 func (s *Slab) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
 	var first error
+	s.fdMu.Lock()
+	s.fdClosed = true
+	idle := s.idle
+	s.idle = nil
+	s.fdMu.Unlock()
+	for _, it := range idle {
+		if err := it.f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
 	for _, seg := range s.segments {
 		if seg.data != nil {
 			pinned := false

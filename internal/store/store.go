@@ -106,24 +106,30 @@ type SectionGetter interface {
 // Section is one chunk's bytes as a region of an open file. Like
 // Borrowed, the region is guaranteed stable — never mutated, never
 // recycled — until Release, and Release must be called exactly once
-// per successful GetSection. A section either owns its *os.File (FS
-// opens one per call; Release closes it) or aliases a descriptor the
-// store shares across requests (a slab segment; SharedFD reports
-// true, and callers must dup the descriptor before any operation that
-// moves its offset, because sendfile(2) reads and advances it).
+// per successful GetSection. The *os.File is an open file description
+// no other section holds: the FS store opens the chunk's file per call,
+// the slab lends one of its segment's descriptions from a pool.
+// sendfile(2) reads from and advances the description's offset, and
+// dup(2)'d descriptors share one, so a private description — not a dup
+// — is what keeps concurrent responses out of each other's bodies.
 type Section struct {
-	f         *os.File
-	off       int64
-	n         int64
-	shared    bool
-	closeFile bool
-	rel       borrowReleaser
-	token     uint64
+	f     *os.File
+	off   int64
+	n     int64
+	rel   sectionReleaser
+	token uint64
 }
 
-// File returns the open file holding the section. With SharedFD true
-// the descriptor's offset is shared with every other user of the
-// store — positioned reads (ReadAt) are safe, Seek/Read are not.
+// sectionReleaser takes back what a section holds: its file
+// description and whatever token names (an interface rather than a
+// closure so GetSection stays allocation-free).
+type sectionReleaser interface {
+	releaseSection(f *os.File, token uint64)
+}
+
+// File returns the open file holding the section. It is the caller's
+// alone until Release: Seek and Read are as safe as ReadAt. It must
+// not be closed, and not used after Release.
 func (s Section) File() *os.File { return s.f }
 
 // Offset is the section's first byte within File.
@@ -132,18 +138,12 @@ func (s Section) Offset() int64 { return s.off }
 // Size is the section's length in bytes.
 func (s Section) Size() int64 { return s.n }
 
-// SharedFD reports whether File's descriptor (and hence its offset)
-// is shared with other users of the store.
-func (s Section) SharedFD() bool { return s.shared }
-
-// Release returns the section to the store: the pinned slot (if any)
-// may be recycled and an owned file is closed. Safe on the zero value.
+// Release returns the section to the store, which closes or reuses the
+// file and may recycle the pinned slot (if any). Safe on the zero
+// value.
 func (s Section) Release() {
-	if s.closeFile && s.f != nil {
-		s.f.Close()
-	}
 	if s.rel != nil {
-		s.rel.releaseBorrow(s.token)
+		s.rel.releaseSection(s.f, s.token)
 	}
 }
 
@@ -615,9 +615,9 @@ func (s *FS) Get(id chunk.ID, buf []byte) ([]byte, error) {
 
 // GetSection implements SectionGetter: each chunk is one file, so the
 // section is the whole file at offset 0. The *os.File is opened per
-// call and owned by the section (Release closes it); a racing Delete
-// only unlinks the path — the open descriptor keeps the inode alive,
-// so the section's bytes stay readable until Release.
+// call and Release closes it; a racing Delete only unlinks the path —
+// the open descriptor keeps the inode alive, so the section's bytes
+// stay readable until Release.
 func (s *FS) GetSection(id chunk.ID) (Section, error) {
 	f, err := os.Open(s.path(id))
 	if err != nil && os.IsNotExist(err) && s.isLegacy(id.Key()) {
@@ -634,8 +634,11 @@ func (s *FS) GetSection(id chunk.ID) (Section, error) {
 		f.Close()
 		return Section{}, err
 	}
-	return Section{f: f, off: 0, n: fi.Size(), closeFile: true}, nil
+	return Section{f: f, off: 0, n: fi.Size(), rel: s}, nil
 }
+
+// releaseSection implements sectionReleaser.
+func (s *FS) releaseSection(f *os.File, _ uint64) { f.Close() }
 
 // PutStream implements StreamPutter: the body streams through scratch
 // straight into the temp file, so a fill holds O(len(scratch)) bytes

@@ -11,16 +11,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"videocdn/internal/chunk"
 )
 
-// readSection preads a section's bytes without touching the fd's
-// position — exactly what the serve path's dup-and-seek protocol
-// guarantees it can do concurrently.
+// readSection preads a section's bytes without touching the file's
+// position.
 func readSection(t *testing.T, sec Section) []byte {
 	t.Helper()
 	buf := make([]byte, sec.Size())
@@ -267,5 +269,265 @@ func TestSectionOutlivesDelete(t *testing.T) {
 				t.Errorf("chunk still present after Delete")
 			}
 		})
+	}
+}
+
+// TestSectionFilesArePrivate pins the half of the contract sendfile(2)
+// leans on: two sections out at once — of one chunk, or of neighbours
+// in one backing file — never share a file offset, so seeking one
+// cannot move the other.
+func TestSectionFilesArePrivate(t *testing.T) {
+	for name, s := range stores(t) {
+		sg, ok := s.(SectionGetter)
+		if !ok {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			a, b := chunk.ID{Video: 51, Index: 0}, chunk.ID{Video: 51, Index: 1}
+			for _, id := range []chunk.ID{a, b} {
+				if err := s.Put(id, bytes.Repeat([]byte("private "), 16)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var secs []Section
+			for _, id := range []chunk.ID{a, a, b} {
+				sec, err := sg.GetSection(id)
+				if errors.Is(err, ErrNoSection) {
+					t.Skipf("%s yields no sections", name)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sec.Release()
+				secs = append(secs, sec)
+			}
+			for i, sec := range secs {
+				if _, err := sec.File().Seek(sec.Offset()+int64(i)+1, io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, sec := range secs {
+				pos, err := sec.File().Seek(0, io.SeekCurrent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := sec.Offset() + int64(i) + 1; pos != want {
+					t.Errorf("section %d: offset %d after the others seeked, want %d (a shared description)", i, pos, want)
+				}
+			}
+		})
+	}
+}
+
+// openFDsUnder counts the process's descriptors open on files under
+// dir (other tests' files, closed whenever a finalizer gets to them,
+// stay out of the count); ok is false where /proc does not list them
+// (anything but Linux).
+func openFDsUnder(dir string) (n int, ok bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return 0, false
+	}
+	for _, e := range ents {
+		if target, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && strings.HasPrefix(target, dir+"/") {
+			n++
+		}
+	}
+	return n, true
+}
+
+// manySegmentSlab fills a slab of 4-slot segments in dir with 128
+// chunks — 32 segments — and returns it with the ids and what each
+// chunk holds.
+func manySegmentSlab(t *testing.T, dir string, mmap bool) (*Slab, []chunk.ID, func(chunk.ID) []byte) {
+	t.Helper()
+	s, err := NewSlab(dir, SlabConfig{SlotBytes: 256, SegmentSlots: 4, Mmap: mmap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	payload := func(id chunk.ID) []byte {
+		return bytes.Repeat([]byte{byte(id.Index), byte(id.Index >> 3), 0xA5}, 64)
+	}
+	ids := make([]chunk.ID, 128)
+	for i := range ids {
+		ids[i] = chunk.ID{Video: 61, Index: uint32(i)}
+		if err := s.Put(ids[i], payload(ids[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Segments(); got != 32 {
+		t.Fatalf("Segments = %d, want 32", got)
+	}
+	return s, ids, payload
+}
+
+// TestSlabSectionDescriptorsBounded is the fd ledger of the section
+// pool: however many sections come and go, and however many are out at
+// once, what stays open afterwards is the segments plus at most
+// slabIdleFiles idle descriptions, and Close gives every one back.
+func TestSlabSectionDescriptorsBounded(t *testing.T) {
+	dir := t.TempDir()
+	if _, ok := openFDsUnder(dir); !ok {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	s, ids, payload := manySegmentSlab(t, dir, false)
+	round := func(id chunk.ID) error {
+		sec, err := s.GetSection(id)
+		if err != nil {
+			return err
+		}
+		defer sec.Release()
+		buf := make([]byte, sec.Size())
+		if _, err := sec.File().ReadAt(buf, sec.Offset()); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, payload(id)) {
+			return fmt.Errorf("section of %s holds foreign bytes", id)
+		}
+		return nil
+	}
+	bound := s.Segments() + slabIdleFiles
+	check := func(when string) {
+		t.Helper()
+		if n, _ := openFDsUnder(dir); n > bound {
+			t.Fatalf("%s: %d descriptors open, want at most %d (%d segments + %d idle)",
+				when, n, bound, s.Segments(), slabIdleFiles)
+		}
+	}
+
+	for i := 0; i < 1000; i++ {
+		if err := round(ids[(i*37)%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after 1000 sequential rounds")
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := round(ids[(g*17+i*5)%len(ids)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	check("after 8 x 200 concurrent rounds")
+
+	// More out at once than the pool keeps: the surplus is closed as it
+	// comes back, the pool ends exactly full.
+	held := make([]Section, slabIdleFiles+8)
+	for i := range held {
+		sec, err := s.GetSection(ids[i%len(ids)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = sec
+	}
+	for _, sec := range held {
+		sec.Release()
+	}
+	if n, _ := openFDsUnder(dir); n != bound {
+		t.Errorf("after %d sections out at once: %d descriptors open, want exactly %d", len(held), n, bound)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := openFDsUnder(dir); n != 0 {
+		t.Errorf("after Close: %d descriptors still open", n)
+	}
+}
+
+// TestSectionSurvivesClose: a section taken before Close reads its
+// exact bytes after it, and its Release closes the description the
+// closed store no longer pools.
+func TestSectionSurvivesClose(t *testing.T) {
+	for _, mmap := range []bool{false, mmapSupported} {
+		t.Run(fmt.Sprintf("mmap=%v", mmap), func(t *testing.T) {
+			dir := t.TempDir()
+			s, ids, payload := manySegmentSlab(t, dir, mmap)
+			id := ids[77]
+			sec, err := s.GetSection(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := readSection(t, sec); !bytes.Equal(got, payload(id)) {
+				t.Errorf("section bytes changed across Close")
+			}
+			sec.Release()
+			if n, _ := openFDsUnder(dir); n != 0 {
+				t.Errorf("after Close and Release: %d descriptors still open", n)
+			}
+		})
+	}
+}
+
+// TestSlabSectionOpenFailureDropsPin: when no file description can be
+// had, GetSection reports it — not ErrNotFound, the chunk is there —
+// and leaves no pin behind, so the slot is recycled on delete as if the
+// section had never been asked for.
+func TestSlabSectionOpenFailureDropsPin(t *testing.T) {
+	s := newTestSlab(t, t.TempDir())
+	id := chunk.ID{Video: 71, Index: 0}
+	want := []byte("still served by Get")
+	if err := s.Put(id, want); err != nil {
+		t.Fatal(err)
+	}
+	s.openFile = func(string) (*os.File, error) { return nil, syscall.EMFILE }
+	if _, err := s.GetSection(id); !errors.Is(err, syscall.EMFILE) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetSection with no descriptors left = %v, want EMFILE", err)
+	}
+	if got, err := s.Get(id, nil); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get after the failed section = %q, %v", got, err)
+	}
+	free := len(s.free)
+	if err := s.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.free) != free+1 {
+		t.Errorf("freelist %d -> %d across Delete: the failed GetSection left its slot pinned", free, len(s.free))
+	}
+	s.openFile = os.Open
+	if err := s.Put(id, want); err != nil {
+		t.Fatal(err)
+	}
+	sec, err := s.GetSection(id)
+	if err != nil {
+		t.Fatalf("GetSection once descriptors are back: %v", err)
+	}
+	if got := readSection(t, sec); !bytes.Equal(got, want) {
+		t.Errorf("section = %q, want %q", got, want)
+	}
+	sec.Release()
+}
+
+// TestSlabSectionZeroAllocs: in steady state a slab section is a pool
+// checkout and a pin — an os.Open per call would allocate, so a
+// regression to open-per-section fails here, not in a benchmark.
+func TestSlabSectionZeroAllocs(t *testing.T) {
+	s := newTestSlab(t, t.TempDir())
+	id := chunk.ID{Video: 81, Index: 0}
+	if err := s.Put(id, bytes.Repeat([]byte{9}, 512)); err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		sec, err := s.GetSection(id)
+		if err != nil || sec.Size() != 512 {
+			t.Fatalf("GetSection = %d bytes, %v", sec.Size(), err)
+		}
+		sec.Release()
+	}
+	round() // opens the segment's first description
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Errorf("GetSection+Release allocates %v times per op, want 0", allocs)
 	}
 }

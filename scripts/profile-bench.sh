@@ -5,8 +5,11 @@
 # times and measures the last), reads the edge child's -pprof address
 # from its argv, fetches /debug/pprof/profile during the closed loop and
 # prints `go tool pprof -top -cum` against the binary the benchmark
-# built. The share of edge CPU inside write/sendfile/read syscalls is
-# the `cum%` of the internal/runtime/syscall.Syscall6 line.
+# built, then the per-syscall split: who called into the syscall entry
+# points (sendfile, read, pwrite, write, openat, close, lseek,
+# epoll_wait, ...), each as a share of all samples. The share of edge
+# CPU inside syscalls altogether is the `cum%` of the
+# internal/runtime/syscall.Syscall6 line.
 #
 #   scripts/profile-bench.sh hit-small        # 10 s of the 20 s window
 #   scripts/profile-bench.sh stream-large 5
@@ -58,8 +61,28 @@ addr="$(tr '\0' '\n' <"/proc/$edge/cmdline" | grep -A1 -x -- '-pprof' | tail -1)
 echo "edge child $edge, pprof on $addr; profiling ${seconds}s after ${settle}s of warm-up" >&2
 sleep "$settle"
 
-go tool pprof -top -cum -nodecount=45 "$build/cdnserver" \
-    "http://$addr/debug/pprof/profile?seconds=$seconds"
+prof="$build/pprof/edge-$workload.pb.gz"
+go tool pprof -proto -output "$prof" "$build/cdnserver" \
+    "http://$addr/debug/pprof/profile?seconds=$seconds" >/dev/null
+go tool pprof -top -cum -nodecount=45 "$build/cdnserver" "$prof"
+
+# The callers of the syscall entry points, from `pprof -peek`: in each
+# block the lines above the entry point's own line are its callers.
+echo
+echo "--- syscalls, share of all samples"
+entry='syscall\.(Syscall6?|RawSyscall6?)$'
+go tool pprof -nodefraction=0 -edgefraction=0 -peek "$entry" "$build/cdnserver" "$prof" 2>/dev/null | awk -v entry="$entry" '
+    function secs(v) { return v ~ /ms$/ ? v / 1000 : v + 0 }
+    /Total samples = / { for (i = 1; i <= NF; i++) if ($i == "=") total = secs($(i + 1)) }
+    /^-+\+-+$/ { n = 0; next }                            # a new block
+    / \|   [^ ]/ { t[n] = $1; name[n] = $NF; n++; next }  # a caller (or, further down, a callee)
+    / \| [^ ]/ && $NF ~ entry {                           # the line of the entry point itself
+        for (i = 0; i < n; i++)
+            if (name[i] !~ entry) sum[name[i]] += secs(t[i])
+    }
+    END {
+        for (k in sum) printf "%8.2fs %6.2f%%  %s\n", sum[k], 100 * sum[k] / total, k | "sort -rn"
+    }'
 
 wait "$bench" || { echo "the benchmark failed; log: $log" >&2; exit 1; }
 trap - EXIT
