@@ -47,7 +47,6 @@ cover:
 	scripts/coverage.sh
 
 fuzz:
-	$(GO) test -fuzz=FuzzBinaryReader -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzTextReader -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzColumnarTrace -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzParseRange -fuzztime=30s ./internal/edge/

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	tracegen -profile europe -days 14 -o eu.trace
+//	tracegen -profile europe -days 14 -o eu.trace   # a text trace
 //	cdnsim -trace eu.trace -algo cafe -alpha 2 -disk-gb 16
 //	cdnsim -trace eu.trace -algo xlru,cafe,psychic -alpha 2 -series series.csv
 //	cdnsim -trace eu.trace -algo cafe -shards 8 -workers 8   # parallel sharded replay
@@ -36,8 +36,7 @@ import (
 )
 
 func main() {
-	tracePath := flag.String("trace", "", "trace file (binary or text) or columnar trace directory")
-	format := flag.String("format", "binary", "trace format for flat files: binary or text")
+	tracePath := flag.String("trace", "", "text trace file or columnar trace directory")
 	algos := flag.String("algo", "cafe", "comma-separated registered policies: "+strings.Join(policy.Names(), ","))
 	alpha := flag.Float64("alpha", 2, "fill-to-redirect preference alpha_F2R")
 	diskGB := flag.Float64("disk-gb", 16, "disk size in GB")
@@ -47,7 +46,6 @@ func main() {
 	policyConfig := flag.String("policy-config", "", "policy parameters as k=v,k2=v2 (schema-validated per policy; see internal/policy)")
 	shards := flag.Int("shards", 1, "shard the cache n ways (power of two) and replay shards in parallel")
 	workers := flag.Int("workers", 0, "worker goroutines for -shards > 1 (default min(shards, GOMAXPROCS))")
-	useMmap := flag.Bool("mmap", false, "read columnar trace directories via mmap instead of buffered pread")
 	progress := flag.Bool("progress", false, "print replay progress to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile after the replay to this file")
@@ -58,39 +56,12 @@ func main() {
 	}
 
 	// The replay source: a columnar directory streams per-shard
-	// cursors; flat files are materialized into memory as before.
-	var src trace.Source
-	fromDir := trace.IsDir(*tracePath)
-	if fromDir {
-		if *useMmap && !trace.MmapSupported() {
-			fatal(fmt.Errorf("-mmap is not supported on this platform"))
-		}
-		d, err := trace.OpenDir(*tracePath, &trace.ReadOptions{Mmap: *useMmap})
-		if err != nil {
-			fatal(err)
-		}
-		src = d
-	} else {
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		var r trace.Reader
-		switch *format {
-		case "binary":
-			r = trace.NewBinaryReader(f)
-		case "text":
-			r = trace.NewTextReader(f)
-		default:
-			fatal(fmt.Errorf("unknown format %q", *format))
-		}
-		reqs, err := trace.ReadAll(r)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		src = trace.Slice(reqs)
+	// cursors; a text file is read into memory.
+	src, err := trace.Open(*tracePath)
+	if err != nil {
+		fatal(err)
 	}
+	_, fromDir := src.(*trace.Dir)
 	if src.Len() == 0 {
 		fatal(fmt.Errorf("trace %s is empty", *tracePath))
 	}

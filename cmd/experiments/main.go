@@ -22,12 +22,10 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,7,ablations,prefetch,baselines,policies,hierarchy,cdnwide,constrained,sensitivity,flash,rounding,parallel,all")
+	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,7,ablations,prefetch,baselines,policies,hierarchy,cdnwide,constrained,sensitivity,flash,rounding,all")
 	scaleName := flag.String("scale", "default", "experiment scale: default or small")
 	alpha := flag.Float64("alpha", 0, "override alpha_F2R where applicable (fig 6/7)")
 	csvDir := flag.String("csv", "", "also write each figure's raw data as CSV into this directory")
-	parallelMode := flag.Bool("parallel", false, "run the parallel sharded replay comparison (same as -fig parallel)")
-	traceDir := flag.String("trace-dir", "", "columnar trace directory for the parallel comparison (streams instead of generating; tracegen -dir)")
 	flag.Parse()
 
 	writeCSV := func(name string, dump func(io.Writer) error) {
@@ -230,25 +228,6 @@ func main() {
 				return err
 			}
 			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if *parallelMode || want("parallel") {
-		run("Parallel sharded replay (engine)", func() error {
-			var r *experiments.ParallelResult
-			var err error
-			if *traceDir != "" {
-				// Stream a pre-generated columnar directory instead of
-				// synthesizing the trace in memory.
-				r, err = experiments.ParallelDir(*traceDir, sc)
-			} else {
-				r, err = experiments.Parallel(sc)
-			}
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			writeCSV("parallel.csv", r.CSV)
 			return nil
 		})
 	}

@@ -1,30 +1,30 @@
 // Command traceconv converts between trace formats: CSV access logs
-// (header-driven column mapping), the line-oriented text format, the
-// compact binary format, and columnar trace directories.
+// (header-driven column mapping) in, and the two trace formats — the
+// line-oriented text file and the columnar trace directory — in and
+// out.
 //
 // Usage:
 //
-//	traceconv -in logs.csv -in-format csv -out eu.trace -out-format binary
-//	traceconv -in eu.trace -in-format binary -out eu.txt -out-format text
+//	traceconv -in logs.csv -in-format csv -out eu.trace -out-format text
 //
-//	# migrate a flat trace into a sharded columnar directory
-//	traceconv -in eu.trace -in-format binary \
+//	# move a text trace into a sharded columnar directory
+//	traceconv -in eu.trace -in-format text \
 //	          -out eu.tracedir -out-format columnar -trace-shards 8
 //
 //	# export a columnar directory back to text
 //	traceconv -in eu.tracedir -in-format columnar -out eu.txt -out-format text
 //
-// Text, binary and columnar conversions stream request by request —
-// converting a 100M-request trace holds only codec buffers in memory.
-// CSV input is the exception: it is materialized, because import
-// rebases timestamps to t=0 and needs the whole log to find the base.
+// A trace named by -in opens with trace.Open, which tells a directory
+// from a text file whatever -in-format says. Directories and text read
+// from stdin stream request by request; a text file or CSV log is read
+// into memory first (CSV import rebases timestamps to t=0 and needs the
+// whole log to find the base).
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"videocdn/internal/trace"
@@ -33,18 +33,18 @@ import (
 func main() {
 	in := flag.String("in", "", "input file, or directory for columnar (default stdin)")
 	out := flag.String("out", "", "output file, or directory for columnar (default stdout)")
-	inFormat := flag.String("in-format", "csv", "input format: csv, text, binary or columnar")
-	outFormat := flag.String("out-format", "binary", "output format: text, binary or columnar")
+	inFormat := flag.String("in-format", "csv", "input format: csv, text or columnar")
+	outFormat := flag.String("out-format", "text", "output format: text or columnar")
 	sep := flag.String("csv-sep", ",", "CSV field separator")
 	noRebase := flag.Bool("no-rebase", false, "keep absolute CSV timestamps instead of rebasing to t=0")
 	traceShards := flag.Int("trace-shards", 1, "shard fan-out for -out-format columnar (power of two)")
 	flag.Parse()
 
-	r, cleanupIn, err := openReader(*in, *inFormat, *sep, *noRebase)
+	cur, err := openInput(*in, *inFormat, *sep, *noRebase)
 	if err != nil {
 		fatal(err)
 	}
-	defer cleanupIn()
+	defer cur.Close()
 
 	w, finishOut, err := openWriter(*out, *outFormat, *traceShards)
 	if err != nil {
@@ -52,13 +52,14 @@ func main() {
 	}
 
 	count := 0
+	var req trace.Request
 	for {
-		req, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
+		ok, err := cur.Next(&req)
 		if err != nil {
 			fatal(err)
+		}
+		if !ok {
+			break
 		}
 		if err := w.Write(req); err != nil {
 			fatal(err)
@@ -74,58 +75,43 @@ func main() {
 	fmt.Fprintf(os.Stderr, "converted %d requests\n", count)
 }
 
-// openReader returns a streaming Reader over the input. cleanup
-// releases the underlying file or cursor.
-func openReader(in, format, sep string, noRebase bool) (trace.Reader, func(), error) {
-	if format == "columnar" {
-		if in == "" {
-			return nil, nil, errors.New("columnar input needs -in <directory>")
-		}
-		d, err := trace.OpenDir(in, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		cur, err := trace.Sequential(d)
-		if err != nil {
-			return nil, nil, err
-		}
-		return trace.NewCursorReader(cur), func() { cur.Close() }, nil
-	}
-	inF := os.Stdin
-	cleanup := func() {}
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, nil, err
-		}
-		inF = f
-		cleanup = func() { f.Close() }
-	}
+// openInput returns a cursor over the input in replay order.
+func openInput(in, format, sep string, noRebase bool) (trace.Cursor, error) {
 	switch format {
 	case "csv":
+		r := os.Stdin
+		if in != "" {
+			f, err := os.Open(in)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			r = f
+		}
 		var comma rune
 		for _, c := range sep {
 			comma = c
 			break
 		}
-		reqs, err := trace.ImportCSV(inF, trace.ImportOptions{Comma: comma, DisableRebase: noRebase})
+		reqs, err := trace.ImportCSV(r, trace.ImportOptions{Comma: comma, DisableRebase: noRebase})
 		if err != nil {
-			cleanup()
-			return nil, nil, err
+			return nil, err
 		}
-		cur, err := trace.Slice(reqs).Cursor(0)
+		return trace.Slice(reqs).Cursor(0)
+	case "text", "columnar":
+		if in == "" {
+			if format == "columnar" {
+				return nil, errors.New("columnar input needs -in <directory>")
+			}
+			return trace.NewTextReader(os.Stdin), nil
+		}
+		src, err := trace.Open(in)
 		if err != nil {
-			cleanup()
-			return nil, nil, err
+			return nil, err
 		}
-		return trace.NewCursorReader(cur), cleanup, nil
-	case "text":
-		return trace.NewTextReader(inF), cleanup, nil
-	case "binary":
-		return trace.NewBinaryReader(inF), cleanup, nil
+		return trace.Sequential(src)
 	default:
-		cleanup()
-		return nil, nil, fmt.Errorf("unknown input format %q", format)
+		return nil, fmt.Errorf("unknown input format %q", format)
 	}
 }
 
@@ -133,7 +119,8 @@ func openReader(in, format, sep string, noRebase bool) (trace.Reader, func(), er
 // function that finalizes it (columnar directories write their
 // manifest on Close).
 func openWriter(out, format string, shards int) (trace.Writer, func() error, error) {
-	if format == "columnar" {
+	switch format {
+	case "columnar":
 		if out == "" {
 			return nil, nil, errors.New("columnar output needs -out <directory>")
 		}
@@ -142,22 +129,15 @@ func openWriter(out, format string, shards int) (trace.Writer, func() error, err
 			return nil, nil, err
 		}
 		return dw, dw.Close, nil
-	}
-	outF := os.Stdout
-	finish := func() error { return nil }
-	if out != "" {
+	case "text":
+		if out == "" {
+			return trace.NewTextWriter(os.Stdout), func() error { return nil }, nil
+		}
 		f, err := os.Create(out)
 		if err != nil {
 			return nil, nil, err
 		}
-		outF = f
-		finish = f.Close
-	}
-	switch format {
-	case "text":
-		return trace.NewTextWriter(outF), finish, nil
-	case "binary":
-		return trace.NewBinaryWriter(outF), finish, nil
+		return trace.NewTextWriter(f), f.Close, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown output format %q", format)
 	}

@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	tracegen -profile europe -days 14 -o europe.trace          # binary
-//	tracegen -profile asia -days 7 -format text -o asia.txt
-//	tracegen -list                                             # show profiles
-//	tracegen -profile europe -scale 0.1 -o small.trace         # scaled volume
+//	tracegen -profile europe -days 14 -o europe.trace   # text, one request per line
+//	tracegen -list                                      # show profiles
+//	tracegen -profile europe -scale 0.1 -o small.trace  # scaled volume
 //
 // For month-scale (100M+) traces, generate a sharded columnar trace
-// directory instead of a flat file — generation streams to disk at
+// directory instead of a text file — generation streams to disk at
 // flat memory and, with -gen-workers > 1, runs in parallel:
 //
 //	tracegen -profile europe -days 30 -dir europe.tracedir \
@@ -29,12 +28,11 @@ import (
 func main() {
 	profile := flag.String("profile", "europe", "server profile name")
 	days := flag.Int("days", 14, "days of trace to generate")
-	out := flag.String("o", "", "output file (default stdout)")
-	format := flag.String("format", "binary", "output format: binary or text")
+	out := flag.String("o", "", "output text file (default stdout)")
 	scale := flag.Float64("scale", 1, "volume scale factor (requests, catalog, churn)")
 	seed := flag.Int64("seed", 0, "override the profile's seed (0 = keep)")
 	list := flag.Bool("list", false, "list available profiles and exit")
-	dir := flag.String("dir", "", "write a columnar trace directory instead of a flat file")
+	dir := flag.String("dir", "", "write a columnar trace directory instead of a text file")
 	traceShards := flag.Int("trace-shards", 1, "shard fan-out of the trace directory (power of two; with -dir)")
 	genWorkers := flag.Int("gen-workers", 1, "parallel generation parts (with -dir)")
 	flag.Parse()
@@ -86,15 +84,7 @@ func main() {
 		}
 		defer f.Close()
 	}
-	var w trace.Writer
-	switch *format {
-	case "binary":
-		w = trace.NewBinaryWriter(f)
-	case "text":
-		w = trace.NewTextWriter(f)
-	default:
-		fatal(fmt.Errorf("unknown format %q (want binary or text)", *format))
-	}
+	w := trace.NewTextWriter(f)
 	// Stream straight to the writer — month-scale traces never need to
 	// fit in memory.
 	count := 0

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	tracegen -profile europe -days 14 -o eu.trace
-//	traceinfo -trace eu.trace
-//	traceinfo -trace logs.txt -format text -chunk-mb 2
+//	traceinfo -trace eu.trace -chunk-mb 2
 //
 //	# columnar trace directories are detected automatically and
 //	# analyzed by streaming (two cursor passes, flat memory):
@@ -24,50 +23,20 @@ import (
 )
 
 func main() {
-	tracePath := flag.String("trace", "", "trace file (binary or text) or columnar trace directory")
-	format := flag.String("format", "binary", "trace format for flat files: binary or text")
+	tracePath := flag.String("trace", "", "text trace file or columnar trace directory")
 	chunkMB := flag.Float64("chunk-mb", 2, "chunk size in MB (for chunk-level stats)")
 	flag.Parse()
 
 	if *tracePath == "" {
 		fatal(fmt.Errorf("-trace is required"))
 	}
-	chunkSize := int64(*chunkMB * (1 << 20))
-
-	if trace.IsDir(*tracePath) {
-		// Columnar directory: analyze by streaming cursors — memory is
-		// bounded by per-video state, never by trace length.
-		d, err := trace.OpenDir(*tracePath, nil)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := analyze.AnalyzeSource(d, chunkSize)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Print(os.Stdout)
-		return
-	}
-
-	f, err := os.Open(*tracePath)
+	src, err := trace.Open(*tracePath)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	var r trace.Reader
-	switch *format {
-	case "binary":
-		r = trace.NewBinaryReader(f)
-	case "text":
-		r = trace.NewTextReader(f)
-	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
-	}
-	reqs, err := trace.ReadAll(r)
-	if err != nil {
-		fatal(err)
-	}
-	rep, err := analyze.Analyze(reqs, chunkSize)
+	// Memory is bounded by per-video state, never by trace length (a
+	// text file is already in memory).
+	rep, err := analyze.AnalyzeSource(src, int64(*chunkMB*(1<<20)))
 	if err != nil {
 		fatal(err)
 	}

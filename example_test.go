@@ -90,6 +90,36 @@ func ExampleImportCSVTrace() {
 	// 2 0 30
 }
 
+// ExampleAnalyzeTrace characterizes an access log before replaying it:
+// import the CSV export, then read its popularity, churn and size
+// profile. Sizes are binned in a log histogram (≤ 2 % error), so the
+// median of these 1 MB requests reads as slightly less.
+func ExampleAnalyzeTrace() {
+	csv := "time,video,bytes\n" +
+		"0,1,1000000\n" +
+		"60,1,1000000\n" +
+		"120,2,1000000\n" +
+		"3600,1,1000000\n" +
+		"86400,3,1000000\n" +
+		"86460,1,1000000\n"
+	reqs, err := videocdn.ImportCSVTrace(strings.NewReader(csv), videocdn.CSVImportOptions{})
+	if err != nil {
+		panic(err)
+	}
+	rep, err := videocdn.AnalyzeTrace(reqs, videocdn.DefaultChunkSize)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%d requests, %d videos over %.2f days\n", rep.Requests, rep.UniqueVideos, rep.Days)
+	fmt.Printf("single-hit videos %.0f%%, %.0f new video(s)/day\n",
+		100*rep.Popularity.SingleHitShare, rep.Churn.NewVideosPerDay)
+	fmt.Println("median request bytes:", rep.Sizes.P50)
+	// Output:
+	// 6 requests, 3 videos over 1.00 days
+	// single-hit videos 67%, 1 new video(s)/day
+	// median request bytes: 993303
+}
+
 // ExampleReplay measures a cache over a synthetic workload and reads
 // the paper's metrics.
 func ExampleReplay() {

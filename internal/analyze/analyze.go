@@ -91,8 +91,8 @@ type ChurnReport struct {
 // before requests can be bucketed by decile), so memory is bounded by
 // per-video state — O(unique videos), not O(requests). Size
 // percentiles are computed from a logarithmic histogram and are
-// approximate to within ~2% relative error; Analyze on a materialized
-// slice gives exact percentiles.
+// approximate to within ~2% relative error. An in-memory trace is
+// analyzed the same way, through trace.Slice.
 func AnalyzeSource(src trace.Source, chunkSize int64) (*Report, error) {
 	if src == nil {
 		return nil, fmt.Errorf("analyze: nil source")
@@ -344,43 +344,6 @@ func (h *sizeHist) quantile(p float64) int64 {
 	return int64(math.Exp2(float64(len(h.buckets)) / sizeHistSub))
 }
 
-// Analyze characterizes the trace at the given chunk size.
-func Analyze(reqs []trace.Request, chunkSize int64) (*Report, error) {
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("analyze: empty trace")
-	}
-	if chunkSize <= 0 {
-		return nil, fmt.Errorf("analyze: chunk size must be positive")
-	}
-	r := &Report{Requests: len(reqs)}
-	hits := make(map[chunk.VideoID]int)
-	maxEnd := make(map[chunk.VideoID]int64)
-	firstSeen := make(map[chunk.VideoID]int64)
-	start := reqs[0].Time
-	end := reqs[len(reqs)-1].Time
-	r.Days = float64(end-start) / 86400
-
-	sizes := make([]int64, 0, len(reqs))
-	for _, req := range reqs {
-		hits[req.Video]++
-		r.TotalBytes += req.Bytes()
-		sizes = append(sizes, req.Bytes())
-		if req.End > maxEnd[req.Video] {
-			maxEnd[req.Video] = req.End
-		}
-		if _, ok := firstSeen[req.Video]; !ok {
-			firstSeen[req.Video] = req.Time
-		}
-	}
-	r.UniqueVideos = len(hits)
-	r.Popularity = popularity(hits, len(reqs))
-	r.Diurnal = diurnal(reqs)
-	r.IntraFile = intraFile(reqs, maxEnd, chunkSize)
-	r.Sizes = sizeReport(sizes)
-	r.Churn = churn(reqs, firstSeen, start)
-	return r, nil
-}
-
 func popularity(hits map[chunk.VideoID]int, total int) PopularityReport {
 	counts := make([]int, 0, len(hits))
 	single := 0
@@ -435,126 +398,6 @@ func min2(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func diurnal(reqs []trace.Request) DiurnalReport {
-	var rep DiurnalReport
-	for _, r := range reqs {
-		rep.ByHour[(r.Time%86400)/3600]++
-	}
-	minC, maxC := rep.ByHour[0], rep.ByHour[0]
-	for h, c := range rep.ByHour {
-		if c > maxC {
-			maxC = c
-			rep.PeakHour = h
-		}
-		if c < minC {
-			minC = c
-		}
-	}
-	if minC > 0 {
-		rep.PeakTroughRatio = float64(maxC) / float64(minC)
-	} else {
-		rep.PeakTroughRatio = math.Inf(1)
-	}
-	return rep
-}
-
-func intraFile(reqs []trace.Request, maxEnd map[chunk.VideoID]int64, chunkSize int64) IntraFileReport {
-	var rep IntraFileReport
-	var first, median float64
-	total := 0
-	for _, r := range reqs {
-		extent := maxEnd[r.Video] + 1
-		if extent <= 0 {
-			continue
-		}
-		d0 := int(10 * r.Start / extent)
-		d1 := int(10 * r.End / extent)
-		if d0 > 9 {
-			d0 = 9
-		}
-		if d1 > 9 {
-			d1 = 9
-		}
-		for d := d0; d <= d1; d++ {
-			rep.PrefixShare[d]++
-		}
-		total++
-		// First-chunk vs mid-file chunk touch counts.
-		c0, c1 := r.ChunkRange(chunkSize)
-		if c0 == 0 {
-			first++
-		}
-		midChunk := uint32(extent / 2 / chunkSize)
-		if c0 <= midChunk && midChunk <= c1 {
-			median++
-		}
-	}
-	if total > 0 {
-		sum := 0.0
-		for _, v := range rep.PrefixShare {
-			sum += v
-		}
-		for i := range rep.PrefixShare {
-			rep.PrefixShare[i] /= sum
-		}
-	}
-	if median > 0 {
-		rep.FirstChunkRatio = first / median
-	} else if first > 0 {
-		rep.FirstChunkRatio = math.Inf(1)
-	}
-	return rep
-}
-
-func sizeReport(sizes []int64) SizeReport {
-	var rep SizeReport
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	var sum int64
-	for _, s := range sizes {
-		sum += s
-	}
-	rep.MeanBytes = float64(sum) / float64(len(sizes))
-	q := func(p float64) int64 {
-		i := int(p * float64(len(sizes)-1))
-		return sizes[i]
-	}
-	rep.P50, rep.P90, rep.P99 = q(0.5), q(0.9), q(0.99)
-	return rep
-}
-
-func churn(reqs []trace.Request, firstSeen map[chunk.VideoID]int64, start int64) ChurnReport {
-	var rep ChurnReport
-	newByDay := make(map[int64]int)
-	for _, t := range firstSeen {
-		newByDay[(t-start)/86400]++
-	}
-	lastDay := (reqs[len(reqs)-1].Time - start) / 86400
-	if lastDay >= 1 {
-		totalNew := 0
-		for d, n := range newByDay {
-			if d >= 1 {
-				totalNew += n
-			}
-		}
-		rep.NewVideosPerDay = float64(totalNew) / float64(lastDay)
-	}
-	fresh, later := 0, 0
-	for _, r := range reqs {
-		day := (r.Time - start) / 86400
-		if day < 1 {
-			continue
-		}
-		later++
-		if (firstSeen[r.Video]-start)/86400 == day {
-			fresh++
-		}
-	}
-	if later > 0 {
-		rep.FreshRequestShare = float64(fresh) / float64(later)
-	}
-	return rep
 }
 
 // Print renders the report as a human-readable summary.

@@ -1,7 +1,9 @@
 package analyze
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -16,11 +18,17 @@ func req(t int64, v chunk.VideoID, start, end int64) trace.Request {
 	return trace.Request{Time: t, Video: v, Start: start, End: end}
 }
 
+// analyzeSlice analyzes an in-memory trace the way the tools and the
+// facade do: streaming, over trace.Slice.
+func analyzeSlice(reqs []trace.Request, chunkSize int64) (*Report, error) {
+	return AnalyzeSource(trace.Slice(reqs), chunkSize)
+}
+
 func TestAnalyzeValidation(t *testing.T) {
-	if _, err := Analyze(nil, testK); err == nil {
+	if _, err := analyzeSlice(nil, testK); err == nil {
 		t.Error("empty trace should fail")
 	}
-	if _, err := Analyze([]trace.Request{req(0, 1, 0, 1)}, 0); err == nil {
+	if _, err := analyzeSlice([]trace.Request{req(0, 1, 0, 1)}, 0); err == nil {
 		t.Error("zero chunk size should fail")
 	}
 }
@@ -31,7 +39,7 @@ func TestBasicCounts(t *testing.T) {
 		req(3600, 2, 0, 199),
 		req(86400, 1, 0, 99),
 	}
-	r, err := Analyze(reqs, testK)
+	r, err := analyzeSlice(reqs, testK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +65,7 @@ func TestZipfFit(t *testing.T) {
 			tm++
 		}
 	}
-	r, err := Analyze(reqs, testK)
+	r, err := analyzeSlice(reqs, testK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +84,7 @@ func TestSingleHitShare(t *testing.T) {
 		req(3, 3, 0, 1),
 		req(4, 4, 0, 1),
 	}
-	r, err := Analyze(reqs, testK)
+	r, err := analyzeSlice(reqs, testK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +104,7 @@ func TestDiurnalPeak(t *testing.T) {
 		reqs = append(reqs, req(int64(day)*86400+20*3600, 2, 0, 1))
 	}
 	_ = tm
-	r, err := Analyze(reqs, testK)
+	r, err := analyzeSlice(reqs, testK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestPrefixBiasDetected(t *testing.T) {
 		reqs = append(reqs, req(tm, 1, 0, size-1))
 		tm++
 	}
-	r, err := Analyze(reqs, testK)
+	r, err := analyzeSlice(reqs, testK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +146,7 @@ func TestSizePercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		reqs = append(reqs, req(int64(i), chunk.VideoID(i), 0, int64(i)*1000-1))
 	}
-	r, err := Analyze(reqs, testK)
+	r, err := analyzeSlice(reqs, testK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestChurn(t *testing.T) {
 		// Day 2: one new video (4).
 		req(2*86400+5, 4, 0, 1),
 	}
-	r, err := Analyze(reqs, testK)
+	r, err := analyzeSlice(reqs, testK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +200,7 @@ func TestSyntheticWorkloadCharacteristics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Analyze(reqs, chunk.DefaultSize)
+	r, err := analyzeSlice(reqs, chunk.DefaultSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +223,7 @@ func TestSyntheticWorkloadCharacteristics(t *testing.T) {
 
 func TestPrint(t *testing.T) {
 	reqs := []trace.Request{req(0, 1, 0, 100), req(86400, 2, 0, 100)}
-	r, err := Analyze(reqs, testK)
+	r, err := analyzeSlice(reqs, testK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +236,8 @@ func TestPrint(t *testing.T) {
 	}
 }
 
-// AnalyzeSource over a columnar directory must match Analyze on the
-// materialized slice, exactly for every count-based field and within
+// AnalyzeSource over a columnar directory must match the exact
+// materializing analyzer on the slice, exactly for every count-based field and within
 // histogram tolerance for size percentiles.
 func TestAnalyzeSourceMatchesAnalyze(t *testing.T) {
 	p := workload.Profiles()[0]
@@ -244,7 +252,7 @@ func TestAnalyzeSourceMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Analyze(append([]trace.Request(nil), reqs...), chunk.DefaultSize)
+	want, err := analyzeExact(append([]trace.Request(nil), reqs...), chunk.DefaultSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +270,7 @@ func TestAnalyzeSourceMatchesAnalyze(t *testing.T) {
 	if err := dw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := trace.OpenDir(dir, nil)
+	d, err := trace.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,4 +328,164 @@ func TestAnalyzeSourceValidation(t *testing.T) {
 	if _, err := AnalyzeSource(trace.Slice([]trace.Request{req(0, 1, 0, 1)}), 0); err == nil {
 		t.Error("zero chunk size should fail")
 	}
+}
+
+// analyzeExact is the materializing analyzer AnalyzeSource replaced:
+// it holds the whole trace and sorts every request size, so its
+// percentiles are exact. It stays as the reference
+// TestAnalyzeSourceMatchesAnalyze compares the streaming report with.
+func analyzeExact(reqs []trace.Request, chunkSize int64) (*Report, error) {
+	if len(reqs) == 0 {
+		return nil, fmt.Errorf("analyze: empty trace")
+	}
+	if chunkSize <= 0 {
+		return nil, fmt.Errorf("analyze: chunk size must be positive")
+	}
+	r := &Report{Requests: len(reqs)}
+	hits := make(map[chunk.VideoID]int)
+	maxEnd := make(map[chunk.VideoID]int64)
+	firstSeen := make(map[chunk.VideoID]int64)
+	start := reqs[0].Time
+	end := reqs[len(reqs)-1].Time
+	r.Days = float64(end-start) / 86400
+
+	sizes := make([]int64, 0, len(reqs))
+	for _, req := range reqs {
+		hits[req.Video]++
+		r.TotalBytes += req.Bytes()
+		sizes = append(sizes, req.Bytes())
+		if req.End > maxEnd[req.Video] {
+			maxEnd[req.Video] = req.End
+		}
+		if _, ok := firstSeen[req.Video]; !ok {
+			firstSeen[req.Video] = req.Time
+		}
+	}
+	r.UniqueVideos = len(hits)
+	r.Popularity = popularity(hits, len(reqs))
+	r.Diurnal = diurnal(reqs)
+	r.IntraFile = intraFile(reqs, maxEnd, chunkSize)
+	r.Sizes = sizeReport(sizes)
+	r.Churn = churn(reqs, firstSeen, start)
+	return r, nil
+}
+
+func diurnal(reqs []trace.Request) DiurnalReport {
+	var rep DiurnalReport
+	for _, r := range reqs {
+		rep.ByHour[(r.Time%86400)/3600]++
+	}
+	minC, maxC := rep.ByHour[0], rep.ByHour[0]
+	for h, c := range rep.ByHour {
+		if c > maxC {
+			maxC = c
+			rep.PeakHour = h
+		}
+		if c < minC {
+			minC = c
+		}
+	}
+	if minC > 0 {
+		rep.PeakTroughRatio = float64(maxC) / float64(minC)
+	} else {
+		rep.PeakTroughRatio = math.Inf(1)
+	}
+	return rep
+}
+
+func intraFile(reqs []trace.Request, maxEnd map[chunk.VideoID]int64, chunkSize int64) IntraFileReport {
+	var rep IntraFileReport
+	var first, median float64
+	total := 0
+	for _, r := range reqs {
+		extent := maxEnd[r.Video] + 1
+		if extent <= 0 {
+			continue
+		}
+		d0 := int(10 * r.Start / extent)
+		d1 := int(10 * r.End / extent)
+		if d0 > 9 {
+			d0 = 9
+		}
+		if d1 > 9 {
+			d1 = 9
+		}
+		for d := d0; d <= d1; d++ {
+			rep.PrefixShare[d]++
+		}
+		total++
+		// First-chunk vs mid-file chunk touch counts.
+		c0, c1 := r.ChunkRange(chunkSize)
+		if c0 == 0 {
+			first++
+		}
+		midChunk := uint32(extent / 2 / chunkSize)
+		if c0 <= midChunk && midChunk <= c1 {
+			median++
+		}
+	}
+	if total > 0 {
+		sum := 0.0
+		for _, v := range rep.PrefixShare {
+			sum += v
+		}
+		for i := range rep.PrefixShare {
+			rep.PrefixShare[i] /= sum
+		}
+	}
+	if median > 0 {
+		rep.FirstChunkRatio = first / median
+	} else if first > 0 {
+		rep.FirstChunkRatio = math.Inf(1)
+	}
+	return rep
+}
+
+func sizeReport(sizes []int64) SizeReport {
+	var rep SizeReport
+	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
+	var sum int64
+	for _, s := range sizes {
+		sum += s
+	}
+	rep.MeanBytes = float64(sum) / float64(len(sizes))
+	q := func(p float64) int64 {
+		i := int(p * float64(len(sizes)-1))
+		return sizes[i]
+	}
+	rep.P50, rep.P90, rep.P99 = q(0.5), q(0.9), q(0.99)
+	return rep
+}
+
+func churn(reqs []trace.Request, firstSeen map[chunk.VideoID]int64, start int64) ChurnReport {
+	var rep ChurnReport
+	newByDay := make(map[int64]int)
+	for _, t := range firstSeen {
+		newByDay[(t-start)/86400]++
+	}
+	lastDay := (reqs[len(reqs)-1].Time - start) / 86400
+	if lastDay >= 1 {
+		totalNew := 0
+		for d, n := range newByDay {
+			if d >= 1 {
+				totalNew += n
+			}
+		}
+		rep.NewVideosPerDay = float64(totalNew) / float64(lastDay)
+	}
+	fresh, later := 0, 0
+	for _, r := range reqs {
+		day := (r.Time - start) / 86400
+		if day < 1 {
+			continue
+		}
+		later++
+		if (firstSeen[r.Video]-start)/86400 == day {
+			fresh++
+		}
+	}
+	if later > 0 {
+		rep.FreshRequestShare = float64(fresh) / float64(later)
+	}
+	return rep
 }

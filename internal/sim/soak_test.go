@@ -66,7 +66,7 @@ func TestStreamingReplaySoakFlatMemory(t *testing.T) {
 	}
 	t.Logf("generated %d requests into %s", st.Requests, dir)
 
-	d, err := trace.OpenDir(dir, nil)
+	d, err := trace.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

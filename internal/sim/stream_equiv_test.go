@@ -13,7 +13,7 @@ import (
 
 // writeColumnar writes reqs into a fresh columnar directory with the
 // given shard fan-out and opens it.
-func writeColumnar(t *testing.T, reqs []trace.Request, shards int, mmap bool) *trace.Dir {
+func writeColumnar(t *testing.T, reqs []trace.Request, shards int) *trace.Dir {
 	t.Helper()
 	dir := t.TempDir()
 	dw, err := trace.CreateDir(dir, trace.DirConfig{Shards: shards, BlockRequests: 256})
@@ -28,7 +28,7 @@ func writeColumnar(t *testing.T, reqs []trace.Request, shards int, mmap bool) *t
 	if err := dw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := trace.OpenDir(dir, &trace.ReadOptions{Mmap: mmap})
+	d, err := trace.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestStreamingReplayMatrix(t *testing.T) {
 	cfg := core.Config{ChunkSize: testK, DiskChunks: 256, ReuseOutcomeBuffers: true}
 	for _, f := range parallelFactories() {
 		for _, traceShards := range []int{1, 8} {
-			d := writeColumnar(t, reqs, traceShards, false)
+			d := writeColumnar(t, reqs, traceShards)
 			for _, groupShards := range []int{1, 8} {
 				label := fmt.Sprintf("%s/T%d/G%d", f.name, traceShards, groupShards)
 				mkGroup := func() *shard.Group {
@@ -131,7 +131,7 @@ func TestStreamingReplayAsymmetricShards(t *testing.T) {
 		{2, 8}, // filter path
 		{8, 2}, // merge path
 	} {
-		d := writeColumnar(t, reqs, tc.traceShards, false)
+		d := writeColumnar(t, reqs, tc.traceShards)
 		g1, err := shard.New(tc.groupShards, cfg, f.mk)
 		if err != nil {
 			t.Fatal(err)
@@ -150,34 +150,4 @@ func TestStreamingReplayAsymmetricShards(t *testing.T) {
 		}
 		requireIdentical(t, "asymmetric", want, got)
 	}
-}
-
-// TestStreamingReplayMmap repeats one equivalence cell with the
-// directory opened via mmap instead of buffered preads.
-func TestStreamingReplayMmap(t *testing.T) {
-	if !trace.MmapSupported() {
-		t.Skip("mmap not supported on this platform")
-	}
-	reqs := parallelTrace(3000, 17)
-	m := cost.MustModel(2)
-	cfg := core.Config{ChunkSize: testK, DiskChunks: 128, ReuseOutcomeBuffers: true}
-	f := parallelFactories()[0]
-	d := writeColumnar(t, reqs, 8, true)
-	g1, err := shard.New(8, cfg, f.mk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReplayParallel(g1, trace.Slice(reqs), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := shard.New(8, cfg, f.mk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReplayParallel(g2, d, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "mmap", want, got)
 }

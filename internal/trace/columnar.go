@@ -446,8 +446,8 @@ func (pw *PartWriter) Write(r Request) error {
 func (pw *PartWriter) Requests() uint64 { return pw.seq }
 
 // DirWriter is the single-part convenience writer: it satisfies the
-// Writer interface so existing code (WriteAll, tracegen) can stream
-// into a columnar directory unchanged. Flush is a no-op — the columnar
+// Writer interface so code written against it (WriteAll, traceconv)
+// streams into a columnar directory unchanged. Flush is a no-op — the columnar
 // format is finalized by Close, which writes every segment trailer and
 // the manifest.
 type DirWriter struct {

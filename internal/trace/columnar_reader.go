@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,82 +15,57 @@ import (
 	"videocdn/internal/chunk"
 )
 
-// ReadOptions configures how a columnar trace directory is read.
-type ReadOptions struct {
-	// Mmap maps segment files instead of pread-ing blocks into a
-	// buffer: block decodes then borrow the page cache directly. Only
-	// available on unix (see MmapSupported); pread is the portable
-	// default and its steady-state allocation is identical (zero).
-	Mmap bool
-}
-
-// MmapSupported reports whether ReadOptions.Mmap works on this
-// platform.
-func MmapSupported() bool { return mmapTraceSupported }
-
 // Dir is a columnar trace directory opened for reading. It implements
 // Source (plus SequentialSource and ShardMerger), so it plugs directly
 // into the replay engines; every cursor it hands out owns its own file
 // descriptors and decode buffers, so cursors over the same directory
 // are safe to drive from concurrent goroutines.
 type Dir struct {
-	dir  string
-	man  Manifest
-	opts ReadOptions
+	dir string
+	man Manifest
 }
 
-// IsDir reports whether path looks like a columnar trace directory
-// (a directory containing a manifest file).
-func IsDir(path string) bool {
-	st, err := os.Stat(path)
-	if err != nil || !st.IsDir() {
-		return false
+// OpenDir opens a columnar trace directory. Errors name the directory.
+func OpenDir(dir string) (*Dir, error) {
+	man, err := readManifest(dir)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", dir, err)
 	}
-	_, err = os.Stat(filepath.Join(path, ManifestName))
-	return err == nil
+	return &Dir{dir: dir, man: man}, nil
 }
 
-// OpenDir opens a columnar trace directory. opts may be nil for
-// defaults (chunked pread).
-func OpenDir(dir string, opts *ReadOptions) (*Dir, error) {
-	var o ReadOptions
-	if opts != nil {
-		o = *opts
-	}
-	if o.Mmap && !mmapTraceSupported {
-		return nil, errors.New("trace: mmap reads are not supported on this platform")
-	}
+func readManifest(dir string) (Manifest, error) {
+	var man Manifest
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
-		return nil, fmt.Errorf("trace: opening trace directory: %w", err)
+		return man, fmt.Errorf("not a columnar trace directory: %w", err)
 	}
-	var man Manifest
 	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", ManifestName, err)
+		return man, fmt.Errorf("%s: %w", ManifestName, err)
 	}
 	if man.Format != ManifestFormat {
-		return nil, fmt.Errorf("trace: %s: unknown format %q", ManifestName, man.Format)
+		return man, fmt.Errorf("%s: unknown format %q", ManifestName, man.Format)
 	}
 	if man.Version != 1 {
-		return nil, fmt.Errorf("trace: %s: unsupported version %d", ManifestName, man.Version)
+		return man, fmt.Errorf("%s: unsupported version %d", ManifestName, man.Version)
 	}
 	if man.Shards <= 0 || man.Shards&(man.Shards-1) != 0 {
-		return nil, fmt.Errorf("trace: %s: shard count %d is not a positive power of two", ManifestName, man.Shards)
+		return man, fmt.Errorf("%s: shard count %d is not a positive power of two", ManifestName, man.Shards)
 	}
 	if man.Parts <= 0 {
-		return nil, fmt.Errorf("trace: %s: non-positive part count %d", ManifestName, man.Parts)
+		return man, fmt.Errorf("%s: non-positive part count %d", ManifestName, man.Parts)
 	}
 	var total uint64
 	for _, s := range man.Segments {
 		if s.Shard < 0 || s.Shard >= man.Shards || s.Part < 0 || s.Part >= man.Parts {
-			return nil, fmt.Errorf("trace: %s: segment %q out of range (shard %d, part %d)", ManifestName, s.File, s.Shard, s.Part)
+			return man, fmt.Errorf("%s: segment %q out of range (shard %d, part %d)", ManifestName, s.File, s.Shard, s.Part)
 		}
 		total += s.Requests
 	}
 	if total != man.Requests {
-		return nil, fmt.Errorf("trace: %s: segment requests sum to %d, manifest says %d", ManifestName, total, man.Requests)
+		return man, fmt.Errorf("%s: segment requests sum to %d, manifest says %d", ManifestName, total, man.Requests)
 	}
-	return &Dir{dir: dir, man: man, opts: o}, nil
+	return man, nil
 }
 
 // Manifest returns the directory's manifest.
@@ -164,7 +140,7 @@ func (d *Dir) open(keep func(SegmentInfo) bool) (Cursor, error) {
 		return nil, err
 	}
 	for _, info := range infos {
-		sc, err := openSeg(filepath.Join(d.dir, info.File), &info, d.opts.Mmap)
+		sc, err := openSeg(filepath.Join(d.dir, info.File), &info)
 		if err != nil {
 			return fail(err)
 		}
@@ -184,49 +160,16 @@ func (d *Dir) open(keep func(SegmentInfo) bool) (Cursor, error) {
 	}
 }
 
-// ---------- Segment bytes (pread / mmap) ----------
-
-// segBytes abstracts how segment bytes are fetched: chunked pread into
-// a reused buffer, or a borrowed slice of an mmap'd file.
-type segBytes interface {
-	// view returns n bytes at off. buf is a reusable scratch buffer for
-	// implementations that must copy; the returned slice is only valid
-	// until the next view call.
-	view(off int64, n int, buf *[]byte) ([]byte, error)
-	size() int64
-	close() error
-}
-
-type fileBytes struct {
-	f  *os.File
-	sz int64
-}
-
-func (fb *fileBytes) view(off int64, n int, buf *[]byte) ([]byte, error) {
-	if off < 0 || n < 0 || off+int64(n) > fb.sz {
-		return nil, fmt.Errorf("trace: segment read [%d,+%d) beyond size %d", off, n, fb.sz)
-	}
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
-	if _, err := fb.f.ReadAt(b, off); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func (fb *fileBytes) size() int64  { return fb.sz }
-func (fb *fileBytes) close() error { return fb.f.Close() }
-
 // ---------- Segment cursor ----------
 
-// segCursor streams one segment file block by block. Steady-state Next
-// is allocation-free: the five column slices and the pread buffer are
-// allocated once (at the first block) and reused for every subsequent
-// block.
+// segCursor streams one segment block by block, reading each block
+// with one ReadAt (a pread on the segment file; the fuzzer hands it a
+// bytes.Reader). Steady-state Next is allocation-free: the five column
+// slices and the read buffer are allocated once (at the first block)
+// and reused for every subsequent block.
 type segCursor struct {
-	data  segBytes
+	r     io.ReaderAt // closed by Close when it is an io.Closer
+	size  int64
 	shard uint32
 	part  uint32
 
@@ -247,14 +190,14 @@ type segCursor struct {
 	prevSeq  uint64
 	started  bool
 
-	buf []byte // pread scratch
+	buf []byte // read scratch
 	err error
 }
 
 // openSeg opens and validates one segment file. info, when non-nil, is
 // the manifest entry to cross-check against; nil skips the cross-check
 // (tests and tools parsing a bare segment).
-func openSeg(path string, info *SegmentInfo, useMmap bool) (*segCursor, error) {
+func openSeg(path string, info *SegmentInfo) (*segCursor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -264,31 +207,20 @@ func openSeg(path string, info *SegmentInfo, useMmap bool) (*segCursor, error) {
 		f.Close()
 		return nil, err
 	}
-	var data segBytes
-	if useMmap {
-		data, err = openMmapBytes(f, st.Size())
-		f.Close() // the mapping outlives the descriptor
-		if err != nil {
-			return nil, fmt.Errorf("trace: mmap %s: %w", path, err)
-		}
-	} else {
-		data = &fileBytes{f: f, sz: st.Size()}
-	}
-	sc, err := newSegCursor(data, info)
+	sc, err := newSegCursor(f, st.Size(), info)
 	if err != nil {
-		data.close()
+		f.Close()
 		return nil, fmt.Errorf("trace: %s: %w", filepath.Base(path), err)
 	}
 	return sc, nil
 }
 
-func newSegCursor(data segBytes, info *SegmentInfo) (*segCursor, error) {
-	sz := data.size()
+func newSegCursor(r io.ReaderAt, sz int64, info *SegmentInfo) (*segCursor, error) {
 	if sz < segHeaderSize+segTrailerSize {
 		return nil, fmt.Errorf("segment truncated: %d bytes", sz)
 	}
-	sc := &segCursor{data: data}
-	hdr, err := data.view(0, segHeaderSize, &sc.buf)
+	sc := &segCursor{r: r, size: sz}
+	hdr, err := sc.read(0, segHeaderSize)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +229,7 @@ func newSegCursor(data segBytes, info *SegmentInfo) (*segCursor, error) {
 	}
 	sc.shard = binary.LittleEndian.Uint32(hdr[8:12])
 	sc.part = binary.LittleEndian.Uint32(hdr[12:16])
-	tr, err := data.view(sz-segTrailerSize, segTrailerSize, &sc.buf)
+	tr, err := sc.read(sz-segTrailerSize, segTrailerSize)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +248,7 @@ func newSegCursor(data segBytes, info *SegmentInfo) (*segCursor, error) {
 		return nil, fmt.Errorf("index bounds [%d,+%d) inconsistent with file size %d", indexOff, indexLen, sz)
 	}
 	sc.indexOff = int64(indexOff)
-	idx, err := data.view(sc.indexOff, int(indexLen), &sc.buf)
+	idx, err := sc.read(sc.indexOff, int(indexLen))
 	if err != nil {
 		return nil, err
 	}
@@ -374,6 +306,22 @@ func newSegCursor(data segBytes, info *SegmentInfo) (*segCursor, error) {
 	return sc, nil
 }
 
+// read returns the n bytes at off, read into the cursor's scratch
+// buffer; the slice is valid until the next read.
+func (sc *segCursor) read(off int64, n int) ([]byte, error) {
+	if off < 0 || n < 0 || off+int64(n) > sc.size {
+		return nil, fmt.Errorf("segment read [%d,+%d) beyond size %d", off, n, sc.size)
+	}
+	if cap(sc.buf) < n {
+		sc.buf = make([]byte, n)
+	}
+	b := sc.buf[:n]
+	if got, err := sc.r.ReadAt(b, off); got < n {
+		return nil, err
+	}
+	return b, nil
+}
+
 // blockExtent returns block i's [start, end) byte range in the file.
 func (sc *segCursor) blockExtent(i int) (int64, int64) {
 	start := int64(sc.index[i].offset)
@@ -390,7 +338,7 @@ func (sc *segCursor) loadBlock() error {
 	if end-start < blockHeaderSize {
 		return fmt.Errorf("block %d: extent %d bytes is below header size", sc.blockIdx, end-start)
 	}
-	blk, err := sc.data.view(start, int(end-start), &sc.buf)
+	blk, err := sc.read(start, int(end-start))
 	if err != nil {
 		return err
 	}
@@ -527,7 +475,12 @@ func (sc *segCursor) Next(req *Request) (bool, error) {
 }
 
 // Close implements Cursor.
-func (sc *segCursor) Close() error { return sc.data.close() }
+func (sc *segCursor) Close() error {
+	if c, ok := sc.r.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
 
 // Requests returns the segment's total request count (from its
 // validated trailer).

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"videocdn/internal/chunk"
@@ -65,37 +67,32 @@ func drain(t *testing.T, c Cursor) []Request {
 
 func TestColumnarRoundTripSequential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, mmap := range []bool{false, true} {
-			if mmap && !MmapSupported() {
-				continue
-			}
-			reqs := genRequests(10_000, 42)
-			dir := t.TempDir()
-			// Small blocks so the test crosses many block boundaries.
-			writeDir(t, dir, reqs, DirConfig{Shards: shards, BlockRequests: 64})
-			d, err := OpenDir(dir, &ReadOptions{Mmap: mmap})
-			if err != nil {
-				t.Fatalf("OpenDir: %v", err)
-			}
-			if d.Len() != int64(len(reqs)) {
-				t.Fatalf("Len = %d, want %d", d.Len(), len(reqs))
-			}
-			lo, hi, known := d.TimeSpan()
-			if !known || lo != reqs[0].Time || hi != reqs[len(reqs)-1].Time {
-				t.Fatalf("TimeSpan = (%d,%d,%v), want (%d,%d,true)", lo, hi, known, reqs[0].Time, reqs[len(reqs)-1].Time)
-			}
-			cur, err := d.SequentialCursor()
-			if err != nil {
-				t.Fatalf("SequentialCursor: %v", err)
-			}
-			got := drain(t, cur)
-			if len(got) != len(reqs) {
-				t.Fatalf("shards=%d mmap=%v: got %d requests, want %d", shards, mmap, len(got), len(reqs))
-			}
-			for i := range got {
-				if got[i] != reqs[i] {
-					t.Fatalf("shards=%d mmap=%v: request %d = %+v, want %+v", shards, mmap, i, got[i], reqs[i])
-				}
+		reqs := genRequests(10_000, 42)
+		dir := t.TempDir()
+		// Small blocks so the test crosses many block boundaries.
+		writeDir(t, dir, reqs, DirConfig{Shards: shards, BlockRequests: 64})
+		d, err := OpenDir(dir)
+		if err != nil {
+			t.Fatalf("OpenDir: %v", err)
+		}
+		if d.Len() != int64(len(reqs)) {
+			t.Fatalf("Len = %d, want %d", d.Len(), len(reqs))
+		}
+		lo, hi, known := d.TimeSpan()
+		if !known || lo != reqs[0].Time || hi != reqs[len(reqs)-1].Time {
+			t.Fatalf("TimeSpan = (%d,%d,%v), want (%d,%d,true)", lo, hi, known, reqs[0].Time, reqs[len(reqs)-1].Time)
+		}
+		cur, err := d.SequentialCursor()
+		if err != nil {
+			t.Fatalf("SequentialCursor: %v", err)
+		}
+		got := drain(t, cur)
+		if len(got) != len(reqs) {
+			t.Fatalf("shards=%d: got %d requests, want %d", shards, len(got), len(reqs))
+		}
+		for i := range got {
+			if got[i] != reqs[i] {
+				t.Fatalf("shards=%d: request %d = %+v, want %+v", shards, i, got[i], reqs[i])
 			}
 		}
 	}
@@ -106,7 +103,7 @@ func TestColumnarShardCursors(t *testing.T) {
 	reqs := genRequests(20_000, 7)
 	dir := t.TempDir()
 	writeDir(t, dir, reqs, DirConfig{Shards: shards, BlockRequests: 128})
-	d, err := OpenDir(dir, nil)
+	d, err := OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
@@ -184,7 +181,7 @@ func TestColumnarMultiPart(t *testing.T) {
 	if err := dp.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	d, err := OpenDir(dir, nil)
+	d, err := OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
@@ -209,7 +206,7 @@ func TestColumnarMultiPart(t *testing.T) {
 func TestColumnarEmptyTrace(t *testing.T) {
 	dir := t.TempDir()
 	writeDir(t, dir, nil, DirConfig{Shards: 2})
-	d, err := OpenDir(dir, nil)
+	d, err := OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
@@ -259,7 +256,7 @@ func TestColumnarDetectsCorruption(t *testing.T) {
 		if err := os.WriteFile(tmp, mutated, 0o644); err != nil {
 			t.Fatalf("write segment: %v", err)
 		}
-		sc, err := openSeg(tmp, nil, false)
+		sc, err := openSeg(tmp, nil)
 		if err != nil {
 			return // rejected at open: fine
 		}
@@ -299,30 +296,24 @@ func TestColumnarDetectsCorruption(t *testing.T) {
 
 // TestCursorNextZeroAllocs pins the replay engine's innermost loop: once
 // a cursor has loaded its first block (where the column slices and the
-// pread buffer are allocated), Next allocates nothing — across block
+// read buffer are allocated), Next allocates nothing — across block
 // boundaries, for the in-memory slice cursor and for the columnar
-// reader over pread and over mmap.
+// reader.
 func TestCursorNextZeroAllocs(t *testing.T) {
 	const blockRequests = 64
 	reqs := genRequests(40*blockRequests, 5)
 	dir := filepath.Join(t.TempDir(), "trace")
 	writeDir(t, dir, reqs, DirConfig{BlockRequests: blockRequests})
 
-	columnar := func(opts ReadOptions) func() (Cursor, error) {
-		return func() (Cursor, error) {
-			d, err := OpenDir(dir, &opts)
+	open := map[string]func() (Cursor, error){
+		"slice": func() (Cursor, error) { return Slice(reqs).Cursor(0) },
+		"columnar-pread": func() (Cursor, error) {
+			d, err := OpenDir(dir)
 			if err != nil {
 				return nil, err
 			}
 			return d.Cursor(0)
-		}
-	}
-	open := map[string]func() (Cursor, error){
-		"slice":          func() (Cursor, error) { return Slice(reqs).Cursor(0) },
-		"columnar-pread": columnar(ReadOptions{}),
-	}
-	if MmapSupported() {
-		open["columnar-mmap"] = columnar(ReadOptions{Mmap: true})
+		},
 	}
 	for name, openCursor := range open {
 		t.Run(name, func(t *testing.T) {
@@ -344,5 +335,76 @@ func TestCursorNextZeroAllocs(t *testing.T) {
 				t.Errorf("Next allocates %v times per request, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestOpen pins the one way a trace is opened by path: a text file and
+// a columnar directory holding the same requests open to equal
+// streams, and what is neither fails with an error naming the path.
+func TestOpen(t *testing.T) {
+	a, b := genRequests(2_500, 3), genRequests(2_500, 4)
+	root := t.TempDir()
+
+	dir := filepath.Join(root, "trace.dir")
+	dp, err := CreateDirParts(dir, DirConfig{Shards: 4, Parts: 2, BlockRequests: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, part := range [][]Request{a, b} {
+		for _, r := range part {
+			if err := dp.Part(p).Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := dp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A two-part directory reads back in (Time, Part, Seq) order: the
+	// stable time merge of its parts.
+	reqs := Merge(a, b)
+	text := filepath.Join(root, "trace.txt")
+	f, err := os.Create(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAll(NewTextWriter(f), reqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var streams [][]Request
+	for _, path := range []string{text, dir} {
+		src, err := Open(path)
+		if err != nil {
+			t.Fatalf("Open(%s): %v", path, err)
+		}
+		if _, isDir := src.(*Dir); isDir != (path == dir) {
+			t.Errorf("Open(%s) returned %T", path, src)
+		}
+		got, err := Materialize(src)
+		if err != nil {
+			t.Fatalf("Materialize(%s): %v", path, err)
+		}
+		streams = append(streams, got)
+	}
+	if len(streams[0]) != len(reqs) || !reflect.DeepEqual(streams[0], streams[1]) {
+		t.Fatalf("text and directory streams differ (%d vs %d requests)", len(streams[0]), len(streams[1]))
+	}
+
+	noManifest := filepath.Join(root, "empty.dir")
+	if err := os.Mkdir(noManifest, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	oldBinary := filepath.Join(root, "old.trace")
+	if err := os.WriteFile(oldBinary, []byte("VCT1\x00\x07\x00\x63\x05\x08"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{noManifest, oldBinary, filepath.Join(root, "missing")} {
+		if _, err := Open(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("Open(%s) = %v, want an error naming the path", path, err)
+		}
 	}
 }

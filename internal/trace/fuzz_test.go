@@ -2,9 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,7 +19,7 @@ func FuzzTextReader(f *testing.F) {
 	f.Add([]byte("1 2 3"))
 	f.Add([]byte("-1 -2 -3 -4\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reqs, err := ReadAll(NewTextReader(bytes.NewReader(data)))
+		reqs, err := ReadText(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
@@ -30,7 +27,7 @@ func FuzzTextReader(f *testing.F) {
 		if err := WriteAll(NewTextWriter(&buf), reqs); err != nil {
 			t.Fatalf("accepted requests failed to re-encode: %v", err)
 		}
-		got, err := ReadAll(NewTextReader(&buf))
+		got, err := ReadText(&buf)
 		if err != nil {
 			t.Fatalf("re-encoded trace failed to parse: %v", err)
 		}
@@ -40,44 +37,6 @@ func FuzzTextReader(f *testing.F) {
 		for i := range got {
 			if got[i] != reqs[i] {
 				t.Fatalf("round trip changed request %d: %v -> %v", i, reqs[i], got[i])
-			}
-		}
-	})
-}
-
-// FuzzBinaryReader feeds arbitrary bytes to the binary decoder: it must
-// never panic and must terminate (no infinite loops on truncated
-// varints). Valid prefixes round trip.
-func FuzzBinaryReader(f *testing.F) {
-	// Seed with a real encoding.
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	_ = w.Write(Request{Time: 1, Video: 2, Start: 3, End: 9})
-	_ = w.Write(Request{Time: 5, Video: 7, Start: 0, End: 1 << 20})
-	_ = w.Flush()
-	f.Add(buf.Bytes())
-	f.Add([]byte("VCT1"))
-	f.Add([]byte("VCT"))
-	f.Add([]byte("VCT1\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewBinaryReader(bytes.NewReader(data))
-		count := 0
-		for {
-			req, err := r.Read()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return // rejection is fine
-			}
-			// Whatever decodes must be internally consistent.
-			if req.End < req.Start || req.Time < 0 {
-				t.Fatalf("decoder produced invalid request %+v", req)
-			}
-			count++
-			if count > 1<<20 {
-				t.Fatal("decoder did not terminate on bounded input")
 			}
 		}
 	})
@@ -100,10 +59,9 @@ func FuzzColumnarTrace(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x40 // corrupt a payload byte
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Run the segment reader over the raw bytes directly (memBytes
-		// serves views the way mmap does; a disk round trip per exec
-		// would throttle the fuzzer to nothing).
-		sc, err := newSegCursor(memBytes(data), nil)
+		// Run the production ReadAt path over the raw bytes (a disk
+		// round trip per exec would throttle the fuzzer to nothing).
+		sc, err := newSegCursor(bytes.NewReader(data), int64(len(data)), nil)
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
@@ -143,20 +101,6 @@ func FuzzColumnarTrace(f *testing.F) {
 		}
 	})
 }
-
-// memBytes serves segment views straight from a byte slice — the
-// in-memory analogue of the mmap reader, used by the fuzzer.
-type memBytes []byte
-
-func (mb memBytes) view(off int64, n int, _ *[]byte) ([]byte, error) {
-	if off < 0 || n < 0 || off+int64(n) > int64(len(mb)) {
-		return nil, fmt.Errorf("trace: segment read [%d,+%d) beyond size %d", off, n, len(mb))
-	}
-	return mb[off : off+int64(n)], nil
-}
-
-func (mb memBytes) size() int64  { return int64(len(mb)) }
-func (mb memBytes) close() error { return nil }
 
 // buildFuzzSegment writes one small real segment file and returns its
 // bytes.

@@ -18,8 +18,8 @@ type ImportOptions struct {
 	// Comma is the field separator (default ',').
 	Comma rune
 	// RebaseTime shifts timestamps so the earliest request is t=0
-	// (recommended: the algorithms only use time differences, and the
-	// binary codec delta-encodes better near zero). Default true-ish:
+	// (recommended: the algorithms only use time differences, and
+	// small timestamps encode shorter). Default true-ish:
 	// zero value of the struct enables it via DisableRebase=false.
 	DisableRebase bool
 }

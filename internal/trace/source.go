@@ -3,7 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
+	"os"
 )
 
 // Source is a replayable trace: a fixed shard fan-out plus per-shard
@@ -34,9 +34,10 @@ type Source interface {
 
 // Cursor streams requests. Next fills *req and reports whether a
 // request was produced; the stream ends with (false, nil). Decoding or
-// validation failures surface as the error. Implementations are
-// allocation-free on the steady path: Next must not allocate once its
-// internal buffers are warm.
+// validation failures surface as the error. The cursors a Source hands
+// out are allocation-free on the steady path: Next must not allocate
+// once its internal buffers are warm (TextReader, which parses text,
+// is the one cursor that allocates).
 type Cursor interface {
 	Next(req *Request) (bool, error)
 	Close() error
@@ -226,8 +227,14 @@ func Materialize(src Source) ([]Request, error) {
 		return nil, err
 	}
 	defer cur.Close()
+	return collect(cur, src.Len())
+}
+
+// collect drains a cursor's remaining requests; n, when positive,
+// sizes the result.
+func collect(cur Cursor, n int64) ([]Request, error) {
 	var out []Request
-	if n := src.Len(); n > 0 {
+	if n > 0 {
 		out = make([]Request, 0, n)
 	}
 	var r Request
@@ -243,23 +250,27 @@ func Materialize(src Source) ([]Request, error) {
 	}
 }
 
-// CursorReader adapts a Cursor to the Reader interface (Read returns
-// io.EOF at end of stream) so cursor-based traces flow through code
-// written against the line/varint readers.
-type CursorReader struct{ c Cursor }
+// ---------- Opening a trace by path ----------
 
-// NewCursorReader wraps a cursor as a Reader.
-func NewCursorReader(c Cursor) *CursorReader { return &CursorReader{c: c} }
-
-// Read implements Reader.
-func (cr *CursorReader) Read() (Request, error) {
-	var r Request
-	ok, err := cr.c.Next(&r)
+// Open opens the trace at path. A directory opens as a columnar trace
+// (*Dir); anything else is parsed as a text-format file into memory
+// (Slice). Every error names the path.
+func Open(path string) (Source, error) {
+	st, err := os.Stat(path)
 	if err != nil {
-		return Request{}, err
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if !ok {
-		return Request{}, io.EOF
+	if st.IsDir() {
+		return OpenDir(path)
 	}
-	return r, nil
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	defer f.Close()
+	reqs, err := ReadText(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return Slice(reqs), nil
 }

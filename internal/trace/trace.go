@@ -1,21 +1,23 @@
 // Package trace defines the request-log model replayed through the
-// caches, and codecs for storing traces on disk.
+// caches, and the two ways a trace is stored on disk.
 //
 // A request (the paper's R, Section 4) carries an arrival timestamp
 // R.t, a video ID R.v and an inclusive byte range [R.b0, R.b1]. The
 // server must fully serve or fully redirect the range.
 //
-// Two interchangeable encodings are provided:
+// A trace is either
 //
-//   - a line-oriented text format "t video b0 b1\n" that is diffable
-//     and easy to generate from foreign logs, and
-//   - a compact varint binary format with delta-encoded timestamps for
-//     month-scale traces.
+//   - a text file, one "t video b0 b1" line per request: diffable and
+//     easy to produce from foreign logs, or
+//   - a columnar directory (columnar.go): sharded, delta-encoded and
+//     CRC-checked, for month-scale traces that never fit in memory.
+//
+// Open tells them apart, and both are read through one iterator,
+// Cursor.
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -68,12 +70,7 @@ type Writer interface {
 	Flush() error
 }
 
-// Reader deserializes requests; Read returns io.EOF at end of trace.
-type Reader interface {
-	Read() (Request, error)
-}
-
-// ---------- Text codec ----------
+// ---------- Text format ----------
 
 // TextWriter writes one request per line: "t video b0 b1".
 type TextWriter struct {
@@ -97,55 +94,30 @@ func (tw *TextWriter) Write(r Request) error {
 // Flush drains the underlying buffer.
 func (tw *TextWriter) Flush() error { return tw.w.Flush() }
 
-// DefaultMaxLineBytes is the default cap on a single text-format line.
-// One request line is four decimal integers — well under a hundred
-// bytes — so the default only exists to bound memory on corrupt or
-// hostile input.
-const DefaultMaxLineBytes = 1 << 20
+// maxLineBytes caps one text-format line. A request line is four
+// decimal integers — well under a hundred bytes — so the cap only
+// bounds memory on corrupt or hostile input.
+const maxLineBytes = 1 << 20
 
-// TextReaderConfig tunes NewTextReaderWith.
-type TextReaderConfig struct {
-	// MaxLineBytes caps the length of one input line. A longer line
-	// fails the read with a line-numbered error instead of being split
-	// or silently truncated. Zero (or negative) means
-	// DefaultMaxLineBytes.
-	MaxLineBytes int
-}
-
-// TextReader parses the text format, skipping blank lines and lines
-// beginning with '#'. Every parse failure — including scanner-level
-// failures such as an over-long line — is reported with the 1-based
-// line number it occurred on.
+// TextReader is a Cursor over the text format. It skips blank lines
+// and lines beginning with '#', and reports every parse failure —
+// including a line longer than the 1 MiB cap — with the 1-based line
+// number it occurred on. Unlike the in-memory and columnar cursors it
+// allocates per line; Open reads a text file into memory once.
 type TextReader struct {
-	s       *bufio.Scanner
-	line    int
-	maxLine int
+	s    *bufio.Scanner
+	line int
 }
 
-// NewTextReader wraps r in a text-format trace reader with the default
-// line-length limit.
+// NewTextReader wraps r in a text-format cursor.
 func NewTextReader(r io.Reader) *TextReader {
-	return NewTextReaderWith(r, TextReaderConfig{})
-}
-
-// NewTextReaderWith wraps r in a text-format trace reader with explicit
-// configuration.
-func NewTextReaderWith(r io.Reader, cfg TextReaderConfig) *TextReader {
-	maxLine := cfg.MaxLineBytes
-	if maxLine <= 0 {
-		maxLine = DefaultMaxLineBytes
-	}
-	initial := 1 << 16
-	if initial > maxLine {
-		initial = maxLine
-	}
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, initial), maxLine)
-	return &TextReader{s: s, maxLine: maxLine}
+	s.Buffer(make([]byte, 1<<16), maxLineBytes)
+	return &TextReader{s: s}
 }
 
-// Read returns the next request or io.EOF.
-func (tr *TextReader) Read() (Request, error) {
+// Next implements Cursor.
+func (tr *TextReader) Next(req *Request) (bool, error) {
 	for tr.s.Scan() {
 		tr.line++
 		line := strings.TrimSpace(tr.s.Text())
@@ -154,172 +126,43 @@ func (tr *TextReader) Read() (Request, error) {
 		}
 		f := strings.Fields(line)
 		if len(f) != 4 {
-			return Request{}, fmt.Errorf("trace: line %d: want 4 fields, got %d", tr.line, len(f))
+			return false, fmt.Errorf("trace: line %d: want 4 fields, got %d", tr.line, len(f))
 		}
 		var vals [4]int64
 		for i, s := range f {
 			v, err := strconv.ParseInt(s, 10, 64)
 			if err != nil {
-				return Request{}, fmt.Errorf("trace: line %d field %d: %v", tr.line, i+1, err)
+				return false, fmt.Errorf("trace: line %d field %d: %v", tr.line, i+1, err)
 			}
 			vals[i] = v
 		}
 		if vals[1] < 0 {
-			return Request{}, fmt.Errorf("trace: line %d: negative video ID", tr.line)
+			return false, fmt.Errorf("trace: line %d: negative video ID", tr.line)
 		}
-		req := Request{Time: vals[0], Video: chunk.VideoID(vals[1]), Start: vals[2], End: vals[3]}
-		if err := req.Validate(); err != nil {
-			return Request{}, fmt.Errorf("trace: line %d: %w", tr.line, err)
+		r := Request{Time: vals[0], Video: chunk.VideoID(vals[1]), Start: vals[2], End: vals[3]}
+		if err := r.Validate(); err != nil {
+			return false, fmt.Errorf("trace: line %d: %w", tr.line, err)
 		}
-		return req, nil
+		*req = r
+		return true, nil
 	}
 	if err := tr.s.Err(); err != nil {
 		// The scanner fails on the line after the last one delivered.
 		if errors.Is(err, bufio.ErrTooLong) {
-			return Request{}, fmt.Errorf("trace: line %d: line exceeds the %d-byte limit (raise TextReaderConfig.MaxLineBytes): %w",
-				tr.line+1, tr.maxLine, err)
+			return false, fmt.Errorf("trace: line %d: line exceeds the %d-byte limit: %w", tr.line+1, maxLineBytes, err)
 		}
-		return Request{}, fmt.Errorf("trace: line %d: %w", tr.line+1, err)
+		return false, fmt.Errorf("trace: line %d: %w", tr.line+1, err)
 	}
-	return Request{}, io.EOF
+	return false, nil
 }
 
-// ---------- Binary codec ----------
+// Close implements Cursor. The reader does not own its input.
+func (tr *TextReader) Close() error { return nil }
 
-// binaryMagic guards against feeding a text trace to the binary reader.
-var binaryMagic = [4]byte{'V', 'C', 'T', '1'}
-
-// BinaryWriter writes the compact varint format: a 4-byte magic header,
-// then per request: uvarint time-delta, uvarint video, uvarint start,
-// uvarint length (end-start).
-type BinaryWriter struct {
-	w        *bufio.Writer
-	lastTime int64
-	started  bool
-	buf      [binary.MaxVarintLen64]byte
-}
-
-// NewBinaryWriter wraps w in a binary-format trace writer.
-func NewBinaryWriter(w io.Writer) *BinaryWriter {
-	return &BinaryWriter{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-func (bw *BinaryWriter) uvarint(v uint64) error {
-	n := binary.PutUvarint(bw.buf[:], v)
-	_, err := bw.w.Write(bw.buf[:n])
-	return err
-}
-
-// Write appends one request. Requests must be written in
-// non-decreasing time order (the delta encoding requires it).
-func (bw *BinaryWriter) Write(r Request) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if !bw.started {
-		if _, err := bw.w.Write(binaryMagic[:]); err != nil {
-			return err
-		}
-		bw.started = true
-	}
-	if r.Time < bw.lastTime {
-		return fmt.Errorf("trace: binary writer requires non-decreasing time (%d after %d)", r.Time, bw.lastTime)
-	}
-	if err := bw.uvarint(uint64(r.Time - bw.lastTime)); err != nil {
-		return err
-	}
-	bw.lastTime = r.Time
-	if err := bw.uvarint(uint64(r.Video)); err != nil {
-		return err
-	}
-	if err := bw.uvarint(uint64(r.Start)); err != nil {
-		return err
-	}
-	return bw.uvarint(uint64(r.End - r.Start))
-}
-
-// Flush drains the underlying buffer.
-func (bw *BinaryWriter) Flush() error {
-	if !bw.started { // header even for an empty trace
-		if _, err := bw.w.Write(binaryMagic[:]); err != nil {
-			return err
-		}
-		bw.started = true
-	}
-	return bw.w.Flush()
-}
-
-// BinaryReader parses the binary format.
-type BinaryReader struct {
-	r        *bufio.Reader
-	lastTime int64
-	started  bool
-}
-
-// NewBinaryReader wraps r in a binary-format trace reader.
-func NewBinaryReader(r io.Reader) *BinaryReader {
-	return &BinaryReader{r: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// Read returns the next request or io.EOF.
-func (br *BinaryReader) Read() (Request, error) {
-	if !br.started {
-		var magic [4]byte
-		if _, err := io.ReadFull(br.r, magic[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return Request{}, fmt.Errorf("trace: truncated binary header: %w", err)
-			}
-			return Request{}, err
-		}
-		if magic != binaryMagic {
-			return Request{}, fmt.Errorf("trace: bad binary magic %q", magic)
-		}
-		br.started = true
-	}
-	dt, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Request{}, io.EOF
-		}
-		return Request{}, fmt.Errorf("trace: reading time delta: %w", err)
-	}
-	video, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		return Request{}, fmt.Errorf("trace: reading video: %w", err)
-	}
-	start, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		return Request{}, fmt.Errorf("trace: reading start: %w", err)
-	}
-	length, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		return Request{}, fmt.Errorf("trace: reading length: %w", err)
-	}
-	br.lastTime += int64(dt)
-	return Request{
-		Time:  br.lastTime,
-		Video: chunk.VideoID(video),
-		Start: int64(start),
-		End:   int64(start) + int64(length),
-	}, nil
-}
+// ReadText parses a whole text-format trace into memory.
+func ReadText(r io.Reader) ([]Request, error) { return collect(NewTextReader(r), 0) }
 
 // ---------- Helpers ----------
-
-// ReadAll drains a Reader into a slice.
-func ReadAll(r Reader) ([]Request, error) {
-	var out []Request
-	for {
-		req, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, req)
-	}
-}
 
 // WriteAll writes all requests and flushes.
 func WriteAll(w Writer, reqs []Request) error {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -27,72 +28,18 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteAll(NewTextWriter(&buf), sampleRequests()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(NewTextReader(&buf))
+	got, err := ReadText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, sampleRequests()) {
 		t.Errorf("round trip mismatch:\n got %v\nwant %v", got, sampleRequests())
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteAll(NewBinaryWriter(&buf), sampleRequests()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(NewBinaryReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleRequests()) {
-		t.Errorf("round trip mismatch:\n got %v\nwant %v", got, sampleRequests())
-	}
-}
-
-func TestBinaryEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(NewBinaryReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("want empty, got %v", got)
-	}
-}
-
-func TestBinaryRejectsOutOfOrder(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	if err := w.Write(Request{Time: 10, Video: 1, Start: 0, End: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(Request{Time: 9, Video: 1, Start: 0, End: 1}); err == nil {
-		t.Error("out-of-order write should fail")
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	r := NewBinaryReader(strings.NewReader("nope-this-is-not-a-trace"))
-	if _, err := r.Read(); err == nil {
-		t.Error("bad magic should fail")
-	}
-}
-
-func TestBinaryTruncatedHeader(t *testing.T) {
-	r := NewBinaryReader(strings.NewReader("VC"))
-	if _, err := r.Read(); err == nil {
-		t.Error("truncated header should fail")
 	}
 }
 
 func TestTextReaderSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# a comment\n\n10 7 0 99\n   \n# another\n20 8 5 10\n"
-	got, err := ReadAll(NewTextReader(strings.NewReader(in)))
+	got, err := ReadText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +60,7 @@ func TestTextReaderErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ReadAll(NewTextReader(strings.NewReader(c.in))); err == nil {
+			if _, err := ReadText(strings.NewReader(c.in)); err == nil {
 				t.Errorf("input %q should fail", c.in)
 			}
 		})
@@ -125,12 +72,10 @@ func TestWriterValidates(t *testing.T) {
 	if err := NewTextWriter(io.Discard).Write(bad); err == nil {
 		t.Error("text writer should reject invalid request")
 	}
-	if err := NewBinaryWriter(io.Discard).Write(bad); err == nil {
-		t.Error("binary writer should reject invalid request")
-	}
 }
 
-// Property: both codecs round-trip arbitrary sorted request sequences.
+// Property: the text format round-trips arbitrary sorted request
+// sequences.
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -146,31 +91,17 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				End:   start + rng.Int63n(1<<28),
 			})
 		}
-		for _, mk := range []func() (Writer, func() Reader){
-			func() (Writer, func() Reader) {
-				var buf bytes.Buffer
-				return NewTextWriter(&buf), func() Reader { return NewTextReader(&buf) }
-			},
-			func() (Writer, func() Reader) {
-				var buf bytes.Buffer
-				return NewBinaryWriter(&buf), func() Reader { return NewBinaryReader(&buf) }
-			},
-		} {
-			w, rf := mk()
-			if err := WriteAll(w, reqs); err != nil {
+		var buf bytes.Buffer
+		if err := WriteAll(NewTextWriter(&buf), reqs); err != nil {
+			return false
+		}
+		got, err := ReadText(&buf)
+		if err != nil || len(got) != len(reqs) {
+			return false
+		}
+		for i := range got {
+			if got[i] != reqs[i] {
 				return false
-			}
-			got, err := ReadAll(rf())
-			if err != nil {
-				return false
-			}
-			if len(got) != len(reqs) {
-				return false
-			}
-			for i := range got {
-				if got[i] != reqs[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -358,12 +289,11 @@ func TestOffsetVideos(t *testing.T) {
 }
 
 func TestReadAllPropagatesError(t *testing.T) {
-	r := NewTextReader(strings.NewReader("bad line here\n"))
-	if _, err := ReadAll(r); err == nil {
-		t.Error("ReadAll should surface parse errors")
+	if _, err := ReadText(strings.NewReader("bad line here\n")); err == nil {
+		t.Error("ReadText should surface parse errors")
 	}
-	if _, err := ReadAll(NewBinaryReader(iotest{})); err == nil {
-		t.Error("ReadAll should surface IO errors")
+	if _, err := ReadText(iotest{}); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("ReadText should surface IO errors, got %v", err)
 	}
 }
 
@@ -374,15 +304,17 @@ func (iotest) Read([]byte) (int, error) { return 0, errors.New("boom") }
 // TestTextReaderLineNumbers drives every TextReader failure mode —
 // field-count, parse, validation and scanner-level errors — and checks
 // each is reported with the exact 1-based line number, and that the
-// configurable line cap is honored in both directions.
+// line cap is honored in both directions.
 func TestTextReaderLineNumbers(t *testing.T) {
-	long := strings.Repeat("9", 2048) // one over-long token
+	over := strings.Repeat("9", maxLineBytes+1) // one line of the cap + 1 bytes
+	// The longest accepted line (the cap counts the newline): sixteen
+	// times bufio.Scanner's own 64 KiB default, which the reader raises.
+	under := "1 " + strings.Repeat("0", maxLineBytes-len("1 1 0 9")-1) + "1 0 9"
 	cases := []struct {
 		name    string
 		input   string
-		cfg     TextReaderConfig
 		wantOK  int    // requests read before the error
-		wantErr string // substring of the error; "" means clean EOF
+		wantErr string // substring of the error; "" means clean end of stream
 	}{
 		{
 			name:   "clean",
@@ -413,32 +345,31 @@ func TestTextReaderLineNumbers(t *testing.T) {
 		},
 		{
 			name:    "line over default-capped limit",
-			input:   "1 1 0 9\n1 " + long + " 0 9\n",
-			cfg:     TextReaderConfig{MaxLineBytes: 1024},
+			input:   "1 1 0 9\n" + over + "\n",
 			wantOK:  1,
-			wantErr: "line 2: line exceeds the 1024-byte limit",
+			wantErr: fmt.Sprintf("line 2: line exceeds the %d-byte limit", maxLineBytes),
 		},
 		{
 			name:   "raised limit accepts long line",
-			input:  "1 " + strings.Repeat("0", 2000) + "1 0 9\n",
-			cfg:    TextReaderConfig{MaxLineBytes: 4096},
+			input:  under + "\n",
 			wantOK: 1,
 		},
 		{
 			name:    "over-long comment still fails at the cap",
-			input:   "# " + long + "\n1 1 0 9\n",
-			cfg:     TextReaderConfig{MaxLineBytes: 256},
-			wantErr: "line 1: line exceeds the 256-byte limit",
+			input:   "# " + over + "\n1 1 0 9\n",
+			wantErr: fmt.Sprintf("line 1: line exceeds the %d-byte limit", maxLineBytes),
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewTextReaderWith(strings.NewReader(tc.input), tc.cfg)
+			r := NewTextReader(strings.NewReader(tc.input))
 			got := 0
+			var req Request
 			var err error
 			for {
-				_, err = r.Read()
-				if err != nil {
+				var ok bool
+				ok, err = r.Next(&req)
+				if !ok || err != nil {
 					break
 				}
 				got++
@@ -447,13 +378,13 @@ func TestTextReaderLineNumbers(t *testing.T) {
 				t.Fatalf("read %d requests before stopping, want %d (err %v)", got, tc.wantOK, err)
 			}
 			if tc.wantErr == "" {
-				if !errors.Is(err, io.EOF) {
-					t.Fatalf("want clean EOF, got %v", err)
+				if err != nil {
+					t.Fatalf("want clean end of stream, got %v", err)
 				}
 				return
 			}
-			if errors.Is(err, io.EOF) {
-				t.Fatalf("want error containing %q, got clean EOF", tc.wantErr)
+			if err == nil {
+				t.Fatalf("want error containing %q, got clean end of stream", tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)

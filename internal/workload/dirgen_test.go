@@ -34,7 +34,7 @@ func TestGenerateDirSinglePartMatchesGenerate(t *testing.T) {
 	if st.Requests != len(want) {
 		t.Fatalf("stats report %d requests, want %d", st.Requests, len(want))
 	}
-	d, err := trace.OpenDir(dir, nil)
+	d, err := trace.OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestGenerateDirParallelParts(t *testing.T) {
 	if st.Requests < 3000 || st.Requests > 9000 {
 		t.Fatalf("suspicious request count %d for 3000 req/day x 2 days", st.Requests)
 	}
-	d, err := trace.OpenDir(dir, nil)
+	d, err := trace.OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}

@@ -87,9 +87,6 @@ type (
 	ReplayOptions = sim.Options
 	// WorkloadProfile describes one synthetic server's request stream.
 	WorkloadProfile = workload.Profile
-	// TraceReader and TraceWriter (de)serialize traces.
-	TraceReader = trace.Reader
-	TraceWriter = trace.Writer
 	// Store holds chunk bytes for the HTTP edge server.
 	Store = store.Store
 	// EdgeConfig assembles an HTTP edge cache server.
@@ -207,14 +204,8 @@ func SolveOptimalLP(inst OptimalInstance) (*OptimalResult, error) {
 	return optimal.SolveLP(inst, optimal.SolveOptions{LP: lp.Options{}})
 }
 
-// Trace IO constructors.
-func NewTextTraceReader(r io.Reader) TraceReader   { return trace.NewTextReader(r) }
-func NewTextTraceWriter(w io.Writer) TraceWriter   { return trace.NewTextWriter(w) }
-func NewBinaryTraceReader(r io.Reader) TraceReader { return trace.NewBinaryReader(r) }
-func NewBinaryTraceWriter(w io.Writer) TraceWriter { return trace.NewBinaryWriter(w) }
-
-// ReadTrace drains a reader.
-func ReadTrace(r TraceReader) ([]Request, error) { return trace.ReadAll(r) }
+// ReadTrace parses a text-format trace ("t video b0 b1" per line).
+func ReadTrace(r io.Reader) ([]Request, error) { return trace.ReadText(r) }
 
 // ImportCSVTrace converts a CSV access log (header-driven column
 // mapping; see internal/trace.ImportCSV) into a request trace.
@@ -229,8 +220,10 @@ type CSVImportOptions = trace.ImportOptions
 // build the view of a shared parent cache).
 func MergeTraces(traces ...[]Request) []Request { return trace.Merge(traces...) }
 
-// WriteTrace writes all requests and flushes.
-func WriteTrace(w TraceWriter, reqs []Request) error { return trace.WriteAll(w, reqs) }
+// WriteTrace writes reqs to w in the text format ReadTrace parses.
+func WriteTrace(w io.Writer, reqs []Request) error {
+	return trace.WriteAll(trace.NewTextWriter(w), reqs)
+}
 
 // NewMemStore returns an in-memory chunk store.
 func NewMemStore() Store { return store.NewMem() }
@@ -269,9 +262,10 @@ func ReplayFanIn(edges []Tier, parent Tier, reqs []Request, assign func(Request)
 }
 
 // AnalyzeTrace characterizes a trace along the dimensions that drive
-// video-cache behaviour.
+// video-cache behaviour. Size percentiles come from a log histogram
+// (within ~2 %), as for a streamed trace directory.
 func AnalyzeTrace(reqs []Request, chunkSize int64) (*TraceReport, error) {
-	return analyze.Analyze(reqs, chunkSize)
+	return analyze.AnalyzeSource(trace.Slice(reqs), chunkSize)
 }
 
 // ReplayWithPrefetch replays like Replay but runs the off-peak
@@ -359,18 +353,13 @@ type (
 	// TraceDirConfig parameterizes CreateTraceDir (shard fan-out,
 	// writer parts, block size).
 	TraceDirConfig = trace.DirConfig
-	// TraceDirReadOptions selects mmap vs chunked pread.
-	TraceDirReadOptions = trace.ReadOptions
 )
 
 // SliceTrace wraps an in-memory trace as a TraceSource.
 func SliceTrace(reqs []Request) TraceSource { return trace.Slice(reqs) }
 
 // OpenTraceDir opens a columnar trace directory for streaming replay.
-// opts may be nil (chunked pread).
-func OpenTraceDir(dir string, opts *TraceDirReadOptions) (*TraceDir, error) {
-	return trace.OpenDir(dir, opts)
-}
+func OpenTraceDir(dir string) (*TraceDir, error) { return trace.OpenDir(dir) }
 
 // CreateTraceDir creates a columnar trace directory writer; stream
 // requests in with Write (non-decreasing time) and finalize with

@@ -91,10 +91,10 @@ func TestFacadeReplayRejectsBadAlpha(t *testing.T) {
 func TestFacadeTraceRoundTrip(t *testing.T) {
 	reqs := smallTrace(t)
 	var buf bytes.Buffer
-	if err := videocdn.WriteTrace(videocdn.NewBinaryTraceWriter(&buf), reqs); err != nil {
+	if err := videocdn.WriteTrace(&buf, reqs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := videocdn.ReadTrace(videocdn.NewBinaryTraceReader(&buf))
+	got, err := videocdn.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
