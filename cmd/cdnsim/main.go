@@ -92,9 +92,6 @@ func main() {
 	cfg := core.Config{
 		ChunkSize:  chunkSize,
 		DiskChunks: int(*diskGB * (1 << 30) / float64(chunkSize)),
-		// The simulator consumes every Outcome before the next request,
-		// so the caches may safely recycle their ID buffers.
-		ReuseOutcomeBuffers: true,
 	}
 	model, err := cost.NewModel(*alpha)
 	if err != nil {

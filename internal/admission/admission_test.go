@@ -8,7 +8,6 @@ import (
 	"videocdn/internal/core"
 	"videocdn/internal/policy"
 	_ "videocdn/internal/policy/all"
-	"videocdn/internal/purelru"
 	"videocdn/internal/trace"
 )
 
@@ -24,7 +23,7 @@ func testCfg(diskChunks int) core.Config {
 
 func wrap(t *testing.T, diskChunks int, opt admission.Config) *admission.Cache {
 	t.Helper()
-	inner, err := purelru.New(testCfg(diskChunks))
+	inner, err := policy.New("lru", testCfg(diskChunks), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func wrap(t *testing.T, diskChunks int, opt admission.Config) *admission.Cache {
 }
 
 func TestWrapValidation(t *testing.T) {
-	inner, _ := purelru.New(testCfg(8))
+	inner, _ := policy.New("lru", testCfg(8), nil)
 	if _, err := admission.Wrap(nil, testCfg(8), admission.Config{}); err == nil {
 		t.Error("nil inner should fail")
 	}

@@ -6,7 +6,7 @@ import (
 
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
-	"videocdn/internal/purelru"
+	"videocdn/internal/lruq"
 	"videocdn/internal/trace"
 )
 
@@ -86,7 +86,7 @@ func TestBeladyBeatsLRU(t *testing.T) {
 		}
 		cfg := core.Config{ChunkSize: testK, DiskChunks: 16}
 		b := newCache(t, 16, reqs)
-		l, err := purelru.New(cfg)
+		l, err := lruq.New(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

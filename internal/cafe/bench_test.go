@@ -35,7 +35,7 @@ func europeTrace(tb testing.TB) []trace.Request {
 // settled before the victim scan: what the ordered set alone costs.
 func BenchmarkHandleRequestEurope(b *testing.B) {
 	reqs := europeTrace(b)
-	cfg := core.Config{ChunkSize: 2 << 20, DiskChunks: 8192, ReuseOutcomeBuffers: true}
+	cfg := core.Config{ChunkSize: 2 << 20, DiskChunks: 8192}
 	policies := []struct {
 		name string
 		new  func() (core.Cache, error)

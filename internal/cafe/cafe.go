@@ -138,8 +138,7 @@ type Cache struct {
 
 	// victimsBuf is the eviction-scan scratch buffer, reused on every
 	// request (victim handles never escape HandleRequest). missingBuf and
-	// evictedBuf back Outcome.FilledIDs/EvictedIDs when the caller
-	// opted into core.Config.ReuseOutcomeBuffers.
+	// evictedBuf back Outcome.FilledIDs/EvictedIDs until the next request.
 	victimsBuf []ordtree.Handle
 	missingBuf []chunk.ID
 	evictedBuf []chunk.ID
@@ -344,18 +343,13 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	}
 
 	// Partition S into cached and missing (S').
-	var missing []chunk.ID
-	if c.cfg.ReuseOutcomeBuffers {
-		missing = c.missingBuf[:0]
-	}
+	missing := c.missingBuf[:0]
 	for ci := c0; ci <= c1; ci++ {
 		if v.chunks[ci].h == 0 {
 			missing = append(missing, chunk.ID{Video: r.Video, Index: ci})
 		}
 	}
-	if c.cfg.ReuseOutcomeBuffers {
-		c.missingBuf = missing
-	}
+	c.missingBuf = missing
 
 	serve := false
 	var victims []ordtree.Handle
@@ -437,18 +431,11 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	}
 
 	// Evict the victims (keep their IAT history; they may return).
-	var evicted []chunk.ID
-	if c.cfg.ReuseOutcomeBuffers {
-		evicted = c.evictedBuf[:0]
-	} else {
-		evicted = make([]chunk.ID, 0, len(victims))
-	}
+	evicted := c.evictedBuf[:0]
 	for _, h := range victims {
 		evicted = append(evicted, c.evictChunk(h))
 	}
-	if c.cfg.ReuseOutcomeBuffers {
-		c.evictedBuf = evicted
-	}
+	c.evictedBuf = evicted
 	// Fill missing chunks and re-key every requested chunk.
 	for ci := c0; ci <= c1; ci++ {
 		pop := c.popularity(v, ci)

@@ -437,10 +437,9 @@ func TestName(t *testing.T) {
 
 var _ core.Cache = (*Cache)(nil)
 
-// TestReuseOutcomeBuffersEquivalence: the opt-in buffer reuse changes
-// where Outcome slices live, never what a replay observes — decisions,
-// counts and the IDs themselves (copied before the next request) match
-// the allocating configuration exactly.
+// TestReuseOutcomeBuffersEquivalence: core.Config.ReuseOutcomeBuffers
+// is ignored — decisions, counts and the IDs themselves (read before
+// the next request) match a cache built without it exactly.
 func TestReuseOutcomeBuffersEquivalence(t *testing.T) {
 	mk := func(reuse bool) *Cache {
 		t.Helper()
@@ -602,7 +601,7 @@ func TestCheckInvariantsCatchesHandleDamage(t *testing.T) {
 }
 
 // TestCafeSteadyStateZeroAllocs pins the request path of a warmed, full
-// cache at zero allocations with ReuseOutcomeBuffers: full hits, fills
+// cache at zero allocations: full hits, fills
 // that evict (victims costed and evicted through their handles; the
 // owner table grows during warm-up only), and redirects settled before
 // the ordered set is scanned.
@@ -610,7 +609,7 @@ func TestCafeSteadyStateZeroAllocs(t *testing.T) {
 	// 32 four-chunk videos asked for round-robin over a 64-chunk disk:
 	// each request finds its video evicted since its last turn, and at
 	// alpha 0.25 (fills cheap) is worth filling again.
-	c, err := New(core.Config{ChunkSize: testK, DiskChunks: 64, ReuseOutcomeBuffers: true}, 0.25, Options{})
+	c, err := New(core.Config{ChunkSize: testK, DiskChunks: 64}, 0.25, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,9 @@ type Outcome struct {
 type Cache interface {
 	// HandleRequest decides to serve or redirect request r, mutating
 	// internal state (popularity tracking, disk contents) accordingly.
+	// The cache may reuse the backing arrays of the returned FilledIDs
+	// and EvictedIDs: they stay valid until the next HandleRequest on the
+	// same cache, and a caller that keeps them longer copies them.
 	HandleRequest(r trace.Request) Outcome
 
 	// Contains reports whether the chunk is currently on disk. It
@@ -93,13 +96,8 @@ type Config struct {
 	ChunkSize int64
 	// DiskChunks is the disk capacity D_c in chunks.
 	DiskChunks int
-	// ReuseOutcomeBuffers opts into allocation-free outcome reporting:
-	// the cache may reuse the backing arrays of Outcome.FilledIDs and
-	// Outcome.EvictedIDs across HandleRequest calls. The slices of an
-	// Outcome then stay valid only until the next HandleRequest on the
-	// same cache. Drivers that consume outcomes immediately (the replay
-	// engine) enable this for a measurable allocation win; drivers that
-	// retain the IDs (the HTTP edge server) must leave it off.
+	// ReuseOutcomeBuffers is ignored: every cache may reuse its outcome
+	// buffers (see Cache.HandleRequest).
 	ReuseOutcomeBuffers bool
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"videocdn/internal/cafe"
 	"videocdn/internal/chunk"
@@ -383,6 +384,102 @@ func TestConcurrentFillsCoalesced(t *testing.T) {
 	// factor instead of exactly one run.
 	if total > 4 {
 		t.Errorf("%d origin fetches for one 4-chunk range: %v; fills not coalesced", total, counting.fills)
+	}
+}
+
+// gatedOrigin holds the first run fill of video 1 at the origin,
+// closing arrived when it comes in and answering it once release is
+// closed.
+type gatedOrigin struct {
+	inner            http.Handler
+	once             sync.Once
+	arrived, release chan struct{}
+}
+
+func (g *gatedOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/video" && r.URL.Query().Get("v") == "1" {
+		g.once.Do(func() {
+			close(g.arrived)
+			<-g.release
+		})
+	}
+	g.inner.ServeHTTP(w, r)
+}
+
+// TestEdgeOwnsDecisionIDs: a cache may recycle an outcome's ID buffers
+// on its next request, so the edge must fill from its own copy. Request
+// A's run is held at the origin while request B, for another video on
+// the same shard, misses and makes Cafe rewrite its buffer. A's flight
+// must still fill, serve and deregister A's chunks, not B's.
+func TestEdgeOwnsDecisionIDs(t *testing.T) {
+	cache, err := cafe.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 2, cafe.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOrigin(MapCatalog{1: 2 * testK, 2: 2 * testK}, testK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedOrigin{inner: o, arrived: make(chan struct{}), release: make(chan struct{})}
+	origin := httptest.NewServer(gate)
+	defer origin.Close()
+	s, err := NewServer(Config{
+		Cache: cache, Store: store.NewMem(),
+		OriginURL: origin.URL, RedirectURL: "http://secondary.example",
+		ChunkSize: testK, Alpha: 2, FillTimeout: 5 * time.Second,
+		Clock: func() int64 { return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeSrv := httptest.NewServer(s)
+	defer edgeSrv.Close()
+
+	type result struct {
+		status int
+		body   []byte
+		err    error
+	}
+	get := func(v chunk.VideoID) result {
+		client := &http.Client{Timeout: 20 * time.Second, CheckRedirect: func(*http.Request, []*http.Request) error {
+			return http.ErrUseLastResponse
+		}}
+		resp, err := client.Get(fmt.Sprintf("%s/video?v=%d&start=0&end=%d", edgeSrv.URL, v, 2*testK-1))
+		if err != nil {
+			return result{err: err}
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return result{resp.StatusCode, body, err}
+	}
+	check := func(name string, v chunk.VideoID, r result) {
+		t.Helper()
+		if r.err != nil || r.status != http.StatusOK || !bytes.Equal(r.body, expected(v, 0, 2*testK-1)) {
+			t.Errorf("request %s: status %d, %d bytes, %v; want 200 and video %d byte-exact", name, r.status, len(r.body), r.err, v)
+		}
+	}
+
+	aDone := make(chan result, 1)
+	go func() { aDone <- get(1) }()
+	select {
+	case <-gate.arrived:
+	case r := <-aDone:
+		t.Fatalf("request A returned (%d, %v) before its run reached the origin", r.status, r.err)
+	}
+	check("B", 2, get(2))
+	close(gate.release)
+	check("A", 1, <-aDone)
+
+	st := s.SnapshotStats()
+	if st.RequestedBytes != 4*testK || st.RedirectedBytes != 0 || st.FilledBytes != 4*testK || st.FillErrors != 0 {
+		t.Errorf("ledger: requested %d, redirected %d, filled %d, fill errors %d; want %d, 0, %d, 0",
+			st.RequestedBytes, st.RedirectedBytes, st.FilledBytes, st.FillErrors, 4*testK, 4*testK)
+	}
+	sh := s.shardOf(1)
+	sh.flightMu.Lock()
+	defer sh.flightMu.Unlock()
+	if len(sh.flights) != 0 {
+		t.Errorf("%d chunk keys still registered as in flight, want none", len(sh.flights))
 	}
 }
 

@@ -422,12 +422,6 @@ func NewServer(cfg Config) (*Server, error) {
 		if cc.ChunkSize != cfg.ChunkSize {
 			return nil, fmt.Errorf("edge: CacheConfig.ChunkSize %d != ChunkSize %d", cc.ChunkSize, cfg.ChunkSize)
 		}
-		if cc.ReuseOutcomeBuffers {
-			// The server retains Outcome IDs across the fill phase,
-			// outside the shard lock; reused buffers would be clobbered
-			// by the shard's next request.
-			return nil, fmt.Errorf("edge: ReuseOutcomeBuffers is unsafe under the edge server")
-		}
 		if err := cc.Validate(); err != nil {
 			return nil, err
 		}
@@ -634,6 +628,11 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 	}
 	sh.lastTime = req.Time
 	out := sh.cache.HandleRequest(req)
+	// The IDs are the cache's until its next request, and a detached
+	// flight reads its run after this request may have returned: copy
+	// them to plain heap memory while the lock still holds them.
+	filled := append([]chunk.ID(nil), out.FilledIDs...)
+	evicted := append([]chunk.ID(nil), out.EvictedIDs...)
 	sh.mu.Unlock()
 
 	if out.Decision == core.Redirect {
@@ -645,16 +644,16 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 
 	// The eviction decision stands however the fills go: mirror it in
 	// the store first so cache and store agree.
-	s.deleteChunks(sh, out.EvictedIDs)
+	s.deleteChunks(sh, evicted)
 
 	// Materialize the fills, one origin request per run of consecutive
 	// chunks. A failed run (after retries, or fast because the breaker
 	// is open) rolls back its own admissions and those of the runs
 	// after it, and degrades the request to a redirect — the client
 	// never sees a 502 for an origin problem.
-	if i, err := s.fill(&fc, sh, out.FilledIDs); err != nil {
+	if i, err := s.fill(&fc, sh, filled); err != nil {
 		sh.fillErrs.Add(1)
-		s.undoAdmission(sh, out.FilledIDs[i:])
+		s.undoAdmission(sh, filled[i:])
 		s.degrade(w, r, sh, req.Bytes())
 		return
 	}

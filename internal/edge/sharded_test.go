@@ -304,11 +304,13 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Error("both Cache and CacheFactory accepted")
 	}
 
+	// The edge copies every decision's IDs, so the flag is accepted and
+	// ignored.
 	cfg = base()
 	cfg.CacheFactory = factory
 	cfg.CacheConfig = core.Config{ChunkSize: testK, DiskChunks: 64, ReuseOutcomeBuffers: true}
-	if _, err := NewServer(cfg); err == nil {
-		t.Error("ReuseOutcomeBuffers accepted (unsafe under the edge server)")
+	if _, err := NewServer(cfg); err != nil {
+		t.Errorf("ReuseOutcomeBuffers rejected: %v", err)
 	}
 
 	cfg = base()

@@ -6,7 +6,7 @@ import (
 	"videocdn/internal/cafe"
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
-	"videocdn/internal/purelru"
+	"videocdn/internal/lruq"
 	"videocdn/internal/trace"
 	"videocdn/internal/workload"
 	"videocdn/internal/xlru"
@@ -29,7 +29,7 @@ func mkXLRU(t *testing.T, disk int, alpha float64) core.Cache {
 
 func mkLRU(t *testing.T, disk int) core.Cache {
 	t.Helper()
-	c, err := purelru.New(core.Config{ChunkSize: testK, DiskChunks: disk})
+	c, err := lruq.New(core.Config{ChunkSize: testK, DiskChunks: disk}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

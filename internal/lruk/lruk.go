@@ -9,7 +9,7 @@
 // order among themselves); the classic choice K = 2 discriminates
 // one-hit wonders from genuinely re-referenced objects.
 //
-// Like purelru and gdsp, this cache serves and fills every miss — the
+// Like lru and gdsp, this cache serves and fills every miss — the
 // contrast with xLRU/Cafe isolates the value of the paper's
 // fill-or-redirect admission decision.
 package lruk

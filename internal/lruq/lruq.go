@@ -7,16 +7,18 @@
 //
 // The parameter q interpolates between the two classic extremes:
 //
-//   - q = 1 is exactly chunk-level LRU — byte-identical to
-//     internal/purelru, eviction sequence and all (a property test
-//     pins this).
+//   - q = 1 is exactly chunk-level LRU, eviction sequence and all (a
+//     property test pins this against an independent LRU). Registered
+//     as "lru", it is the always-fill proxy cache the paper calls the
+//     standard solution (Section 2): the strawman baseline that shows
+//     what xLRU's popularity gate and Cafe's cost model buy.
 //   - q → ∞ orders eviction by hit count: a chunk's level is the
 //     number of hits it has received since admission, so the eviction
 //     order converges to LFU-like frequency ordering while staying
 //     O(1) per operation and scan-resistant (one-touch scans never
 //     leave L_0).
 //
-// Like purelru/gdsp/lruk it is an always-fill policy: it serves every
+// Like gdsp and lruk it is an always-fill policy: it serves every
 // request that fits on disk and never redirects, isolating the value
 // of replacement from the paper's fill-or-redirect admission decision.
 // Chunk-granular like xLRU: all state is per chunk, never per file.
@@ -39,6 +41,7 @@ const DefaultQ = 4
 // Cache is the LRU(q) chunk cache. Not safe for concurrent use.
 type Cache struct {
 	cfg      core.Config
+	name     string
 	levels   []*lru.List    // levels[0] is evicted-first; levels[q-1] is safest
 	level    map[uint64]int // chunk key -> level index
 	lastTime int64
@@ -57,14 +60,15 @@ func New(cfg core.Config, q int) (*Cache, error) {
 	for i := range levels {
 		levels[i] = lru.New()
 	}
-	return &Cache{cfg: cfg, levels: levels, level: make(map[uint64]int)}, nil
+	return &Cache{cfg: cfg, name: "lruq", levels: levels, level: make(map[uint64]int)}, nil
 }
 
 // Q returns the configured level count.
 func (c *Cache) Q() int { return len(c.levels) }
 
-// Name implements core.Cache.
-func (c *Cache) Name() string { return "lruq" }
+// Name implements core.Cache: "lruq", or "lru" when built as the
+// registered always-fill baseline.
+func (c *Cache) Name() string { return c.name }
 
 // Len implements core.Cache.
 func (c *Cache) Len() int { return len(c.level) }

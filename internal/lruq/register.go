@@ -28,4 +28,16 @@ func init() {
 			return New(cfg, p["q"].(int))
 		},
 	})
+	policy.Register(policy.Spec{
+		Name: "lru",
+		Doc:  "always-fill chunk-level LRU, the proxy-style strawman baseline (Section 2): LRU(q) with q = 1",
+		New: func(cfg core.Config, _ policy.Params) (core.Cache, error) {
+			c, err := New(cfg, 1)
+			if err != nil {
+				return nil, err
+			}
+			c.name = "lru"
+			return c, nil
+		},
+	})
 }

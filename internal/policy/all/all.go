@@ -16,6 +16,5 @@ import (
 	_ "videocdn/internal/lruk"
 	_ "videocdn/internal/lruq"
 	_ "videocdn/internal/psychic"
-	_ "videocdn/internal/purelru"
 	_ "videocdn/internal/xlru"
 )

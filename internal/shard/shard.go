@@ -58,11 +58,7 @@ func New(n int, cfg core.Config, factory Factory) (*Group, error) {
 	}
 	g := &Group{shards: make([]shardSlot, n)}
 	for i := range g.shards {
-		c, err := factory(i, core.Config{
-			ChunkSize:           cfg.ChunkSize,
-			DiskChunks:          per,
-			ReuseOutcomeBuffers: cfg.ReuseOutcomeBuffers,
-		})
+		c, err := factory(i, core.Config{ChunkSize: cfg.ChunkSize, DiskChunks: per})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

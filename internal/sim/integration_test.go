@@ -7,8 +7,9 @@ import (
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
+	_ "videocdn/internal/lruq" // registers "lru"
+	"videocdn/internal/policy"
 	"videocdn/internal/psychic"
-	"videocdn/internal/purelru"
 	"videocdn/internal/trace"
 	"videocdn/internal/workload"
 	"videocdn/internal/xlru"
@@ -42,7 +43,7 @@ func runAll(t *testing.T, reqs []trace.Request, alpha float64, disk int) map[str
 	m := cost.MustModel(alpha)
 	out := map[string]*Result{}
 
-	cl, err := purelru.New(cfg)
+	cl, err := policy.New("lru", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

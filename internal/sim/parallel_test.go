@@ -53,7 +53,7 @@ func parallelFactories() []cacheFactory {
 func TestReplayParallelMatchesSequential(t *testing.T) {
 	reqs := parallelTrace(6000, 42)
 	m := cost.MustModel(2)
-	cfg := core.Config{ChunkSize: testK, DiskChunks: 256, ReuseOutcomeBuffers: true}
+	cfg := core.Config{ChunkSize: testK, DiskChunks: 256}
 	for _, f := range parallelFactories() {
 		for _, shards := range []int{1, 2, 8} {
 			g1, err := shard.New(shards, cfg, f.mk)
@@ -106,7 +106,7 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 func TestReplayParallelWorkerCounts(t *testing.T) {
 	reqs := parallelTrace(3000, 7)
 	m := cost.MustModel(2)
-	cfg := core.Config{ChunkSize: testK, DiskChunks: 128, ReuseOutcomeBuffers: true}
+	cfg := core.Config{ChunkSize: testK, DiskChunks: 128}
 	mk := func() *shard.Group {
 		g, err := shard.New(8, cfg, parallelFactories()[0].mk)
 		if err != nil {

@@ -70,11 +70,7 @@ func TestStreamingReplaySoakFlatMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := shard.New(8, core.Config{
-		ChunkSize:           1 << 20,
-		DiskChunks:          8192,
-		ReuseOutcomeBuffers: true,
-	}, parallelFactories()[0].mk)
+	g, err := shard.New(8, core.Config{ChunkSize: 1 << 20, DiskChunks: 8192}, parallelFactories()[0].mk)
 	if err != nil {
 		t.Fatal(err)
 	}

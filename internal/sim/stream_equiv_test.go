@@ -77,7 +77,7 @@ func requireIdentical(t *testing.T, label string, want, got *Result) {
 func TestStreamingReplayMatrix(t *testing.T) {
 	reqs := parallelTrace(6000, 99)
 	m := cost.MustModel(2)
-	cfg := core.Config{ChunkSize: testK, DiskChunks: 256, ReuseOutcomeBuffers: true}
+	cfg := core.Config{ChunkSize: testK, DiskChunks: 256}
 	for _, f := range parallelFactories() {
 		for _, traceShards := range []int{1, 8} {
 			d := writeColumnar(t, reqs, traceShards)
@@ -125,7 +125,7 @@ func TestStreamingReplayMatrix(t *testing.T) {
 func TestStreamingReplayAsymmetricShards(t *testing.T) {
 	reqs := parallelTrace(4000, 5)
 	m := cost.MustModel(2)
-	cfg := core.Config{ChunkSize: testK, DiskChunks: 128, ReuseOutcomeBuffers: true}
+	cfg := core.Config{ChunkSize: testK, DiskChunks: 128}
 	f := parallelFactories()[0] // cafe
 	for _, tc := range []struct{ traceShards, groupShards int }{
 		{2, 8}, // filter path

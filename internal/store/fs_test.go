@@ -57,8 +57,9 @@ func TestFSShardDirsPrecreated(t *testing.T) {
 }
 
 // TestFSRecoveryScanScrubsAndFilters: the recovery scan must index
-// valid chunk files, skip malformed names, and remove stray .tmp
-// leftovers from a crashed Put.
+// valid chunk files, skip malformed names and chunk files outside the
+// directory fsShard names, and remove stray .tmp leftovers from a
+// crashed Put.
 func TestFSRecoveryScanScrubsAndFilters(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := NewFS(dir)
@@ -80,87 +81,29 @@ func TestFSRecoveryScanScrubsAndFilters(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A chunk file under the pre-scatter key>>3%256 directory is
+	// unreachable by path(), so it must not be indexed.
+	stray := chunk.ID{Video: 3, Index: 1}
+	oldShard := uint8(stray.Key() >> 3 % 256)
+	if oldShard == fsShard(stray.Key()) {
+		t.Fatal("stray chunk's old and scatter shards coincide; pick another id")
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02x", oldShard), "3-1"), []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := NewFS(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 || !s2.Has(good) {
-		t.Errorf("recovered Len = %d, Has(good) = %v; want 1, true", s2.Len(), s2.Has(good))
+	if s2.Len() != 1 || !s2.Has(good) || s2.Has(stray) {
+		t.Errorf("recovered Len = %d, Has(good) = %v, Has(stray) = %v; want 1, true, false", s2.Len(), s2.Has(good), s2.Has(stray))
 	}
 	if got, err := s2.Get(good, nil); err != nil || string(got) != "good" {
 		t.Errorf("recovered Get = %q, %v", got, err)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Errorf("stray .tmp not cleaned by recovery scan: %v", err)
-	}
-}
-
-// TestFSLegacyPathMigration: a store written under the old clustering
-// shard function must stay fully readable, and chunks must migrate to
-// the scatter path on their next Put.
-func TestFSLegacyPathMigration(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := NewFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the old layout: place a chunk at its legacy path whose
-	// scatter shard differs.
-	id := chunk.ID{Video: 3, Index: 1}
-	if fsShard(id.Key()) == legacyShard(id.Key()) {
-		t.Fatalf("test chunk's shards coincide; pick another id")
-	}
-	if err := os.WriteFile(s1.legacyPath(id), []byte("old bytes"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := NewFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Has(id) || s2.Len() != 1 {
-		t.Fatalf("legacy chunk not indexed: Has=%v Len=%d", s2.Has(id), s2.Len())
-	}
-	if got, err := s2.Get(id, nil); err != nil || string(got) != "old bytes" {
-		t.Fatalf("legacy Get = %q, %v", got, err)
-	}
-
-	// A replacement Put migrates the chunk: new path holds the bytes,
-	// the legacy copy is gone.
-	if err := s2.Put(id, []byte("new bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s2.legacyPath(id)); !os.IsNotExist(err) {
-		t.Errorf("legacy copy not removed by Put: %v", err)
-	}
-	if got, err := s2.Get(id, nil); err != nil || string(got) != "new bytes" {
-		t.Errorf("post-migration Get = %q, %v", got, err)
-	}
-	if s2.Len() != 1 {
-		t.Errorf("Len = %d after migration, want 1", s2.Len())
-	}
-
-	// Delete of a still-legacy chunk removes the old copy too.
-	id2 := chunk.ID{Video: 3, Index: 2}
-	if fsShard(id2.Key()) == legacyShard(id2.Key()) {
-		t.Fatalf("second test chunk's shards coincide; pick another id")
-	}
-	if err := os.WriteFile(s2.legacyPath(id2), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := NewFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.Delete(id2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s3.legacyPath(id2)); !os.IsNotExist(err) {
-		t.Errorf("legacy copy not removed by Delete: %v", err)
-	}
-	if s3.Has(id2) {
-		t.Error("deleted legacy chunk still visible")
 	}
 }
 

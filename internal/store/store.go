@@ -353,10 +353,6 @@ type FS struct {
 	mu   sync.RWMutex
 	n    int
 	seen map[uint64]struct{}
-	// legacy holds keys whose file still sits at the pre-scatter shard
-	// path (see legacyShard). Reads fall back there; the copy is
-	// migrated away by the next Put or Delete of the chunk.
-	legacy map[uint64]struct{}
 
 	// crashAfterTemp, when set by a test, makes Put stop after writing
 	// the temp file — simulating a crash between the write and the
@@ -371,12 +367,6 @@ type FS struct {
 // them uniformly across all 256.
 func fsShard(key uint64) uint8 {
 	return uint8((key * 0x9E3779B97F4A7C15) >> 56)
-}
-
-// legacyShard is the pre-scatter shard function, kept so a store
-// written by an older layout stays readable in place.
-func legacyShard(key uint64) uint8 {
-	return uint8(key >> 3 % 256)
 }
 
 // parseChunkName parses a "<video>-<index>" chunk filename. It
@@ -447,16 +437,9 @@ func NewFSWithConfig(root string, cfg FSConfig) (*FS, error) {
 			return nil, fmt.Errorf("store: creating shard dir: %w", err)
 		}
 	}
-	s := &FS{
-		root:   root,
-		cfg:    cfg,
-		seen:   make(map[uint64]struct{}),
-		legacy: make(map[uint64]struct{}),
-	}
-	// Recover existing chunks (restart support). Files at their old
-	// pre-scatter shard path are indexed as legacy so they stay
-	// readable without a stop-the-world migration; stray .tmp files
-	// from a crashed Put are removed.
+	s := &FS{root: root, cfg: cfg, seen: make(map[uint64]struct{})}
+	// Recover existing chunks (restart support); stray .tmp files from a
+	// crashed Put are removed.
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return nil, err
@@ -481,21 +464,15 @@ func NewFSWithConfig(root string, cfg FSConfig) (*FS, error) {
 				continue
 			}
 			key := id.Key()
-			if _, dup := s.seen[key]; dup {
+			if e.Name() != fmt.Sprintf("%02x", fsShard(key)) {
+				// A chunk file in a directory fsShard does not name is
+				// unreachable by path(); don't index what Get could
+				// never read.
 				continue
 			}
-			switch e.Name() {
-			case fmt.Sprintf("%02x", fsShard(key)):
+			if _, dup := s.seen[key]; !dup {
 				s.seen[key] = struct{}{}
 				s.n++
-			case fmt.Sprintf("%02x", legacyShard(key)):
-				s.seen[key] = struct{}{}
-				s.n++
-				s.legacy[key] = struct{}{}
-			default:
-				// A chunk file in a directory neither shard function
-				// maps to is unreachable by path(); don't index what
-				// Get could never read.
 			}
 		}
 	}
@@ -505,20 +482,6 @@ func NewFSWithConfig(root string, cfg FSConfig) (*FS, error) {
 func (s *FS) path(id chunk.ID) string {
 	shard := fmt.Sprintf("%02x", fsShard(id.Key()))
 	return filepath.Join(s.root, shard, fmt.Sprintf("%d-%d", id.Video, id.Index))
-}
-
-// legacyPath is the chunk's location under the pre-scatter layout.
-func (s *FS) legacyPath(id chunk.ID) string {
-	shard := fmt.Sprintf("%02x", legacyShard(id.Key()))
-	return filepath.Join(s.root, shard, fmt.Sprintf("%d-%d", id.Video, id.Index))
-}
-
-// isLegacy reports whether the chunk's bytes live at the old path.
-func (s *FS) isLegacy(key uint64) bool {
-	s.mu.RLock()
-	_, ok := s.legacy[key]
-	s.mu.RUnlock()
-	return ok
 }
 
 // Put implements Store.
@@ -583,11 +546,6 @@ func syncDir(dir string) error {
 // chunks without allocating.
 func (s *FS) Get(id chunk.ID, buf []byte) ([]byte, error) {
 	f, err := os.Open(s.path(id))
-	if err != nil && os.IsNotExist(err) && s.isLegacy(id.Key()) {
-		// Migration fallback: the chunk predates the scatter shard
-		// function and still lives at its old path.
-		f, err = os.Open(s.legacyPath(id))
-	}
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -620,9 +578,6 @@ func (s *FS) Get(id chunk.ID, buf []byte) ([]byte, error) {
 // stay readable until Release.
 func (s *FS) GetSection(id chunk.ID) (Section, error) {
 	f, err := os.Open(s.path(id))
-	if err != nil && os.IsNotExist(err) && s.isLegacy(id.Key()) {
-		f, err = os.Open(s.legacyPath(id))
-	}
 	if err != nil {
 		if os.IsNotExist(err) {
 			return Section{}, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -704,8 +659,8 @@ func (s *FS) PutStream(id chunk.ID, r io.Reader, max int64, scratch []byte) (int
 	return total, nil
 }
 
-// commitKey records a freshly renamed chunk file in the index and
-// migrates away any legacy-path copy (shared by Put and PutStream).
+// commitKey records a freshly renamed chunk file in the index (shared
+// by Put and PutStream).
 func (s *FS) commitKey(id chunk.ID) {
 	key := id.Key()
 	s.mu.Lock()
@@ -713,16 +668,7 @@ func (s *FS) commitKey(id chunk.ID) {
 		s.seen[key] = struct{}{}
 		s.n++
 	}
-	wasLegacy := false
-	if _, ok := s.legacy[key]; ok {
-		delete(s.legacy, key)
-		wasLegacy = true
-	}
 	s.mu.Unlock()
-	if wasLegacy {
-		// The fresh copy at the new path supersedes the old one.
-		_ = os.Remove(s.legacyPath(id))
-	}
 }
 
 // Delete implements Store.
@@ -737,17 +683,7 @@ func (s *FS) Delete(id chunk.ID) error {
 		delete(s.seen, key)
 		s.n--
 	}
-	wasLegacy := false
-	if _, ok := s.legacy[key]; ok {
-		delete(s.legacy, key)
-		wasLegacy = true
-	}
 	s.mu.Unlock()
-	if wasLegacy {
-		if err := os.Remove(s.legacyPath(id)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -46,8 +46,8 @@ type Cache struct {
 
 	fillGate func(chunks int, now int64) bool
 
-	// missingBuf and evictedBuf back Outcome.FilledIDs/EvictedIDs when
-	// the caller opted into core.Config.ReuseOutcomeBuffers.
+	// missingBuf and evictedBuf back Outcome.FilledIDs/EvictedIDs until
+	// the next request.
 	missingBuf []chunk.ID
 	evictedBuf []chunk.ID
 }
@@ -151,21 +151,14 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	// Serve: find the missing chunks first (the fill gate may veto),
 	// then touch cached chunks (LRU access), evict the oldest to make
 	// room, and fill.
-	var missing []chunk.ID
-	if c.cfg.ReuseOutcomeBuffers {
-		missing = c.missingBuf[:0]
-	} else {
-		missing = make([]chunk.ID, 0, nChunks)
-	}
+	missing := c.missingBuf[:0]
 	for ci := c0; ci <= c1; ci++ {
 		id := chunk.ID{Video: r.Video, Index: ci}
 		if !c.disk.Contains(id.Key()) {
 			missing = append(missing, id)
 		}
 	}
-	if c.cfg.ReuseOutcomeBuffers {
-		c.missingBuf = missing
-	}
+	c.missingBuf = missing
 	if len(missing) > 0 && c.fillGate != nil && !c.fillGate(len(missing), now) {
 		// Disk-write budget exhausted (Section 2): redirect instead of
 		// filling; the popularity tracker has already seen the request.
@@ -181,10 +174,7 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	if evict < 0 {
 		evict = 0
 	}
-	var evicted []chunk.ID
-	if c.cfg.ReuseOutcomeBuffers {
-		evicted = c.evictedBuf[:0]
-	}
+	evicted := c.evictedBuf[:0]
 	for i := 0; i < evict; i++ {
 		// The requested chunks were just touched to the head, so the
 		// tail can never be part of this request (nChunks <= disk).
@@ -194,9 +184,7 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		}
 		evicted = append(evicted, chunk.FromKey(key))
 	}
-	if c.cfg.ReuseOutcomeBuffers {
-		c.evictedBuf = evicted
-	}
+	c.evictedBuf = evicted
 	for _, id := range missing {
 		c.disk.Touch(id.Key(), now)
 	}

@@ -302,8 +302,8 @@ func TestName(t *testing.T) {
 // Interface conformance.
 var _ core.Cache = (*Cache)(nil)
 
-// TestReuseOutcomeBuffersEquivalence mirrors the cafe test: buffer
-// reuse must be observationally identical to the allocating path.
+// TestReuseOutcomeBuffersEquivalence mirrors the cafe test: the ignored
+// core.Config.ReuseOutcomeBuffers changes nothing a replay observes.
 func TestReuseOutcomeBuffersEquivalence(t *testing.T) {
 	mk := func(reuse bool) *Cache {
 		t.Helper()

@@ -41,10 +41,11 @@ import (
 	"videocdn/internal/edge"
 	"videocdn/internal/hierarchy"
 	"videocdn/internal/lp"
+	_ "videocdn/internal/lruq" // registers "lru"
 	"videocdn/internal/optimal"
+	"videocdn/internal/policy"
 	"videocdn/internal/prefetch"
 	"videocdn/internal/psychic"
-	"videocdn/internal/purelru"
 	"videocdn/internal/shard"
 	"videocdn/internal/sim"
 	"videocdn/internal/store"
@@ -150,9 +151,10 @@ func NewPsychic(chunkSize, diskBytes int64, alpha float64, reqs []Request, opt P
 }
 
 // NewAlwaysFillLRU builds the classic proxy cache (fill every miss,
-// never redirect) — the standard solution the paper improves on.
+// never redirect) — the standard solution the paper improves on. It is
+// the registered "lru" policy, LRU(q) with q = 1.
 func NewAlwaysFillLRU(chunkSize, diskBytes int64) (Cache, error) {
-	return purelru.New(core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)})
+	return policy.New("lru", core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}, nil)
 }
 
 // Replay drives reqs through the cache under alpha_F2R and returns the
