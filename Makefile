@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-smoke bench-check bench-policy bench-store experiments experiments-small fmt vet clean
+.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-smoke bench-check bench-policy bench-store bench-trace experiments experiments-small fmt vet clean
 
 all: build test
 
@@ -81,6 +81,12 @@ bench-policy:
 # Put/Get/GetBorrow/GetSection/PutStream/Delete/RecoveryScan per backend.
 bench-store:
 	$(GO) test -run '^$$' -bench Store -benchmem ./internal/store
+
+# Trace generation and merging, what replay-cafe's setup_s is made of:
+# ns/req and B/op of the rig's trace (europe, 8 parts, 30 days, videos
+# capped at 128 MB) and of an 8-way trace.Merge.
+bench-trace:
+	$(GO) test -run '^$$' -bench 'Generate|Merge' -benchmem ./internal/workload ./internal/trace
 
 # Regenerate every figure and table of the paper (plus extensions).
 experiments:

@@ -222,22 +222,34 @@ func Merge(traces ...[]Request) []Request {
 	for _, t := range traces {
 		total += len(t)
 	}
-	out := make([]Request, 0, total)
-	idx := make([]int, len(traces))
-	for len(out) < total {
-		best := -1
-		var bestTime int64
-		for i, t := range traces {
-			if idx[i] >= len(t) {
-				continue
-			}
-			if best < 0 || t[idx[i]].Time < bestTime {
-				best = i
-				bestTime = t[idx[i]].Time
+	// heads[j] is the time of rest[j][0]. An input leaves both arrays
+	// when it runs out, and the rest keep their order, so the scan for
+	// the earliest head reads one small array and a tie still goes to
+	// the lowest input index.
+	rest := make([][]Request, 0, len(traces))
+	heads := make([]int64, 0, len(traces))
+	for _, t := range traces {
+		if len(t) > 0 {
+			rest = append(rest, t)
+			heads = append(heads, t[0].Time)
+		}
+	}
+	out := make([]Request, total)
+	for k := range out {
+		best, bestTime := 0, heads[0]
+		for j, h := range heads[1:] {
+			if h < bestTime {
+				best, bestTime = j+1, h
 			}
 		}
-		out = append(out, traces[best][idx[best]])
-		idx[best]++
+		t := rest[best]
+		out[k] = t[0]
+		if t = t[1:]; len(t) > 0 {
+			rest[best], heads[best] = t, t[0].Time
+		} else {
+			rest = append(rest[:best], rest[best+1:]...)
+			heads = append(heads[:best], heads[best+1:]...)
+		}
 	}
 	return out
 }

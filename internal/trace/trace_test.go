@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -277,6 +278,61 @@ func TestMergeProperty(t *testing.T) {
 	}
 }
 
+// mergeLinearScan is Merge as it was first written: every step scans
+// every input's cursor for the earliest head. It is the reference that
+// TestMergeMatchesLinearScan holds Merge to.
+func mergeLinearScan(traces ...[]Request) []Request {
+	total := 0
+	for _, t := range traces {
+		total += len(t)
+	}
+	out := make([]Request, 0, total)
+	idx := make([]int, len(traces))
+	for len(out) < total {
+		best := -1
+		var bestTime int64
+		for i, t := range traces {
+			if idx[i] >= len(t) {
+				continue
+			}
+			if best < 0 || t[idx[i]].Time < bestTime {
+				best = i
+				bestTime = t[idx[i]].Time
+			}
+		}
+		out = append(out, traces[best][idx[best]])
+		idx[best]++
+	}
+	return out
+}
+
+func TestMergeMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		k := trial % 10
+		traces := make([][]Request, k)
+		for i := range traces {
+			if rng.Intn(4) == 0 {
+				continue // an empty input
+			}
+			n := rng.Intn(30)
+			tm := int64(rng.Intn(3))
+			for j := 0; j < n; j++ {
+				tm += int64(rng.Intn(2)) // about half the steps tie
+				// Video and Start name the request's input and place.
+				traces[i] = append(traces[i], Request{Time: tm, Video: chunk.VideoID(i), Start: int64(j), End: int64(j)})
+			}
+			if rng.Intn(3) == 0 {
+				traces[i] = append(traces[i], Request{Time: math.MaxInt64, Video: chunk.VideoID(i), Start: int64(n), End: int64(n)})
+			}
+		}
+		got, want := Merge(traces...), mergeLinearScan(traces...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d, %d inputs: Merge differs from the linear scan\ngot  %v\nwant %v", trial, k, got, want)
+		}
+	}
+}
+
 func TestOffsetVideos(t *testing.T) {
 	reqs := []Request{{Time: 0, Video: 1, Start: 0, End: 1}, {Time: 1, Video: 2, Start: 0, End: 1}}
 	got := OffsetVideos(reqs, 100)
@@ -392,3 +448,27 @@ func TestTextReaderLineNumbers(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkMerge merges eight time-ordered inputs of 100 000 requests
+// each over 30 days, about the shape of the replay-cafe workload's
+// eight SplitProfile parts.
+func BenchmarkMerge(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	traces := make([][]Request, 8)
+	for i := range traces {
+		tm := 0.0
+		for j := 0; j < 100000; j++ {
+			tm += rng.ExpFloat64() * 30 * 86400 / 100000
+			traces[i] = append(traces[i], Request{Time: int64(tm), Video: chunk.VideoID(i), Start: 0, End: 1})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mergeSink = Merge(traces...)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*8*100000), "ns/req")
+}
+
+// mergeSink keeps BenchmarkMerge's result live.
+var mergeSink []Request

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"videocdn/internal/chunk"
 	"videocdn/internal/trace"
@@ -151,7 +150,7 @@ func ProfileByName(name string) (Profile, error) {
 type video struct {
 	id       chunk.VideoID
 	size     int64   // bytes
-	rank     float64 // popularity rank (1 = hottest)
+	zipf     float64 // rank^ZipfExponent, rank 1 being the hottest
 	birthDay float64 // day the video appeared (can be negative)
 }
 
@@ -162,6 +161,10 @@ type Generator struct {
 	videos  []video
 	nextID  chunk.VideoID
 	weights []float64 // cumulative weights, rebuilt daily
+	// guide[b] is the first i with int(weights[i]·scale) ≥ b, where
+	// scale = len(weights)/total: where search starts its scan.
+	guide []int
+	scale float64
 }
 
 // NewGenerator builds a generator; the catalog is seeded with
@@ -187,7 +190,7 @@ func (g *Generator) addVideo(birthDay float64) {
 	g.videos = append(g.videos, video{
 		id:       g.nextID,
 		size:     size,
-		rank:     rank,
+		zipf:     math.Pow(rank, g.p.ZipfExponent),
 		birthDay: birthDay,
 	})
 	g.nextID++
@@ -207,34 +210,51 @@ func (g *Generator) videoSize() int64 {
 }
 
 // rebuildWeights recomputes the cumulative popularity weights for
-// sampling on the given day.
+// sampling on the given day, and the guide table over them.
 func (g *Generator) rebuildWeights(day float64) {
-	if cap(g.weights) < len(g.videos) {
-		g.weights = make([]float64, len(g.videos))
-	}
-	g.weights = g.weights[:len(g.videos)]
+	g.weights = g.weights[:0]
 	cum := 0.0
-	for i, v := range g.videos {
+	for _, v := range g.videos {
 		age := day - v.birthDay
 		if age < 0 {
 			age = 0
 		}
 		decay := math.Exp(-age*math.Ln2/g.p.PopularityHalfLifeDays) + 0.05
-		w := decay / math.Pow(v.rank, g.p.ZipfExponent)
-		cum += w
-		g.weights[i] = cum
+		cum += decay / v.zipf
+		g.weights = append(g.weights, cum)
 	}
+	g.buildGuide()
+}
+
+// buildGuide rebuilds the guide table over the current weights.
+func (g *Generator) buildGuide() {
+	g.scale = float64(len(g.weights)) / g.weights[len(g.weights)-1]
+	g.guide = g.guide[:0]
+	for i, w := range g.weights {
+		for b := int(w * g.scale); len(g.guide) <= b; {
+			g.guide = append(g.guide, i)
+		}
+	}
+}
+
+// search returns the first i with weights[i] ≥ r, clamped to the last
+// index: what sort.SearchFloat64s finds, in O(1) steps on average.
+// Every i before guide[int(r·scale)] has int(weights[i]·scale) <
+// int(r·scale), so weights[i] < r, and the scan can start there. No r
+// in [0, total] indexes past the guide, whose last bucket is total's.
+func (g *Generator) search(r float64) int {
+	last := len(g.weights) - 1
+	i := g.guide[int(r*g.scale)]
+	for i < last && g.weights[i] < r {
+		i++
+	}
+	return i
 }
 
 // pickVideo samples a video from the current weights.
 func (g *Generator) pickVideo() *video {
-	total := g.weights[len(g.weights)-1]
-	r := g.rng.Float64() * total
-	i := sort.SearchFloat64s(g.weights, r)
-	if i >= len(g.videos) {
-		i = len(g.videos) - 1
-	}
-	return &g.videos[i]
+	r := g.rng.Float64() * g.weights[len(g.weights)-1]
+	return &g.videos[g.search(r)]
 }
 
 // rate returns the instantaneous request rate (req/s) at trace time t.
@@ -247,7 +267,11 @@ func (g *Generator) rate(t float64) float64 {
 // Generate produces the full request trace for the given number of
 // days. Requests are in non-decreasing time order starting at t=0.
 func (g *Generator) Generate(days int) ([]trace.Request, error) {
-	var reqs []trace.Request
+	// Sized for the mean volume plus 1/16 (about 20 Poisson σ at a
+	// month of one europe part), so the slice is allocated once; past
+	// 1<<24 requests append grows it.
+	n := min(float64(days)*float64(g.p.RequestsPerDay)*17/16, 1<<24)
+	reqs := make([]trace.Request, 0, max(int(n), 0))
 	err := g.GenerateFunc(days, func(r trace.Request) error {
 		reqs = append(reqs, r)
 		return nil

@@ -333,3 +333,34 @@ func TestSummarize(t *testing.T) {
 		t.Error("empty trace should give zero stats")
 	}
 }
+
+// BenchmarkGenerate builds the replay-cafe workload's trace: europe
+// with videos capped at 128 MB, split into eight SplitProfile parts,
+// each generated for 30 days, then merged.
+func BenchmarkGenerate(b *testing.B) {
+	p, err := ProfileByName("europe")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.MaxVideoMB = 128
+	parts, err := SplitProfile(p, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		traces := make([][]trace.Request, len(parts))
+		for i, part := range parts {
+			g, err := NewGenerator(part)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if traces[i], err = g.Generate(30); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n += len(trace.Merge(traces...))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/req")
+}
