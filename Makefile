@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-smoke bench-check bench-policy bench-store bench-trace experiments experiments-small fmt vet clean
+.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-smoke bench-check bench-policy bench-store bench-trace check-figs experiments experiments-small fmt vet clean
 
 all: build test
 
@@ -16,7 +16,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/cluster/ ./internal/edge/ ./internal/resilience/ ./internal/store/ ./internal/shard/ ./internal/sim/ ./internal/oracle/ ./internal/policy/
+	$(GO) test -race ./internal/cluster/ ./internal/edge/ ./internal/resilience/ ./internal/store/ ./internal/shard/ ./internal/sim/ ./internal/oracle/ ./internal/policy/ ./internal/trace/ ./internal/workload/
 
 # Fault-injection suite: drives the edge↔origin stack through seeded
 # outages (5xx bursts, latency spikes, mid-body truncation) and asserts
@@ -87,6 +87,12 @@ bench-store:
 # capped at 128 MB) and of an 8-way trace.Merge.
 bench-trace:
 	$(GO) test -run '^$$' -bench 'Generate|Merge' -benchmem ./internal/workload ./internal/trace
+
+# Regenerate every default-scale section of experiments_default.txt but
+# Figure 2 and Optimum bracketing (the LP solver's minutes) and compare
+# each byte for byte with the committed one; a mismatch names the section.
+check-figs:
+	scripts/check-figs.sh
 
 # Regenerate every figure and table of the paper (plus extensions).
 experiments:

@@ -21,8 +21,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"videocdn/internal/chunk"
 )
@@ -216,12 +219,76 @@ func CapSize(reqs []Request, maxBytes int64) []Request {
 // Merge combines multiple time-ordered traces into one time-ordered
 // stream (k-way merge, stable across inputs: ties keep the input
 // order). It is how several regional request streams are combined
-// into the view a shared parent cache would see.
+// into the view a shared parent cache would see. From splitMergeMin
+// requests on, the output is cut into runtime.GOMAXPROCS(0) pieces
+// merged in parallel (mergeSplit); the result is the same.
 func Merge(traces ...[]Request) []Request {
 	total := 0
 	for _, t := range traces {
 		total += len(t)
 	}
+	out := make([]Request, total)
+	pieces := 1
+	if total >= splitMergeMin {
+		pieces = runtime.GOMAXPROCS(0)
+	}
+	mergeSplit(out, pieces, traces)
+	return out
+}
+
+// splitMergeMin is the output size from which Merge splits its work:
+// below it a goroutine costs more than the piece it would merge.
+const splitMergeMin = 1 << 15
+
+// mergeSplit merges traces into out, which holds exactly their
+// requests, as up to pieces independent merges. The cut times are
+// evenly spaced requests of the longest input. Each input's requests
+// earlier than a cut time precede, in the merged order, every request
+// at or after it, so cutting every input at the same time (a binary
+// search each) splits out into disjoint ranges that mergeInto fills
+// on their own goroutines, with the order and ties of one merge.
+func mergeSplit(out []Request, pieces int, traces [][]Request) {
+	var cuts []Request
+	for _, t := range traces {
+		if len(t) > len(cuts) {
+			cuts = t
+		}
+	}
+	if pieces <= 1 || len(cuts) < pieces {
+		mergeInto(out, traces)
+		return
+	}
+	// lo[j] is where input j's part of the next piece starts, and at
+	// is where that piece starts in out.
+	lo := make([]int, len(traces))
+	at := 0
+	var wg sync.WaitGroup
+	for p := 1; p <= pieces; p++ {
+		part := make([][]Request, len(traces))
+		n := 0
+		for j, t := range traces {
+			rest := t[lo[j]:]
+			if p < pieces {
+				c := cuts[p*len(cuts)/pieces].Time
+				rest = rest[:sort.Search(len(rest), func(i int) bool { return rest[i].Time >= c })]
+			}
+			part[j] = rest
+			lo[j] += len(rest)
+			n += len(rest)
+		}
+		wg.Add(1)
+		go func(dst []Request) {
+			defer wg.Done()
+			mergeInto(dst, part)
+		}(out[at : at+n])
+		at += n
+	}
+	wg.Wait()
+}
+
+// mergeInto merges traces into out, which holds exactly their
+// requests, on the calling goroutine.
+func mergeInto(out []Request, traces [][]Request) {
 	// heads[j] is the time of rest[j][0]. An input leaves both arrays
 	// when it runs out, and the rest keep their order, so the scan for
 	// the earliest head reads one small array and a tie still goes to
@@ -234,7 +301,6 @@ func Merge(traces ...[]Request) []Request {
 			heads = append(heads, t[0].Time)
 		}
 	}
-	out := make([]Request, total)
 	for k := range out {
 		best, bestTime := 0, heads[0]
 		for j, h := range heads[1:] {
@@ -251,7 +317,6 @@ func Merge(traces ...[]Request) []Request {
 			heads = append(heads[:best], heads[best+1:]...)
 		}
 	}
-	return out
 }
 
 // OffsetVideos returns a copy of the trace with every video ID shifted

@@ -306,7 +306,35 @@ func mergeLinearScan(traces ...[]Request) []Request {
 	return out
 }
 
+// TestMergeMatchesLinearScan holds Merge, and its split path at 1, 2, 3
+// and 8 pieces, to mergeLinearScan: on random inputs with many tied
+// times, empty inputs and requests at math.MaxInt64, and on inputs
+// shaped against the cuts.
 func TestMergeMatchesLinearScan(t *testing.T) {
+	check := func(name string, traces [][]Request) {
+		t.Helper()
+		want := mergeLinearScan(traces...)
+		if got := Merge(traces...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %d inputs: Merge differs from the linear scan\ngot  %v\nwant %v", name, len(traces), got, want)
+		}
+		for _, pieces := range []int{1, 2, 3, 8} {
+			got := make([]Request, len(want))
+			mergeSplit(got, pieces, traces)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %d inputs: %d-piece merge differs from the linear scan\ngot  %v\nwant %v", name, len(traces), pieces, got, want)
+			}
+		}
+	}
+	// input returns n requests of input i whose times are time(j); Video
+	// and Start name the request's input and place.
+	input := func(i, n int, time func(j int) int64) []Request {
+		t := make([]Request, n)
+		for j := range t {
+			t[j] = Request{Time: time(j), Video: chunk.VideoID(i), Start: int64(j), End: int64(j)}
+		}
+		return t
+	}
+
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		k := trial % 10
@@ -317,20 +345,54 @@ func TestMergeMatchesLinearScan(t *testing.T) {
 			}
 			n := rng.Intn(30)
 			tm := int64(rng.Intn(3))
-			for j := 0; j < n; j++ {
+			traces[i] = input(i, n, func(int) int64 {
 				tm += int64(rng.Intn(2)) // about half the steps tie
-				// Video and Start name the request's input and place.
-				traces[i] = append(traces[i], Request{Time: tm, Video: chunk.VideoID(i), Start: int64(j), End: int64(j)})
-			}
+				return tm
+			})
 			if rng.Intn(3) == 0 {
 				traces[i] = append(traces[i], Request{Time: math.MaxInt64, Video: chunk.VideoID(i), Start: int64(n), End: int64(n)})
 			}
 		}
-		got, want := Merge(traces...), mergeLinearScan(traces...)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d, %d inputs: Merge differs from the linear scan\ngot  %v\nwant %v", trial, k, got, want)
-		}
+		check(fmt.Sprintf("trial %d", trial), traces)
 	}
+
+	// Above splitMergeMin, where Merge itself splits: eight inputs of
+	// random steps with ties, one of them empty.
+	big := make([][]Request, 8)
+	for i := range big[1:] {
+		tm := int64(0)
+		big[i+1] = input(i+1, splitMergeMin/4, func(int) int64 {
+			tm += int64(rng.Intn(3))
+			return tm
+		})
+	}
+	check("above splitMergeMin", big)
+
+	// Nine inputs in runs of 100 requests at one time, so every cut
+	// time is shared by many requests of every input.
+	shared := make([][]Request, 9)
+	for i := range shared {
+		shared[i] = input(i, 1000+i, func(j int) int64 { return int64(j / 100) })
+	}
+	check("cut times shared", shared)
+
+	// Inputs wholly before, after and between the cuts of the longest,
+	// with empty inputs among them.
+	check("inputs beside the cuts", [][]Request{
+		nil,
+		input(1, 50, func(j int) int64 { return int64(j) }),
+		input(2, 400, func(j int) int64 { return 100 + int64(j) }),
+		{},
+		input(4, 50, func(j int) int64 { return 1000 + int64(j) }),
+		input(5, 3, func(j int) int64 { return 250 }),
+	})
+
+	// Every request at one time.
+	same := make([][]Request, 5)
+	for i := range same {
+		same[i] = input(i, 200, func(int) int64 { return 7 })
+	}
+	check("one time", same)
 }
 
 func TestOffsetVideos(t *testing.T) {

@@ -111,3 +111,67 @@ func TestGuideTableMatchesSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestThinningBracketHoldsRate checks the brackets the thinning test
+// decides by, for every profile at its own amplitude and at 0 and
+// 0.99: rate(t) lies inside the bracket bracketAt picks for t at both
+// edges of every slice of several days, one ulp to either side, and at
+// random t up to 400 days. On a europe month of thinning tests (a
+// Poisson stream of arrivals at maxRate, each with its uniform draw),
+// the bracket must decide at least 99 % without rate, and the test it
+// stands for must agree with x > rate(t) on every one.
+func TestThinningBracketHoldsRate(t *testing.T) {
+	const width = float64(SecondsPerDay) / bracketBuckets
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range Profiles() {
+		for _, amp := range []float64{p.DiurnalAmplitude, 0, 0.99} {
+			p.DiurnalAmplitude = amp
+			g, err := NewGenerator(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holds := func(tm float64) {
+				if b, r := g.bracketAt(tm), g.rate(tm); r < b.lo || r > b.hi {
+					t.Fatalf("%s, amplitude %v: rate(%v) = %v outside its bracket [%v, %v]", p.Name, amp, tm, r, b.lo, b.hi)
+				}
+			}
+			for _, day := range []float64{0, 1, 29, 30, 399} {
+				for b := 0; b <= bracketBuckets; b++ {
+					edge := day*SecondsPerDay + float64(b)*width
+					holds(edge)
+					holds(math.Nextafter(edge, math.Inf(1)))
+					if edge > 0 {
+						holds(math.Nextafter(edge, 0))
+					}
+				}
+			}
+			for k := 0; k < 100000; k++ {
+				holds(rng.Float64() * 400 * SecondsPerDay)
+			}
+		}
+	}
+
+	p, err := ProfileByName("europe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxRate := float64(p.RequestsPerDay) / SecondsPerDay * (1 + p.DiurnalAmplitude)
+	tests, undecided := 0, 0
+	for tm := rng.ExpFloat64() / maxRate; tm < 30*SecondsPerDay; tm += rng.ExpFloat64() / maxRate {
+		b, x := g.bracketAt(tm), rng.Float64()*maxRate
+		tests++
+		if x > b.lo && x <= b.hi {
+			undecided++
+		} else if reject := x > b.hi; reject != (x > g.rate(tm)) {
+			t.Fatalf("t=%v, x=%v: bracket [%v, %v] rejects=%v, rate %v", tm, x, b.lo, b.hi, reject, g.rate(tm))
+		}
+	}
+	if undecided*100 > tests {
+		t.Errorf("the bracket left %d of %d thinning tests on a europe month to rate, over 1 %%", undecided, tests)
+	}
+	t.Logf("%d of %d thinning tests left to rate", undecided, tests)
+}

@@ -165,7 +165,17 @@ type Generator struct {
 	// scale = len(weights)/total: where search starts its scan.
 	guide []int
 	scale float64
+	// brackets[b] bounds rate over the b-th of bracketBuckets slices
+	// of the day, so that most thinning tests skip rate's cosine.
+	brackets [bracketBuckets]bracket
 }
+
+// bracketBuckets is how many slices of the day NewGenerator brackets
+// the diurnal rate over.
+const bracketBuckets = 1024
+
+// bracket holds lo ≤ rate(t) ≤ hi for every t in its slice of the day.
+type bracket struct{ lo, hi float64 }
 
 // NewGenerator builds a generator; the catalog is seeded with
 // CatalogSize videos whose ages are spread over the past ~60 days.
@@ -177,7 +187,30 @@ func NewGenerator(p Profile) (*Generator, error) {
 	for i := 0; i < p.CatalogSize; i++ {
 		g.addVideo(-g.rng.Float64() * 60)
 	}
+	g.buildBrackets()
 	return g, nil
+}
+
+// buildBrackets fills brackets with rate at each slice's midpoint,
+// widened by |rate'| ≤ base·A·2π/SecondsPerDay times half the slice's
+// width, plus 1e-9·base. That slack is far above the rounding of rate
+// (a few ulps of base, plus a phase error of about 2π·d·2⁻⁵² radians on
+// day d, under 1e-10 for the first 10⁵ days) and of bracketAt's slice
+// index, so every t that bracketAt maps to a slice has rate(t) inside
+// its bracket, and the test decides as rate would.
+func (g *Generator) buildBrackets() {
+	const width = float64(SecondsPerDay) / bracketBuckets
+	base := float64(g.p.RequestsPerDay) / SecondsPerDay
+	slack := base*g.p.DiurnalAmplitude*2*math.Pi/SecondsPerDay*width/2 + 1e-9*base
+	for b := range g.brackets {
+		mid := g.rate((float64(b) + 0.5) * width)
+		g.brackets[b] = bracket{mid - slack, mid + slack}
+	}
+}
+
+// bracketAt returns the bracket of t's slice of the day.
+func (g *Generator) bracketAt(t float64) *bracket {
+	return &g.brackets[uint(int(t*(float64(bracketBuckets)/SecondsPerDay)))%bracketBuckets]
 }
 
 // addVideo appends a new catalog entry born on the given day.
@@ -311,8 +344,11 @@ func (g *Generator) GenerateFunc(days int, emit func(trace.Request) error) error
 			day = d
 			g.rebuildWeights(float64(d) + 0.5)
 		}
-		if g.rng.Float64()*maxRate > g.rate(t) {
-			continue // thinning rejection
+		// Thinning: reject when x > rate(t). The bracket of t's slice
+		// of the day decides all but the x inside it, about 0.2 % of
+		// them, without rate's cosine.
+		if b, x := g.bracketAt(t), g.rng.Float64()*maxRate; x > b.hi || x > b.lo && x > g.rate(t) {
+			continue
 		}
 		v := g.pickVideo()
 		start := int64(0)
