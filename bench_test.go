@@ -16,7 +16,10 @@ import (
 	"testing"
 
 	videocdn "videocdn"
+	"videocdn/internal/cost"
 	"videocdn/internal/experiments"
+	"videocdn/internal/sim"
+	"videocdn/internal/trace"
 )
 
 // benchScale keeps each figure iteration around a second.
@@ -223,14 +226,14 @@ func benchAlgorithm(b *testing.B, mk func(reqs []videocdn.Request) (videocdn.Cac
 // BenchmarkXLRUHandleRequest measures xLRU's per-request cost.
 func BenchmarkXLRUHandleRequest(b *testing.B) {
 	benchAlgorithm(b, func(reqs []videocdn.Request) (videocdn.Cache, error) {
-		return videocdn.NewXLRU(videocdn.DefaultChunkSize, 2<<30, 2)
+		return videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 2 << 30, Alpha: 2})
 	})
 }
 
 // BenchmarkCafeHandleRequest measures Cafe's per-request cost.
 func BenchmarkCafeHandleRequest(b *testing.B) {
 	benchAlgorithm(b, func(reqs []videocdn.Request) (videocdn.Cache, error) {
-		return videocdn.NewCafe(videocdn.DefaultChunkSize, 2<<30, 2, videocdn.CafeOptions{})
+		return videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 2 << 30, Alpha: 2})
 	})
 }
 
@@ -238,14 +241,14 @@ func BenchmarkCafeHandleRequest(b *testing.B) {
 // (index construction excluded via StopTimer).
 func BenchmarkPsychicHandleRequest(b *testing.B) {
 	benchAlgorithm(b, func(reqs []videocdn.Request) (videocdn.Cache, error) {
-		return videocdn.NewPsychic(videocdn.DefaultChunkSize, 2<<30, 2, reqs, videocdn.PsychicOptions{})
+		return videocdn.NewCache("psychic", videocdn.CacheOptions{DiskBytes: 2 << 30, Alpha: 2, Future: reqs})
 	})
 }
 
 // BenchmarkAlwaysFillLRUHandleRequest measures the baseline's cost.
 func BenchmarkAlwaysFillLRUHandleRequest(b *testing.B) {
 	benchAlgorithm(b, func(reqs []videocdn.Request) (videocdn.Cache, error) {
-		return videocdn.NewAlwaysFillLRU(videocdn.DefaultChunkSize, 2<<30)
+		return videocdn.NewCache("lru", videocdn.CacheOptions{DiskBytes: 2 << 30})
 	})
 }
 
@@ -263,12 +266,12 @@ func BenchmarkReplayParallel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				c, err := videocdn.NewShardedCafe(n, videocdn.DefaultChunkSize, 2<<30, 2, videocdn.CafeOptions{})
+				c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 2 << 30, Alpha: 2, Shards: n})
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := videocdn.ReplayParallel(c, reqs, 2, videocdn.ReplayOptions{Workers: n}); err != nil {
+				if _, err := videocdn.Replay(c, videocdn.SliceTrace(reqs), 2, videocdn.ReplayOptions{Workers: n}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -281,17 +284,21 @@ func BenchmarkReplayParallel(b *testing.B) {
 // goroutine through the locked Group front door.
 func BenchmarkReplaySequentialSharded(b *testing.B) {
 	reqs := benchTrace(b)
-	for _, n := range []int{1, 8} {
+	model, err := cost.NewModel(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{2, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				c, err := videocdn.NewShardedCafe(n, videocdn.DefaultChunkSize, 2<<30, 2, videocdn.CafeOptions{})
+				c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 2 << 30, Alpha: 2, Shards: n})
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := videocdn.Replay(c, reqs, 2, videocdn.ReplayOptions{}); err != nil {
+				if _, err := sim.Replay(c, trace.Slice(reqs), model, sim.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

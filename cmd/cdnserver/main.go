@@ -129,39 +129,40 @@ func main() {
 		if *statePath != "" && *edgeShards > 1 {
 			fatal(fmt.Errorf("-state is only supported with -edge-shards 1 (a snapshot holds one cache)"))
 		}
+		spec := *algo
+		if *policyConfig != "" {
+			spec += ":" + *policyConfig
+		}
+		factory, err := policy.Factory(spec, policy.Env{Alpha: *alpha})
+		if err != nil {
+			fatal(err)
+		}
 		srvCfg := edge.Config{
-			Store:       nil, // set below
-			OriginURL:   *origin,
-			RedirectURL: *redirect,
-			ChunkSize:   chunkSize,
-			Alpha:       *alpha,
-			Client:      &http.Client{Timeout: 60 * time.Second},
-			FillTimeout: *fillTimeout,
-			Retry:       resilience.RetryPolicy{MaxAttempts: *retries},
+			Shards:       *edgeShards,
+			CacheFactory: factory,
+			CacheConfig:  cfg,
+			Store:        nil, // set below
+			OriginURL:    *origin,
+			RedirectURL:  *redirect,
+			ChunkSize:    chunkSize,
+			Alpha:        *alpha,
+			Client:       &http.Client{Timeout: 60 * time.Second},
+			FillTimeout:  *fillTimeout,
+			Retry:        resilience.RetryPolicy{MaxAttempts: *retries},
 			Breaker: resilience.BreakerConfig{
 				OpenFor:     *breakerOpenFor,
 				FailureRate: *breakerFailRate,
 			},
 		}
-		policyParams, err := policy.ParseParams(*policyConfig)
-		if err != nil {
-			fatal(err)
-		}
-		var single core.Cache // only set with -state (cafe snapshot resume)
+		var single core.Cache // only set with -state: the one cafe, saved after the drain
 		if *statePath != "" {
-			// A snapshot resumes a concrete cafe instance, so this path
-			// bypasses the registry; every other configuration resolves
-			// the policy by name.
-			single, err = loadOrNewCafe(*statePath, cfg, *alpha)
+			if single, err = loadCafe(*statePath); err == nil && single == nil {
+				single, err = factory(0, cfg)
+			}
 			if err != nil {
 				fatal(err)
 			}
-			srvCfg.Cache = single
-		} else {
-			srvCfg.Shards = *edgeShards
-			srvCfg.CacheConfig = cfg
-			srvCfg.Policy = *algo
-			srvCfg.PolicyParams = policyParams
+			srvCfg.CacheFactory = edge.Prebuilt(single)
 		}
 		st, err := openStore(*storeKind, *dataDir, chunkSize, *storePrealloc, *storeMmap)
 		if err != nil {
@@ -325,17 +326,13 @@ func serveGracefully(h http.Handler, listen string, drain time.Duration, t serve
 	}
 }
 
-// loadOrNewCafe restores a Cafe snapshot from path if one exists,
-// otherwise builds a fresh cache. A snapshot whose configuration does
-// not match the flags is rejected rather than silently reinterpreted.
-func loadOrNewCafe(path string, cfg core.Config, alpha float64) (core.Cache, error) {
-	if path == "" {
-		return cafe.New(cfg, alpha, cafe.Options{})
-	}
+// loadCafe restores a Cafe snapshot from path, or returns nil when
+// there is none yet.
+func loadCafe(path string) (core.Cache, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		log.Printf("no state at %s; starting cold", path)
-		return cafe.New(cfg, alpha, cafe.Options{})
+		return nil, nil
 	}
 	if err != nil {
 		return nil, err

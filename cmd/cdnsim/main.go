@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"videocdn/internal/cafe"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
 	"videocdn/internal/policy"
@@ -42,8 +41,7 @@ func main() {
 	diskGB := flag.Float64("disk-gb", 16, "disk size in GB")
 	chunkMB := flag.Float64("chunk-mb", 2, "chunk size in MB")
 	seriesOut := flag.String("series", "", "write hourly series CSV to this file")
-	gamma := flag.Float64("gamma", cafe.DefaultGamma, "Cafe EWMA factor (shorthand for -policy-config gamma=...)")
-	policyConfig := flag.String("policy-config", "", "policy parameters as k=v,k2=v2 (schema-validated per policy; see internal/policy)")
+	policyConfig := flag.String("policy-config", "", "policy parameters as k=v,k2=v2, given to every -algo (schema-validated per policy; see internal/policy)")
 	shards := flag.Int("shards", 1, "shard the cache n ways (power of two) and replay shards in parallel")
 	workers := flag.Int("workers", 0, "worker goroutines for -shards > 1 (default min(shards, GOMAXPROCS))")
 	progress := flag.Bool("progress", false, "print replay progress to stderr")
@@ -127,30 +125,6 @@ func main() {
 		simOpts.Progress = progressPrinter(start)
 	}
 
-	baseParams, err := policy.ParseParams(*policyConfig)
-	if err != nil {
-		fatal(err)
-	}
-
-	// mkCache builds one single-threaded cache over the given (whole or
-	// per-shard) configuration, resolving the policy through the
-	// registry. -gamma remains a shorthand applied to any policy whose
-	// schema declares the key.
-	mkCache := func(name string, cfg core.Config) (core.Cache, error) {
-		spec, ok := policy.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown policy %q (registered: %s)", name, strings.Join(policy.Names(), ", "))
-		}
-		p := policy.Params{}
-		for k, v := range baseParams {
-			p[k] = v
-		}
-		if _, set := p["gamma"]; !set && spec.Accepts("gamma") {
-			p["gamma"] = *gamma
-		}
-		return policy.NewWithEnv(name, cfg, policy.Env{Alpha: *alpha, Future: fullTrace}, p)
-	}
-
 	fmt.Printf("%d requests, disk %d chunks (%.1f GB), alpha=%.2g", src.Len(), cfg.DiskChunks, *diskGB, *alpha)
 	if *shards > 1 {
 		fmt.Printf(", %d shards", *shards)
@@ -158,19 +132,19 @@ func main() {
 	fmt.Printf("\n\n%-8s %10s %10s %10s %9s %9s %9s\n", "algo", "eff", "ingress", "redirect", "served", "redirects", "elapsed")
 	for _, name := range strings.Split(*algos, ",") {
 		name = strings.TrimSpace(name)
+		spec := name
+		if *policyConfig != "" {
+			spec += ":" + *policyConfig
+		}
+		factory, err := policy.Factory(spec, policy.Env{Alpha: *alpha, Future: fullTrace})
+		if err != nil {
+			fatal(err)
+		}
 		var c core.Cache
 		if *shards > 1 {
-			if spec, ok := policy.Lookup(name); ok && spec.NeedsTrace {
-				// Offline policies precompute per-request future knowledge
-				// against the exact full trace; a shard would see only a
-				// sub-trace.
-				fatal(fmt.Errorf("offline policy %q cannot be sharded", name))
-			}
-			c, err = shard.New(*shards, cfg, func(_ int, sub core.Config) (core.Cache, error) {
-				return mkCache(name, sub)
-			})
+			c, err = shard.New(*shards, cfg, factory)
 		} else {
-			c, err = mkCache(name, cfg)
+			c, err = factory(0, cfg)
 		}
 		if err != nil {
 			fatal(err)

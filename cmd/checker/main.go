@@ -31,7 +31,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "first seed; successive passes increment it")
 		ops      = flag.Int("ops", 200000, "operations per check run")
 		duration = flag.Duration("duration", 0, "keep starting new seeds until this much time has passed (0: one pass)")
-		algo     = flag.String("algo", "cafe", "cache policy: "+strings.Join(policy.Names(), ", "))
+		algo     = flag.String("algo", "cafe", "cache policy spec, name or name:k=v,... (e.g. lruq:q=8); names: "+strings.Join(policy.Names(), ", "))
 		storeK   = flag.String("store", "slab", "byte store: mem, fs or slab")
 		shards   = flag.Int("shards", 8, "edge lock shards (power of two)")
 		hotKB    = flag.Int64("hot-kb", 0, "RAM hot tier budget in KB (0 disables the tier)")
@@ -86,7 +86,7 @@ func main() {
 					repro = res.FailedOp + 1
 				}
 				fmt.Fprintf(os.Stderr,
-					"reproduce (minimal): go run ./cmd/checker -algo %s -store %s -shards %d -hot-kb %d -seed %d -ops %d\n",
+					"reproduce (minimal): go run ./cmd/checker -algo '%s' -store %s -shards %d -hot-kb %d -seed %d -ops %d\n",
 					c.algo, c.store, c.shards, c.hotBytes>>10, s, repro)
 				os.Exit(1)
 			}

@@ -7,10 +7,11 @@ import (
 	videocdn "videocdn"
 )
 
-// ExampleNewCafe shows the minimal decision loop: construct a cache
-// and feed it requests one at a time, as a live server would.
-func ExampleNewCafe() {
-	cache, err := videocdn.NewCafe(videocdn.DefaultChunkSize, 1<<30, 2, videocdn.CafeOptions{})
+// ExampleNewCache shows the minimal decision loop: build a cache from
+// a policy spec and feed it requests one at a time, as a live server
+// would.
+func ExampleNewCache() {
+	cache, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 1 << 30, Alpha: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -51,11 +52,11 @@ func ExampleNewCostModel() {
 // ExampleReplayChain composes two lines of defense: a constrained edge
 // whose redirects land on a deeper parent.
 func ExampleReplayChain() {
-	edge, err := videocdn.NewCafe(videocdn.DefaultChunkSize, 64<<20, 2, videocdn.CafeOptions{})
+	edge, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 64 << 20, Alpha: 2})
 	if err != nil {
 		panic(err)
 	}
-	parent, err := videocdn.NewCafe(videocdn.DefaultChunkSize, 256<<20, 1, videocdn.CafeOptions{})
+	parent, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 256 << 20, Alpha: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -134,11 +135,11 @@ func ExampleReplay() {
 	if err != nil {
 		panic(err)
 	}
-	cache, err := videocdn.NewXLRU(videocdn.DefaultChunkSize, 1<<30, 1)
+	cache, err := videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 1 << 30, Alpha: 1})
 	if err != nil {
 		panic(err)
 	}
-	res, err := videocdn.Replay(cache, reqs, 1, videocdn.ReplayOptions{})
+	res, err := videocdn.Replay(cache, videocdn.SliceTrace(reqs), 1, videocdn.ReplayOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -12,11 +12,11 @@ func stringsReader(s string) *strings.Reader { return strings.NewReader(s) }
 
 func TestFacadeReplayChain(t *testing.T) {
 	reqs := smallTrace(t)
-	edge, err := videocdn.NewCafe(videocdn.DefaultChunkSize, 128*mb, 2, videocdn.CafeOptions{})
+	edge, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 128 * mb, Alpha: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := videocdn.NewCafe(videocdn.DefaultChunkSize, 512*mb, 1, videocdn.CafeOptions{})
+	parent, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 512 * mb, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFacadeReplayChain(t *testing.T) {
 func TestFacadeReplayFanIn(t *testing.T) {
 	reqs := smallTrace(t)
 	mk := func(alpha float64, bytes int64) videocdn.Cache {
-		c, err := videocdn.NewCafe(videocdn.DefaultChunkSize, bytes, alpha, videocdn.CafeOptions{})
+		c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: bytes, Alpha: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,28 +78,28 @@ func TestFacadeAnalyzeTrace(t *testing.T) {
 
 func TestFacadeShardedCafe(t *testing.T) {
 	reqs := smallTrace(t)
-	c, err := videocdn.NewShardedCafe(4, videocdn.DefaultChunkSize, 512*mb, 2, videocdn.CafeOptions{})
+	c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 512 * mb, Alpha: 2, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Name() != "cafe×4" {
 		t.Errorf("Name = %q", c.Name())
 	}
-	res, err := videocdn.Replay(c, reqs, 2, videocdn.ReplayOptions{})
+	res, err := videocdn.Replay(c, videocdn.SliceTrace(reqs), 2, videocdn.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Requests != len(reqs) {
 		t.Errorf("replayed %d", res.Requests)
 	}
-	if _, err := videocdn.NewShardedCafe(3, videocdn.DefaultChunkSize, 512*mb, 2, videocdn.CafeOptions{}); err == nil {
+	if _, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 512 * mb, Alpha: 2, Shards: 3}); err == nil {
 		t.Error("non-power-of-two shard count should fail")
 	}
 }
 
 func TestFacadeCafeStateRoundTrip(t *testing.T) {
 	reqs := smallTrace(t)
-	c, err := videocdn.NewCafe(videocdn.DefaultChunkSize, 256*mb, 2, videocdn.CafeOptions{})
+	c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFacadeCafeStateRoundTrip(t *testing.T) {
 		t.Errorf("restored %d chunks, want %d", got.Len(), c.Len())
 	}
 	// Non-cafe caches refuse politely.
-	x, err := videocdn.NewXLRU(videocdn.DefaultChunkSize, 256*mb, 1)
+	x, err := videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,37 +127,36 @@ func TestFacadeCafeStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeControlledCafe(t *testing.T) {
+func TestFacadeAlphaControlSpec(t *testing.T) {
 	reqs := smallTrace(t)
-	c, err := videocdn.NewControlledCafe(videocdn.DefaultChunkSize, 256*mb, 1,
-		videocdn.CafeOptions{}, videocdn.AlphaControlConfig{TargetIngress: 0.05})
+	opt := videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1}
+	c, err := videocdn.NewCache("alphactl:inner=cafe,target_ingress=0.05", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := videocdn.Replay(c, reqs, 2, videocdn.ReplayOptions{})
+	res, err := videocdn.Replay(c, videocdn.SliceTrace(reqs), 2, videocdn.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Requests != len(reqs) {
 		t.Errorf("replayed %d", res.Requests)
 	}
-	if _, err := videocdn.NewControlledCafe(videocdn.DefaultChunkSize, 256*mb, 1,
-		videocdn.CafeOptions{}, videocdn.AlphaControlConfig{}); err == nil {
+	if _, err := videocdn.NewCache("alphactl:inner=cafe,target_ingress=0", opt); err == nil {
 		t.Error("zero target should fail")
+	}
+	if _, err := videocdn.NewCache("alphactl:inner=lru", opt); err == nil {
+		t.Error("an inner without a tunable alpha should fail")
 	}
 }
 
-func TestFacadeBudgetedCafe(t *testing.T) {
+func TestFacadeWriteLimitSpec(t *testing.T) {
 	reqs := smallTrace(t)
-	budget, err := videocdn.NewWriteBudget(50, 3600)
+	opt := videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1}
+	c, err := videocdn.NewCache("writelimit:inner=cafe,per_window=50,window=3600", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := videocdn.NewBudgetedCafe(videocdn.DefaultChunkSize, 256*mb, 1, videocdn.CafeOptions{}, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := videocdn.Replay(c, reqs, 1, videocdn.ReplayOptions{})
+	res, err := videocdn.Replay(c, videocdn.SliceTrace(reqs), 1, videocdn.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +168,11 @@ func TestFacadeBudgetedCafe(t *testing.T) {
 			t.Errorf("bucket at %d filled %d bytes, over 2x budget", b.Start, b.Counters.Filled)
 		}
 	}
-	if _, err := videocdn.NewBudgetedCafe(videocdn.DefaultChunkSize, 256*mb, 1, videocdn.CafeOptions{}, nil); err == nil {
-		t.Error("nil budget should fail")
+	if _, err := videocdn.NewCache("writelimit:inner=cafe,per_window=0", opt); err == nil {
+		t.Error("empty budget should fail")
+	}
+	if _, err := videocdn.NewCache("writelimit:inner=lru", opt); err == nil {
+		t.Error("an inner without a fill gate should fail")
 	}
 }
 
@@ -196,7 +198,7 @@ func TestFacadeMergeTraces(t *testing.T) {
 
 func TestFacadeReplayWithPrefetch(t *testing.T) {
 	reqs := smallTrace(t)
-	c, err := videocdn.NewCafePrefetchable(videocdn.DefaultChunkSize, 256*mb, 1, videocdn.CafeOptions{})
+	c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +216,12 @@ func TestFacadeReplayWithPrefetch(t *testing.T) {
 	}
 	if _, err := videocdn.ReplayWithPrefetch(c, reqs, -1, videocdn.PrefetchConfig{ChunksPerHour: 1}, videocdn.DefaultChunkSize); err == nil {
 		t.Error("bad alpha should fail")
+	}
+	x, err := videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := videocdn.ReplayWithPrefetch(x, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 1}, videocdn.DefaultChunkSize); err == nil {
+		t.Error("xlru does not prefetch")
 	}
 }

@@ -122,6 +122,13 @@ func (c *Controller) Len() int { return c.cache.Len() }
 // Contains implements core.Cache.
 func (c *Controller) Contains(id chunk.ID) bool { return c.cache.Contains(id) }
 
+// Forget forwards fill-failure rollback to the wrapped cache.
+func (c *Controller) Forget(id chunk.ID) {
+	if f, ok := c.cache.(interface{ Forget(chunk.ID) }); ok {
+		f.Forget(id)
+	}
+}
+
 // Alpha returns the wrapped cache's current alpha.
 func (c *Controller) Alpha() float64 { return c.cache.Alpha() }
 

@@ -149,7 +149,7 @@ func newClusterRig(t *testing.T, ids []string, buffered ...string) *clusterRig {
 			}
 		}
 		srv, err := edge.NewServer(edge.Config{
-			Cache: cache, Store: st,
+			CacheFactory: edge.Prebuilt(cache), Store: st,
 			OriginURL: rig.originSrv.URL, RedirectURL: "http://secondary.example",
 			ChunkSize: testK, Alpha: testAlpha,
 			Clock:       clk.next,

@@ -44,7 +44,7 @@ func newDiffSide(t *testing.T, clustered bool) *diffSide {
 		t.Fatal(err)
 	}
 	cfg := edge.Config{
-		Cache: cache, Store: store.NewMem(),
+		CacheFactory: edge.Prebuilt(cache), Store: store.NewMem(),
 		OriginURL: originSrv.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: testK, Alpha: testAlpha,
 		NodeID: "solo",

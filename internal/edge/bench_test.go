@@ -32,7 +32,7 @@ func BenchmarkEdgeHitPath(b *testing.B) {
 	defer origin.Close()
 	now := int64(0)
 	s, err := NewServer(Config{
-		Cache: cache, Store: store.NewMem(),
+		CacheFactory: Prebuilt(cache), Store: store.NewMem(),
 		OriginURL: origin.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: testK, Alpha: 1,
 		Clock: func() int64 { now++; return now },
@@ -218,7 +218,7 @@ func BenchmarkFillPath(b *testing.B) {
 				st = noStreamStore{lendingStore{fs}}
 			}
 			s, err := NewServer(Config{
-				Cache: cache, Store: st,
+				CacheFactory: Prebuilt(cache), Store: st,
 				OriginURL: origin.URL, RedirectURL: "http://secondary.example",
 				ChunkSize: chunkSize, Alpha: 1,
 				Clock: func() int64 { return 0 },

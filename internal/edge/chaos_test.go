@@ -118,7 +118,7 @@ func newChaosRigWith(t *testing.T, c core.Cache, catalog Catalog, fault FaultCon
 	now := int64(0)
 	var nowMu sync.Mutex
 	s, err := NewServer(Config{
-		Cache: c, Store: rig.store,
+		CacheFactory: Prebuilt(c), Store: rig.store,
 		OriginURL: rig.originSrv.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: k, Alpha: 1,
 		Clock:       func() int64 { nowMu.Lock(); defer nowMu.Unlock(); now++; return now },
@@ -580,7 +580,7 @@ func TestChaosFlightCoalescingExactlyOneFetch(t *testing.T) {
 	originSrv := httptest.NewServer(counting)
 	defer originSrv.Close()
 	s, err := NewServer(Config{
-		Cache: cache, Store: store.NewMem(),
+		CacheFactory: Prebuilt(cache), Store: store.NewMem(),
 		OriginURL: originSrv.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: testK, Alpha: 1, Clock: func() int64 { return 0 },
 	})
@@ -633,7 +633,7 @@ func TestChaosFlightCancellationDoesNotPoisonWaiters(t *testing.T) {
 	defer originSrv.Close()
 	mem := store.NewMem()
 	s, err := NewServer(Config{
-		Cache: cache, Store: mem,
+		CacheFactory: Prebuilt(cache), Store: mem,
 		OriginURL: originSrv.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: testK, Alpha: 1, Clock: func() int64 { return 0 },
 	})

@@ -43,12 +43,12 @@ func newRig(t *testing.T, c core.Cache, catalog Catalog) *testRig {
 	rig.origin = httptest.NewServer(o)
 	t.Cleanup(rig.origin.Close)
 	s, err := NewServer(Config{
-		Cache:       c,
-		Store:       rig.chunkStr,
-		OriginURL:   rig.origin.URL,
-		RedirectURL: "http://secondary.example",
-		ChunkSize:   testK,
-		Alpha:       2,
+		CacheFactory: Prebuilt(c),
+		Store:        rig.chunkStr,
+		OriginURL:    rig.origin.URL,
+		RedirectURL:  "http://secondary.example",
+		ChunkSize:    testK,
+		Alpha:        2,
 		Clock: func() int64 {
 			rig.nowMu.Lock()
 			defer rig.nowMu.Unlock()
@@ -342,7 +342,7 @@ func TestConcurrentFillsCoalesced(t *testing.T) {
 	now := int64(0)
 	var nowMu sync.Mutex
 	s, err := NewServer(Config{
-		Cache: cache, Store: store.NewMem(),
+		CacheFactory: Prebuilt(cache), Store: store.NewMem(),
 		OriginURL: origin.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: testK, Alpha: 1,
 		Clock: func() int64 { nowMu.Lock(); defer nowMu.Unlock(); now++; return now },
@@ -424,7 +424,7 @@ func TestEdgeOwnsDecisionIDs(t *testing.T) {
 	origin := httptest.NewServer(gate)
 	defer origin.Close()
 	s, err := NewServer(Config{
-		Cache: cache, Store: store.NewMem(),
+		CacheFactory: Prebuilt(cache), Store: store.NewMem(),
 		OriginURL: origin.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: testK, Alpha: 2, FillTimeout: 5 * time.Second,
 		Clock: func() int64 { return 0 },
@@ -588,7 +588,7 @@ func TestEdgeSurvivesOriginOutage(t *testing.T) {
 	memStore := store.NewMem()
 	now := int64(0)
 	s, err := NewServer(Config{
-		Cache: cache, Store: memStore,
+		CacheFactory: Prebuilt(cache), Store: memStore,
 		OriginURL: origin.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: testK, Alpha: 1,
 		Clock: func() int64 { now++; return now },
@@ -647,11 +647,12 @@ func TestEdgeSurvivesOriginOutage(t *testing.T) {
 func TestNewServerValidation(t *testing.T) {
 	cache, _ := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 8}, 1)
 	good := Config{
-		Cache: cache, Store: store.NewMem(),
+		CacheFactory: Prebuilt(cache), Store: store.NewMem(),
 		OriginURL: "http://o", RedirectURL: "http://r", ChunkSize: testK,
 	}
 	cases := []func(*Config){
-		func(c *Config) { c.Cache = nil },
+		func(c *Config) { c.CacheFactory = nil },
+		func(c *Config) { c.Shards = 2 }, // a prebuilt cache is one shard
 		func(c *Config) { c.Store = nil },
 		func(c *Config) { c.OriginURL = "" },
 		func(c *Config) { c.OriginURL = "http://[::1" }, // does not parse
@@ -689,7 +690,7 @@ func TestEdgeWithFilesystemStore(t *testing.T) {
 	}
 	now := int64(0)
 	s, err := NewServer(Config{
-		Cache: cache, Store: fsStore,
+		CacheFactory: Prebuilt(cache), Store: fsStore,
 		OriginURL: origin.URL, RedirectURL: "http://secondary.example",
 		ChunkSize: testK, Alpha: 1,
 		Clock: func() int64 { now++; return now },

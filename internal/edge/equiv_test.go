@@ -49,15 +49,15 @@ func newEquivRig(t *testing.T, catalog Catalog) *equivRig {
 			t.Fatal(err)
 		}
 		s, err := NewServer(Config{
-			Cache:       c,
-			Store:       st,
-			OriginURL:   originSrv.URL,
-			RedirectURL: "http://secondary.example",
-			ChunkSize:   testK,
-			Alpha:       2,
-			Retry:       resilience.RetryPolicy{MaxAttempts: 1},
-			Breaker:     resilience.BreakerConfig{MinSamples: 1 << 30},
-			Clock:       rig.now.Load,
+			CacheFactory: Prebuilt(c),
+			Store:        st,
+			OriginURL:    originSrv.URL,
+			RedirectURL:  "http://secondary.example",
+			ChunkSize:    testK,
+			Alpha:        2,
+			Retry:        resilience.RetryPolicy{MaxAttempts: 1},
+			Breaker:      resilience.BreakerConfig{MinSamples: 1 << 30},
+			Clock:        rig.now.Load,
 		})
 		if err != nil {
 			t.Fatal(err)

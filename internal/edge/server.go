@@ -15,8 +15,6 @@ import (
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
-	"videocdn/internal/policy"
-	_ "videocdn/internal/policy/all"
 	"videocdn/internal/resilience"
 	"videocdn/internal/shard"
 	"videocdn/internal/store"
@@ -25,28 +23,15 @@ import (
 
 // Config assembles an edge cache server.
 type Config struct {
-	// Cache is the decision engine (xLRU, Cafe, ...) of a single-shard
-	// server. Exactly one of Cache, CacheFactory and Policy must be
-	// set; a prebuilt Cache implies Shards == 1 (the server serializes
-	// access to it).
-	Cache core.Cache
-	// Policy names a registered cache policy (internal/policy); the
-	// server builds one instance per shard through the registry — the
-	// declarative alternative to Cache/CacheFactory. CacheConfig
-	// supplies the capacity; Alpha is injected where the policy's
-	// schema accepts it.
-	Policy string
-	// PolicyParams configures the named Policy (schema-validated by
-	// the registry; string values are coerced, unknown keys rejected).
-	PolicyParams policy.Params
 	// Shards splits the server into independent lock domains, one per
 	// hash bucket of the video-ID space (shard.ShardOf). Requests for
 	// videos in different buckets never contend on a lock. Must be a
 	// power of two; 0 means 1.
 	Shards int
-	// CacheFactory builds shard i's decision engine over its share of
-	// the disk; required when Shards > 1 (each shard owns an
-	// independent cache instance).
+	// CacheFactory builds shard i's decision engine (xLRU, Cafe, ...)
+	// over its share of the disk; each shard owns an independent
+	// instance. policy.Factory builds one from a registry spec, and
+	// Prebuilt hands a one-shard server a cache built elsewhere.
 	CacheFactory func(shard int, cfg core.Config) (core.Cache, error)
 	// CacheConfig is the server-total cache configuration handed to
 	// CacheFactory: DiskChunks is divided evenly across shards, exactly
@@ -335,6 +320,18 @@ func (f *fillCtx) done() {
 	}
 }
 
+// Prebuilt is the CacheFactory of a one-shard server over c, a cache
+// built elsewhere (a restored snapshot, a test's own instance); the
+// server's CacheConfig goes unused.
+func Prebuilt(c core.Cache) func(shard int, cfg core.Config) (core.Cache, error) {
+	return func(shard int, _ core.Config) (core.Cache, error) {
+		if shard > 0 {
+			return nil, fmt.Errorf("edge: a prebuilt cache serves one shard")
+		}
+		return c, nil
+	}
+}
+
 // NewServer validates the config and builds the edge server.
 func NewServer(cfg Config) (*Server, error) {
 	n := cfg.Shards
@@ -344,27 +341,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if n < 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("edge: shard count must be a positive power of two, got %d", cfg.Shards)
 	}
-	selectors := 0
-	for _, set := range []bool{cfg.Cache != nil, cfg.CacheFactory != nil, cfg.Policy != ""} {
-		if set {
-			selectors++
-		}
-	}
-	switch {
-	case selectors == 0:
-		return nil, fmt.Errorf("edge: nil cache (set Cache, CacheFactory or Policy)")
-	case selectors > 1:
-		return nil, fmt.Errorf("edge: set exactly one of Cache, CacheFactory and Policy")
-	case cfg.Cache != nil && n > 1:
-		return nil, fmt.Errorf("edge: a prebuilt Cache implies one shard; use CacheFactory or Policy for %d shards", n)
-	}
-	if cfg.Policy != "" {
-		// Resolve the named policy through the registry, once per
-		// shard. The edge cannot supply a future trace, so offline
-		// policies fail here with the registry's explanatory error.
-		cfg.CacheFactory = func(_ int, sub core.Config) (core.Cache, error) {
-			return policy.NewWithEnv(cfg.Policy, sub, policy.Env{Alpha: cfg.Alpha}, cfg.PolicyParams)
-		}
+	if cfg.CacheFactory == nil {
+		return nil, fmt.Errorf("edge: nil CacheFactory")
 	}
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("edge: nil store")
@@ -411,36 +389,31 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.FillTimeout = 15 * time.Second
 	}
 
+	cc := cfg.CacheConfig
+	if cc.ChunkSize == 0 {
+		cc.ChunkSize = cfg.ChunkSize
+	}
+	if cc.ChunkSize != cfg.ChunkSize {
+		return nil, fmt.Errorf("edge: CacheConfig.ChunkSize %d != ChunkSize %d", cc.ChunkSize, cfg.ChunkSize)
+	}
+	// One shard gets CacheConfig as it is, for the factory to validate:
+	// a Prebuilt one ignores it.
+	per := cc.DiskChunks / n
+	if n > 1 && per < 1 {
+		return nil, fmt.Errorf("edge: %d-chunk disk cannot be split %d ways", cc.DiskChunks, n)
+	}
 	caches := make([]core.Cache, n)
-	if cfg.Cache != nil {
-		caches[0] = cfg.Cache
-	} else {
-		cc := cfg.CacheConfig
-		if cc.ChunkSize == 0 {
-			cc.ChunkSize = cfg.ChunkSize
+	for i := range caches {
+		sub := cc
+		sub.DiskChunks = per
+		c, err := cfg.CacheFactory(i, sub)
+		if err != nil {
+			return nil, fmt.Errorf("edge: shard %d: %w", i, err)
 		}
-		if cc.ChunkSize != cfg.ChunkSize {
-			return nil, fmt.Errorf("edge: CacheConfig.ChunkSize %d != ChunkSize %d", cc.ChunkSize, cfg.ChunkSize)
+		if c == nil {
+			return nil, fmt.Errorf("edge: shard %d: factory returned nil", i)
 		}
-		if err := cc.Validate(); err != nil {
-			return nil, err
-		}
-		per := cc.DiskChunks / n
-		if per < 1 {
-			return nil, fmt.Errorf("edge: %d-chunk disk cannot be split %d ways", cc.DiskChunks, n)
-		}
-		for i := range caches {
-			sub := cc
-			sub.DiskChunks = per
-			c, err := cfg.CacheFactory(i, sub)
-			if err != nil {
-				return nil, fmt.Errorf("edge: shard %d: %w", i, err)
-			}
-			if c == nil {
-				return nil, fmt.Errorf("edge: shard %d: factory returned nil", i)
-			}
-			caches[i] = c
-		}
+		caches[i] = c
 	}
 
 	s := &Server{

@@ -16,6 +16,7 @@ import (
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
 	"videocdn/internal/policy"
+	_ "videocdn/internal/policy/all"
 	"videocdn/internal/store"
 	"videocdn/internal/xlru"
 )
@@ -24,9 +25,11 @@ import (
 // policy registry.
 func shardFactory(t testing.TB, algo string, alpha float64) func(int, core.Config) (core.Cache, error) {
 	t.Helper()
-	return func(_ int, sub core.Config) (core.Cache, error) {
-		return policy.NewWithEnv(algo, sub, policy.Env{Alpha: alpha}, nil)
+	f, err := policy.Factory(algo, policy.Env{Alpha: alpha})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return f
 }
 
 // newShardedServer builds an edge server with n lock shards over a
@@ -292,16 +295,17 @@ func TestShardedConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cache = c
+	cfg.CacheFactory = Prebuilt(c)
 	cfg.Shards = 2
 	if _, err := NewServer(cfg); err == nil {
-		t.Error("prebuilt Cache with Shards=2 accepted")
+		t.Error("prebuilt cache with Shards=2 accepted")
 	}
-	cfg.Shards = 0
+	// One shard hands CacheConfig to the factory as it is, and a
+	// registry factory refuses a zero disk.
+	cfg = base()
 	cfg.CacheFactory = factory
-	cfg.CacheConfig = core.Config{ChunkSize: testK, DiskChunks: 64}
 	if _, err := NewServer(cfg); err == nil {
-		t.Error("both Cache and CacheFactory accepted")
+		t.Error("zero-disk CacheConfig accepted")
 	}
 
 	// The edge copies every decision's IDs, so the flag is accepted and

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"videocdn/internal/cafe"
-	"videocdn/internal/core"
-	"videocdn/internal/cost"
-	"videocdn/internal/psychic"
 	"videocdn/internal/sim"
-	"videocdn/internal/trace"
 )
 
 // AblationRow is one design-choice variant's steady-state metrics.
@@ -38,67 +33,34 @@ func Ablations(sc Scale) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks}
-	model, err := cost.NewModel(alpha)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{Server: server, Alpha: alpha}
-	add := func(name string, c core.Cache) error {
-		r, err := sim.Replay(c, trace.Slice(reqs), model, sim.Options{})
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Name: name, Eff: r.Efficiency(), Ingress: r.IngressRatio(), Redirect: r.RedirectRatio(),
-		})
-		return nil
-	}
-
+	// Each variant is a label and the registry spec that builds it.
+	var variants [][2]string
 	// Cafe baseline and gamma sensitivity (Eq. 8).
 	for _, gamma := range []float64{0.05, 0.25, 0.5, 0.9} {
-		c, err := cafe.New(cfg, alpha, cafe.Options{Gamma: gamma})
-		if err != nil {
-			return nil, err
-		}
-		if err := add(fmt.Sprintf("cafe gamma=%.2f", gamma), c); err != nil {
-			return nil, err
-		}
+		variants = append(variants, [2]string{fmt.Sprintf("cafe gamma=%.2f", gamma), fmt.Sprintf("cafe:gamma=%v", gamma)})
 	}
 	// Future window T scaling (paper: T = cache age is best).
 	for _, ws := range []float64{0.25, 4} {
-		c, err := cafe.New(cfg, alpha, cafe.Options{WindowScale: ws})
-		if err != nil {
-			return nil, err
-		}
-		if err := add(fmt.Sprintf("cafe window=%.2gx age", ws), c); err != nil {
-			return nil, err
-		}
+		variants = append(variants, [2]string{fmt.Sprintf("cafe window=%.2gx age", ws), fmt.Sprintf("cafe:window_scale=%v", ws)})
 	}
 	// Chunk-awareness ablations.
-	cfl, err := cafe.New(cfg, alpha, cafe.Options{FileLevel: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := add("cafe file-level IATs", cfl); err != nil {
-		return nil, err
-	}
-	cnv, err := cafe.New(cfg, alpha, cafe.Options{NoVideoEstimate: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := add("cafe no video estimate", cnv); err != nil {
-		return nil, err
-	}
+	variants = append(variants,
+		[2]string{"cafe file-level IATs", "cafe:file_level=true"},
+		[2]string{"cafe no video estimate", "cafe:no_video_estimate=true"})
 	// Psychic future-list bound (paper: N=10 suffices).
 	for _, n := range []int{1, 2, 10, 50} {
-		c, err := psychic.New(cfg, alpha, reqs, psychic.Options{N: n})
+		variants = append(variants, [2]string{fmt.Sprintf("psychic N=%d", n), fmt.Sprintf("psychic:n=%d", n)})
+	}
+
+	res := &AblationResult{Server: server, Alpha: alpha}
+	for _, v := range variants {
+		r, err := runOne(v[1], coreConfig(sc), alpha, reqs, sim.Options{})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", v[0], err)
 		}
-		if err := add(fmt.Sprintf("psychic N=%d", n), c); err != nil {
-			return nil, err
-		}
+		res.Rows = append(res.Rows, AblationRow{
+			Name: v[0], Eff: r.Efficiency(), Ingress: r.IngressRatio(), Redirect: r.RedirectRatio(),
+		})
 	}
 	return res, nil
 }

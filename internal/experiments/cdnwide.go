@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"videocdn/internal/cafe"
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/hierarchy"
@@ -40,18 +39,15 @@ func CDNWide(sc Scale) (*CDNWideResult, error) {
 	}
 	merged := trace.Merge(traces...)
 
-	mkEdge := func() (core.Cache, error) {
-		return cafe.New(core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks / 2}, 2, cafe.Options{})
-	}
 	var edges []hierarchy.Tier
 	for _, name := range servers {
-		c, err := mkEdge()
+		c, err := newCache(AlgoCafe, core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks / 2}, 2, nil)
 		if err != nil {
 			return nil, err
 		}
 		edges = append(edges, hierarchy.Tier{Name: name, Cache: c, Alpha: 2})
 	}
-	parentCache, err := cafe.New(core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks * 3}, 1, cafe.Options{})
+	parentCache, err := newCache(AlgoCafe, core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks * 3}, 1, nil)
 	if err != nil {
 		return nil, err
 	}

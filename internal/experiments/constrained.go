@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
-	"videocdn/internal/alphactl"
-	"videocdn/internal/cafe"
+	"videocdn/internal/core"
 	"videocdn/internal/cost"
 	"videocdn/internal/sim"
 	"videocdn/internal/trace"
@@ -95,42 +95,34 @@ func Constrained(sc Scale) (*ConstrainedResult, error) {
 	if budgetPerHour < 1 {
 		budgetPerHour = 1
 	}
-	bcache, err := cafe.New(cfg, 1, cafe.Options{})
-	if err != nil {
-		return nil, err
-	}
-	budget, err := writelimit.NewBudget(budgetPerHour, 3600)
-	if err != nil {
-		return nil, err
-	}
-	bcache.SetFillGate(budget.Allow)
+	// The two constrained strategies decide at alpha=1 inside their
+	// control range.
 	model1, err := cost.NewModel(1)
 	if err != nil {
 		return nil, err
 	}
-	bres, err := sim.Replay(bcache, trace.Slice(reqs), model1, simOptions())
+	replay := func(spec string) (*sim.Result, core.Cache, error) {
+		c, err := newCache(spec, cfg, 1, reqs)
+		if err != nil {
+			return nil, nil, err
+		}
+		r, err := sim.Replay(c, trace.Slice(reqs), model1, simOptions())
+		return r, c, err
+	}
+	bres, bcache, err := replay(fmt.Sprintf("writelimit:inner=cafe,per_window=%d,window=3600", budgetPerHour))
 	if err != nil {
 		return nil, err
 	}
-	_, denied := budget.Stats()
+	denied := bcache.(interface{ Denied() int64 }).Denied()
 	res.Rows = append(res.Rows, row(fmt.Sprintf("cafe alpha=1 + %d-chunk/h budget", budgetPerHour), bres, 1, denied))
 
 	// Control loop: alpha in [1,4] chasing the target ingress.
-	ccache, err := cafe.New(cfg, 1, cafe.Options{})
+	cres, ctl, err := replay("alphactl:inner=cafe,min_alpha=1,max_alpha=4,window=3600,target_ingress=" +
+		strconv.FormatFloat(target, 'g', -1, 64))
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := alphactl.New(ccache, alphactl.Config{
-		TargetIngress: target, MinAlpha: 1, MaxAlpha: 4, WindowSeconds: 3600,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cres, err := sim.Replay(ctl, trace.Slice(reqs), model1, simOptions())
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row("cafe + alpha control loop", cres, ctl.Alpha(), 0))
+	res.Rows = append(res.Rows, row("cafe + alpha control loop", cres, ctl.(interface{ Alpha() float64 }).Alpha(), 0))
 	return res, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"videocdn/internal/cafe"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
 	"videocdn/internal/hierarchy"
@@ -56,11 +55,11 @@ func Prefetch(sc Scale) (*PrefetchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pc, err := cafe.New(cfg, alpha, cafe.Options{})
+		pc, err := newCache(AlgoCafe, cfg, alpha, reqs)
 		if err != nil {
 			return nil, err
 		}
-		pres, err := prefetch.Replay(pc, reqs, model, prefetch.Config{
+		pres, err := prefetch.Replay(pc.(prefetch.Prefetchable), reqs, model, prefetch.Config{
 			StartHour:     2,
 			EndHour:       7,
 			ChunksPerHour: sc.DiskChunks / 64,
@@ -151,11 +150,11 @@ func Hierarchy(sc Scale) (*HierarchyResult, error) {
 	res.SingleEff = flat.Efficiency()
 	res.SingleOriginPct = flat.RedirectRatio()
 
-	edgeCache, err := cafe.New(core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks / 4}, 2, cafe.Options{})
+	edgeCache, err := newCache(AlgoCafe, core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks / 4}, 2, reqs)
 	if err != nil {
 		return nil, err
 	}
-	parentCache, err := cafe.New(core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks * 3 / 4}, 1, cafe.Options{})
+	parentCache, err := newCache(AlgoCafe, core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks * 3 / 4}, 1, reqs)
 	if err != nil {
 		return nil, err
 	}

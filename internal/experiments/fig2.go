@@ -8,7 +8,6 @@ import (
 	"videocdn/internal/cost"
 	"videocdn/internal/lp"
 	"videocdn/internal/optimal"
-	"videocdn/internal/psychic"
 	"videocdn/internal/sim"
 	"videocdn/internal/trace"
 )
@@ -88,7 +87,7 @@ func fig2One(server string, sample []trace.Request, sc Scale, disk int, alpha fl
 	// Psychic over the whole sample (no history needed; no warmup
 	// exclusion, as in the paper's Section 9.1).
 	cfg := core.Config{ChunkSize: sc.ChunkSize, DiskChunks: disk}
-	pc, err := psychic.New(cfg, alpha, sample, psychic.Options{Strict: true})
+	pc, err := newCache("psychic:strict=true", cfg, alpha, sample)
 	if err != nil {
 		return nil, err
 	}

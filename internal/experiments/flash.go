@@ -8,7 +8,6 @@ import (
 
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
-	"videocdn/internal/cost"
 	"videocdn/internal/trace"
 )
 
@@ -56,11 +55,6 @@ func Flash(sc Scale) (*FlashResult, error) {
 
 	res := &FlashResult{Server: server, Alpha: alpha}
 	cfg := core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks}
-	model, err := cost.NewModel(alpha)
-	if err != nil {
-		return nil, err
-	}
-	_ = model
 	for _, algo := range OnlineAlgos {
 		c, err := newCache(algo, cfg, alpha, reqs)
 		if err != nil {

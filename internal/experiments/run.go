@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
@@ -26,35 +25,18 @@ const (
 // OnlineAlgos is the paper's per-figure trio.
 var OnlineAlgos = []string{AlgoXLRU, AlgoCafe, AlgoPsychic}
 
-// newCache constructs an algorithm through the policy registry.
-// Offline policies (psychic, belady) receive the full trace for their
-// future index; alpha is injected where the schema accepts it. A name
-// may carry inline params after a colon ("lruq:q=8", "admit:inner=
-// cafe"), which is how the figure suite runs config variants without
-// touching this file.
-func newCache(name string, cfg core.Config, alpha float64, reqs []trace.Request) (core.Cache, error) {
-	base, params, err := splitAlgo(name)
+// newCache builds a registry spec ("cafe", "lruq:q=8",
+// "psychic:strict=true") over cfg: alpha goes wherever the schema
+// takes it, and reqs is an offline policy's future.
+func newCache(spec string, cfg core.Config, alpha float64, reqs []trace.Request) (core.Cache, error) {
+	f, err := policy.Factory(spec, policy.Env{
+		Alpha:  alpha,
+		Future: func() []trace.Request { return reqs },
+	})
 	if err != nil {
 		return nil, err
 	}
-	return policy.NewWithEnv(base, cfg, policy.Env{
-		Alpha:  alpha,
-		Future: func() []trace.Request { return reqs },
-	}, params)
-}
-
-// splitAlgo parses "name" or "name:k=v,k=v" into a registry name and
-// its params.
-func splitAlgo(name string) (string, policy.Params, error) {
-	base, rest, ok := strings.Cut(name, ":")
-	if !ok {
-		return name, nil, nil
-	}
-	p, err := policy.ParseParams(rest)
-	if err != nil {
-		return "", nil, fmt.Errorf("experiments: algo %q: %w", name, err)
-	}
-	return base, p, nil
+	return f(0, cfg)
 }
 
 // runOne replays reqs through the named algorithm and returns the

@@ -25,15 +25,11 @@ import (
 // CheckConfig selects one cell of the scenario matrix and one seeded
 // operation sequence.
 type CheckConfig struct {
-	// Algo is the cache policy, resolved through the registry
-	// (internal/policy): any registered online policy works — the
-	// model delegates admission to a second instance built by the
-	// exact same factory.
+	// Algo is the cache policy as a registry spec (policy.Factory:
+	// "cafe", "lruq:q=8", "alphactl:inner=xlru,window=60"): any
+	// registered online policy works — the model delegates admission
+	// to a second instance built by the exact same factory.
 	Algo string
-	// PolicyParams configures the policy (schema-validated by the
-	// registry). Both the real server's caches and the model's second
-	// instances receive identical params.
-	PolicyParams policy.Params
 	// StoreKind is the byte store: "mem", "fs" or "slab".
 	StoreKind string
 	// HotBytes enables the RAM hot tier over the byte store with this
@@ -137,9 +133,11 @@ func Check(cfg CheckConfig) (*Result, error) {
 	}
 
 	h := &harness{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), res: &Result{FailedOp: -1}, hash: fnv.New64a()}
-	h.factory = func(_ int, sub core.Config) (core.Cache, error) {
-		return policy.NewWithEnv(cfg.Algo, sub, policy.Env{Alpha: alpha}, cfg.PolicyParams)
+	factory, err := policy.Factory(cfg.Algo, policy.Env{Alpha: alpha})
+	if err != nil {
+		return nil, err
 	}
+	h.factory = factory
 	h.perShard = core.Config{ChunkSize: cfg.ChunkSize, DiskChunks: cfg.DiskChunks / cfg.Shards}
 
 	// The catalog is drawn from the seeded stream before any traffic:
@@ -479,9 +477,9 @@ func (h *harness) opOdd() error {
 		return h.drive(http.MethodGet, target, junk.hdr, exp)
 	case 5: // GET /prefetch → 405
 		return h.drive(http.MethodGet, "/prefetch?v=1", "", expect{status: 405})
-	default: // bad chunks parameter → 400 (cafe) / 501 (xlru)
+	default: // bad chunks parameter → 400 (cafe) / 501 (no prefetch)
 		exp := expect{status: 400}
-		if h.cfg.Algo != "cafe" {
+		if _, ok := h.model.caches[0].(prefetchCache); !ok {
 			exp = expect{status: 501}
 		}
 		return h.drive(http.MethodPost, fmt.Sprintf("/prefetch?v=%d&chunks=9999", h.pickVideo()), "", exp)

@@ -10,11 +10,13 @@ package all
 
 import (
 	_ "videocdn/internal/admission"
+	_ "videocdn/internal/alphactl"
 	_ "videocdn/internal/belady"
 	_ "videocdn/internal/cafe"
 	_ "videocdn/internal/gdsp"
 	_ "videocdn/internal/lruk"
 	_ "videocdn/internal/lruq"
 	_ "videocdn/internal/psychic"
+	_ "videocdn/internal/writelimit"
 	_ "videocdn/internal/xlru"
 )

@@ -35,6 +35,11 @@ var confVariants = map[string]policy.Params{
 	"lruq:q=1":         {"q": 1},
 	"lruq:q=64":        {"q": 64},
 	"admit:inner=cafe": {"inner": "cafe", "min_hits": 2, "small_chunks": 2},
+	// Windows short enough that the conformance trace (a request every
+	// quarter second) crosses many of them: the controller moves alpha
+	// and the budget refuses fills (TestConformanceWrappersAct).
+	"alphactl:inner=cafe":   {"inner": "cafe", "target_ingress": 0.05, "window": 30},
+	"writelimit:inner=xlru": {"inner": "xlru", "per_window": 4, "window": 30},
 }
 
 func confCfg() core.Config {
@@ -127,8 +132,8 @@ func baseName(label string) string {
 // TestConformance replays seeded traces through every registered
 // policy and checks the core.Cache contract after every request.
 func TestConformance(t *testing.T) {
-	if n := len(policy.Names()); n < 9 {
-		t.Fatalf("registry has %d policies, want >= 9: %v", n, policy.Names())
+	if n := len(policy.Names()); n < 11 {
+		t.Fatalf("registry has %d policies, want >= 11: %v", n, policy.Names())
 	}
 	for label, params := range conformanceCases() {
 		t.Run(label, func(t *testing.T) {
@@ -145,6 +150,24 @@ func TestConformance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConformanceWrappersAct pins that the wrapper variants above do
+// their job on the conformance trace, so the suite checks a controller
+// that adjusts and a budget that denies: alphactl ends away from its
+// starting alpha, and writelimit has refused fills.
+func TestConformanceWrappersAct(t *testing.T) {
+	reqs := confTrace(1, 2500)
+	ctl := build(t, "alphactl", confVariants["alphactl:inner=cafe"], reqs)
+	replayChecked(t, ctl, reqs)
+	if a := ctl.(interface{ Alpha() float64 }).Alpha(); a == 2 {
+		t.Errorf("%s: alpha still %v after %d requests", ctl.Name(), a, len(reqs))
+	}
+	lim := build(t, "writelimit", confVariants["writelimit:inner=xlru"], reqs)
+	replayChecked(t, lim, reqs)
+	if d := lim.(interface{ Denied() int64 }).Denied(); d == 0 {
+		t.Errorf("%s: no fill denied in %d requests", lim.Name(), len(reqs))
 	}
 }
 

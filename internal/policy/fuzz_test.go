@@ -35,6 +35,12 @@ func FuzzPolicyConfig(f *testing.F) {
 	f.Add("lruq", "q=99999999999999999999")
 	f.Add("admit", "inner=admit,inner.inner=admit")
 	f.Add("admit", "inner=belady")
+	f.Add("alphactl", "inner=xlru,target_ingress=0.2,window=60,gain=1")
+	f.Add("alphactl", "inner=lru")
+	f.Add("alphactl", "inner=cafe,alpha=8")
+	f.Add("writelimit", "inner=cafe,per_window=1,window=1")
+	f.Add("writelimit", "inner=gdsp")
+	f.Add("writelimit", "inner=alphactl,inner.inner=xlru")
 
 	// The exact stream fed to every constructed policy. Offline
 	// policies index this as their future and panic (by contract) on

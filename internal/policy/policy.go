@@ -94,18 +94,17 @@ type Spec struct {
 	// Doc is the one-line description for CLI help and README.
 	Doc string
 	// Fields is the config schema; keys not listed here are rejected
-	// (except InnerPrefix pass-through keys).
+	// (except a wrapper's InnerPrefix keys).
 	Fields []Field
 	// NeedsTrace marks offline policies that precompute against the
 	// full future request sequence. They require the "trace" param,
 	// cannot be sharded (a shard would see only a sub-trace), and
 	// cannot serve live traffic.
 	NeedsTrace bool
-	// InnerPrefix, when non-empty, lets keys with this prefix bypass
-	// schema validation and reach the factory verbatim — how the
-	// admission wrapper forwards "inner.*" keys to the policy it
-	// wraps.
-	InnerPrefix string
+	// Wrapper marks a policy composed over another registered one,
+	// named by its "inner" key: keys with InnerPrefix bypass schema
+	// validation and reach the factory verbatim, for NewInner.
+	Wrapper bool
 	// New builds the policy from a schema-validated Params map: every
 	// declared field is present (defaults applied) with its declared
 	// Go type, so factories may type-assert without checking.
@@ -121,6 +120,10 @@ func (s *Spec) Accepts(key string) bool {
 	}
 	return false
 }
+
+// InnerPrefix marks the params a wrapper forwards to the policy it
+// wraps: "inner.q=8" configures an inner lruq's q.
+const InnerPrefix = "inner."
 
 var (
 	mu       sync.RWMutex
@@ -232,6 +235,72 @@ func NewWithEnv(name string, cfg core.Config, env Env, p Params) (core.Cache, er
 	return New(name, cfg, vp)
 }
 
+// NewInner builds the policy a wrapper's validated params name: the
+// "inner" key is the registered name, InnerPrefix keys are its params,
+// and the wrapper's own "alpha", when its schema declares one, reaches
+// an inner whose schema accepts alpha and that was not given one. An
+// offline inner is refused: a wrapper cannot hand it the future trace.
+func NewInner(cfg core.Config, p Params) (core.Cache, error) {
+	name, _ := p["inner"].(string)
+	spec, ok := Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown inner policy %q", name)
+	}
+	if spec.NeedsTrace {
+		return nil, fmt.Errorf("cannot wrap offline policy %q", name)
+	}
+	inner := Params{}
+	for k, v := range p {
+		if strings.HasPrefix(k, InnerPrefix) {
+			inner[strings.TrimPrefix(k, InnerPrefix)] = v
+		}
+	}
+	if a, ok := p["alpha"]; ok && spec.Accepts("alpha") {
+		if _, set := inner["alpha"]; !set {
+			inner["alpha"] = a
+		}
+	}
+	return New(name, cfg, inner)
+}
+
+// ParseSpec parses a policy spec, "name" or "name:k=v,k2=v2", into
+// the registered name and its params (all values strings; validation
+// coerces them).
+func ParseSpec(spec string) (string, Params, error) {
+	name, rest, _ := strings.Cut(spec, ":")
+	name = strings.TrimSpace(name)
+	if name == "" {
+		return "", nil, fmt.Errorf("policy: spec %q names no policy", spec)
+	}
+	p, err := ParseParams(rest)
+	if err != nil {
+		return "", nil, fmt.Errorf("policy: spec %q: %w", spec, err)
+	}
+	return name, p, nil
+}
+
+// Factory resolves a spec (see ParseSpec) and returns the factory
+// that builds one instance of it per shard, over that shard's share
+// of the configuration, through NewWithEnv: the form shard.New and
+// the edge server's CacheFactory take. An offline policy builds shard
+// 0 only, as a shard would see just a sub-trace of its future.
+func Factory(spec string, env Env) (func(shard int, cfg core.Config) (core.Cache, error), error) {
+	name, p, err := ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	s, ok := Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("policy: unknown policy %q (registered: %s)", name, strings.Join(Names(), ", "))
+	}
+	return func(shard int, cfg core.Config) (core.Cache, error) {
+		if shard > 0 && s.NeedsTrace {
+			return nil, fmt.Errorf("policy %q: an offline policy cannot be sharded", name)
+		}
+		return NewWithEnv(name, cfg, env, p)
+	}, nil
+}
+
 // ParseParams parses a CLI "k=v,k2=v2" string into Params (all values
 // strings; validation coerces them). Empty input yields empty Params.
 func ParseParams(s string) (Params, error) {
@@ -255,7 +324,7 @@ func ParseParams(s string) (Params, error) {
 func validate(spec *Spec, p Params) (Params, error) {
 	vp := make(Params, len(spec.Fields)+len(p))
 	for k, v := range p {
-		if spec.InnerPrefix != "" && strings.HasPrefix(k, spec.InnerPrefix) {
+		if spec.Wrapper && strings.HasPrefix(k, InnerPrefix) {
 			vp[k] = v // validated recursively by the inner policy
 			continue
 		}
@@ -303,8 +372,8 @@ func schemaKeys(spec *Spec) string {
 	for i, f := range spec.Fields {
 		keys[i] = f.Key
 	}
-	if spec.InnerPrefix != "" {
-		keys = append(keys, spec.InnerPrefix+"*")
+	if spec.Wrapper {
+		keys = append(keys, InnerPrefix+"*")
 	}
 	return strings.Join(keys, ", ")
 }

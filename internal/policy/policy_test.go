@@ -19,7 +19,7 @@ func testCfg() core.Config {
 
 // builtins is the policy set this repository ships; the registry must
 // expose at least these.
-var builtins = []string{"admit", "belady", "cafe", "gdsp", "lru", "lruk", "lruq", "psychic", "xlru"}
+var builtins = []string{"admit", "alphactl", "belady", "cafe", "gdsp", "lru", "lruk", "lruq", "psychic", "writelimit", "xlru"}
 
 func TestNamesSortedAndComplete(t *testing.T) {
 	names := policy.Names()
@@ -96,6 +96,13 @@ func TestValidationRejects(t *testing.T) {
 		{"lruq", policy.Params{"q": []int{1}}, "want int"},
 		{"belady", nil, "missing required config key"},
 		{"belady", policy.Params{"trace": "later"}, "future trace"},
+		{"admit", policy.Params{"inner": "nosuch"}, "unknown inner policy"},
+		{"admit", policy.Params{"inner": "belady"}, "cannot wrap offline"},
+		{"alphactl", policy.Params{"inner": "lru"}, "no tunable alpha"},
+		{"alphactl", policy.Params{"inner": "cafe", "inner.gamma": "x"}, "as float"},
+		{"alphactl", policy.Params{"target_ingress": 1.5}, "target ingress"},
+		{"writelimit", policy.Params{"inner": "gdsp"}, "takes no fill gate"},
+		{"writelimit", policy.Params{"per_window": 0}, "perWindow must be positive"},
 	}
 	for _, c := range cases {
 		_, err := policy.New(c.name, testCfg(), c.p)
@@ -154,6 +161,94 @@ func TestParseParams(t *testing.T) {
 		if _, err := policy.ParseParams(bad); err == nil {
 			t.Errorf("ParseParams(%q) should fail", bad)
 		}
+	}
+}
+
+// TestParseSpecRoundTrip writes every registered policy's schema
+// defaults out as a spec and parses it back: the name and every
+// key=value pair survive, and the parsed params build the policy.
+func TestParseSpecRoundTrip(t *testing.T) {
+	for _, name := range policy.Names() {
+		spec, _ := policy.Lookup(name)
+		want := policy.Params{}
+		var kv []string
+		for _, f := range spec.Fields {
+			if f.Kind == policy.KindTrace {
+				continue
+			}
+			v := fmt.Sprint(f.Default)
+			want[f.Key] = v
+			kv = append(kv, f.Key+"="+v)
+		}
+		s := name
+		if len(kv) > 0 {
+			s += ":" + strings.Join(kv, ",")
+		}
+		gotName, got, err := policy.ParseSpec(s)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", s, err)
+		}
+		if gotName != name || !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseSpec(%q) = %q, %v; want %q, %v", s, gotName, got, name, want)
+		}
+		if spec.NeedsTrace {
+			continue
+		}
+		if _, err := policy.New(gotName, testCfg(), got); err != nil {
+			t.Errorf("%q: defaults written as a spec do not build: %v", s, err)
+		}
+	}
+	if name, p, err := policy.ParseSpec(" lruq "); err != nil || name != "lruq" || len(p) != 0 {
+		t.Errorf("bare name: %q, %v, %v", name, p, err)
+	}
+}
+
+func TestParseSpecErrors(t *testing.T) {
+	for _, bad := range []string{"", ":q=1", " :q=1", "lruq:q", "lruq:=1", "lruq:q=1,,q=2"} {
+		if _, _, err := policy.ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) should fail", bad)
+		}
+	}
+}
+
+func TestFactory(t *testing.T) {
+	f, err := policy.Factory("admit:inner=lruq,inner.q=2", policy.Env{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < 2; shard++ {
+		c, err := f(shard, testCfg())
+		if err != nil || c.Name() != "admit(lruq)" {
+			t.Fatalf("shard %d: %v, %v", shard, c, err)
+		}
+	}
+	if _, err := f(0, core.Config{ChunkSize: 1024}); err == nil {
+		t.Error("zero disk accepted")
+	}
+	for _, bad := range []string{"", "nosuch", "cafe:gamma"} {
+		if _, err := policy.Factory(bad, policy.Env{}); err == nil {
+			t.Errorf("Factory(%q) should fail", bad)
+		}
+	}
+	// Params are checked when an instance is built.
+	f, err = policy.Factory("cafe:nope=1", policy.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f(0, testCfg()); err == nil || !strings.Contains(err.Error(), "unknown config key") {
+		t.Errorf("err = %v", err)
+	}
+	// An offline policy builds shard 0 only: a shard sees a sub-trace.
+	reqs := []trace.Request{{Time: 0, Video: 1, Start: 0, End: 1023}}
+	f, err = policy.Factory("psychic:strict=true", policy.Env{Future: func() []trace.Request { return reqs }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f(0, testCfg()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f(1, testCfg()); err == nil || !strings.Contains(err.Error(), "cannot be sharded") {
+		t.Errorf("shard 1 of psychic: err = %v", err)
 	}
 }
 

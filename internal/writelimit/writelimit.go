@@ -3,18 +3,22 @@
 // write-block operation we lose 1.2-1.3 reads"), so disk-constrained
 // servers cap their fill volume per unit time.
 //
-// Budget is a windowed chunk-write allowance designed to plug into the
-// caches' SetFillGate hook:
+// Budget is a windowed chunk-write allowance, and Limit installs one as
+// a cache's fill gate — the registered "writelimit" policy:
 //
-//	budget := writelimit.NewBudget(500, 3600) // 500 chunk writes/hour
-//	cache.SetFillGate(budget.Allow)
+//	writelimit:inner=cafe,per_window=500,window=3600 // 500 chunk writes/hour
 //
 // A request whose fill the budget refuses is redirected instead — the
 // exact ingress-vs-redirect trade the paper's alpha knob expresses,
 // but enforced as a hard operational cap.
 package writelimit
 
-import "fmt"
+import (
+	"fmt"
+
+	"videocdn/internal/chunk"
+	"videocdn/internal/core"
+)
 
 // ReadCostPerWrite is the paper's measured read loss per extra write
 // block (Section 2 reports 1.2-1.3; we use the midpoint). Evaluation
@@ -75,3 +79,44 @@ func (b *Budget) Stats() (granted, denied int64) { return b.granted, b.denied }
 
 // Remaining returns the unused allowance in the current window.
 func (b *Budget) Remaining() int { return b.perWindow - b.used }
+
+// Gateable is a cache whose fills can be throttled; *cafe.Cache and
+// *xlru.Cache implement it.
+type Gateable interface {
+	core.Cache
+	SetFillGate(gate func(chunks int, now int64) bool)
+}
+
+// Limited is a cache whose fills a Budget caps. It implements
+// core.Cache.
+type Limited struct {
+	core.Cache
+	budget *Budget
+}
+
+// Limit caps inner's fills at perWindow chunk writes per windowSeconds
+// by installing a Budget as its fill gate.
+func Limit(inner Gateable, perWindow int, windowSeconds int64) (*Limited, error) {
+	b, err := NewBudget(perWindow, windowSeconds)
+	if err != nil {
+		return nil, err
+	}
+	inner.SetFillGate(b.Allow)
+	return &Limited{Cache: inner, budget: b}, nil
+}
+
+// Name implements core.Cache.
+func (l *Limited) Name() string { return l.Cache.Name() + "+writelimit" }
+
+// Denied returns how many fills the budget refused.
+func (l *Limited) Denied() int64 {
+	_, denied := l.budget.Stats()
+	return denied
+}
+
+// Forget forwards fill-failure rollback to the wrapped cache.
+func (l *Limited) Forget(id chunk.ID) {
+	if f, ok := l.Cache.(interface{ Forget(chunk.ID) }); ok {
+		f.Forget(id)
+	}
+}

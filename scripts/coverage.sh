@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Coverage gate for the paper-critical packages: the decision engines
-# (cafe, xlru), their shared core, and the edge server must each stay
-# at or above the threshold. The profile is collected with a shared
+# (cafe, xlru), their shared core, the edge server, the registry and
+# the servable policies it wraps (lruq, admission, alphactl,
+# writelimit) must each stay at or above the threshold. The profile is collected with a shared
 # -coverpkg so cross-package suites (notably internal/oracle, which
 # drives the real policies through the real edge) count toward the
 # packages they exercise, then split back out per package.
@@ -18,13 +19,16 @@ GATED=(
 	videocdn/internal/edge
 	videocdn/internal/policy
 	videocdn/internal/lruq
+	videocdn/internal/admission
+	videocdn/internal/alphactl
+	videocdn/internal/writelimit
 )
 profile=${1:-coverage.out}
 
 coverpkg=$(IFS=,; echo "${GATED[*]}")
 go test -coverpkg="$coverpkg" -coverprofile="$profile" \
 	./internal/core/ ./internal/cafe/ ./internal/xlru/ ./internal/edge/ ./internal/oracle/ \
-	./internal/policy/ ./internal/lruq/
+	./internal/policy/ ./internal/lruq/ ./internal/admission/ ./internal/alphactl/ ./internal/writelimit/
 
 echo
 echo "coverage by gated package (threshold ${THRESHOLD}%):"

@@ -8,11 +8,14 @@
 // The package is a facade over the internal implementation and is the
 // stable public API:
 //
-//   - NewXLRU, NewCafe, NewPsychic, NewAlwaysFillLRU construct the
-//     paper's caches (Sections 5, 6, 8) plus the classic always-fill
-//     baseline. All satisfy the Cache interface.
+//   - NewCache builds any registered policy from a spec: the paper's
+//     caches "xlru", "cafe" and "psychic" (Sections 5, 6, 8), the
+//     classic always-fill "lru", and the Section 10 and Section 2
+//     wrappers "alphactl:inner=cafe,..." and "writelimit:inner=...".
+//     All satisfy the Cache interface.
 //   - Replay drives a trace through a cache and reports efficiency,
-//     ingress and redirect ratios (Section 9's metrics).
+//     ingress and redirect ratios (Section 9's metrics); a sharded
+//     cache replays its shards in parallel.
 //   - GenerateWorkload synthesizes realistic six-region traces
 //     substituting for the paper's proprietary logs.
 //   - SolveOptimalLP computes the offline LP-relaxation efficiency
@@ -22,8 +25,8 @@
 //
 // A minimal use:
 //
-//	cache, _ := videocdn.NewCafe(videocdn.DefaultChunkSize, 16<<30, 2, videocdn.CafeOptions{})
-//	res, _ := videocdn.Replay(cache, requests, 2, videocdn.ReplayOptions{})
+//	cache, _ := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 16 << 30, Alpha: 2})
+//	res, _ := videocdn.Replay(cache, videocdn.SliceTrace(requests), 2, videocdn.ReplayOptions{})
 //	fmt.Println(res.Efficiency())
 package videocdn
 
@@ -32,7 +35,6 @@ import (
 	"io"
 	"net/http"
 
-	"videocdn/internal/alphactl"
 	"videocdn/internal/analyze"
 	"videocdn/internal/cafe"
 	"videocdn/internal/chunk"
@@ -41,18 +43,15 @@ import (
 	"videocdn/internal/edge"
 	"videocdn/internal/hierarchy"
 	"videocdn/internal/lp"
-	_ "videocdn/internal/lruq" // registers "lru"
 	"videocdn/internal/optimal"
 	"videocdn/internal/policy"
+	_ "videocdn/internal/policy/all"
 	"videocdn/internal/prefetch"
-	"videocdn/internal/psychic"
 	"videocdn/internal/shard"
 	"videocdn/internal/sim"
 	"videocdn/internal/store"
 	"videocdn/internal/trace"
 	"videocdn/internal/workload"
-	"videocdn/internal/writelimit"
-	"videocdn/internal/xlru"
 )
 
 // DefaultChunkSize is the paper's chunk size K: 2 MB.
@@ -78,10 +77,6 @@ type (
 	CostModel = cost.Model
 	// Counters accumulates requested/filled/redirected bytes (Eq. 1).
 	Counters = cost.Counters
-	// CafeOptions tunes the Cafe cache (gamma, ablation switches).
-	CafeOptions = cafe.Options
-	// PsychicOptions tunes the Psychic cache (future-list bound N).
-	PsychicOptions = psychic.Options
 	// ReplayResult is the outcome of replaying a trace.
 	ReplayResult = sim.Result
 	// ReplayOptions tunes a replay (bucketing, steady-state fraction).
@@ -109,9 +104,6 @@ type (
 	// TraceReport characterizes a trace (popularity skew, diurnal
 	// shape, prefix bias, sizes, churn).
 	TraceReport = analyze.Report
-	// Prefetchable is a cache supporting out-of-band proactive fills
-	// (implemented by Cafe).
-	Prefetchable = prefetch.Prefetchable
 	// PrefetchConfig tunes the off-peak prefetcher.
 	PrefetchConfig = prefetch.Config
 	// PrefetchResult bundles replay metrics with prefetch stats.
@@ -124,48 +116,73 @@ const (
 	Redirect = core.Redirect
 )
 
-// diskChunks converts a byte budget to whole chunks.
-func diskChunks(chunkSize, diskBytes int64) int {
-	return int(diskBytes / chunkSize)
-}
-
 // NewCostModel normalizes alpha_F2R into per-byte costs (Eq. 4).
 func NewCostModel(alpha float64) (CostModel, error) { return cost.NewModel(alpha) }
 
-// NewXLRU builds the paper's baseline xLRU cache (Section 5): an LRU
-// chunk disk plus a file-level popularity gate scaled by alpha.
-func NewXLRU(chunkSize, diskBytes int64, alpha float64) (Cache, error) {
-	return xlru.New(core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}, alpha)
+// CacheOptions configure NewCache.
+type CacheOptions struct {
+	// ChunkSize is K in bytes; 0 means DefaultChunkSize.
+	ChunkSize int64
+	// DiskBytes is the disk capacity, rounded down to whole chunks.
+	DiskBytes int64
+	// Alpha is alpha_F2R, given to a policy whose schema takes one and
+	// whose spec leaves it unset; 0 keeps the schema's default (2).
+	Alpha float64
+	// Shards, when above 1, splits the cache into that many (a power
+	// of two) hash buckets of the video-ID space, each an independent
+	// instance of the spec with 1/Shards of the disk — the paper's
+	// footnote-2 hash-mod bucketizing applied in-process. The result
+	// is safe for concurrent use, and Replay drives its shards in
+	// parallel.
+	Shards int
+	// Future is the full request sequence an offline spec ("psychic",
+	// "belady") precomputes against; replay exactly it, in order.
+	Future []Request
 }
 
-// NewCafe builds the paper's Cafe cache (Section 6): chunk-aware,
-// fill-efficient expected-cost admission.
-func NewCafe(chunkSize, diskBytes int64, alpha float64, opt CafeOptions) (Cache, error) {
-	return cafe.New(core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}, alpha, opt)
+// NewCache builds the cache a policy spec names: a registered policy,
+// optionally with parameters, as in "cafe", "xlru:alpha=1",
+// "psychic:n=10", "lruq:q=8", "admit:inner=cafe,min_hits=2",
+// "alphactl:inner=cafe,target_ingress=0.05" or
+// "writelimit:inner=xlru,per_window=500,window=3600". A wrapper's
+// "inner.*" keys configure the policy it wraps.
+func NewCache(spec string, opt CacheOptions) (Cache, error) {
+	if opt.ChunkSize == 0 {
+		opt.ChunkSize = DefaultChunkSize
+	}
+	env := policy.Env{Alpha: opt.Alpha}
+	if opt.Future != nil {
+		env.Future = func() []Request { return opt.Future }
+	}
+	factory, err := policy.Factory(spec, env)
+	if err != nil {
+		return nil, err
+	}
+	cfg := core.Config{ChunkSize: opt.ChunkSize, DiskChunks: int(opt.DiskBytes / opt.ChunkSize)}
+	switch opt.Shards {
+	case 0, 1:
+		return factory(0, cfg)
+	}
+	return shard.New(opt.Shards, cfg, factory)
 }
 
-// NewPsychic builds the offline greedy cache (Section 8) over the full
-// future request sequence; replay it over exactly reqs, in order.
-func NewPsychic(chunkSize, diskBytes int64, alpha float64, reqs []Request, opt PsychicOptions) (Cache, error) {
-	return psychic.New(core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}, alpha, reqs, opt)
-}
-
-// NewAlwaysFillLRU builds the classic proxy cache (fill every miss,
-// never redirect) — the standard solution the paper improves on. It is
-// the registered "lru" policy, LRU(q) with q = 1.
-func NewAlwaysFillLRU(chunkSize, diskBytes int64) (Cache, error) {
-	return policy.New("lru", core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}, nil)
-}
-
-// Replay drives reqs through the cache under alpha_F2R and returns the
+// Replay drives src through the cache under alpha_F2R and returns the
 // paper's metrics (steady-state efficiency over the trace tail,
-// ingress and redirect ratios, hourly series).
-func Replay(c Cache, reqs []Request, alpha float64, opt ReplayOptions) (*ReplayResult, error) {
+// ingress and redirect ratios, hourly series). A trace directory
+// streams block by block, never materialized in memory. A sharded
+// cache replays each shard on its own worker (opt.Workers bounds the
+// parallelism), bit-identical to a sequential replay; when src is a
+// trace directory sharded like the cache, each worker streams its
+// shard's segment files directly.
+func Replay(c Cache, src TraceSource, alpha float64, opt ReplayOptions) (*ReplayResult, error) {
 	m, err := cost.NewModel(alpha)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Replay(c, trace.Slice(reqs), m, opt)
+	if g, ok := c.(*shard.Group); ok {
+		return sim.ReplayParallel(g, src, m, opt)
+	}
+	return sim.Replay(c, src, m, opt)
 }
 
 // WorkloadProfiles returns the six world-region profiles mirroring the
@@ -272,72 +289,32 @@ func AnalyzeTrace(reqs []Request, chunkSize int64) (*TraceReport, error) {
 
 // ReplayWithPrefetch replays like Replay but runs the off-peak
 // proactive prefetcher (the paper's Section 10 "proactive caching")
-// alongside. The cache must be Prefetchable; NewCafe's concrete type
-// is — construct it via NewCafePrefetchable.
-func ReplayWithPrefetch(c Prefetchable, reqs []Request, alpha float64, pcfg PrefetchConfig, chunkSize int64) (*PrefetchResult, error) {
+// alongside. The cache must support prefetching, as a plain "cafe"
+// does.
+func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchConfig, chunkSize int64) (*PrefetchResult, error) {
+	p, ok := c.(prefetch.Prefetchable)
+	if !ok {
+		return nil, fmt.Errorf("videocdn: %s does not prefetch", c.Name())
+	}
 	m, err := cost.NewModel(alpha)
 	if err != nil {
 		return nil, err
 	}
-	return prefetch.Replay(c, reqs, m, pcfg, chunkSize)
-}
-
-// NewCafePrefetchable builds a Cafe cache typed as Prefetchable for
-// use with ReplayWithPrefetch.
-func NewCafePrefetchable(chunkSize, diskBytes int64, alpha float64, opt CafeOptions) (Prefetchable, error) {
-	return cafe.New(core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}, alpha, opt)
-}
-
-// NewShardedCafe builds a thread-safe cache of n (power of two) Cafe
-// shards, each owning a hash bucket of the video-ID space and 1/n of
-// the disk — the paper's footnote-2 hash-mod bucketizing practice
-// applied in-process. Safe for concurrent use without external
-// locking.
-func NewShardedCafe(n int, chunkSize, diskBytes int64, alpha float64, opt CafeOptions) (Cache, error) {
-	cfg := core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}
-	return shard.New(n, cfg, func(_ int, sub core.Config) (core.Cache, error) {
-		return cafe.New(sub, alpha, opt)
-	})
-}
-
-// NewShardedXLRU is NewShardedCafe for the xLRU baseline: n (power of
-// two) xLRU shards behind one thread-safe cache.
-func NewShardedXLRU(n int, chunkSize, diskBytes int64, alpha float64) (Cache, error) {
-	cfg := core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}
-	return shard.New(n, cfg, func(_ int, sub core.Config) (core.Cache, error) {
-		return xlru.New(sub, alpha)
-	})
+	return prefetch.Replay(p, reqs, m, pcfg, chunkSize)
 }
 
 // ShardStat describes one shard's occupancy (see ShardStats).
 type ShardStat = shard.Stat
 
-// ShardStats reports per-shard chunk occupancy for a cache built by
-// NewShardedCafe or NewShardedXLRU, so hash-balance across shards is
-// observable. ok is false when the cache is not sharded.
+// ShardStats reports per-shard chunk occupancy for a cache NewCache
+// built with Shards, so hash-balance across shards is observable. ok
+// is false when the cache is not sharded.
 func ShardStats(c Cache) (stats []ShardStat, ok bool) {
 	g, isGroup := c.(*shard.Group)
 	if !isGroup {
 		return nil, false
 	}
 	return g.Stats(), true
-}
-
-// ReplayParallel replays reqs through a sharded cache (NewShardedCafe /
-// NewShardedXLRU), partitioning the trace by video hash and driving
-// each shard on its own worker (opt.Workers bounds the parallelism).
-// The result is bit-identical to Replay of the same sharded cache; on a
-// multi-core machine it is close to NumShards times faster.
-func ReplayParallel(c Cache, reqs []Request, alpha float64, opt ReplayOptions) (*ReplayResult, error) {
-	g, ok := c.(*shard.Group)
-	if !ok {
-		return nil, fmt.Errorf("videocdn: ReplayParallel needs a sharded cache (got %s); build one with NewShardedCafe or NewShardedXLRU", c.Name())
-	}
-	m, err := cost.NewModel(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return sim.ReplayParallel(g, trace.Slice(reqs), m, opt)
 }
 
 // Streaming trace types: a columnar trace directory streams 100M+
@@ -370,36 +347,9 @@ func CreateTraceDir(dir string, cfg TraceDirConfig) (*trace.DirWriter, error) {
 	return trace.CreateDir(dir, cfg)
 }
 
-// ReplaySource is Replay over any TraceSource: an opened trace
-// directory replays block by block without ever materializing the
-// trace in memory.
-func ReplaySource(c Cache, src TraceSource, alpha float64, opt ReplayOptions) (*ReplayResult, error) {
-	m, err := cost.NewModel(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Replay(c, src, m, opt)
-}
-
-// ReplayParallelSource is ReplayParallel over any TraceSource. When
-// the source is a trace directory sharded like the cache, each worker
-// streams its shard's segment files directly — no partition pass, no
-// sub-trace copies.
-func ReplayParallelSource(c Cache, src TraceSource, alpha float64, opt ReplayOptions) (*ReplayResult, error) {
-	g, ok := c.(*shard.Group)
-	if !ok {
-		return nil, fmt.Errorf("videocdn: ReplayParallelSource needs a sharded cache (got %s); build one with NewShardedCafe or NewShardedXLRU", c.Name())
-	}
-	m, err := cost.NewModel(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return sim.ReplayParallel(g, src, m, opt)
-}
-
 // SaveCafeState serializes a Cafe cache's decision state (IAT table,
 // cached-chunk set, clock) so a restart does not lose days of cache
-// warmth. The cache must have been built by NewCafe (or friends).
+// warmth. The cache must be a plain "cafe".
 func SaveCafeState(c Cache, w io.Writer) error {
 	cc, ok := c.(*cafe.Cache)
 	if !ok {
@@ -411,40 +361,3 @@ func SaveCafeState(c Cache, w io.Writer) error {
 // LoadCafeState reconstructs a Cafe cache from a SaveCafeState
 // snapshot, configuration included.
 func LoadCafeState(r io.Reader) (Cache, error) { return cafe.Load(r) }
-
-// AlphaControlConfig tunes the Section-10 dynamic alpha control loop.
-type AlphaControlConfig = alphactl.Config
-
-// NewControlledCafe builds a Cafe cache whose alpha_F2R is steered at
-// runtime by an ingress-tracking control loop (the paper's Section 10
-// "dynamic adjustment ... in a small range through a control loop").
-func NewControlledCafe(chunkSize, diskBytes int64, alpha float64, copt CafeOptions, ctl AlphaControlConfig) (Cache, error) {
-	c, err := cafe.New(core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}, alpha, copt)
-	if err != nil {
-		return nil, err
-	}
-	return alphactl.New(c, ctl)
-}
-
-// WriteBudget is a windowed chunk-write allowance modelling the
-// disk-write constraint of Section 2.
-type WriteBudget = writelimit.Budget
-
-// NewWriteBudget allows perWindowChunks cache-fill writes per window.
-func NewWriteBudget(perWindowChunks int, windowSeconds int64) (*WriteBudget, error) {
-	return writelimit.NewBudget(perWindowChunks, windowSeconds)
-}
-
-// NewBudgetedCafe builds a Cafe cache whose fills are hard-capped by
-// the given write budget; over-budget fills become redirects.
-func NewBudgetedCafe(chunkSize, diskBytes int64, alpha float64, copt CafeOptions, budget *WriteBudget) (Cache, error) {
-	if budget == nil {
-		return nil, core.ErrNilBudget
-	}
-	c, err := cafe.New(core.Config{ChunkSize: chunkSize, DiskChunks: diskChunks(chunkSize, diskBytes)}, alpha, copt)
-	if err != nil {
-		return nil, err
-	}
-	c.SetFillGate(budget.Allow)
-	return c, nil
-}

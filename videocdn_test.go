@@ -27,31 +27,23 @@ func smallTrace(t *testing.T) []videocdn.Request {
 
 func TestFacadeConstructors(t *testing.T) {
 	reqs := smallTrace(t)
-	type ctor func() (videocdn.Cache, error)
-	ctors := map[string]ctor{
-		"xlru": func() (videocdn.Cache, error) {
-			return videocdn.NewXLRU(videocdn.DefaultChunkSize, 512*mb, 2)
-		},
-		"cafe": func() (videocdn.Cache, error) {
-			return videocdn.NewCafe(videocdn.DefaultChunkSize, 512*mb, 2, videocdn.CafeOptions{})
-		},
-		"psychic": func() (videocdn.Cache, error) {
-			return videocdn.NewPsychic(videocdn.DefaultChunkSize, 512*mb, 2, reqs, videocdn.PsychicOptions{})
-		},
-		"lru": func() (videocdn.Cache, error) {
-			return videocdn.NewAlwaysFillLRU(videocdn.DefaultChunkSize, 512*mb)
-		},
+	opt := videocdn.CacheOptions{DiskBytes: 512 * mb, Alpha: 2}
+	ctors := map[string]videocdn.CacheOptions{
+		"xlru":    opt,
+		"cafe":    opt,
+		"psychic": {DiskBytes: 512 * mb, Alpha: 2, Future: reqs},
+		"lru":     opt,
 	}
-	for name, mk := range ctors {
+	for name, opt := range ctors {
 		t.Run(name, func(t *testing.T) {
-			c, err := mk()
+			c, err := videocdn.NewCache(name, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.Name() != name {
 				t.Errorf("Name = %q, want %q", c.Name(), name)
 			}
-			res, err := videocdn.Replay(c, reqs, 2, videocdn.ReplayOptions{})
+			res, err := videocdn.Replay(c, videocdn.SliceTrace(reqs), 2, videocdn.ReplayOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,6 +54,16 @@ func TestFacadeConstructors(t *testing.T) {
 				t.Errorf("efficiency %v outside [-1,1]", e)
 			}
 		})
+	}
+	for spec, opt := range map[string]videocdn.CacheOptions{
+		"nosuch":      opt,
+		"cafe:nope=1": opt,
+		"psychic":     opt, // offline, but no future trace
+		"psychic:n=4": {DiskBytes: 512 * mb, Future: reqs, Shards: 2},
+	} {
+		if _, err := videocdn.NewCache(spec, opt); err == nil {
+			t.Errorf("NewCache(%q, %+v) succeeded", spec, opt)
+		}
 	}
 }
 
@@ -79,11 +81,11 @@ func TestFacadeCostModel(t *testing.T) {
 }
 
 func TestFacadeReplayRejectsBadAlpha(t *testing.T) {
-	c, err := videocdn.NewXLRU(videocdn.DefaultChunkSize, 512*mb, 1)
+	c, err := videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 512 * mb, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := videocdn.Replay(c, smallTrace(t), -1, videocdn.ReplayOptions{}); err == nil {
+	if _, err := videocdn.Replay(c, videocdn.SliceTrace(smallTrace(t)), -1, videocdn.ReplayOptions{}); err == nil {
 		t.Error("negative alpha should fail")
 	}
 }
