@@ -202,9 +202,14 @@ func TestFacadeReplayWithPrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each video ends at its furthest requested byte.
+	sizes := videocdn.MapCatalog{}
+	for _, r := range reqs {
+		sizes[r.Video] = max(sizes[r.Video], r.End+1)
+	}
 	res, err := videocdn.ReplayWithPrefetch(c, reqs, 1, videocdn.PrefetchConfig{
 		StartHour: 0, EndHour: 0, ChunksPerHour: 20,
-	}, videocdn.DefaultChunkSize)
+	}, videocdn.DefaultChunkSize, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +219,14 @@ func TestFacadeReplayWithPrefetch(t *testing.T) {
 	if res.Stats.Accepted > 0 && res.Stats.PrefetchedBytes == 0 {
 		t.Error("accepted prefetches without byte accounting")
 	}
-	if _, err := videocdn.ReplayWithPrefetch(c, reqs, -1, videocdn.PrefetchConfig{ChunksPerHour: 1}, videocdn.DefaultChunkSize); err == nil {
+	if _, err := videocdn.ReplayWithPrefetch(c, reqs, -1, videocdn.PrefetchConfig{ChunksPerHour: 1}, videocdn.DefaultChunkSize, sizes); err == nil {
 		t.Error("bad alpha should fail")
 	}
 	x, err := videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := videocdn.ReplayWithPrefetch(x, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 1}, videocdn.DefaultChunkSize); err == nil {
+	if _, err := videocdn.ReplayWithPrefetch(x, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 1}, videocdn.DefaultChunkSize, sizes); err == nil {
 		t.Error("xlru does not prefetch")
 	}
 }

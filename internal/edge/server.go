@@ -15,6 +15,7 @@ import (
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
+	"videocdn/internal/prefetch"
 	"videocdn/internal/resilience"
 	"videocdn/internal/shard"
 	"videocdn/internal/store"
@@ -468,14 +469,6 @@ func (s *Server) shardOf(v chunk.VideoID) *edgeShard {
 // NumShards returns the server's shard count.
 func (s *Server) NumShards() int { return len(s.shards) }
 
-// prefetcher is the optional capability some caches (Cafe) implement
-// for proactive, popularity-gated fills (the paper's Section 10
-// "proactive caching").
-type prefetcher interface {
-	PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []chunk.ID)
-	HighestCachedIndex(v chunk.VideoID) (uint32, bool)
-}
-
 // forgetter is the optional capability to undo a chunk admission whose
 // cache fill failed, keeping the cache's bookkeeping consistent with
 // the store (all algorithms in this repository implement it).
@@ -493,7 +486,7 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if _, ok := s.shards[0].cache.(prefetcher); !ok {
+	if _, ok := s.shards[0].cache.(prefetch.Prefetchable); !ok {
 		http.Error(w, fmt.Sprintf("algorithm %q does not support prefetch", s.shards[0].cache.Name()),
 			http.StatusNotImplemented)
 		return
@@ -511,7 +504,7 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sh := s.shardOf(v)
-	p := sh.cache.(prefetcher) // same algorithm on every shard
+	p := sh.cache.(prefetch.Prefetchable) // same algorithm on every shard
 	fc := fillCtx{r: r, timeout: s.cfg.FillTimeout}
 	defer fc.done()
 	size, err := s.originSize(&fc, sh, v)
@@ -519,7 +512,6 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "origin: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	maxChunk := uint32((size - 1) / s.cfg.ChunkSize)
 	now := s.cfg.Clock()
 
 	accepted := 0
@@ -529,12 +521,11 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 			now = sh.lastTime
 		}
 		sh.lastTime = now
-		hi, ok := p.HighestCachedIndex(v)
-		if !ok || hi >= maxChunk {
+		id, ok := prefetch.NextChunk(p, v, size, s.cfg.ChunkSize)
+		if !ok {
 			sh.mu.Unlock()
 			break
 		}
-		id := chunk.ID{Video: v, Index: hi + 1}
 		admitted, evicted := p.PrefetchChunk(id, now)
 		sh.mu.Unlock()
 		// The displacement stands whether or not the fill below

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
 	"videocdn/internal/hierarchy"
-	"videocdn/internal/metrics"
 	"videocdn/internal/prefetch"
 )
 
@@ -40,7 +38,7 @@ type PrefetchRow struct {
 // budget, at alphas where spare ingress is plausible.
 func Prefetch(sc Scale) (*PrefetchResult, error) {
 	const server = "europe"
-	reqs, err := TraceFor(server, sc)
+	gen, reqs, err := generate(server, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +62,7 @@ func Prefetch(sc Scale) (*PrefetchResult, error) {
 			EndHour:       7,
 			ChunksPerHour: sc.DiskChunks / 64,
 			MaxPerVideo:   8,
-		}, sc.ChunkSize)
+		}, sc.ChunkSize, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -72,35 +70,14 @@ func Prefetch(sc Scale) (*PrefetchResult, error) {
 			Alpha:        alpha,
 			BaseEff:      base.Efficiency(),
 			PrefetchEff:  pres.Efficiency(),
-			BasePeakIng:  peakIngress(base.Series.Buckets(), 6),
-			PrefPeakIng:  pres.PeakIngressRatio(6),
+			BasePeakIng:  base.Series.PeakIngressRatio(6),
+			PrefPeakIng:  pres.Series.PeakIngressRatio(6),
 			ExtraIngress: pres.Stats.PrefetchedBytes,
 			Useful:       pres.Stats.UsefulChunks,
 			Accepted:     pres.Stats.Accepted,
 		})
 	}
 	return res, nil
-}
-
-// peakIngress computes the ingress ratio over the n busiest
-// hours-of-day of a bucketed series.
-func peakIngress(buckets []metrics.Bucket, n int) float64 {
-	var byHour [24]cost.Counters
-	for _, b := range buckets {
-		byHour[(b.Start%86400)/3600].Add(b.Counters)
-	}
-	order := make([]int, 24)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return byHour[order[i]].Requested > byHour[order[j]].Requested
-	})
-	var peak cost.Counters
-	for _, h := range order[:n] {
-		peak.Add(byHour[h])
-	}
-	return peak.IngressRatio()
 }
 
 // Print renders the prefetch comparison.

@@ -102,20 +102,27 @@ func max1(v int) int {
 
 // TraceFor generates the deterministic trace for a scaled profile.
 func TraceFor(name string, sc Scale) ([]trace.Request, error) {
+	_, reqs, err := generate(name, sc)
+	return reqs, err
+}
+
+// generate is TraceFor that also returns the generator, which knows
+// every video's size.
+func generate(name string, sc Scale) (*workload.Generator, []trace.Request, error) {
 	p, err := ScaledProfile(name, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g, err := workload.NewGenerator(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	reqs, err := g.Generate(sc.Days)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(reqs) == 0 {
-		return nil, fmt.Errorf("experiments: empty trace for %s", name)
+		return nil, nil, fmt.Errorf("experiments: empty trace for %s", name)
 	}
-	return reqs, nil
+	return g, reqs, nil
 }

@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"fmt"
+	"sort"
 
 	"videocdn/internal/cost"
 )
@@ -133,4 +134,27 @@ func (s *Series) From(t int64) cost.Counters {
 		}
 	}
 	return out
+}
+
+// PeakIngressRatio returns the ingress-to-requested ratio over the n
+// busiest hours of day, by requested bytes with ties to the earlier
+// hour: the quantity proactive caching is meant to relieve, as fills
+// moved to the overnight window stop competing with peak serving.
+func (s *Series) PeakIngressRatio(n int) float64 {
+	var byHour [24]cost.Counters
+	for _, b := range s.Buckets() {
+		byHour[(b.Start%86400)/3600].Add(b.Counters)
+	}
+	hours := make([]int, 24)
+	for i := range hours {
+		hours[i] = i
+	}
+	sort.SliceStable(hours, func(i, j int) bool {
+		return byHour[hours[i]].Requested > byHour[hours[j]].Requested
+	})
+	var peak cost.Counters
+	for _, h := range hours[:n] {
+		peak.Add(byHour[h])
+	}
+	return peak.IngressRatio()
 }

@@ -167,3 +167,29 @@ func TestMerge(t *testing.T) {
 		t.Errorf("unanchored receiver: origin %d len %d", r.Origin(), r.Len())
 	}
 }
+
+func TestPeakIngressRatio(t *testing.T) {
+	s, _ := NewSeries(3600)
+	// Two days; hour 5 is the busiest, hours 7 and 9 tie for second
+	// and the earlier wins.
+	for day := int64(0); day < 2; day++ {
+		for h := int64(0); h < 24; h++ {
+			c := cost.Counters{Requested: 10, Filled: 1}
+			switch h {
+			case 5:
+				c = cost.Counters{Requested: 100, Filled: 50}
+			case 7:
+				c = cost.Counters{Requested: 40, Filled: 40}
+			case 9:
+				c = cost.Counters{Requested: 40, Filled: 0}
+			}
+			s.Add(day*86400+h*3600+17, c)
+		}
+	}
+	if got, want := s.PeakIngressRatio(1), 0.5; got != want {
+		t.Errorf("busiest hour: %v, want %v", got, want)
+	}
+	if got, want := s.PeakIngressRatio(2), 90.0/140; got != want {
+		t.Errorf("two busiest hours: %v, want %v (ties go to the earlier hour)", got, want)
+	}
+}

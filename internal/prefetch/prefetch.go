@@ -6,8 +6,9 @@
 // The planner does sequential read-ahead: it watches served requests,
 // remembers which videos are active, and during the configured
 // off-peak window suggests the next missing chunk after each active
-// video's highest cached index — the access pattern video sessions
-// actually follow. The cache itself (via the Prefetchable interface)
+// video's highest cached index (NextChunk, the rule the HTTP edge's
+// /prefetch uses too) — the access pattern video sessions actually
+// follow. The cache itself (via the Prefetchable interface)
 // remains the gatekeeper: it only admits chunks its popularity state
 // supports, so read-ahead cannot pollute the disk.
 package prefetch
@@ -33,6 +34,27 @@ type Prefetchable interface {
 	PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []chunk.ID)
 	// HighestCachedIndex supports sequential read-ahead planning.
 	HighestCachedIndex(v chunk.VideoID) (uint32, bool)
+}
+
+// Sizes reports each video's size in bytes, as an origin's /size
+// does; ok is false for an unknown video. edge.Catalog and
+// workload.Generator implement it.
+type Sizes interface {
+	SizeOf(v chunk.VideoID) (size int64, ok bool)
+}
+
+// NextChunk is sequential read-ahead's rule: the chunk to fill next
+// for video v of size bytes is the one after its highest cached index.
+// ok is false when no chunk of v is cached or its last chunk already
+// is.
+func NextChunk(c interface {
+	HighestCachedIndex(chunk.VideoID) (uint32, bool)
+}, v chunk.VideoID, size, chunkSize int64) (id chunk.ID, ok bool) {
+	hi, ok := c.HighestCachedIndex(v)
+	if !ok || int64(hi) >= (size-1)/chunkSize {
+		return chunk.ID{}, false
+	}
+	return chunk.ID{Video: v, Index: hi + 1}, true
 }
 
 // Config tunes the prefetcher.
@@ -97,35 +119,6 @@ type Result struct {
 	Series *metrics.Series
 }
 
-// PeakIngressRatio returns the ingress-to-requested ratio over the n
-// busiest hours of day (by requested bytes) — the quantity proactive
-// caching is meant to relieve: fills moved to the overnight window
-// stop competing with peak serving.
-func (r *Result) PeakIngressRatio(n int) float64 {
-	var byHour [24]cost.Counters
-	for _, b := range r.Series.Buckets() {
-		h := (b.Start % 86400) / 3600
-		byHour[h].Add(b.Counters)
-	}
-	order := make([]int, 24)
-	for i := range order {
-		order[i] = i
-	}
-	// Selection sort by requested bytes, descending (24 elements).
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if byHour[order[j]].Requested > byHour[order[i]].Requested {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
-	var peak cost.Counters
-	for _, h := range order[:n] {
-		peak.Add(byHour[h])
-	}
-	return peak.IngressRatio()
-}
-
 // Efficiency is the steady-state efficiency with prefetch ingress
 // charged (Eq. 2).
 func (r *Result) Efficiency() float64 { return r.Steady.Efficiency(r.Model) }
@@ -133,8 +126,10 @@ func (r *Result) Efficiency() float64 { return r.Steady.Efficiency(r.Model) }
 // Replay drives reqs through the cache like sim.Replay, but runs the
 // prefetch planner alongside: after each request, if the current time
 // is inside the off-peak window and hourly budget remains, it
-// prefetches ahead on recently served videos.
-func Replay(c Prefetchable, reqs []trace.Request, model cost.Model, pcfg Config, chunkSize int64) (*Result, error) {
+// prefetches ahead on recently served videos. sizes bounds read-ahead
+// at each video's last chunk; a video with nothing to read ahead, or
+// of unknown size, costs no budget.
+func Replay(c Prefetchable, reqs []trace.Request, model cost.Model, pcfg Config, chunkSize int64, sizes Sizes) (*Result, error) {
 	if err := pcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -218,11 +213,14 @@ func Replay(c Prefetchable, reqs []trace.Request, model cost.Model, pcfg Config,
 			if ahead[v] >= pcfg.MaxPerVideo {
 				continue
 			}
-			hi, ok := c.HighestCachedIndex(v)
+			size, known := sizes.SizeOf(v)
+			if !known {
+				continue
+			}
+			id, ok := NextChunk(c, v, size, chunkSize)
 			if !ok {
 				continue
 			}
-			id := chunk.ID{Video: v, Index: hi + 1}
 			res.Stats.Attempted++
 			// The simulator tracks no byte store, so displaced chunks
 			// need no cleanup here; the HTTP edge server must delete

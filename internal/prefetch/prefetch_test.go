@@ -17,6 +17,14 @@ func req(t int64, v chunk.VideoID, c0, c1 int) trace.Request {
 	return trace.Request{Time: t, Video: v, Start: int64(c0) * testK, End: int64(c1+1)*testK - 1}
 }
 
+// sizeMap is a fixed catalog of video sizes.
+type sizeMap map[chunk.VideoID]int64
+
+func (m sizeMap) SizeOf(v chunk.VideoID) (int64, bool) {
+	size, ok := m[v]
+	return size, ok
+}
+
 func newCafe(t *testing.T, disk int, alpha float64) *cafe.Cache {
 	t.Helper()
 	c, err := cafe.New(core.Config{ChunkSize: testK, DiskChunks: disk}, alpha, cafe.Options{})
@@ -132,6 +140,61 @@ func TestHighestCachedIndex(t *testing.T) {
 	}
 }
 
+func TestNextChunk(t *testing.T) {
+	c := newCafe(t, 10, 1)
+	if _, ok := NextChunk(c, 1, 10*testK, testK); ok {
+		t.Error("a video with nothing cached has no next chunk")
+	}
+	c.HandleRequest(req(0, 1, 0, 1))
+	for _, tc := range []struct {
+		size int64
+		want bool
+	}{
+		{testK + 1, false},   // requested past the size: nothing ahead
+		{2*testK - 1, false}, // chunk 1 short of full, and last
+		{2 * testK, false},   // chunk 1 full, and last
+		{2*testK + 1, true},  // one byte of chunk 2
+		{1 << 40, true},      // long video
+	} {
+		id, ok := NextChunk(c, 1, tc.size, testK)
+		if ok != tc.want || ok && id != (chunk.ID{Video: 1, Index: 2}) {
+			t.Errorf("size %d: NextChunk = %v, %v; want chunk 1/2: %v", tc.size, id, ok, tc.want)
+		}
+	}
+}
+
+// TestReplayStopsAtLastChunk replays one video requested in full: its
+// last chunk is cached from the first request on, so read-ahead has
+// nothing to fill and spends no budget. Reading ahead past the end
+// would charge a whole chunk of ingress for bytes no one can request.
+func TestReplayStopsAtLastChunk(t *testing.T) {
+	const size = 2*testK + testK/2 // three chunks, the last one short
+	c := newCafe(t, 16, 1)
+	var reqs []trace.Request
+	for tm := int64(0); tm < 4*3600; tm += 60 {
+		reqs = append(reqs, trace.Request{Time: tm, Video: 1, Start: 0, End: size - 1})
+	}
+	res, err := Replay(c, reqs, cost.MustModel(1), Config{ChunksPerHour: 10}, testK, sizeMap{1: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Attempted != 0 || res.Stats.Accepted != 0 {
+		t.Errorf("read ahead past the last chunk: %+v", res.Stats)
+	}
+	if res.Total.Filled != 3*testK {
+		t.Errorf("filled %d bytes, want the video's 3 chunks", res.Total.Filled)
+	}
+	// A video of unknown size is not read ahead either.
+	c = newCafe(t, 16, 1)
+	res, err = Replay(c, reqs, cost.MustModel(1), Config{ChunksPerHour: 10}, testK, sizeMap{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Attempted != 0 {
+		t.Errorf("read ahead on a video of unknown size: %+v", res.Stats)
+	}
+}
+
 // replayEurope replays a small europe workload, whose sessions are
 // strongly sequential, through a fresh Cafe with the planner always on.
 func replayEurope(t *testing.T) *Result {
@@ -158,7 +221,7 @@ func replayEurope(t *testing.T) *Result {
 	res, err := Replay(c, reqs, cost.MustModel(1), Config{
 		StartHour: 0, EndHour: 0, // always on, to exercise the path
 		ChunksPerHour: 50,
-	}, chunk.DefaultSize)
+	}, chunk.DefaultSize, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +260,10 @@ func TestReplayRepeats(t *testing.T) {
 func TestReplayValidation(t *testing.T) {
 	c := newCafe(t, 4, 1)
 	model := cost.MustModel(1)
-	if _, err := Replay(c, nil, model, Config{ChunksPerHour: 1}, testK); err == nil {
+	if _, err := Replay(c, nil, model, Config{ChunksPerHour: 1}, testK, sizeMap{}); err == nil {
 		t.Error("empty trace should fail")
 	}
-	if _, err := Replay(c, []trace.Request{req(0, 1, 0, 0)}, model, Config{}, testK); err == nil {
+	if _, err := Replay(c, []trace.Request{req(0, 1, 0, 0)}, model, Config{}, testK, sizeMap{}); err == nil {
 		t.Error("invalid config should fail")
 	}
 }

@@ -229,6 +229,17 @@ func (g *Generator) addVideo(birthDay float64) {
 	g.nextID++
 }
 
+// SizeOf returns the size in bytes of a video the generator has
+// minted, ok=false for any other ID: the catalog an origin would serve
+// for its trace.
+func (g *Generator) SizeOf(v chunk.VideoID) (int64, bool) {
+	i := int64(v) - int64(g.p.IDOffset) - 1
+	if i < 0 || i >= int64(len(g.videos)) {
+		return 0, false
+	}
+	return g.videos[i].size, true
+}
+
 // videoSize draws a lognormal size in bytes.
 func (g *Generator) videoSize() int64 {
 	mu := math.Log(g.p.MeanVideoMB)

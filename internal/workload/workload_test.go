@@ -80,6 +80,32 @@ func TestRequestsValidAndOrdered(t *testing.T) {
 	}
 }
 
+// TestSizeOf: every request falls inside the size SizeOf reports for
+// its video, and IDs the generator never minted are unknown.
+func TestSizeOf(t *testing.T) {
+	p := testProfile()
+	p.IDOffset = 1000
+	g, err := NewGenerator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := g.Generate(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reqs {
+		size, ok := g.SizeOf(r.Video)
+		if !ok || r.End >= size {
+			t.Fatalf("request %d (%+v) outside video size %d (known %v)", i, r, size, ok)
+		}
+	}
+	for _, v := range []chunk.VideoID{0, 1000, g.nextID} {
+		if _, ok := g.SizeOf(v); ok {
+			t.Errorf("SizeOf(%d) known; the generator minted %d..%d", v, p.IDOffset+1, g.nextID-1)
+		}
+	}
+}
+
 func TestVolumeApproximatesProfile(t *testing.T) {
 	p := testProfile()
 	reqs := gen(t, p, 4)

@@ -290,8 +290,9 @@ func AnalyzeTrace(reqs []Request, chunkSize int64) (*TraceReport, error) {
 // ReplayWithPrefetch replays like Replay but runs the off-peak
 // proactive prefetcher (the paper's Section 10 "proactive caching")
 // alongside. The cache must support prefetching, as a plain "cafe"
-// does.
-func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchConfig, chunkSize int64) (*PrefetchResult, error) {
+// does. The catalog's video sizes stop read-ahead at each video's last
+// chunk, as an edge's /size does.
+func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchConfig, chunkSize int64, sizes Catalog) (*PrefetchResult, error) {
 	p, ok := c.(prefetch.Prefetchable)
 	if !ok {
 		return nil, fmt.Errorf("videocdn: %s does not prefetch", c.Name())
@@ -300,7 +301,7 @@ func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchCon
 	if err != nil {
 		return nil, err
 	}
-	return prefetch.Replay(p, reqs, m, pcfg, chunkSize)
+	return prefetch.Replay(p, reqs, m, pcfg, chunkSize, sizes)
 }
 
 // ShardStat describes one shard's occupancy (see ShardStats).
