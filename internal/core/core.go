@@ -120,7 +120,6 @@ var (
 	ErrBadGamma     = errorString("core: gamma must be in (0, 1]")
 	ErrBadWindow    = errorString("core: window scale must be positive")
 	ErrBadFutureN   = errorString("core: future list bound N must be positive")
-	ErrNilBudget    = errorString("core: nil write budget")
 )
 
 type errorString string

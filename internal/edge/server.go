@@ -15,6 +15,10 @@ import (
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
+	// A program that serves the edge builds its caches from registry
+	// specs (policy.Factory); importing the edge registers every
+	// built-in policy for it.
+	_ "videocdn/internal/policy/all"
 	"videocdn/internal/prefetch"
 	"videocdn/internal/resilience"
 	"videocdn/internal/shard"

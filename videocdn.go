@@ -85,8 +85,13 @@ type (
 	WorkloadProfile = workload.Profile
 	// Store holds chunk bytes for the HTTP edge server.
 	Store = store.Store
-	// EdgeConfig assembles an HTTP edge cache server.
+	// EdgeConfig assembles an HTTP edge cache server. Its
+	// CacheFactory builds each lock shard's cache over that shard's
+	// CacheConfig.
 	EdgeConfig = edge.Config
+	// CacheConfig is one cache's chunk size and disk capacity in
+	// chunks, as EdgeConfig.CacheFactory receives it.
+	CacheConfig = core.Config
 	// EdgeServer is the HTTP edge cache.
 	EdgeServer = edge.Server
 	// EdgeStats is the edge server's /stats payload.

@@ -2,6 +2,8 @@ package videocdn_test
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	videocdn "videocdn"
@@ -123,6 +125,42 @@ func TestFacadeOptimal(t *testing.T) {
 	}
 	if res.Efficiency <= 0 || res.Efficiency > 1 {
 		t.Errorf("bound efficiency = %v", res.Efficiency)
+	}
+}
+
+// TestFacadeEdgeServer stands up an origin and a two-shard edge whose
+// shards NewCache builds over the CacheConfig each is handed.
+func TestFacadeEdgeServer(t *testing.T) {
+	origin, err := videocdn.NewOriginServer(videocdn.MapCatalog{1: 3 << 10}, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := httptest.NewServer(origin)
+	defer o.Close()
+	srv, err := videocdn.NewEdgeServer(videocdn.EdgeConfig{
+		Shards: 2,
+		CacheFactory: func(_ int, cc videocdn.CacheConfig) (videocdn.Cache, error) {
+			return videocdn.NewCache("cafe", videocdn.CacheOptions{
+				ChunkSize: cc.ChunkSize, DiskBytes: int64(cc.DiskChunks) * cc.ChunkSize, Alpha: 2,
+			})
+		},
+		CacheConfig: videocdn.CacheConfig{DiskChunks: 16},
+		Store:       videocdn.NewMemStore(),
+		OriginURL:   o.URL,
+		RedirectURL: "http://alt.example",
+		ChunkSize:   1 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/video?v=1&start=0&end=2047", nil))
+	if rec.Code != http.StatusPartialContent || rec.Body.Len() != 2048 {
+		t.Errorf("GET = %d with %d bytes, want 206 with 2048", rec.Code, rec.Body.Len())
+	}
+	if st := srv.SnapshotStats(); st.Algorithm != "cafe×2" || st.CachedChunks != 2 {
+		t.Errorf("stats: algorithm %q, %d chunks cached", st.Algorithm, st.CachedChunks)
 	}
 }
 
