@@ -53,7 +53,7 @@ func Prefetch(sc Scale) (*PrefetchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pc, err := newCache(AlgoCafe, cfg, alpha, reqs)
+		pc, err := newCache(AlgoCafe, cfg, alpha, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -127,11 +127,11 @@ func Hierarchy(sc Scale) (*HierarchyResult, error) {
 	res.SingleEff = flat.Efficiency()
 	res.SingleOriginPct = flat.RedirectRatio()
 
-	edgeCache, err := newCache(AlgoCafe, core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks / 4}, 2, reqs)
+	edgeCache, err := newCache(AlgoCafe, core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks / 4}, 2, nil)
 	if err != nil {
 		return nil, err
 	}
-	parentCache, err := newCache(AlgoCafe, core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks * 3 / 4}, 1, reqs)
+	parentCache, err := newCache(AlgoCafe, core.Config{ChunkSize: sc.ChunkSize, DiskChunks: sc.DiskChunks * 3 / 4}, 1, nil)
 	if err != nil {
 		return nil, err
 	}
