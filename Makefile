@@ -72,10 +72,12 @@ bench-check:
 	bash bench/run.sh -smoke
 
 # Policy cost without the bench/ module: ns/req of cafe, xlru and cafe at
-# alpha 0.5 on one seeded europe trace. The box is noisy: read the ratio
-# of the lines of one run, not a line across runs.
+# alpha 0.5 on one seeded europe trace, then of Cafe on replay-cafe's own
+# loop (its seed-1 trace through sim.Replay in batches of 256, cold each
+# iteration). The box is noisy: read the ratio of the lines of one run,
+# not a line across runs.
 bench-policy:
-	$(GO) test -run '^$$' -bench HandleRequestEurope -benchtime 5x ./internal/cafe
+	$(GO) test -run '^$$' -bench 'HandleRequestEurope|ReplayCafeRig' -benchtime 5x ./internal/cafe
 
 # Chunk-store microbenchmarks, the one layer bench/ has no workload for:
 # Put/Get/GetBorrow/GetSection/PutStream/Delete/RecoveryScan per backend.

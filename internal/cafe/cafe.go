@@ -136,12 +136,22 @@ type Cache struct {
 
 	fillGate func(chunks int, now int64) bool
 
-	// victimsBuf is the eviction-scan scratch buffer, reused on every
-	// request (victim handles never escape HandleRequest). missingBuf and
+	// popped holds the eviction victims the request took off the ordered
+	// set, in order, and aside the request's own chunks it took off on
+	// the way; both are reused from request to request. missingBuf and
 	// evictedBuf back Outcome.FilledIDs/EvictedIDs until the next request.
-	victimsBuf []ordtree.Handle
+	popped     []taken
+	aside      []taken
 	missingBuf []chunk.ID
 	evictedBuf []chunk.ID
+}
+
+// taken is a chunk taken off the ordered set, with what putting it
+// back takes: its record, its packed chunk key and its set key.
+type taken struct {
+	v   *video
+	id  uint64
+	key float64
 }
 
 // SetFillGate installs an optional admission throttle consulted before
@@ -352,7 +362,7 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	c.missingBuf = missing
 
 	serve := false
-	var victims []ordtree.Handle
+	c.popped = c.popped[:0]
 	free := c.cfg.DiskChunks - c.tree.Len()
 	needEvict := len(missing) - free
 	if needEvict < 0 {
@@ -369,7 +379,8 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		serve = true
 	default:
 		// Eq. 7 first: it needs only the request's own chunks.
-		window := c.CacheAge(now) * c.opt.WindowScale
+		age := c.CacheAge(now)
+		window := age * c.opt.WindowScale
 		costRedirect := float64(nChunks) * c.cr
 		videoEst, videoEstOK := c.videoEstimate(v, now)
 		for _, id := range missing {
@@ -395,29 +406,24 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		if !(costServe < costRedirect) {
 			break
 		}
+		// No victim is more popular than the least popular chunk, so
+		// none adds less than the bound's term: if needEvict of them
+		// cannot bring Eq. 6 below Eq. 7, the set stays untouched.
+		if c.victimBound(costServe, costRedirect, needEvict, age, window, now) {
+			break
+		}
 		// The requested chunks must never be evicted; they are exactly
 		// the packed-key range [loKey, hiKey] (chunk keys of one video
 		// are contiguous), so no per-request skip set is needed.
 		loKey := chunk.ID{Video: r.Video, Index: c0}.Key()
 		hiKey := chunk.ID{Video: r.Video, Index: c1}.Key()
-		victims = c.tree.AppendFirstOutside(c.victimsBuf[:0], needEvict, loKey, hiKey)
-		c.victimsBuf = victims
-		if len(victims) < needEvict {
-			// Cannot make room without evicting the request's own
-			// chunks: redirect.
-			break
-		}
-		for _, h := range victims {
-			costServe += c.futureCost(c.cachedPopularity(h).iatEntry, now, window)
-		}
-		serve = costServe < costRedirect
+		serve = c.popVictims(needEvict, loKey, hiKey, costServe, costRedirect, window, now)
 	}
 
 	// The disk-write budget can veto a fill-bearing serve (Section 2's
 	// write-vs-read contention); pure hits pass untouched.
 	if serve && len(missing) > 0 && c.fillGate != nil && !c.fillGate(len(missing), now) {
 		serve = false
-		victims = nil
 	}
 
 	// Record this arrival in the popularity state (always, including
@@ -425,15 +431,20 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	c.observe(v, c0, c1, now)
 
 	if !serve {
-		// Cached chunks of S changed popularity; re-key them.
+		// Victims taken off the set go back under their old keys; the
+		// cached chunks of S changed popularity, so re-key them.
+		for _, p := range c.popped {
+			c.insert(p.v, p.id, p.key)
+		}
 		c.rekey(v, c0, c1)
 		return core.Outcome{Decision: core.Redirect}
 	}
 
-	// Evict the victims (keep their IAT history; they may return).
+	// The victims are off the set already (their IAT history stays;
+	// they may return).
 	evicted := c.evictedBuf[:0]
-	for _, h := range victims {
-		evicted = append(evicted, c.evictChunk(h))
+	for _, p := range c.popped {
+		evicted = append(evicted, chunk.FromKey(p.id))
 	}
 	c.evictedBuf = evicted
 	// Fill missing chunks and re-key every requested chunk.
@@ -460,6 +471,71 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		FilledIDs:     missing,
 		EvictedIDs:    evicted,
 	}
+}
+
+// victimBound reports whether Eq. 6 cannot come below costRedirect
+// whichever n victims the set gives up: costServe (the fills) plus n
+// copies of a term no victim's term is below, added in order, is not
+// below costRedirect. It is exact, not a heuristic (DESIGN.md §18).
+//
+// Every victim x comes after the set's minimum, so its computed key is
+// no smaller, and in exact arithmetic IAT_x(now) = γ·now − key_x is then
+// at most the minimum's, age. The computed IAT can exceed age only by
+// the rounding of treeKey and iatAt, which is at most 10u·age +
+// 6u·γ·max|t| (u = 2^-53, to first order) with every stored t in
+// [firstTime, now]. delta covers that more than three times over, plus
+// an absolute 32u for underflow; so every victim's IAT is at most iat,
+// each of its terms window/max(IAT,1)·minFR is at least term (rounding
+// is monotone and window ≥ 0), and the running sum of Eq. 6 never
+// drops below the one summed here.
+func (c *Cache) victimBound(costServe, costRedirect float64, n int, age, window float64, now int64) bool {
+	m := math.Max(math.Abs(float64(now)), math.Abs(float64(c.firstTime)))
+	delta := 0x1p-48 * (c.opt.Gamma*m + age + 1)
+	iat := age + delta
+	if iat < 1 {
+		iat = 1
+	}
+	term := window / iat * c.minFR
+	for ; n > 0; n-- {
+		costServe += term
+		if costServe >= costRedirect {
+			// Not !(costServe < costRedirect): a NaN never settles it.
+			return true
+		}
+	}
+	return false
+}
+
+// popVictims takes up to n eviction victims off the ordered set in its
+// order, skipping the chunks in [lo, hi] (the request's own, which go
+// back right after), and adds each victim's Eq. 6 term to costServe as
+// it comes off — the order the terms were always summed in. It stops
+// early once costServe is no longer below costRedirect: the terms are
+// non-negative and float addition is monotone, so no further victim
+// could bring it back. It reports whether n victims came off with
+// serving still cheaper; either way they stay off the set, in c.popped.
+func (c *Cache) popVictims(n int, lo, hi uint64, costServe, costRedirect, window float64, now int64) bool {
+	victims, aside := c.popped[:0], c.aside[:0]
+	for len(victims) < n {
+		h, ok := c.tree.Min()
+		if !ok {
+			break // the request's own chunks are all that is left
+		}
+		if id := c.tree.ID(h); id >= lo && id <= hi {
+			aside = append(aside, c.pop(h))
+			continue
+		}
+		costServe += c.futureCost(c.cachedPopularity(h).iatEntry, now, window)
+		victims = append(victims, c.pop(h))
+		if !(costServe < costRedirect) {
+			break
+		}
+	}
+	for _, p := range aside {
+		c.insert(p.v, p.id, p.key)
+	}
+	c.popped, c.aside = victims, aside
+	return len(victims) == n && costServe < costRedirect
 }
 
 // observe applies the Eq. 8 EWMA update for every chunk of the request
@@ -530,28 +606,40 @@ func (c *Cache) rekey(v *video, c0, c1 uint32) {
 // place puts chunk id of v on disk under key, or re-keys it if it is
 // there already.
 func (c *Cache) place(v *video, id chunk.ID, key float64) {
-	st := &v.chunks[id.Index]
-	if st.h != 0 {
-		c.tree.Rekey(st.h, key)
+	if h := v.chunks[id.Index].h; h != 0 {
+		c.tree.Rekey(h, key)
 		return
 	}
-	st.h = c.tree.Insert(id.Key(), key)
+	c.insert(v, id.Key(), key)
+}
+
+// insert puts the chunk of v with packed key id in the ordered set
+// under key; it is not there.
+func (c *Cache) insert(v *video, id uint64, key float64) {
+	h := c.tree.Insert(id, key)
+	v.chunks[chunk.FromKey(id).Index].h = h
 	v.cached++
-	if grow := int(st.h) + 1 - len(c.owner); grow > 0 {
+	if grow := int(h) + 1 - len(c.owner); grow > 0 {
 		c.owner = append(c.owner, make([]*video, grow)...)
 	}
-	c.owner[st.h] = v
+	c.owner[h] = v
+}
+
+// pop removes the cached chunk h names from disk bookkeeping, keeping
+// its IAT history, and returns what insert needs to put it back. The
+// handle goes back to the set, so a chunk put back gets a new one.
+func (c *Cache) pop(h ordtree.Handle) taken {
+	v, key := c.owner[h], c.tree.Key(h)
+	id := c.tree.Remove(h)
+	c.owner[h] = nil
+	v.chunks[chunk.FromKey(id).Index].h = 0
+	v.cached--
+	return taken{v: v, id: id, key: key}
 }
 
 // evictChunk removes the cached chunk h names from disk bookkeeping,
 // keeping its IAT history, and returns its ID.
-func (c *Cache) evictChunk(h ordtree.Handle) chunk.ID {
-	v, id := c.owner[h], chunk.FromKey(c.tree.Remove(h))
-	c.owner[h] = nil
-	v.chunks[id.Index].h = 0
-	v.cached--
-	return id
-}
+func (c *Cache) evictChunk(h ordtree.Handle) chunk.ID { return chunk.FromKey(c.pop(h).id) }
 
 // Forget undoes the admission of one chunk whose cache fill failed
 // (the HTTP edge server's degrade-to-redirect path): disk bookkeeping

@@ -601,10 +601,9 @@ func TestCheckInvariantsCatchesHandleDamage(t *testing.T) {
 }
 
 // TestCafeSteadyStateZeroAllocs pins the request path of a warmed, full
-// cache at zero allocations: full hits, fills
-// that evict (victims costed and evicted through their handles; the
-// owner table grows during warm-up only), and redirects settled before
-// the ordered set is scanned.
+// cache at zero allocations: full hits, fills that evict (victims
+// costed as they are popped off the set; the owner table grows during
+// warm-up only), and redirects settled before any victim is popped.
 func TestCafeSteadyStateZeroAllocs(t *testing.T) {
 	// 32 four-chunk videos asked for round-robin over a 64-chunk disk:
 	// each request finds its video evicted since its last turn, and at
@@ -640,24 +639,23 @@ func TestCafeSteadyStateZeroAllocs(t *testing.T) {
 
 	// With fills made dear, the same round-robin hits the videos on disk
 	// and redirects the others: filling them costs more than redirecting
-	// whatever would be evicted, so the ordered set is never scanned.
+	// whatever would be evicted, so no victim is ever taken off the set.
 	if err := c.SetAlpha(4); err != nil {
 		t.Fatal(err)
 	}
-	unscanned, scanned := 0, 0
+	unpopped, victims := 0, 0
 	redirect := func() {
 		for served := true; served; turn++ {
 			tm += 3
-			c.victimsBuf = c.victimsBuf[:0]
 			served = c.HandleRequest(req(tm, chunk.VideoID(turn%32), 0, 3)).Decision == core.Serve
-			scanned += len(c.victimsBuf)
+			victims += len(c.popped)
 		}
-		unscanned++
+		unpopped++
 	}
 	if allocs := testing.AllocsPerRun(runs, redirect); allocs != 0 {
-		t.Errorf("a redirect settled before the scan allocates %v, want 0", allocs)
+		t.Errorf("a redirect settled before the first pop allocates %v, want 0", allocs)
 	}
-	if unscanned < runs || scanned != 0 {
-		t.Errorf("%d redirects in %d runs, %d victims scanned; want a redirect per run and no scan", unscanned, runs, scanned)
+	if unpopped < runs || victims != 0 {
+		t.Errorf("%d redirects in %d runs, %d victims popped; want a redirect per run and no pop", unpopped, runs, victims)
 	}
 }

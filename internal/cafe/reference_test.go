@@ -22,16 +22,21 @@ func sameOutcome(a, b core.Outcome) bool {
 
 // refDecision is what the reference saw on the way to its decision.
 type refDecision struct {
-	costed  bool // the disk was full: Eqs. 6-7 decided, not a hit or warmup
-	floor   bool // |S'|·C_F alone was not below Eq. 7
-	victims int  // chunks the scan returned
+	costed  bool     // the disk was full: Eqs. 6-7 decided, not a hit or warmup
+	floor   bool     // |S'|·C_F alone was not below Eq. 7
+	bound   bool     // past the floor, the victim bound settled it: victimBound
+	victims []uint64 // the chunks the scan returned, in order
+	stop    int      // victims summed before Eq. 6 stopped being below Eq. 7, else all
 }
 
 // refHandleRequest is HandleRequest as it decided before it learnt to
 // look at Eq. 7 first: scan the ordered set for victims, then find each
-// victim's state by ID through videos, sum Eq. 6, sum Eq. 7, compare.
-// It never reads the owner table. Everything around the decision —
-// observe, rekey, place — is the production code both share.
+// victim's state by ID through videos, sum Eq. 7 and Eq. 6, compare.
+// It never reads the owner table and never takes an item off the set
+// but to evict it. It notes, without acting on them, where its Eq. 6
+// sum stopped being below Eq. 7 and whether victimBound would have
+// settled the request. Everything around the decision — observe,
+// rekey, place — is the production code both share.
 func (c *Cache) refHandleRequest(r trace.Request) (core.Outcome, refDecision) {
 	var dec refDecision
 	now := r.Time
@@ -74,21 +79,13 @@ func (c *Cache) refHandleRequest(r trace.Request) (core.Outcome, refDecision) {
 		for _, h := range c.tree.AppendFirstOutside(nil, needEvict, loKey, hiKey) {
 			victims = append(victims, c.tree.ID(h))
 		}
-		dec.victims = len(victims)
+		dec.victims = victims
 		least, _ := c.tree.Min()
 		age, ok := c.history(chunk.FromKey(c.tree.ID(least)))
 		if !ok {
 			panic("reference: least popular chunk without IAT state")
 		}
 		window := c.iatAt(age, now) * c.opt.WindowScale
-		costServe := float64(len(missing)) * c.cf
-		for _, vid := range victims {
-			e, ok := c.history(chunk.FromKey(vid))
-			if !ok {
-				panic("reference: eviction candidate without IAT state")
-			}
-			costServe += c.futureCost(e, now, window)
-		}
 		costRedirect := float64(nChunks) * c.cr
 		videoEst, videoEstOK := c.videoEstimate(v, now)
 		for _, id := range missing {
@@ -102,7 +99,20 @@ func (c *Cache) refHandleRequest(r trace.Request) (core.Outcome, refDecision) {
 				costRedirect += c.futureCost(iatEntry{dt: videoEst, t: now}, now, window)
 			}
 		}
+		costServe := float64(len(missing)) * c.cf
+		dec.stop = len(victims)
+		for i, vid := range victims {
+			e, ok := c.history(chunk.FromKey(vid))
+			if !ok {
+				panic("reference: eviction candidate without IAT state")
+			}
+			costServe += c.futureCost(e, now, window)
+			if dec.stop == len(victims) && !(costServe < costRedirect) {
+				dec.stop = i + 1
+			}
+		}
 		dec.floor = !(float64(len(missing))*c.cf < costRedirect)
+		dec.bound = !dec.floor && c.victimBound(float64(len(missing))*c.cf, costRedirect, needEvict, c.iatAt(age, now), window, now)
 		serve = len(victims) >= needEvict && costServe < costRedirect
 		if !serve {
 			victims = nil
@@ -151,19 +161,27 @@ func (c *Cache) refHandleRequest(r trace.Request) (core.Outcome, refDecision) {
 // requires the same outcome at every step — decisions, fill and
 // eviction lists in order — across the cost ratios and ablations. The
 // traces hold requests wider than the disk, videos never seen before,
-// prefetches and forgotten fills.
+// prefetches and forgotten fills; one variant runs on an epoch-scale
+// clock, where the victim bound's rounding slack is widest.
+//
+// It also pins what the production path takes off the ordered set: no
+// victim when the floor or the victim bound settles the request, and
+// otherwise exactly the reference's victims up to where its Eq. 6 sum
+// stopped being below Eq. 7 — on a serve, all of them.
 func TestDecideFirstMatchesScanFirst(t *testing.T) {
 	variants := []struct {
 		name   string
 		opt    Options
-		refuse bool // install a fill gate that refuses some fills
+		refuse bool  // install a fill gate that refuses some fills
+		start  int64 // the clock's first reading
 	}{
-		{"default", Options{}, false},
-		{"file-level", Options{FileLevel: true}, false},
-		{"no-video-estimate", Options{NoVideoEstimate: true}, false},
-		{"window-half", Options{WindowScale: 0.5}, false},
-		{"window-triple", Options{WindowScale: 3}, false},
-		{"fill-gate", Options{}, true},
+		{"default", Options{}, false, 0},
+		{"file-level", Options{FileLevel: true}, false, 0},
+		{"no-video-estimate", Options{NoVideoEstimate: true}, false, 0},
+		{"window-half", Options{WindowScale: 0.5}, false, 0},
+		{"window-triple", Options{WindowScale: 3}, false, 0},
+		{"fill-gate", Options{}, true, 0},
+		{"epoch-clock", Options{}, false, 1.7e9},
 	}
 	for _, alpha := range []float64{0.5, 1, 2, 4} {
 		for _, vr := range variants {
@@ -177,8 +195,8 @@ func TestDecideFirstMatchesScanFirst(t *testing.T) {
 					}
 					rng := rand.New(rand.NewSource(int64(disk)))
 					fresh := chunk.VideoID(1000)
-					var costed, floors, scans, serves int
-					tm := int64(0)
+					var costed, floors, bounds, scans, restores, serves int
+					tm := vr.start
 					for i := 0; i < 6000; i++ {
 						tm += int64(rng.Intn(4))
 						v, c0 := chunk.VideoID(zipfIsh(rng, 60)), rng.Intn(6)
@@ -203,22 +221,40 @@ func TestDecideFirstMatchesScanFirst(t *testing.T) {
 								fresh++
 								r, neverSeen = req(tm, fresh, c0, c0+rng.Intn(4)), true
 							}
-							prod.victimsBuf = prod.victimsBuf[:0]
+							prod.popped, prod.aside = prod.popped[:0], prod.aside[:0]
 							got := prod.HandleRequest(r)
 							want, dec := ref.refHandleRequest(r)
 							if !sameOutcome(got, want) {
 								t.Fatalf("step %d, request %+v: outcome %+v, reference %+v (%+v)", i, r, got, want, dec)
 							}
-							// The production path scanned iff the floor let it.
-							if scanned := len(prod.victimsBuf); dec.costed && dec.floor && scanned != 0 ||
-								dec.costed && !dec.floor && scanned != dec.victims {
-								t.Fatalf("step %d, request %+v: production scanned %d victims, reference %+v", i, r, scanned, dec)
+							// Nothing leaves the set before the floor and
+							// the bound have had their say; then exactly
+							// the reference's victims up to its stop.
+							var popped []uint64
+							for _, p := range prod.popped {
+								popped = append(popped, p.id)
+							}
+							switch {
+							case !dec.costed || dec.floor || dec.bound:
+								if len(popped) != 0 || len(prod.aside) != 0 {
+									t.Fatalf("step %d, request %+v: popped %v and set aside %d, reference %+v", i, r, popped, len(prod.aside), dec)
+								}
+							case !slices.Equal(popped, dec.victims[:dec.stop]):
+								t.Fatalf("step %d, request %+v: popped %v, reference %+v", i, r, popped, dec)
+							case got.Decision == core.Serve && len(popped) != len(dec.victims):
+								t.Fatalf("step %d, request %+v: served having popped %v, reference %+v", i, r, popped, dec)
+							}
+							if got.Decision == core.Redirect && len(popped) > 0 {
+								restores++
 							}
 							if dec.costed {
 								costed++
-								if dec.floor {
+								switch {
+								case dec.floor:
 									floors++
-								} else if dec.victims > 0 {
+								case dec.bound:
+									bounds++
+								case len(dec.victims) > 0:
 									scans++
 								}
 								if alpha < 1 && dec.floor {
@@ -242,9 +278,14 @@ func TestDecideFirstMatchesScanFirst(t *testing.T) {
 						}
 					}
 					// The trace must reach both sides of the floor (one side
-					// at alpha 0.5) and evict through the handle path.
-					if costed < 500 || scans == 0 || serves == 0 || (alpha >= 1) != (floors > 0) {
-						t.Errorf("weak trace: %d cost decisions, %d settled by the floor, %d scans, %d evicting serves", costed, floors, scans, serves)
+					// at alpha 0.5), settle requests by the bound at alpha
+					// >= 1 (at 0.5 the bound's term is about window/age·C_F,
+					// and under the default window fills plus victims,
+					// ≈ 2|S'|·C_F, are not above |S|·C_R), put popped
+					// victims back and evict through the handle path.
+					if costed < 500 || alpha >= 1 && bounds == 0 || scans == 0 || restores == 0 || serves == 0 || (alpha >= 1) != (floors > 0) {
+						t.Errorf("weak trace: %d cost decisions, %d settled by the floor, %d by the bound, %d popping, %d restores, %d evicting serves",
+							costed, floors, bounds, scans, restores, serves)
 					}
 				})
 			}

@@ -13,6 +13,8 @@
 // slots, so it emits items in exact (key, id) order; equal keys are
 // ordered by ID, so the order — and with it every eviction sequence —
 // is a pure function of the item set, whatever the insertion history.
+// An item holds its (key, id) as two order words whose unsigned order
+// is the set's order, so a comparison is one 128-bit subtract.
 // A re-key sifts from the item's current slot and so costs as much as
 // the key moved, not the depth of the set: by Theorem 1 a Cafe key
 // changes only when its chunk is accessed, and the chunks accessed most
@@ -22,6 +24,7 @@ package ordtree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // arity is the heap's fan-out: the four children of a slot are
@@ -33,10 +36,26 @@ const arity = 4
 // handles stay dense. The zero Handle names no item.
 type Handle int32
 
+// item holds its key and ID as order words: hi is the key's word, lo
+// the ID, both complemented in a descending set, so (hi, lo) compared as
+// one unsigned 128-bit number is the set's order.
 type item struct {
-	key float64
-	id  uint64
-	h   Handle
+	hi, lo uint64
+	h      Handle
+}
+
+// keyWord maps a key to a word whose unsigned order is the keys' order:
+// a negative key's bits are complemented, a positive key's sign bit set.
+// Adding +0 first folds −0 into +0, which the float order holds equal.
+// NaN has no place in the order; Insert and Rekey reject it.
+func keyWord(key float64) uint64 {
+	w := math.Float64bits(key + 0)
+	return w ^ (uint64(int64(w)>>63) | 1<<63)
+}
+
+// wordKey inverts keyWord (−0 comes back as +0).
+func wordKey(w uint64) float64 {
+	return math.Float64frombits(w ^ (^uint64(int64(w)>>63) | 1<<63))
 }
 
 // Tree is an ordered set of (id, key) items addressed by Handle. It
@@ -49,7 +68,7 @@ type Tree struct {
 	// one array. For a free handle it holds the next free handle; slot[0]
 	// heads that list.
 	slot     []int32
-	desc     bool
+	flip     uint64  // all ones in a descending set: complements both order words
 	frontier []int32 // victim-scan scratch, reused
 }
 
@@ -62,16 +81,21 @@ func New() *Tree {
 // Min is the largest item and the scans run from the largest down.
 func NewDescending() *Tree {
 	t := New()
-	t.desc = true
+	t.flip = ^uint64(0)
 	return t
 }
 
-// before is the strict order of the set.
+// before is the strict order of the set: a's (hi, lo) below b's, read
+// off the borrow of one 128-bit subtract.
 func (t *Tree) before(a, b *item) bool {
-	if a.key != b.key {
-		return (a.key < b.key) != t.desc
-	}
-	return (a.id < b.id) != t.desc
+	_, borrow := bits.Sub64(a.lo, b.lo, 0)
+	_, borrow = bits.Sub64(a.hi, b.hi, borrow)
+	return borrow != 0
+}
+
+// word builds the item for (id, key) under handle h.
+func (t *Tree) word(id uint64, key float64, h Handle) item {
+	return item{hi: keyWord(key) ^ t.flip, lo: id ^ t.flip, h: h}
 }
 
 // Len returns the number of items.
@@ -89,10 +113,10 @@ func (t *Tree) at(h Handle) int {
 }
 
 // ID returns the ID of the item h names.
-func (t *Tree) ID(h Handle) uint64 { return t.heap[t.at(h)].id }
+func (t *Tree) ID(h Handle) uint64 { return t.heap[t.at(h)].lo ^ t.flip }
 
-// Key returns the key of the item h names.
-func (t *Tree) Key(h Handle) float64 { return t.heap[t.at(h)].key }
+// Key returns the key of the item h names (+0 for a key inserted as −0).
+func (t *Tree) Key(h Handle) float64 { return wordKey(t.heap[t.at(h)].hi ^ t.flip) }
 
 // Min returns the first item of the set's order, with ok=false on an
 // empty set.
@@ -118,7 +142,7 @@ func (t *Tree) Insert(id uint64, key float64) Handle {
 		t.slot = append(t.slot, 0)
 	}
 	t.heap = append(t.heap, item{})
-	t.up(len(t.heap)-1, item{key: key, id: id, h: h})
+	t.up(len(t.heap)-1, t.word(id, key, h))
 	return h
 }
 
@@ -126,8 +150,8 @@ func (t *Tree) Insert(id uint64, key float64) Handle {
 func (t *Tree) Rekey(h Handle, key float64) {
 	i := t.at(h)
 	it := t.heap[i]
-	checkKey(it.id, key)
-	it.key = key
+	checkKey(it.lo^t.flip, key)
+	it.hi = keyWord(key) ^ t.flip
 	t.fix(i, it)
 }
 
@@ -135,7 +159,7 @@ func (t *Tree) Rekey(h Handle, key float64) {
 // afterwards.
 func (t *Tree) Remove(h Handle) uint64 {
 	i := t.at(h)
-	id := t.heap[i].id
+	id := t.heap[i].lo ^ t.flip
 	t.slot[h], t.slot[0] = t.slot[0], int32(h)
 	last := len(t.heap) - 1
 	it := t.heap[last]
@@ -222,8 +246,8 @@ func (t *Tree) AppendFirstOutside(dst []Handle, n int, lo, hi uint64) []Handle {
 	f := append(t.frontier[:0], 0)
 	for len(f) > 0 {
 		i := int(f[0])
-		if it := &t.heap[i]; it.id < lo || it.id > hi {
-			dst = append(dst, it.h)
+		if id := t.heap[i].lo ^ t.flip; id < lo || id > hi {
+			dst = append(dst, t.heap[i].h)
 			if n--; n == 0 {
 				break
 			}
@@ -283,7 +307,7 @@ func (t *Tree) frontierDown(f []int32, s int32) {
 // snapshots and tests, not for the request path.
 func (t *Tree) Ascend(fn func(id uint64, key float64) bool) {
 	for _, h := range t.AppendFirstOutside(nil, len(t.heap), 1, 0) {
-		if it := &t.heap[t.slot[h]]; !fn(it.id, it.key) {
+		if it := &t.heap[t.slot[h]]; !fn(it.lo^t.flip, wordKey(it.hi^t.flip)) {
 			return
 		}
 	}

@@ -164,7 +164,9 @@ type model struct {
 
 func newModel(desc bool) *model {
 	tr := New()
-	tr.desc = desc
+	if desc {
+		tr = NewDescending()
+	}
 	return &model{tr: tr, ref: newRef(), handles: map[uint64]Handle{}}
 }
 
@@ -221,7 +223,7 @@ func (m *model) check() string {
 		if i > 0 && tr.before(it, &tr.heap[(i-1)/arity]) {
 			return "heap order violated"
 		}
-		if tr.slot[it.h] != int32(i) || m.handles[it.id] != it.h {
+		if tr.slot[it.h] != int32(i) || m.handles[it.lo^tr.flip] != it.h {
 			return "slot table or the caller's handles out of step with the heap"
 		}
 	}
@@ -239,7 +241,7 @@ func (m *model) check() string {
 		key float64
 	}
 	var want []pair
-	ref.walk(tr.desc, func(id uint64, key float64) bool { want = append(want, pair{id, key}); return true })
+	ref.walk(tr.flip != 0, func(id uint64, key float64) bool { want = append(want, pair{id, key}); return true })
 	i := 0
 	same := true
 	tr.Ascend(func(id uint64, key float64) bool {
@@ -398,7 +400,7 @@ func TestDuplicateKeysOrderedByID(t *testing.T) {
 		var ids []uint64
 		tc.tr.Ascend(func(id uint64, _ float64) bool { ids = append(ids, id); return true })
 		if !slices.Equal(ids, tc.want) {
-			t.Fatalf("desc=%v: Ascend ids = %v, want %v", tc.tr.desc, ids, tc.want)
+			t.Fatalf("desc=%v: Ascend ids = %v, want %v", tc.tr.flip != 0, ids, tc.want)
 		}
 	}
 }
@@ -425,6 +427,83 @@ func TestPopMinPopMax(t *testing.T) {
 	}
 	if asc.Len() != 0 || desc.Len() != 0 {
 		t.Errorf("Len = %d, %d after popping everything", asc.Len(), desc.Len())
+	}
+}
+
+// orderKeys are the keys the order-word tests walk: both zeros, both
+// infinities, subnormals at both ends, the largest finite magnitudes,
+// and keys either side of one.
+var orderKeys = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+	math.MaxFloat64, -math.MaxFloat64, 1, -1, math.Nextafter(1, 2), math.Nextafter(1, 0), 1.7e9, -2.5,
+}
+
+// TestOrderWordRoundTrip: ID and Key decode the order words to what
+// was inserted, in both orders, −0 excepted: it comes back as +0.
+func TestOrderWordRoundTrip(t *testing.T) {
+	keys := slices.Clone(orderKeys)
+	rng := rand.New(rand.NewSource(3))
+	for len(keys) < 2000 {
+		if k := math.Float64frombits(rng.Uint64()); !math.IsNaN(k) {
+			keys = append(keys, k)
+		}
+	}
+	for _, tr := range []*Tree{New(), NewDescending()} {
+		for i, k := range keys {
+			id := rng.Uint64()
+			if i%3 == 0 {
+				id = ^uint64(i)
+			}
+			h := tr.Insert(id, k)
+			want := k
+			if k == 0 {
+				want = 0 // −0 folds into +0
+			}
+			if got := tr.Key(h); math.Float64bits(got) != math.Float64bits(want) || tr.ID(h) != id {
+				t.Fatalf("flip %x: Insert(%d, %v) reads back (%d, %v)", tr.flip, id, k, tr.ID(h), got)
+			}
+			if wordKey(keyWord(k)) != want || math.Signbit(wordKey(keyWord(k))) != math.Signbit(want) {
+				t.Fatalf("wordKey(keyWord(%v)) = %v", k, wordKey(keyWord(k)))
+			}
+			tr.Remove(h)
+		}
+	}
+}
+
+// TestOrderWordOrder: the 128-bit compare of two items' words is the
+// (key, id) order ascending and its reverse descending, for every pair
+// of keys, ties and ±0 included.
+func TestOrderWordOrder(t *testing.T) {
+	keys := slices.Clone(orderKeys)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 48; i++ {
+		keys = append(keys, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	ids := []uint64{0, 1, 2, 1 << 63, ^uint64(0)}
+	less := func(ak float64, aid uint64, bk float64, bid uint64) bool {
+		if ak != bk {
+			return ak < bk
+		}
+		return aid < bid
+	}
+	asc, desc := New(), NewDescending()
+	for _, ak := range keys {
+		for _, aid := range ids {
+			for _, bk := range keys {
+				for _, bid := range ids {
+					a, b := asc.word(aid, ak, 0), asc.word(bid, bk, 0)
+					if got, want := asc.before(&a, &b), less(ak, aid, bk, bid); got != want {
+						t.Fatalf("ascending: (%v, %d) before (%v, %d) = %v, want %v", ak, aid, bk, bid, got, want)
+					}
+					a, b = desc.word(aid, ak, 0), desc.word(bid, bk, 0)
+					if got, want := desc.before(&a, &b), less(bk, bid, ak, aid); got != want {
+						t.Fatalf("descending: (%v, %d) before (%v, %d) = %v, want %v", ak, aid, bk, bid, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -477,7 +556,7 @@ func TestAscendDescendEarlyStop(t *testing.T) {
 		count := 0
 		tr.Ascend(func(uint64, float64) bool { count++; return count < 3 })
 		if count != 3 {
-			t.Errorf("desc=%v: early stop visited %d", tr.desc, count)
+			t.Errorf("desc=%v: early stop visited %d", tr.flip != 0, count)
 		}
 	}
 }
@@ -520,7 +599,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 
 // FuzzOrderedSetVsReference drives both orders of the set and the
 // reference treap with one operation per three input bytes, every one
-// through a handle: duplicate keys, ±Inf, NaN (must panic and change
+// through a handle: duplicate keys, ±0, ±Inf, NaN (must panic and change
 // nothing), re-keys, removals whose handles the next inserts reuse,
 // stale handles (must panic and change nothing), and scans whose
 // excluded range covers none, some or all of the items and whose
@@ -531,7 +610,14 @@ func FuzzOrderedSetVsReference(f *testing.F) {
 	f.Add(true, []byte{0, 1, 14, 0, 2, 14, 0, 3, 15, 24, 9, 0, 40, 2, 13, 32, 3, 0})
 	f.Add(false, []byte{0, 5, 13, 1, 5, 12, 2, 5, 3, 25, 0, 0, 26, 31, 0})
 	f.Add(false, []byte{0, 1, 3, 0, 2, 4, 32, 1, 0, 48, 0, 5, 0, 9, 1, 48, 0, 5})
-	keys := []float64{math.Inf(-1), -2.5, -1, 0, 0.25, 1, 1, 1, 2, 3, 1e9, 1e18, math.Inf(1), math.Inf(1), math.NaN(), math.NaN()}
+	// Equal keys, ±0 and ±Inf side by side, in both orders: inserts of
+	// −0 and +0 under several IDs, two of each infinity, a re-key from
+	// +0 to −0, a scan excluding some of the zeros, pops and a removal.
+	eqZeroInf := []byte{0, 5, 7, 0, 3, 3, 0, 4, 7, 0, 1, 12, 0, 2, 13, 0, 6, 0, 0, 7, 0, 0, 8, 5, 0, 9, 6,
+		27, 4, 5, 40, 0, 0, 0, 3, 7, 32, 5, 0, 27, 1, 0, 40, 0, 0, 40, 0, 0}
+	f.Add(false, eqZeroInf)
+	f.Add(true, eqZeroInf)
+	keys := []float64{math.Inf(-1), -2.5, -1, 0, 0.25, 1, 1, math.Copysign(0, -1), 2, 3, 1e9, 1e18, math.Inf(1), math.Inf(1), math.NaN(), math.NaN()}
 	f.Fuzz(func(t *testing.T, desc bool, ops []byte) {
 		m := newModel(desc)
 		for ; len(ops) >= 3; ops = ops[3:] {

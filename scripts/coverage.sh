@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Coverage gate for the paper-critical packages: the decision engines
-# (cafe, xlru), their shared core, the edge server, the registry and
-# the servable policies it wraps (lruq, admission, alphactl,
-# writelimit) must each stay at or above the threshold. The profile is collected with a shared
+# (cafe, xlru), their shared core, Cafe's ordered set (ordtree), the
+# edge server, the registry and the servable policies it wraps (lruq,
+# admission, alphactl, writelimit) must each stay at or above the
+# threshold. The profile is collected with a shared
 # -coverpkg so cross-package suites (notably internal/oracle, which
 # drives the real policies through the real edge) count toward the
 # packages they exercise, then split back out per package.
@@ -15,6 +16,7 @@ THRESHOLD=80
 GATED=(
 	videocdn/internal/core
 	videocdn/internal/cafe
+	videocdn/internal/ordtree
 	videocdn/internal/xlru
 	videocdn/internal/edge
 	videocdn/internal/policy
@@ -27,7 +29,7 @@ profile=${1:-coverage.out}
 
 coverpkg=$(IFS=,; echo "${GATED[*]}")
 go test -coverpkg="$coverpkg" -coverprofile="$profile" \
-	./internal/core/ ./internal/cafe/ ./internal/xlru/ ./internal/edge/ ./internal/oracle/ \
+	./internal/core/ ./internal/cafe/ ./internal/ordtree/ ./internal/xlru/ ./internal/edge/ ./internal/oracle/ \
 	./internal/policy/ ./internal/lruq/ ./internal/admission/ ./internal/alphactl/ ./internal/writelimit/
 
 echo
