@@ -58,7 +58,6 @@ func main() {
 	chunkMB := flag.Float64("chunk-mb", 2, "chunk size in MB")
 	dataDir := flag.String("data", "", "chunk store directory (required for -store fs/slab)")
 	storeKind := flag.String("store", "", "chunk store backend: mem, fs or slab (default: fs when -data is set, else mem)")
-	storePrealloc := flag.Bool("store-prealloc", false, "slab store: preallocate each segment file to full size up front")
 	storeMmap := flag.Bool("store-mmap", false, "slab store: mmap segments read-only so cache hits serve page-cache bytes without copying")
 	hotMB := flag.Int64("hot-mb", 0, "edge mode: RAM hot tier budget in MB (0 disables); it holds copies of hot chunks the store cannot lend zero-copy (-store fs, slab without -store-mmap) and stays empty over one that can (-store mem, -store-mmap)")
 	statePath := flag.String("state", "", "cafe state snapshot: loaded on start if present, saved after graceful shutdown (edge mode, cafe only)")
@@ -80,7 +79,6 @@ func main() {
 	retries := flag.Int("retries", 3, "max attempts per origin fetch (edge mode)")
 	breakerOpenFor := flag.Duration("breaker-open-for", 5*time.Second, "how long the origin breaker stays open before probing (edge mode)")
 	breakerFailRate := flag.Float64("breaker-failure-rate", 0.5, "origin failure rate that trips the breaker (edge mode)")
-	edgeShards := flag.Int("edge-shards", 1, "edge lock shards (power of two); each shard owns an independent cache over disk/N (edge mode)")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof debug endpoints (e.g. localhost:6060); empty disables")
 	mutexFrac := flag.Int("mutexprofile", 0, "mutex profile sampling fraction (runtime.SetMutexProfileFraction; 0 disables)")
 	blockRate := flag.Int("blockprofile", 0, "block profile sampling rate in ns (runtime.SetBlockProfileRate; 0 disables)")
@@ -126,9 +124,6 @@ func main() {
 		if *statePath != "" && *algo != "cafe" {
 			fatal(fmt.Errorf("-state is only supported with -algo cafe"))
 		}
-		if *statePath != "" && *edgeShards > 1 {
-			fatal(fmt.Errorf("-state is only supported with -edge-shards 1 (a snapshot holds one cache)"))
-		}
 		spec := *algo
 		if *policyConfig != "" {
 			spec += ":" + *policyConfig
@@ -138,7 +133,6 @@ func main() {
 			fatal(err)
 		}
 		srvCfg := edge.Config{
-			Shards:       *edgeShards,
 			CacheFactory: factory,
 			CacheConfig:  cfg,
 			Store:        nil, // set below
@@ -164,7 +158,7 @@ func main() {
 			}
 			srvCfg.CacheFactory = edge.Prebuilt(single)
 		}
-		st, err := openStore(*storeKind, *dataDir, chunkSize, *storePrealloc, *storeMmap)
+		st, err := openStore(*storeKind, *dataDir, chunkSize, *storeMmap)
 		if err != nil {
 			fatal(err)
 		}
@@ -265,8 +259,8 @@ func main() {
 		if peerClient != nil {
 			clusterNote = fmt.Sprintf(", cluster node %q (alpha_P=%.2g)", *nodeID, *peerAlpha)
 		}
-		log.Printf("edge (%s, alpha=%.2g, %d-chunk disk, %d shard(s), %s store%s%s) on %s -> origin %s, redirects to %s",
-			*algo, *alpha, cfg.DiskChunks, srv.NumShards(), storeName(*storeKind, *dataDir), tierNote, clusterNote, *listen, *origin, *redirect)
+		log.Printf("edge (%s, alpha=%.2g, %d-chunk disk, %s store%s%s) on %s -> origin %s, redirects to %s",
+			*algo, *alpha, cfg.DiskChunks, storeName(*storeKind, *dataDir), tierNote, clusterNote, *listen, *origin, *redirect)
 		serveGracefully(handler, *listen, *drain, timeouts, afterDrain)
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
@@ -436,7 +430,7 @@ func storeName(kind, dir string) string {
 }
 
 // openStore builds the chunk store the flags select.
-func openStore(kind, dir string, chunkSize int64, prealloc, mmap bool) (store.Store, error) {
+func openStore(kind, dir string, chunkSize int64, mmap bool) (store.Store, error) {
 	switch storeName(kind, dir) {
 	case "mem":
 		return store.NewMem(), nil
@@ -449,7 +443,7 @@ func openStore(kind, dir string, chunkSize int64, prealloc, mmap bool) (store.St
 		if dir == "" {
 			return nil, fmt.Errorf("-store slab requires -data")
 		}
-		return store.NewSlab(dir, store.SlabConfig{SlotBytes: chunkSize, Prealloc: prealloc, Mmap: mmap})
+		return store.NewSlab(dir, store.SlabConfig{SlotBytes: chunkSize, Mmap: mmap})
 	}
 	return nil, fmt.Errorf("unknown store backend %q (mem, fs or slab)", kind)
 }

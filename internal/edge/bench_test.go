@@ -99,8 +99,8 @@ func BenchmarkHitServe(b *testing.B) {
 	}
 }
 
-// warmHitServer builds a 2-shard edge server with an 8-chunk video
-// fully cached.
+// warmHitServer builds an edge server with an 8-chunk video fully
+// cached.
 func warmHitServer(b *testing.B) (*Server, int64) {
 	b.Helper()
 	span := int64(8 * testK)
@@ -110,7 +110,7 @@ func warmHitServer(b *testing.B) (*Server, int64) {
 	}
 	origin := httptest.NewServer(o)
 	b.Cleanup(origin.Close)
-	s := newShardedServer(b, origin.URL, "cafe", 2, 64, func() int64 { return 0 })
+	s := newRegistryServer(b, origin.URL, "cafe", 64, func() int64 { return 0 })
 	srv := httptest.NewServer(s)
 	b.Cleanup(srv.Close)
 	for i := 0; i < 2; i++ {
@@ -139,52 +139,48 @@ func (d *discardResponseWriter) Header() http.Header         { return d.h }
 func (d *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardResponseWriter) WriteHeader(code int)        { d.status = code }
 
-// BenchmarkEdgeHitPathSharded measures end-to-end HTTP throughput of
-// concurrent cache-hit requests against 1-shard vs 8-shard servers
-// (RunParallel drives GOMAXPROCS client goroutines; bench/ is the
-// closed-loop harness with skewed load and percentiles).
-func BenchmarkEdgeHitPathSharded(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			catalog := MapCatalog{}
-			for v := chunk.VideoID(1); v <= 64; v++ {
-				catalog[v] = 4 * testK
-			}
-			o, err := NewOrigin(catalog, testK)
-			if err != nil {
-				b.Fatal(err)
-			}
-			origin := httptest.NewServer(o)
-			b.Cleanup(origin.Close)
-			s := newShardedServer(b, origin.URL, "cafe", shards, 1024, func() int64 { return 0 })
-			srv := httptest.NewServer(s)
-			b.Cleanup(srv.Close)
-			for v := chunk.VideoID(1); v <= 64; v++ {
-				resp, err := http.Get(fmt.Sprintf("%s/video?v=%d", srv.URL, v))
-				if err != nil {
-					b.Fatal(err)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			b.SetBytes(4 * testK)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				client := &http.Client{}
-				v := chunk.VideoID(1)
-				for pb.Next() {
-					v = v%64 + 1
-					resp, err := client.Get(fmt.Sprintf("%s/video?v=%d", srv.URL, v))
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			})
-		})
+// BenchmarkEdgeHitPathParallel measures end-to-end HTTP throughput of
+// concurrent cache-hit requests (RunParallel drives GOMAXPROCS client
+// goroutines; bench/ is the closed-loop harness with skewed load and
+// percentiles).
+func BenchmarkEdgeHitPathParallel(b *testing.B) {
+	catalog := MapCatalog{}
+	for v := chunk.VideoID(1); v <= 64; v++ {
+		catalog[v] = 4 * testK
 	}
+	o, err := NewOrigin(catalog, testK)
+	if err != nil {
+		b.Fatal(err)
+	}
+	origin := httptest.NewServer(o)
+	b.Cleanup(origin.Close)
+	s := newRegistryServer(b, origin.URL, "cafe", 1024, func() int64 { return 0 })
+	srv := httptest.NewServer(s)
+	b.Cleanup(srv.Close)
+	for v := chunk.VideoID(1); v <= 64; v++ {
+		resp, err := http.Get(fmt.Sprintf("%s/video?v=%d", srv.URL, v))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	b.SetBytes(4 * testK)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		client := &http.Client{}
+		v := chunk.VideoID(1)
+		for pb.Next() {
+			v = v%64 + 1
+			resp, err := client.Get(fmt.Sprintf("%s/video?v=%d", srv.URL, v))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	})
 }
 
 // BenchmarkFillPath compares the fill pipelines end to end — an origin
@@ -227,7 +223,6 @@ func BenchmarkFillPath(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { s.Close() })
-			sh := s.shardOf(1)
 			fc := fillCtx{ctx: context.Background()}
 			video := []chunk.ID{{Video: 1, Index: 0}, {Video: 1, Index: 1}, {Video: 1, Index: 2}, {Video: 1, Index: 3}}
 			b.SetBytes(chunkSize * int64(mode.run))
@@ -237,7 +232,7 @@ func BenchmarkFillPath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ids := video[i*mode.run%4:][:mode.run]
-				if _, err := s.fill(&fc, sh, ids); err != nil {
+				if _, err := s.fill(&fc, ids); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -598,7 +598,7 @@ func TestChaosFlightCoalescingExactlyOneFetch(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, errs[i] = s.fill(&fillCtx{ctx: context.Background()}, s.shardOf(id.Video), []chunk.ID{id})
+			_, errs[i] = s.fill(&fillCtx{ctx: context.Background()}, []chunk.ID{id})
 		}(i)
 	}
 	close(start)
@@ -647,10 +647,10 @@ func TestChaosFlightCancellationDoesNotPoisonWaiters(t *testing.T) {
 	var wg sync.WaitGroup
 	var errA, errB error
 	wg.Add(2)
-	go func() { defer wg.Done(); _, errA = s.fill(&fillCtx{ctx: ctxA}, s.shardOf(id.Video), []chunk.ID{id}) }()
+	go func() { defer wg.Done(); _, errA = s.fill(&fillCtx{ctx: ctxA}, []chunk.ID{id}) }()
 	go func() {
 		defer wg.Done()
-		_, errB = s.fill(&fillCtx{ctx: context.Background()}, s.shardOf(id.Video), []chunk.ID{id})
+		_, errB = s.fill(&fillCtx{ctx: context.Background()}, []chunk.ID{id})
 	}()
 	wg.Wait()
 
@@ -782,18 +782,17 @@ func TestChaosRunsJoinFlightsUnderWay(t *testing.T) {
 	for c := range ids {
 		ids[c] = chunk.ID{Video: 1, Index: uint32(c)}
 	}
-	sh := rig.edge.shardOf(1)
 	fill := func(part []chunk.ID) {
-		if i, err := rig.edge.fill(&fillCtx{ctx: context.Background()}, sh, part); err != nil {
+		if i, err := rig.edge.fill(&fillCtx{ctx: context.Background()}, part); err != nil {
 			t.Errorf("fill %v: failed at %d: %v", part, i, err)
 		}
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); fill(ids[:4]) }()
 	for registered := false; !registered; time.Sleep(time.Millisecond) {
-		sh.flightMu.Lock()
-		_, registered = sh.flights[ids[3].Key()]
-		sh.flightMu.Unlock()
+		rig.edge.flightMu.Lock()
+		_, registered = rig.edge.flights[ids[3].Key()]
+		rig.edge.flightMu.Unlock()
 	}
 	fill(ids[2:])
 	<-done

@@ -408,8 +408,8 @@ func (g *gatedOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestEdgeOwnsDecisionIDs: a cache may recycle an outcome's ID buffers
 // on its next request, so the edge must fill from its own copy. Request
-// A's run is held at the origin while request B, for another video on
-// the same shard, misses and makes Cafe rewrite its buffer. A's flight
+// A's run is held at the origin while request B, for another video,
+// misses and makes Cafe rewrite its buffer. A's flight
 // must still fill, serve and deregister A's chunks, not B's.
 func TestEdgeOwnsDecisionIDs(t *testing.T) {
 	cache, err := cafe.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 2, cafe.Options{})
@@ -475,11 +475,10 @@ func TestEdgeOwnsDecisionIDs(t *testing.T) {
 		t.Errorf("ledger: requested %d, redirected %d, filled %d, fill errors %d; want %d, 0, %d, 0",
 			st.RequestedBytes, st.RedirectedBytes, st.FilledBytes, st.FillErrors, 4*testK, 4*testK)
 	}
-	sh := s.shardOf(1)
-	sh.flightMu.Lock()
-	defer sh.flightMu.Unlock()
-	if len(sh.flights) != 0 {
-		t.Errorf("%d chunk keys still registered as in flight, want none", len(sh.flights))
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if len(s.flights) != 0 {
+		t.Errorf("%d chunk keys still registered as in flight, want none", len(s.flights))
 	}
 }
 
@@ -652,7 +651,7 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	cases := []func(*Config){
 		func(c *Config) { c.CacheFactory = nil },
-		func(c *Config) { c.Shards = 2 }, // a prebuilt cache is one shard
+		func(c *Config) { c.CacheFactory = Prebuilt(nil) }, // factory returns no cache
 		func(c *Config) { c.Store = nil },
 		func(c *Config) { c.OriginURL = "" },
 		func(c *Config) { c.OriginURL = "http://[::1" }, // does not parse

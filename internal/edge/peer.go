@@ -77,7 +77,6 @@ func (s *Server) handlePeerChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := chunk.ID{Video: v, Index: uint32(idx)}
-	sh := s.shardOf(v)
 
 	cr := chunkReader{s: s, rf: s.sectionWriter(w)}
 	defer cr.close()
@@ -96,8 +95,8 @@ func (s *Server) handlePeerChunk(w http.ResponseWriter, r *http.Request) {
 		// Charged only on a full successful write: the fetching node
 		// charges PeerFilled only on a committed put, so a truncated
 		// transfer must not inflate the serving side.
-		sh.peerServes.Add(1)
-		sh.peerServedBytes.Add(size)
+		s.peerServes.Add(1)
+		s.peerServedBytes.Add(size)
 	}
 }
 
@@ -109,7 +108,7 @@ func (s *Server) handlePeerChunk(w http.ResponseWriter, r *http.Request) {
 // a local store failure from peer-side truncation/oversize, which the
 // client resolves against the peer's breaker and this side counts as a
 // tier failure.
-func (s *Server) peerFill(ctx context.Context, sh *edgeShard, id chunk.ID) (bool, error) {
+func (s *Server) peerFill(ctx context.Context, id chunk.ID) (bool, error) {
 	var storeErr error
 	n, err := s.cfg.PeerFill.FetchStream(ctx, id, func(body io.Reader) (int64, error) {
 		tr := &trackReader{r: body}
@@ -123,8 +122,8 @@ func (s *Server) peerFill(ctx context.Context, sh *edgeShard, id chunk.ID) (bool
 	})
 	switch {
 	case err == nil:
-		sh.peerFills.Add(1)
-		sh.counters.peerFilled.Add(n)
+		s.peerFills.Add(1)
+		s.counters.peerFilled.Add(n)
 		s.fillsCounter().Add(1)
 		return true, nil
 	case storeErr != nil:
@@ -132,14 +131,14 @@ func (s *Server) peerFill(ctx context.Context, sh *edgeShard, id chunk.ID) (bool
 	case errors.Is(err, ErrPeerSelf):
 		// Owners origin-fill by design; not peer-tier activity at all.
 	case errors.Is(err, ErrPeerMiss):
-		sh.peerFillMisses.Add(1)
+		s.peerFillMisses.Add(1)
 	default:
 		if ctx.Err() != nil {
 			// The fill deadline died during the peer attempt; starting
 			// an origin round trip now would fail the same way.
 			return true, ctx.Err()
 		}
-		sh.peerFillErrs.Add(1)
+		s.peerFillErrs.Add(1)
 	}
 	return false, nil
 }

@@ -96,8 +96,7 @@ func newSendfileVariantServer(t *testing.T, algo, kind string, hideSections bool
 		st = noSectionStore{lendingStore{st}}
 	}
 	s, err := NewServer(Config{
-		Shards:       4,
-		CacheFactory: shardFactory(t, algo, 2),
+		CacheFactory: registryFactory(t, algo, 2),
 		CacheConfig:  core.Config{ChunkSize: testK, DiskChunks: 2048},
 		Store:        st,
 		OriginURL:    origin.URL,
@@ -287,8 +286,7 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 			st = noStreamStore{lendingStore{fs}}
 		}
 		s, err := NewServer(Config{
-			Shards:       1,
-			CacheFactory: shardFactory(t, "cafe", 2),
+			CacheFactory: registryFactory(t, "cafe", 2),
 			CacheConfig:  core.Config{ChunkSize: chunkSize, DiskChunks: 64},
 			Store:        st,
 			OriginURL:    origin.URL,
@@ -308,7 +306,6 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 	// returns the heap bytes allocated meanwhile.
 	measure := func(s *Server, run int) int64 {
 		t.Helper()
-		sh := s.shardOf(1)
 		fc := fillCtx{ctx: context.Background()}
 		ids := make([]chunk.ID, chunks)
 		for c := range ids {
@@ -319,7 +316,7 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		for c := 0; c < chunks; c += run {
-			if _, err := s.fill(&fc, sh, ids[c:c+run]); err != nil {
+			if _, err := s.fill(&fc, ids[c:c+run]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -397,8 +394,7 @@ func testSendfileConcurrent(t *testing.T, segmentSlots int) {
 	}
 	t.Cleanup(func() { sl.Close() })
 	s, err := NewServer(Config{
-		Shards:       2,
-		CacheFactory: shardFactory(t, "cafe", 2),
+		CacheFactory: registryFactory(t, "cafe", 2),
 		CacheConfig:  core.Config{ChunkSize: testK, DiskChunks: 256},
 		Store:        sl,
 		OriginURL:    origin.URL,

@@ -21,30 +21,23 @@ import (
 	_ "videocdn/internal/policy/all"
 	"videocdn/internal/prefetch"
 	"videocdn/internal/resilience"
-	"videocdn/internal/shard"
 	"videocdn/internal/store"
 	"videocdn/internal/trace"
 )
 
 // Config assembles an edge cache server.
 type Config struct {
-	// Shards splits the server into independent lock domains, one per
-	// hash bucket of the video-ID space (shard.ShardOf). Requests for
-	// videos in different buckets never contend on a lock. Must be a
-	// power of two; 0 means 1.
-	Shards int
-	// CacheFactory builds shard i's decision engine (xLRU, Cafe, ...)
-	// over its share of the disk; each shard owns an independent
-	// instance. policy.Factory builds one from a registry spec, and
-	// Prebuilt hands a one-shard server a cache built elsewhere.
+	// CacheFactory builds the server's one decision engine (xLRU, Cafe,
+	// ...) over the whole disk; NewServer calls it once, with shard 0
+	// and CacheConfig. policy.Factory builds one from a registry spec,
+	// and Prebuilt hands the server a cache built elsewhere.
 	CacheFactory func(shard int, cfg core.Config) (core.Cache, error)
-	// CacheConfig is the server-total cache configuration handed to
-	// CacheFactory: DiskChunks is divided evenly across shards, exactly
-	// as shard.Group divides it. ChunkSize defaults to Config.ChunkSize
-	// and must match it otherwise.
+	// CacheConfig is the cache configuration handed to CacheFactory as
+	// given. ChunkSize defaults to Config.ChunkSize and must match it
+	// otherwise.
 	CacheConfig core.Config
 	// Store holds chunk bytes; its contents are kept in lockstep with
-	// the caches' placement decisions.
+	// the cache's placement decisions.
 	Store store.Store
 	// OriginURL is the base URL of the origin (e.g. the NewOrigin
 	// handler) used for cache fills.
@@ -93,10 +86,9 @@ type Config struct {
 	// hottest chunks serve from memory and never touch the disk line.
 	// It holds copies only of chunks the store cannot lend zero-copy
 	// (fs, a slab without mmap); over a store that lends (Mem, the mmap
-	// slab) it stays empty — one RAM copy per chunk.
-	// Striping matches the shard count. Responses and the Eq. 2
-	// accounting are byte-identical with the tier on or off; only the
-	// tier counters in /stats differ.
+	// slab) it stays empty — one RAM copy per chunk. Responses and the
+	// Eq. 2 accounting are byte-identical with the tier on or off; only
+	// the tier counters in /stats differ.
 	HotBytes int64
 }
 
@@ -121,29 +113,48 @@ const fillStreamBuf = 256 << 10
 // paper's second line — a 302 to the alternative location — instead of
 // surfacing a 502.
 //
-// Concurrency: server state is split into Config.Shards independent
-// shards keyed by shard.ShardOf(videoID) — the same placement function
-// the parallel replay engine uses. Each shard owns its own cache
-// instance, counters, single-flight table and size cache, so requests
-// for different videos proceed in parallel and the only cross-shard
-// state is the origin breaker/retrier (the origin is one upstream) and
-// the pooled serve buffers. /stats and /metrics aggregate across
-// shards; the Eq. 2 identity holds exactly on the aggregate because
-// every byte is charged to exactly one shard's counters.
+// Concurrency: the server is one lock domain, as the paper's server is
+// one cache over one disk: mu guards the cache for the span of one
+// decision, and everything else a request touches — the flight table,
+// the size cache, the counters — has its own lock or is atomic, so
+// store reads, origin fetches and response writes run in parallel.
 type Server struct {
-	cfg      Config
-	model    cost.Model
-	mux      *http.ServeMux
-	retrier  *resilience.Retrier
-	breaker  *resilience.Breaker
-	algoName string
+	cfg     Config
+	model   cost.Model
+	mux     *http.ServeMux
+	retrier *resilience.Retrier
+	breaker *resilience.Breaker
 
 	// The origin's /chunk, /video and /size URLs, parsed from
 	// Config.OriginURL once; a fetch copies one and sets its query.
 	chunkEndpoint, videoEndpoint, sizeEndpoint *url.URL
 
-	shards    []*edgeShard
-	sizeLimit int // per-shard size-cache bound
+	mu       sync.Mutex // guards cache and lastTime
+	cache    core.Cache
+	lastTime int64 // clamp: caches reject time travel, concurrent stamping can reorder
+
+	flightMu sync.Mutex         // coalesces concurrent origin fetches
+	flights  map[uint64]*flight // by chunk key; a run's chunks share one flight
+
+	sizeMu sync.RWMutex            // video sizes are immutable; cache them so
+	sizes  map[chunk.VideoID]int64 // origin outages cannot break cache hits
+
+	// Counters are atomics: they are touched on every request, often
+	// outside mu (fetch completions, degrade accounting).
+	counters  atomicCounters
+	served    atomic.Int64
+	redirs    atomic.Int64
+	degraded  atomic.Int64 // 302s issued because the origin was unusable
+	selfHeals atomic.Int64 // chunks re-fetched because the store lost them
+	fillErrs  atomic.Int64
+	storeDels atomic.Int64 // store Delete failures (leaked bytes)
+
+	// Peer tier counters (all zero on a standalone server).
+	peerFills       atomic.Int64 // chunks filled from a cluster peer
+	peerFillErrs    atomic.Int64 // peer-tier failures that fell through to origin
+	peerFillMisses  atomic.Int64 // authoritative peer misses (origin was the right call)
+	peerServes      atomic.Int64 // /peer/chunk responses fully delivered to peers
+	peerServedBytes atomic.Int64 // bytes of those responses
 
 	// hotTier is the RAM hot tier when HotBytes > 0 (nil otherwise).
 	// The store chain is Tiered(cold): reads borrow from cold, then
@@ -218,40 +229,8 @@ func (s *Server) ServePathStats() ServePathStats {
 	}
 }
 
-// edgeShard is one lock domain: the cache and every piece of mutable
-// state keyed by the videos that hash to this shard. Counters are
-// atomics — they are touched on every request, often outside the cache
-// lock (fetch completions, degrade accounting), and aggregation only
-// happens on /stats.
-type edgeShard struct {
-	mu       sync.Mutex // guards cache and lastTime
-	cache    core.Cache
-	lastTime int64 // clamp: caches reject time travel, concurrent stamping can reorder
-
-	flightMu sync.Mutex         // coalesces concurrent origin fetches
-	flights  map[uint64]*flight // by chunk key; a run's chunks share one flight
-
-	sizeMu sync.RWMutex            // video sizes are immutable; cache them so
-	sizes  map[chunk.VideoID]int64 // origin outages cannot break cache hits
-
-	counters  atomicCounters
-	served    atomic.Int64
-	redirs    atomic.Int64
-	degraded  atomic.Int64 // 302s issued because the origin was unusable
-	selfHeals atomic.Int64 // chunks re-fetched because the store lost them
-	fillErrs  atomic.Int64
-	storeDels atomic.Int64 // store Delete failures (leaked bytes)
-
-	// Peer tier counters (all zero on a standalone server).
-	peerFills       atomic.Int64 // chunks filled from a cluster peer
-	peerFillErrs    atomic.Int64 // peer-tier failures that fell through to origin
-	peerFillMisses  atomic.Int64 // authoritative peer misses (origin was the right call)
-	peerServes      atomic.Int64 // /peer/chunk responses fully delivered to peers
-	peerServedBytes atomic.Int64 // bytes of those responses
-}
-
-// atomicCounters is cost.Counters with atomic fields — one per shard,
-// summed into a plain cost.Counters for reporting.
+// atomicCounters is cost.Counters with atomic fields, read into a plain
+// cost.Counters for reporting.
 type atomicCounters struct {
 	requested  atomic.Int64
 	filled     atomic.Int64
@@ -325,27 +304,15 @@ func (f *fillCtx) done() {
 	}
 }
 
-// Prebuilt is the CacheFactory of a one-shard server over c, a cache
-// built elsewhere (a restored snapshot, a test's own instance); the
-// server's CacheConfig goes unused.
+// Prebuilt is the CacheFactory of a server over c, a cache built
+// elsewhere (a restored snapshot, a test's own instance); the server's
+// CacheConfig goes unused.
 func Prebuilt(c core.Cache) func(shard int, cfg core.Config) (core.Cache, error) {
-	return func(shard int, _ core.Config) (core.Cache, error) {
-		if shard > 0 {
-			return nil, fmt.Errorf("edge: a prebuilt cache serves one shard")
-		}
-		return c, nil
-	}
+	return func(int, core.Config) (core.Cache, error) { return c, nil }
 }
 
 // NewServer validates the config and builds the edge server.
 func NewServer(cfg Config) (*Server, error) {
-	n := cfg.Shards
-	if n == 0 {
-		n = 1
-	}
-	if n < 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("edge: shard count must be a positive power of two, got %d", cfg.Shards)
-	}
 	if cfg.CacheFactory == nil {
 		return nil, fmt.Errorf("edge: nil CacheFactory")
 	}
@@ -401,51 +368,29 @@ func NewServer(cfg Config) (*Server, error) {
 	if cc.ChunkSize != cfg.ChunkSize {
 		return nil, fmt.Errorf("edge: CacheConfig.ChunkSize %d != ChunkSize %d", cc.ChunkSize, cfg.ChunkSize)
 	}
-	// One shard gets CacheConfig as it is, for the factory to validate:
-	// a Prebuilt one ignores it.
-	per := cc.DiskChunks / n
-	if n > 1 && per < 1 {
-		return nil, fmt.Errorf("edge: %d-chunk disk cannot be split %d ways", cc.DiskChunks, n)
+	// The factory validates CacheConfig; a Prebuilt one ignores it.
+	c, err := cfg.CacheFactory(0, cc)
+	if err != nil {
+		return nil, fmt.Errorf("edge: %w", err)
 	}
-	caches := make([]core.Cache, n)
-	for i := range caches {
-		sub := cc
-		sub.DiskChunks = per
-		c, err := cfg.CacheFactory(i, sub)
-		if err != nil {
-			return nil, fmt.Errorf("edge: shard %d: %w", i, err)
-		}
-		if c == nil {
-			return nil, fmt.Errorf("edge: shard %d: factory returned nil", i)
-		}
-		caches[i] = c
+	if c == nil {
+		return nil, fmt.Errorf("edge: factory returned nil")
 	}
 
 	s := &Server{
 		cfg: cfg, model: model, mux: http.NewServeMux(),
-		retrier:   resilience.NewRetrier(cfg.Retry),
-		breaker:   resilience.NewBreaker(cfg.Breaker),
-		shards:    make([]*edgeShard, n),
-		sizeLimit: maxSizeCacheEntries / n,
+		retrier: resilience.NewRetrier(cfg.Retry),
+		breaker: resilience.NewBreaker(cfg.Breaker),
+		cache:   c,
+		flights: make(map[uint64]*flight),
+		sizes:   make(map[chunk.VideoID]int64),
 
 		chunkEndpoint: endpoints[0], videoEndpoint: endpoints[1], sizeEndpoint: endpoints[2],
 	}
-	for i := range s.shards {
-		s.shards[i] = &edgeShard{
-			cache:   caches[i],
-			flights: make(map[uint64]*flight),
-			sizes:   make(map[chunk.VideoID]int64),
-		}
-	}
-	s.algoName = caches[0].Name()
-	if n > 1 {
-		s.algoName = fmt.Sprintf("%s×%d", s.algoName, n)
-	}
 	if cfg.HotBytes > 0 {
-		// One tier stripe per shard mirrors the lock layout.
 		s.hotTier = store.NewTiered(s.cfg.Store, store.TieredConfig{
 			HotBytes: cfg.HotBytes,
-			Stripes:  n,
+			Stripes:  1,
 		})
 		s.cfg.Store = s.hotTier
 	}
@@ -465,14 +410,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// shardOf returns the lock domain owning video v.
-func (s *Server) shardOf(v chunk.VideoID) *edgeShard {
-	return s.shards[shard.ShardOf(v, len(s.shards))]
-}
-
-// NumShards returns the server's shard count.
-func (s *Server) NumShards() int { return len(s.shards) }
-
 // forgetter is the optional capability to undo a chunk admission whose
 // cache fill failed, keeping the cache's bookkeeping consistent with
 // the store (all algorithms in this repository implement it).
@@ -490,8 +427,9 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if _, ok := s.shards[0].cache.(prefetch.Prefetchable); !ok {
-		http.Error(w, fmt.Sprintf("algorithm %q does not support prefetch", s.shards[0].cache.Name()),
+	p, ok := s.cache.(prefetch.Prefetchable)
+	if !ok {
+		http.Error(w, fmt.Sprintf("algorithm %q does not support prefetch", s.cache.Name()),
 			http.StatusNotImplemented)
 		return
 	}
@@ -507,11 +445,9 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sh := s.shardOf(v)
-	p := sh.cache.(prefetch.Prefetchable) // same algorithm on every shard
 	fc := fillCtx{r: r, timeout: s.cfg.FillTimeout}
 	defer fc.done()
-	size, err := s.originSize(&fc, sh, v)
+	size, err := s.originSize(&fc, v)
 	if err != nil {
 		http.Error(w, "origin: "+err.Error(), http.StatusBadGateway)
 		return
@@ -520,31 +456,31 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 
 	accepted := 0
 	for i := 0; i < n; i++ {
-		sh.mu.Lock()
-		if now < sh.lastTime {
-			now = sh.lastTime
+		s.mu.Lock()
+		if now < s.lastTime {
+			now = s.lastTime
 		}
-		sh.lastTime = now
+		s.lastTime = now
 		id, ok := prefetch.NextChunk(p, v, size, s.cfg.ChunkSize)
 		if !ok {
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			break
 		}
 		admitted, evicted := p.PrefetchChunk(id, now)
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		// The displacement stands whether or not the fill below
 		// succeeds: mirror it in the store immediately, exactly as
 		// handleVideo mirrors EvictedIDs, so no displaced bytes squat
 		// in the store.
-		s.deleteChunks(sh, evicted)
+		s.deleteChunks(evicted)
 		if !admitted {
 			break
 		}
 		// Ingress accounting happens inside the fetch with the chunk's
 		// actual byte count (a tail chunk is shorter than ChunkSize).
-		if _, err := s.fill(&fc, sh, []chunk.ID{id}); err != nil {
-			sh.fillErrs.Add(1)
-			s.undoAdmission(sh, []chunk.ID{id})
+		if _, err := s.fill(&fc, []chunk.ID{id}); err != nil {
+			s.fillErrs.Add(1)
+			s.undoAdmission([]chunk.ID{id})
 			http.Error(w, "cache fill: "+err.Error(), http.StatusBadGateway)
 			return
 		}
@@ -562,10 +498,9 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sh := s.shardOf(v)
 	fc := fillCtx{r: r, timeout: s.cfg.FillTimeout}
 	defer fc.done()
-	size, err := s.originSize(&fc, sh, v)
+	size, err := s.originSize(&fc, v)
 	if err != nil {
 		if resilience.IsPermanent(err) {
 			// The origin is alive and said no (e.g. unknown video);
@@ -575,7 +510,7 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 		}
 		// Origin unreachable and size unknown: fall back to the second
 		// line of defense.
-		s.degrade(w, r, sh, requestBytesHint(r))
+		s.degrade(w, r, requestBytesHint(r))
 		return
 	}
 	b0, b1, err := parseRange(r, size)
@@ -585,44 +520,44 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 	}
 	req := trace.Request{Time: s.cfg.Clock(), Video: v, Start: b0, End: b1}
 
-	sh.mu.Lock()
+	s.mu.Lock()
 	// Concurrent requests stamp their time before contending on the
-	// shard lock, so a shard can observe slightly out-of-order
-	// timestamps; clamp to its high-water mark (the skew is bounded by
-	// lock hold times, far below the seconds granularity the
-	// algorithms reason at).
-	if req.Time < sh.lastTime {
-		req.Time = sh.lastTime
+	// lock, so the cache can observe slightly out-of-order timestamps;
+	// clamp to its high-water mark (the skew is bounded by lock hold
+	// times, far below the seconds granularity the algorithms reason
+	// at).
+	if req.Time < s.lastTime {
+		req.Time = s.lastTime
 	}
-	sh.lastTime = req.Time
-	out := sh.cache.HandleRequest(req)
+	s.lastTime = req.Time
+	out := s.cache.HandleRequest(req)
 	// The IDs are the cache's until its next request, and a detached
 	// flight reads its run after this request may have returned: copy
 	// them to plain heap memory while the lock still holds them.
 	filled := append([]chunk.ID(nil), out.FilledIDs...)
 	evicted := append([]chunk.ID(nil), out.EvictedIDs...)
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	if out.Decision == core.Redirect {
-		sh.redirs.Add(1)
-		sh.counters.add(cost.Counters{Requested: req.Bytes(), Redirected: req.Bytes()})
+		s.redirs.Add(1)
+		s.counters.add(cost.Counters{Requested: req.Bytes(), Redirected: req.Bytes()})
 		http.Redirect(w, r, s.cfg.RedirectURL+r.URL.RequestURI(), http.StatusFound)
 		return
 	}
 
 	// The eviction decision stands however the fills go: mirror it in
 	// the store first so cache and store agree.
-	s.deleteChunks(sh, evicted)
+	s.deleteChunks(evicted)
 
 	// Materialize the fills, one origin request per run of consecutive
 	// chunks. A failed run (after retries, or fast because the breaker
 	// is open) rolls back its own admissions and those of the runs
 	// after it, and degrades the request to a redirect — the client
 	// never sees a 502 for an origin problem.
-	if i, err := s.fill(&fc, sh, filled); err != nil {
-		sh.fillErrs.Add(1)
-		s.undoAdmission(sh, filled[i:])
-		s.degrade(w, r, sh, req.Bytes())
+	if i, err := s.fill(&fc, filled); err != nil {
+		s.fillErrs.Add(1)
+		s.undoAdmission(filled[i:])
+		s.degrade(w, r, req.Bytes())
 		return
 	}
 
@@ -636,18 +571,18 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.Store.Has(id) {
 			continue
 		}
-		if err := s.heal(&fc, sh, id); err != nil {
-			sh.fillErrs.Add(1)
-			s.undoAdmission(sh, []chunk.ID{id})
-			s.degrade(w, r, sh, req.Bytes())
+		if err := s.heal(&fc, id); err != nil {
+			s.fillErrs.Add(1)
+			s.undoAdmission([]chunk.ID{id})
+			s.degrade(w, r, req.Bytes())
 			return
 		}
 	}
 
-	sh.served.Add(1)
+	s.served.Add(1)
 	// Filled bytes are charged where the fetches succeed; here only the
 	// egress side of Eq. 2 is recorded.
-	sh.counters.requested.Add(req.Bytes())
+	s.counters.requested.Add(req.Bytes())
 
 	w.Header().Set("Content-Type", "video/mp4")
 	w.Header().Set("Content-Length", strconv.FormatInt(b1-b0+1, 10))
@@ -655,7 +590,7 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Range", contentRange(b0, b1, size))
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	if err := s.stream(&fc, sh, w, s.sectionWriter(w), v, b0, b1); err != nil {
+	if err := s.stream(&fc, w, s.sectionWriter(w), v, b0, b1); err != nil {
 		return // client gone or store hiccup after headers; nothing to do
 	}
 }
@@ -677,10 +612,10 @@ func (s *Server) sectionWriter(w http.ResponseWriter) io.ReaderFrom {
 // of defense) instead of a 502. The bytes are charged as Redirected;
 // both sides of Eq. 2 receive the same value, so the accounting
 // identity Requested == served + Redirected holds whatever happens.
-func (s *Server) degrade(w http.ResponseWriter, r *http.Request, sh *edgeShard, bytes int64) {
-	sh.redirs.Add(1)
-	sh.degraded.Add(1)
-	sh.counters.add(cost.Counters{Requested: bytes, Redirected: bytes})
+func (s *Server) degrade(w http.ResponseWriter, r *http.Request, bytes int64) {
+	s.redirs.Add(1)
+	s.degraded.Add(1)
+	s.counters.add(cost.Counters{Requested: bytes, Redirected: bytes})
 	http.Redirect(w, r, s.cfg.RedirectURL+r.URL.RequestURI(), http.StatusFound)
 }
 
@@ -689,26 +624,26 @@ func (s *Server) degrade(w http.ResponseWriter, r *http.Request, sh *edgeShard, 
 // bookkeeping) and any stray store bytes are dropped. Best-effort — a
 // concurrent re-admission can legitimately race this, and the serving
 // path's preflight self-heal reconciles any leftover divergence.
-func (s *Server) undoAdmission(sh *edgeShard, ids []chunk.ID) {
+func (s *Server) undoAdmission(ids []chunk.ID) {
 	if len(ids) == 0 {
 		return
 	}
-	if f, ok := sh.cache.(forgetter); ok {
-		sh.mu.Lock()
+	if f, ok := s.cache.(forgetter); ok {
+		s.mu.Lock()
 		for _, id := range ids {
 			f.Forget(id)
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 	}
-	s.deleteChunks(sh, ids)
+	s.deleteChunks(ids)
 }
 
 // deleteChunks drops chunks from the store, counting the failures
 // (leaked bytes).
-func (s *Server) deleteChunks(sh *edgeShard, ids []chunk.ID) {
+func (s *Server) deleteChunks(ids []chunk.ID) {
 	for _, id := range ids {
 		if err := s.cfg.Store.Delete(id); err != nil {
-			sh.storeDels.Add(1)
+			s.storeDels.Add(1)
 		}
 	}
 }
@@ -763,14 +698,14 @@ func (s *Server) StreamRange(ctx context.Context, w io.Writer, v chunk.VideoID, 
 	// nil ReaderFrom: the benchmark entrypoint always takes the
 	// borrow/copy path — its callers hand in plain io.Writers, and the
 	// zero-alloc guarantee is part of its contract.
-	return s.stream(&fc, s.shardOf(v), w, nil, v, b0, b1)
+	return s.stream(&fc, w, nil, v, b0, b1)
 }
 
 // stream writes [b0,b1] of the video from the chunk store, each chunk
 // by the read ladder of chunkReader.open. rf is non-nil only when
 // s.section is set and the writer can take over the copy (net/http's
 // ResponseWriter).
-func (s *Server) stream(fc *fillCtx, sh *edgeShard, w io.Writer, rf io.ReaderFrom, v chunk.VideoID, b0, b1 int64) error {
+func (s *Server) stream(fc *fillCtx, w io.Writer, rf io.ReaderFrom, v chunk.VideoID, b0, b1 int64) error {
 	cr := chunkReader{s: s, rf: rf}
 	defer cr.close()
 	k := s.cfg.ChunkSize
@@ -782,11 +717,11 @@ func (s *Server) stream(fc *fillCtx, sh *edgeShard, w io.Writer, rf io.ReaderFro
 			// disagrees (e.g. lost to a concurrent rollback since the
 			// preflight). Self-heal from origin; this is real ingress
 			// and is charged inside the fetch.
-			if err2 := s.heal(fc, sh, id); err2 != nil {
+			if err2 := s.heal(fc, id); err2 != nil {
 				// Charged here so the stream entrypoint's ledger
 				// matches handleVideo's preflight, which counts the
 				// identical failure at its call site.
-				sh.fillErrs.Add(1)
+				s.fillErrs.Add(1)
 				return err
 			}
 			if view, err = cr.open(id); err != nil {
@@ -942,23 +877,23 @@ func writeRange(w io.Writer, data []byte, lo, b0, b1 int64) error {
 // its own FillTimeout budget; waiters that give up (ctx) leave it
 // running for the others. On error fill returns the position in ids of
 // the first chunk of the run that failed.
-func (s *Server) fill(fc *fillCtx, sh *edgeShard, ids []chunk.ID) (int, error) {
+func (s *Server) fill(fc *fillCtx, ids []chunk.ID) (int, error) {
 	for i := 0; i < len(ids); {
-		sh.flightMu.Lock()
-		f := sh.flights[ids[i].Key()]
+		s.flightMu.Lock()
+		f := s.flights[ids[i].Key()]
 		if f == nil {
 			j := i + 1
 			for j < len(ids) && ids[j].Video == ids[i].Video && ids[j].Index == ids[j-1].Index+1 &&
-				sh.flights[ids[j].Key()] == nil {
+				s.flights[ids[j].Key()] == nil {
 				j++
 			}
 			f = &flight{run: ids[i:j], done: make(chan struct{})}
 			for _, id := range f.run {
-				sh.flights[id.Key()] = f
+				s.flights[id.Key()] = f
 			}
-			go s.runFlight(sh, f)
+			go s.runFlight(f)
 		}
-		sh.flightMu.Unlock()
+		s.flightMu.Unlock()
 		ctx := fc.get()
 		select {
 		case <-f.done:
@@ -981,13 +916,13 @@ func (s *Server) fill(fc *fillCtx, sh *edgeShard, ids []chunk.ID) (int, error) {
 // cleanup — so verify the store after each fill and retry a couple of
 // times; the window is microseconds wide, so one retry all but
 // guarantees convergence.
-func (s *Server) heal(fc *fillCtx, sh *edgeShard, id chunk.ID) error {
+func (s *Server) heal(fc *fillCtx, id chunk.ID) error {
 	for attempt := 0; attempt < 3; attempt++ {
-		if _, err := s.fill(fc, sh, []chunk.ID{id}); err != nil {
+		if _, err := s.fill(fc, []chunk.ID{id}); err != nil {
 			return err
 		}
 		if s.cfg.Store.Has(id) {
-			sh.selfHeals.Add(1)
+			s.selfHeals.Add(1)
 			return nil
 		}
 	}
@@ -995,29 +930,29 @@ func (s *Server) heal(fc *fillCtx, sh *edgeShard, id chunk.ID) error {
 }
 
 // runFlight performs one coalesced fetch to completion.
-func (s *Server) runFlight(sh *edgeShard, f *flight) {
+func (s *Server) runFlight(f *flight) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.FillTimeout)
 	defer cancel()
-	f.err = s.fetchRun(ctx, sh, f.run)
-	sh.flightMu.Lock()
+	f.err = s.fetchRun(ctx, f.run)
+	s.flightMu.Lock()
 	for _, id := range f.run {
-		delete(sh.flights, id.Key())
+		delete(s.flights, id.Key())
 	}
-	sh.flightMu.Unlock()
+	s.flightMu.Unlock()
 	if f.err == nil {
 		// An admission may have been rolled back while we fetched
 		// (degraded request) or a chunk evicted by a concurrent
 		// request; bytes the cache does not claim must not squat in
 		// the store.
 		var orphans []chunk.ID
-		sh.mu.Lock()
+		s.mu.Lock()
 		for _, id := range f.run {
-			if !sh.cache.Contains(id) {
+			if !s.cache.Contains(id) {
 				orphans = append(orphans, id)
 			}
 		}
-		sh.mu.Unlock()
-		s.deleteChunks(sh, orphans)
+		s.mu.Unlock()
+		s.deleteChunks(orphans)
 	}
 	close(f.done)
 }
@@ -1027,25 +962,25 @@ func (s *Server) runFlight(sh *edgeShard, f *flight) {
 // hand it over at C_P instead of C_F, so a peer tier is offered every
 // chunk, one by one, and only the stretches it did not supply go to
 // the origin, each as one run.
-func (s *Server) fetchRun(ctx context.Context, sh *edgeShard, run []chunk.ID) error {
+func (s *Server) fetchRun(ctx context.Context, run []chunk.ID) error {
 	if s.cfg.PeerFill == nil {
-		return s.originRun(ctx, sh, run)
+		return s.originRun(ctx, run)
 	}
 	rest := 0 // run[rest:i] is what the peer tier has left to the origin
 	for i, id := range run {
-		done, err := s.peerFill(ctx, sh, id)
+		done, err := s.peerFill(ctx, id)
 		if err != nil {
 			return err
 		}
 		if !done {
 			continue
 		}
-		if err := s.originRun(ctx, sh, run[rest:i]); err != nil {
+		if err := s.originRun(ctx, run[rest:i]); err != nil {
 			return err
 		}
 		rest = i + 1
 	}
-	return s.originRun(ctx, sh, run[rest:])
+	return s.originRun(ctx, run[rest:])
 }
 
 // originRun fetches a run of consecutive chunks with one origin
@@ -1056,7 +991,7 @@ func (s *Server) fetchRun(ctx context.Context, sh *edgeShard, run []chunk.ID) er
 // fails takes back the chunks it had put, and Filled is charged once,
 // after the last chunk, with the run's actual byte count (a tail chunk
 // is short) — exactly the bytes of fully delivered fill bodies.
-func (s *Server) originRun(ctx context.Context, sh *edgeShard, run []chunk.ID) error {
+func (s *Server) originRun(ctx context.Context, run []chunk.ID) error {
 	if len(run) == 0 {
 		return nil
 	}
@@ -1079,11 +1014,11 @@ func (s *Server) originRun(ctx context.Context, sh *edgeShard, run []chunk.ID) e
 		n, err := s.fillRun(ctx, u, run)
 		s.breaker.Record(err == nil || resilience.IsPermanent(err))
 		if err != nil {
-			s.deleteChunks(sh, run[:n/k]) // only whole chunks precede a failure
+			s.deleteChunks(run[:n/k]) // only whole chunks precede a failure
 			s.servePath.rollbackBytes.Add(n)
 			return err
 		}
-		sh.counters.filled.Add(n)
+		s.counters.filled.Add(n)
 		return nil
 	})
 }
@@ -1269,13 +1204,13 @@ func (s *Server) fillScratchPut(bp *[]byte) {
 	s.fillBufs.Put(bp)
 }
 
-// originSize returns the video's size, consulting the shard's size
-// cache first: sizes are immutable, and depending on the origin for
+// originSize returns the video's size, consulting the size cache
+// first: sizes are immutable, and depending on the origin for
 // every request would let an origin outage break even pure cache hits.
-func (s *Server) originSize(fc *fillCtx, sh *edgeShard, v chunk.VideoID) (int64, error) {
-	sh.sizeMu.RLock()
-	size, ok := sh.sizes[v]
-	sh.sizeMu.RUnlock()
+func (s *Server) originSize(fc *fillCtx, v chunk.VideoID) (int64, error) {
+	s.sizeMu.RLock()
+	size, ok := s.sizes[v]
+	s.sizeMu.RUnlock()
 	if ok {
 		return size, nil
 	}
@@ -1293,31 +1228,28 @@ func (s *Server) originSize(fc *fillCtx, sh *edgeShard, v chunk.VideoID) (int64,
 		return nil
 	})
 	if err != nil {
-		sh.fillErrs.Add(1)
+		s.fillErrs.Add(1)
 		return 0, err
 	}
-	sh.sizeMu.Lock()
-	// Bound the cache: a few million entries across all shards is
-	// plenty for any chunk disk this server could front; reset rather
-	// than track recency — entries are one origin round-trip to
-	// recover.
-	if len(sh.sizes) >= s.sizeLimit {
-		sh.sizes = make(map[chunk.VideoID]int64)
+	s.sizeMu.Lock()
+	// Bound the cache: a few million entries is plenty for any chunk
+	// disk this server could front; reset rather than track recency —
+	// entries are one origin round-trip to recover.
+	if len(s.sizes) >= maxSizeCacheEntries {
+		s.sizes = make(map[chunk.VideoID]int64)
 	}
-	sh.sizes[v] = size
-	sh.sizeMu.Unlock()
+	s.sizes[v] = size
+	s.sizeMu.Unlock()
 	return size, nil
 }
 
-// maxSizeCacheEntries caps the video-size cache across all shards
-// (~16 bytes/entry).
+// maxSizeCacheEntries caps the video-size cache (~16 bytes/entry).
 const maxSizeCacheEntries = 1 << 21
 
 // Stats is the JSON body of /stats.
 type Stats struct {
 	Algorithm         string  `json:"algorithm"`
 	Alpha             float64 `json:"alpha_f2r"`
-	Shards            int     `json:"shards"`
 	Served            int64   `json:"served"`
 	Redirected        int64   `json:"redirected"`
 	DegradedRedirects int64   `json:"degraded_redirects"`
@@ -1328,15 +1260,12 @@ type Stats struct {
 	IngressRatio      float64 `json:"ingress_ratio"`
 	RedirectRatio     float64 `json:"redirect_ratio"`
 	CachedChunks      int     `json:"cached_chunks"`
-	// ShardChunks is the per-shard occupancy behind CachedChunks, so
-	// hash-balance across lock domains is observable.
-	ShardChunks       []int  `json:"shard_chunks,omitempty"`
-	FillErrors        int64  `json:"fill_errors"`
-	SelfHeals         int64  `json:"self_heals"`
-	StoreDeleteErrors int64  `json:"store_delete_errors"`
-	OriginRetries     int64  `json:"origin_retries"`
-	BreakerState      string `json:"breaker_state"`
-	BreakerOpens      int64  `json:"breaker_opens"`
+	FillErrors        int64   `json:"fill_errors"`
+	SelfHeals         int64   `json:"self_heals"`
+	StoreDeleteErrors int64   `json:"store_delete_errors"`
+	OriginRetries     int64   `json:"origin_retries"`
+	BreakerState      string  `json:"breaker_state"`
+	BreakerOpens      int64   `json:"breaker_opens"`
 	// RAM hot tier counters (present only when HotBytes > 0). These are
 	// observability only — the Eq. 2 identity and every response byte
 	// are independent of which tier served.
@@ -1363,38 +1292,31 @@ type Stats struct {
 	PeerIngressRatio float64 `json:"peer_ingress_ratio,omitempty"`
 }
 
-// SnapshotStats aggregates the per-shard counters into one report.
-// Each shard's counters are read atomically, so the aggregate is
-// per-shard-consistent: an in-flight request may be counted in one
-// shard gauge and not yet in another, but once the server quiesces the
-// sums are exact and the Eq. 2 identity holds to the last byte.
+// SnapshotStats reads the counters into one report. Each counter is
+// read atomically, so an in-flight request may be counted in one gauge
+// and not yet in another, but once the server quiesces the counters
+// are exact and the Eq. 2 identity holds to the last byte.
 func (s *Server) SnapshotStats() Stats {
 	st := Stats{
-		Algorithm:   s.algoName,
-		Alpha:       s.model.Alpha,
-		Shards:      len(s.shards),
-		ShardChunks: make([]int, len(s.shards)),
-		NodeID:      s.cfg.NodeID,
+		Alpha:             s.model.Alpha,
+		NodeID:            s.cfg.NodeID,
+		Served:            s.served.Load(),
+		Redirected:        s.redirs.Load(),
+		DegradedRedirects: s.degraded.Load(),
+		FillErrors:        s.fillErrs.Load(),
+		SelfHeals:         s.selfHeals.Load(),
+		StoreDeleteErrors: s.storeDels.Load(),
+		PeerFills:         s.peerFills.Load(),
+		PeerFillErrors:    s.peerFillErrs.Load(),
+		PeerFillMisses:    s.peerFillMisses.Load(),
+		PeerServes:        s.peerServes.Load(),
+		PeerServedBytes:   s.peerServedBytes.Load(),
 	}
-	var agg cost.Counters
-	for i, sh := range s.shards {
-		agg.Add(sh.counters.snapshot())
-		st.Served += sh.served.Load()
-		st.Redirected += sh.redirs.Load()
-		st.DegradedRedirects += sh.degraded.Load()
-		st.FillErrors += sh.fillErrs.Load()
-		st.SelfHeals += sh.selfHeals.Load()
-		st.StoreDeleteErrors += sh.storeDels.Load()
-		st.PeerFills += sh.peerFills.Load()
-		st.PeerFillErrors += sh.peerFillErrs.Load()
-		st.PeerFillMisses += sh.peerFillMisses.Load()
-		st.PeerServes += sh.peerServes.Load()
-		st.PeerServedBytes += sh.peerServedBytes.Load()
-		sh.mu.Lock()
-		st.ShardChunks[i] = sh.cache.Len()
-		sh.mu.Unlock()
-		st.CachedChunks += st.ShardChunks[i]
-	}
+	agg := s.counters.snapshot()
+	s.mu.Lock()
+	st.Algorithm = s.cache.Name()
+	st.CachedChunks = s.cache.Len()
+	s.mu.Unlock()
 	st.RequestedBytes = agg.Requested
 	st.FilledBytes = agg.Filled
 	st.RedirectedBytes = agg.Redirected
@@ -1479,12 +1401,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		write("videocdn_peer_ingress_ratio", "Peer-filled bytes over requested bytes.", "gauge", st.PeerIngressRatio)
 	}
 	write("videocdn_breaker_state", "Origin circuit breaker state (0 closed, 1 open, 2 half-open).", "gauge", float64(s.breaker.State()))
-	write("videocdn_edge_shards", "Independent lock shards in this edge server.", "gauge", float64(st.Shards))
 	write("videocdn_cached_chunks", "Chunks currently on disk.", "gauge", float64(st.CachedChunks))
 	write("videocdn_cache_efficiency", "Cache efficiency per the paper's Eq. 2.", "gauge", st.Efficiency)
 	write("videocdn_ingress_ratio", "Filled bytes over requested bytes.", "gauge", st.IngressRatio)
 	write("videocdn_redirect_ratio", "Redirected bytes over requested bytes.", "gauge", st.RedirectRatio)
-	for i, n := range st.ShardChunks {
-		fmt.Fprintf(w, "videocdn_shard_cached_chunks{shard=\"%d\"} %d\n", i, n)
-	}
 }

@@ -14,7 +14,7 @@ import (
 	"videocdn/internal/store"
 )
 
-// newStoreVariantServer builds a sharded edge server over the given
+// newStoreVariantServer builds an edge server over the given
 // store backend: mem, fs or slab.
 func newStoreVariantServer(t testing.TB, originURL, algo, kind string, clock func() int64) *Server {
 	t.Helper()
@@ -39,8 +39,7 @@ func newStoreVariantServer(t testing.TB, originURL, algo, kind string, clock fun
 		t.Fatalf("unknown store kind %q", kind)
 	}
 	s, err := NewServer(Config{
-		Shards:       4,
-		CacheFactory: shardFactory(t, algo, 2),
+		CacheFactory: registryFactory(t, algo, 2),
 		CacheConfig:  core.Config{ChunkSize: testK, DiskChunks: 2048},
 		Store:        st,
 		OriginURL:    originURL,

@@ -28,7 +28,7 @@ type hotVariant struct {
 // chunk zero-copy by itself, in which case the tier must stay empty.
 func (v hotVariant) lends() bool { return v.kind == "mem" || v.kind == "slab-mmap" }
 
-// newHotVariantServer builds a sharded edge server with the given hot
+// newHotVariantServer builds an edge server with the given hot
 // tier budget over the given cold backend.
 func newHotVariantServer(t testing.TB, originURL, algo string, v hotVariant, clock func() int64) *Server {
 	t.Helper()
@@ -53,8 +53,7 @@ func newHotVariantServer(t testing.TB, originURL, algo string, v hotVariant, clo
 		t.Fatalf("unknown store kind %q", v.kind)
 	}
 	s, err := NewServer(Config{
-		Shards:       4,
-		CacheFactory: shardFactory(t, algo, 2),
+		CacheFactory: registryFactory(t, algo, 2),
 		CacheConfig:  core.Config{ChunkSize: testK, DiskChunks: 2048},
 		Store:        st,
 		OriginURL:    originURL,

@@ -39,8 +39,6 @@ type CheckConfig struct {
 	// (it fills over fs, and must stay empty over mem and the mmap slab,
 	// which lend their bytes).
 	HotBytes int64
-	// Shards is the edge server's lock-shard count (power of two).
-	Shards int
 	// Seed fixes the operation sequence; every response and counter is
 	// a pure function of (config, Seed).
 	Seed int64
@@ -49,9 +47,9 @@ type CheckConfig struct {
 	// ChunkSize is K in bytes. Default 1024 (small chunks keep the op
 	// mix cheap while exercising multi-chunk ranges).
 	ChunkSize int64
-	// DiskChunks is the server-total disk capacity in chunks; must be
-	// divisible by Shards. Default 16 per shard — small enough that the
-	// generated workload overflows it and exercises eviction.
+	// DiskChunks is the disk capacity in chunks. Default 16 — small
+	// enough that the generated workload overflows it and exercises
+	// eviction.
 	DiskChunks int
 	// Videos is the catalog size. Default 24.
 	Videos int
@@ -113,20 +111,14 @@ func Check(cfg CheckConfig) (*Result, error) {
 	if cfg.ChunkSize == 0 {
 		cfg.ChunkSize = 1024
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
 	if cfg.DiskChunks == 0 {
-		cfg.DiskChunks = 16 * cfg.Shards
+		cfg.DiskChunks = 16
 	}
 	if cfg.Videos == 0 {
 		cfg.Videos = 24
 	}
 	if cfg.Ops <= 0 {
 		return nil, fmt.Errorf("oracle: Ops must be positive")
-	}
-	if cfg.DiskChunks%cfg.Shards != 0 {
-		return nil, fmt.Errorf("oracle: DiskChunks %d not divisible by %d shards", cfg.DiskChunks, cfg.Shards)
 	}
 	if (cfg.StoreKind == "fs" || cfg.StoreKind == "slab") && cfg.Dir == "" {
 		return nil, fmt.Errorf("oracle: store kind %q needs Dir", cfg.StoreKind)
@@ -138,7 +130,7 @@ func Check(cfg CheckConfig) (*Result, error) {
 		return nil, err
 	}
 	h.factory = factory
-	h.perShard = core.Config{ChunkSize: cfg.ChunkSize, DiskChunks: cfg.DiskChunks / cfg.Shards}
+	h.cacheCfg = core.Config{ChunkSize: cfg.ChunkSize, DiskChunks: cfg.DiskChunks}
 
 	// The catalog is drawn from the seeded stream before any traffic:
 	// a spread of sizes incl. sub-chunk videos, exact-multiple videos,
@@ -171,7 +163,7 @@ func Check(cfg CheckConfig) (*Result, error) {
 	if err := h.openStore(); err != nil {
 		return nil, err
 	}
-	h.model, err = newModel(cfg.Algo, cfg.Shards, h.perShard, h.factory, catalog, redirectBase, alpha)
+	h.model, err = newModel(cfg.Algo, h.cacheCfg, h.factory, catalog, redirectBase, alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -187,8 +179,8 @@ func Check(cfg CheckConfig) (*Result, error) {
 		h.op = i
 		if err := h.step(); err != nil {
 			h.res.FailedOp = i
-			return h.res, fmt.Errorf("oracle[%s/%s/shards=%d seed=%d]: op %d: %w",
-				cfg.Algo, cfg.StoreKind, cfg.Shards, cfg.Seed, i, err)
+			return h.res, fmt.Errorf("oracle[%s/%s/disk=%d seed=%d]: op %d: %w",
+				cfg.Algo, cfg.StoreKind, cfg.DiskChunks, cfg.Seed, i, err)
 		}
 		if cfg.Progress != nil && (i+1)%1000 == 0 {
 			cfg.Progress(i+1, cfg.Ops)
@@ -196,8 +188,8 @@ func Check(cfg CheckConfig) (*Result, error) {
 	}
 	// Final quiescent point: diff and check coherence once more.
 	if err := h.quiesce(); err != nil {
-		return h.res, fmt.Errorf("oracle[%s/%s/shards=%d seed=%d]: final: %w",
-			cfg.Algo, cfg.StoreKind, cfg.Shards, cfg.Seed, err)
+		return h.res, fmt.Errorf("oracle[%s/%s/disk=%d seed=%d]: final: %w",
+			cfg.Algo, cfg.StoreKind, cfg.DiskChunks, cfg.Seed, err)
 	}
 	st := h.server.SnapshotStats()
 	fmt.Fprintf(h.hash, "final|%d|%d|%d|%d|%d|%d|%d|%d|%.17g|%d",
@@ -214,7 +206,7 @@ type harness struct {
 	cfg      CheckConfig
 	rng      *rand.Rand
 	factory  func(int, core.Config) (core.Cache, error)
-	perShard core.Config
+	cacheCfg core.Config
 	catalog  edge.MapCatalog
 	bigVideo chunk.VideoID
 
@@ -268,9 +260,8 @@ func (h *harness) closeStore() error {
 
 func (h *harness) buildServer() error {
 	srv, err := edge.NewServer(edge.Config{
-		Shards:       h.cfg.Shards,
 		CacheFactory: h.factory,
-		CacheConfig:  core.Config{ChunkSize: h.cfg.ChunkSize, DiskChunks: h.cfg.DiskChunks},
+		CacheConfig:  h.cacheCfg,
 		Store:        h.raw,
 		OriginURL:    h.originSrv.URL,
 		RedirectURL:  redirectBase,
@@ -479,7 +470,7 @@ func (h *harness) opOdd() error {
 		return h.drive(http.MethodGet, "/prefetch?v=1", "", expect{status: 405})
 	default: // bad chunks parameter → 400 (cafe) / 501 (no prefetch)
 		exp := expect{status: 400}
-		if _, ok := h.model.caches[0].(prefetchCache); !ok {
+		if _, ok := h.model.cache.(prefetchCache); !ok {
 			exp = expect{status: 501}
 		}
 		return h.drive(http.MethodPost, fmt.Sprintf("/prefetch?v=%d&chunks=9999", h.pickVideo()), "", exp)
@@ -610,7 +601,6 @@ func firstDiff(a, b []byte) int {
 func (h *harness) diffStats() error {
 	st := h.server.SnapshotStats()
 	m := h.model
-	total, perShard := m.cachedChunks()
 	type cmp struct {
 		name      string
 		got, want int64
@@ -627,16 +617,11 @@ func (h *harness) diffStats() error {
 		{"store_delete_errors", st.StoreDeleteErrors, 0},
 		{"origin_retries", st.OriginRetries, 0},
 		{"breaker_opens", st.BreakerOpens, 0},
-		{"cached_chunks", int64(st.CachedChunks), int64(total)},
+		{"cached_chunks", int64(st.CachedChunks), int64(m.cache.Len())},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
 			return fmt.Errorf("stats.%s: server %d, model %d", c.name, c.got, c.want)
-		}
-	}
-	for i, n := range perShard {
-		if st.ShardChunks[i] != n {
-			return fmt.Errorf("stats.shard_chunks[%d]: server %d, model %d", i, st.ShardChunks[i], n)
 		}
 	}
 	if st.BreakerState != "closed" {
@@ -691,8 +676,8 @@ func (h *harness) quiesce() error {
 //     admitted is missing;
 //  2. every stored chunk's bytes verify against the deterministic
 //     content function (no corruption, no truncation);
-//  3. every chunk a cache claims has readable bytes (the count of
-//     claimed store keys equals the caches' total occupancy).
+//  3. every chunk the cache claims has readable bytes (the count of
+//     claimed store keys equals the cache's occupancy).
 func (h *harness) checkCoherence() error {
 	if got, want := h.raw.Len(), len(h.model.store); got != want {
 		return fmt.Errorf("coherence: store holds %d chunks, model expects %d (orphan or lost bytes)", got, want)
@@ -719,12 +704,12 @@ func (h *harness) checkCoherence() error {
 			claimed++
 		}
 	}
-	if total, _ := h.model.cachedChunks(); claimed != total && h.model.canForget() {
+	if total := h.model.cache.Len(); claimed != total && h.model.canForget() {
 		// A policy with rollback must never claim a byte-less chunk.
 		// Forget-less policies (gdsp, lruk) legitimately keep claiming
 		// chunks whose fills failed — the serve path's preflight
 		// self-heal re-fetches those on next touch.
-		return fmt.Errorf("coherence: caches claim %d chunks but only %d have store bytes", total, claimed)
+		return fmt.Errorf("coherence: cache claims %d chunks but only %d have store bytes", total, claimed)
 	}
 	return h.checkTierCoherence()
 }
@@ -803,7 +788,7 @@ func (h *harness) opReopen() error {
 		return fmt.Errorf("reopen: %v", err)
 	}
 	storeWiped := h.cfg.StoreKind == "mem"
-	if err := h.model.reopen(h.factory, h.perShard, storeWiped); err != nil {
+	if err := h.model.reopen(h.factory, h.cacheCfg, storeWiped); err != nil {
 		return err
 	}
 	if err := h.buildServer(); err != nil {

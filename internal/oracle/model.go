@@ -10,7 +10,7 @@
 // efficiency identity survives every failure path). Admission and
 // eviction decisions are not re-modeled — they are delegated to a
 // second instance of the real policy (cafe/xlru) built by the same
-// factory with the same per-shard configuration, so the model predicts
+// factory with the same configuration, so the model predicts
 // exactly what the server's decision engine will do while keeping the
 // byte accounting and residency bookkeeping independently derived.
 //
@@ -32,7 +32,6 @@ import (
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
-	"videocdn/internal/shard"
 	"videocdn/internal/trace"
 )
 
@@ -111,12 +110,11 @@ type ledger struct {
 
 // Model is the reference model. Not safe for concurrent use — the
 // whole point is that it is a single-goroutine restatement of what the
-// sharded, locked server must add up to.
+// concurrent, locked server must add up to.
 type Model struct {
 	algo      string
 	chunkSize int64
-	shards    int
-	caches    []core.Cache // one per shard, same factory as the server's
+	cache     core.Cache // same factory and configuration as the server's
 	catalog   map[chunk.VideoID]int64
 	redirect  string
 	costModel cost.Model
@@ -133,41 +131,34 @@ type Model struct {
 // newModel builds the reference model. factory must be the same
 // factory handed to edge.NewServer, so the delegated policy instances
 // see identical configuration.
-func newModel(algo string, shards int, perShard core.Config, factory func(int, core.Config) (core.Cache, error),
+func newModel(algo string, cfg core.Config, factory func(int, core.Config) (core.Cache, error),
 	catalog map[chunk.VideoID]int64, redirectURL string, alpha float64) (*Model, error) {
-	m := &Model{
+	c, err := factory(0, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("oracle: model: %w", err)
+	}
+	return &Model{
 		algo:      algo,
-		chunkSize: perShard.ChunkSize,
-		shards:    shards,
-		caches:    make([]core.Cache, shards),
+		chunkSize: cfg.ChunkSize,
+		cache:     c,
 		catalog:   catalog,
 		redirect:  redirectURL,
 		costModel: cost.MustModel(alpha),
 		known:     make(map[chunk.VideoID]int64),
 		store:     make(map[uint64]struct{}),
-	}
-	for i := range m.caches {
-		c, err := factory(i, perShard)
-		if err != nil {
-			return nil, fmt.Errorf("oracle: model shard %d: %w", i, err)
-		}
-		m.caches[i] = c
-	}
-	return m, nil
+	}, nil
 }
 
 // reopen resets the model to the state a server restart leaves behind:
 // fresh (cold) policy instances, zeroed counters, an empty size cache
 // — and, unless the store itself was wiped (mem), the chunk bytes
 // still on disk.
-func (m *Model) reopen(factory func(int, core.Config) (core.Cache, error), perShard core.Config, storeWiped bool) error {
-	for i := range m.caches {
-		c, err := factory(i, perShard)
-		if err != nil {
-			return fmt.Errorf("oracle: model reopen shard %d: %w", i, err)
-		}
-		m.caches[i] = c
+func (m *Model) reopen(factory func(int, core.Config) (core.Cache, error), cfg core.Config, storeWiped bool) error {
+	c, err := factory(0, cfg)
+	if err != nil {
+		return fmt.Errorf("oracle: model reopen: %w", err)
 	}
+	m.cache = c
 	m.known = make(map[chunk.VideoID]int64)
 	m.ledger = ledger{}
 	if storeWiped {
@@ -175,9 +166,6 @@ func (m *Model) reopen(factory func(int, core.Config) (core.Cache, error), perSh
 	}
 	return nil
 }
-
-// shardOf mirrors edge.Server.shardOf.
-func (m *Model) shardOf(v chunk.VideoID) int { return shard.ShardOf(v, m.shards) }
 
 // chunkBytes is the actual byte length of one chunk (the video's final
 // chunk may be short).
@@ -249,10 +237,10 @@ func (m *Model) degrade(bytes int64, uri string) expect {
 }
 
 // forget mirrors edge.Server.undoAdmission for the model's delegated
-// caches and store set.
-func (m *Model) forget(sh int, ids []chunk.ID) {
+// cache and store set.
+func (m *Model) forget(ids []chunk.ID) {
 	type forgetter interface{ Forget(id chunk.ID) }
-	if f, ok := m.caches[sh].(forgetter); ok {
+	if f, ok := m.cache.(forgetter); ok {
 		for _, id := range ids {
 			f.Forget(id)
 		}
@@ -289,8 +277,7 @@ func (m *Model) handleGet(op getOp, uri string, expectedBody func(v chunk.VideoI
 	}
 	reqBytes := b1 - b0 + 1
 
-	sh := m.shardOf(op.video)
-	out := m.caches[sh].HandleRequest(trace.Request{Time: m.now, Video: op.video, Start: b0, End: b1})
+	out := m.cache.HandleRequest(trace.Request{Time: m.now, Video: op.video, Start: b0, End: b1})
 
 	if out.Decision == core.Redirect {
 		m.ledger.redirs++
@@ -308,7 +295,7 @@ func (m *Model) handleGet(op getOp, uri string, expectedBody func(v chunk.VideoI
 			// The chunk fetch fails (503 or truncated body); the server
 			// rolls back the not-yet-filled admissions and degrades.
 			m.ledger.fillErrs++
-			m.forget(sh, out.FilledIDs[i:])
+			m.forget(out.FilledIDs[i:])
 			return m.degrade(reqBytes, uri)
 		}
 		m.ledger.counters.Filled += m.chunkBytes(id)
@@ -327,7 +314,7 @@ func (m *Model) handleGet(op getOp, uri string, expectedBody func(v chunk.VideoI
 		}
 		if m.phase != PhaseHealthy {
 			m.ledger.fillErrs++
-			m.forget(sh, []chunk.ID{id})
+			m.forget([]chunk.ID{id})
 			return m.degrade(reqBytes, uri)
 		}
 		m.ledger.selfHeals++
@@ -354,7 +341,7 @@ type prefetchCache interface {
 
 // handlePrefetch advances the model by one POST /prefetch operation.
 func (m *Model) handlePrefetch(v chunk.VideoID, n int) expect {
-	p, ok := m.caches[m.shardOf(v)].(prefetchCache)
+	p, ok := m.cache.(prefetchCache)
 	if !ok {
 		return expect{status: 501}
 	}
@@ -367,7 +354,6 @@ func (m *Model) handlePrefetch(v chunk.VideoID, n int) expect {
 		m.known[v] = size
 	}
 	maxChunk := uint32((size - 1) / m.chunkSize)
-	sh := m.shardOf(v)
 	accepted := 0
 	for i := 0; i < n; i++ {
 		hi, ok := p.HighestCachedIndex(v)
@@ -384,7 +370,7 @@ func (m *Model) handlePrefetch(v chunk.VideoID, n int) expect {
 		}
 		if m.phase != PhaseHealthy {
 			m.ledger.fillErrs++
-			m.forget(sh, []chunk.ID{id})
+			m.forget([]chunk.ID{id})
 			return expect{status: 502}
 		}
 		m.ledger.counters.Filled += m.chunkBytes(id)
@@ -394,26 +380,13 @@ func (m *Model) handlePrefetch(v chunk.VideoID, n int) expect {
 	return expect{status: 200, body: []byte(fmt.Sprintf("accepted %d\n", accepted))}
 }
 
-// cachedChunks returns the model's total and per-shard resident chunk
-// counts — the prediction for Stats.CachedChunks / Stats.ShardChunks.
-func (m *Model) cachedChunks() (total int, perShard []int) {
-	perShard = make([]int, len(m.caches))
-	for i, c := range m.caches {
-		perShard[i] = c.Len()
-		total += perShard[i]
-	}
-	return total, perShard
-}
-
-// claims reports whether any model cache claims the chunk resident.
-func (m *Model) claims(id chunk.ID) bool {
-	return m.caches[m.shardOf(id.Video)].Contains(id)
-}
+// claims reports whether the model cache claims the chunk resident.
+func (m *Model) claims(id chunk.ID) bool { return m.cache.Contains(id) }
 
 // canForget reports whether the policy supports admission rollback —
 // the policies that do can never leave a claimed chunk without bytes.
 func (m *Model) canForget() bool {
 	type forgetter interface{ Forget(id chunk.ID) }
-	_, ok := m.caches[0].(forgetter)
+	_, ok := m.cache.(forgetter)
 	return ok
 }

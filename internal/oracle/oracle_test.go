@@ -10,23 +10,35 @@ import (
 // matrixCell is one oracle configuration of TestCheckMatrix.
 type matrixCell struct {
 	algo, kind string
-	shards     int
+	disk       int // chunks
 	hot        int64
 }
 
+// matrixDisks is the disk axis, in chunks: a disk the generated
+// workload overflows at once, and one eight times larger.
+var matrixDisks = []int{16, 128}
+
+// name is the cell's subtest name. The disk is given in 16-chunk units
+// as shards=N, the name each cell has carried since the axis counted
+// 16-chunk lock shards, so a cell's test ID stays the same: shards=1
+// is the 16-chunk disk and shards=8 the 128-chunk one.
+func (c matrixCell) name() string {
+	return fmt.Sprintf("%s/%s/shards=%d/hot=%d", c.algo, c.kind, c.disk/16, c.hot)
+}
+
 // matrixCells builds the policy axis from the registry: the paper's
-// two production policies (cafe, xlru) sweep the full {store}×{shards}×
+// two production policies (cafe, xlru) sweep the full {store}×{disk}×
 // {hot} matrix, and every OTHER registered online policy — present and
-// future — gets a reduced sweep (slab store, hot off, both shard
-// counts). A newly registered policy is oracle-checked with zero edits
-// to this file.
+// future — gets a reduced sweep (slab store, hot off, both disks). A
+// newly registered policy is oracle-checked with zero edits to this
+// file.
 func matrixCells() []matrixCell {
 	var cells []matrixCell
 	for _, algo := range []string{"cafe", "xlru"} {
 		for _, kind := range []string{"mem", "fs", "slab"} {
-			for _, shards := range []int{1, 8} {
+			for _, disk := range matrixDisks {
 				for _, hot := range []int64{0, 32 << 10} {
-					cells = append(cells, matrixCell{algo, kind, shards, hot})
+					cells = append(cells, matrixCell{algo, kind, disk, hot})
 				}
 			}
 		}
@@ -38,16 +50,16 @@ func matrixCells() []matrixCell {
 		if spec, _ := policy.Lookup(algo); spec.NeedsTrace {
 			continue // offline policies cannot serve live traffic
 		}
-		for _, shards := range []int{1, 8} {
-			cells = append(cells, matrixCell{algo, "slab", shards, 0})
+		for _, disk := range matrixDisks {
+			cells = append(cells, matrixCell{algo, "slab", disk, 0})
 		}
 	}
 	return cells
 }
 
 // TestCheckMatrix runs the oracle across the configuration matrix:
-// every registered online policy, {mem,fs,slab} stores × {1,8} shards
-// × {off,32KB} hot tier (full matrix for cafe/xlru, reduced for the
+// every registered online policy, {mem,fs,slab} stores × {16,128}-chunk
+// disks × {off,32KB} hot tier (full matrix for cafe/xlru, reduced for the
 // rest), each with fixed seeds. Any response diff, any ledger drift,
 // any coherence violation fails with the op index and seed needed to
 // replay it (go test -run or cmd/checker -seed). The 32 KB hot budget is deliberately tiny
@@ -72,12 +84,11 @@ func TestCheckMatrix(t *testing.T) {
 	}
 	for _, c := range cells {
 		c := c
-		name := fmt.Sprintf("%s/%s/shards=%d/hot=%d", c.algo, c.kind, c.shards, c.hot)
-		t.Run(name, func(t *testing.T) {
+		t.Run(c.name(), func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
 				res, err := Check(CheckConfig{
-					Algo: c.algo, StoreKind: c.kind, Shards: c.shards,
+					Algo: c.algo, StoreKind: c.kind, DiskChunks: c.disk,
 					HotBytes: c.hot, Seed: seed, Ops: ops, Dir: t.TempDir(),
 				})
 				if err != nil {
@@ -93,30 +104,38 @@ func TestCheckMatrix(t *testing.T) {
 }
 
 // pinnedDigests are the expected full response-and-stats digests of
-// the canonical determinism run (slab store, 8 shards, seed 7, 250
-// ops) per policy. They pin two properties at once:
+// the canonical determinism run (slab store, seed 7, 250 ops) per
+// policy, on the 128- and the 16-chunk disk. They pin two properties
+// at once:
 // replay is bit-identical across runs, AND the registry refactor
 // changed zero behavior — any change to a policy's decisions, the
 // servers' response bytes, or the Eq. 2 arithmetic shows up here. If
 // a digest changes for a *deliberate* behavior change, rerun the test
 // and update the literal from the failure message.
-var pinnedDigests = map[string]string{
-	"cafe": "f1def2df4cd9857b",
-	"xlru": "a5f91db988ba9986",
-	"lru":  "1023757bccdda00d",
-	"lruq": "fe39b165804c22ad",
+var pinnedDigests = map[string]map[int]string{
+	"cafe": {128: "cf867f83eade7198", 16: "ffc304d8b6eb0055"},
+	"xlru": {128: "7f8a17be14eee381", 16: "8669226e247ac8b8"},
+	"lru":  {128: "37ca8dcb97b3e566", 16: "70639baa0d60ce2b"},
+	"lruq": {128: "37ca92cb97b3ede5", 16: "351730a854731935"},
 }
 
 // TestCheckDeterministic pins the bit-identical replay guarantee per
 // policy: two runs with the same config and seed must produce the
 // pinned digest (responses and final stats), and a different seed
-// must not.
+// must not. The 16-chunk disk is pinned by digest alone.
 func TestCheckDeterministic(t *testing.T) {
 	for algo, want := range pinnedDigests {
 		algo, want := algo, want
 		t.Run(algo, func(t *testing.T) {
 			t.Parallel()
-			cfg := CheckConfig{Algo: algo, StoreKind: "slab", Shards: 8, Seed: 7, Ops: 250}
+			small, err := Check(CheckConfig{Algo: algo, StoreKind: "slab", DiskChunks: 16, Seed: 7, Ops: 250, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if small.Digest != want[16] {
+				t.Fatalf("16-chunk digest %s != pinned %s — %s's observable behavior changed; update pinnedDigests only if the change is deliberate", small.Digest, want[16], algo)
+			}
+			cfg := CheckConfig{Algo: algo, StoreKind: "slab", DiskChunks: 128, Seed: 7, Ops: 250}
 			cfg.Dir = t.TempDir()
 			a, err := Check(cfg)
 			if err != nil {
@@ -133,8 +152,8 @@ func TestCheckDeterministic(t *testing.T) {
 			if a.String() != b.String() {
 				t.Fatalf("same seed, different results:\n%s\n%s", a, b)
 			}
-			if a.Digest != want {
-				t.Fatalf("digest %s != pinned %s — %s's observable behavior changed; update pinnedDigests only if the change is deliberate", a.Digest, want, algo)
+			if a.Digest != want[128] {
+				t.Fatalf("digest %s != pinned %s — %s's observable behavior changed; update pinnedDigests only if the change is deliberate", a.Digest, want[128], algo)
 			}
 			cfg.Dir = t.TempDir()
 			cfg.Seed = 8
@@ -154,10 +173,12 @@ func TestCheckDeterministic(t *testing.T) {
 // every payload byte, every Location, and the bit-exact Eq. 2
 // efficiency — is identical with the hot tier off, tiny, and huge,
 // both over fs, whose reads copy and so fill the tier, and over the
-// mmap slab, whose loans must leave it empty.
+// mmap slab, whose loans must leave it empty. The store is invisible
+// too: both kinds give the pinned digest.
 func TestHotTierDigestInvariant(t *testing.T) {
+	const pinned = "1b26d51be3867be6"
 	for _, kind := range []string{"fs", "slab"} {
-		base := CheckConfig{Algo: "cafe", StoreKind: kind, Shards: 8, Seed: 11, Ops: 250}
+		base := CheckConfig{Algo: "cafe", StoreKind: kind, DiskChunks: 128, Seed: 11, Ops: 250}
 		digests := map[int64]string{}
 		for _, hot := range []int64{0, 32 << 10, 1 << 30} {
 			cfg := base
@@ -172,6 +193,9 @@ func TestHotTierDigestInvariant(t *testing.T) {
 				t.Errorf("%s hot=%d: at most %d chunks hot-resident (a tier fills over a store that copies, and only there)",
 					kind, hot, res.PeakHotChunks)
 			}
+		}
+		if digests[0] != pinned {
+			t.Errorf("%s hot-off digest %s != pinned %s", kind, digests[0], pinned)
 		}
 		for hot, d := range digests {
 			if d != digests[0] {

@@ -61,10 +61,6 @@ type SlabConfig struct {
 	// SegmentSlots is how many slots each segment file holds. Defaults
 	// to 256 (512 MB segments at 2 MB slots).
 	SegmentSlots int
-	// Prealloc extends each new segment file to its full size up front
-	// (one Truncate), so steady-state writes never extend the file.
-	// Without it segments are sparse and grow as slots are written.
-	Prealloc bool
 	// Mmap maps every segment read-only (MAP_SHARED), enabling the
 	// zero-copy GetBorrow path: a cache hit serves straight from the
 	// page cache instead of pread+copy. Segment files are extended to
@@ -460,12 +456,6 @@ func (s *Slab) grow() error {
 	f, err := os.OpenFile(s.segPath(n), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating slab segment: %w", err)
-	}
-	if s.cfg.Prealloc {
-		if err := f.Truncate(s.segBytes); err != nil {
-			f.Close()
-			return fmt.Errorf("store: preallocating slab segment: %w", err)
-		}
 	}
 	seg := s.newSegment(n, f)
 	if s.useMmap() {

@@ -85,27 +85,6 @@ func TestSlabRejectsOversizedChunk(t *testing.T) {
 	}
 }
 
-func TestSlabPrealloc(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testSlabConfig()
-	cfg.Prealloc = true
-	s, err := NewSlab(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Put(chunk.ID{Video: 1}, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(filepath.Join(dir, "seg-00000.slab"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := s.segBytes; fi.Size() != want {
-		t.Errorf("preallocated segment is %d bytes, want %d", fi.Size(), want)
-	}
-}
-
 func TestSlabRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestSlab(t, dir)

@@ -128,8 +128,8 @@ func TestFacadeOptimal(t *testing.T) {
 	}
 }
 
-// TestFacadeEdgeServer stands up an origin and a two-shard edge whose
-// shards NewCache builds over the CacheConfig each is handed.
+// TestFacadeEdgeServer stands up an origin and an edge whose cache
+// NewCache builds over the CacheConfig it is handed.
 func TestFacadeEdgeServer(t *testing.T) {
 	origin, err := videocdn.NewOriginServer(videocdn.MapCatalog{1: 3 << 10}, 1<<10)
 	if err != nil {
@@ -138,7 +138,6 @@ func TestFacadeEdgeServer(t *testing.T) {
 	o := httptest.NewServer(origin)
 	defer o.Close()
 	srv, err := videocdn.NewEdgeServer(videocdn.EdgeConfig{
-		Shards: 2,
 		CacheFactory: func(_ int, cc videocdn.CacheConfig) (videocdn.Cache, error) {
 			return videocdn.NewCache("cafe", videocdn.CacheOptions{
 				ChunkSize: cc.ChunkSize, DiskBytes: int64(cc.DiskChunks) * cc.ChunkSize, Alpha: 2,
@@ -159,7 +158,7 @@ func TestFacadeEdgeServer(t *testing.T) {
 	if rec.Code != http.StatusPartialContent || rec.Body.Len() != 2048 {
 		t.Errorf("GET = %d with %d bytes, want 206 with 2048", rec.Code, rec.Body.Len())
 	}
-	if st := srv.SnapshotStats(); st.Algorithm != "cafe×2" || st.CachedChunks != 2 {
+	if st := srv.SnapshotStats(); st.Algorithm != "cafe" || st.CachedChunks != 2 {
 		t.Errorf("stats: algorithm %q, %d chunks cached", st.Algorithm, st.CachedChunks)
 	}
 }
