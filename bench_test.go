@@ -11,15 +11,11 @@ package videocdn_test
 // see the regenerated rows (b.Logf output).
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
 	videocdn "videocdn"
-	"videocdn/internal/cost"
 	"videocdn/internal/experiments"
-	"videocdn/internal/sim"
-	"videocdn/internal/trace"
 )
 
 // benchScale keeps each figure iteration around a second.
@@ -250,60 +246,6 @@ func BenchmarkAlwaysFillLRUHandleRequest(b *testing.B) {
 	benchAlgorithm(b, func(reqs []videocdn.Request) (videocdn.Cache, error) {
 		return videocdn.NewCache("lru", videocdn.CacheOptions{DiskBytes: 2 << 30})
 	})
-}
-
-// ---------- Replay engine ----------
-
-// BenchmarkReplayParallel measures sim.ReplayParallel end to end — trace
-// partitioning, per-shard workers, deterministic merge — over a sharded
-// Cafe cache, one sub-benchmark per shard count. Compare against
-// BenchmarkReplaySequentialSharded: the ratio is the parallel speedup
-// (bounded by min(shards, GOMAXPROCS)).
-func BenchmarkReplayParallel(b *testing.B) {
-	reqs := benchTrace(b)
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 2 << 30, Alpha: 2, Shards: n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := videocdn.Replay(c, videocdn.SliceTrace(reqs), 2, videocdn.ReplayOptions{Workers: n}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkReplaySequentialSharded is the sequential baseline for
-// BenchmarkReplayParallel: the same sharded cache replayed on one
-// goroutine through the locked Group front door.
-func BenchmarkReplaySequentialSharded(b *testing.B) {
-	reqs := benchTrace(b)
-	model, err := cost.NewModel(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 2 << 30, Alpha: 2, Shards: n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := sim.Replay(c, trace.Slice(reqs), model, sim.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkWorkloadGeneration measures trace synthesis throughput.

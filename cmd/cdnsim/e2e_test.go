@@ -13,9 +13,8 @@ import (
 
 // TestTextAndDirectoryReplayAlike builds the real cdnsim binary and
 // replays one trace given as a text file and as a columnar directory:
-// the result rows must be identical, on one cache and on a sharded
-// group whose shard count differs from the directory's. The retired
-// -mmap and -format flags must fail flag parsing.
+// the result rows must be identical. The retired -mmap and -format
+// flags must fail flag parsing.
 func TestTextAndDirectoryReplayAlike(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the real binary")
@@ -51,7 +50,7 @@ func TestTextAndDirectoryReplayAlike(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(tmp, "eu.tracedir")
-	dw, err := trace.CreateDir(dir, trace.DirConfig{Shards: 4})
+	dw, err := trace.CreateDir(dir, trace.DirConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,16 +77,14 @@ func TestTextAndDirectoryReplayAlike(t *testing.T) {
 		}
 		return strings.Join(lines, "\n")
 	}
-	for _, shards := range []string{"1", "2"} {
-		args := []string{"-algo", "cafe,xlru", "-disk-gb", "0.5", "-shards", shards, "-trace"}
-		fromText := replay(append(args, text)...)
-		fromDir := replay(append(args, dir)...)
-		if fromText != fromDir {
-			t.Errorf("-shards %s: text and directory replays differ:\ntext:\n%s\ndirectory:\n%s", shards, fromText, fromDir)
-		}
-		if !strings.Contains(fromText, "cafe") || !strings.Contains(fromText, "xlru") {
-			t.Errorf("-shards %s: no result rows in\n%s", shards, fromText)
-		}
+	args := []string{"-algo", "cafe,xlru", "-disk-gb", "0.5", "-trace"}
+	fromText := replay(append(args, text)...)
+	fromDir := replay(append(args, dir)...)
+	if fromText != fromDir {
+		t.Errorf("text and directory replays differ:\ntext:\n%s\ndirectory:\n%s", fromText, fromDir)
+	}
+	if !strings.Contains(fromText, "cafe") || !strings.Contains(fromText, "xlru") {
+		t.Errorf("no result rows in\n%s", fromText)
 	}
 
 	for _, args := range [][]string{{"-mmap", "-trace", dir}, {"-format", "text", "-trace", text}} {

@@ -7,13 +7,12 @@
 //	tracegen -profile europe -days 14 -o eu.trace   # a text trace
 //	cdnsim -trace eu.trace -algo cafe -alpha 2 -disk-gb 16
 //	cdnsim -trace eu.trace -algo xlru,cafe,psychic -alpha 2 -series series.csv
-//	cdnsim -trace eu.trace -algo cafe -shards 8 -workers 8   # parallel sharded replay
 //	cdnsim -trace eu.trace -algo cafe -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 //	# columnar trace directories (tracegen -dir) are detected
-//	# automatically and replayed by streaming per-shard cursors —
+//	# automatically and replayed by streaming one cursor —
 //	# a 100M-request replay runs at flat memory:
-//	cdnsim -trace eu.tracedir -algo cafe -shards 8 -progress
+//	cdnsim -trace eu.tracedir -algo cafe -progress
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 	"videocdn/internal/cost"
 	"videocdn/internal/policy"
 	_ "videocdn/internal/policy/all"
-	"videocdn/internal/shard"
 	"videocdn/internal/sim"
 	"videocdn/internal/trace"
 )
@@ -42,8 +40,6 @@ func main() {
 	chunkMB := flag.Float64("chunk-mb", 2, "chunk size in MB")
 	seriesOut := flag.String("series", "", "write hourly series CSV to this file")
 	policyConfig := flag.String("policy-config", "", "policy parameters as k=v,k2=v2, given to every -algo (schema-validated per policy; see internal/policy)")
-	shards := flag.Int("shards", 1, "shard the cache n ways (power of two) and replay shards in parallel")
-	workers := flag.Int("workers", 0, "worker goroutines for -shards > 1 (default min(shards, GOMAXPROCS))")
 	progress := flag.Bool("progress", false, "print replay progress to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile after the replay to this file")
@@ -53,8 +49,8 @@ func main() {
 		fatal(fmt.Errorf("-trace is required"))
 	}
 
-	// The replay source: a columnar directory streams per-shard
-	// cursors; a text file is read into memory.
+	// The replay source: a columnar directory streams block by block;
+	// a text file is read into memory.
 	src, err := trace.Open(*tracePath)
 	if err != nil {
 		fatal(err)
@@ -118,18 +114,15 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	simOpts := sim.Options{Workers: *workers}
+	var simOpts sim.Options
 	if *progress {
 		simOpts.ProgressEvery = 1 << 20
 		start := time.Now()
 		simOpts.Progress = progressPrinter(start)
 	}
 
-	fmt.Printf("%d requests, disk %d chunks (%.1f GB), alpha=%.2g", src.Len(), cfg.DiskChunks, *diskGB, *alpha)
-	if *shards > 1 {
-		fmt.Printf(", %d shards", *shards)
-	}
-	fmt.Printf("\n\n%-8s %10s %10s %10s %9s %9s %9s\n", "algo", "eff", "ingress", "redirect", "served", "redirects", "elapsed")
+	fmt.Printf("%d requests, disk %d chunks (%.1f GB), alpha=%.2g\n\n%-8s %10s %10s %10s %9s %9s %9s\n",
+		src.Len(), cfg.DiskChunks, *diskGB, *alpha, "algo", "eff", "ingress", "redirect", "served", "redirects", "elapsed")
 	for _, name := range strings.Split(*algos, ",") {
 		name = strings.TrimSpace(name)
 		spec := name
@@ -140,22 +133,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var c core.Cache
-		if *shards > 1 {
-			c, err = shard.New(*shards, cfg, factory)
-		} else {
-			c, err = factory(0, cfg)
-		}
+		c, err := factory(0, cfg)
 		if err != nil {
 			fatal(err)
 		}
 		t0 := time.Now()
-		var res *sim.Result
-		if g, ok := c.(*shard.Group); ok {
-			res, err = sim.ReplayParallel(g, src, model, simOpts)
-		} else {
-			res, err = sim.Replay(c, src, model, simOpts)
-		}
+		res, err := sim.Replay(c, src, model, simOpts)
 		if err != nil {
 			fatal(err)
 		}

@@ -7,9 +7,8 @@
 //
 //	traceconv -in logs.csv -in-format csv -out eu.trace -out-format text
 //
-//	# move a text trace into a sharded columnar directory
-//	traceconv -in eu.trace -in-format text \
-//	          -out eu.tracedir -out-format columnar -trace-shards 8
+//	# move a text trace into a columnar directory
+//	traceconv -in eu.trace -in-format text -out eu.tracedir -out-format columnar
 //
 //	# export a columnar directory back to text
 //	traceconv -in eu.tracedir -in-format columnar -out eu.txt -out-format text
@@ -37,7 +36,6 @@ func main() {
 	outFormat := flag.String("out-format", "text", "output format: text or columnar")
 	sep := flag.String("csv-sep", ",", "CSV field separator")
 	noRebase := flag.Bool("no-rebase", false, "keep absolute CSV timestamps instead of rebasing to t=0")
-	traceShards := flag.Int("trace-shards", 1, "shard fan-out for -out-format columnar (power of two)")
 	flag.Parse()
 
 	cur, err := openInput(*in, *inFormat, *sep, *noRebase)
@@ -46,7 +44,7 @@ func main() {
 	}
 	defer cur.Close()
 
-	w, finishOut, err := openWriter(*out, *outFormat, *traceShards)
+	w, finishOut, err := openWriter(*out, *outFormat)
 	if err != nil {
 		fatal(err)
 	}
@@ -97,7 +95,7 @@ func openInput(in, format, sep string, noRebase bool) (trace.Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return trace.Slice(reqs).Cursor(0)
+		return trace.Slice(reqs).Cursor()
 	case "text", "columnar":
 		if in == "" {
 			if format == "columnar" {
@@ -109,7 +107,7 @@ func openInput(in, format, sep string, noRebase bool) (trace.Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return trace.Sequential(src)
+		return src.Cursor()
 	default:
 		return nil, fmt.Errorf("unknown input format %q", format)
 	}
@@ -118,13 +116,13 @@ func openInput(in, format, sep string, noRebase bool) (trace.Cursor, error) {
 // openWriter returns a streaming Writer for the output plus a finish
 // function that finalizes it (columnar directories write their
 // manifest on Close).
-func openWriter(out, format string, shards int) (trace.Writer, func() error, error) {
+func openWriter(out, format string) (trace.Writer, func() error, error) {
 	switch format {
 	case "columnar":
 		if out == "" {
 			return nil, nil, errors.New("columnar output needs -out <directory>")
 		}
-		dw, err := trace.CreateDir(out, trace.DirConfig{Shards: shards})
+		dw, err := trace.CreateDir(out, trace.DirConfig{})
 		if err != nil {
 			return nil, nil, err
 		}

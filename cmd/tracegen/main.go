@@ -8,12 +8,11 @@
 //	tracegen -list                                      # show profiles
 //	tracegen -profile europe -scale 0.1 -o small.trace  # scaled volume
 //
-// For month-scale (100M+) traces, generate a sharded columnar trace
-// directory instead of a text file — generation streams to disk at
-// flat memory and, with -gen-workers > 1, runs in parallel:
+// For month-scale (100M+) traces, generate a columnar trace directory
+// instead of a text file — generation streams to disk at flat memory
+// and, with -gen-workers > 1, runs in parallel:
 //
-//	tracegen -profile europe -days 30 -dir europe.tracedir \
-//	         -trace-shards 8 -gen-workers 4
+//	tracegen -profile europe -days 30 -dir europe.tracedir -gen-workers 4
 package main
 
 import (
@@ -33,7 +32,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the profile's seed (0 = keep)")
 	list := flag.Bool("list", false, "list available profiles and exit")
 	dir := flag.String("dir", "", "write a columnar trace directory instead of a text file")
-	traceShards := flag.Int("trace-shards", 1, "shard fan-out of the trace directory (power of two; with -dir)")
 	genWorkers := flag.Int("gen-workers", 1, "parallel generation parts (with -dir)")
 	flag.Parse()
 
@@ -59,15 +57,12 @@ func main() {
 		p.Seed = *seed
 	}
 	if *dir != "" {
-		st, err := workload.GenerateDir(p, *days, *dir, workload.DirGenOptions{
-			Shards:  *traceShards,
-			Workers: *genWorkers,
-		})
+		st, err := workload.GenerateDir(p, *days, *dir, workload.DirGenOptions{Workers: *genWorkers})
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d requests (%.1f GB requested over %d days) to %s (%d shards, %d parts)\n",
-			st.Requests, float64(st.TotalBytes)/(1<<30), *days, *dir, *traceShards, *genWorkers)
+		fmt.Fprintf(os.Stderr, "wrote %d requests (%.1f GB requested over %d days) to %s (%d parts)\n",
+			st.Requests, float64(st.TotalBytes)/(1<<30), *days, *dir, *genWorkers)
 		return
 	}
 

@@ -76,27 +76,6 @@ func TestFacadeAnalyzeTrace(t *testing.T) {
 	}
 }
 
-func TestFacadeShardedCafe(t *testing.T) {
-	reqs := smallTrace(t)
-	c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 512 * mb, Alpha: 2, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name() != "cafe×4" {
-		t.Errorf("Name = %q", c.Name())
-	}
-	res, err := videocdn.Replay(c, videocdn.SliceTrace(reqs), 2, videocdn.ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != len(reqs) {
-		t.Errorf("replayed %d", res.Requests)
-	}
-	if _, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 512 * mb, Alpha: 2, Shards: 3}); err == nil {
-		t.Error("non-power-of-two shard count should fail")
-	}
-}
-
 func TestFacadeCafeStateRoundTrip(t *testing.T) {
 	reqs := smallTrace(t)
 	c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 2})

@@ -37,7 +37,12 @@ type Report struct {
 // PopularityReport describes the video popularity distribution.
 type PopularityReport struct {
 	// ZipfExponent is the fitted s of count ∝ 1/rank^s over the head
-	// of the ranking (least-squares in log-log space).
+	// of the ranking (least-squares in log-log space). On IRM traces of
+	// 350 000 requests over 10 000 Zipf(s) videos, 20 seeds per s, it
+	// read s − 0.0052, s − 0.0068 and s − 0.0112 on average at s = 0.8,
+	// 1.0 and 1.2, with a standard deviation of 0.0025 at each: fitting
+	// sorted sampled counts is biased low, more so for steeper s
+	// (TestZipfFitIRM).
 	ZipfExponent float64
 	// Top1Share / Top10Share are the request shares of the hottest 1%
 	// and 10% of videos.
@@ -102,7 +107,7 @@ func AnalyzeSource(src trace.Source, chunkSize int64) (*Report, error) {
 	}
 	a := newStreamAnalyzer(chunkSize)
 
-	cur, err := trace.Sequential(src)
+	cur, err := src.Cursor()
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +131,7 @@ func AnalyzeSource(src trace.Source, chunkSize int64) (*Report, error) {
 	}
 
 	// Second pass: intra-file positions against the now-known extents.
-	cur, err = trace.Sequential(src)
+	cur, err = src.Cursor()
 	if err != nil {
 		return nil, err
 	}

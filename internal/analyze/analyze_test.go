@@ -3,6 +3,7 @@ package analyze
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -74,6 +75,41 @@ func TestZipfFit(t *testing.T) {
 	}
 	if r.Popularity.Top1Share <= 0 || r.Popularity.Top10Share < r.Popularity.Top1Share {
 		t.Errorf("shares: %+v", r.Popularity)
+	}
+}
+
+// TestZipfFitIRM holds the Zipf fit to the bias and spread its doc
+// comment states: on IRM traces shaped like lruq's TestLRUMatchesChe
+// cells, the fit must land within four measured standard deviations of
+// s plus the measured bias.
+func TestZipfFitIRM(t *testing.T) {
+	const (
+		videos   = 10000
+		requests = 350000
+		sd       = 0.0025
+	)
+	for _, c := range []struct{ s, bias float64 }{{0.8, -0.0052}, {1.0, -0.0068}, {1.2, -0.0112}} {
+		cum := make([]float64, videos)
+		sum := 0.0
+		for i := range cum {
+			sum += math.Pow(float64(i+1), -c.s)
+			cum[i] = sum
+		}
+		for seed := int64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			reqs := make([]trace.Request, requests)
+			for i := range reqs {
+				v := sort.SearchFloat64s(cum, rng.Float64()*sum)
+				reqs[i] = req(int64(i), chunk.VideoID(v+1), 0, testK-1)
+			}
+			r, err := analyzeSlice(reqs, testK)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := r.Popularity.ZipfExponent, c.s+c.bias; math.Abs(got-want) > 4*sd {
+				t.Errorf("s=%.1f seed %d: fitted %.4f, want %.4f ± %.4f", c.s, seed, got, want, 4*sd)
+			}
+		}
 	}
 }
 
@@ -258,7 +294,7 @@ func TestAnalyzeSourceMatchesAnalyze(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	dw, err := trace.CreateDir(dir, trace.DirConfig{Shards: 4, BlockRequests: 512})
+	dw, err := trace.CreateDir(dir, trace.DirConfig{BlockRequests: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,11 +47,10 @@ func FromKey(k uint64) ID {
 
 // ShardOf returns the index of the hash bucket owning video v when the
 // video-ID space is divided n ways (n must be a positive power of two).
-// It is the single placement function for the whole repository: the
-// sharded cache group, the parallel replay engine and the columnar
-// trace writer all route through it, so they can never disagree about
-// which bucket owns a video. The hash is the splitmix64 finalizer, so
-// adjacent IDs scatter.
+// The sharded cache group and the parallel replay engine both route
+// through it, so they can never disagree about which bucket owns a
+// video; workload.SplitProfile uses it to derive part seeds. The hash
+// is the splitmix64 finalizer, so adjacent IDs scatter.
 func ShardOf(v VideoID, n int) int {
 	x := uint64(v) + 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

@@ -12,9 +12,10 @@
 //
 // The composite behaves like N smaller servers rather than one big
 // one: each shard runs its own replacement and admission over a
-// 1/N-th disk. With hash-balanced load the efficiency penalty versus
-// one unified cache is small (each shard's popularity distribution is
-// a uniform sample of the whole).
+// 1/N-th disk, with its own cache age. That costs efficiency, more as
+// N grows (DESIGN.md §7), so the simulator and the edge drive one
+// cache each. The group remains for the repository benchmark, whose
+// parallel-replay metric drives it through sim.ReplayParallel.
 package shard
 
 import (
@@ -70,16 +71,10 @@ func New(n int, cfg core.Config, factory Factory) (*Group, error) {
 	return g, nil
 }
 
-// ShardOf returns the shard index owning video v in an n-shard group
-// (n must be a power of two). It delegates to chunk.ShardOf, the single
-// placement function for the whole repository: Group dispatch, the
-// parallel replay engine and the columnar trace writer all call it, so
-// they can never disagree about which shard owns a video.
-func ShardOf(v chunk.VideoID, n int) int { return chunk.ShardOf(v, n) }
-
-// pick hashes a video to its shard slot via ShardOf.
+// pick hashes a video to its shard slot via chunk.ShardOf, the
+// placement the parallel replay engine filters by too.
 func (g *Group) pick(v chunk.VideoID) *shardSlot {
-	return &g.shards[ShardOf(v, len(g.shards))]
+	return &g.shards[chunk.ShardOf(v, len(g.shards))]
 }
 
 // NumShards returns the number of shards in the group.
@@ -87,7 +82,7 @@ func (g *Group) NumShards() int { return len(g.shards) }
 
 // Shard returns shard i's underlying cache, bypassing the group's
 // locking and timestamp clamping. It exists for the parallel replay
-// engine (which partitions a trace with ShardOf and drives each shard
+// engine (which partitions a trace with chunk.ShardOf and drives each shard
 // on its own worker) and for introspection. The caller owns
 // serialization: mixing direct Shard access with concurrent
 // Group.HandleRequest calls is undefined behaviour.
@@ -122,30 +117,6 @@ func (g *Group) Contains(id chunk.ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cache.Contains(id)
-}
-
-// Stat describes one shard's occupancy.
-type Stat struct {
-	// Shard is the shard index (the ShardOf value of its videos).
-	Shard int
-	// Chunks is the shard's current on-disk chunk count.
-	Chunks int
-}
-
-// Stats reports per-shard occupancy so load imbalance across the hash
-// buckets is observable (the package comment's efficiency argument
-// assumes hash-balanced load; Stats is how to validate that on a real
-// workload). Like Len, the snapshot is per-shard-consistent, not
-// group-atomic.
-func (g *Group) Stats() []Stat {
-	out := make([]Stat, len(g.shards))
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		out[i] = Stat{Shard: i, Chunks: s.cache.Len()}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // HandleRequest implements core.Cache: one shard lock per request.

@@ -190,7 +190,7 @@ func TestReplayParallelPartition(t *testing.T) {
 	reqs := parallelTrace(1000, 11)
 	for _, n := range []int{1, 2, 4, 8} {
 		for _, r := range reqs {
-			s := shard.ShardOf(r.Video, n)
+			s := chunk.ShardOf(r.Video, n)
 			if s < 0 || s >= n {
 				t.Fatalf("ShardOf(%d, %d) = %d out of range", r.Video, n, s)
 			}

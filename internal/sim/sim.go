@@ -4,17 +4,13 @@
 // efficiency, both as hourly time series and as steady-state averages
 // over the tail of the trace (excluding cache warmup).
 //
-// Both engines consume a trace.Source, so the same code replays an
+// Replay consumes a trace.Source, so the same code replays an
 // in-memory []Request (trace.Slice) or a columnar trace directory
 // (trace.OpenDir) streamed block by block — the unit of experiment
-// scale is the trace medium, not RAM. Replay drives the source's
-// sequential order through one cache on the calling goroutine.
-// ReplayParallel exploits a sharded cache (internal/shard): each
-// shard's worker streams its own cursor — for a sharded trace
-// directory that is the shard's segment files read directly, with no
-// partition pass and no sub-trace copies — and the per-shard
-// accounting merges into a result bit-identical to a sequential replay
-// of the same group.
+// scale is the trace medium, not RAM. It drives the source's one
+// stream through one cache on the calling goroutine, as one server
+// serves its requests from one disk. ReplayAll runs several such
+// replays of one source side by side.
 package sim
 
 import (
@@ -221,7 +217,7 @@ func Replay(c core.Cache, src trace.Source, model cost.Model, opt Options) (*Res
 			}
 		}
 	}
-	cur, err := trace.Sequential(src)
+	cur, err := src.Cursor()
 	if err != nil {
 		return nil, err
 	}
@@ -296,56 +292,6 @@ func replayLoop(c core.Cache, cur trace.Cursor, steadyFrom int64, series *metric
 	}
 }
 
-// shardCursor opens the stream of requests that group shard gs (of
-// groupShards) must replay, adapting the source's shard fan-out to the
-// group's:
-//
-//   - equal counts: the shard's cursor, handed to the worker directly;
-//   - source coarser (fewer shards): the owning source shard filtered
-//     by chunk.ShardOf(v, groupShards) — valid because both fan-outs
-//     mask low bits of the same hash, so a group shard's videos all
-//     live in source shard gs & (srcShards-1);
-//   - source finer (more shards): the source shards congruent to gs
-//     mod groupShards, merged deterministically (via the source's own
-//     ShardMerger when available, which reconstructs the exact
-//     original relative order).
-func shardCursor(src trace.Source, gs, groupShards int) (trace.Cursor, error) {
-	t := src.Shards()
-	if t <= 0 || t&(t-1) != 0 {
-		return nil, fmt.Errorf("sim: source shard count %d is not a positive power of two", t)
-	}
-	switch {
-	case t == groupShards:
-		return src.Cursor(gs)
-	case t < groupShards:
-		base, err := src.Cursor(gs & (t - 1))
-		if err != nil {
-			return nil, err
-		}
-		return &filterCursor{c: base, groupShards: groupShards, want: gs}, nil
-	default: // t > groupShards
-		shards := make([]int, 0, t/groupShards)
-		for s := gs; s < t; s += groupShards {
-			shards = append(shards, s)
-		}
-		if m, ok := src.(trace.ShardMerger); ok {
-			return m.MergeShards(shards)
-		}
-		cs := make([]trace.Cursor, len(shards))
-		for i, s := range shards {
-			c, err := src.Cursor(s)
-			if err != nil {
-				for _, open := range cs[:i] {
-					open.Close()
-				}
-				return nil, err
-			}
-			cs[i] = c
-		}
-		return trace.MergeCursors(cs...), nil
-	}
-}
-
 // filterCursor keeps only the requests owned by one group shard.
 type filterCursor struct {
 	c           trace.Cursor
@@ -368,13 +314,15 @@ func (f *filterCursor) Next(req *trace.Request) (bool, error) {
 func (f *filterCursor) Close() error { return f.c.Close() }
 
 // ReplayParallel replays a time-ordered source through a sharded cache
-// group, one worker per shard (bounded by opt.Workers). Each worker
-// streams the cursor of its own shard — the same video placement
-// (chunk.ShardOf) the group's dispatch uses — so it sees exactly the
-// request subsequence its sub-cache would have seen under a sequential
-// replay of the group, in the same order, with no partition pass and
-// no sub-trace copies. Shards share no mutable state, so no locks are
-// taken on the request path.
+// group, one worker per shard (bounded by opt.Workers). It exists only
+// for the repository benchmark's parallel-speedup metric: the
+// simulator otherwise drives one cache per replay. Each worker streams
+// the whole source and keeps the requests of its own shard — the same
+// video placement (chunk.ShardOf) the group's dispatch uses — so it
+// sees exactly the request subsequence its sub-cache would have seen
+// under a sequential replay of the group, in the same order. The
+// sub-caches share no mutable state, so no locks are taken on the
+// request path.
 //
 // The merged Result is bit-identical to Replay(g, src, model, opt):
 // decisions match per request, and every accounting field is an
@@ -446,13 +394,14 @@ func ReplayParallel(g *shard.Group, src trace.Source, model cost.Model, opt Opti
 		go func() {
 			defer wg.Done()
 			for s := range work {
-				cur, err := shardCursor(src, s, n)
+				base, err := src.Cursor()
 				if err != nil {
 					shardErr[s] = fmt.Errorf("sim: shard %d: %w", s, err)
 					continue
 				}
 				// Anchor every shard's series at the global trace start
 				// so merged buckets align with the sequential series.
+				cur := &filterCursor{c: base, groupShards: n, want: s}
 				series, err := metrics.NewSeriesAt(opt.BucketSeconds, start)
 				if err != nil {
 					cur.Close()

@@ -8,21 +8,20 @@ import (
 
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
-	"videocdn/internal/shard"
 	"videocdn/internal/trace"
 	"videocdn/internal/workload"
 )
 
 // soakHeapBudget is the flat-memory bound the streaming replay must
 // hold regardless of trace length: heap usage is O(cache state +
-// per-shard block buffers), never O(requests). The documented
+// cursor block buffers), never O(requests). The documented
 // worst-case working set (DESIGN.md section 14) is a few tens of MB at
 // this configuration; 256 MiB leaves generous headroom for GC slack
 // while still failing loudly if anything starts accumulating the trace.
 const soakHeapBudget = 256 << 20
 
 // TestStreamingReplaySoakFlatMemory generates a columnar trace
-// directory and replays it through per-shard cursors while sampling
+// directory and replays it through one cache while sampling
 // runtime.MemStats from the progress callback: peak HeapAlloc must stay
 // under soakHeapBudget, a bound independent of trace length. The
 // default volume keeps CI fast; set VIDEOCDN_SOAK_REQUESTS (e.g.
@@ -56,7 +55,7 @@ func TestStreamingReplaySoakFlatMemory(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	st, err := workload.GenerateDir(p, days, dir, workload.DirGenOptions{Shards: 8, Workers: 4})
+	st, err := workload.GenerateDir(p, days, dir, workload.DirGenOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +69,12 @@ func TestStreamingReplaySoakFlatMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := shard.New(8, core.Config{ChunkSize: 1 << 20, DiskChunks: 8192}, parallelFactories()[0].mk)
+	c, err := parallelFactories()[0].mk(0, core.Config{ChunkSize: 1 << 20, DiskChunks: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var peakHeap uint64
 	opt := Options{
-		Workers:       4,
 		ProgressEvery: 100_000,
 		Progress: func(done, total int) {
 			if h := peak(); h > peakHeap {
@@ -84,7 +82,7 @@ func TestStreamingReplaySoakFlatMemory(t *testing.T) {
 			}
 		},
 	}
-	res, err := ReplayParallel(g, d, cost.MustModel(2), opt)
+	res, err := Replay(c, d, cost.MustModel(2), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

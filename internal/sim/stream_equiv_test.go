@@ -11,12 +11,12 @@ import (
 	"videocdn/internal/trace"
 )
 
-// writeColumnar writes reqs into a fresh columnar directory with the
-// given shard fan-out and opens it.
-func writeColumnar(t *testing.T, reqs []trace.Request, shards int) *trace.Dir {
+// writeColumnar writes reqs into a fresh columnar directory and opens
+// it.
+func writeColumnar(t *testing.T, reqs []trace.Request) *trace.Dir {
 	t.Helper()
 	dir := t.TempDir()
-	dw, err := trace.CreateDir(dir, trace.DirConfig{Shards: shards, BlockRequests: 256})
+	dw, err := trace.CreateDir(dir, trace.DirConfig{BlockRequests: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,87 +67,64 @@ func requireIdentical(t *testing.T, label string, want, got *Result) {
 }
 
 // TestStreamingReplayMatrix is the streaming-vs-in-memory equivalence
-// matrix: replaying a columnar trace directory through per-shard
-// cursors must produce results bit-identical to replaying the
-// materialized slice, across {1,8} trace shards x {1,8} group shards x
-// {cafe,xlru}, in both the sequential and parallel engines. The
-// off-diagonal cells exercise shard-count adaptation: trace shards <
-// group shards takes the filter-cursor path, trace shards > group
-// shards the exact-merge path.
+// matrix: replaying a columnar trace directory must produce results
+// bit-identical to replaying the materialized slice, for {cafe,xlru}
+// on one cache and on {1,8}-shard groups, the groups in both the
+// sequential and parallel engines.
 func TestStreamingReplayMatrix(t *testing.T) {
 	reqs := parallelTrace(6000, 99)
 	m := cost.MustModel(2)
 	cfg := core.Config{ChunkSize: testK, DiskChunks: 256}
+	d := writeColumnar(t, reqs)
 	for _, f := range parallelFactories() {
-		for _, traceShards := range []int{1, 8} {
-			d := writeColumnar(t, reqs, traceShards)
-			for _, groupShards := range []int{1, 8} {
-				label := fmt.Sprintf("%s/T%d/G%d", f.name, traceShards, groupShards)
-				mkGroup := func() *shard.Group {
-					g, err := shard.New(groupShards, cfg, f.mk)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return g
-				}
-				// In-memory reference.
-				memSeq, err := Replay(mkGroup(), trace.Slice(reqs), m, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				memPar, err := ReplayParallel(mkGroup(), trace.Slice(reqs), m, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Streaming: sequential merge and per-shard cursors.
-				dirSeq, err := Replay(mkGroup(), d, m, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				dirPar, err := ReplayParallel(mkGroup(), d, m, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, label+"/seq", memSeq, dirSeq)
-				requireIdentical(t, label+"/par", memPar, dirPar)
-				// Both engines agree with each other too.
-				requireIdentical(t, label+"/engines", memSeq, memPar)
-				requireIdentical(t, label+"/dir-engines", dirSeq, dirPar)
+		one := func() core.Cache {
+			c, err := f.mk(0, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return c
 		}
-	}
-}
-
-// TestStreamingReplayAsymmetricShards pins the two adaptation paths at
-// specific shard counts: 2 trace shards feeding an 8-shard group
-// (filter cursors) and 8 trace shards feeding a 2-shard group (merge
-// cursors).
-func TestStreamingReplayAsymmetricShards(t *testing.T) {
-	reqs := parallelTrace(4000, 5)
-	m := cost.MustModel(2)
-	cfg := core.Config{ChunkSize: testK, DiskChunks: 128}
-	f := parallelFactories()[0] // cafe
-	for _, tc := range []struct{ traceShards, groupShards int }{
-		{2, 8}, // filter path
-		{8, 2}, // merge path
-	} {
-		d := writeColumnar(t, reqs, tc.traceShards)
-		g1, err := shard.New(tc.groupShards, cfg, f.mk)
+		mem, err := Replay(one(), trace.Slice(reqs), m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ReplayParallel(g1, trace.Slice(reqs), m, Options{})
+		dir, err := Replay(one(), d, m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := shard.New(tc.groupShards, cfg, f.mk)
-		if err != nil {
-			t.Fatal(err)
+		requireIdentical(t, f.name, mem, dir)
+		for _, groupShards := range []int{1, 8} {
+			label := fmt.Sprintf("%s/G%d", f.name, groupShards)
+			mkGroup := func() *shard.Group {
+				g, err := shard.New(groupShards, cfg, f.mk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			// In-memory reference.
+			memSeq, err := Replay(mkGroup(), trace.Slice(reqs), m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			memPar, err := ReplayParallel(mkGroup(), trace.Slice(reqs), m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Streaming: one cursor, and one filtered cursor per shard.
+			dirSeq, err := Replay(mkGroup(), d, m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirPar, err := ReplayParallel(mkGroup(), d, m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, label+"/seq", memSeq, dirSeq)
+			requireIdentical(t, label+"/par", memPar, dirPar)
+			// Both engines agree with each other too.
+			requireIdentical(t, label+"/engines", memSeq, memPar)
+			requireIdentical(t, label+"/dir-engines", dirSeq, dirPar)
 		}
-		got, err := ReplayParallel(g2, d, m, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, "asymmetric", want, got)
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-
-	"videocdn/internal/chunk"
 )
 
-// Columnar on-disk trace format: a trace is a directory of per-shard
-// segment files plus a manifest. It exists so that a 100M+ request
+// Columnar on-disk trace format: a trace is a directory of segment
+// files plus a manifest. It exists so that a 100M+ request
 // replay never holds the trace in memory — writers stream blocks out,
 // readers stream blocks in, and peak RSS is bounded by block buffers
 // regardless of trace length.
@@ -37,15 +35,19 @@ import (
 // corruption anywhere in the file is detected rather than silently
 // dropping requests.
 //
-// Sharding and the sequence column. Requests are routed to segment
-// files by chunk.ShardOf(video, shards) — the same placement function
-// the sharded cache group uses — so the parallel replay engine can
-// hand each worker its shard's cursor directly. Each writer "part"
-// (one per generation worker) stamps its requests with a monotonically
-// increasing sequence number shared across that part's shards. Sorting
-// by (Time, Part, Seq) therefore reconstructs the exact order the
-// requests were written in, even across timestamp ties, which is what
-// makes streaming replay bit-identical to in-memory replay.
+// Parts and the sequence column. Each writer "part" (one per
+// generation worker) writes one segment file and stamps its requests
+// with a monotonically increasing sequence number. Sorting by (Time,
+// Part, Seq) therefore reconstructs the exact order the requests were
+// written in, even across timestamp ties, which is what makes
+// streaming replay bit-identical to in-memory replay.
+//
+// The header's shard field and the manifest's shards count are kept
+// for directories written by older builds, which split each part over
+// several shard segments by video hash. This writer always writes
+// shard 0 of 1; the reader merges every segment by (Time, Part, Seq)
+// whatever shard wrote it, so such a directory still replays in its
+// exact write order.
 const (
 	// DefaultBlockRequests is the number of requests per block when
 	// DirConfig.BlockRequests is zero. At ~10 bytes per encoded request
@@ -75,10 +77,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DirConfig parameterizes a columnar trace directory.
 type DirConfig struct {
-	// Shards is the number of per-shard segment streams (a positive
-	// power of two). Replaying through a shard.Group of the same count
-	// needs no partitioning at all. Defaults to 1.
-	Shards int
 	// Parts is the number of independent writer streams (one per
 	// generation worker). Defaults to 1.
 	Parts int
@@ -88,17 +86,11 @@ type DirConfig struct {
 }
 
 func (c *DirConfig) normalize() error {
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
 	if c.Parts == 0 {
 		c.Parts = 1
 	}
 	if c.BlockRequests == 0 {
 		c.BlockRequests = DefaultBlockRequests
-	}
-	if c.Shards < 0 || c.Shards&(c.Shards-1) != 0 {
-		return fmt.Errorf("trace: shard count must be a positive power of two, got %d", c.Shards)
 	}
 	if c.Parts < 0 {
 		return fmt.Errorf("trace: negative part count %d", c.Parts)
@@ -112,9 +104,11 @@ func (c *DirConfig) normalize() error {
 // Manifest describes a columnar trace directory. It is written as
 // ManifestName when the directory is finalized.
 type Manifest struct {
-	Format        string        `json:"format"`
-	Version       int           `json:"version"`
-	Shards        int           `json:"shards"`
+	Format  string `json:"format"`
+	Version int    `json:"version"`
+	// ShardCount is how many shard segments each part was split into:
+	// 1 from this writer, a power of two from older ones.
+	ShardCount    int           `json:"shards"`
 	Parts         int           `json:"parts"`
 	BlockRequests int           `json:"block_requests"`
 	Requests      uint64        `json:"requests"`
@@ -140,7 +134,7 @@ func segFileName(shard, part int) string {
 
 // ---------- Segment writer ----------
 
-// segWriter streams one (shard, part) segment file: it buffers one
+// segWriter streams one segment file: it buffers one
 // block of columns, encodes and writes the block when full, and keeps
 // only the (small) footer index in memory until finish.
 type segWriter struct {
@@ -345,15 +339,11 @@ func CreateDirParts(dir string, cfg DirConfig) (*DirParts, error) {
 	}
 	dp := &DirParts{dir: dir, cfg: cfg, parts: make([]*PartWriter, cfg.Parts)}
 	for p := range dp.parts {
-		pw := &PartWriter{part: p, segs: make([]*segWriter, cfg.Shards)}
-		for s := range pw.segs {
-			sw, err := newSegWriter(filepath.Join(dir, segFileName(s, p)), s, p, cfg.BlockRequests)
-			if err != nil {
-				return nil, err
-			}
-			pw.segs[s] = sw
+		sw, err := newSegWriter(filepath.Join(dir, segFileName(0, p)), 0, p, cfg.BlockRequests)
+		if err != nil {
+			return nil, err
 		}
-		dp.parts[p] = pw
+		dp.parts[p] = &PartWriter{seg: sw}
 	}
 	return dp, nil
 }
@@ -372,34 +362,32 @@ func (dp *DirParts) Close() error {
 	man := Manifest{
 		Format:        ManifestFormat,
 		Version:       1,
-		Shards:        dp.cfg.Shards,
+		ShardCount:    1,
 		Parts:         dp.cfg.Parts,
 		BlockRequests: dp.cfg.BlockRequests,
 	}
 	first := true
 	for p, pw := range dp.parts {
-		for s, sw := range pw.segs {
-			if err := sw.finish(); err != nil {
-				return fmt.Errorf("trace: finalizing %s: %w", segFileName(s, p), err)
+		sw := pw.seg
+		if err := sw.finish(); err != nil {
+			return fmt.Errorf("trace: finalizing %s: %w", segFileName(0, p), err)
+		}
+		man.Segments = append(man.Segments, SegmentInfo{
+			File:     segFileName(0, p),
+			Part:     p,
+			Requests: sw.requests,
+			MinTime:  sw.minTime,
+			MaxTime:  sw.maxTime,
+		})
+		man.Requests += sw.requests
+		if sw.requests > 0 {
+			if first || sw.minTime < man.MinTime {
+				man.MinTime = sw.minTime
 			}
-			man.Segments = append(man.Segments, SegmentInfo{
-				File:     segFileName(s, p),
-				Shard:    s,
-				Part:     p,
-				Requests: sw.requests,
-				MinTime:  sw.minTime,
-				MaxTime:  sw.maxTime,
-			})
-			man.Requests += sw.requests
-			if sw.requests > 0 {
-				if first || sw.minTime < man.MinTime {
-					man.MinTime = sw.minTime
-				}
-				if first || sw.maxTime > man.MaxTime {
-					man.MaxTime = sw.maxTime
-				}
-				first = false
+			if first || sw.maxTime > man.MaxTime {
+				man.MaxTime = sw.maxTime
 			}
+			first = false
 		}
 	}
 	data, err := json.MarshalIndent(man, "", "  ")
@@ -415,19 +403,17 @@ func (dp *DirParts) Close() error {
 
 // PartWriter is one independent write stream of a columnar trace
 // directory. Requests must arrive in non-decreasing time order within
-// the part; the writer routes each to its shard's segment and stamps
-// it with the part-local sequence number that lets readers reconstruct
-// the exact write order. Not safe for concurrent use; distinct parts
-// are independent.
+// the part; the writer stamps each with the part-local sequence number
+// that lets readers reconstruct the exact write order. Not safe for
+// concurrent use; distinct parts are independent.
 type PartWriter struct {
-	part     int
-	segs     []*segWriter
+	seg      *segWriter
 	seq      uint64
 	lastTime int64
 	started  bool
 }
 
-// Write routes one request to its shard segment.
+// Write appends one request to the part's segment.
 func (pw *PartWriter) Write(r Request) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -439,7 +425,7 @@ func (pw *PartWriter) Write(r Request) error {
 	pw.lastTime = r.Time
 	seq := pw.seq
 	pw.seq++
-	return pw.segs[chunk.ShardOf(r.Video, len(pw.segs))].add(r, seq)
+	return pw.seg.add(r, seq)
 }
 
 // Requests returns how many requests this part has written.

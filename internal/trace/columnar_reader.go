@@ -10,14 +10,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"videocdn/internal/chunk"
 )
 
 // Dir is a columnar trace directory opened for reading. It implements
-// Source (plus SequentialSource and ShardMerger), so it plugs directly
-// into the replay engines; every cursor it hands out owns its own file
+// Source, so it plugs directly into the replay engines; every cursor it hands out owns its own file
 // descriptors and decode buffers, so cursors over the same directory
 // are safe to drive from concurrent goroutines.
 type Dir struct {
@@ -49,15 +47,15 @@ func readManifest(dir string) (Manifest, error) {
 	if man.Version != 1 {
 		return man, fmt.Errorf("%s: unsupported version %d", ManifestName, man.Version)
 	}
-	if man.Shards <= 0 || man.Shards&(man.Shards-1) != 0 {
-		return man, fmt.Errorf("%s: shard count %d is not a positive power of two", ManifestName, man.Shards)
+	if man.ShardCount <= 0 || man.ShardCount&(man.ShardCount-1) != 0 {
+		return man, fmt.Errorf("%s: shard count %d is not a positive power of two", ManifestName, man.ShardCount)
 	}
 	if man.Parts <= 0 {
 		return man, fmt.Errorf("%s: non-positive part count %d", ManifestName, man.Parts)
 	}
 	var total uint64
 	for _, s := range man.Segments {
-		if s.Shard < 0 || s.Shard >= man.Shards || s.Part < 0 || s.Part >= man.Parts {
+		if s.Shard < 0 || s.Shard >= man.ShardCount || s.Part < 0 || s.Part >= man.Parts {
 			return man, fmt.Errorf("%s: segment %q out of range (shard %d, part %d)", ManifestName, s.File, s.Shard, s.Part)
 		}
 		total += s.Requests
@@ -71,9 +69,6 @@ func readManifest(dir string) (Manifest, error) {
 // Manifest returns the directory's manifest.
 func (d *Dir) Manifest() Manifest { return d.man }
 
-// Shards implements Source.
-func (d *Dir) Shards() int { return d.man.Shards }
-
 // Len implements Source: the exact request count from the manifest.
 func (d *Dir) Len() int64 { return int64(d.man.Requests) }
 
@@ -85,64 +80,21 @@ func (d *Dir) TimeSpan() (int64, int64, bool) {
 	return d.man.MinTime, d.man.MaxTime, true
 }
 
-// Cursor implements Source: it streams shard s's requests across all
-// parts, merged by (Time, Part, Seq).
-func (d *Dir) Cursor(shard int) (Cursor, error) {
-	if shard < 0 || shard >= d.man.Shards {
-		return nil, fmt.Errorf("trace: shard %d out of range (trace has %d)", shard, d.man.Shards)
-	}
-	return d.open(func(s SegmentInfo) bool { return s.Shard == shard })
-}
-
-// SequentialCursor implements SequentialSource: all shards and parts
-// merged by (Time, Part, Seq) — the exact order the trace was written
-// in when it has one part, and the canonical deterministic order
-// otherwise.
-func (d *Dir) SequentialCursor() (Cursor, error) {
-	return d.open(func(SegmentInfo) bool { return true })
-}
-
-// MergeShards implements ShardMerger: the union of the given shards as
-// one deterministically ordered stream.
-func (d *Dir) MergeShards(shards []int) (Cursor, error) {
-	want := make(map[int]bool, len(shards))
-	for _, s := range shards {
-		if s < 0 || s >= d.man.Shards {
-			return nil, fmt.Errorf("trace: shard %d out of range (trace has %d)", s, d.man.Shards)
-		}
-		want[s] = true
-	}
-	return d.open(func(s SegmentInfo) bool { return want[s.Shard] })
-}
-
-// Close releases the directory. Cursors own their files, so this is a
-// no-op kept for symmetry with other trace handles.
-func (d *Dir) Close() error { return nil }
-
-func (d *Dir) open(keep func(SegmentInfo) bool) (Cursor, error) {
-	var infos []SegmentInfo
-	for _, s := range d.man.Segments {
-		if keep(s) {
-			infos = append(infos, s)
-		}
-	}
-	sort.Slice(infos, func(i, j int) bool {
-		if infos[i].Part != infos[j].Part {
-			return infos[i].Part < infos[j].Part
-		}
-		return infos[i].Shard < infos[j].Shard
-	})
-	cursors := make([]*segCursor, 0, len(infos))
-	fail := func(err error) (Cursor, error) {
-		for _, c := range cursors {
-			c.Close()
-		}
-		return nil, err
-	}
-	for _, info := range infos {
-		sc, err := openSeg(filepath.Join(d.dir, info.File), &info)
+// Cursor implements Source: every segment merged by (Time, Part, Seq)
+// — the exact order the trace was written in when it has one part,
+// and the canonical deterministic order otherwise. A directory whose
+// parts were split over several shard segments by an older writer
+// merges back into the same order.
+func (d *Dir) Cursor() (Cursor, error) {
+	cursors := make([]*segCursor, 0, len(d.man.Segments))
+	for i := range d.man.Segments {
+		info := &d.man.Segments[i]
+		sc, err := openSeg(filepath.Join(d.dir, info.File), info)
 		if err != nil {
-			return fail(err)
+			for _, c := range cursors {
+				c.Close()
+			}
+			return nil, err
 		}
 		cursors = append(cursors, sc)
 	}
@@ -159,6 +111,10 @@ func (d *Dir) open(keep func(SegmentInfo) bool) (Cursor, error) {
 		return &colMerge{streams: streams}, nil
 	}
 }
+
+// Close releases the directory. Cursors own their files, so this is a
+// no-op kept for symmetry with other trace handles.
+func (d *Dir) Close() error { return nil }
 
 // ---------- Segment cursor ----------
 
@@ -570,9 +526,7 @@ func (m *colMerge) Close() error {
 }
 
 var (
-	_ Source           = (*Dir)(nil)
-	_ SequentialSource = (*Dir)(nil)
-	_ ShardMerger      = (*Dir)(nil)
-	_ Cursor           = (*segCursor)(nil)
-	_ Cursor           = (*colMerge)(nil)
+	_ Source = (*Dir)(nil)
+	_ Cursor = (*segCursor)(nil)
+	_ Cursor = (*colMerge)(nil)
 )

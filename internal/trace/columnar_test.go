@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -66,94 +67,109 @@ func drain(t *testing.T, c Cursor) []Request {
 }
 
 func TestColumnarRoundTripSequential(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		reqs := genRequests(10_000, 42)
-		dir := t.TempDir()
-		// Small blocks so the test crosses many block boundaries.
-		writeDir(t, dir, reqs, DirConfig{Shards: shards, BlockRequests: 64})
-		d, err := OpenDir(dir)
-		if err != nil {
-			t.Fatalf("OpenDir: %v", err)
-		}
-		if d.Len() != int64(len(reqs)) {
-			t.Fatalf("Len = %d, want %d", d.Len(), len(reqs))
-		}
-		lo, hi, known := d.TimeSpan()
-		if !known || lo != reqs[0].Time || hi != reqs[len(reqs)-1].Time {
-			t.Fatalf("TimeSpan = (%d,%d,%v), want (%d,%d,true)", lo, hi, known, reqs[0].Time, reqs[len(reqs)-1].Time)
-		}
-		cur, err := d.SequentialCursor()
-		if err != nil {
-			t.Fatalf("SequentialCursor: %v", err)
-		}
-		got := drain(t, cur)
-		if len(got) != len(reqs) {
-			t.Fatalf("shards=%d: got %d requests, want %d", shards, len(got), len(reqs))
-		}
-		for i := range got {
-			if got[i] != reqs[i] {
-				t.Fatalf("shards=%d: request %d = %+v, want %+v", shards, i, got[i], reqs[i])
-			}
-		}
-	}
-}
-
-func TestColumnarShardCursors(t *testing.T) {
-	const shards = 8
-	reqs := genRequests(20_000, 7)
+	reqs := genRequests(10_000, 42)
 	dir := t.TempDir()
-	writeDir(t, dir, reqs, DirConfig{Shards: shards, BlockRequests: 128})
+	// Small blocks so the test crosses many block boundaries.
+	writeDir(t, dir, reqs, DirConfig{BlockRequests: 64})
 	d, err := OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
-	total := 0
-	for s := 0; s < shards; s++ {
-		cur, err := d.Cursor(s)
-		if err != nil {
-			t.Fatalf("Cursor(%d): %v", s, err)
-		}
-		got := drain(t, cur)
-		// The shard stream must equal the original order filtered to
-		// this shard's videos.
-		var want []Request
-		for _, r := range reqs {
-			if chunk.ShardOf(r.Video, shards) == s {
-				want = append(want, r)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shard %d: got %d requests, want %d", s, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("shard %d: request %d = %+v, want %+v", s, i, got[i], want[i])
-			}
-		}
-		total += len(got)
+	if d.Len() != int64(len(reqs)) {
+		t.Fatalf("Len = %d, want %d", d.Len(), len(reqs))
 	}
-	if total != len(reqs) {
-		t.Fatalf("shards cover %d requests, want %d", total, len(reqs))
+	lo, hi, known := d.TimeSpan()
+	if !known || lo != reqs[0].Time || hi != reqs[len(reqs)-1].Time {
+		t.Fatalf("TimeSpan = (%d,%d,%v), want (%d,%d,true)", lo, hi, known, reqs[0].Time, reqs[len(reqs)-1].Time)
 	}
-	// MergeShards over the even shards must equal the original order
-	// filtered to those shards.
-	cur, err := d.MergeShards([]int{0, 2, 4, 6})
+	if m := d.Manifest(); m.ShardCount != 1 || len(m.Segments) != 1 {
+		t.Fatalf("manifest has %d shards and %d segments, want 1 and 1", m.ShardCount, len(m.Segments))
+	}
+	cur, err := d.Cursor()
 	if err != nil {
-		t.Fatalf("MergeShards: %v", err)
+		t.Fatalf("Cursor: %v", err)
 	}
 	got := drain(t, cur)
-	var want []Request
-	for _, r := range reqs {
-		if chunk.ShardOf(r.Video, shards)%2 == 0 {
-			want = append(want, r)
+	if len(got) != len(reqs) {
+		t.Fatalf("got %d requests, want %d", len(got), len(reqs))
+	}
+	for i := range got {
+		if got[i] != reqs[i] {
+			t.Fatalf("request %d = %+v, want %+v", i, got[i], reqs[i])
 		}
 	}
+}
+
+// TestColumnarReadsShardedDirectory writes a directory the way older
+// builds did with more than one shard: each part split over several
+// segment files by chunk.ShardOf, every segment of a part sharing the
+// part's sequence numbers, and the manifest counting the shards. The
+// cursor must merge it back into the exact write order.
+func TestColumnarReadsShardedDirectory(t *testing.T) {
+	const shards, parts = 8, 2
+	in := [parts][]Request{genRequests(6_000, 7), genRequests(6_000, 8)}
+	dir := t.TempDir()
+	man := Manifest{Format: ManifestFormat, Version: 1, ShardCount: shards, Parts: parts, BlockRequests: 128}
+	first := true
+	for p, reqs := range in {
+		segs := make([]*segWriter, shards)
+		for s := range segs {
+			sw, err := newSegWriter(filepath.Join(dir, segFileName(s, p)), s, p, man.BlockRequests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[s] = sw
+		}
+		for seq, r := range reqs {
+			if err := segs[chunk.ShardOf(r.Video, shards)].add(r, uint64(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for s, sw := range segs {
+			if err := sw.finish(); err != nil {
+				t.Fatal(err)
+			}
+			if sw.requests == 0 {
+				t.Fatalf("part %d shard %d is empty; the test needs every segment used", p, s)
+			}
+			man.Segments = append(man.Segments, SegmentInfo{
+				File: segFileName(s, p), Shard: s, Part: p,
+				Requests: sw.requests, MinTime: sw.minTime, MaxTime: sw.maxTime,
+			})
+			man.Requests += sw.requests
+			if first || sw.minTime < man.MinTime {
+				man.MinTime = sw.minTime
+			}
+			if first || sw.maxTime > man.MaxTime {
+				man.MaxTime = sw.maxTime
+			}
+			first = false
+		}
+	}
+	data, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	src, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	got, err := Materialize(src)
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	// (Time, Part, Seq) order: a stable merge by time, part 0 first.
+	want := Merge(in[0], in[1])
 	if len(got) != len(want) {
-		t.Fatalf("MergeShards: got %d requests, want %d", len(got), len(want))
+		t.Fatalf("got %d requests, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("MergeShards: request %d = %+v, want %+v", i, got[i], want[i])
+			t.Fatalf("request %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -164,7 +180,7 @@ func TestColumnarMultiPart(t *testing.T) {
 	a := genRequests(5_000, 1)
 	b := genRequests(5_000, 2)
 	dir := t.TempDir()
-	dp, err := CreateDirParts(dir, DirConfig{Shards: 4, Parts: 2, BlockRequests: 64})
+	dp, err := CreateDirParts(dir, DirConfig{Parts: 2, BlockRequests: 64})
 	if err != nil {
 		t.Fatalf("CreateDirParts: %v", err)
 	}
@@ -185,9 +201,9 @@ func TestColumnarMultiPart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
-	cur, err := d.SequentialCursor()
+	cur, err := d.Cursor()
 	if err != nil {
-		t.Fatalf("SequentialCursor: %v", err)
+		t.Fatalf("Cursor: %v", err)
 	}
 	got := drain(t, cur)
 	// (Time, Part, Seq) order == stable merge by time with part 0
@@ -205,7 +221,7 @@ func TestColumnarMultiPart(t *testing.T) {
 
 func TestColumnarEmptyTrace(t *testing.T) {
 	dir := t.TempDir()
-	writeDir(t, dir, nil, DirConfig{Shards: 2})
+	writeDir(t, dir, nil, DirConfig{})
 	d, err := OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
@@ -216,9 +232,9 @@ func TestColumnarEmptyTrace(t *testing.T) {
 	if _, _, known := d.TimeSpan(); known {
 		t.Fatal("TimeSpan known for empty trace")
 	}
-	cur, err := d.SequentialCursor()
+	cur, err := d.Cursor()
 	if err != nil {
-		t.Fatalf("SequentialCursor: %v", err)
+		t.Fatalf("Cursor: %v", err)
 	}
 	if got := drain(t, cur); len(got) != 0 {
 		t.Fatalf("empty trace yielded %d requests", len(got))
@@ -306,13 +322,13 @@ func TestCursorNextZeroAllocs(t *testing.T) {
 	writeDir(t, dir, reqs, DirConfig{BlockRequests: blockRequests})
 
 	open := map[string]func() (Cursor, error){
-		"slice": func() (Cursor, error) { return Slice(reqs).Cursor(0) },
+		"slice": func() (Cursor, error) { return Slice(reqs).Cursor() },
 		"columnar-pread": func() (Cursor, error) {
 			d, err := OpenDir(dir)
 			if err != nil {
 				return nil, err
 			}
-			return d.Cursor(0)
+			return d.Cursor()
 		},
 	}
 	for name, openCursor := range open {
@@ -346,7 +362,7 @@ func TestOpen(t *testing.T) {
 	root := t.TempDir()
 
 	dir := filepath.Join(root, "trace.dir")
-	dp, err := CreateDirParts(dir, DirConfig{Shards: 4, Parts: 2, BlockRequests: 256})
+	dp, err := CreateDirParts(dir, DirConfig{Parts: 2, BlockRequests: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func FuzzColumnarTrace(f *testing.F) {
 func buildFuzzSegment(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	dw, err := CreateDir(dir, DirConfig{Shards: 1, BlockRequests: 8})
+	dw, err := CreateDir(dir, DirConfig{BlockRequests: 8})
 	if err != nil {
 		f.Fatal(err)
 	}

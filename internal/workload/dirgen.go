@@ -70,10 +70,6 @@ func SplitProfile(p Profile, parts int) ([]Profile, error) {
 
 // DirGenOptions tune GenerateDir.
 type DirGenOptions struct {
-	// Shards is the trace directory's shard fan-out (positive power of
-	// two; defaults to 1). Match it to the replaying cache group for a
-	// zero-routing parallel replay.
-	Shards int
 	// Workers is the number of parallel generation parts (defaults to
 	// 1). Each worker generates an independent SplitProfile slice of
 	// the workload and streams it to its own segment files.
@@ -110,11 +106,7 @@ func GenerateDir(p Profile, days int, dir string, opt DirGenOptions) (Stats, err
 		}
 		gens[i] = g
 	}
-	dp, err := trace.CreateDirParts(dir, trace.DirConfig{
-		Shards:        opt.Shards,
-		Parts:         workers,
-		BlockRequests: opt.BlockRequests,
-	})
+	dp, err := trace.CreateDirParts(dir, trace.DirConfig{Parts: workers, BlockRequests: opt.BlockRequests})
 	if err != nil {
 		return Stats{}, err
 	}

@@ -27,7 +27,7 @@ func TestGenerateDirSinglePartMatchesGenerate(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	dir := t.TempDir()
-	st, err := GenerateDir(p, 2, dir, DirGenOptions{Shards: 4})
+	st, err := GenerateDir(p, 2, dir, DirGenOptions{})
 	if err != nil {
 		t.Fatalf("GenerateDir: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestGenerateDirSinglePartMatchesGenerate(t *testing.T) {
 func TestGenerateDirParallelParts(t *testing.T) {
 	p := dirTestProfile()
 	dir := t.TempDir()
-	st, err := GenerateDir(p, 2, dir, DirGenOptions{Shards: 2, Workers: 4})
+	st, err := GenerateDir(p, 2, dir, DirGenOptions{Workers: 4})
 	if err != nil {
 		t.Fatalf("GenerateDir: %v", err)
 	}
@@ -79,9 +79,9 @@ func TestGenerateDirParallelParts(t *testing.T) {
 	}
 	// The merged stream must be time-ordered and every video ID must
 	// belong to one part's 24-bit namespace.
-	cur, err := trace.Sequential(d)
+	cur, err := d.Cursor()
 	if err != nil {
-		t.Fatalf("Sequential: %v", err)
+		t.Fatalf("Cursor: %v", err)
 	}
 	defer cur.Close()
 	var r trace.Request

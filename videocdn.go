@@ -14,8 +14,7 @@
 //     wrappers "alphactl:inner=cafe,..." and "writelimit:inner=...".
 //     All satisfy the Cache interface.
 //   - Replay drives a trace through a cache and reports efficiency,
-//     ingress and redirect ratios (Section 9's metrics); a sharded
-//     cache replays its shards in parallel.
+//     ingress and redirect ratios (Section 9's metrics).
 //   - GenerateWorkload synthesizes realistic six-region traces
 //     substituting for the paper's proprietary logs.
 //   - SolveOptimalLP computes the offline LP-relaxation efficiency
@@ -47,7 +46,6 @@ import (
 	"videocdn/internal/policy"
 	_ "videocdn/internal/policy/all"
 	"videocdn/internal/prefetch"
-	"videocdn/internal/shard"
 	"videocdn/internal/sim"
 	"videocdn/internal/store"
 	"videocdn/internal/trace"
@@ -86,7 +84,7 @@ type (
 	// Store holds chunk bytes for the HTTP edge server.
 	Store = store.Store
 	// EdgeConfig assembles an HTTP edge cache server. Its
-	// CacheFactory builds each lock shard's cache over that shard's
+	// CacheFactory builds the server's one cache over its
 	// CacheConfig.
 	EdgeConfig = edge.Config
 	// CacheConfig is one cache's chunk size and disk capacity in
@@ -133,13 +131,6 @@ type CacheOptions struct {
 	// Alpha is alpha_F2R, given to a policy whose schema takes one and
 	// whose spec leaves it unset; 0 keeps the schema's default (2).
 	Alpha float64
-	// Shards, when above 1, splits the cache into that many (a power
-	// of two) hash buckets of the video-ID space, each an independent
-	// instance of the spec with 1/Shards of the disk — the paper's
-	// footnote-2 hash-mod bucketizing applied in-process. The result
-	// is safe for concurrent use, and Replay drives its shards in
-	// parallel.
-	Shards int
 	// Future is the full request sequence an offline spec ("psychic",
 	// "belady") precomputes against; replay exactly it, in order.
 	Future []Request
@@ -164,28 +155,17 @@ func NewCache(spec string, opt CacheOptions) (Cache, error) {
 		return nil, err
 	}
 	cfg := core.Config{ChunkSize: opt.ChunkSize, DiskChunks: int(opt.DiskBytes / opt.ChunkSize)}
-	switch opt.Shards {
-	case 0, 1:
-		return factory(0, cfg)
-	}
-	return shard.New(opt.Shards, cfg, factory)
+	return factory(0, cfg)
 }
 
 // Replay drives src through the cache under alpha_F2R and returns the
 // paper's metrics (steady-state efficiency over the trace tail,
 // ingress and redirect ratios, hourly series). A trace directory
-// streams block by block, never materialized in memory. A sharded
-// cache replays each shard on its own worker (opt.Workers bounds the
-// parallelism), bit-identical to a sequential replay; when src is a
-// trace directory sharded like the cache, each worker streams its
-// shard's segment files directly.
+// streams block by block, never materialized in memory.
 func Replay(c Cache, src TraceSource, alpha float64, opt ReplayOptions) (*ReplayResult, error) {
 	m, err := cost.NewModel(alpha)
 	if err != nil {
 		return nil, err
-	}
-	if g, ok := c.(*shard.Group); ok {
-		return sim.ReplayParallel(g, src, m, opt)
 	}
 	return sim.Replay(c, src, m, opt)
 }
@@ -309,34 +289,20 @@ func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchCon
 	return prefetch.Replay(p, reqs, m, pcfg, chunkSize, sizes)
 }
 
-// ShardStat describes one shard's occupancy (see ShardStats).
-type ShardStat = shard.Stat
-
-// ShardStats reports per-shard chunk occupancy for a cache NewCache
-// built with Shards, so hash-balance across shards is observable. ok
-// is false when the cache is not sharded.
-func ShardStats(c Cache) (stats []ShardStat, ok bool) {
-	g, isGroup := c.(*shard.Group)
-	if !isGroup {
-		return nil, false
-	}
-	return g.Stats(), true
-}
-
 // Streaming trace types: a columnar trace directory streams 100M+
 // request replays at flat memory (bounded by per-cursor block buffers,
 // independent of trace length).
 type (
-	// TraceSource is a replayable trace: per-shard streaming cursors
-	// over an in-memory slice (SliceTrace) or an on-disk columnar
-	// directory (OpenTraceDir).
+	// TraceSource is a replayable trace: one time-ordered stream of
+	// requests over an in-memory slice (SliceTrace) or an on-disk
+	// columnar directory (OpenTraceDir).
 	TraceSource = trace.Source
 	// TraceCursor streams requests allocation-free via Next(*Request).
 	TraceCursor = trace.Cursor
 	// TraceDir is an opened columnar trace directory.
 	TraceDir = trace.Dir
-	// TraceDirConfig parameterizes CreateTraceDir (shard fan-out,
-	// writer parts, block size).
+	// TraceDirConfig parameterizes CreateTraceDir (writer parts,
+	// block size).
 	TraceDirConfig = trace.DirConfig
 )
 

@@ -61,7 +61,6 @@ func TestFacadeConstructors(t *testing.T) {
 		"nosuch":      opt,
 		"cafe:nope=1": opt,
 		"psychic":     opt, // offline, but no future trace
-		"psychic:n=4": {DiskBytes: 512 * mb, Future: reqs, Shards: 2},
 	} {
 		if _, err := videocdn.NewCache(spec, opt); err == nil {
 			t.Errorf("NewCache(%q, %+v) succeeded", spec, opt)
