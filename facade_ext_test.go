@@ -209,3 +209,91 @@ func TestFacadeReplayWithPrefetch(t *testing.T) {
 		t.Error("xlru does not prefetch")
 	}
 }
+
+// fixedCache returns one outcome for every request and never
+// prefetches: a policy that breaks the outcome invariants.
+type fixedCache struct{ out videocdn.Outcome }
+
+func (c fixedCache) HandleRequest(videocdn.Request) videocdn.Outcome { return c.out }
+func (fixedCache) Contains(videocdn.ChunkID) bool                    { return false }
+func (fixedCache) Len() int                                          { return 0 }
+func (fixedCache) Name() string                                      { return "fixed" }
+func (fixedCache) PrefetchChunk(videocdn.ChunkID, int64) (bool, []videocdn.ChunkID) {
+	return false, nil
+}
+func (fixedCache) HighestCachedIndex(videocdn.VideoID) (uint32, bool) { return 0, false }
+
+// TestFacadeReplaysRejectBrokenInput: the multi-tier and prefetch
+// replays run on the simulator's one replay loop, so they inherit its
+// checks and return an error for a trace out of time order or an
+// outcome that breaks the accounting invariants, instead of panicking
+// inside the cache or accepting the numbers.
+func TestFacadeReplaysRejectBrokenInput(t *testing.T) {
+	const k = videocdn.DefaultChunkSize
+	at := func(times ...int64) []videocdn.Request {
+		var reqs []videocdn.Request
+		for i, tm := range times {
+			reqs = append(reqs, videocdn.Request{Time: tm, Video: videocdn.VideoID(i + 1), Start: 0, End: k - 1})
+		}
+		return reqs
+	}
+	ordered, shuffled := at(0, 10, 20, 30), at(0, 10, 5, 30)
+	mk := func(spec string) videocdn.Cache {
+		c, err := videocdn.NewCache(spec, videocdn.CacheOptions{DiskBytes: 64 * mb, Alpha: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	redirectWithFill := fixedCache{videocdn.Outcome{Decision: videocdn.Redirect, FilledChunks: 1, FilledBytes: k}}
+	idsMismatch := fixedCache{videocdn.Outcome{Decision: videocdn.Serve, FilledChunks: 2, FilledBytes: 2 * k,
+		FilledIDs: []videocdn.ChunkID{{Video: 1}}}}
+	inputs := []struct {
+		name  string
+		cache func() videocdn.Cache
+		reqs  []videocdn.Request
+	}{
+		{"out of order (lru)", func() videocdn.Cache { return mk("lru") }, shuffled},
+		{"out of order (cafe)", func() videocdn.Cache { return mk("cafe") }, shuffled},
+		{"redirect with fill", func() videocdn.Cache { return redirectWithFill }, ordered},
+		{"FilledIDs mismatch", func() videocdn.Cache { return idsMismatch }, ordered},
+	}
+	drivers := []struct {
+		name   string
+		replay func(c videocdn.Cache, reqs []videocdn.Request) error
+	}{
+		{"ReplayChain", func(c videocdn.Cache, reqs []videocdn.Request) error {
+			_, err := videocdn.ReplayChain([]videocdn.Tier{{Name: "edge", Cache: c, Alpha: 1}}, reqs)
+			return err
+		}},
+		{"ReplayFanIn", func(c videocdn.Cache, reqs []videocdn.Request) error {
+			_, err := videocdn.ReplayFanIn([]videocdn.Tier{{Name: "edge", Cache: c, Alpha: 1}},
+				videocdn.Tier{Name: "parent", Cache: mk("lru"), Alpha: 1},
+				reqs, func(videocdn.Request) int { return 0 })
+			return err
+		}},
+		{"ReplayWithPrefetch", func(c videocdn.Cache, reqs []videocdn.Request) error {
+			_, err := videocdn.ReplayWithPrefetch(c, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 10}, k, videocdn.MapCatalog{})
+			return err
+		}},
+	}
+	for _, d := range drivers {
+		for _, in := range inputs {
+			if d.name == "ReplayWithPrefetch" && in.name == "out of order (lru)" {
+				continue // lru cannot prefetch
+			}
+			t.Run(d.name+"/"+in.name, func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				if err := d.replay(in.cache(), in.reqs); err == nil {
+					t.Fatal("accepted")
+				} else {
+					t.Log(err)
+				}
+			})
+		}
+	}
+}

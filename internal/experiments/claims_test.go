@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
+	"videocdn/internal/chunk"
+	"videocdn/internal/cost"
+	"videocdn/internal/prefetch"
 	"videocdn/internal/sim"
 )
 
@@ -22,7 +26,57 @@ var (
 	tinyFig2   = sync.OnceValues(func() (*Fig2Result, error) {
 		return Fig2(tinyScale(), []float64{1, 2}, []string{"asia", "europe"})
 	})
+	tinyHierarchy = sync.OnceValues(func() (*HierarchyResult, error) { return Hierarchy(tinyScale()) })
+	tinyCDNWide   = sync.OnceValues(func() (*CDNWideResult, error) { return CDNWide(tinyScale()) })
+	tinyFlash     = sync.OnceValues(func() (*FlashResult, error) { return Flash(tinyScale()) })
+	tinyPrefetch  = sync.OnceValues(func() ([]prefetchRun, error) { return prefetchRuns(tinyScale()) })
 )
+
+// prefetchRun is the prefetch figure's replay at one alpha, with the
+// prefetches the cache admitted counted per hour.
+type prefetchRun struct {
+	alpha   float64
+	budget  int
+	stats   prefetch.Stats
+	perHour map[int64]int
+}
+
+// hourlyPrefetches counts, per hour, the prefetches the cache admits.
+type hourlyPrefetches struct {
+	prefetch.Prefetchable
+	perHour map[int64]int
+}
+
+func (h hourlyPrefetches) PrefetchChunk(id chunk.ID, now int64) (bool, []chunk.ID) {
+	ok, evicted := h.Prefetchable.PrefetchChunk(id, now)
+	if ok {
+		h.perHour[now/3600]++
+	}
+	return ok, evicted
+}
+
+// prefetchRuns replays the prefetch figure's Cafe+prefetch runs.
+func prefetchRuns(sc Scale) ([]prefetchRun, error) {
+	gen, reqs, err := generate("europe", sc)
+	if err != nil {
+		return nil, err
+	}
+	var runs []prefetchRun
+	for _, alpha := range prefetchAlphas {
+		c, err := newCache(AlgoCafe, coreConfig(sc), alpha, nil)
+		if err != nil {
+			return nil, err
+		}
+		h := hourlyPrefetches{c.(prefetch.Prefetchable), make(map[int64]int)}
+		cfg := prefetchConfig(sc)
+		res, err := ReplayPrefetch(h, reqs, cost.MustModel(alpha), cfg, sc.ChunkSize, gen)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, prefetchRun{alpha: alpha, budget: cfg.ChunksPerHour, stats: res.Stats, perHour: h.perHour})
+	}
+	return runs, nil
+}
 
 // get returns a shared run's result, failing the test on its error.
 func get[T any](t *testing.T, run func() (T, error)) T {
@@ -114,6 +168,50 @@ func TestPaperClaims(t *testing.T) {
 			for _, s := range res.Servers {
 				m := res.Results[s]
 				out = append(out, atMost{s + " alpha=2: cafe <= psychic", eff(m, AlgoCafe), eff(m, AlgoPsychic), false})
+			}
+			return out
+		}},
+		{"ext:hierarchy", "the edge absorbs bytes, and edge + parent + origin is all requested", func(t *testing.T) []atMost {
+			c := get(t, tinyHierarchy).Chain
+			sum := float64(c.AbsorbedBytes[0] + c.AbsorbedBytes[1] + c.OriginBytes)
+			return []atMost{
+				{"0 < edge absorbed", 0, float64(c.AbsorbedBytes[0]), true},
+				{"edge + parent + origin <= requested", sum, float64(c.TotalRequested), false},
+				{"requested <= edge + parent + origin", float64(c.TotalRequested), sum, false},
+			}
+		}},
+		{"ext:cdnwide", "the shared parent lowers the origin share below edges alone", func(t *testing.T) []atMost {
+			res := get(t, tinyCDNWide)
+			return []atMost{{"with parent < edges alone", res.FanIn.OriginShare(), res.EdgeOnlyOrigin, true}}
+		}},
+		{"ext:flash", "psychic serves the flash video no later than any online cache", func(t *testing.T) (out []atMost) {
+			first := map[string]float64{}
+			for _, row := range get(t, tinyFlash).Rows {
+				first[row.Algo] = row.FirstServe
+			}
+			psychic := first[AlgoPsychic]
+			out = append(out, atMost{"psychic serves it: 0 <= its first serve (minutes)", 0, psychic, false})
+			for _, algo := range OnlineAlgos {
+				if fs := first[algo]; algo != AlgoPsychic {
+					if fs < 0 {
+						fs = math.Inf(1) // never served
+					}
+					out = append(out, atMost{"psychic <= " + algo + " (minutes)", psychic, fs, false})
+				}
+			}
+			return out
+		}},
+		{"ext:prefetch", "useful <= accepted <= attempted, and no hour over budget", func(t *testing.T) (out []atMost) {
+			for _, r := range get(t, tinyPrefetch) {
+				peak := 0
+				for _, n := range r.perHour {
+					peak = max(peak, n)
+				}
+				out = append(out,
+					atMost{fmt.Sprintf("alpha=%g: 0 < accepted", r.alpha), 0, float64(r.stats.Accepted), true},
+					atMost{fmt.Sprintf("alpha=%g: accepted <= attempted", r.alpha), float64(r.stats.Accepted), float64(r.stats.Attempted), false},
+					atMost{fmt.Sprintf("alpha=%g: useful <= accepted", r.alpha), float64(r.stats.UsefulChunks), float64(r.stats.Accepted), false},
+					atMost{fmt.Sprintf("alpha=%g: most accepted in one hour <= budget", r.alpha), float64(peak), float64(r.budget), false})
 			}
 			return out
 		}},

@@ -8,6 +8,8 @@ import (
 	"videocdn/internal/cost"
 	"videocdn/internal/hierarchy"
 	"videocdn/internal/prefetch"
+	"videocdn/internal/sim"
+	"videocdn/internal/trace"
 )
 
 // PrefetchResult compares plain Cafe against Cafe with the off-peak
@@ -33,9 +35,17 @@ type PrefetchRow struct {
 	Accepted     int
 }
 
-// Prefetch runs the proactive-caching extension experiment: prefetch
-// during the overnight trough (local hours 2-7), with an hourly chunk
-// budget, at alphas where spare ingress is plausible.
+// prefetchAlphas are the alphas where spare ingress is plausible.
+var prefetchAlphas = []float64{0.5, 1, 2}
+
+// prefetchConfig prefetches during the overnight trough (local hours
+// 2-7) with an hourly budget of 1/64 of the disk.
+func prefetchConfig(sc Scale) prefetch.Config {
+	return prefetch.Config{StartHour: 2, EndHour: 7, ChunksPerHour: sc.DiskChunks / 64, MaxPerVideo: 8}
+}
+
+// Prefetch runs the proactive-caching extension experiment: Cafe with
+// and without the overnight prefetcher, at each of prefetchAlphas.
 func Prefetch(sc Scale) (*PrefetchResult, error) {
 	const server = "europe"
 	gen, reqs, err := generate(server, sc)
@@ -44,11 +54,7 @@ func Prefetch(sc Scale) (*PrefetchResult, error) {
 	}
 	cfg := coreConfig(sc)
 	res := &PrefetchResult{Server: server}
-	for _, alpha := range []float64{0.5, 1, 2} {
-		model, err := cost.NewModel(alpha)
-		if err != nil {
-			return nil, err
-		}
+	for _, alpha := range prefetchAlphas {
 		base, err := runOne(AlgoCafe, cfg, alpha, reqs, simOptions())
 		if err != nil {
 			return nil, err
@@ -57,12 +63,7 @@ func Prefetch(sc Scale) (*PrefetchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pres, err := prefetch.Replay(pc.(prefetch.Prefetchable), reqs, model, prefetch.Config{
-			StartHour:     2,
-			EndHour:       7,
-			ChunksPerHour: sc.DiskChunks / 64,
-			MaxPerVideo:   8,
-		}, sc.ChunkSize, gen)
+		pres, err := ReplayPrefetch(pc.(prefetch.Prefetchable), reqs, cost.MustModel(alpha), prefetchConfig(sc), sc.ChunkSize, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -78,6 +79,30 @@ func Prefetch(sc Scale) (*PrefetchResult, error) {
 		})
 	}
 	return res, nil
+}
+
+// PrefetchReplay is one replay with the off-peak prefetcher running:
+// the replay's accounting, prefetch ingress included (prefetched bytes
+// are real cache-fill traffic, charged in the hour they were spent),
+// plus what the planner did.
+type PrefetchReplay struct {
+	*sim.Result
+	Stats prefetch.Stats
+}
+
+// ReplayPrefetch replays reqs through c with the read-ahead planner
+// as the replay's hook: after each request it may prefetch ahead on
+// recently served videos (see prefetch.Plan).
+func ReplayPrefetch(c prefetch.Prefetchable, reqs []trace.Request, model cost.Model, pcfg prefetch.Config, chunkSize int64, sizes prefetch.Sizes) (*PrefetchReplay, error) {
+	observe, stats, err := prefetch.Plan(c, pcfg, chunkSize, sizes)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.Replay(c, trace.Slice(reqs), model, sim.Options{Observe: observe})
+	if err != nil {
+		return nil, err
+	}
+	return &PrefetchReplay{Result: res, Stats: *stats}, nil
 }
 
 // Print renders the prefetch comparison.

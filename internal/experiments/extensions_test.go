@@ -171,10 +171,7 @@ func TestFlashSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := Flash(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := get(t, tinyFlash)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -245,10 +242,7 @@ func TestCDNWideSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := CDNWide(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := get(t, tinyCDNWide)
 	fan := res.FanIn
 	if len(fan.Tiers) != 7 {
 		t.Fatalf("tiers = %d, want 6 edges + parent", len(fan.Tiers))
@@ -275,10 +269,7 @@ func TestHierarchyExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := Hierarchy(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := get(t, tinyHierarchy)
 	c := res.Chain
 	total := c.AbsorbedBytes[0] + c.AbsorbedBytes[1] + c.OriginBytes
 	if total != c.TotalRequested {

@@ -8,6 +8,8 @@ import (
 
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
+	"videocdn/internal/cost"
+	"videocdn/internal/sim"
 	"videocdn/internal/trace"
 )
 
@@ -61,10 +63,9 @@ func Flash(sc Scale) (*FlashResult, error) {
 			return nil, err
 		}
 		row := FlashRow{Algo: algo, FirstServe: -1}
-		for _, r := range reqs {
-			out := c.HandleRequest(r)
+		observe := func(r trace.Request, out core.Outcome) int64 {
 			if r.Video != flashVideoID {
-				continue
+				return 0
 			}
 			mins := float64(r.Time-start) / 60
 			served := out.Decision == core.Serve
@@ -87,6 +88,10 @@ func Flash(sc Scale) (*FlashResult, error) {
 			if mins <= 60 {
 				bump(&row.Req60, &row.Red60)
 			}
+			return 0
+		}
+		if _, err := sim.Replay(c, trace.Slice(reqs), cost.MustModel(alpha), sim.Options{Observe: observe}); err != nil {
+			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}

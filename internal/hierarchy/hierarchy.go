@@ -17,6 +17,7 @@ import (
 
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
+	"videocdn/internal/sim"
 	"videocdn/internal/trace"
 )
 
@@ -78,7 +79,7 @@ func (r *Result) OriginShare() float64 {
 // Chain replays reqs through a linear chain of tiers: tier 0 sees the
 // user traffic; requests redirected by tier i are offered, with the
 // same timestamps, to tier i+1; redirects of the last tier count as
-// origin traffic.
+// origin traffic. Each tier is one sim.Replay of its own stream.
 func Chain(tiers []Tier, reqs []trace.Request) (*Result, error) {
 	if len(tiers) == 0 {
 		return nil, errors.New("hierarchy: no tiers")
@@ -86,58 +87,28 @@ func Chain(tiers []Tier, reqs []trace.Request) (*Result, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("hierarchy: empty trace")
 	}
-	res := &Result{
-		AbsorbedBytes: make([]int64, len(tiers)),
-		FillBytes:     make([]int64, len(tiers)),
-	}
-	for i, tier := range tiers {
-		model, err := cost.NewModel(tier.Alpha)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: tier %q: %w", tier.Name, err)
-		}
-		res.Tiers = append(res.Tiers, TierResult{Name: tier.Name, Model: model})
-		if tier.Cache == nil {
-			return nil, fmt.Errorf("hierarchy: tier %q has no cache", tier.Name)
-		}
-		_ = i
-	}
+	res := &Result{}
 	stream := reqs
-	for i := range tiers {
-		tr := &res.Tiers[i]
+	for _, tier := range tiers {
 		var next []trace.Request
-		for _, r := range stream {
-			bytes := r.Bytes()
-			if i == 0 {
-				res.TotalRequested += bytes
-			}
-			out := tiers[i].Cache.HandleRequest(r)
-			tr.Counters.Requested += bytes
-			switch out.Decision {
-			case core.Serve:
-				tr.Served++
-				tr.Counters.Filled += out.FilledBytes
-				res.AbsorbedBytes[i] += bytes
-				res.FillBytes[i] += out.FilledBytes
-			case core.Redirect:
-				tr.Redirect++
-				tr.Counters.Redirected += bytes
-				next = append(next, r)
-			default:
-				return nil, fmt.Errorf("hierarchy: tier %q returned unknown decision", tiers[i].Name)
-			}
+		tr, err := replayTier(tier, stream, func(k int) { next = append(next, stream[k]) })
+		if err != nil {
+			return nil, err
 		}
+		res.Tiers = append(res.Tiers, tr)
 		stream = next
 	}
-	for _, r := range stream {
-		res.OriginBytes += r.Bytes()
-	}
+	res.tally(1)
 	return res, nil
 }
 
 // FanIn replays reqs through a two-level tree: assign routes each
 // request to one of the edges (e.g. by user network); every edge's
-// redirects merge, in timestamp order, into the shared parent; the
-// parent's redirects count as origin traffic.
+// redirects merge, in input order, into the shared parent; the
+// parent's redirects count as origin traffic. Each edge replays only
+// the requests assigned to it, and the parent the union of their
+// redirects: the caches share nothing, so this is the interleaved
+// single pass, decision for decision.
 //
 // The result's Tiers are the edges in order followed by the parent;
 // AbsorbedBytes is indexed the same way.
@@ -151,65 +122,88 @@ func FanIn(edges []Tier, parent Tier, reqs []trace.Request, assign func(trace.Re
 	if len(reqs) == 0 {
 		return nil, errors.New("hierarchy: empty trace")
 	}
-	n := len(edges)
-	res := &Result{
-		AbsorbedBytes: make([]int64, n+1),
-		FillBytes:     make([]int64, n+1),
-	}
-	for _, e := range edges {
-		model, err := cost.NewModel(e.Alpha)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: edge %q: %w", e.Name, err)
+	// Route: each edge's stream, and where its requests sit in reqs.
+	streams := make([][]trace.Request, len(edges))
+	pos := make([][]int, len(edges))
+	for j, r := range reqs {
+		if j > 0 && r.Time < reqs[j-1].Time {
+			return nil, fmt.Errorf("hierarchy: request %d out of order (t=%d after %d)", j, r.Time, reqs[j-1].Time)
 		}
-		if e.Cache == nil {
-			return nil, fmt.Errorf("hierarchy: edge %q has no cache", e.Name)
-		}
-		res.Tiers = append(res.Tiers, TierResult{Name: e.Name, Model: model})
-	}
-	pmodel, err := cost.NewModel(parent.Alpha)
-	if err != nil {
-		return nil, fmt.Errorf("hierarchy: parent: %w", err)
-	}
-	if parent.Cache == nil {
-		return nil, errors.New("hierarchy: parent has no cache")
-	}
-	res.Tiers = append(res.Tiers, TierResult{Name: parent.Name, Model: pmodel})
-
-	// Single pass: requests are already time-ordered, so edge decisions
-	// and the merged parent stream stay time-ordered by construction.
-	for _, r := range reqs {
 		i := assign(r)
-		if i < 0 || i >= n {
+		if i < 0 || i >= len(edges) {
 			return nil, fmt.Errorf("hierarchy: assign(%v) = %d out of range", r.Video, i)
 		}
-		bytes := r.Bytes()
-		res.TotalRequested += bytes
-		tr := &res.Tiers[i]
-		out := edges[i].Cache.HandleRequest(r)
-		tr.Counters.Requested += bytes
-		if out.Decision == core.Serve {
-			tr.Served++
-			tr.Counters.Filled += out.FilledBytes
-			res.AbsorbedBytes[i] += bytes
-			res.FillBytes[i] += out.FilledBytes
-			continue
+		streams[i] = append(streams[i], r)
+		pos[i] = append(pos[i], j)
+	}
+	res := &Result{}
+	redirected := make([]bool, len(reqs))
+	for i, e := range edges {
+		tr, err := replayTier(e, streams[i], func(k int) { redirected[pos[i][k]] = true })
+		if err != nil {
+			return nil, err
 		}
-		tr.Redirect++
-		tr.Counters.Redirected += bytes
-		// Parent sees the redirect immediately (same timestamp).
-		pr := &res.Tiers[n]
-		pout := parent.Cache.HandleRequest(r)
-		pr.Counters.Requested += bytes
-		if pout.Decision == core.Serve {
-			pr.Served++
-			pr.Counters.Filled += pout.FilledBytes
-			res.AbsorbedBytes[n] += bytes
-			res.FillBytes[n] += pout.FilledBytes
-		} else {
-			pr.Redirect++
-			pr.Counters.Redirected += bytes
-			res.OriginBytes += bytes
+		res.Tiers = append(res.Tiers, tr)
+	}
+	var up []trace.Request
+	for j, r := range reqs {
+		if redirected[j] {
+			up = append(up, r)
 		}
 	}
+	tr, err := replayTier(parent, up, func(int) {})
+	if err != nil {
+		return nil, err
+	}
+	res.Tiers = append(res.Tiers, tr)
+	res.tally(len(edges))
 	return res, nil
+}
+
+// replayTier replays stream through one tier, calling redirect with
+// the stream index of each request the tier redirects. An empty stream
+// leaves the tier idle.
+func replayTier(t Tier, stream []trace.Request, redirect func(k int)) (TierResult, error) {
+	model, err := cost.NewModel(t.Alpha)
+	if err != nil {
+		return TierResult{}, fmt.Errorf("hierarchy: tier %q: %w", t.Name, err)
+	}
+	if t.Cache == nil {
+		return TierResult{}, fmt.Errorf("hierarchy: tier %q has no cache", t.Name)
+	}
+	tr := TierResult{Name: t.Name, Model: model}
+	if len(stream) == 0 {
+		return tr, nil
+	}
+	k := 0
+	observe := func(_ trace.Request, out core.Outcome) int64 {
+		if out.Decision == core.Redirect {
+			redirect(k)
+		}
+		k++
+		return 0
+	}
+	res, err := sim.Replay(t.Cache, trace.Slice(stream), model, sim.Options{Observe: observe})
+	if err != nil {
+		return tr, fmt.Errorf("hierarchy: tier %q: %w", t.Name, err)
+	}
+	tr.Counters, tr.Served, tr.Redirect = res.Total, res.Served, res.Redirected
+	return tr, nil
+}
+
+// tally derives the byte totals from the tiers' counters. The first
+// firstLine tiers (tier 0 of a chain, or the edges of a fan-in) each
+// see their share of the user traffic; the last tier's redirects reach
+// the origin.
+func (r *Result) tally(firstLine int) {
+	r.AbsorbedBytes = make([]int64, len(r.Tiers))
+	r.FillBytes = make([]int64, len(r.Tiers))
+	for i, t := range r.Tiers {
+		if i < firstLine {
+			r.TotalRequested += t.Counters.Requested
+		}
+		r.AbsorbedBytes[i] = t.Counters.Requested - t.Counters.Redirected
+		r.FillBytes[i] = t.Counters.Filled
+	}
+	r.OriginBytes = r.Tiers[len(r.Tiers)-1].Counters.Redirected
 }

@@ -16,12 +16,11 @@ package prefetch
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
-	"videocdn/internal/cost"
-	"videocdn/internal/metrics"
 	"videocdn/internal/trace"
 )
 
@@ -105,112 +104,71 @@ type Stats struct {
 	UsefulChunks int
 }
 
-// Result bundles replay metrics with prefetch stats.
-type Result struct {
-	// Total and Steady are the byte counters including prefetch
-	// ingress (prefetched bytes are real cache-fill traffic and are
-	// charged as such).
-	Total, Steady cost.Counters
-	Model         cost.Model
-	Stats         Stats
-	Requests      int
-	// Series is the hourly time series (prefetch ingress included in
-	// the hour it was spent — i.e. off-peak).
-	Series *metrics.Series
-}
-
-// Efficiency is the steady-state efficiency with prefetch ingress
-// charged (Eq. 2).
-func (r *Result) Efficiency() float64 { return r.Steady.Efficiency(r.Model) }
-
-// Replay drives reqs through the cache like sim.Replay, but runs the
-// prefetch planner alongside: after each request, if the current time
-// is inside the off-peak window and hourly budget remains, it
-// prefetches ahead on recently served videos. sizes bounds read-ahead
-// at each video's last chunk; a video with nothing to read ahead, or
-// of unknown size, costs no budget.
-func Replay(c Prefetchable, reqs []trace.Request, model cost.Model, pcfg Config, chunkSize int64, sizes Sizes) (*Result, error) {
-	if err := pcfg.Validate(); err != nil {
-		return nil, err
+// Plan returns the read-ahead planner as a replay's per-request hook,
+// called after the cache handled r with outcome out, and the stats it
+// keeps. The hook watches served requests and, while the current time
+// is inside the off-peak window and hourly budget remains, prefetches
+// ahead on recently served videos; it returns the bytes it prefetched
+// at r.Time. The sizes catalog bounds read-ahead at each video's last
+// chunk; a video with nothing to read ahead, or of unknown size, costs
+// no budget.
+func Plan(c Prefetchable, cfg Config, chunkSize int64, sizes Sizes) (observe func(r trace.Request, out core.Outcome) int64, stats *Stats, err error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
-	if len(reqs) == 0 {
-		return nil, errors.New("prefetch: empty trace")
+	if sizes == nil {
+		return nil, nil, errors.New("prefetch: nil size catalog")
 	}
-	if pcfg.MaxPerVideo <= 0 {
-		pcfg.MaxPerVideo = 4
+	if chunkSize <= 0 {
+		return nil, nil, fmt.Errorf("prefetch: chunk size must be positive, got %d", chunkSize)
 	}
-	if pcfg.ActiveVideos <= 0 {
-		pcfg.ActiveVideos = 256
+	if cfg.MaxPerVideo <= 0 {
+		cfg.MaxPerVideo = 4
 	}
-	start := reqs[0].Time
-	end := reqs[len(reqs)-1].Time
-	steadyFrom := start + (end-start)/2
-
-	series, err := metrics.NewSeries(3600)
-	if err != nil {
-		return nil, err
+	if cfg.ActiveVideos <= 0 {
+		cfg.ActiveVideos = 256
 	}
-	res := &Result{Model: model, Requests: len(reqs), Series: series}
-	// Planner state: recently served videos (LRU by last serve).
-	active := make(map[chunk.VideoID]int64)
-	var order []chunk.VideoID            // active by recency, rebuilt when the planner runs
-	ahead := make(map[chunk.VideoID]int) // chunks prefetched ahead this window
-	pending := make(map[uint64]struct{}) // prefetched, not yet hit
-	budget := 0
-	curHour := int64(-1)
-
-	for _, r := range reqs {
-		var cnt cost.Counters
-		cnt.Requested = r.Bytes()
-		out := c.HandleRequest(r)
-		switch out.Decision {
-		case core.Serve:
-			cnt.Filled = out.FilledBytes
+	active := make(map[chunk.VideoID]int64) // recently served videos, by last serve
+	var order []chunk.VideoID               // active by recency, rebuilt when the planner runs
+	ahead := make(map[chunk.VideoID]int)    // chunks prefetched ahead this hour
+	pending := make(map[uint64]struct{})    // prefetched, not yet hit
+	budget, curHour := 0, int64(-1)
+	stats = &Stats{}
+	observe = func(r trace.Request, out core.Outcome) int64 {
+		if out.Decision == core.Serve {
 			active[r.Video] = r.Time
-			if len(active) > pcfg.ActiveVideos {
+			if len(active) > cfg.ActiveVideos {
 				evictOldest(active)
 			}
-			// Account usefulness: served chunks that were prefetched.
+			// Account usefulness: served chunks that were prefetched
+			// and not filled again by this request.
 			c0, c1 := r.ChunkRange(chunkSize)
-			filled := make(map[uint64]struct{}, len(out.FilledIDs))
-			for _, id := range out.FilledIDs {
-				filled[id.Key()] = struct{}{}
-			}
 			for ci := c0; ci <= c1; ci++ {
-				key := (chunk.ID{Video: r.Video, Index: ci}).Key()
-				if _, wasFill := filled[key]; wasFill {
-					continue
-				}
-				if _, ok := pending[key]; ok {
-					res.Stats.UsefulChunks++
-					delete(pending, key)
+				id := chunk.ID{Video: r.Video, Index: ci}
+				if _, ok := pending[id.Key()]; ok && !slices.Contains(out.FilledIDs, id) {
+					stats.UsefulChunks++
+					delete(pending, id.Key())
 				}
 			}
-		case core.Redirect:
-			cnt.Redirected = r.Bytes()
 		}
-		res.Total.Add(cnt)
-		if r.Time >= steadyFrom {
-			res.Steady.Add(cnt)
-		}
-		series.Add(r.Time, cnt)
 
 		// Hourly budget refresh.
 		if h := r.Time / 3600; h != curHour {
 			curHour = h
-			budget = pcfg.ChunksPerHour
+			budget = cfg.ChunksPerHour
 			ahead = make(map[chunk.VideoID]int)
 		}
-		if budget <= 0 || !pcfg.inWindow(int((r.Time%86400)/3600)) {
-			continue
+		if budget <= 0 || !cfg.inWindow(int((r.Time%86400)/3600)) {
+			return 0
 		}
 		// Read ahead on the most recently served videos.
+		var filled int64
 		order = byRecency(active, order)
 		for _, v := range order {
 			if budget <= 0 {
 				break
 			}
-			if ahead[v] >= pcfg.MaxPerVideo {
+			if ahead[v] >= cfg.MaxPerVideo {
 				continue
 			}
 			size, known := sizes.SizeOf(v)
@@ -221,26 +179,22 @@ func Replay(c Prefetchable, reqs []trace.Request, model cost.Model, pcfg Config,
 			if !ok {
 				continue
 			}
-			res.Stats.Attempted++
+			stats.Attempted++
 			// The simulator tracks no byte store, so displaced chunks
 			// need no cleanup here; the HTTP edge server must delete
 			// them (see edge.Server.handlePrefetch).
 			if admitted, _ := c.PrefetchChunk(id, r.Time); admitted {
-				res.Stats.Accepted++
-				res.Stats.PrefetchedBytes += chunkSize
+				stats.Accepted++
+				stats.PrefetchedBytes += chunkSize
 				ahead[v]++
 				pending[id.Key()] = struct{}{}
-				pf := cost.Counters{Filled: chunkSize}
-				res.Total.Add(pf)
-				if r.Time >= steadyFrom {
-					res.Steady.Add(pf)
-				}
-				series.Add(r.Time, pf)
+				filled += chunkSize
 			}
 			budget--
 		}
+		return filled
 	}
-	return res, nil
+	return observe, stats, nil
 }
 
 // byRecency lists the active videos most recently served first, ties

@@ -1,4 +1,4 @@
-package prefetch
+package prefetch_test
 
 import (
 	"testing"
@@ -7,6 +7,8 @@ import (
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
+	"videocdn/internal/experiments"
+	"videocdn/internal/prefetch"
 	"videocdn/internal/trace"
 	"videocdn/internal/workload"
 )
@@ -25,6 +27,10 @@ func (m sizeMap) SizeOf(v chunk.VideoID) (int64, bool) {
 	return size, ok
 }
 
+// replay runs the planner on one sim.Replay, as the prefetch figure
+// and the facade's ReplayWithPrefetch do.
+var replay = experiments.ReplayPrefetch
+
 func newCafe(t *testing.T, disk int, alpha float64) *cafe.Cache {
 	t.Helper()
 	c, err := cafe.New(core.Config{ChunkSize: testK, DiskChunks: disk}, alpha, cafe.Options{})
@@ -35,36 +41,36 @@ func newCafe(t *testing.T, disk int, alpha float64) *cafe.Cache {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{StartHour: 2, EndHour: 6, ChunksPerHour: 10}
+	good := prefetch.Config{StartHour: 2, EndHour: 6, ChunksPerHour: 10}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
-	if err := (Config{StartHour: -1, EndHour: 6, ChunksPerHour: 1}).Validate(); err == nil {
+	if err := (prefetch.Config{StartHour: -1, EndHour: 6, ChunksPerHour: 1}).Validate(); err == nil {
 		t.Error("negative hour should fail")
 	}
-	if err := (Config{StartHour: 2, EndHour: 25, ChunksPerHour: 1}).Validate(); err == nil {
+	if err := (prefetch.Config{StartHour: 2, EndHour: 25, ChunksPerHour: 1}).Validate(); err == nil {
 		t.Error("hour > 23 should fail")
 	}
-	if err := (Config{StartHour: 2, EndHour: 6}).Validate(); err == nil {
+	if err := (prefetch.Config{StartHour: 2, EndHour: 6}).Validate(); err == nil {
 		t.Error("zero budget should fail")
 	}
 }
 
 func TestWindowWrapsMidnight(t *testing.T) {
-	c := Config{StartHour: 22, EndHour: 4, ChunksPerHour: 1}
+	c := prefetch.Config{StartHour: 22, EndHour: 4, ChunksPerHour: 1}
 	for _, h := range []int{22, 23, 0, 3} {
-		if !c.inWindow(h) {
+		if !c.InWindow(h) {
 			t.Errorf("hour %d should be in 22-4 window", h)
 		}
 	}
 	for _, h := range []int{4, 12, 21} {
-		if c.inWindow(h) {
+		if c.InWindow(h) {
 			t.Errorf("hour %d should be outside 22-4 window", h)
 		}
 	}
-	always := Config{StartHour: 5, EndHour: 5, ChunksPerHour: 1}
+	always := prefetch.Config{StartHour: 5, EndHour: 5, ChunksPerHour: 1}
 	for h := 0; h < 24; h++ {
-		if !always.inWindow(h) {
+		if !always.InWindow(h) {
 			t.Error("equal start/end should mean always-on")
 		}
 	}
@@ -142,7 +148,7 @@ func TestHighestCachedIndex(t *testing.T) {
 
 func TestNextChunk(t *testing.T) {
 	c := newCafe(t, 10, 1)
-	if _, ok := NextChunk(c, 1, 10*testK, testK); ok {
+	if _, ok := prefetch.NextChunk(c, 1, 10*testK, testK); ok {
 		t.Error("a video with nothing cached has no next chunk")
 	}
 	c.HandleRequest(req(0, 1, 0, 1))
@@ -156,7 +162,7 @@ func TestNextChunk(t *testing.T) {
 		{2*testK + 1, true},  // one byte of chunk 2
 		{1 << 40, true},      // long video
 	} {
-		id, ok := NextChunk(c, 1, tc.size, testK)
+		id, ok := prefetch.NextChunk(c, 1, tc.size, testK)
 		if ok != tc.want || ok && id != (chunk.ID{Video: 1, Index: 2}) {
 			t.Errorf("size %d: NextChunk = %v, %v; want chunk 1/2: %v", tc.size, id, ok, tc.want)
 		}
@@ -174,7 +180,7 @@ func TestReplayStopsAtLastChunk(t *testing.T) {
 	for tm := int64(0); tm < 4*3600; tm += 60 {
 		reqs = append(reqs, trace.Request{Time: tm, Video: 1, Start: 0, End: size - 1})
 	}
-	res, err := Replay(c, reqs, cost.MustModel(1), Config{ChunksPerHour: 10}, testK, sizeMap{1: size})
+	res, err := replay(c, reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, testK, sizeMap{1: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +192,7 @@ func TestReplayStopsAtLastChunk(t *testing.T) {
 	}
 	// A video of unknown size is not read ahead either.
 	c = newCafe(t, 16, 1)
-	res, err = Replay(c, reqs, cost.MustModel(1), Config{ChunksPerHour: 10}, testK, sizeMap{})
+	res, err = replay(c, reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, testK, sizeMap{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +203,7 @@ func TestReplayStopsAtLastChunk(t *testing.T) {
 
 // replayEurope replays a small europe workload, whose sessions are
 // strongly sequential, through a fresh Cafe with the planner always on.
-func replayEurope(t *testing.T) *Result {
+func replayEurope(t *testing.T) *experiments.PrefetchReplay {
 	t.Helper()
 	p, err := workload.ProfileByName("europe")
 	if err != nil {
@@ -218,7 +224,7 @@ func replayEurope(t *testing.T) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(c, reqs, cost.MustModel(1), Config{
+	res, err := replay(c, reqs, cost.MustModel(1), prefetch.Config{
 		StartHour: 0, EndHour: 0, // always on, to exercise the path
 		ChunksPerHour: 50,
 	}, chunk.DefaultSize, g)
@@ -260,10 +266,26 @@ func TestReplayRepeats(t *testing.T) {
 func TestReplayValidation(t *testing.T) {
 	c := newCafe(t, 4, 1)
 	model := cost.MustModel(1)
-	if _, err := Replay(c, nil, model, Config{ChunksPerHour: 1}, testK, sizeMap{}); err == nil {
+	if _, err := replay(c, nil, model, prefetch.Config{ChunksPerHour: 1}, testK, sizeMap{}); err == nil {
 		t.Error("empty trace should fail")
 	}
-	if _, err := Replay(c, []trace.Request{req(0, 1, 0, 0)}, model, Config{}, testK, sizeMap{}); err == nil {
+	if _, err := replay(c, []trace.Request{req(0, 1, 0, 0)}, model, prefetch.Config{}, testK, sizeMap{}); err == nil {
 		t.Error("invalid config should fail")
+	}
+	if _, err := replay(c, []trace.Request{req(0, 1, 0, 0)}, model, prefetch.Config{ChunksPerHour: 1}, 0, sizeMap{}); err == nil {
+		t.Error("zero chunk size should fail")
+	}
+}
+
+// TestReplayNilSizes: without a size catalog the planner cannot bound
+// read-ahead, so the replay is refused up front rather than failing
+// on the first served video of the off-peak window.
+func TestReplayNilSizes(t *testing.T) {
+	var reqs []trace.Request
+	for tm := int64(0); tm < 3600; tm += 60 {
+		reqs = append(reqs, req(tm, 1, 0, 1))
+	}
+	if _, err := replay(newCafe(t, 16, 1), reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, testK, nil); err == nil {
+		t.Error("nil size catalog should fail")
 	}
 }

@@ -45,6 +45,13 @@ type Options struct {
 	// Workers bounds the goroutines ReplayParallel uses (ignored by
 	// Replay). Defaults to min(shard count, GOMAXPROCS).
 	Workers int
+	// Observe, if non-nil, is called by Replay with each request and
+	// its outcome once the outcome is checked; the outcome's ID slices
+	// are valid only during the call. It returns the bytes it filled
+	// out of band at r.Time (prefetches), which are charged as Filled
+	// with the request's own. ReplayAll calls it from every job's
+	// goroutine at once; ReplayParallel ignores it.
+	Observe func(r trace.Request, out core.Outcome) (filled int64)
 }
 
 // normalize applies defaults and validates the option values shared by
@@ -222,7 +229,7 @@ func Replay(c core.Cache, src trace.Source, model cost.Model, opt Options) (*Res
 		return nil, err
 	}
 	defer cur.Close()
-	if err := replayLoop(c, cur, steadyFrom, series, res, tick); err != nil {
+	if err := replayLoop(c, cur, steadyFrom, series, res, opt.Observe, tick); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -231,11 +238,13 @@ func Replay(c core.Cache, src trace.Source, model cost.Model, opt Options) (*Res
 // replayLoop is the accounting core shared by both engines: it streams
 // cur (a whole trace, or one shard's subsequence) through c, validating
 // time order and outcome invariants and accumulating into res and
-// series. tick, if non-nil, is called once per request after
-// accounting. The loop holds no per-request state beyond the reused
-// Request — with a streaming cursor its memory is the cursor's block
-// buffers, independent of trace length.
-func replayLoop(c core.Cache, cur trace.Cursor, steadyFrom int64, series *metrics.Series, res *Result, tick func()) error {
+// series. observe, if non-nil, is Options.Observe, whose fills are
+// charged with the request's; tick, if non-nil, is called once per
+// request after accounting. The loop holds no per-request state beyond
+// the reused Request — with a streaming cursor its memory is the
+// cursor's block buffers, independent of trace length.
+func replayLoop(c core.Cache, cur trace.Cursor, steadyFrom int64, series *metrics.Series, res *Result,
+	observe func(trace.Request, core.Outcome) int64, tick func()) error {
 	var r trace.Request
 	var last int64
 	for i := 0; ; i++ {
@@ -277,6 +286,13 @@ func replayLoop(c core.Cache, cur trace.Cursor, steadyFrom int64, series *metric
 			res.Redirected++
 		default:
 			return fmt.Errorf("sim: request %d: unknown decision %v", i, out.Decision)
+		}
+		if observe != nil {
+			filled := observe(r, out)
+			if filled < 0 {
+				return fmt.Errorf("sim: request %d: observer filled %d bytes", i, filled)
+			}
+			cnt.Filled += filled
 		}
 		res.FilledChunks += int64(out.FilledChunks)
 		res.EvictedChunks += int64(out.EvictedChunks)
@@ -409,7 +425,7 @@ func ReplayParallel(g *shard.Group, src trace.Source, model cost.Model, opt Opti
 					continue
 				}
 				r := &Result{Series: series}
-				err = replayLoop(g.Shard(s), cur, steadyFrom, series, r, tickFor())
+				err = replayLoop(g.Shard(s), cur, steadyFrom, series, r, nil, tickFor())
 				if cerr := cur.Close(); err == nil && cerr != nil {
 					err = cerr
 				}

@@ -128,6 +128,49 @@ func TestSteadyExcludesWarmup(t *testing.T) {
 	}
 }
 
+// TestObserveChargesOutOfBandFills: the hook sees every request with
+// its outcome, after accounting, and the bytes it reports are charged
+// as fills at the request's time: to Total, to Steady only from the
+// cutoff on, and to the series' bucket. A negative report is an error.
+func TestObserveChargesOutOfBandFills(t *testing.T) {
+	outs := []core.Outcome{
+		{Decision: core.Serve, FilledChunks: 1, FilledBytes: testK},
+		{Decision: core.Redirect},
+		{Decision: core.Serve},
+	}
+	reqs := []trace.Request{req(0, 1, 0, 0), req(40, 2, 0, 0), req(7200, 1, 0, 0)}
+	var seen []core.Decision
+	observe := func(r trace.Request, out core.Outcome) int64 {
+		if r != reqs[len(seen)] {
+			t.Errorf("observed %+v, want %+v", r, reqs[len(seen)])
+		}
+		seen = append(seen, out.Decision)
+		return 3 * testK
+	}
+	m := cost.MustModel(1)
+	res, err := Replay(&scripted{outs: outs}, trace.Slice(reqs), m, Options{Observe: observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 3 || seen[0] != core.Serve || seen[1] != core.Redirect || seen[2] != core.Serve {
+		t.Errorf("observed decisions %v", seen)
+	}
+	if res.Total.Filled != testK+3*3*testK || res.Steady.Filled != 3*testK {
+		t.Errorf("Total.Filled = %d, Steady.Filled = %d", res.Total.Filled, res.Steady.Filled)
+	}
+	if res.FilledChunks != 1 || res.Total.Requested != 3*testK {
+		t.Errorf("out-of-band fills leaked into request accounting: %+v", res)
+	}
+	if b := res.Series.Buckets(); len(b) != 3 || b[0].Counters.Filled != testK+2*3*testK || b[2].Counters.Filled != 3*testK {
+		t.Errorf("series buckets %+v", b)
+	}
+
+	bad := func(trace.Request, core.Outcome) int64 { return -1 }
+	if _, err := Replay(&scripted{outs: outs}, trace.Slice(reqs), m, Options{Observe: bad}); err == nil {
+		t.Error("a negative out-of-band fill must be rejected")
+	}
+}
+
 func TestSeriesBuckets(t *testing.T) {
 	s := &scripted{outs: []core.Outcome{
 		{Decision: core.Serve}, {Decision: core.Serve}, {Decision: core.Serve},

@@ -2,9 +2,10 @@
 # Coverage gate for the paper-critical packages: the decision engines
 # (cafe, xlru), their shared core, Cafe's ordered set (ordtree), the
 # edge server, the registry and the servable policies it wraps (lruq,
-# admission, alphactl, writelimit), and the trace reader and replay
-# engine every figure runs on (trace, sim) must each stay at or above
-# the threshold. The profile is collected with a shared
+# admission, alphactl, writelimit), the trace reader and replay engine
+# every figure runs on (trace, sim), and the drivers that run on that
+# replay (prefetch, hierarchy) must each stay at or above the
+# threshold. The profile is collected with a shared
 # -coverpkg so cross-package suites (notably internal/oracle, which
 # drives the real policies through the real edge) count toward the
 # packages they exercise, then split back out per package.
@@ -27,6 +28,8 @@ GATED=(
 	videocdn/internal/writelimit
 	videocdn/internal/trace
 	videocdn/internal/sim
+	videocdn/internal/prefetch
+	videocdn/internal/hierarchy
 )
 profile=${1:-coverage.out}
 
@@ -34,7 +37,7 @@ coverpkg=$(IFS=,; echo "${GATED[*]}")
 go test -coverpkg="$coverpkg" -coverprofile="$profile" \
 	./internal/core/ ./internal/cafe/ ./internal/ordtree/ ./internal/xlru/ ./internal/edge/ ./internal/oracle/ \
 	./internal/policy/ ./internal/lruq/ ./internal/admission/ ./internal/alphactl/ ./internal/writelimit/ \
-	./internal/trace/ ./internal/sim/
+	./internal/trace/ ./internal/sim/ ./internal/prefetch/ ./internal/hierarchy/
 
 echo
 echo "coverage by gated package (threshold ${THRESHOLD}%):"

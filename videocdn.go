@@ -40,6 +40,7 @@ import (
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
 	"videocdn/internal/edge"
+	"videocdn/internal/experiments"
 	"videocdn/internal/hierarchy"
 	"videocdn/internal/lp"
 	"videocdn/internal/optimal"
@@ -109,8 +110,9 @@ type (
 	TraceReport = analyze.Report
 	// PrefetchConfig tunes the off-peak prefetcher.
 	PrefetchConfig = prefetch.Config
-	// PrefetchResult bundles replay metrics with prefetch stats.
-	PrefetchResult = prefetch.Result
+	// PrefetchResult bundles replay metrics, prefetch ingress
+	// included, with prefetch stats.
+	PrefetchResult = experiments.PrefetchReplay
 )
 
 // Decisions.
@@ -286,7 +288,7 @@ func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchCon
 	if err != nil {
 		return nil, err
 	}
-	return prefetch.Replay(p, reqs, m, pcfg, chunkSize, sizes)
+	return experiments.ReplayPrefetch(p, reqs, m, pcfg, chunkSize, sizes)
 }
 
 // Streaming trace types: a columnar trace directory streams 100M+
