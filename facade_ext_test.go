@@ -218,10 +218,9 @@ func (c fixedCache) HandleRequest(videocdn.Request) videocdn.Outcome { return c.
 func (fixedCache) Contains(videocdn.ChunkID) bool                    { return false }
 func (fixedCache) Len() int                                          { return 0 }
 func (fixedCache) Name() string                                      { return "fixed" }
-func (fixedCache) PrefetchChunk(videocdn.ChunkID, int64) (bool, []videocdn.ChunkID) {
-	return false, nil
+func (fixedCache) PrefetchNext(videocdn.VideoID, int64, int64) (videocdn.ChunkID, bool, bool, []videocdn.ChunkID) {
+	return videocdn.ChunkID{}, false, false, nil
 }
-func (fixedCache) HighestCachedIndex(videocdn.VideoID) (uint32, bool) { return 0, false }
 
 // TestFacadeReplaysRejectBrokenInput: the multi-tier and prefetch
 // replays run on the simulator's one replay loop, so they inherit its

@@ -107,18 +107,6 @@ func (c *Cache) Forget(id chunk.ID) {
 	}
 }
 
-// PrefetchChunk forwards proactive fills to the inner policy when it
-// supports them; the filter never blocks prefetch (the prefetcher
-// already targets videos with proven demand).
-func (c *Cache) PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []chunk.ID) {
-	if p, ok := c.inner.(interface {
-		PrefetchChunk(chunk.ID, int64) (bool, []chunk.ID)
-	}); ok {
-		return p.PrefetchChunk(id, now)
-	}
-	return false, nil
-}
-
 // requiredHits is the evidence bar for a fill of `missing` chunks:
 // zero within the small-fill bypass, then MinHits per additional
 // bypass-unit of fill size — a big never-seen file must show

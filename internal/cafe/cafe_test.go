@@ -524,7 +524,7 @@ func TestInvariantsHoldOnRandomTraces(t *testing.T) {
 			case 0:
 				c.HandleRequest(req(int64(i/2), v, c0, c0+20))
 			case 1:
-				c.PrefetchChunk(chunk.ID{Video: v, Index: uint32(c0)}, int64(i/2))
+				c.PrefetchNext(v, int64(c0+1)*4*testK, int64(i/2))
 			case 2:
 				c.Forget(chunk.ID{Video: v, Index: uint32(c0)})
 			default:

@@ -203,10 +203,12 @@ func TestDecideFirstMatchesScanFirst(t *testing.T) {
 						id := chunk.ID{Video: v, Index: uint32(c0)}
 						switch op := rng.Intn(24); {
 						case op == 0:
-							a, ae := prod.PrefetchChunk(id, tm)
-							b, be := ref.PrefetchChunk(id, tm)
-							if a != b || !reflect.DeepEqual(ae, be) {
-								t.Fatalf("step %d: PrefetchChunk(%s) = %v %v, reference %v %v", i, id, a, ae, b, be)
+							size := int64(c0+1) * 4 * testK
+							a, ac, aa, ae := prod.PrefetchNext(v, size, tm)
+							b, bc, ba, be := ref.PrefetchNext(v, size, tm)
+							if a != b || ac != bc || aa != ba || !reflect.DeepEqual(ae, be) {
+								t.Fatalf("step %d: PrefetchNext(%d, %d) = %s %v %v %v, reference %s %v %v %v",
+									i, v, size, a, ac, aa, ae, b, bc, ba, be)
 							}
 						case op == 1:
 							prod.Forget(id)

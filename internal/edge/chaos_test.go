@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,8 @@ type chaosRig struct {
 type rigOptions struct {
 	store     store.Store // nil means a fresh Mem
 	chunkSize int64       // 0 means testK
+	// wrapOrigin, when set, puts a handler around the fault origin.
+	wrapOrigin func(*FaultOrigin) http.Handler
 }
 
 func newChaosRig(t *testing.T, c core.Cache, catalog Catalog, fault FaultConfig,
@@ -113,7 +116,11 @@ func newChaosRigWith(t *testing.T, c core.Cache, catalog Catalog, fault FaultCon
 		backing = store.NewMem()
 	}
 	rig := &chaosRig{fault: NewFaultOrigin(o, fault), store: &countingStore{Store: backing}}
-	rig.originSrv = httptest.NewServer(rig.fault)
+	var origin http.Handler = rig.fault
+	if opts.wrapOrigin != nil {
+		origin = opts.wrapOrigin(rig.fault)
+	}
+	rig.originSrv = httptest.NewServer(origin)
 	t.Cleanup(rig.originSrv.Close)
 	now := int64(0)
 	var nowMu sync.Mutex
@@ -355,7 +362,7 @@ func chaosStreamingFillTruncation(t *testing.T, k int64) {
 	catalog := DeterministicCatalog{MinBytes: 2 * k, MaxBytes: 6 * k}
 	rig := newChaosRigWith(t, cache, catalog, FaultConfig{
 		Seed: 43, ErrorRate: 0.1, TruncateRate: 0.35,
-	}, fastRetry(), neverTrip(), rigOptions{store: slab, chunkSize: k})
+	}, fastRetry(), neverTrip(), rigOptions{store: slab, chunkSize: k, wrapOrigin: cutFirstRun(k)})
 
 	const goroutines, perG = 8, 30
 	var servedBytes atomic.Int64
@@ -419,6 +426,27 @@ func chaosStreamingFillTruncation(t *testing.T, k int64) {
 	}
 	if sp.FillBufInFlight != 0 {
 		t.Errorf("%d scratch bytes still checked out after the run", sp.FillBufInFlight)
+	}
+}
+
+// cutFirstRun cuts the first fill of a run of two chunks or more at
+// half its length, so at least its first chunk is in the store when
+// the stream dies. Which fills the seeded faults cut depends on the
+// order in which concurrent requests reach the origin; this cut makes
+// one run's rollback certain whatever that order.
+func cutFirstRun(k int64) func(*FaultOrigin) http.Handler {
+	var done atomic.Bool
+	return func(f *FaultOrigin) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			q := r.URL.Query()
+			start, err0 := strconv.ParseInt(q.Get("start"), 10, 64)
+			end, err1 := strconv.ParseInt(q.Get("end"), 10, 64)
+			if r.URL.Path == "/video" && err0 == nil && err1 == nil && end-start+1 >= 2*k &&
+				done.CompareAndSwap(false, true) {
+				f.cut(w, r)
+			}
+			f.ServeHTTP(w, r)
+		})
 	}
 }
 

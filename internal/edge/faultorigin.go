@@ -101,19 +101,7 @@ func (f *FaultOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	fill := r.URL.Path == "/chunk" || r.URL.Path == "/video"
 	if fill && truncate {
-		f.mu.Lock()
-		f.counts.Truncations++
-		f.mu.Unlock()
-		f.inner.ServeHTTP(&truncatingWriter{ResponseWriter: w}, r)
-		// Push out what the server still buffers — the inner handler
-		// writes piece by piece, and a short last piece would otherwise
-		// die with the connection — so the cut is exactly where
-		// truncatingWriter made it. Then abort, so the client observes
-		// a short body rather than a clean EOF at the advertised length.
-		if fl, ok := w.(http.Flusher); ok {
-			fl.Flush()
-		}
-		panic(http.ErrAbortHandler)
+		f.cut(w, r)
 	}
 	if fill {
 		cw := &countingWriter{ResponseWriter: w}
@@ -126,6 +114,24 @@ func (f *FaultOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.inner.ServeHTTP(w, r)
+}
+
+// cut serves r with its body cut at half its length (one byte when the
+// length is unknown) and aborts the response, counting a truncation.
+func (f *FaultOrigin) cut(w http.ResponseWriter, r *http.Request) {
+	f.mu.Lock()
+	f.counts.Truncations++
+	f.mu.Unlock()
+	f.inner.ServeHTTP(&truncatingWriter{ResponseWriter: w}, r)
+	// Push out what the server still buffers — the inner handler
+	// writes piece by piece, and a short last piece would otherwise
+	// die with the connection — so the cut is exactly where
+	// truncatingWriter made it. Then abort, so the client observes a
+	// short body rather than a clean EOF at the advertised length.
+	if fl, ok := w.(http.Flusher); ok {
+		fl.Flush()
+	}
+	panic(http.ErrAbortHandler)
 }
 
 // countingWriter tallies payload bytes and the response status.

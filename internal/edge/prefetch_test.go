@@ -87,10 +87,18 @@ func TestPrefetchUnsupportedAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := newRig(t, cache, MapCatalog{1: 4 * testK})
-	resp, _ := postPrefetch(t, rig, "v=1")
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("xlru prefetch status = %d, want 501", resp.StatusCode)
+	// The admission filter does not forward read-ahead, even over a
+	// policy that has it: otherwise every admit: spec would claim it.
+	admit, err := registryFactory(t, "admit:inner=cafe", 1)(0, core.Config{ChunkSize: testK, DiskChunks: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []core.Cache{cache, admit} {
+		rig := newRig(t, c, MapCatalog{1: 4 * testK})
+		resp, _ := postPrefetch(t, rig, "v=1")
+		if resp.StatusCode != http.StatusNotImplemented {
+			t.Errorf("%s prefetch status = %d, want 501", c.Name(), resp.StatusCode)
+		}
 	}
 }
 
@@ -130,7 +138,7 @@ func TestPrefetchValidation(t *testing.T) {
 // TestPrefetchDisplacementDeletesFromStore forces the prefetch path
 // that displaces a resident chunk (full disk, prefetch target strictly
 // more popular than the coldest resident) and asserts the displaced
-// chunk's bytes leave the store with it. PrefetchChunk reports its
+// chunk's bytes leave the store with it. PrefetchNext reports its
 // victims precisely so the edge can mirror the displacement; skipping
 // that delete leaks the victim's bytes as store orphans.
 func TestPrefetchDisplacementDeletesFromStore(t *testing.T) {

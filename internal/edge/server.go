@@ -417,6 +417,20 @@ type forgetter interface {
 	Forget(id chunk.ID)
 }
 
+// clamp raises t to the latest time the cache has been handed and
+// makes the result the new latest; the caller holds s.mu. Concurrent
+// requests stamp their time before contending on the lock, so the
+// cache could otherwise observe slightly out-of-order timestamps (the
+// skew is bounded by lock hold times, far below the seconds
+// granularity the algorithms reason at).
+func (s *Server) clamp(t int64) int64 {
+	if t < s.lastTime {
+		t = s.lastTime
+	}
+	s.lastTime = t
+	return t
+}
+
 // handlePrefetch serves POST /prefetch?v=<id>&chunks=<n>: sequential
 // read-ahead of up to n chunks past the video's highest cached index.
 // Responds 501 when the algorithm does not support prefetching, 200
@@ -457,16 +471,8 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 	accepted := 0
 	for i := 0; i < n; i++ {
 		s.mu.Lock()
-		if now < s.lastTime {
-			now = s.lastTime
-		}
-		s.lastTime = now
-		id, ok := prefetch.NextChunk(p, v, size, s.cfg.ChunkSize)
-		if !ok {
-			s.mu.Unlock()
-			break
-		}
-		admitted, evicted := p.PrefetchChunk(id, now)
+		now = s.clamp(now)
+		id, _, admitted, evicted := p.PrefetchNext(v, size, now)
 		s.mu.Unlock()
 		// The displacement stands whether or not the fill below
 		// succeeds: mirror it in the store immediately, exactly as
@@ -521,15 +527,7 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 	req := trace.Request{Time: s.cfg.Clock(), Video: v, Start: b0, End: b1}
 
 	s.mu.Lock()
-	// Concurrent requests stamp their time before contending on the
-	// lock, so the cache can observe slightly out-of-order timestamps;
-	// clamp to its high-water mark (the skew is bounded by lock hold
-	// times, far below the seconds granularity the algorithms reason
-	// at).
-	if req.Time < s.lastTime {
-		req.Time = s.lastTime
-	}
-	s.lastTime = req.Time
+	req.Time = s.clamp(req.Time)
 	out := s.cache.HandleRequest(req)
 	// The IDs are the cache's until its next request, and a detached
 	// flight reads its run after this request may have returned: copy

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -47,12 +50,12 @@ type hourlyPrefetches struct {
 	perHour map[int64]int
 }
 
-func (h hourlyPrefetches) PrefetchChunk(id chunk.ID, now int64) (bool, []chunk.ID) {
-	ok, evicted := h.Prefetchable.PrefetchChunk(id, now)
-	if ok {
+func (h hourlyPrefetches) PrefetchNext(v chunk.VideoID, size, now int64) (chunk.ID, bool, bool, []chunk.ID) {
+	id, considered, admitted, evicted := h.Prefetchable.PrefetchNext(v, size, now)
+	if admitted {
 		h.perHour[now/3600]++
 	}
-	return ok, evicted
+	return id, considered, admitted, evicted
 }
 
 // prefetchRuns replays the prefetch figure's Cafe+prefetch runs.
@@ -226,5 +229,37 @@ func TestPaperClaims(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPrefetchFigureDigest pins the prefetch figure's runs, the ones
+// the ext:prefetch row reads: alpha, budget, the planner's stats and
+// the admits of every hour, in hour order, folded into one FNV-1a
+// digest. Any change to read-ahead's rule, to Cafe's prefetch
+// admission or to the planner's budget and order changes it.
+func TestPrefetchFigureDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs")
+	}
+	h := fnv.New64a()
+	fold := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	for _, r := range get(t, tinyPrefetch) {
+		fold(math.Float64bits(r.alpha))
+		fold(uint64(r.budget))
+		for _, n := range []int64{int64(r.stats.Attempted), int64(r.stats.Accepted), r.stats.PrefetchedBytes, int64(r.stats.UsefulChunks)} {
+			fold(uint64(n))
+		}
+		hours := make([]int64, 0, len(r.perHour))
+		for hr := range r.perHour {
+			hours = append(hours, hr)
+		}
+		slices.Sort(hours)
+		for _, hr := range hours {
+			fold(uint64(hr))
+			fold(uint64(r.perHour[hr]))
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xbcf3d1019c531a19); got != want {
+		t.Errorf("prefetch runs digest %#016x, want %#016x", got, want)
 	}
 }

@@ -424,7 +424,10 @@ func (h *harness) opPrefetch() error {
 	v := h.pickVideo()
 	n := 1 + h.rng.Intn(4)
 	target := fmt.Sprintf("/prefetch?v=%d&chunks=%d", v, n)
-	exp := h.model.handlePrefetch(v, n)
+	exp, err := h.model.handlePrefetch(v, n)
+	if err != nil {
+		return err
+	}
 	h.res.Prefetches++
 	return h.drive(http.MethodPost, target, "", exp)
 }

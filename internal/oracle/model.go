@@ -335,33 +335,35 @@ func (m *Model) handleGet(op getOp, uri string, expectedBody func(v chunk.VideoI
 // prefetchCache is the capability the prefetch handler needs (only
 // cafe implements it).
 type prefetchCache interface {
-	PrefetchChunk(id chunk.ID, now int64) (bool, []chunk.ID)
-	HighestCachedIndex(v chunk.VideoID) (uint32, bool)
+	PrefetchNext(v chunk.VideoID, size, now int64) (chunk.ID, bool, bool, []chunk.ID)
 }
 
 // handlePrefetch advances the model by one POST /prefetch operation.
-func (m *Model) handlePrefetch(v chunk.VideoID, n int) expect {
+// It restates sequential read-ahead's rule from what the cache claims
+// and the catalog size — the chunk after the video's highest resident
+// one, none past the last — and fails when the policy considered any
+// other chunk.
+func (m *Model) handlePrefetch(v chunk.VideoID, n int) (expect, error) {
 	p, ok := m.cache.(prefetchCache)
 	if !ok {
-		return expect{status: 501}
+		return expect{status: 501}, nil
 	}
 	size, exists := m.catalog[v]
 	if _, known := m.known[v]; !known {
 		if m.phase == PhaseOutage || !exists {
 			m.ledger.fillErrs++
-			return expect{status: 502}
+			return expect{status: 502}, nil
 		}
 		m.known[v] = size
 	}
-	maxChunk := uint32((size - 1) / m.chunkSize)
 	accepted := 0
 	for i := 0; i < n; i++ {
-		hi, ok := p.HighestCachedIndex(v)
-		if !ok || hi >= maxChunk {
-			break
+		want, wantOK := m.nextChunk(v, size)
+		id, considered, admitted, evicted := p.PrefetchNext(v, size, m.now)
+		if considered != wantOK || considered && id != want {
+			return expect{}, fmt.Errorf("prefetch of video %d: policy considered %v (%v), read-ahead's next chunk is %v (%v)",
+				v, id, considered, want, wantOK)
 		}
-		id := chunk.ID{Video: v, Index: hi + 1}
-		admitted, evicted := p.PrefetchChunk(id, m.now)
 		for _, ev := range evicted {
 			delete(m.store, ev.Key())
 		}
@@ -371,13 +373,26 @@ func (m *Model) handlePrefetch(v chunk.VideoID, n int) expect {
 		if m.phase != PhaseHealthy {
 			m.ledger.fillErrs++
 			m.forget([]chunk.ID{id})
-			return expect{status: 502}
+			return expect{status: 502}, nil
 		}
 		m.ledger.counters.Filled += m.chunkBytes(id)
 		m.store[id.Key()] = struct{}{}
 		accepted++
 	}
-	return expect{status: 200, body: []byte(fmt.Sprintf("accepted %d\n", accepted))}
+	return expect{status: 200, body: []byte(fmt.Sprintf("accepted %d\n", accepted))}, nil
+}
+
+// nextChunk is read-ahead's next chunk of video v of size bytes: the
+// one after the highest chunk the cache claims, ok false when it
+// claims none or claims the last.
+func (m *Model) nextChunk(v chunk.VideoID, size int64) (id chunk.ID, ok bool) {
+	last := (size - 1) / m.chunkSize
+	for c := last; c >= 0; c-- {
+		if m.claims(chunk.ID{Video: v, Index: uint32(c)}) {
+			return chunk.ID{Video: v, Index: uint32(c + 1)}, c < last
+		}
+	}
+	return chunk.ID{}, false
 }
 
 // claims reports whether the model cache claims the chunk resident.

@@ -5,12 +5,12 @@
 //
 // The planner does sequential read-ahead: it watches served requests,
 // remembers which videos are active, and during the configured
-// off-peak window suggests the next missing chunk after each active
-// video's highest cached index (NextChunk, the rule the HTTP edge's
-// /prefetch uses too) — the access pattern video sessions actually
-// follow. The cache itself (via the Prefetchable interface)
-// remains the gatekeeper: it only admits chunks its popularity state
-// supports, so read-ahead cannot pollute the disk.
+// off-peak window asks the cache to read ahead on each active video:
+// the chunk after its highest cached index, the access pattern video
+// sessions actually follow. The cache owns that rule (PrefetchNext,
+// the step the HTTP edge's /prefetch takes too) and remains the
+// gatekeeper: it only admits chunks its popularity state supports, so
+// read-ahead cannot pollute the disk.
 package prefetch
 
 import (
@@ -28,11 +28,11 @@ import (
 // *cafe.Cache implements it.
 type Prefetchable interface {
 	core.Cache
-	// PrefetchChunk fills one chunk if the cache's policy admits it,
-	// reporting any chunks displaced to make room.
-	PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []chunk.ID)
-	// HighestCachedIndex supports sequential read-ahead planning.
-	HighestCachedIndex(v chunk.VideoID) (uint32, bool)
+	// PrefetchNext considers the chunk after video v's highest cached
+	// index, none when nothing of v is cached or v's last chunk (for
+	// a video of size bytes) already is, and fills it if the cache's
+	// policy admits it, reporting any chunks displaced to make room.
+	PrefetchNext(v chunk.VideoID, size, now int64) (id chunk.ID, considered, admitted bool, evicted []chunk.ID)
 }
 
 // Sizes reports each video's size in bytes, as an origin's /size
@@ -40,20 +40,6 @@ type Prefetchable interface {
 // workload.Generator implement it.
 type Sizes interface {
 	SizeOf(v chunk.VideoID) (size int64, ok bool)
-}
-
-// NextChunk is sequential read-ahead's rule: the chunk to fill next
-// for video v of size bytes is the one after its highest cached index.
-// ok is false when no chunk of v is cached or its last chunk already
-// is.
-func NextChunk(c interface {
-	HighestCachedIndex(chunk.VideoID) (uint32, bool)
-}, v chunk.VideoID, size, chunkSize int64) (id chunk.ID, ok bool) {
-	hi, ok := c.HighestCachedIndex(v)
-	if !ok || int64(hi) >= (size-1)/chunkSize {
-		return chunk.ID{}, false
-	}
-	return chunk.ID{Video: v, Index: hi + 1}, true
 }
 
 // Config tunes the prefetcher.
@@ -95,7 +81,8 @@ func (c Config) inWindow(h int) bool {
 
 // Stats reports what prefetching did.
 type Stats struct {
-	// Attempted and Accepted count PrefetchChunk calls and successes.
+	// Attempted and Accepted count the chunks considered for read-ahead
+	// and those the cache admitted.
 	Attempted, Accepted int
 	// PrefetchedBytes is the extra ingress spent.
 	PrefetchedBytes int64
@@ -175,15 +162,15 @@ func Plan(c Prefetchable, cfg Config, chunkSize int64, sizes Sizes) (observe fun
 			if !known {
 				continue
 			}
-			id, ok := NextChunk(c, v, size, chunkSize)
-			if !ok {
-				continue
-			}
-			stats.Attempted++
 			// The simulator tracks no byte store, so displaced chunks
 			// need no cleanup here; the HTTP edge server must delete
 			// them (see edge.Server.handlePrefetch).
-			if admitted, _ := c.PrefetchChunk(id, r.Time); admitted {
+			id, considered, admitted, _ := c.PrefetchNext(v, size, r.Time)
+			if !considered {
+				continue
+			}
+			stats.Attempted++
+			if admitted {
 				stats.Accepted++
 				stats.PrefetchedBytes += chunkSize
 				ahead[v]++

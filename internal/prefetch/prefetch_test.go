@@ -76,25 +76,34 @@ func TestWindowWrapsMidnight(t *testing.T) {
 	}
 }
 
-func TestCafePrefetchChunkBasics(t *testing.T) {
+func TestCafePrefetchBasics(t *testing.T) {
 	c := newCafe(t, 10, 1)
 	// Build history for video 1 chunks 0-1.
 	c.HandleRequest(req(0, 1, 0, 1))
 	c.HandleRequest(req(10, 1, 0, 1))
-	// Blind prefetch of an unknown video must be refused.
-	if ok, _ := c.PrefetchChunk(chunk.ID{Video: 9, Index: 0}, 10); ok {
-		t.Error("prefetch with no information should be refused")
+	// Blind prefetch of an unknown video: nothing to read ahead from.
+	if _, considered, _, _ := c.PrefetchNext(9, 10*testK, 10); considered {
+		t.Error("a video with nothing cached has no next chunk")
 	}
-	// Prefetch the next chunk: video estimate exists -> accept.
-	if ok, _ := c.PrefetchChunk(chunk.ID{Video: 1, Index: 2}, 11); !ok {
-		t.Error("read-ahead on a known video should be accepted")
+	// Read ahead on a known video: video estimate exists -> accept.
+	id, considered, admitted, _ := c.PrefetchNext(1, 10*testK, 11)
+	if id != (chunk.ID{Video: 1, Index: 2}) || !considered || !admitted {
+		t.Errorf("read-ahead on a known video = %s %v %v, want 1/2 admitted", id, considered, admitted)
 	}
 	if !c.Contains(chunk.ID{Video: 1, Index: 2}) {
 		t.Error("prefetched chunk should be cached")
 	}
-	// Idempotent: already-cached chunk refuses.
-	if ok, _ := c.PrefetchChunk(chunk.ID{Video: 1, Index: 2}, 12); ok {
-		t.Error("prefetch of a cached chunk should be refused")
+	// The next step moves past the chunk just filled.
+	if id, _, _, _ := c.PrefetchNext(1, 10*testK, 12); id != (chunk.ID{Video: 1, Index: 3}) {
+		t.Errorf("second read-ahead considered %s, want 1/3", id)
+	}
+	// A time before the cache's clock is considered, never admitted,
+	// and leaves the cache as it was.
+	n := c.Len()
+	id, considered, admitted, _ = c.PrefetchNext(1, 10*testK, 5)
+	if id != (chunk.ID{Video: 1, Index: 4}) || !considered || admitted || c.Len() != n {
+		t.Errorf("read-ahead back in time = %s %v %v, %d cached; want 1/4 considered, not admitted, %d cached",
+			id, considered, admitted, c.Len(), n)
 	}
 }
 
@@ -107,11 +116,11 @@ func TestCafePrefetchRespectsFullDisk(t *testing.T) {
 	for tm := int64(10); tm <= 14; tm++ {
 		c.HandleRequest(req(tm, 2, 0, 0))
 	}
-	// Disk holds 1/0 and 2/0. Prefetching 2/1 (hot video estimate)
-	// should displace the least popular resident (1/0).
-	ok, evicted := c.PrefetchChunk(chunk.ID{Video: 2, Index: 1}, 15)
-	if !ok {
-		t.Fatal("hot prefetch should displace a stale resident")
+	// Disk holds 1/0 and 2/0. Reading ahead to 2/1 (hot video
+	// estimate) should displace the least popular resident (1/0).
+	id, _, ok, evicted := c.PrefetchNext(2, 4*testK, 15)
+	if !ok || id != (chunk.ID{Video: 2, Index: 1}) {
+		t.Fatalf("hot read-ahead = %s %v; want 2/1 displacing a stale resident", id, ok)
 	}
 	if len(evicted) != 1 || evicted[0] != (chunk.ID{Video: 1, Index: 0}) {
 		t.Errorf("evicted = %v, want exactly the displaced resident 1/0", evicted)
@@ -129,42 +138,37 @@ func TestCafePrefetchRespectsFullDisk(t *testing.T) {
 	c2.HandleRequest(req(10, 1, 0, 0))
 	c2.HandleRequest(req(11, 2, 0, 0))
 	c2.HandleRequest(req(21, 2, 0, 0)) // video 2 is the least popular resident
-	if ok, _ := c2.PrefetchChunk(chunk.ID{Video: 2, Index: 1}, 22); ok {
-		t.Error("prefetch estimated from the eviction floor itself should be refused")
+	if id, considered, ok, _ := c2.PrefetchNext(2, 4*testK, 22); !considered || ok {
+		t.Errorf("read-ahead estimated from the eviction floor itself = %s %v %v, want considered and refused", id, considered, ok)
 	}
 }
 
-func TestHighestCachedIndex(t *testing.T) {
+// TestPrefetchNextTarget: read-ahead considers the chunk after the
+// video's highest cached index, gaps below it notwithstanding, and
+// nothing once the video's last chunk is cached.
+func TestPrefetchNextTarget(t *testing.T) {
 	c := newCafe(t, 10, 1)
-	if _, ok := c.HighestCachedIndex(1); ok {
-		t.Error("empty video should report !ok")
-	}
-	c.HandleRequest(req(0, 1, 0, 3))
-	hi, ok := c.HighestCachedIndex(1)
-	if !ok || hi != 3 {
-		t.Errorf("HighestCachedIndex = %d,%v", hi, ok)
-	}
-}
-
-func TestNextChunk(t *testing.T) {
-	c := newCafe(t, 10, 1)
-	if _, ok := prefetch.NextChunk(c, 1, 10*testK, testK); ok {
+	if _, considered, _, _ := c.PrefetchNext(1, 10*testK, 0); considered {
 		t.Error("a video with nothing cached has no next chunk")
 	}
-	c.HandleRequest(req(0, 1, 0, 1))
+	c.HandleRequest(req(0, 1, 0, 0))
+	c.HandleRequest(req(0, 1, 3, 3)) // chunks 0 and 3 cached, 1-2 not
 	for _, tc := range []struct {
 		size int64
 		want bool
 	}{
-		{testK + 1, false},   // requested past the size: nothing ahead
-		{2*testK - 1, false}, // chunk 1 short of full, and last
-		{2 * testK, false},   // chunk 1 full, and last
-		{2*testK + 1, true},  // one byte of chunk 2
+		{3*testK + 1, false}, // requested past the size: nothing ahead
+		{4*testK - 1, false}, // chunk 3 short of full, and last
+		{4 * testK, false},   // chunk 3 full, and last
+		{4*testK + 1, true},  // one byte of chunk 4
 		{1 << 40, true},      // long video
 	} {
-		id, ok := prefetch.NextChunk(c, 1, tc.size, testK)
-		if ok != tc.want || ok && id != (chunk.ID{Video: 1, Index: 2}) {
-			t.Errorf("size %d: NextChunk = %v, %v; want chunk 1/2: %v", tc.size, id, ok, tc.want)
+		// A time before the cache's clock leaves the cache as it was,
+		// so every size sees the same chunks cached.
+		id, considered, admitted, _ := c.PrefetchNext(1, tc.size, -1)
+		if considered != tc.want || considered && id != (chunk.ID{Video: 1, Index: 4}) || admitted {
+			t.Errorf("size %d: PrefetchNext = %s %v %v; want chunk 1/4 considered: %v, not admitted",
+				tc.size, id, considered, admitted, tc.want)
 		}
 	}
 }
