@@ -143,31 +143,42 @@ func TestCafePrefetchRespectsFullDisk(t *testing.T) {
 	}
 }
 
-// TestPrefetchNextTarget: read-ahead considers the chunk after the
-// video's highest cached index, gaps below it notwithstanding, and
-// nothing once the video's last chunk is cached.
-func TestPrefetchNextTarget(t *testing.T) {
+// TestHighestCachedIndex: read-ahead considers the chunk after the
+// video's highest cached index, gaps below it notwithstanding.
+func TestHighestCachedIndex(t *testing.T) {
 	c := newCafe(t, 10, 1)
 	if _, considered, _, _ := c.PrefetchNext(1, 10*testK, 0); considered {
 		t.Error("a video with nothing cached has no next chunk")
 	}
 	c.HandleRequest(req(0, 1, 0, 0))
 	c.HandleRequest(req(0, 1, 3, 3)) // chunks 0 and 3 cached, 1-2 not
+	// A time before the cache's clock leaves the cache as it was.
+	id, considered, admitted, _ := c.PrefetchNext(1, 10*testK, -1)
+	if id != (chunk.ID{Video: 1, Index: 4}) || !considered || admitted {
+		t.Errorf("PrefetchNext = %s %v %v; want chunk 1/4 considered, not admitted", id, considered, admitted)
+	}
+}
+
+// TestNextChunk: read-ahead considers nothing once the video's last
+// chunk is cached, and the next chunk while any byte lies past it.
+func TestNextChunk(t *testing.T) {
+	c := newCafe(t, 10, 1)
+	c.HandleRequest(req(0, 1, 0, 1))
 	for _, tc := range []struct {
 		size int64
 		want bool
 	}{
-		{3*testK + 1, false}, // requested past the size: nothing ahead
-		{4*testK - 1, false}, // chunk 3 short of full, and last
-		{4 * testK, false},   // chunk 3 full, and last
-		{4*testK + 1, true},  // one byte of chunk 4
+		{testK + 1, false},   // requested past the size: nothing ahead
+		{2*testK - 1, false}, // chunk 1 short of full, and last
+		{2 * testK, false},   // chunk 1 full, and last
+		{2*testK + 1, true},  // one byte of chunk 2
 		{1 << 40, true},      // long video
 	} {
 		// A time before the cache's clock leaves the cache as it was,
 		// so every size sees the same chunks cached.
 		id, considered, admitted, _ := c.PrefetchNext(1, tc.size, -1)
-		if considered != tc.want || considered && id != (chunk.ID{Video: 1, Index: 4}) || admitted {
-			t.Errorf("size %d: PrefetchNext = %s %v %v; want chunk 1/4 considered: %v, not admitted",
+		if considered != tc.want || considered && id != (chunk.ID{Video: 1, Index: 2}) || admitted {
+			t.Errorf("size %d: PrefetchNext = %s %v %v; want chunk 1/2 considered: %v, not admitted",
 				tc.size, id, considered, admitted, tc.want)
 		}
 	}
