@@ -5,7 +5,7 @@
 //
 //	experiments -fig all                 # every figure at default scale
 //	experiments -fig 4 -scale small      # one figure, test scale
-//	experiments -fig 6 -alpha 1          # figure variants
+//	experiments -fig 6,7 -alpha 1        # figure variants
 //	experiments -fig ablations           # design-choice ablations
 package main
 
@@ -15,18 +15,50 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"videocdn/internal/experiments"
 )
 
+// figNames are the -fig names, in the order the figures print.
+var figNames = []string{
+	"2", "3", "4", "5", "6", "7", "ablations",
+	"prefetch", "baselines", "hierarchy", "constrained", "rounding", "sensitivity", "flash", "cdnwide",
+}
+
+// parseFigs reads -fig: a comma-separated list of exact figure names,
+// where "all" names every figure.
+func parseFigs(s string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(s, ",") {
+		switch {
+		case name == "all":
+			for _, n := range figNames {
+				want[n] = true
+			}
+		case slices.Contains(figNames, name):
+			want[name] = true
+		default:
+			return nil, fmt.Errorf("unknown figure %q: want all or a comma-separated list of %s", name, strings.Join(figNames, ", "))
+		}
+	}
+	return want, nil
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,7,ablations,prefetch,baselines,policies,hierarchy,cdnwide,constrained,sensitivity,flash,rounding,all")
+	fig := flag.String("fig", "all", "figures to regenerate: all, or a comma-separated list of "+strings.Join(figNames, ","))
 	scaleName := flag.String("scale", "default", "experiment scale: default or small")
 	alpha := flag.Float64("alpha", 0, "override alpha_F2R where applicable (fig 6/7)")
 	csvDir := flag.String("csv", "", "also write each figure's raw data as CSV into this directory")
 	flag.Parse()
+
+	want, err := parseFigs(*fig)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-fig: %v\n", err)
+		os.Exit(2)
+	}
 
 	writeCSV := func(name string, dump func(io.Writer) error) {
 		if *csvDir == "" {
@@ -75,172 +107,54 @@ func main() {
 		fmt.Println()
 	}
 
-	want := func(k string) bool {
-		return *fig == "all" || *fig == k || strings.Contains(*fig, k)
+	// show runs the figure called name, if -fig selected it, under the
+	// heading title, prints it and writes its CSV when it has one.
+	type printer interface{ Print(io.Writer) }
+	show := func(name, title string, f func() (printer, error)) {
+		if !want[name] {
+			return
+		}
+		run(title, func() error {
+			r, err := f()
+			if err != nil {
+				return err
+			}
+			r.Print(os.Stdout)
+			if c, ok := r.(interface{ CSV(io.Writer) error }); ok {
+				writeCSV("fig"+name+".csv", c.CSV)
+			}
+			return nil
+		})
 	}
 
-	var sweep *experiments.AlphaSweepResult
-	if want("2") {
-		run("Figure 2", func() error {
-			r, err := experiments.Fig2(sc, nil, nil)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			writeCSV("fig2.csv", r.CSV)
-			return nil
-		})
-	}
-	if want("3") {
-		run("Figure 3", func() error {
-			r, err := experiments.Fig3(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			writeCSV("fig3.csv", r.CSV)
-			return nil
-		})
-	}
-	if want("4") || want("5") {
+	show("2", "Figure 2", func() (printer, error) { return experiments.Fig2(sc, nil, nil) })
+	show("3", "Figure 3", func() (printer, error) { return experiments.Fig3(sc) })
+	if want["4"] || want["5"] {
+		var sweep *experiments.AlphaSweepResult
 		run("Alpha sweep (Figures 4 and 5)", func() error {
 			var err error
 			sweep, err = experiments.AlphaSweep(sc, nil)
 			return err
 		})
-	}
-	if want("4") && sweep != nil {
-		sweep.PrintFig4(os.Stdout)
-		fmt.Println()
-	}
-	if want("5") && sweep != nil {
-		sweep.PrintFig5(os.Stdout)
-		fmt.Println()
-	}
-	if (want("4") || want("5")) && sweep != nil {
+		if want["4"] {
+			sweep.PrintFig4(os.Stdout)
+			fmt.Println()
+		}
+		if want["5"] {
+			sweep.PrintFig5(os.Stdout)
+			fmt.Println()
+		}
 		writeCSV("fig45.csv", sweep.CSV)
 	}
-	if want("6") {
-		run("Figure 6", func() error {
-			r, err := experiments.Fig6(sc, *alpha, nil)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			writeCSV("fig6.csv", r.CSV)
-			return nil
-		})
-	}
-	if want("7") {
-		run("Figure 7", func() error {
-			r, err := experiments.Fig7(sc, *alpha)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			writeCSV("fig7.csv", r.CSV)
-			return nil
-		})
-	}
-	if want("ablations") || *fig == "all" {
-		run("Ablations", func() error {
-			r, err := experiments.Ablations(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("prefetch") || *fig == "all" {
-		run("Proactive caching (extension)", func() error {
-			r, err := experiments.Prefetch(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("baselines") || *fig == "all" {
-		run("Replacement-only baselines (extension)", func() error {
-			r, err := experiments.Baselines(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("policies") || *fig == "all" {
-		run("Policy registry head-to-head (extension)", func() error {
-			r, err := experiments.Policies(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			writeCSV("policies.csv", r.CSV)
-			return nil
-		})
-	}
-	if want("hierarchy") || *fig == "all" {
-		run("Two-tier hierarchy (extension)", func() error {
-			r, err := experiments.Hierarchy(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("constrained") || *fig == "all" {
-		run("Ingress control (extension)", func() error {
-			r, err := experiments.Constrained(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("rounding") || *fig == "all" {
-		run("Optimum bracketing (extension)", func() error {
-			r, err := experiments.Rounding(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("sensitivity") || *fig == "all" {
-		run("Sensitivity sweeps (extension)", func() error {
-			r, err := experiments.Sensitivity(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("flash") || *fig == "all" {
-		run("Flash crowd (extension)", func() error {
-			r, err := experiments.Flash(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("cdnwide") || *fig == "all" {
-		run("CDN-wide fan-in (extension)", func() error {
-			r, err := experiments.CDNWide(sc)
-			if err != nil {
-				return err
-			}
-			r.Print(os.Stdout)
-			return nil
-		})
-	}
+	show("6", "Figure 6", func() (printer, error) { return experiments.Fig6(sc, *alpha, nil) })
+	show("7", "Figure 7", func() (printer, error) { return experiments.Fig7(sc, *alpha) })
+	show("ablations", "Ablations", func() (printer, error) { return experiments.Ablations(sc) })
+	show("prefetch", "Proactive caching (extension)", func() (printer, error) { return experiments.Prefetch(sc) })
+	show("baselines", "Replacement-only baselines (extension)", func() (printer, error) { return experiments.Baselines(sc) })
+	show("hierarchy", "Two-tier hierarchy (extension)", func() (printer, error) { return experiments.Hierarchy(sc) })
+	show("constrained", "Ingress control (extension)", func() (printer, error) { return experiments.Constrained(sc) })
+	show("rounding", "Optimum bracketing (extension)", func() (printer, error) { return experiments.Rounding(sc) })
+	show("sensitivity", "Sensitivity sweeps (extension)", func() (printer, error) { return experiments.Sensitivity(sc) })
+	show("flash", "Flash crowd (extension)", func() (printer, error) { return experiments.Flash(sc) })
+	show("cdnwide", "CDN-wide fan-in (extension)", func() (printer, error) { return experiments.CDNWide(sc) })
 }

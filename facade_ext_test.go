@@ -175,39 +175,53 @@ func TestFacadeMergeTraces(t *testing.T) {
 	}
 }
 
+// TestFacadeReplayWithPrefetch: every admitted prefetch fills one
+// chunk of the cache's own size, and is charged that many bytes,
+// whatever K the cache was built with.
 func TestFacadeReplayWithPrefetch(t *testing.T) {
 	reqs := smallTrace(t)
-	c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each video ends at its furthest requested byte.
-	sizes := videocdn.MapCatalog{}
-	for _, r := range reqs {
-		sizes[r.Video] = max(sizes[r.Video], r.End+1)
-	}
-	res, err := videocdn.ReplayWithPrefetch(c, reqs, 1, videocdn.PrefetchConfig{
-		StartHour: 0, EndHour: 0, ChunksPerHour: 20,
-	}, videocdn.DefaultChunkSize, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != len(reqs) {
-		t.Errorf("replayed %d, want %d", res.Requests, len(reqs))
-	}
-	if res.Stats.Accepted > 0 && res.Stats.PrefetchedBytes == 0 {
-		t.Error("accepted prefetches without byte accounting")
-	}
-	if _, err := videocdn.ReplayWithPrefetch(c, reqs, -1, videocdn.PrefetchConfig{ChunksPerHour: 1}, videocdn.DefaultChunkSize, sizes); err == nil {
-		t.Error("bad alpha should fail")
+	sizes := furthestBytes(reqs)
+	for _, k := range []int64{mb, 2 * mb} {
+		c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{ChunkSize: k, DiskBytes: 256 * mb, Alpha: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := videocdn.ReplayWithPrefetch(c, reqs, 1, videocdn.PrefetchConfig{
+			StartHour: 0, EndHour: 0, ChunksPerHour: 20,
+		}, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Requests != len(reqs) {
+			t.Errorf("K=%d: replayed %d, want %d", k, res.Requests, len(reqs))
+		}
+		if res.Stats.Accepted == 0 {
+			t.Fatalf("K=%d: no prefetch admitted", k)
+		}
+		if got, want := res.Stats.PrefetchedBytes, int64(res.Stats.Accepted)*k; got != want {
+			t.Errorf("K=%d: %d admitted prefetches charged %d bytes, want %d", k, res.Stats.Accepted, got, want)
+		}
+		if _, err := videocdn.ReplayWithPrefetch(c, reqs, -1, videocdn.PrefetchConfig{ChunksPerHour: 1}, sizes); err == nil {
+			t.Error("bad alpha should fail")
+		}
 	}
 	x, err := videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := videocdn.ReplayWithPrefetch(x, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 1}, videocdn.DefaultChunkSize, sizes); err == nil {
+	if _, err := videocdn.ReplayWithPrefetch(x, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 1}, sizes); err == nil {
 		t.Error("xlru does not prefetch")
 	}
+}
+
+// furthestBytes is a catalog in which each video ends at its furthest
+// requested byte.
+func furthestBytes(reqs []videocdn.Request) videocdn.MapCatalog {
+	sizes := videocdn.MapCatalog{}
+	for _, r := range reqs {
+		sizes[r.Video] = max(sizes[r.Video], r.End+1)
+	}
+	return sizes
 }
 
 // fixedCache returns one outcome for every request and never
@@ -221,6 +235,7 @@ func (fixedCache) Name() string                                      { return "f
 func (fixedCache) PrefetchNext(videocdn.VideoID, int64, int64) (videocdn.ChunkID, bool, bool, []videocdn.ChunkID) {
 	return videocdn.ChunkID{}, false, false, nil
 }
+func (fixedCache) ChunkSize() int64 { return videocdn.DefaultChunkSize }
 
 // TestFacadeReplaysRejectBrokenInput: the multi-tier and prefetch
 // replays run on the simulator's one replay loop, so they inherit its
@@ -272,7 +287,7 @@ func TestFacadeReplaysRejectBrokenInput(t *testing.T) {
 			return err
 		}},
 		{"ReplayWithPrefetch", func(c videocdn.Cache, reqs []videocdn.Request) error {
-			_, err := videocdn.ReplayWithPrefetch(c, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 10}, k, videocdn.MapCatalog{})
+			_, err := videocdn.ReplayWithPrefetch(c, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 10}, videocdn.MapCatalog{})
 			return err
 		}},
 	}

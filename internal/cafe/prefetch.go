@@ -82,3 +82,7 @@ func (c *Cache) PrefetchNext(v chunk.VideoID, size, now int64) (id chunk.ID, con
 	c.place(rec, id, c.treeKey(pop.iatEntry))
 	return id, true, true, evicted
 }
+
+// ChunkSize returns K in bytes, the size of each chunk PrefetchNext
+// fills.
+func (c *Cache) ChunkSize() int64 { return c.cfg.ChunkSize }

@@ -10,14 +10,17 @@ import (
 	"testing"
 
 	"videocdn/internal/chunk"
+	"videocdn/internal/core"
 	"videocdn/internal/cost"
 	"videocdn/internal/prefetch"
 	"videocdn/internal/sim"
+	"videocdn/internal/trace"
 )
 
 // The runs the claims are read from, each made once per test binary
 // and shared with the figure smoke tests: tinyScale, except the alpha
-// sweep and one Figure 7 run at SmallScale (see TestPaperClaims).
+// sweep, one Figure 7 run and the rounding bracket at SmallScale (see
+// TestPaperClaims).
 var (
 	claimAlphas = []float64{1, 2, 4}
 	claimDisks  = []float64{0.5, 1, 2}
@@ -33,7 +36,56 @@ var (
 	tinyCDNWide   = sync.OnceValues(func() (*CDNWideResult, error) { return CDNWide(tinyScale()) })
 	tinyFlash     = sync.OnceValues(func() (*FlashResult, error) { return Flash(tinyScale()) })
 	tinyPrefetch  = sync.OnceValues(func() ([]prefetchRun, error) { return prefetchRuns(tinyScale()) })
+
+	tinyBaselines   = sync.OnceValues(func() (*BaselinesResult, error) { return Baselines(tinyScale()) })
+	tinyConstrained = sync.OnceValues(func() (*ConstrainedResult, error) { return Constrained(tinyScale()) })
+	tinyBudget      = sync.OnceValues(func() (*budgetRun, error) {
+		res, err := tinyConstrained()
+		if err != nil {
+			return nil, err
+		}
+		return budgetReplay(tinyScale(), res.Target)
+	})
+	smallRounding   = sync.OnceValues(func() (*RoundingResult, error) { return Rounding(SmallScale()) })
+	tinySensitivity = sync.OnceValues(func() (*SensitivityResult, error) { return Sensitivity(tinyScale()) })
+	tinyAblations   = sync.OnceValues(func() (*AblationResult, error) { return Ablations(tinyScale()) })
 )
+
+// budgetRun is the constrained figure's budget row replayed again, with
+// the chunks filled in each of the budget's windows counted.
+type budgetRun struct {
+	perWindow int
+	eff       float64 // scored as the figure scores it, at alpha 2
+	filled    map[int64]int64
+}
+
+// budgetReplay replays the constrained figure's write-budget row, whose
+// budget holds the target ingress ratio. The budget's hourly windows
+// start at its first fill-gate call, which on a cold cache is the
+// first request: there is free disk for all of its chunks.
+func budgetReplay(sc Scale, target float64) (*budgetRun, error) {
+	reqs, err := TraceFor("europe", sc)
+	if err != nil {
+		return nil, err
+	}
+	run := &budgetRun{perWindow: hourlyBudget(reqs, sc.ChunkSize, target), filled: map[int64]int64{}}
+	c, err := newCache(budgetSpec(run.perWindow), coreConfig(sc), 1, reqs)
+	if err != nil {
+		return nil, err
+	}
+	t0 := reqs[0].Time
+	r, err := sim.Replay(c, trace.Slice(reqs), cost.MustModel(1), sim.Options{
+		Observe: func(r trace.Request, out core.Outcome) int64 {
+			run.filled[(r.Time-t0)/3600] += int64(out.FilledChunks)
+			return 0
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	run.eff = r.Steady.Efficiency(cost.MustModel(2))
+	return run, nil
+}
 
 // prefetchRun is the prefetch figure's replay at one alpha, with the
 // prefetches the cache admitted counted per hour.
@@ -72,7 +124,7 @@ func prefetchRuns(sc Scale) ([]prefetchRun, error) {
 		}
 		h := hourlyPrefetches{c.(prefetch.Prefetchable), make(map[int64]int)}
 		cfg := prefetchConfig(sc)
-		res, err := ReplayPrefetch(h, reqs, cost.MustModel(alpha), cfg, sc.ChunkSize, gen)
+		res, err := ReplayPrefetch(h, reqs, cost.MustModel(alpha), cfg, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -106,11 +158,14 @@ func (a atMost) holds() bool {
 	return a.lo <= a.hi
 }
 
-// TestPaperClaims asserts the paper's claims about its figures as
-// inequalities over one seed of the tiny-scale runs. Each row names the
-// figures it comes from; no row has slack.
+// TestPaperClaims asserts the paper's claims about its figures, and
+// the claim of each extension figure (the ext: rows), as inequalities
+// over one seed of the tiny-scale runs. Each row names the figures it
+// comes from; no row has slack.
 //
-// Two kinds of row read SmallScale runs instead. The europe alpha
+// Three kinds of row read SmallScale runs instead. The rounding
+// bracket: at tinyScale the LP sees 60 requests and the bracket is
+// 12-34 points wide, against at most 1 point at SmallScale. The europe alpha
 // sweep (Figs. 4-5): at tinyScale Cafe leads xLRU at alpha 1 by 0.0006
 // only, too little for Eq. 6 with a wrong floor to fail it. Psychic at
 // least Cafe: at tinyScale Cafe passes Psychic on four of the six
@@ -217,6 +272,84 @@ func TestPaperClaims(t *testing.T) {
 					atMost{fmt.Sprintf("alpha=%g: most accepted in one hour <= budget", r.alpha), float64(peak), float64(r.budget), false})
 			}
 			return out
+		}},
+		{"ext:baselines", "always-fill caches never redirect; belady leads them, and the online pair at alpha 1 only", func(t *testing.T) (out []atMost) {
+			res := get(t, tinyBaselines)
+			for _, a := range res.Alphas {
+				m := res.Results[a]
+				for _, algo := range []string{AlgoLRU, AlgoLRUK, AlgoGDSP, AlgoBelady} {
+					out = append(out, atMost{fmt.Sprintf("alpha=%g: %s redirects (requests) <= 0", a, algo), float64(m[algo].Redirected), 0, false})
+					if algo != AlgoBelady {
+						out = append(out, atMost{fmt.Sprintf("alpha=%g: %s <= belady", a, algo), eff(m, algo), eff(m, AlgoBelady), false})
+					}
+				}
+			}
+			m1, m2 := res.Results[1], res.Results[2]
+			return append(out,
+				atMost{"alpha=1: xlru < belady", eff(m1, AlgoXLRU), eff(m1, AlgoBelady), true},
+				atMost{"alpha=1: cafe < belady", eff(m1, AlgoCafe), eff(m1, AlgoBelady), true},
+				atMost{"alpha=2: belady < cafe", eff(m2, AlgoBelady), eff(m2, AlgoCafe), true})
+		}},
+		{"ext:constrained", "static alpha 2 is the most efficient strategy, and the budget holds in every hour", func(t *testing.T) []atMost {
+			rows, run := get(t, tinyConstrained).Rows, get(t, tinyBudget)
+			if run.eff != rows[1].Eff {
+				t.Fatalf("the budget replay scores %.6f, the figure's budget row %.6f", run.eff, rows[1].Eff)
+			}
+			var peak int64
+			for _, n := range run.filled {
+				peak = max(peak, n)
+			}
+			return []atMost{
+				{rows[1].Name + " < static", rows[1].Eff, rows[0].Eff, true},
+				{rows[2].Name + " < static", rows[2].Eff, rows[0].Eff, true},
+				{"0 < fills the budget denied", 0, float64(rows[1].Denied), true},
+				{"most chunks filled in one budget hour <= per_window", float64(peak), float64(run.perWindow), false},
+			}
+		}},
+		{"ext:rounding", "rounded <= LP bound, a bracket at most 1 point wide", func(t *testing.T) (out []atMost) {
+			for _, r := range get(t, smallRounding).Rows {
+				out = append(out,
+					atMost{fmt.Sprintf("alpha=%g: rounded <= bound", r.Alpha), r.Rounded, r.Bound, false},
+					atMost{fmt.Sprintf("alpha=%g: bound - rounded <= 0.01", r.Alpha), r.Bound - r.Rounded, 0.01, false})
+			}
+			return out
+		}},
+		{"ext:sensitivity", "efficiency falls with K and rises with zipf s, and xlru < cafe throughout", func(t *testing.T) (out []atMost) {
+			res := get(t, tinySensitivity)
+			for _, algo := range OnlineAlgos {
+				for i := 1; i < len(res.ChunkSizes); i++ {
+					lo, hi := res.ChunkSizes[i-1], res.ChunkSizes[i]
+					out = append(out, atMost{fmt.Sprintf("%s: K=%d <= K=%d", algo, hi, lo), eff(res.ChunkRows[hi], algo), eff(res.ChunkRows[lo], algo), false})
+				}
+				for i := 1; i < len(res.Zipfs); i++ {
+					lo, hi := res.Zipfs[i-1], res.Zipfs[i]
+					out = append(out, atMost{fmt.Sprintf("%s: s=%g <= s=%g", algo, lo, hi), eff(res.ZipfRows[lo], algo), eff(res.ZipfRows[hi], algo), false})
+				}
+			}
+			for _, k := range res.ChunkSizes {
+				out = append(out, atMost{fmt.Sprintf("K=%d: xlru < cafe", k), eff(res.ChunkRows[k], AlgoXLRU), eff(res.ChunkRows[k], AlgoCafe), true})
+			}
+			for _, z := range res.Zipfs {
+				out = append(out, atMost{fmt.Sprintf("s=%g: xlru < cafe", z), eff(res.ZipfRows[z], AlgoXLRU), eff(res.ZipfRows[z], AlgoCafe), true})
+			}
+			return out
+		}},
+		{"ext:ablations", "gamma 0.90 is worst and 0.25 beats 0.50, a 4x window loses, file-level IATs score at least chunk-level", func(t *testing.T) []atMost {
+			e := map[string]float64{}
+			for _, r := range get(t, tinyAblations).Rows {
+				e[r.Name] = r.Eff
+			}
+			// "cafe gamma=0.25" is Cafe as built: gamma 0.25, a window
+			// of 1x the cache age, chunk-level IATs.
+			cafe := e["cafe gamma=0.25"]
+			return []atMost{
+				{"gamma=0.90 < gamma=0.05", e["cafe gamma=0.90"], e["cafe gamma=0.05"], true},
+				{"gamma=0.90 < gamma=0.25", e["cafe gamma=0.90"], cafe, true},
+				{"gamma=0.90 < gamma=0.50", e["cafe gamma=0.90"], e["cafe gamma=0.50"], true},
+				{"gamma=0.50 < gamma=0.25", e["cafe gamma=0.50"], cafe, true},
+				{"window=4x age < 1x", e["cafe window=4x age"], cafe, true},
+				{"chunk-level IATs <= file-level", cafe, e["cafe file-level IATs"], false},
+			}
 		}},
 	}
 	for _, row := range rows {

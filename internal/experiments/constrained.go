@@ -80,21 +80,8 @@ func Constrained(sc Scale) (*ConstrainedResult, error) {
 	}
 	res.Rows = append(res.Rows, row("cafe alpha=2 (static)", ref, 2, 0))
 
-	// Hard write budget at alpha=1: budget sized to the target ingress
-	// over the steady-state request rate.
-	reqChunksPerHour := 0.0
-	span := float64(reqs[len(reqs)-1].Time-reqs[0].Time) / 3600
-	if span > 0 {
-		var totalChunks int64
-		for _, r := range reqs {
-			totalChunks += int64(r.Range().Count(sc.ChunkSize))
-		}
-		reqChunksPerHour = float64(totalChunks) / span
-	}
-	budgetPerHour := int(target * reqChunksPerHour)
-	if budgetPerHour < 1 {
-		budgetPerHour = 1
-	}
+	// Hard write budget at alpha=1.
+	budgetPerHour := hourlyBudget(reqs, sc.ChunkSize, target)
 	// The two constrained strategies decide at alpha=1 inside their
 	// control range.
 	model1, err := cost.NewModel(1)
@@ -109,7 +96,7 @@ func Constrained(sc Scale) (*ConstrainedResult, error) {
 		r, err := sim.Replay(c, trace.Slice(reqs), model1, simOptions())
 		return r, c, err
 	}
-	bres, bcache, err := replay(fmt.Sprintf("writelimit:inner=cafe,per_window=%d,window=3600", budgetPerHour))
+	bres, bcache, err := replay(budgetSpec(budgetPerHour))
 	if err != nil {
 		return nil, err
 	}
@@ -124,6 +111,28 @@ func Constrained(sc Scale) (*ConstrainedResult, error) {
 	}
 	res.Rows = append(res.Rows, row("cafe + alpha control loop", cres, ctl.(interface{ Alpha() float64 }).Alpha(), 0))
 	return res, nil
+}
+
+// hourlyBudget is the budget row's write budget in chunks per hour:
+// the target ingress ratio of reqs' mean requested chunks per hour,
+// at least one.
+func hourlyBudget(reqs []trace.Request, chunkSize int64, target float64) int {
+	reqChunksPerHour := 0.0
+	span := float64(reqs[len(reqs)-1].Time-reqs[0].Time) / 3600
+	if span > 0 {
+		var totalChunks int64
+		for _, r := range reqs {
+			totalChunks += int64(r.Range().Count(chunkSize))
+		}
+		reqChunksPerHour = float64(totalChunks) / span
+	}
+	return max(int(target*reqChunksPerHour), 1)
+}
+
+// budgetSpec is the budget row's cache: Cafe under a write budget of
+// perHour chunks per hour.
+func budgetSpec(perHour int) string {
+	return fmt.Sprintf("writelimit:inner=cafe,per_window=%d,window=3600", perHour)
 }
 
 // Print renders the ingress-control comparison.

@@ -158,10 +158,7 @@ func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := Ablations(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := get(t, tinyAblations)
 	if len(res.Rows) < 8 {
 		t.Fatalf("only %d ablation rows", len(res.Rows))
 	}

@@ -63,7 +63,7 @@ func Prefetch(sc Scale) (*PrefetchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pres, err := ReplayPrefetch(pc.(prefetch.Prefetchable), reqs, cost.MustModel(alpha), prefetchConfig(sc), sc.ChunkSize, gen)
+		pres, err := ReplayPrefetch(pc.(prefetch.Prefetchable), reqs, cost.MustModel(alpha), prefetchConfig(sc), gen)
 		if err != nil {
 			return nil, err
 		}
@@ -93,8 +93,8 @@ type PrefetchReplay struct {
 // ReplayPrefetch replays reqs through c with the read-ahead planner
 // as the replay's hook: after each request it may prefetch ahead on
 // recently served videos (see prefetch.Plan).
-func ReplayPrefetch(c prefetch.Prefetchable, reqs []trace.Request, model cost.Model, pcfg prefetch.Config, chunkSize int64, sizes prefetch.Sizes) (*PrefetchReplay, error) {
-	observe, stats, err := prefetch.Plan(c, pcfg, chunkSize, sizes)
+func ReplayPrefetch(c prefetch.Prefetchable, reqs []trace.Request, model cost.Model, pcfg prefetch.Config, sizes prefetch.Sizes) (*PrefetchReplay, error) {
+	observe, stats, err := prefetch.Plan(c, pcfg, sizes)
 	if err != nil {
 		return nil, err
 	}

@@ -35,28 +35,15 @@ func TestBaselinesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := Baselines(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The claims read from this run are TestPaperClaims' ext:baselines
+	// row.
+	res := get(t, tinyBaselines)
 	for _, alpha := range res.Alphas {
-		m := res.Results[alpha]
 		for _, algo := range baselineAlgos {
-			if m[algo] == nil {
+			if res.Results[alpha][algo] == nil {
 				t.Fatalf("missing %v/%s", alpha, algo)
 			}
 		}
-		// Replacement-only caches never redirect (except oversized).
-		if m[AlgoGDSP].RedirectRatio() > 0.01 {
-			t.Errorf("gdsp redirect ratio %.3f should be ~0", m[AlgoGDSP].RedirectRatio())
-		}
-	}
-	// At alpha=2, admission-aware cafe must beat both always-fill
-	// baselines.
-	m := res.Results[2.0]
-	if m[AlgoCafe].Efficiency() <= m[AlgoGDSP].Efficiency() {
-		t.Errorf("cafe (%.3f) should beat gdsp (%.3f) at alpha=2",
-			m[AlgoCafe].Efficiency(), m[AlgoGDSP].Efficiency())
 	}
 	var sb strings.Builder
 	res.Print(&sb)
@@ -65,74 +52,14 @@ func TestBaselinesSmoke(t *testing.T) {
 	}
 }
 
-func TestPoliciesSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
-	}
-	res, err := Policies(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range res.Traces {
-		for _, alpha := range res.Alphas {
-			m := res.Results[tr][alpha]
-			for _, algo := range policyAlgos {
-				if m[algo] == nil {
-					t.Fatalf("missing %s/%v/%s", tr, alpha, algo)
-				}
-			}
-			// LRU(1) is plain LRU by construction; the simulated
-			// results must be identical, not merely close.
-			if m["lruq:q=1"].Efficiency() != m["lru"].Efficiency() ||
-				m["lruq:q=1"].IngressRatio() != m["lru"].IngressRatio() {
-				t.Errorf("%s alpha=%v: lruq:q=1 diverged from lru", tr, alpha)
-			}
-		}
-	}
-	// Sharper popularity skew should not hurt the cost-aware pair.
-	for _, algo := range []string{"cafe", "xlru"} {
-		std := res.Results["standard"][2.0][algo].Efficiency()
-		skw := res.Results["skewed"][2.0][algo].Efficiency()
-		if skw < std-0.05 {
-			t.Errorf("%s: efficiency fell with skew (%.3f -> %.3f)", algo, std, skw)
-		}
-	}
-	var sb strings.Builder
-	res.Print(&sb)
-	if !strings.Contains(sb.String(), "head-to-head") {
-		t.Error("Print output missing header")
-	}
-	sb.Reset()
-	if err := res.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "trace,alpha,algo,efficiency") {
-		t.Errorf("policies CSV header wrong: %q", firstLine(sb.String()))
-	}
-	// 2 traces x 2 alphas x len(policyAlgos) rows + header.
-	if n := strings.Count(sb.String(), "\n"); n != 1+2*2*len(policyAlgos) {
-		t.Errorf("policies CSV has %d lines", n)
-	}
-}
-
 func TestRoundingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test (LP)")
 	}
-	res, err := Rounding(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The bracket's claims are TestPaperClaims' ext:rounding row.
+	res := get(t, smallRounding)
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Rounded > row.Bound+1e-6 {
-			t.Errorf("alpha=%v: bracket inverted (%.3f > %.3f)", row.Alpha, row.Rounded, row.Bound)
-		}
-		if row.Width < -1e-6 {
-			t.Errorf("alpha=%v: negative width", row.Alpha)
-		}
 	}
 	var sb strings.Builder
 	res.Print(&sb)
@@ -145,20 +72,10 @@ func TestSensitivitySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := Sensitivity(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The sweeps' claims are TestPaperClaims' ext:sensitivity row.
+	res := get(t, tinySensitivity)
 	if len(res.ChunkSizes) != 4 || len(res.Zipfs) != 4 {
 		t.Fatalf("sweep sizes: %d chunks, %d zipfs", len(res.ChunkSizes), len(res.Zipfs))
-	}
-	// Heavier skew must help every algorithm (monotone within noise).
-	for _, algo := range OnlineAlgos {
-		lo := res.ZipfRows[0.6][algo].Efficiency()
-		hi := res.ZipfRows[1.2][algo].Efficiency()
-		if hi < lo-0.05 {
-			t.Errorf("%s: efficiency fell with skew (%.3f -> %.3f)", algo, lo, hi)
-		}
 	}
 	var sb strings.Builder
 	res.Print(&sb)
@@ -211,10 +128,7 @@ func TestConstrainedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := Constrained(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := get(t, tinyConstrained)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

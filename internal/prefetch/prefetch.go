@@ -33,6 +33,9 @@ type Prefetchable interface {
 	// a video of size bytes) already is, and fills it if the cache's
 	// policy admits it, reporting any chunks displaced to make room.
 	PrefetchNext(v chunk.VideoID, size, now int64) (id chunk.ID, considered, admitted bool, evicted []chunk.ID)
+	// ChunkSize is K in bytes, the size of every chunk PrefetchNext
+	// fills.
+	ChunkSize() int64
 }
 
 // Sizes reports each video's size in bytes, as an origin's /size
@@ -98,17 +101,16 @@ type Stats struct {
 // ahead on recently served videos; it returns the bytes it prefetched
 // at r.Time. The sizes catalog bounds read-ahead at each video's last
 // chunk; a video with nothing to read ahead, or of unknown size, costs
-// no budget.
-func Plan(c Prefetchable, cfg Config, chunkSize int64, sizes Sizes) (observe func(r trace.Request, out core.Outcome) int64, stats *Stats, err error) {
+// no budget. Prefetched bytes and request ranges are counted in the
+// cache's own chunk size.
+func Plan(c Prefetchable, cfg Config, sizes Sizes) (observe func(r trace.Request, out core.Outcome) int64, stats *Stats, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if sizes == nil {
 		return nil, nil, errors.New("prefetch: nil size catalog")
 	}
-	if chunkSize <= 0 {
-		return nil, nil, fmt.Errorf("prefetch: chunk size must be positive, got %d", chunkSize)
-	}
+	chunkSize := c.ChunkSize()
 	if cfg.MaxPerVideo <= 0 {
 		cfg.MaxPerVideo = 4
 	}

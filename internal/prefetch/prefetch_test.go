@@ -195,7 +195,7 @@ func TestReplayStopsAtLastChunk(t *testing.T) {
 	for tm := int64(0); tm < 4*3600; tm += 60 {
 		reqs = append(reqs, trace.Request{Time: tm, Video: 1, Start: 0, End: size - 1})
 	}
-	res, err := replay(c, reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, testK, sizeMap{1: size})
+	res, err := replay(c, reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, sizeMap{1: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestReplayStopsAtLastChunk(t *testing.T) {
 	}
 	// A video of unknown size is not read ahead either.
 	c = newCafe(t, 16, 1)
-	res, err = replay(c, reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, testK, sizeMap{})
+	res, err = replay(c, reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, sizeMap{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func replayEurope(t *testing.T) *experiments.PrefetchReplay {
 	res, err := replay(c, reqs, cost.MustModel(1), prefetch.Config{
 		StartHour: 0, EndHour: 0, // always on, to exercise the path
 		ChunksPerHour: 50,
-	}, chunk.DefaultSize, g)
+	}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +281,11 @@ func TestReplayRepeats(t *testing.T) {
 func TestReplayValidation(t *testing.T) {
 	c := newCafe(t, 4, 1)
 	model := cost.MustModel(1)
-	if _, err := replay(c, nil, model, prefetch.Config{ChunksPerHour: 1}, testK, sizeMap{}); err == nil {
+	if _, err := replay(c, nil, model, prefetch.Config{ChunksPerHour: 1}, sizeMap{}); err == nil {
 		t.Error("empty trace should fail")
 	}
-	if _, err := replay(c, []trace.Request{req(0, 1, 0, 0)}, model, prefetch.Config{}, testK, sizeMap{}); err == nil {
+	if _, err := replay(c, []trace.Request{req(0, 1, 0, 0)}, model, prefetch.Config{}, sizeMap{}); err == nil {
 		t.Error("invalid config should fail")
-	}
-	if _, err := replay(c, []trace.Request{req(0, 1, 0, 0)}, model, prefetch.Config{ChunksPerHour: 1}, 0, sizeMap{}); err == nil {
-		t.Error("zero chunk size should fail")
 	}
 }
 
@@ -300,7 +297,7 @@ func TestReplayNilSizes(t *testing.T) {
 	for tm := int64(0); tm < 3600; tm += 60 {
 		reqs = append(reqs, req(tm, 1, 0, 1))
 	}
-	if _, err := replay(newCafe(t, 16, 1), reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, testK, nil); err == nil {
+	if _, err := replay(newCafe(t, 16, 1), reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, nil); err == nil {
 		t.Error("nil size catalog should fail")
 	}
 }

@@ -278,8 +278,9 @@ func AnalyzeTrace(reqs []Request, chunkSize int64) (*TraceReport, error) {
 // proactive prefetcher (the paper's Section 10 "proactive caching")
 // alongside. The cache must support prefetching, as a plain "cafe"
 // does. The catalog's video sizes stop read-ahead at each video's last
-// chunk, as an edge's /size does.
-func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchConfig, chunkSize int64, sizes Catalog) (*PrefetchResult, error) {
+// chunk, as an edge's /size does. Prefetches are charged in the cache's
+// own chunk size.
+func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchConfig, sizes Catalog) (*PrefetchResult, error) {
 	p, ok := c.(prefetch.Prefetchable)
 	if !ok {
 		return nil, fmt.Errorf("videocdn: %s does not prefetch", c.Name())
@@ -288,7 +289,7 @@ func ReplayWithPrefetch(c Cache, reqs []Request, alpha float64, pcfg PrefetchCon
 	if err != nil {
 		return nil, err
 	}
-	return experiments.ReplayPrefetch(p, reqs, m, pcfg, chunkSize, sizes)
+	return experiments.ReplayPrefetch(p, reqs, m, pcfg, sizes)
 }
 
 // Streaming trace types: a columnar trace directory streams 100M+
