@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz bench bench-smoke bench-check bench-policy bench-store bench-trace check-figs experiments experiments-small fmt vet clean
+.PHONY: all build test test-short race chaos chaos-cluster check-oracle cover fuzz mutants bench bench-smoke bench-check bench-policy bench-store bench-trace check-figs experiments experiments-small fmt vet clean
 
 all: build test
 
@@ -45,6 +45,13 @@ check-oracle:
 # counts toward the policies it exercises.
 cover:
 	scripts/coverage.sh
+
+# Standing mutants (mutants/table.go): each deliberate defect must fail
+# the tests its entry names, except the open survivors mutants/SURVIVORS
+# lists. mutants/ is a module of its own, so `go test ./...` never runs
+# it. -v prints each mutant's killing tests.
+mutants:
+	$(GO) test -C mutants -count=1 -v -timeout 20m .
 
 fuzz:
 	$(GO) test -fuzz=FuzzTextReader -fuzztime=30s ./internal/trace/

@@ -659,3 +659,33 @@ func TestCafeSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("%d redirects in %d runs, %d victims popped; want a redirect per run and no pop", unpopped, runs, victims)
 	}
 }
+
+// TestVictimBoundLeavesRoundingMargin: a victim's computed IAT can come
+// out above the cache age by the rounding of treeKey and iatAt, and its
+// Eq. 6 term then below the term at the age. So a redirect cost equal
+// to the fills plus n terms at the age is a tie the bound must leave to
+// the pops, at any clock; one clearly below that it settles.
+func TestVictimBoundLeavesRoundingMargin(t *testing.T) {
+	c := newCache(t, 8, 2, Options{})
+	for _, tc := range []struct {
+		first, now int64
+		age        float64
+	}{{0, 5000, 1000}, {1_700_000_000, 1_700_086_400, 3600}, {1_700_000_000, 1_702_592_000, 86400}} {
+		c.firstTime = tc.first
+		window := tc.age * c.opt.WindowScale
+		term := window / math.Max(tc.age, 1) * c.minFR
+		costServe := 2 * c.cf
+		for n := 1; n <= 3; n++ {
+			tie := costServe
+			for i := 0; i < n; i++ {
+				tie += term
+			}
+			if c.victimBound(costServe, tie, n, tc.age, window, tc.now) {
+				t.Errorf("clock %d, age %v, %d victims: the bound settles a tie at the age", tc.now, tc.age, n)
+			}
+			if clear := tie - term/2; !c.victimBound(costServe, clear, n, tc.age, window, tc.now) {
+				t.Errorf("clock %d, age %v, %d victims: the bound leaves %v to the pops, half a term below the tie", tc.now, tc.age, n, clear)
+			}
+		}
+	}
+}

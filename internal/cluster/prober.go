@@ -53,7 +53,6 @@ type Prober struct {
 
 	deaths   atomic.Int64 // alive→dead transitions observed
 	revivals atomic.Int64 // dead→alive transitions observed
-	rounds   atomic.Int64
 }
 
 // NewProber builds a prober over the membership; call Start to begin
@@ -134,7 +133,6 @@ func (p *Prober) loop() {
 // probeRound probes every non-self node once and applies the
 // threshold state machine. Exposed to tests via ProbeNow.
 func (p *Prober) probeRound() {
-	p.rounds.Add(1)
 	for _, n := range p.m.Nodes() {
 		if n.ID == p.cfg.Self {
 			continue
@@ -178,6 +176,3 @@ func (p *Prober) Deaths() int64 { return p.deaths.Load() }
 
 // Revivals returns how many dead→alive transitions this prober caused.
 func (p *Prober) Revivals() int64 { return p.revivals.Load() }
-
-// Rounds returns the number of completed probe rounds.
-func (p *Prober) Rounds() int64 { return p.rounds.Load() }

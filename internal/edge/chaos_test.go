@@ -760,6 +760,77 @@ func TestChaosRunCutMidBody(t *testing.T) {
 	})
 }
 
+// TestChaosCutRunRolledBackAfterClientLeft: a run whose requester has
+// gone still takes back what each cut attempt put. The flight runs on
+// detached after the client leaves, the requester's rollback has
+// already run, and a failed flight sweeps no orphans, so the attempt's
+// own rollback is all that keeps the store in step with the cache.
+func TestChaosCutRunRolledBackAfterClientLeft(t *testing.T) {
+	const size, attempts = 4 * testK, 3
+	cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every attempt at the run is cut after two of its four chunks; the
+	// last one waits until the client has left and its request has
+	// rolled back.
+	var runs atomic.Int32
+	lastAttempt, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	cutEvery := func(f *FaultOrigin) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/video" {
+				f.ServeHTTP(w, r)
+				return
+			}
+			if runs.Add(1) == attempts {
+				close(lastAttempt)
+				<-release
+			}
+			f.cut(w, r)
+		})
+	}
+	retry := resilience.RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
+	rig := newChaosRigWith(t, cache, MapCatalog{1: size}, FaultConfig{}, retry, neverTrip(), rigOptions{wrapOrigin: cutEvery})
+
+	ctx, leave := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/video?v=1&start=0&end=%d", rig.edgeSrv.URL, size-1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		if resp, err := rig.client.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-lastAttempt:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the origin saw %d attempts at the run, want %d", runs.Load(), attempts)
+	}
+	leave()
+	<-gone
+	waitFor(t, "the request to degrade", func() bool { return rig.edge.SnapshotStats().DegradedRedirects == 1 })
+	releaseOnce.Do(func() { close(release) })
+	waitFor(t, "the flight to end", rig.edge.flightsIdle)
+
+	if c := rig.fault.Counts(); c.Truncations != attempts {
+		t.Fatalf("origin cut %d attempts, want %d", c.Truncations, attempts)
+	}
+	for c := uint32(0); c < 4; c++ {
+		id := chunk.ID{Video: 1, Index: c}
+		if rig.store.Has(id) || cache.Contains(id) {
+			t.Errorf("chunk %d outlives the failed run: store %v, policy %v", c, rig.store.Has(id), cache.Contains(id))
+		}
+	}
+	if st := rig.edge.SnapshotStats(); st.FilledBytes != 0 || st.FillErrors != 1 {
+		t.Errorf("FilledBytes %d, FillErrors %d; want 0 and 1", st.FilledBytes, st.FillErrors)
+	}
+}
+
 // TestChaosOverlappingRangesFetchOnce: two concurrent requests whose
 // missing ranges overlap — chunks 0-3 and 2-5 of a cold video — fetch
 // every chunk from the origin exactly once between them, whichever
@@ -1007,6 +1078,51 @@ func TestSelfHealCountsIngress(t *testing.T) {
 	}
 	if st.FilledBytes != 3*testK {
 		t.Errorf("FilledBytes = %d, want %d (self-heal is real ingress)", st.FilledBytes, 3*testK)
+	}
+}
+
+// losingStore acknowledges a Put of its lost chunk and keeps nothing,
+// while lose is set.
+type losingStore struct {
+	store.Store
+	lost chunk.ID
+	lose atomic.Bool
+}
+
+func (s *losingStore) Put(id chunk.ID, data []byte) error {
+	if s.lose.Load() && id == s.lost {
+		return nil
+	}
+	return s.Store.Put(id, data)
+}
+
+// TestChaosHealThatLosesItsChunkDegrades: heal checks the store after
+// its fill, and a chunk still missing degrades the request to a 302
+// before any header is sent, with the admission rolled back.
+func TestChaosHealThatLosesItsChunkDegrades(t *testing.T) {
+	cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := chunk.ID{Video: 1, Index: 1}
+	losing := &losingStore{Store: store.NewMem(), lost: id}
+	rig := newChaosRigWith(t, cache, MapCatalog{1: 2 * testK}, FaultConfig{}, fastRetry(), neverTrip(), rigOptions{store: losing})
+	if resp, _ := rig.get(t, 1, 0, 2*testK-1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: status %d", resp.StatusCode)
+	}
+	if err := rig.store.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	losing.lose.Store(true)
+	resp, _ := rig.get(t, 1, 0, 2*testK-1)
+	if resp.StatusCode != http.StatusFound {
+		t.Errorf("status %d, want 302", resp.StatusCode)
+	}
+	if cache.Contains(id) {
+		t.Error("the chunk heal could not keep is still admitted")
+	}
+	if st := rig.edge.SnapshotStats(); st.FillErrors != 1 || st.DegradedRedirects != 1 || st.SelfHeals != 0 {
+		t.Errorf("fill_errors %d, degraded %d, self_heals %d; want 1, 1, 0", st.FillErrors, st.DegradedRedirects, st.SelfHeals)
 	}
 }
 

@@ -210,6 +210,26 @@ func TestEdgeWarmupServeAndHit(t *testing.T) {
 	}
 }
 
+// TestEdgeClampsClockStepBack: a request whose clock reads earlier than
+// the previous decision's — concurrent requests stamp their time before
+// they take the decision lock — is decided at the previous decision's
+// time, so the policy never sees time run backwards and the server goes
+// on serving.
+func TestEdgeClampsClockStepBack(t *testing.T) {
+	cache, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newRig(t, cache, MapCatalog{1: 4 * testK})
+	for i, step := range []int64{100, -50, 0} {
+		rig.advance(step)
+		resp, body := rig.get(t, 1, int64(i)*testK, int64(i+1)*testK-1)
+		if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, expected(1, int64(i)*testK, int64(i+1)*testK-1)) {
+			t.Fatalf("request %d, clock %d: status %d, %d bytes", i, rig.now, resp.StatusCode, len(body))
+		}
+	}
+}
+
 func TestEdgeRedirects(t *testing.T) {
 	// Cafe on a full disk redirects never-seen videos.
 	cache, err := cafe.New(core.Config{ChunkSize: testK, DiskChunks: 2}, 2, cafe.Options{})

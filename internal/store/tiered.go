@@ -149,9 +149,6 @@ func NewTiered(cold Store, cfg TieredConfig) *Tiered {
 	return t
 }
 
-// Cold returns the wrapped cold store.
-func (t *Tiered) Cold() Store { return t.cold }
-
 // stripe picks the lock domain for a key (the shared splitmix scatter,
 // so consecutive chunks of one video spread across stripes).
 func (t *Tiered) stripe(key uint64) *tierStripe {
