@@ -16,7 +16,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/cluster/ ./internal/edge/ ./internal/resilience/ ./internal/store/ ./internal/shard/ ./internal/sim/ ./internal/oracle/ ./internal/policy/ ./internal/trace/ ./internal/workload/
+	$(GO) test -race ./cmd/cdnserver/ ./internal/cluster/ ./internal/edge/ ./internal/resilience/ ./internal/store/ ./internal/shard/ ./internal/sim/ ./internal/oracle/ ./internal/policy/ ./internal/trace/ ./internal/workload/
 
 # Fault-injection suite: drives the edge↔origin stack through seeded
 # outages (5xx bursts, latency spikes, mid-body truncation) and asserts

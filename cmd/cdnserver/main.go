@@ -15,8 +15,9 @@
 //
 // Both modes shut down gracefully on SIGINT/SIGTERM: the listener
 // closes, in-flight requests get -drain to finish, and (edge mode with
-// -state) the cafe snapshot is written after the drain so it can't
-// race live handlers.
+// -request-log) the log's last block is written after the drain so it
+// can't race live handlers. A restart over the same -request-log and
+// -data replays the log into the policy, after a crash too.
 package main
 
 import (
@@ -35,7 +36,7 @@ import (
 	"syscall"
 	"time"
 
-	"videocdn/internal/cafe"
+	"videocdn/internal/chunk"
 	"videocdn/internal/cluster"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
@@ -60,7 +61,7 @@ func main() {
 	storeKind := flag.String("store", "", "chunk store backend: mem, fs or slab (default: fs when -data is set, else mem)")
 	storeMmap := flag.Bool("store-mmap", false, "slab store: mmap segments read-only so cache hits serve page-cache bytes without copying")
 	hotMB := flag.Int64("hot-mb", 0, "edge mode: RAM hot tier budget in MB (0 disables); it holds copies of hot chunks the store cannot lend zero-copy (-store fs, slab without -store-mmap) and stays empty over one that can (-store mem, -store-mmap)")
-	statePath := flag.String("state", "", "cafe state snapshot: loaded on start if present, saved after graceful shutdown (edge mode, cafe only)")
+	requestLog := flag.String("request-log", "", "edge mode: directory of the request log; every policy event is appended to it, and a restart replays it so the policy resumes where it stopped (any -algo, after a crash too)")
 	statsOut := flag.String("stats-out", "", "write the final stats snapshot (JSON) here after graceful shutdown (edge mode)")
 	minMB := flag.Int64("origin-min-mb", 8, "origin catalog min video size (MB)")
 	maxMB := flag.Int64("origin-max-mb", 256, "origin catalog max video size (MB)")
@@ -121,9 +122,6 @@ func main() {
 			fatal(fmt.Errorf("-redirect is required in edge mode (the alternative server location)"))
 		}
 		cfg := core.Config{ChunkSize: chunkSize, DiskChunks: int(*diskGB * (1 << 30) / float64(chunkSize))}
-		if *statePath != "" && *algo != "cafe" {
-			fatal(fmt.Errorf("-state is only supported with -algo cafe"))
-		}
 		spec := *algo
 		if *policyConfig != "" {
 			spec += ":" + *policyConfig
@@ -148,17 +146,7 @@ func main() {
 				FailureRate: *breakerFailRate,
 			},
 		}
-		var single core.Cache // only set with -state: the one cafe, saved after the drain
-		if *statePath != "" {
-			if single, err = loadCafe(*statePath); err == nil && single == nil {
-				single, err = factory(0, cfg)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			srvCfg.CacheFactory = edge.Prebuilt(single)
-		}
-		st, err := openStore(*storeKind, *dataDir, chunkSize, *storeMmap)
+		st, stored, err := openStore(*storeKind, *dataDir, chunkSize, *storeMmap)
 		if err != nil {
 			fatal(err)
 		}
@@ -209,7 +197,12 @@ func main() {
 			srvCfg.NodeID = *nodeID
 		}
 
-		srv, err := edge.NewServer(srvCfg)
+		var srv *edge.Server
+		if *requestLog == "" {
+			srv, err = edge.NewServer(srvCfg)
+		} else if srv, err = edge.Boot(srvCfg, *requestLog, stored); err == nil {
+			log.Printf("replayed request log %s: %d chunks warm, %d stored", *requestLog, srv.SnapshotStats().CachedChunks, st.Len())
+		}
 		if err != nil {
 			fatal(err)
 		}
@@ -236,11 +229,6 @@ func main() {
 			}
 			if *statsOut != "" {
 				saveStats(srv, *statsOut)
-			}
-			if *statePath != "" {
-				if cc, ok := single.(*cafe.Cache); ok {
-					saveState(cc, *statePath)
-				}
 			}
 			if c, ok := st.(interface{ Close() error }); ok {
 				if err := c.Close(); err != nil {
@@ -279,12 +267,16 @@ type serverTimeouts struct {
 
 // serveGracefully runs an http.Server until SIGINT/SIGTERM, then
 // drains in-flight requests for up to drain before closing them, and
-// finally runs afterDrain (if any) — so state snapshots happen with no
-// handler mid-request. The listener is bound before serving and its
-// resolved address logged, so -listen :0 yields a discoverable port
-// (the e2e shutdown test depends on that line). The same hardened
-// listener fronts clients and cluster peers alike.
+// finally runs afterDrain (if any) — so the request log's last block
+// is written with no handler mid-request. The listener is bound before
+// serving and its resolved address logged, so -listen :0 yields a
+// discoverable port (the e2e shutdown test depends on that line). The
+// same hardened listener fronts clients and cluster peers alike.
 func serveGracefully(h http.Handler, listen string, drain time.Duration, t serverTimeouts, afterDrain func()) {
+	// The handler is in place before the listen line: a signal sent as
+	// soon as a client sees it must drain, not kill, the server.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		fatal(err)
@@ -300,8 +292,6 @@ func serveGracefully(h http.Handler, listen string, drain time.Duration, t serve
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		fatal(err) // bind failure or unexpected listener death
@@ -318,49 +308,6 @@ func serveGracefully(h http.Handler, listen string, drain time.Duration, t serve
 	if afterDrain != nil {
 		afterDrain()
 	}
-}
-
-// loadCafe restores a Cafe snapshot from path, or returns nil when
-// there is none yet.
-func loadCafe(path string) (core.Cache, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		log.Printf("no state at %s; starting cold", path)
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	c, err := cafe.Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("restoring %s: %w", path, err)
-	}
-	log.Printf("restored cafe state from %s (%d chunks warm)", path, c.Len())
-	return c, nil
-}
-
-// saveState snapshots the cache to path via a temp file + rename. It
-// runs after the server has drained, so no handler can race the
-// snapshot.
-func saveState(c *cafe.Cache, path string) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err == nil {
-		if err = c.Save(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err == nil {
-			err = os.Rename(tmp, path)
-		}
-	}
-	if err != nil {
-		log.Printf("saving state: %v", err)
-		os.Exit(1)
-	}
-	log.Printf("saved cafe state to %s (%d chunks)", path, c.Len())
 }
 
 // saveStats writes the final stats snapshot as JSON via a temp file +
@@ -429,23 +376,33 @@ func storeName(kind, dir string) string {
 	return "mem"
 }
 
-// openStore builds the chunk store the flags select.
-func openStore(kind, dir string, chunkSize int64, mmap bool) (store.Store, error) {
+// openStore builds the chunk store the flags select and lists the
+// chunks it holds on opening, which edge.Boot sweeps against the
+// replayed policy (a new mem store holds none).
+func openStore(kind, dir string, chunkSize int64, mmap bool) (store.Store, []chunk.ID, error) {
 	switch storeName(kind, dir) {
 	case "mem":
-		return store.NewMem(), nil
+		return store.NewMem(), nil, nil
 	case "fs":
 		if dir == "" {
-			return nil, fmt.Errorf("-store fs requires -data")
+			return nil, nil, fmt.Errorf("-store fs requires -data")
 		}
-		return store.NewFS(dir)
+		fs, err := store.NewFS(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		return fs, fs.Keys(), nil
 	case "slab":
 		if dir == "" {
-			return nil, fmt.Errorf("-store slab requires -data")
+			return nil, nil, fmt.Errorf("-store slab requires -data")
 		}
-		return store.NewSlab(dir, store.SlabConfig{SlotBytes: chunkSize, Mmap: mmap})
+		slab, err := store.NewSlab(dir, store.SlabConfig{SlotBytes: chunkSize, Mmap: mmap})
+		if err != nil {
+			return nil, nil, err
+		}
+		return slab, slab.Keys(), nil
 	}
-	return nil, fmt.Errorf("unknown store backend %q (mem, fs or slab)", kind)
+	return nil, nil, fmt.Errorf("unknown store backend %q (mem, fs or slab)", kind)
 }
 
 func fatal(err error) {

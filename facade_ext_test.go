@@ -1,7 +1,6 @@
 package videocdn_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -73,36 +72,6 @@ func TestFacadeAnalyzeTrace(t *testing.T) {
 	}
 	if _, err := videocdn.AnalyzeTrace(nil, videocdn.DefaultChunkSize); err == nil {
 		t.Error("empty trace should fail")
-	}
-}
-
-func TestFacadeCafeStateRoundTrip(t *testing.T) {
-	reqs := smallTrace(t)
-	c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reqs[:len(reqs)/2] {
-		c.HandleRequest(r)
-	}
-	var buf bytes.Buffer
-	if err := videocdn.SaveCafeState(c, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := videocdn.LoadCafeState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != c.Len() {
-		t.Errorf("restored %d chunks, want %d", got.Len(), c.Len())
-	}
-	// Non-cafe caches refuse politely.
-	x, err := videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := videocdn.SaveCafeState(x, &buf); err == nil {
-		t.Error("xlru snapshot should be refused")
 	}
 }
 

@@ -257,21 +257,6 @@ func (c *Cache) popularity(v *video, ci uint32) *chunkState {
 	return &v.chunks[ci]
 }
 
-// history returns the popularity state of id, ok=false if it has none.
-// It is the by-ID lookup, for Load; the request path has the record in
-// hand or comes from a handle.
-func (c *Cache) history(id chunk.ID) (iatEntry, bool) {
-	if c.opt.FileLevel {
-		id.Index = 0
-	}
-	v := c.videos[id.Video]
-	if v == nil || int(id.Index) >= len(v.chunks) {
-		return iatEntry{}, false
-	}
-	st := &v.chunks[id.Index]
-	return st.iatEntry, st.seen
-}
-
 // cachedPopularity returns the popularity state of the cached chunk h
 // names, found without a map: owner gives the video record, the set the
 // chunk's packed key.
@@ -694,8 +679,7 @@ func (c *Cache) cleanup(now int64) {
 
 // CheckInvariants verifies what the decisions rest on. Every item of
 // the ordered set is a cached chunk under exactly the key its popularity
-// state implies, so eviction order, CacheAge and a Save/Load round trip
-// (which recomputes keys) agree; and the two ways from a handle to its
+// state implies, so eviction order and CacheAge agree; and the two ways from a handle to its
 // chunk agree — the set's ID for the handle is the chunk whose state
 // stores that handle, in the record the owner table names, which is the
 // record videos holds — so an eviction clears the state it means to. It

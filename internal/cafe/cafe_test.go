@@ -689,3 +689,18 @@ func TestVictimBoundLeavesRoundingMargin(t *testing.T) {
 		}
 	}
 }
+
+// history returns the popularity state of id, ok=false if it has none.
+// It is the by-ID lookup the tests use; the request path has the
+// record in hand or comes from a handle.
+func (c *Cache) history(id chunk.ID) (iatEntry, bool) {
+	if c.opt.FileLevel {
+		id.Index = 0
+	}
+	v := c.videos[id.Video]
+	if v == nil || int(id.Index) >= len(v.chunks) {
+		return iatEntry{}, false
+	}
+	st := &v.chunks[id.Index]
+	return st.iatEntry, st.seen
+}

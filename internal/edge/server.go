@@ -129,9 +129,10 @@ type Server struct {
 	// Config.OriginURL once; a fetch copies one and sets its query.
 	chunkEndpoint, videoEndpoint, sizeEndpoint *url.URL
 
-	mu       sync.Mutex // guards cache and lastTime
+	mu       sync.Mutex // guards cache, lastTime and log
 	cache    core.Cache
-	lastTime int64 // clamp: caches reject time travel, concurrent stamping can reorder
+	lastTime int64      // clamp: caches reject time travel, concurrent stamping can reorder
+	log      *trace.Log // the request log (Boot), or nil
 
 	flightMu sync.Mutex         // coalesces concurrent origin fetches
 	flights  map[uint64]*flight // by chunk key; a run's chunks share one flight
@@ -305,8 +306,8 @@ func (f *fillCtx) done() {
 }
 
 // Prebuilt is the CacheFactory of a server over c, a cache built
-// elsewhere (a restored snapshot, a test's own instance); the server's
-// CacheConfig goes unused.
+// elsewhere (the policy Boot replays, a test's own instance); the
+// server's CacheConfig goes unused.
 func Prebuilt(c core.Cache) func(shard int, cfg core.Config) (core.Cache, error) {
 	return func(int, core.Config) (core.Cache, error) { return c, nil }
 }
@@ -431,6 +432,51 @@ func (s *Server) clamp(t int64) int64 {
 	return t
 }
 
+// decide hands req, its time clamped, to the cache and logs it. The
+// IDs are the cache's until its next request, and a detached flight
+// reads its run after this request may have returned: they are copied
+// to plain heap memory while the lock still holds them. The deferred
+// unlock frees the lock even when the policy panics, so one bad request
+// cannot wedge the edge.
+func (s *Server) decide(req *trace.Request) (d core.Decision, filled, evicted []chunk.ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	req.Time = s.clamp(req.Time)
+	out := s.cache.HandleRequest(*req)
+	if s.log != nil {
+		s.log.Append(trace.KindRequest, *req)
+	}
+	filled = append([]chunk.ID(nil), out.FilledIDs...)
+	evicted = append([]chunk.ID(nil), out.EvictedIDs...)
+	return out.Decision, filled, evicted
+}
+
+// prefetchStep is one PrefetchNext of video v (size bytes) at time now,
+// clamped, logged with the size it was given.
+func (s *Server) prefetchStep(p prefetch.Prefetchable, v chunk.VideoID, size, now int64) (id chunk.ID, admitted bool, evicted []chunk.ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now = s.clamp(now)
+	id, _, admitted, evicted = p.PrefetchNext(v, size, now)
+	if s.log != nil {
+		s.log.Append(trace.KindPrefetch, trace.Request{Time: now, Video: v, End: size - 1})
+	}
+	return id, admitted, evicted
+}
+
+// forget rolls the admission of ids back in the cache and logs each
+// Forget at the clamp floor, so the log's times stay in order.
+func (s *Server) forget(f forgetter, ids []chunk.ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		f.Forget(id)
+		if s.log != nil {
+			s.log.Append(trace.KindForget, trace.Request{Time: s.lastTime, Video: id.Video, Start: int64(id.Index), End: int64(id.Index)})
+		}
+	}
+}
+
 // handlePrefetch serves POST /prefetch?v=<id>&chunks=<n>: sequential
 // read-ahead of up to n chunks past the video's highest cached index.
 // Responds 501 when the algorithm does not support prefetching, 200
@@ -470,10 +516,7 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 
 	accepted := 0
 	for i := 0; i < n; i++ {
-		s.mu.Lock()
-		now = s.clamp(now)
-		id, _, admitted, evicted := p.PrefetchNext(v, size, now)
-		s.mu.Unlock()
+		id, admitted, evicted := s.prefetchStep(p, v, size, now)
 		// The displacement stands whether or not the fill below
 		// succeeds: mirror it in the store immediately, exactly as
 		// handleVideo mirrors EvictedIDs, so no displaced bytes squat
@@ -525,18 +568,8 @@ func (s *Server) handleVideo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := trace.Request{Time: s.cfg.Clock(), Video: v, Start: b0, End: b1}
-
-	s.mu.Lock()
-	req.Time = s.clamp(req.Time)
-	out := s.cache.HandleRequest(req)
-	// The IDs are the cache's until its next request, and a detached
-	// flight reads its run after this request may have returned: copy
-	// them to plain heap memory while the lock still holds them.
-	filled := append([]chunk.ID(nil), out.FilledIDs...)
-	evicted := append([]chunk.ID(nil), out.EvictedIDs...)
-	s.mu.Unlock()
-
-	if out.Decision == core.Redirect {
+	decision, filled, evicted := s.decide(&req)
+	if decision == core.Redirect {
 		s.redirs.Add(1)
 		s.counters.add(cost.Counters{Requested: req.Bytes(), Redirected: req.Bytes()})
 		http.Redirect(w, r, s.cfg.RedirectURL+r.URL.RequestURI(), http.StatusFound)
@@ -627,11 +660,7 @@ func (s *Server) undoAdmission(ids []chunk.ID) {
 		return
 	}
 	if f, ok := s.cache.(forgetter); ok {
-		s.mu.Lock()
-		for _, id := range ids {
-			f.Forget(id)
-		}
-		s.mu.Unlock()
+		s.forget(f, ids)
 	}
 	s.deleteChunks(ids)
 }
@@ -651,9 +680,21 @@ func (s *Server) deleteChunks(ids []chunk.ID) {
 // invariant (hot keyset ⊆ cold, byte-identical content).
 func (s *Server) HotTier() *store.Tiered { return s.hotTier }
 
-// Close is the shutdown hook of cmd/cdnserver and bench/. Every fill
-// commits on the serve path, so there is nothing to drain.
-func (s *Server) Close() error { return nil }
+// Close is the shutdown hook of cmd/cdnserver and bench/, called once
+// the server has drained. Every fill commits on the serve path, so
+// only the request log has anything left to do: it writes its last
+// block and finalizes its part. Events decided after Close are not
+// logged.
+func (s *Server) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log == nil {
+		return nil
+	}
+	err := s.log.Close()
+	s.log = nil
+	return err
+}
 
 // requestBytesHint returns the request's byte length when it is
 // explicit in the request itself (no video size needed), else 0. Used

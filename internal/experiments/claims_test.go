@@ -26,6 +26,7 @@ var (
 	claimDisks  = []float64{0.5, 1, 2}
 
 	smallSweep = sync.OnceValues(func() (*AlphaSweepResult, error) { return AlphaSweep(SmallScale(), claimAlphas) })
+	tinyFig3   = sync.OnceValues(func() (*Fig3Result, error) { return Fig3(tinyScale()) })
 	tinyFig6   = sync.OnceValues(func() (*Fig6Result, error) { return Fig6(tinyScale(), 2, claimDisks) })
 	tinyFig7   = sync.OnceValues(func() (*Fig7Result, error) { return Fig7(tinyScale(), 2) })
 	smallFig7  = sync.OnceValues(func() (*Fig7Result, error) { return Fig7(SmallScale(), 2) })
@@ -394,5 +395,79 @@ func TestPrefetchFigureDigest(t *testing.T) {
 	}
 	if got, want := h.Sum64(), uint64(0xbcf3d1019c531a19); got != want {
 		t.Errorf("prefetch runs digest %#016x, want %#016x", got, want)
+	}
+}
+
+// TestFigureDigests pins one FNV-1a digest per main figure over the
+// runs the claims and smoke tests already make: Figure 3's tiny run
+// (series included), the alpha sweep Figures 4 and 5 both read, and
+// Figures 6 and 7 at tinyScale. Each folds, per run in a fixed order,
+// every count of sim.Result. A digest moves only when a decision does;
+// a change that means to move one re-pins it and says why.
+func TestFigureDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs")
+	}
+	digest := func(runs ...*sim.Result) uint64 {
+		h := fnv.New64a()
+		fold := func(v int64) { h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v))) }
+		counters := func(c cost.Counters) {
+			fold(c.Requested)
+			fold(c.Filled)
+			fold(c.Redirected)
+			fold(c.PeerFilled)
+		}
+		for _, r := range runs {
+			for _, n := range []int{r.Requests, r.Served, r.Redirected} {
+				fold(int64(n))
+			}
+			fold(r.FilledChunks)
+			fold(r.EvictedChunks)
+			counters(r.Total)
+			counters(r.Steady)
+			for _, b := range r.Series.Buckets() {
+				fold(b.Start)
+				counters(b.Counters)
+			}
+		}
+		return h.Sum64()
+	}
+	byAlgo := func(m map[string]*sim.Result) (out []*sim.Result) {
+		for _, algo := range OnlineAlgos {
+			out = append(out, m[algo])
+		}
+		return out
+	}
+	for _, fig := range []struct {
+		name string
+		runs func(t *testing.T) []*sim.Result
+		want uint64
+	}{
+		{"Fig3", func(t *testing.T) []*sim.Result { return byAlgo(get(t, tinyFig3).Steady) }, 0xd34c633828f0fa86},
+		{"Figs4-5", func(t *testing.T) (out []*sim.Result) {
+			res := get(t, smallSweep)
+			for _, a := range claimAlphas {
+				out = append(out, byAlgo(res.Results[a])...)
+			}
+			return out
+		}, 0xfb850715f87c867d},
+		{"Fig6", func(t *testing.T) (out []*sim.Result) {
+			res := get(t, tinyFig6)
+			for _, d := range res.Disks {
+				out = append(out, byAlgo(res.Results[d])...)
+			}
+			return out
+		}, 0x9ecd725e96962f20},
+		{"Fig7", func(t *testing.T) (out []*sim.Result) {
+			res := get(t, tinyFig7)
+			for _, s := range res.Servers {
+				out = append(out, byAlgo(res.Results[s])...)
+			}
+			return out
+		}, 0x43e4ec38ab6a6672},
+	} {
+		if got := digest(fig.runs(t)...); got != fig.want {
+			t.Errorf("%s runs digest %#016x, want %#016x", fig.name, got, fig.want)
+		}
 	}
 }

@@ -64,10 +64,7 @@ func TestFig3SmokeAndShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := Fig3(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := get(t, tinyFig3)
 	for _, algo := range OnlineAlgos {
 		if len(res.Series[algo]) == 0 {
 			t.Errorf("%s: empty series", algo)

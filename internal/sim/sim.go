@@ -24,6 +24,7 @@ import (
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
 	"videocdn/internal/metrics"
+	"videocdn/internal/prefetch"
 	"videocdn/internal/shard"
 	"videocdn/internal/trace"
 )
@@ -243,10 +244,15 @@ func Replay(c core.Cache, src trace.Source, model cost.Model, opt Options) (*Res
 // request after accounting. The loop holds no per-request state beyond
 // the reused Request — with a streaming cursor its memory is the
 // cursor's block buffers, independent of trace length.
+//
+// When cur is a trace.EventCursor — a columnar directory, such as an
+// edge's request log — each record is dispatched by its kind: a
+// request to HandleRequest, a prefetch or a forget to replayEvent.
 func replayLoop(c core.Cache, cur trace.Cursor, steadyFrom int64, series *metrics.Series, res *Result,
 	observe func(trace.Request, core.Outcome) int64, tick func()) error {
 	var r trace.Request
 	var last int64
+	events, _ := cur.(trace.EventCursor)
 	for i := 0; ; i++ {
 		ok, err := cur.Next(&r)
 		if err != nil {
@@ -259,6 +265,12 @@ func replayLoop(c core.Cache, cur trace.Cursor, steadyFrom int64, series *metric
 			return fmt.Errorf("sim: request %d out of order (t=%d after %d)", i, r.Time, last)
 		}
 		last = r.Time
+		if events != nil && events.Kind() != trace.KindRequest {
+			if err := replayEvent(c, events.Kind(), r, steadyFrom, series, res); err != nil {
+				return fmt.Errorf("sim: record %d: %w", i, err)
+			}
+			continue
+		}
 		out := c.HandleRequest(r)
 
 		var cnt cost.Counters
@@ -306,6 +318,44 @@ func replayLoop(c core.Cache, cur trace.Cursor, steadyFrom int64, series *metric
 			tick()
 		}
 	}
+}
+
+// forgetter is the call a request log's forget record re-issues: the
+// edge's rollback of a failed fill.
+type forgetter interface{ Forget(id chunk.ID) }
+
+// replayEvent re-issues a prefetch or forget record on c. A prefetch
+// that admits charges one chunk's bytes as Filled at r.Time, as the
+// offline planner does; it is no request, so nothing is Requested.
+func replayEvent(c core.Cache, kind trace.Kind, r trace.Request, steadyFrom int64, series *metrics.Series, res *Result) error {
+	switch kind {
+	case trace.KindPrefetch:
+		p, ok := c.(prefetch.Prefetchable)
+		if !ok {
+			return fmt.Errorf("prefetch into %s, which cannot prefetch", c.Name())
+		}
+		_, _, admitted, evicted := p.PrefetchNext(r.Video, r.End+1, r.Time)
+		res.EvictedChunks += int64(len(evicted))
+		if !admitted {
+			return nil
+		}
+		cnt := cost.Counters{Filled: p.ChunkSize()}
+		res.FilledChunks++
+		res.Total.Add(cnt)
+		if r.Time >= steadyFrom {
+			res.Steady.Add(cnt)
+		}
+		series.Add(r.Time, cnt)
+	case trace.KindForget:
+		f, ok := c.(forgetter)
+		if !ok {
+			return fmt.Errorf("forget on %s, which cannot forget", c.Name())
+		}
+		f.Forget(chunk.ID{Video: r.Video, Index: uint32(r.Start)})
+	default:
+		return fmt.Errorf("unknown record kind %d", kind)
+	}
+	return nil
 }
 
 // filterCursor keeps only the requests owned by one group shard.

@@ -853,6 +853,14 @@ func (s *Slab) Has(id chunk.ID) bool {
 	return ok
 }
 
+// Keys lists the chunks the store holds, in key order: what a
+// restarting edge sweeps against its policy's residency.
+func (s *Slab) Keys() []chunk.ID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return sortedIDs(s.index)
+}
+
 // Len implements Store.
 func (s *Slab) Len() int {
 	s.mu.RLock()

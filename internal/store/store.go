@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"videocdn/internal/chunk"
@@ -693,6 +694,28 @@ func (s *FS) Has(id chunk.ID) bool {
 	_, ok := s.seen[id.Key()]
 	s.mu.RUnlock()
 	return ok
+}
+
+// Keys lists the chunks the store holds, in key order: what a
+// restarting edge sweeps against its policy's residency.
+func (s *FS) Keys() []chunk.ID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return sortedIDs(s.seen)
+}
+
+// sortedIDs returns the IDs of a key set in key order.
+func sortedIDs[V any](keys map[uint64]V) []chunk.ID {
+	ks := make([]uint64, 0, len(keys))
+	for k := range keys {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	ids := make([]chunk.ID, len(ks))
+	for i, k := range ks {
+		ids[i] = chunk.FromKey(k)
+	}
+	return ids
 }
 
 // Len implements Store.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -17,7 +18,7 @@ import (
 //
 // Layout of one segment file (all integers little-endian):
 //
-//	header (16 B):  magic "VCTSEG1\n" | shard uint32 | part uint32
+//	header (16 B):  magic "VCTSEG2\n" | shard uint32 | part uint32
 //	blocks:         count uint32 | payloadLen uint32 | crc32c uint32 |
 //	                payload (see below)
 //	index:          per block: offset uint64 | count uint32 |
@@ -29,11 +30,13 @@ import (
 // A block payload groups up to BlockRequests requests by column, every
 // value a uvarint: base time, base seq, count-1 time deltas (>= 0),
 // count-1 seq deltas (>= 1), count video IDs, count range starts,
-// count range lengths (End-Start). Delta-encoded timestamps and
-// sequence numbers make a request cost a few bytes; the per-block
-// CRC-32C plus the counted, CRC'd footer index mean truncation or
-// corruption anywhere in the file is detected rather than silently
-// dropping requests.
+// count range lengths (End-Start), count kinds (see Kind). Version 1
+// segments (magic "VCTSEG1\n", written by older builds) have no kind
+// column, and every record reads as KindRequest. Delta-encoded
+// timestamps and sequence numbers make a request cost a few bytes; the
+// per-block CRC-32C plus the counted, CRC'd footer index mean
+// truncation or corruption anywhere in the file is detected rather than
+// silently dropping requests.
 //
 // Parts and the sequence column. Each writer "part" (one per
 // generation worker) writes one segment file and stamps its requests
@@ -51,7 +54,8 @@ import (
 const (
 	// DefaultBlockRequests is the number of requests per block when
 	// DirConfig.BlockRequests is zero. At ~10 bytes per encoded request
-	// a block is ~80 KB on disk and five 64 KB column buffers in RAM.
+	// a block is ~80 KB on disk, and in RAM five 64 KB column buffers
+	// and an 8 KB kind column.
 	DefaultBlockRequests = 8192
 
 	// ManifestName is the manifest file inside a trace directory.
@@ -67,9 +71,14 @@ const (
 )
 
 var (
-	segMagic = [8]byte{'V', 'C', 'T', 'S', 'E', 'G', '1', '\n'}
-	endMagic = [8]byte{'V', 'C', 'T', 'E', 'N', 'D', '1', '\n'}
+	segMagicV1 = [8]byte{'V', 'C', 'T', 'S', 'E', 'G', '1', '\n'}
+	segMagic   = [8]byte{'V', 'C', 'T', 'S', 'E', 'G', '2', '\n'}
+	endMagic   = [8]byte{'V', 'C', 'T', 'E', 'N', 'D', '1', '\n'}
 )
+
+// manifestVersion is the version this writer stamps: 2 since segments
+// carry the kind column. The reader takes 1 and 2.
+const manifestVersion = 2
 
 // castagnoli is the CRC-32C table used for block and index checksums
 // (hardware-accelerated on amd64/arm64).
@@ -136,10 +145,12 @@ func segFileName(shard, part int) string {
 
 // segWriter streams one segment file: it buffers one
 // block of columns, encodes and writes the block when full, and keeps
-// only the (small) footer index in memory until finish.
+// only the (small) footer index in memory until finish. Every block
+// reaches the file as it is encoded, so a crashed writer leaves whole
+// blocks behind for repairSeg.
 type segWriter struct {
-	f   *os.File
-	buf []byte // pending encoded bytes, flushed to f when large
+	f   io.WriteCloser
+	buf []byte // write's scratch
 	off uint64 // file offset of the next block
 
 	blockRequests int
@@ -148,6 +159,7 @@ type segWriter struct {
 	videos        []uint64
 	starts        []int64
 	lengths       []int64
+	kinds         []Kind
 
 	index    []indexEntry
 	requests uint64
@@ -177,18 +189,21 @@ func newSegWriter(path string, shard, part, blockRequests int) (*segWriter, erro
 		videos:        make([]uint64, 0, blockRequests),
 		starts:        make([]int64, 0, blockRequests),
 		lengths:       make([]int64, 0, blockRequests),
-		buf:           make([]byte, 0, 1<<16),
+		kinds:         make([]Kind, 0, blockRequests),
 	}
 	var hdr [segHeaderSize]byte
 	copy(hdr[0:8], segMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(shard))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(part))
-	sw.buf = append(sw.buf, hdr[:]...)
+	if _, err := f.Write(hdr[:]); err != nil {
+		f.Close()
+		return nil, err
+	}
 	sw.off = segHeaderSize
 	return sw, nil
 }
 
-func (sw *segWriter) add(r Request, seq uint64) error {
+func (sw *segWriter) add(r Request, seq uint64, k Kind) error {
 	if sw.requests == 0 {
 		sw.minTime = r.Time
 	}
@@ -199,23 +214,21 @@ func (sw *segWriter) add(r Request, seq uint64) error {
 	sw.videos = append(sw.videos, uint64(r.Video))
 	sw.starts = append(sw.starts, r.Start)
 	sw.lengths = append(sw.lengths, r.End-r.Start)
+	sw.kinds = append(sw.kinds, k)
 	if len(sw.times) >= sw.blockRequests {
 		return sw.flushBlock()
 	}
 	return nil
 }
 
-// write appends p to the in-memory buffer, spilling to disk when it
-// exceeds its chunk size.
-func (sw *segWriter) write(p []byte) error {
-	sw.buf = append(sw.buf, p...)
-	if len(sw.buf) >= 1<<16 {
-		if _, err := sw.f.Write(sw.buf); err != nil {
-			return err
-		}
-		sw.buf = sw.buf[:0]
+// write writes parts to the file in one call.
+func (sw *segWriter) write(parts ...[]byte) error {
+	sw.buf = sw.buf[:0]
+	for _, p := range parts {
+		sw.buf = append(sw.buf, p...)
 	}
-	return nil
+	_, err := sw.f.Write(sw.buf)
+	return err
 }
 
 func (sw *segWriter) flushBlock() error {
@@ -246,14 +259,14 @@ func (sw *segWriter) flushBlock() error {
 	for i := 0; i < n; i++ {
 		put(uint64(sw.lengths[i]))
 	}
+	for i := 0; i < n; i++ {
+		put(uint64(sw.kinds[i]))
+	}
 	var hdr [blockHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(p)))
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(p, castagnoli))
-	if err := sw.write(hdr[:]); err != nil {
-		return err
-	}
-	if err := sw.write(p); err != nil {
+	if err := sw.write(hdr[:], p); err != nil {
 		return err
 	}
 	sw.index = append(sw.index, indexEntry{
@@ -269,6 +282,7 @@ func (sw *segWriter) flushBlock() error {
 	sw.videos = sw.videos[:0]
 	sw.starts = sw.starts[:0]
 	sw.lengths = sw.lengths[:0]
+	sw.kinds = sw.kinds[:0]
 	return nil
 }
 
@@ -288,10 +302,6 @@ func (sw *segWriter) finish() error {
 		binary.LittleEndian.PutUint64(b[12:20], uint64(e.minTime))
 		binary.LittleEndian.PutUint64(b[20:28], uint64(e.maxTime))
 	}
-	if err := sw.write(idx); err != nil {
-		sw.f.Close()
-		return err
-	}
 	var tr [segTrailerSize]byte
 	binary.LittleEndian.PutUint64(tr[0:8], indexOff)
 	binary.LittleEndian.PutUint32(tr[8:12], uint32(len(sw.index)))
@@ -300,16 +310,9 @@ func (sw *segWriter) finish() error {
 	binary.LittleEndian.PutUint64(tr[28:36], uint64(sw.maxTime))
 	binary.LittleEndian.PutUint32(tr[36:40], crc32.Checksum(idx, castagnoli))
 	copy(tr[40:48], endMagic[:])
-	if err := sw.write(tr[:]); err != nil {
+	if err := sw.write(idx, tr[:]); err != nil {
 		sw.f.Close()
 		return err
-	}
-	if len(sw.buf) > 0 {
-		if _, err := sw.f.Write(sw.buf); err != nil {
-			sw.f.Close()
-			return err
-		}
-		sw.buf = sw.buf[:0]
 	}
 	return sw.f.Close()
 }
@@ -351,9 +354,7 @@ func CreateDirParts(dir string, cfg DirConfig) (*DirParts, error) {
 // Part returns part i's writer.
 func (dp *DirParts) Part(i int) *PartWriter { return dp.parts[i] }
 
-// Close finalizes every segment file and writes the manifest
-// atomically (tmp + rename), so a crashed or interrupted generation
-// never leaves a directory that parses as a complete trace.
+// Close finalizes every segment file and writes the manifest.
 func (dp *DirParts) Close() error {
 	if dp.closed {
 		return fmt.Errorf("trace: directory writer already closed")
@@ -361,44 +362,53 @@ func (dp *DirParts) Close() error {
 	dp.closed = true
 	man := Manifest{
 		Format:        ManifestFormat,
-		Version:       1,
+		Version:       manifestVersion,
 		ShardCount:    1,
 		Parts:         dp.cfg.Parts,
 		BlockRequests: dp.cfg.BlockRequests,
 	}
-	first := true
 	for p, pw := range dp.parts {
 		sw := pw.seg
 		if err := sw.finish(); err != nil {
 			return fmt.Errorf("trace: finalizing %s: %w", segFileName(0, p), err)
 		}
-		man.Segments = append(man.Segments, SegmentInfo{
-			File:     segFileName(0, p),
-			Part:     p,
-			Requests: sw.requests,
-			MinTime:  sw.minTime,
-			MaxTime:  sw.maxTime,
-		})
-		man.Requests += sw.requests
-		if sw.requests > 0 {
-			if first || sw.minTime < man.MinTime {
-				man.MinTime = sw.minTime
-			}
-			if first || sw.maxTime > man.MaxTime {
-				man.MaxTime = sw.maxTime
-			}
-			first = false
+		man.addSegment(sw.info(p))
+	}
+	return writeManifest(dp.dir, man)
+}
+
+// info is the manifest entry of the finished segment of part p.
+func (sw *segWriter) info(p int) SegmentInfo {
+	return SegmentInfo{File: segFileName(0, p), Part: p, Requests: sw.requests, MinTime: sw.minTime, MaxTime: sw.maxTime}
+}
+
+// addSegment lists seg in the manifest and folds it into the totals.
+func (man *Manifest) addSegment(seg SegmentInfo) {
+	if seg.Requests > 0 {
+		if man.Requests == 0 || seg.MinTime < man.MinTime {
+			man.MinTime = seg.MinTime
+		}
+		if man.Requests == 0 || seg.MaxTime > man.MaxTime {
+			man.MaxTime = seg.MaxTime
 		}
 	}
+	man.Requests += seg.Requests
+	man.Segments = append(man.Segments, seg)
+}
+
+// writeManifest writes man as dir's manifest atomically (tmp + rename),
+// so a crashed or interrupted writer never leaves a directory that
+// parses as a complete trace.
+func writeManifest(dir string, man Manifest) error {
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dp.dir, ManifestName+".tmp")
+	tmp := filepath.Join(dir, ManifestName+".tmp")
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dp.dir, ManifestName))
+	return os.Rename(tmp, filepath.Join(dir, ManifestName))
 }
 
 // PartWriter is one independent write stream of a columnar trace
@@ -414,7 +424,13 @@ type PartWriter struct {
 }
 
 // Write appends one request to the part's segment.
-func (pw *PartWriter) Write(r Request) error {
+func (pw *PartWriter) Write(r Request) error { return pw.WriteKind(KindRequest, r) }
+
+// WriteKind appends one record of kind k to the part's segment.
+func (pw *PartWriter) WriteKind(k Kind, r Request) error {
+	if k >= numKinds {
+		return fmt.Errorf("trace: unknown record kind %d", k)
+	}
 	if err := r.Validate(); err != nil {
 		return err
 	}
@@ -425,7 +441,7 @@ func (pw *PartWriter) Write(r Request) error {
 	pw.lastTime = r.Time
 	seq := pw.seq
 	pw.seq++
-	return pw.seg.add(r, seq)
+	return pw.seg.add(r, seq, k)
 }
 
 // Requests returns how many requests this part has written.

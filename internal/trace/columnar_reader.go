@@ -44,7 +44,7 @@ func readManifest(dir string) (Manifest, error) {
 	if man.Format != ManifestFormat {
 		return man, fmt.Errorf("%s: unknown format %q", ManifestName, man.Format)
 	}
-	if man.Version != 1 {
+	if man.Version != 1 && man.Version != manifestVersion {
 		return man, fmt.Errorf("%s: unsupported version %d", ManifestName, man.Version)
 	}
 	if man.ShardCount <= 0 || man.ShardCount&(man.ShardCount-1) != 0 {
@@ -84,7 +84,7 @@ func (d *Dir) TimeSpan() (int64, int64, bool) {
 // — the exact order the trace was written in when it has one part,
 // and the canonical deterministic order otherwise. A directory whose
 // parts were split over several shard segments by an older writer
-// merges back into the same order.
+// merges back into the same order. The cursor is an EventCursor.
 func (d *Dir) Cursor() (Cursor, error) {
 	cursors := make([]*segCursor, 0, len(d.man.Segments))
 	for i := range d.man.Segments {
@@ -120,18 +120,20 @@ func (d *Dir) Close() error { return nil }
 
 // segCursor streams one segment block by block, reading each block
 // with one ReadAt (a pread on the segment file; the fuzzer hands it a
-// bytes.Reader). Steady-state Next is allocation-free: the five column
+// bytes.Reader). Steady-state Next is allocation-free: the six column
 // slices and the read buffer are allocated once (at the first block)
 // and reused for every subsequent block.
 type segCursor struct {
-	r     io.ReaderAt // closed by Close when it is an io.Closer
-	size  int64
-	shard uint32
-	part  uint32
+	r       io.ReaderAt // closed by Close when it is an io.Closer
+	size    int64
+	shard   uint32
+	part    uint32
+	version int // 1: no kind column
 
-	index    []indexEntry
-	indexOff int64
-	total    uint64
+	index            []indexEntry
+	indexOff         int64
+	total            uint64
+	minTime, maxTime int64 // the trailer's span
 
 	blockIdx int
 	times    []int64
@@ -139,9 +141,11 @@ type segCursor struct {
 	videos   []uint64
 	starts   []int64
 	lengths  []int64
+	kinds    []Kind
 	pos, n   int
 
 	lastSeq  uint64 // seq of the request most recently returned by Next
+	lastKind Kind   // its kind
 	prevTime int64  // continuity across blocks
 	prevSeq  uint64
 	started  bool
@@ -180,7 +184,12 @@ func newSegCursor(r io.ReaderAt, sz int64, info *SegmentInfo) (*segCursor, error
 	if err != nil {
 		return nil, err
 	}
-	if [8]byte(hdr[0:8]) != segMagic {
+	switch [8]byte(hdr[0:8]) {
+	case segMagic:
+		sc.version = 2
+	case segMagicV1:
+		sc.version = 1
+	default:
 		return nil, fmt.Errorf("bad segment magic %q", hdr[0:8])
 	}
 	sc.shard = binary.LittleEndian.Uint32(hdr[8:12])
@@ -195,8 +204,8 @@ func newSegCursor(r io.ReaderAt, sz int64, info *SegmentInfo) (*segCursor, error
 	indexOff := binary.LittleEndian.Uint64(tr[0:8])
 	blockCount := uint64(binary.LittleEndian.Uint32(tr[8:12]))
 	sc.total = binary.LittleEndian.Uint64(tr[12:20])
-	minTime := int64(binary.LittleEndian.Uint64(tr[20:28]))
-	maxTime := int64(binary.LittleEndian.Uint64(tr[28:36]))
+	sc.minTime = int64(binary.LittleEndian.Uint64(tr[20:28]))
+	sc.maxTime = int64(binary.LittleEndian.Uint64(tr[28:36]))
 	indexCRC := binary.LittleEndian.Uint32(tr[36:40])
 	indexLen := blockCount * indexEntrySize
 	if indexOff < segHeaderSize || indexOff > uint64(sz-segTrailerSize) ||
@@ -254,9 +263,9 @@ func newSegCursor(r io.ReaderAt, sz int64, info *SegmentInfo) (*segCursor, error
 		if sc.total != info.Requests {
 			return nil, fmt.Errorf("segment holds %d requests, manifest says %d", sc.total, info.Requests)
 		}
-		if sc.total > 0 && (minTime != info.MinTime || maxTime != info.MaxTime) {
+		if sc.total > 0 && (sc.minTime != info.MinTime || sc.maxTime != info.MaxTime) {
 			return nil, fmt.Errorf("segment time span [%d,%d], manifest says [%d,%d]",
-				minTime, maxTime, info.MinTime, info.MaxTime)
+				sc.minTime, sc.maxTime, info.MinTime, info.MaxTime)
 		}
 	}
 	return sc, nil
@@ -298,105 +307,135 @@ func (sc *segCursor) loadBlock() error {
 	if err != nil {
 		return err
 	}
+	if count := binary.LittleEndian.Uint32(blk[0:4]); count != e.count {
+		return fmt.Errorf("block %d: header count %d, index says %d", sc.blockIdx, count, e.count)
+	}
+	n, err := sc.decodeBlock(blk)
+	if err != nil {
+		return err
+	}
+	if sc.times[0] != e.minTime || sc.times[n-1] != e.maxTime {
+		return fmt.Errorf("block %d: time span [%d,%d], index says [%d,%d]",
+			sc.blockIdx, sc.times[0], sc.times[n-1], e.minTime, e.maxTime)
+	}
+	sc.blockIdx++
+	return nil
+}
+
+// decodeBlock checks block blk (header and payload) and decodes it into
+// the cursor's columns, which then hold its n records: the payload
+// length and CRC-32C must match the header, every column must decode,
+// and time and seq must continue from the previous block.
+func (sc *segCursor) decodeBlock(blk []byte) (n int, err error) {
 	count := binary.LittleEndian.Uint32(blk[0:4])
 	payloadLen := binary.LittleEndian.Uint32(blk[4:8])
 	crc := binary.LittleEndian.Uint32(blk[8:12])
-	if count != e.count {
-		return fmt.Errorf("block %d: header count %d, index says %d", sc.blockIdx, count, e.count)
-	}
 	p := blk[blockHeaderSize:]
 	if int(payloadLen) != len(p) {
-		return fmt.Errorf("block %d: payload length %d, extent allows %d", sc.blockIdx, payloadLen, len(p))
+		return 0, fmt.Errorf("block %d: payload length %d, extent allows %d", sc.blockIdx, payloadLen, len(p))
 	}
 	if crc32.Checksum(p, castagnoli) != crc {
-		return fmt.Errorf("block %d: payload checksum mismatch", sc.blockIdx)
+		return 0, fmt.Errorf("block %d: payload checksum mismatch", sc.blockIdx)
 	}
-	n := int(count)
+	// Every record takes at least one byte in each of its video, start
+	// and length columns, so a count beyond that is corrupt, whatever
+	// the CRC says, and must not size the columns.
+	if count == 0 || uint64(count)*3 > uint64(len(p)) {
+		return 0, fmt.Errorf("block %d: count %d does not fit a %d-byte payload", sc.blockIdx, count, len(p))
+	}
+	n = int(count)
 	if cap(sc.times) < n {
 		sc.times = make([]int64, n)
 		sc.seqs = make([]uint64, n)
 		sc.videos = make([]uint64, n)
 		sc.starts = make([]int64, n)
 		sc.lengths = make([]int64, n)
+		sc.kinds = make([]Kind, n)
 	}
 	sc.times = sc.times[:n]
 	sc.seqs = sc.seqs[:n]
 	sc.videos = sc.videos[:n]
 	sc.starts = sc.starts[:n]
 	sc.lengths = sc.lengths[:n]
+	sc.kinds = sc.kinds[:n]
 	off := 0
 	var v uint64
 	if v, off, err = uvarintAt(p, off); err != nil || v > math.MaxInt64 {
-		return sc.blockErr("base time", err)
+		return 0, sc.blockErr("base time", err)
 	}
 	sc.times[0] = int64(v)
 	if v, off, err = uvarintAt(p, off); err != nil {
-		return sc.blockErr("base seq", err)
+		return 0, sc.blockErr("base seq", err)
 	}
 	sc.seqs[0] = v
 	for i := 1; i < n; i++ {
 		if v, off, err = uvarintAt(p, off); err != nil {
-			return sc.blockErr("time delta", err)
+			return 0, sc.blockErr("time delta", err)
 		}
 		t := sc.times[i-1] + int64(v)
 		if v > math.MaxInt64 || t < sc.times[i-1] {
-			return sc.blockErr("time delta", errors.New("overflow"))
+			return 0, sc.blockErr("time delta", errors.New("overflow"))
 		}
 		sc.times[i] = t
 	}
 	for i := 1; i < n; i++ {
 		if v, off, err = uvarintAt(p, off); err != nil {
-			return sc.blockErr("seq delta", err)
+			return 0, sc.blockErr("seq delta", err)
 		}
 		s := sc.seqs[i-1] + v
 		if v == 0 || s < sc.seqs[i-1] {
-			return sc.blockErr("seq delta", errors.New("not strictly increasing"))
+			return 0, sc.blockErr("seq delta", errors.New("not strictly increasing"))
 		}
 		sc.seqs[i] = s
 	}
 	for i := 0; i < n; i++ {
 		if v, off, err = uvarintAt(p, off); err != nil {
-			return sc.blockErr("video", err)
+			return 0, sc.blockErr("video", err)
 		}
 		sc.videos[i] = v
 	}
 	for i := 0; i < n; i++ {
 		if v, off, err = uvarintAt(p, off); err != nil || v > math.MaxInt64 {
-			return sc.blockErr("range start", err)
+			return 0, sc.blockErr("range start", err)
 		}
 		sc.starts[i] = int64(v)
 	}
 	for i := 0; i < n; i++ {
 		if v, off, err = uvarintAt(p, off); err != nil || v > math.MaxInt64 {
-			return sc.blockErr("range length", err)
+			return 0, sc.blockErr("range length", err)
 		}
 		l := int64(v)
 		if sc.starts[i]+l < sc.starts[i] {
-			return sc.blockErr("range length", errors.New("overflow"))
+			return 0, sc.blockErr("range length", errors.New("overflow"))
 		}
 		sc.lengths[i] = l
 	}
-	if off != len(p) {
-		return fmt.Errorf("block %d: %d trailing payload bytes", sc.blockIdx, len(p)-off)
+	for i := 0; i < n; i++ {
+		if sc.version == 1 {
+			sc.kinds[i] = KindRequest
+			continue
+		}
+		if v, off, err = uvarintAt(p, off); err != nil || v >= uint64(numKinds) {
+			return 0, sc.blockErr("kind", err)
+		}
+		sc.kinds[i] = Kind(v)
 	}
-	if sc.times[0] != e.minTime || sc.times[n-1] != e.maxTime {
-		return fmt.Errorf("block %d: time span [%d,%d], index says [%d,%d]",
-			sc.blockIdx, sc.times[0], sc.times[n-1], e.minTime, e.maxTime)
+	if off != len(p) {
+		return 0, fmt.Errorf("block %d: %d trailing payload bytes", sc.blockIdx, len(p)-off)
 	}
 	if sc.started {
 		if sc.times[0] < sc.prevTime {
-			return fmt.Errorf("block %d: time %d regresses below %d", sc.blockIdx, sc.times[0], sc.prevTime)
+			return 0, fmt.Errorf("block %d: time %d regresses below %d", sc.blockIdx, sc.times[0], sc.prevTime)
 		}
 		if sc.seqs[0] <= sc.prevSeq {
-			return fmt.Errorf("block %d: seq %d does not advance past %d", sc.blockIdx, sc.seqs[0], sc.prevSeq)
+			return 0, fmt.Errorf("block %d: seq %d does not advance past %d", sc.blockIdx, sc.seqs[0], sc.prevSeq)
 		}
 	}
 	sc.started = true
 	sc.prevTime = sc.times[n-1]
 	sc.prevSeq = sc.seqs[n-1]
 	sc.pos, sc.n = 0, n
-	sc.blockIdx++
-	return nil
+	return n, nil
 }
 
 func (sc *segCursor) blockErr(what string, err error) error {
@@ -427,8 +466,12 @@ func (sc *segCursor) Next(req *Request) (bool, error) {
 	req.Start = sc.starts[i]
 	req.End = sc.starts[i] + sc.lengths[i]
 	sc.lastSeq = sc.seqs[i]
+	sc.lastKind = sc.kinds[i]
 	return true, nil
 }
+
+// Kind implements EventCursor.
+func (sc *segCursor) Kind() Kind { return sc.lastKind }
 
 // Close implements Cursor.
 func (sc *segCursor) Close() error {
@@ -457,6 +500,7 @@ type colStream struct {
 	sc     *segCursor
 	req    Request
 	seq    uint64
+	kind   Kind
 	loaded bool
 	done   bool
 }
@@ -467,6 +511,7 @@ type colStream struct {
 // total order that every reader reconstructs identically.
 type colMerge struct {
 	streams []colStream
+	kind    Kind // of the record the last Next returned
 	err     error
 }
 
@@ -488,6 +533,7 @@ func (m *colMerge) Next(req *Request) (bool, error) {
 				continue
 			}
 			s.seq = s.sc.lastSeq
+			s.kind = s.sc.lastKind
 			s.loaded = true
 		}
 		if !s.loaded {
@@ -501,9 +547,13 @@ func (m *colMerge) Next(req *Request) (bool, error) {
 		return false, nil
 	}
 	*req = m.streams[best].req
+	m.kind = m.streams[best].kind
 	m.streams[best].loaded = false
 	return true, nil
 }
+
+// Kind implements EventCursor.
+func (m *colMerge) Kind() Kind { return m.kind }
 
 func colLess(a, b *colStream) bool {
 	if a.req.Time != b.req.Time {
@@ -526,7 +576,7 @@ func (m *colMerge) Close() error {
 }
 
 var (
-	_ Source = (*Dir)(nil)
-	_ Cursor = (*segCursor)(nil)
-	_ Cursor = (*colMerge)(nil)
+	_ Source      = (*Dir)(nil)
+	_ EventCursor = (*segCursor)(nil)
+	_ EventCursor = (*colMerge)(nil)
 )

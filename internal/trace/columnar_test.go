@@ -121,7 +121,7 @@ func TestColumnarReadsShardedDirectory(t *testing.T) {
 			segs[s] = sw
 		}
 		for seq, r := range reqs {
-			if err := segs[chunk.ShardOf(r.Video, shards)].add(r, uint64(seq)); err != nil {
+			if err := segs[chunk.ShardOf(r.Video, shards)].add(r, uint64(seq), KindRequest); err != nil {
 				t.Fatal(err)
 			}
 		}

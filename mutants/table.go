@@ -259,16 +259,44 @@ var Table = []Mutant{
 		Run:      "^TestPeerFillExpiredDeadline$",
 	},
 
-	// Two that hang instead of failing: each must end as a timeout.
+	// The decision lock and the request log.
 	{
+		// The policy panics on time travel; the released lock turns the
+		// panic into a failed request instead of a wedged edge.
 		Name:     "edge-clock-not-clamped",
 		File:     "internal/edge/server.go",
 		Old:      "\tif t < s.lastTime {\n\t\tt = s.lastTime\n\t}",
 		New:      "\tif false {\n\t\tt = s.lastTime\n\t}",
 		Packages: []string{"./internal/edge"},
 		Run:      "^TestEdgeClampsClockStepBack$",
+	},
+	{
+		Name:     "edge-lock-held-on-policy-panic",
+		File:     "internal/edge/server.go",
+		Old:      "\tdefer s.mu.Unlock()\n\treq.Time = s.clamp(req.Time)\n\tout := s.cache.HandleRequest(*req)\n",
+		New:      "\treq.Time = s.clamp(req.Time)\n\tout := s.cache.HandleRequest(*req)\n\tdefer s.mu.Unlock()\n",
+		Packages: []string{"./internal/edge"},
+		Run:      "^TestPolicyPanicReleasesLock$",
 		Timeout:  20 * time.Second,
 	},
+	{
+		Name:     "request-log-skips-forget",
+		File:     "internal/edge/server.go",
+		Old:      "\t\tif s.log != nil {\n\t\t\ts.log.Append(trace.KindForget,",
+		New:      "\t\tif false {\n\t\t\ts.log.Append(trace.KindForget,",
+		Packages: []string{"./internal/edge"},
+		Run:      "^TestRequestLogIsDecisionStream$",
+	},
+	{
+		Name:     "boot-skips-store-sweep",
+		File:     "internal/edge/boot.go",
+		Old:      "\ts.deleteChunks(strays)\n",
+		New:      "\t_ = strays\n",
+		Packages: []string{"./internal/edge"},
+		Run:      "^TestBootReconcilesStore$",
+	},
+
+	// One that hangs instead of failing: it must end as a timeout.
 	{
 		Name:     "flight-covers-nothing",
 		File:     "internal/edge/server.go",

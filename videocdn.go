@@ -35,7 +35,6 @@ import (
 	"net/http"
 
 	"videocdn/internal/analyze"
-	"videocdn/internal/cafe"
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
@@ -321,18 +320,3 @@ func OpenTraceDir(dir string) (*TraceDir, error) { return trace.OpenDir(dir) }
 func CreateTraceDir(dir string, cfg TraceDirConfig) (*trace.DirWriter, error) {
 	return trace.CreateDir(dir, cfg)
 }
-
-// SaveCafeState serializes a Cafe cache's decision state (IAT table,
-// cached-chunk set, clock) so a restart does not lose days of cache
-// warmth. The cache must be a plain "cafe".
-func SaveCafeState(c Cache, w io.Writer) error {
-	cc, ok := c.(*cafe.Cache)
-	if !ok {
-		return fmt.Errorf("videocdn: %s does not support state snapshots (cafe only)", c.Name())
-	}
-	return cc.Save(w)
-}
-
-// LoadCafeState reconstructs a Cafe cache from a SaveCafeState
-// snapshot, configuration included.
-func LoadCafeState(r io.Reader) (Cache, error) { return cafe.Load(r) }
