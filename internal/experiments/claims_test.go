@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
 	"videocdn/internal/cost"
+	"videocdn/internal/hierarchy"
 	"videocdn/internal/prefetch"
 	"videocdn/internal/sim"
 	"videocdn/internal/trace"
@@ -398,75 +400,149 @@ func TestPrefetchFigureDigest(t *testing.T) {
 	}
 }
 
-// TestFigureDigests pins one FNV-1a digest per main figure over the
-// runs the claims and smoke tests already make: Figure 3's tiny run
-// (series included), the alpha sweep Figures 4 and 5 both read, and
-// Figures 6 and 7 at tinyScale. Each folds, per run in a fixed order,
-// every count of sim.Result. A digest moves only when a decision does;
-// a change that means to move one re-pins it and says why.
+// digester folds runs into one FNV-1a digest, every value as 8
+// little-endian bytes.
+type digester struct{ h hash.Hash64 }
+
+func (d digester) ints(vs ...int64) {
+	for _, v := range vs {
+		d.h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+	}
+}
+
+func (d digester) floats(vs ...float64) {
+	for _, v := range vs {
+		d.ints(int64(math.Float64bits(v)))
+	}
+}
+
+func (d digester) counters(c cost.Counters) {
+	d.ints(c.Requested, c.Filled, c.Redirected, c.PeerFilled)
+}
+
+// results folds every count of each sim.Result, series included.
+func (d digester) results(runs ...*sim.Result) {
+	for _, r := range runs {
+		d.ints(int64(r.Requests), int64(r.Served), int64(r.Redirected), r.FilledChunks, r.EvictedChunks)
+		d.counters(r.Total)
+		d.counters(r.Steady)
+		for _, b := range r.Series.Buckets() {
+			d.ints(b.Start)
+			d.counters(b.Counters)
+		}
+	}
+}
+
+// tiers folds every count of a multi-tier replay.
+func (d digester) tiers(r *hierarchy.Result) {
+	for _, tr := range r.Tiers {
+		d.counters(tr.Counters)
+		d.ints(int64(tr.Served), int64(tr.Redirect))
+	}
+	d.ints(r.TotalRequested, r.OriginBytes)
+	d.ints(r.AbsorbedBytes...)
+	d.ints(r.FillBytes...)
+}
+
+// TestFigureDigests pins one FNV-1a digest per figure over the runs the
+// claims and smoke tests already make: Figure 3's tiny run (series
+// included), the alpha sweep Figures 4 and 5 both read, Figures 6 and 7
+// at tinyScale, and the tiny runs of the extension figures whose claims
+// are ext: rows. Each folds, per run in a fixed order, every count of
+// sim.Result or of the multi-tier result, and every number of a
+// figure's rows. A digest moves only when a decision does; a change
+// that means to move one re-pins it and says why. The baselines table
+// has two pins, so a new row shows that the old rows did not move.
 func TestFigureDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs")
 	}
-	digest := func(runs ...*sim.Result) uint64 {
-		h := fnv.New64a()
-		fold := func(v int64) { h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v))) }
-		counters := func(c cost.Counters) {
-			fold(c.Requested)
-			fold(c.Filled)
-			fold(c.Redirected)
-			fold(c.PeerFilled)
+	byAlgo := func(m map[string]*sim.Result, algos ...string) (out []*sim.Result) {
+		if algos == nil {
+			algos = OnlineAlgos
 		}
-		for _, r := range runs {
-			for _, n := range []int{r.Requests, r.Served, r.Redirected} {
-				fold(int64(n))
-			}
-			fold(r.FilledChunks)
-			fold(r.EvictedChunks)
-			counters(r.Total)
-			counters(r.Steady)
-			for _, b := range r.Series.Buckets() {
-				fold(b.Start)
-				counters(b.Counters)
-			}
-		}
-		return h.Sum64()
-	}
-	byAlgo := func(m map[string]*sim.Result) (out []*sim.Result) {
-		for _, algo := range OnlineAlgos {
+		for _, algo := range algos {
 			out = append(out, m[algo])
 		}
 		return out
 	}
+	baselines := func(algos ...string) func(t *testing.T, d digester) {
+		return func(t *testing.T, d digester) {
+			res := get(t, tinyBaselines)
+			for _, a := range res.Alphas {
+				d.results(byAlgo(res.Results[a], algos...)...)
+			}
+		}
+	}
 	for _, fig := range []struct {
 		name string
-		runs func(t *testing.T) []*sim.Result
+		fold func(t *testing.T, d digester)
 		want uint64
 	}{
-		{"Fig3", func(t *testing.T) []*sim.Result { return byAlgo(get(t, tinyFig3).Steady) }, 0xd34c633828f0fa86},
-		{"Figs4-5", func(t *testing.T) (out []*sim.Result) {
+		{"Fig3", func(t *testing.T, d digester) { d.results(byAlgo(get(t, tinyFig3).Steady)...) }, 0xd34c633828f0fa86},
+		{"Figs4-5", func(t *testing.T, d digester) {
 			res := get(t, smallSweep)
 			for _, a := range claimAlphas {
-				out = append(out, byAlgo(res.Results[a])...)
+				d.results(byAlgo(res.Results[a])...)
 			}
-			return out
 		}, 0xfb850715f87c867d},
-		{"Fig6", func(t *testing.T) (out []*sim.Result) {
+		{"Fig6", func(t *testing.T, d digester) {
 			res := get(t, tinyFig6)
-			for _, d := range res.Disks {
-				out = append(out, byAlgo(res.Results[d])...)
+			for _, disk := range res.Disks {
+				d.results(byAlgo(res.Results[disk])...)
 			}
-			return out
 		}, 0x9ecd725e96962f20},
-		{"Fig7", func(t *testing.T) (out []*sim.Result) {
+		{"Fig7", func(t *testing.T, d digester) {
 			res := get(t, tinyFig7)
 			for _, s := range res.Servers {
-				out = append(out, byAlgo(res.Results[s])...)
+				d.results(byAlgo(res.Results[s])...)
 			}
-			return out
 		}, 0x43e4ec38ab6a6672},
+		{"ext:hierarchy", func(t *testing.T, d digester) {
+			res := get(t, tinyHierarchy)
+			d.floats(res.SingleEff, res.SingleOriginPct)
+			d.tiers(res.Chain)
+		}, 0xe5b5b0b84fe26a2d},
+		{"ext:cdnwide", func(t *testing.T, d digester) {
+			res := get(t, tinyCDNWide)
+			d.tiers(res.FanIn)
+			d.floats(res.EdgeOnlyOrigin)
+		}, 0xb68ed2db62920760},
+		{"ext:flash", func(t *testing.T, d digester) {
+			for _, r := range get(t, tinyFlash).Rows {
+				for _, n := range []int{r.Red10, r.Red30, r.Red60, r.RedTotal, r.Req10, r.Req30, r.Req60, r.ReqTotal} {
+					d.ints(int64(n))
+				}
+				d.floats(r.FirstServe)
+			}
+		}, 0x38267bf10cae4ba6},
+		{"ext:constrained", func(t *testing.T, d digester) {
+			res := get(t, tinyConstrained)
+			d.floats(res.Target)
+			for _, r := range res.Rows {
+				d.floats(r.Eff, r.Ingress, r.Redirect, r.ReadLoss, r.FinalAlpha)
+				d.ints(r.Denied)
+			}
+		}, 0x872e15c294c9d564},
+		{"ext:sensitivity", func(t *testing.T, d digester) {
+			res := get(t, tinySensitivity)
+			for _, k := range res.ChunkSizes {
+				d.results(byAlgo(res.ChunkRows[k])...)
+			}
+			for _, s := range res.Zipfs {
+				d.results(byAlgo(res.ZipfRows[s])...)
+			}
+		}, 0xfcc178ac2a4c3e81},
+		{"ext:ablations", func(t *testing.T, d digester) {
+			for _, r := range get(t, tinyAblations).Rows {
+				d.floats(r.Eff, r.Ingress, r.Redirect)
+			}
+		}, 0x2ea2609a0f36c040},
+		{"ext:baselines", baselines(AlgoLRU, AlgoLRUK, AlgoGDSP, AlgoBelady, AlgoXLRU, AlgoCafe, AlgoPsychic), 0x65e2722b34fb3c2b},
 	} {
-		if got := digest(fig.runs(t)...); got != fig.want {
+		d := digester{fnv.New64a()}
+		fig.fold(t, d)
+		if got := d.h.Sum64(); got != fig.want {
 			t.Errorf("%s runs digest %#016x, want %#016x", fig.name, got, fig.want)
 		}
 	}
