@@ -20,35 +20,9 @@ func TestTextAndDirectoryReplayAlike(t *testing.T) {
 		t.Skip("builds the real binary")
 	}
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "cdnsim")
-	if out, err := exec.Command("go", "build", "-o", bin, "videocdn/cmd/cdnsim").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	p, err := workload.ProfileByName("europe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.RequestsPerDay, p.CatalogSize, p.NewVideosPerDay = 2000, 300, 10
-	g, err := workload.NewGenerator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := g.Generate(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := filepath.Join(tmp, "eu.trace")
-	f, err := os.Create(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteAll(trace.NewTextWriter(f), reqs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	bin := build(t, tmp)
+	reqs := europe(t)
+	text := writeText(t, filepath.Join(tmp, "eu.trace"), reqs)
 	dir := filepath.Join(tmp, "eu.tracedir")
 	dw, err := trace.CreateDir(dir, trace.DirConfig{})
 	if err != nil {
@@ -96,4 +70,72 @@ func TestTextAndDirectoryReplayAlike(t *testing.T) {
 			t.Errorf("cdnsim %v: output lacks %q:\n%s", args, want, out)
 		}
 	}
+}
+
+// TestSeriesWriteErrorFails: a -series file that cannot be written
+// (/dev/full refuses every write) makes cdnsim exit 1 and name the
+// error, instead of printing its table and exiting 0 with nothing
+// written.
+func TestSeriesWriteErrorFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the real binary")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full here")
+	}
+	tmp := t.TempDir()
+	bin := build(t, tmp)
+	text := writeText(t, filepath.Join(tmp, "eu.trace"), europe(t))
+	out, err := exec.Command(bin, "-trace", text, "-algo", "cafe", "-disk-gb", "1", "-series", "/dev/full").CombinedOutput()
+	if err == nil {
+		t.Fatalf("cdnsim exited 0 writing its series to /dev/full:\n%s", out)
+	}
+	if want := "no space left on device"; !strings.Contains(string(out), want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}
+
+// build compiles cdnsim into dir and returns the binary's path.
+func build(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "cdnsim")
+	if out, err := exec.Command("go", "build", "-o", bin, "videocdn/cmd/cdnsim").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// europe generates a three-day trace of a small europe profile.
+func europe(t *testing.T) []trace.Request {
+	t.Helper()
+	p, err := workload.ProfileByName("europe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RequestsPerDay, p.CatalogSize, p.NewVideosPerDay = 2000, 300, 10
+	g, err := workload.NewGenerator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := g.Generate(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
+// writeText writes reqs as a text trace at path and returns the path.
+func writeText(t *testing.T, path string, reqs []trace.Request) string {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteAll(trace.NewTextWriter(f), reqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

@@ -98,8 +98,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer seriesFile.Close()
-		fmt.Fprintln(seriesFile, "algo,hour,requested_bytes,filled_bytes,redirected_bytes,ingress,redirect,efficiency")
+		if _, err := fmt.Fprintln(seriesFile, "algo,hour,requested_bytes,filled_bytes,redirected_bytes,ingress,redirect,efficiency"); err != nil {
+			fatal(err)
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -150,11 +151,18 @@ func main() {
 				if b.Counters.Requested == 0 {
 					continue
 				}
-				fmt.Fprintf(seriesFile, "%s,%d,%d,%d,%d,%.4f,%.4f,%.4f\n",
+				if _, err := fmt.Fprintf(seriesFile, "%s,%d,%d,%d,%d,%.4f,%.4f,%.4f\n",
 					name, b.Start/3600, b.Counters.Requested, b.Counters.Filled,
 					b.Counters.Redirected, b.Counters.IngressRatio(),
-					b.Counters.RedirectRatio(), b.Counters.Efficiency(model))
+					b.Counters.RedirectRatio(), b.Counters.Efficiency(model)); err != nil {
+					fatal(err)
+				}
 			}
+		}
+	}
+	if seriesFile != nil {
+		if err := seriesFile.Close(); err != nil {
+			fatal(err)
 		}
 	}
 

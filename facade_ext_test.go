@@ -31,36 +31,6 @@ func TestFacadeReplayChain(t *testing.T) {
 	}
 }
 
-func TestFacadeReplayFanIn(t *testing.T) {
-	reqs := smallTrace(t)
-	mk := func(alpha float64, bytes int64) videocdn.Cache {
-		c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{DiskBytes: bytes, Alpha: alpha})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	res, err := videocdn.ReplayFanIn(
-		[]videocdn.Tier{
-			{Name: "e0", Cache: mk(2, 128*mb), Alpha: 2},
-			{Name: "e1", Cache: mk(2, 128*mb), Alpha: 2},
-		},
-		videocdn.Tier{Name: "parent", Cache: mk(1, 512*mb), Alpha: 1},
-		reqs,
-		func(r videocdn.Request) int { return int(r.Video) % 2 },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tiers) != 3 {
-		t.Fatalf("tiers = %d", len(res.Tiers))
-	}
-	sum := res.AbsorbedBytes[0] + res.AbsorbedBytes[1] + res.AbsorbedBytes[2] + res.OriginBytes
-	if sum != res.TotalRequested {
-		t.Error("conservation violated")
-	}
-}
-
 func TestFacadeAnalyzeTrace(t *testing.T) {
 	reqs := smallTrace(t)
 	rep, err := videocdn.AnalyzeTrace(reqs, videocdn.DefaultChunkSize)
@@ -135,82 +105,20 @@ func TestFacadeImportCSVTrace(t *testing.T) {
 	}
 }
 
-func TestFacadeMergeTraces(t *testing.T) {
-	a := []videocdn.Request{{Time: 0, Video: 1, Start: 0, End: 1}}
-	b := []videocdn.Request{{Time: 1, Video: 2, Start: 0, End: 1}}
-	got := videocdn.MergeTraces(b, a)
-	if len(got) != 2 || got[0].Video != 1 {
-		t.Errorf("merged %v", got)
-	}
-}
-
-// TestFacadeReplayWithPrefetch: every admitted prefetch fills one
-// chunk of the cache's own size, and is charged that many bytes,
-// whatever K the cache was built with.
-func TestFacadeReplayWithPrefetch(t *testing.T) {
-	reqs := smallTrace(t)
-	sizes := furthestBytes(reqs)
-	for _, k := range []int64{mb, 2 * mb} {
-		c, err := videocdn.NewCache("cafe", videocdn.CacheOptions{ChunkSize: k, DiskBytes: 256 * mb, Alpha: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := videocdn.ReplayWithPrefetch(c, reqs, 1, videocdn.PrefetchConfig{
-			StartHour: 0, EndHour: 0, ChunksPerHour: 20,
-		}, sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Requests != len(reqs) {
-			t.Errorf("K=%d: replayed %d, want %d", k, res.Requests, len(reqs))
-		}
-		if res.Stats.Accepted == 0 {
-			t.Fatalf("K=%d: no prefetch admitted", k)
-		}
-		if got, want := res.Stats.PrefetchedBytes, int64(res.Stats.Accepted)*k; got != want {
-			t.Errorf("K=%d: %d admitted prefetches charged %d bytes, want %d", k, res.Stats.Accepted, got, want)
-		}
-		if _, err := videocdn.ReplayWithPrefetch(c, reqs, -1, videocdn.PrefetchConfig{ChunksPerHour: 1}, sizes); err == nil {
-			t.Error("bad alpha should fail")
-		}
-	}
-	x, err := videocdn.NewCache("xlru", videocdn.CacheOptions{DiskBytes: 256 * mb, Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := videocdn.ReplayWithPrefetch(x, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 1}, sizes); err == nil {
-		t.Error("xlru does not prefetch")
-	}
-}
-
-// furthestBytes is a catalog in which each video ends at its furthest
-// requested byte.
-func furthestBytes(reqs []videocdn.Request) videocdn.MapCatalog {
-	sizes := videocdn.MapCatalog{}
-	for _, r := range reqs {
-		sizes[r.Video] = max(sizes[r.Video], r.End+1)
-	}
-	return sizes
-}
-
-// fixedCache returns one outcome for every request and never
-// prefetches: a policy that breaks the outcome invariants.
+// fixedCache returns one outcome for every request: a policy that
+// breaks the outcome invariants.
 type fixedCache struct{ out videocdn.Outcome }
 
 func (c fixedCache) HandleRequest(videocdn.Request) videocdn.Outcome { return c.out }
 func (fixedCache) Contains(videocdn.ChunkID) bool                    { return false }
 func (fixedCache) Len() int                                          { return 0 }
 func (fixedCache) Name() string                                      { return "fixed" }
-func (fixedCache) PrefetchNext(videocdn.VideoID, int64, int64) (videocdn.ChunkID, bool, bool, []videocdn.ChunkID) {
-	return videocdn.ChunkID{}, false, false, nil
-}
-func (fixedCache) ChunkSize() int64 { return videocdn.DefaultChunkSize }
 
-// TestFacadeReplaysRejectBrokenInput: the multi-tier and prefetch
-// replays run on the simulator's one replay loop, so they inherit its
-// checks and return an error for a trace out of time order or an
-// outcome that breaks the accounting invariants, instead of panicking
-// inside the cache or accepting the numbers.
+// TestFacadeReplaysRejectBrokenInput: the multi-tier replay runs on the
+// simulator's one replay loop, so it inherits its checks and returns an
+// error for a trace out of time order or an outcome that breaks the
+// accounting invariants, instead of panicking inside the cache or
+// accepting the numbers.
 func TestFacadeReplaysRejectBrokenInput(t *testing.T) {
 	const k = videocdn.DefaultChunkSize
 	at := func(times ...int64) []videocdn.Request {
@@ -241,42 +149,18 @@ func TestFacadeReplaysRejectBrokenInput(t *testing.T) {
 		{"redirect with fill", func() videocdn.Cache { return redirectWithFill }, ordered},
 		{"FilledIDs mismatch", func() videocdn.Cache { return idsMismatch }, ordered},
 	}
-	drivers := []struct {
-		name   string
-		replay func(c videocdn.Cache, reqs []videocdn.Request) error
-	}{
-		{"ReplayChain", func(c videocdn.Cache, reqs []videocdn.Request) error {
-			_, err := videocdn.ReplayChain([]videocdn.Tier{{Name: "edge", Cache: c, Alpha: 1}}, reqs)
-			return err
-		}},
-		{"ReplayFanIn", func(c videocdn.Cache, reqs []videocdn.Request) error {
-			_, err := videocdn.ReplayFanIn([]videocdn.Tier{{Name: "edge", Cache: c, Alpha: 1}},
-				videocdn.Tier{Name: "parent", Cache: mk("lru"), Alpha: 1},
-				reqs, func(videocdn.Request) int { return 0 })
-			return err
-		}},
-		{"ReplayWithPrefetch", func(c videocdn.Cache, reqs []videocdn.Request) error {
-			_, err := videocdn.ReplayWithPrefetch(c, reqs, 1, videocdn.PrefetchConfig{ChunksPerHour: 10}, videocdn.MapCatalog{})
-			return err
-		}},
-	}
-	for _, d := range drivers {
-		for _, in := range inputs {
-			if d.name == "ReplayWithPrefetch" && in.name == "out of order (lru)" {
-				continue // lru cannot prefetch
-			}
-			t.Run(d.name+"/"+in.name, func(t *testing.T) {
-				defer func() {
-					if p := recover(); p != nil {
-						t.Fatalf("panicked: %v", p)
-					}
-				}()
-				if err := d.replay(in.cache(), in.reqs); err == nil {
-					t.Fatal("accepted")
-				} else {
-					t.Log(err)
+	for _, in := range inputs {
+		t.Run("ReplayChain/"+in.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
 				}
-			})
-		}
+			}()
+			if _, err := videocdn.ReplayChain([]videocdn.Tier{{Name: "edge", Cache: in.cache(), Alpha: 1}}, in.reqs); err == nil {
+				t.Fatal("accepted")
+			} else {
+				t.Log(err)
+			}
+		})
 	}
 }

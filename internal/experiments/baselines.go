@@ -21,9 +21,9 @@ type BaselinesResult struct {
 }
 
 // baselineAlgos is the comparison set, replacement-only first (LRU,
-// GDSP, Belady answer only "what to evict"; xLRU, Cafe, Psychic also
-// answer "fill or redirect").
-var baselineAlgos = []string{AlgoLRU, AlgoLRUK, AlgoGDSP, AlgoBelady, AlgoXLRU, AlgoCafe, AlgoPsychic}
+// LRU-2, LRU(q), GDSP, Belady answer only "what to evict"; admit(LRU),
+// xLRU, Cafe, Psychic also answer "fill or redirect").
+var baselineAlgos = []string{AlgoLRU, AlgoLRUK, AlgoLRUQ, AlgoGDSP, AlgoBelady, AlgoAdmit, AlgoXLRU, AlgoCafe, AlgoPsychic}
 
 // Baselines runs the comparison on the European trace.
 func Baselines(sc Scale) (*BaselinesResult, error) {

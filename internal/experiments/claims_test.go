@@ -276,11 +276,12 @@ func TestPaperClaims(t *testing.T) {
 			}
 			return out
 		}},
-		{"ext:baselines", "always-fill caches never redirect; belady leads them, and the online pair at alpha 1 only", func(t *testing.T) (out []atMost) {
+		{"ext:baselines", "always-fill caches never redirect; belady leads them, and the online pair at alpha 1 only; lruq beats lru, and admit sits between xlru and cafe at alpha 2", func(t *testing.T) (out []atMost) {
 			res := get(t, tinyBaselines)
 			for _, a := range res.Alphas {
 				m := res.Results[a]
-				for _, algo := range []string{AlgoLRU, AlgoLRUK, AlgoGDSP, AlgoBelady} {
+				out = append(out, atMost{fmt.Sprintf("alpha=%g: lru < lruq", a), eff(m, AlgoLRU), eff(m, AlgoLRUQ), true})
+				for _, algo := range []string{AlgoLRU, AlgoLRUK, AlgoLRUQ, AlgoGDSP, AlgoBelady} {
 					out = append(out, atMost{fmt.Sprintf("alpha=%g: %s redirects (requests) <= 0", a, algo), float64(m[algo].Redirected), 0, false})
 					if algo != AlgoBelady {
 						out = append(out, atMost{fmt.Sprintf("alpha=%g: %s <= belady", a, algo), eff(m, algo), eff(m, AlgoBelady), false})
@@ -291,7 +292,9 @@ func TestPaperClaims(t *testing.T) {
 			return append(out,
 				atMost{"alpha=1: xlru < belady", eff(m1, AlgoXLRU), eff(m1, AlgoBelady), true},
 				atMost{"alpha=1: cafe < belady", eff(m1, AlgoCafe), eff(m1, AlgoBelady), true},
-				atMost{"alpha=2: belady < cafe", eff(m2, AlgoBelady), eff(m2, AlgoCafe), true})
+				atMost{"alpha=2: belady < cafe", eff(m2, AlgoBelady), eff(m2, AlgoCafe), true},
+				atMost{"alpha=2: xlru < admit", eff(m2, AlgoXLRU), eff(m2, AlgoAdmit), true},
+				atMost{"alpha=2: admit < cafe", eff(m2, AlgoAdmit), eff(m2, AlgoCafe), true})
 		}},
 		{"ext:constrained", "static alpha 2 is the most efficient strategy, and the budget holds in every hour", func(t *testing.T) []atMost {
 			rows, run := get(t, tinyConstrained).Rows, get(t, tinyBudget)
@@ -539,6 +542,7 @@ func TestFigureDigests(t *testing.T) {
 			}
 		}, 0x2ea2609a0f36c040},
 		{"ext:baselines", baselines(AlgoLRU, AlgoLRUK, AlgoGDSP, AlgoBelady, AlgoXLRU, AlgoCafe, AlgoPsychic), 0x65e2722b34fb3c2b},
+		{"ext:baselines lruq+admit", baselines(AlgoLRUQ, AlgoAdmit), 0x1f51acb10735f419},
 	} {
 		d := digester{fnv.New64a()}
 		fig.fold(t, d)

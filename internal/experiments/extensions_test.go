@@ -3,6 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"videocdn/internal/chunk"
+	"videocdn/internal/core"
+	"videocdn/internal/cost"
+	"videocdn/internal/prefetch"
+	"videocdn/internal/trace"
+	"videocdn/internal/workload"
 )
 
 func TestPrefetchExperimentSmoke(t *testing.T) {
@@ -197,5 +204,110 @@ func TestHierarchyExperimentSmoke(t *testing.T) {
 	res.Print(&sb)
 	if !strings.Contains(sb.String(), "Two-tier") {
 		t.Error("Print output missing header")
+	}
+}
+
+// TestReplayPrefetchChargesOwnChunkSize: every admitted prefetch fills
+// one chunk of the cache's own size, and is charged that many bytes,
+// whatever K the cache was built with.
+func TestReplayPrefetchChargesOwnChunkSize(t *testing.T) {
+	p, err := workload.ProfileByName("europe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RequestsPerDay, p.CatalogSize, p.NewVideosPerDay = 500, 100, 5
+	g, err := workload.NewGenerator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := g.Generate(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{1 << 20, 2 << 20} {
+		c, err := newCache(AlgoCafe, core.Config{ChunkSize: k, DiskChunks: int(256 << 20 / k)}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ReplayPrefetch(c.(prefetch.Prefetchable), reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 20}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Requests != len(reqs) {
+			t.Errorf("K=%d: replayed %d, want %d", k, res.Requests, len(reqs))
+		}
+		if res.Stats.Accepted == 0 {
+			t.Fatalf("K=%d: no prefetch admitted", k)
+		}
+		if got, want := res.Stats.PrefetchedBytes, int64(res.Stats.Accepted)*k; got != want {
+			t.Errorf("K=%d: %d admitted prefetches charged %d bytes, want %d", k, res.Stats.Accepted, got, want)
+		}
+	}
+}
+
+// fixedCache returns one outcome for every request and never
+// prefetches: a policy that breaks the outcome invariants.
+type fixedCache struct{ out core.Outcome }
+
+func (c fixedCache) HandleRequest(trace.Request) core.Outcome { return c.out }
+func (fixedCache) Contains(chunk.ID) bool                     { return false }
+func (fixedCache) Len() int                                   { return 0 }
+func (fixedCache) Name() string                               { return "fixed" }
+func (fixedCache) ChunkSize() int64                           { return chunk.DefaultSize }
+func (fixedCache) PrefetchNext(chunk.VideoID, int64, int64) (chunk.ID, bool, bool, []chunk.ID) {
+	return chunk.ID{}, false, false, nil
+}
+
+// noSizes knows no video's size.
+type noSizes struct{}
+
+func (noSizes) SizeOf(chunk.VideoID) (int64, bool) { return 0, false }
+
+// TestReplayPrefetchRejectsBrokenInput: the prefetch replay runs on the
+// simulator's one replay loop, so it inherits its checks and returns an
+// error for a trace out of time order or an outcome that breaks the
+// accounting invariants, instead of panicking inside the cache or
+// accepting the numbers.
+func TestReplayPrefetchRejectsBrokenInput(t *testing.T) {
+	const k = chunk.DefaultSize
+	at := func(times ...int64) (reqs []trace.Request) {
+		for i, tm := range times {
+			reqs = append(reqs, trace.Request{Time: tm, Video: chunk.VideoID(i + 1), Start: 0, End: k - 1})
+		}
+		return reqs
+	}
+	ordered, shuffled := at(0, 10, 20, 30), at(0, 10, 5, 30)
+	for _, in := range []struct {
+		name  string
+		cache func() prefetch.Prefetchable
+		reqs  []trace.Request
+	}{
+		{"out of order (cafe)", func() prefetch.Prefetchable {
+			c, err := newCache(AlgoCafe, core.Config{ChunkSize: k, DiskChunks: 32}, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.(prefetch.Prefetchable)
+		}, shuffled},
+		{"redirect with fill", func() prefetch.Prefetchable {
+			return fixedCache{core.Outcome{Decision: core.Redirect, FilledChunks: 1, FilledBytes: k}}
+		}, ordered},
+		{"FilledIDs mismatch", func() prefetch.Prefetchable {
+			return fixedCache{core.Outcome{Decision: core.Serve, FilledChunks: 2, FilledBytes: 2 * k,
+				FilledIDs: []chunk.ID{{Video: 1}}}}
+		}, ordered},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			_, err := ReplayPrefetch(in.cache(), in.reqs, cost.MustModel(1), prefetch.Config{ChunksPerHour: 10}, noSizes{})
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			t.Log(err)
+		})
 	}
 }

@@ -20,6 +20,8 @@ const (
 	AlgoGDSP    = "gdsp"   // Greedy-Dual-Size-Popularity baseline (related work)
 	AlgoLRUK    = "lruk"   // LRU-2 baseline (related work)
 	AlgoBelady  = "belady" // offline optimal replacement, always-fill (related work)
+	AlgoLRUQ    = "lruq"   // LRU(q), q = 4: hits climb recency levels (related work)
+	AlgoAdmit   = "admit"  // LRU behind a frequency doorkeeper (related work)
 )
 
 // OnlineAlgos is the paper's per-figure trio.

@@ -213,6 +213,9 @@ func TestFanInSharedParentCatchesRedirects(t *testing.T) {
 	if res.OriginBytes != 0 {
 		t.Error("always-fill parent should stop everything")
 	}
+	if sum := res.AbsorbedBytes[0] + res.AbsorbedBytes[1] + res.AbsorbedBytes[2] + res.OriginBytes; sum != res.TotalRequested {
+		t.Errorf("conservation violated: %d absorbed or passed to origin, %d requested", sum, res.TotalRequested)
+	}
 }
 
 func TestFanInValidation(t *testing.T) {
@@ -233,5 +236,66 @@ func TestFanInValidation(t *testing.T) {
 	}
 	if _, err := FanIn(edges, Tier{Name: "p", Alpha: 1}, reqs, func(trace.Request) int { return 0 }); err == nil {
 		t.Error("parent without cache should fail")
+	}
+}
+
+// fixedCache returns one outcome for every request: a policy that
+// breaks the outcome invariants.
+type fixedCache struct{ out core.Outcome }
+
+func (c fixedCache) HandleRequest(trace.Request) core.Outcome { return c.out }
+func (fixedCache) Contains(chunk.ID) bool                     { return false }
+func (fixedCache) Len() int                                   { return 0 }
+func (fixedCache) Name() string                               { return "fixed" }
+
+// TestFanInRejectsBrokenInput: FanIn returns an error for a trace out
+// of time order or an outcome that breaks the accounting invariants
+// (the simulator's replay loop, which every tier runs on, checks
+// those), instead of panicking inside the cache or accepting the
+// numbers.
+func TestFanInRejectsBrokenInput(t *testing.T) {
+	at := func(times ...int64) (reqs []trace.Request) {
+		for i, tm := range times {
+			reqs = append(reqs, req(tm, chunk.VideoID(i+1), 0, 0))
+		}
+		return reqs
+	}
+	ordered, shuffled := at(0, 10, 20, 30), at(0, 10, 5, 30)
+	mkCafe := func() core.Cache {
+		c, err := cafe.New(core.Config{ChunkSize: testK, DiskChunks: 64}, 1, cafe.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, in := range []struct {
+		name  string
+		cache func() core.Cache
+		reqs  []trace.Request
+	}{
+		{"out of order (lru)", func() core.Cache { return mkLRU(t, 64) }, shuffled},
+		{"out of order (cafe)", mkCafe, shuffled},
+		{"redirect with fill", func() core.Cache {
+			return fixedCache{core.Outcome{Decision: core.Redirect, FilledChunks: 1, FilledBytes: testK}}
+		}, ordered},
+		{"FilledIDs mismatch", func() core.Cache {
+			return fixedCache{core.Outcome{Decision: core.Serve, FilledChunks: 2, FilledBytes: 2 * testK,
+				FilledIDs: []chunk.ID{{Video: 1}}}}
+		}, ordered},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			_, err := FanIn([]Tier{{Name: "edge", Cache: in.cache(), Alpha: 1}},
+				Tier{Name: "parent", Cache: mkLRU(t, 64), Alpha: 1},
+				in.reqs, func(trace.Request) int { return 0 })
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			t.Log(err)
+		})
 	}
 }

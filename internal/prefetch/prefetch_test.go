@@ -28,7 +28,7 @@ func (m sizeMap) SizeOf(v chunk.VideoID) (int64, bool) {
 }
 
 // replay runs the planner on one sim.Replay, as the prefetch figure
-// and the facade's ReplayWithPrefetch do.
+// does.
 var replay = experiments.ReplayPrefetch
 
 func newCafe(t *testing.T, disk int, alpha float64) *cafe.Cache {

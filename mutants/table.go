@@ -120,6 +120,22 @@ var Table = []Mutant{
 		Run:      "^TestPaperClaims$/^ext:baselines$",
 	},
 	{
+		Name:     "admit-requires-no-hits",
+		File:     "internal/admission/admission.go",
+		Old:      "\treturn c.opt.MinHits * (units - 1)",
+		New:      "\treturn 0 * c.opt.MinHits * (units - 1)",
+		Packages: []string{"./internal/experiments"},
+		Run:      "^TestPaperClaims$/^ext:baselines$",
+	},
+	{
+		Name:     "lruq-promote-keeps-level",
+		File:     "internal/lruq/lruq.go",
+		Old:      "\tnxt := cur + 1\n",
+		New:      "\tnxt := cur\n",
+		Packages: []string{"./internal/experiments"},
+		Run:      "^TestPaperClaims$/^ext:baselines$",
+	},
+	{
 		Name:     "rounding-admits-at-0.95",
 		File:     "internal/optimal/rounded.go",
 		Old:      "admit := bound.A[t] >= 0.5 &&",
